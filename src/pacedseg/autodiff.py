@@ -5,8 +5,9 @@ construction, so the backward pass is a single reverse sweep. Values are
 numpy arrays (float32 or float64); each op caches what its backward
 closure needs. The op set is exactly what the segmentation model and its
 losses require: 3D convolution (via im2col + BLAS matmul), relu, nearest
-up-sampling, softmax, elementwise arithmetic, reductions, gathers, and
-the dot products used by the cosine-similarity contrastive loss.
+up-sampling, softmax, elementwise arithmetic, reductions, gathers,
+transpose and matmul, and the row-wise dot product used by the
+cosine-similarity contrastive loss.
 
 Raw kernels (`conv3d_raw`, `softmax_raw`, ...) are shared with the
 tape-free inference path so both routes compute identical floats.
@@ -322,6 +323,12 @@ class Tape:
         out._backward = back
         return out
 
+    def transpose(self, x: Node):
+        """Reverse the axes of a node, as ``.T`` (a view; matmul takes it as is)."""
+        out = self._record(x.value.T, (x,))
+        out._backward = lambda g: self._accum(x, g.T)
+        return out
+
     def conv3d(self, x: Node, w: Node, b: Node, stride=1, pad=1):
         val, cols = conv3d_raw(x.value, w.value, b.value, stride, pad)
         out = self._record(val, (x, w, b))
@@ -419,17 +426,6 @@ class Tape:
         def back(g):
             self._accum(a, g[..., None] * b.value)
             self._accum(b, g[..., None] * a.value)
-
-        out._backward = back
-        return out
-
-    def pairwise_dot(self, a: Node, b: Node):
-        """(P, F) x (P, K, F) -> (P, K) dot products."""
-        out = self._record(np.einsum("pf,pkf->pk", a.value, b.value), (a, b))
-
-        def back(g):
-            self._accum(a, np.einsum("pk,pkf->pf", g, b.value))
-            self._accum(b, g[:, :, None] * a.value[:, None, :])
 
         out._backward = back
         return out

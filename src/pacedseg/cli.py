@@ -156,9 +156,14 @@ def cmd_schedule_dump(cfg: TrainConfig, args) -> int:
             raise ConfigError(f"{args.lu_csv}: no L_u column")
         col = header.index("L_u")
         lu_series = [float(row.split(",")[col]) for row in lines[1:] if row]
+        if len(lu_series) > cfg.iterations:
+            raise ConfigError(
+                f"{args.lu_csv}: {len(lu_series)} L_u rows but iterations is {cfg.iterations}"
+            )
     lu_const = args.lu_const if args.lu_const is not None else 0.05
     n_vox = cfg.dim_h * cfg.dim_w * cfg.dim_d
-    state = make_schedule(cfg.iterations, cfg.alpha, cfg.delta, cfg.tau_sched)
+    # as in Trainer: a zero-iteration run still has a valid (empty) schedule
+    state = make_schedule(max(cfg.iterations, 1), cfg.alpha, cfg.delta, cfg.tau_sched)
     last_lu = math.inf
     print("t,xi,lambda,R_conf,v,K")
     steps = len(lu_series) if lu_series is not None else cfg.iterations

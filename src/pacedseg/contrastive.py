@@ -6,6 +6,14 @@ Negatives for an anchor of class c are the most confident strong-view
 locations (also mask-gated) predicting any other class, capped at K per
 anchor. The loss is an InfoNCE-style term over cosine similarities,
 summed in both anchor directions and averaged over positives.
+
+The differentiable loss uses the matrix form of InfoNCE. Anchors of one
+class share one negative pool, so a batch names few distinct negative
+rows: they are normalized once and every anchor is scored against all
+of them with one (P, F) @ (F, U) matmul per direction. Each anchor's own
+list enters its log-sum-exp as log(multiplicity) of each distinct row:
+-inf for a row it does not list, log 2 for one it lists twice. The value
+is therefore the sum over that anchor's K-entry list.
 """
 
 from __future__ import annotations
@@ -28,6 +36,11 @@ class ContrastBatch:
 
     ``neg_idx`` rows index into the flattened strong-view feature grid
     ``zsn`` and are padded with -1 past ``neg_counts[i]`` entries.
+    `mine_pairs` gives every anchor of one class the same list, so there
+    are at most n_classes * K distinct indices. `contrast_loss_node`
+    scores anchors against those distinct rows and reads each anchor's
+    list as multiplicities, so the loss is exact for any lists, repeats
+    included.
     """
 
     positions: np.ndarray      # (P,) flat indices into the half-res grid
@@ -88,19 +101,15 @@ def mine_pairs(
     z2 = zw2.data.reshape(-1, f)[pos]
 
     # one ranked negative pool per anchor class, shared by its anchors
-    pools: dict[int, np.ndarray] = {}
-    for c in np.unique(classes):
+    pool_classes, pool_of = np.unique(classes, return_inverse=True)
+    pools = np.full((pool_classes.size, k_neg), NEG_PAD, dtype=np.int64)
+    pool_sizes = np.zeros(pool_classes.size, dtype=np.int64)
+    for j, c in enumerate(pool_classes):
         cand = np.flatnonzero(m & (psn != c))
-        order = np.argsort(-conf[cand], kind="stable")
-        pools[int(c)] = cand[order[:k_neg]]
-
-    n_pos = pos.size
-    neg_idx = np.full((n_pos, k_neg), NEG_PAD, dtype=np.int64)
-    neg_counts = np.zeros(n_pos, dtype=np.int64)
-    for i in range(n_pos):
-        pool = pools[int(classes[i])]
-        neg_idx[i, : pool.size] = pool
-        neg_counts[i] = pool.size
+        pool = cand[np.argsort(-conf[cand], kind="stable")[:k_neg]]
+        pools[j, : pool.size] = pool
+        pool_sizes[j] = pool.size
+    neg_idx, neg_counts = pools[pool_of], pool_sizes[pool_of]
 
     return ContrastBatch(
         positions=pos, classes=classes, z1=z1, z2=z2,
@@ -163,15 +172,21 @@ def contrast_loss_node(
     p_count = batch.n_positives
     if p_count == 0:
         return tape.input(0.0)
-    k = batch.neg_idx.shape[1]
     f = batch.z1.shape[1]
     tau = batch.tau
 
+    # the distinct negative rows, and how often each anchor's list names each
+    listed = batch.neg_idx != NEG_PAD
+    named = batch.neg_idx[listed]
+    present = np.bincount(named) > 0            # np.unique without its sort
+    uniq = np.flatnonzero(present)
+    cell = np.nonzero(listed)[0] * uniq.size + (np.cumsum(present) - 1)[named]
+    mult = np.bincount(cell, minlength=p_count * uniq.size).reshape(p_count, uniq.size)
+    with np.errstate(divide="ignore"):
+        log_mult = np.log(mult.astype(tape.dtype))                  # -inf where unlisted
+
     flat = tape.reshape(zsn_node, (-1, f))
-    gather_idx = np.where(batch.neg_idx == NEG_PAD, 0, batch.neg_idx).ravel()
-    negs = tape.row_normalize(tape.take_rows(flat, gather_idx))
-    negs = tape.reshape(negs, (p_count, k, f))
-    pad = np.where(batch.neg_idx == NEG_PAD, -np.inf, 0.0)
+    negs_t = tape.transpose(tape.row_normalize(tape.take_rows(flat, uniq)))   # (F, U)
 
     z1n = tape.row_normalize(z1_node) if z1_node is not None else tape.input(_unit(batch.z1, "z1"))
     z2n = tape.row_normalize(z2_node) if z2_node is not None else tape.input(_unit(batch.z2, "z2"))
@@ -179,7 +194,7 @@ def contrast_loss_node(
     s12_col = tape.reshape(s12, (p_count, 1))
 
     def direction(anchor_n: Node) -> Node:
-        sims = tape.add_const(tape.scale(tape.pairwise_dot(anchor_n, negs), 1.0 / tau), pad)
+        sims = tape.add_const(tape.scale(tape.matmul(anchor_n, negs_t), 1.0 / tau), log_mult)
         logits = tape.concat([s12_col, sims], axis=1)
         return tape.sum(tape.sub(tape.logsumexp(logits), s12))
 

@@ -190,13 +190,14 @@ class TestStructuralGrads:
         labels = np.array([0, 2, 1, 1])
         fd_check(lambda t, xs: t.sum(t.select_class(xs[0], labels)), [(4, 3)])
 
-    def test_rows_dot_and_pairwise_dot(self):
+    def test_rows_dot_and_transpose_matmul(self):
+        """The contrast loss's shapes: (P,) row dots, (P, F) @ (F, U) logits."""
         def build(t, xs):
             a = t.rows_dot(xs[0], xs[1])
-            b = t.logsumexp(t.pairwise_dot(xs[0], xs[2]))
+            b = t.logsumexp(t.matmul(xs[0], t.transpose(xs[2])))
             return t.sum(t.add(a, b))
 
-        fd_check(build, [(3, 4), (3, 4), (3, 5, 4)])
+        fd_check(build, [(3, 4), (3, 4), (5, 4)])
 
     def test_row_normalize(self):
         def build(t, xs):

@@ -15,6 +15,8 @@ from pacedseg.contrastive import (
 from pacedseg.grids import BoolMask, LabelMap, Volume
 from pacedseg.network import FeatureMap
 
+from oracles import gather_contrast_loss_node
+
 
 def random_batch(rng, n_pos=3, k_neg=2, f=4, tau=0.5):
     n_grid = max(n_pos * 2, 8)
@@ -176,6 +178,55 @@ class TestContrastNode:
                 assert err < 1e-4, f"{tag}[{ci}]"
 
 
+# float64 agreement of the matmul form with the gather oracle, relative to
+# the scale of the loss and of each gradient array
+ORACLE_RTOL = 1e-12
+
+
+def _loss_and_grads(build, batch):
+    tape = Tape(np.float64)
+    zsn, z1, z2 = tape.input(batch.zsn), tape.input(batch.z1), tape.input(batch.z2)
+    loss = build(tape, zsn, batch, z1, z2)
+    tape.backward(loss)
+    grads = {name: np.zeros_like(n.value) if n.grad is None else n.grad
+             for name, n in (("zsn", zsn), ("z1", z1), ("z2", z2))}
+    return float(loss.value), grads
+
+
+def assert_matches_gather_oracle(batch):
+    got, got_grads = _loss_and_grads(contrast_loss_node, batch)
+    ref, ref_grads = _loss_and_grads(gather_contrast_loss_node, batch)
+    assert abs(got - ref) <= ORACLE_RTOL * abs(ref), (got, ref)
+    for name, ref_g in ref_grads.items():
+        err = np.abs(got_grads[name] - ref_g).max(initial=0.0)
+        assert err <= ORACLE_RTOL * np.abs(ref_g).max(initial=0.0), name
+    return got
+
+
+class TestMatmulFormAgainstGatherOracle:
+    def test_random_per_anchor_batches(self):
+        rng = np.random.default_rng(15)
+        for _ in range(30):
+            batch = random_batch(rng, n_pos=int(rng.integers(1, 7)),
+                                 k_neg=int(rng.integers(1, 5)), f=int(rng.integers(2, 6)))
+            assert_matches_gather_oracle(batch)
+
+    def test_repeated_index_counts_twice(self):
+        rng = np.random.default_rng(17)
+        batch = random_batch(rng, n_pos=2, k_neg=3)
+        batch.neg_idx = np.array([[3, 3, 5], [5, -1, -1]])
+        batch.neg_counts = np.array([3, 1])
+        loss = assert_matches_gather_oracle(batch)
+        assert loss == pytest.approx(bidirectional_loss(batch), rel=1e-12)
+
+    def test_all_padding_rows_give_exactly_zero(self):
+        rng = np.random.default_rng(18)
+        batch = random_batch(rng, n_pos=4, k_neg=3)
+        batch.neg_idx = np.full((4, 3), -1)
+        batch.neg_counts = np.zeros(4, dtype=np.int64)
+        assert assert_matches_gather_oracle(batch) == 0.0
+
+
 def feature_grid(rng, dims, f=4):
     return FeatureMap(rng.standard_normal((*dims, f)) + 0.1)
 
@@ -272,6 +323,13 @@ class TestMinePairs:
         inputs["conf_sn"] = Volume(rng.random((4, 4, 2)))
         with pytest.raises(ValueError):
             mine_pairs(**inputs, k_neg=1)
+
+    def test_shared_class_pools_match_gather_oracle(self):
+        rng = np.random.default_rng(16)
+        for _ in range(10):
+            batch = mine_pairs(**self.make_inputs(rng, dims=(4, 4, 2)), k_neg=5)
+            assert np.unique(batch.neg_idx, axis=0).shape[0] < batch.n_positives
+            assert_matches_gather_oracle(batch)
 
     def test_deterministic(self):
         rng_a, rng_b = np.random.default_rng(14), np.random.default_rng(14)
