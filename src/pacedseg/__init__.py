@@ -8,99 +8,4 @@ selection mask, and a bidirectional feature contrastive loss sharpens
 class separation on the mask-gated embeddings.
 """
 
-from .ablation import AblationResult, run_ablation
-from .autodiff import Node, Tape
-from .contrastive import (
-    ContrastBatch,
-    bidirectional_loss,
-    contrast_loss_node,
-    feature_contrast_loss,
-    mine_pairs,
-)
-from .errors import (
-    ConfigError,
-    FormatError,
-    ScheduleStateError,
-    TrainingAbort,
-    UndefinedMetricError,
-)
-from .grids import (
-    BoolMask,
-    LabelMap,
-    ProbMap,
-    Volume,
-    argmax_labels,
-    downsample_labels_majority,
-    downsample_mask,
-    downsample_mean,
-    load_labelmap,
-    load_probmap,
-    load_volume,
-    save_labelmap,
-    save_probmap,
-    save_volume,
-)
-from .losses import (
-    LossReport,
-    ce_loss,
-    dice_loss,
-    multiclass_dice,
-    supervised_loss,
-    unsupervised_loss,
-)
-from .metrics import (
-    MetricsRecord,
-    dsc_jaccard,
-    evaluate_case,
-    summarize,
-    surface_distances,
-)
-from .network import (
-    FeatureMap,
-    ModelParams,
-    SGDState,
-    ema_update,
-    forward,
-    init_params,
-    load_checkpoint,
-    save_checkpoint,
-    sgd_step,
-)
-from .perturb import Box, apply_flips, cutmix, cutmix_with_box, sample_flips, weak_perturb
-from .synthdata import (
-    Dataset,
-    EllipsoidParams,
-    LabeledCase,
-    PseudoLabelSet,
-    UnlabeledCase,
-    attach_registration,
-    calibrate_registration_sigma,
-    fuse_labels,
-    fuse_with_weight_map,
-    generate_dataset,
-    load_dataset,
-    register_surrogate,
-    save_dataset,
-)
-from .training import (
-    RunResult,
-    TrainConfig,
-    Trainer,
-    evaluate_params,
-    load_config,
-    run_training,
-    save_config,
-)
-from .uncertainty import (
-    ScheduleState,
-    UncertaintyMap,
-    advance_age,
-    confident_ratio,
-    entropy_map,
-    make_schedule,
-    mc_uncertainty,
-    select_mask,
-    warmup_xi,
-)
-
 __version__ = "0.1.0"

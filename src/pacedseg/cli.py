@@ -15,12 +15,11 @@ from pathlib import Path
 
 from .ablation import run_ablation
 from .errors import ConfigError, FormatError, TrainingAbort
-from .grids import argmax_labels
-from .metrics import MetricsRecord, evaluate_case, summarize
-from .network import forward, load_checkpoint
+from .metrics import MetricsRecord, summarize
+from .network import load_checkpoint
 from .synthdata import attach_registration, generate_dataset, load_dataset, save_dataset
-from .training import TrainConfig, load_config, run_training, save_config
-from .uncertainty import confident_ratio, make_schedule, warmup_xi
+from .training import TrainConfig, evaluate_params, load_config, run_training, save_config
+from .uncertainty import advance_age, confident_ratio, make_schedule, warmup_xi
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -104,20 +103,16 @@ def cmd_train(cfg: TrainConfig, args) -> int:
 
 
 def cmd_eval(cfg: TrainConfig, args) -> int:
-    sections, meta = load_checkpoint(args.checkpoint)
+    sections, _ = load_checkpoint(args.checkpoint)
     if args.section not in sections:
         raise ConfigError(
             f"checkpoint has sections {sorted(sections)}, not {args.section!r}"
         )
-    params = sections[args.section]
     ds = load_dataset(args.data_dir, include_truth=True)
     cases = [c for c in ds.labeled + ds.unlabeled if c.truth is not None]
     if not cases:
         raise ConfigError(f"{args.data_dir} has no truth volumes to score against")
-    records = []
-    for case in cases:
-        probs, _ = forward(params, case.image, dropout_on=False, rng_seed=0)
-        records.append(evaluate_case(case.case_id, argmax_labels(probs), case.truth))
+    records = evaluate_params(sections[args.section], cases, ds.n_classes)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "metrics.csv", "w") as f:
@@ -147,28 +142,45 @@ def cmd_ablate(cfg: TrainConfig, args) -> int:
     return EXIT_OK
 
 
+def _read_lu_column(path) -> list[float]:
+    """The L_u column of a train_log.csv; any malformed row is a ConfigError."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read {path}: {e}") from e
+    header = lines[0].split(",") if lines else []
+    if "L_u" not in header:
+        raise ConfigError(f"{path}: no L_u column")
+    col = header.index("L_u")
+    values = []
+    for lineno, row in enumerate(lines[1:], 2):
+        if not row:
+            continue
+        try:
+            value = float(row.split(",")[col])
+        except (IndexError, ValueError) as e:
+            raise ConfigError(f"{path}:{lineno}: no numeric L_u in {row!r}") from e
+        if not value >= 0:
+            raise ConfigError(f"{path}:{lineno}: L_u must be >= 0, got {value!r}")
+        values.append(value)
+    return values
+
+
 def cmd_schedule_dump(cfg: TrainConfig, args) -> int:
-    lu_series = None
-    if args.lu_csv:
-        lines = Path(args.lu_csv).read_text().splitlines()
-        header = lines[0].split(",")
-        if "L_u" not in header:
-            raise ConfigError(f"{args.lu_csv}: no L_u column")
-        col = header.index("L_u")
-        lu_series = [float(row.split(",")[col]) for row in lines[1:] if row]
-        if len(lu_series) > cfg.iterations:
-            raise ConfigError(
-                f"{args.lu_csv}: {len(lu_series)} L_u rows but iterations is {cfg.iterations}"
-            )
+    lu_series = _read_lu_column(args.lu_csv) if args.lu_csv else None
+    if lu_series is not None and len(lu_series) > cfg.iterations:
+        raise ConfigError(
+            f"{args.lu_csv}: {len(lu_series)} L_u rows but iterations is {cfg.iterations}"
+        )
     lu_const = args.lu_const if args.lu_const is not None else 0.05
+    if not lu_const >= 0:
+        raise ConfigError(f"--lu-const must be >= 0, got {lu_const!r}")
     n_vox = cfg.dim_h * cfg.dim_w * cfg.dim_d
     # as in Trainer: a zero-iteration run still has a valid (empty) schedule
     state = make_schedule(max(cfg.iterations, 1), cfg.alpha, cfg.delta, cfg.tau_sched)
     last_lu = math.inf
     print("t,xi,lambda,R_conf,v,K")
     steps = len(lu_series) if lu_series is not None else cfg.iterations
-    from .uncertainty import advance_age  # local to keep the module surface tidy
-
     for t in range(steps):
         xi = warmup_xi(state.t, state.t_max)
         r_conf, v = confident_ratio(state, last_lu)

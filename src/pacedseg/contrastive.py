@@ -18,13 +18,13 @@ is therefore the sum over that anchor's K-entry list.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Node, Tape
 from .grids import BoolMask, LabelMap, Volume
+from .losses import _scalar
 from .network import FeatureMap
 
 NEG_PAD = -1
@@ -34,8 +34,9 @@ NEG_PAD = -1
 class ContrastBatch:
     """Mined positive pairs plus per-anchor negative index lists.
 
-    ``neg_idx`` rows index into the flattened strong-view feature grid
-    ``zsn`` and are padded with -1 past ``neg_counts[i]`` entries.
+    ``neg_idx`` rows index into the flattened (M, F) strong-view feature
+    grid that `mine_pairs` checked against the mask grid, and are padded
+    with -1 past ``neg_counts[i]`` entries.
     `mine_pairs` gives every anchor of one class the same list, so there
     are at most n_classes * K distinct indices. `contrast_loss_node`
     scores anchors against those distinct rows and reads each anchor's
@@ -49,15 +50,11 @@ class ContrastBatch:
     z2: np.ndarray             # (P, F) weak-view-2 embeddings
     neg_idx: np.ndarray        # (P, K) flat indices, NEG_PAD past the count
     neg_counts: np.ndarray     # (P,)
-    zsn: np.ndarray            # (M, F) full flattened strong-view embeddings
     tau: float
 
     @property
     def n_positives(self) -> int:
         return int(self.positions.size)
-
-    def negatives_for(self, i: int) -> np.ndarray:
-        return self.zsn[self.neg_idx[i, : self.neg_counts[i]]]
 
 
 def mine_pairs(
@@ -113,8 +110,7 @@ def mine_pairs(
 
     return ContrastBatch(
         positions=pos, classes=classes, z1=z1, z2=z2,
-        neg_idx=neg_idx, neg_counts=neg_counts,
-        zsn=zsn.data.reshape(-1, f).copy(), tau=tau,
+        neg_idx=neg_idx, neg_counts=neg_counts, tau=tau,
     )
 
 
@@ -123,36 +119,6 @@ def _unit(v: np.ndarray, name: str) -> np.ndarray:
     if (n == 0).any():
         raise ValueError(f"{name} contains a zero vector; cosine undefined")
     return v / n
-
-
-def feature_contrast_loss(anchor, positive, negatives, tau: float) -> float:
-    """-log( e^{cos(a,p)/tau} / (e^{cos(a,p)/tau} + sum_j e^{cos(a,n_j)/tau}) ).
-
-    Stabilized by max-subtraction; an empty negative list gives exactly 0.
-    """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    a = _unit(np.asarray(anchor, dtype=np.float64), "anchor")
-    p = _unit(np.asarray(positive, dtype=np.float64), "positive")
-    logits = [float(a @ p) / tau]
-    for neg in negatives:
-        n = _unit(np.asarray(neg, dtype=np.float64), "negative")
-        logits.append(float(a @ n) / tau)
-    logits = np.asarray(logits)
-    m = logits.max()
-    return float(m + math.log(np.exp(logits - m).sum()) - logits[0])
-
-
-def bidirectional_loss(batch: ContrastBatch) -> float:
-    """Mean over positives of both anchor directions; 0 for an empty batch."""
-    if batch.n_positives == 0:
-        return 0.0
-    total = 0.0
-    for i in range(batch.n_positives):
-        negs = batch.negatives_for(i)
-        total += feature_contrast_loss(batch.z1[i], batch.z2[i], negs, batch.tau)
-        total += feature_contrast_loss(batch.z2[i], batch.z1[i], negs, batch.tau)
-    return total / batch.n_positives
 
 
 def contrast_loss_node(
@@ -199,21 +165,4 @@ def contrast_loss_node(
         return tape.sum(tape.sub(tape.logsumexp(logits), s12))
 
     total = tape.add(direction(z1n), direction(z2n))
-    return _scalar_node(tape, tape.scale(total, 1.0 / p_count))
-
-
-def _scalar_node(tape: Tape, node: Node) -> Node:
-    return tape.reshape(node, ())
-
-
-def validate_batch(batch: ContrastBatch, preds_w1: LabelMap, preds_w2: LabelMap,
-                   preds_sn: LabelMap, mask_ds: BoolMask) -> None:
-    """Assert the mining contracts; used by tests and debug runs."""
-    m = mask_ds.data.ravel()
-    p1, p2, psn = preds_w1.data.ravel(), preds_w2.data.ravel(), preds_sn.data.ravel()
-    assert m[batch.positions].all(), "positive off the selection mask"
-    assert (p1[batch.positions] == p2[batch.positions]).all(), "views disagree at a positive"
-    for i in range(batch.n_positives):
-        idx = batch.neg_idx[i, : batch.neg_counts[i]]
-        assert m[idx].all(), "negative off the selection mask"
-        assert (psn[idx] != batch.classes[i]).all(), "negative shares the anchor class"
+    return _scalar(tape, tape.scale(total, 1.0 / p_count))

@@ -127,8 +127,6 @@ def _write_raw(path, data4: np.ndarray) -> None:
         f.write(VOLUME_MAGIC)
         f.write(_HEADER.pack(h, w, d, c))
         f.write(payload)
-    with open(str(path) + ".dims.txt", "w") as f:
-        f.write(f"{h} {w} {d} {c}\n")
 
 
 def _read_raw(path) -> np.ndarray:
@@ -160,18 +158,6 @@ def load_volume(path) -> Volume:
         raise FormatError(f"{path}: expected 1 channel, got {data.shape[3]}")
     try:
         return Volume(data[..., 0])
-    except ValueError as e:
-        raise FormatError(f"{path}: {e}") from e
-
-
-def save_probmap(pm: ProbMap, path) -> None:
-    _write_raw(path, pm.data)
-
-
-def load_probmap(path) -> ProbMap:
-    data = _read_raw(path)
-    try:
-        return ProbMap(data)
     except ValueError as e:
         raise FormatError(f"{path}: {e}") from e
 

@@ -1,8 +1,7 @@
 """Supervised, mask-gated unsupervised, and total training objectives.
 
-Each loss exists once, as a tape-graph builder; the float-returning
-wrappers run the same builder on a throwaway tape, so reported values
-and training gradients can never drift apart.
+Each loss exists once, as a tape-graph builder; reported values are the
+values of the same nodes the training gradients flow through.
 
 Mask gating is subset reduction: the gated loss is literally the loss of
 the voxel subset where the mask is true, not a multiply-then-average
@@ -16,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Node, Tape
-from .grids import BoolMask, LabelMap, ProbMap
 
 DICE_EPS = 1e-5
 CE_PROB_FLOOR = 1e-7
@@ -24,16 +22,6 @@ CE_PROB_FLOOR = 1e-7
 
 def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return np.eye(n_classes)[labels]
-
-
-def dice_loss(pred_channel, target, eps=DICE_EPS) -> float:
-    """Soft Dice for one class channel: 1 - (2*sum(p*g)+eps)/(sum(p)+sum(g)+eps)."""
-    p = np.asarray(getattr(pred_channel, "data", pred_channel), dtype=np.float64)
-    g = np.asarray(getattr(target, "data", target), dtype=np.float64)
-    if p.shape != g.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {g.shape}")
-    inter = float((p * g).sum())
-    return 1.0 - (2.0 * inter + eps) / (float(p.sum()) + float(g.sum()) + eps)
 
 
 def _scalar(tape: Tape, node: Node) -> Node:
@@ -78,68 +66,6 @@ def dice_ce_node(tape: Tape, prob_node: Node, target_labels: np.ndarray,
         labels = labels[gate_idx]
     onehot = _one_hot(labels, n_classes)
     return tape.add(dice_node(tape, flat, onehot, n_classes), ce_node(tape, flat, labels))
-
-
-# ---------------------------------------------------------------------------
-# float-returning wrappers over the graph builders
-# ---------------------------------------------------------------------------
-
-def _check_pair(pred: ProbMap, target: LabelMap):
-    if pred.dims != target.dims:
-        raise ValueError(f"dims mismatch: {pred.dims} vs {target.dims}")
-    if pred.n_classes != target.n_classes:
-        raise ValueError("class count mismatch")
-
-
-def _run(pred: ProbMap, target: LabelMap, gate_idx) -> float:
-    tape = Tape(np.float64)
-    node = dice_ce_node(tape, tape.input(pred.data), target.data, pred.n_classes, gate_idx)
-    return float(node.value)
-
-
-def ce_loss(pred: ProbMap, target: LabelMap, gate: BoolMask | None = None) -> float:
-    """Mean cross-entropy over (optionally gated) voxels; empty gate -> 0."""
-    _check_pair(pred, target)
-    labels = target.data.ravel()
-    flat = pred.data.reshape(-1, pred.n_classes)
-    if gate is not None:
-        if gate.dims != pred.dims:
-            raise ValueError("gate dims mismatch")
-        idx = np.flatnonzero(gate.data.ravel())
-        if idx.size == 0:
-            return 0.0
-        labels, flat = labels[idx], flat[idx]
-    tape = Tape(np.float64)
-    return float(ce_node(tape, tape.input(flat), labels).value)
-
-
-def multiclass_dice(pred: ProbMap, target: LabelMap, gate: BoolMask | None = None) -> float:
-    """Soft Dice averaged over foreground classes."""
-    _check_pair(pred, target)
-    flat = pred.data.reshape(-1, pred.n_classes)
-    labels = target.data.ravel()
-    if gate is not None:
-        idx = np.flatnonzero(gate.data.ravel())
-        if idx.size == 0:
-            return 0.0
-        flat, labels = flat[idx], labels[idx]
-    tape = Tape(np.float64)
-    node = dice_node(tape, tape.input(flat), _one_hot(labels, pred.n_classes), pred.n_classes)
-    return float(node.value)
-
-
-def supervised_loss(pred: ProbMap, fused: LabelMap) -> float:
-    """Ungated Dice + CE against the fused pseudo label."""
-    _check_pair(pred, fused)
-    return _run(pred, fused, None)
-
-
-def unsupervised_loss(pred: ProbMap, pseudo: LabelMap, mask: BoolMask) -> float:
-    """Dice + CE restricted to mask-true voxels; empty mask -> 0."""
-    _check_pair(pred, pseudo)
-    if mask.dims != pred.dims:
-        raise ValueError("mask dims mismatch")
-    return _run(pred, pseudo, np.flatnonzero(mask.data.ravel()))
 
 
 @dataclass

@@ -300,13 +300,22 @@ def load_checkpoint(path):
                 (dropout_rate,) = struct.unpack("<d", f.read(8))
                 widths = struct.unpack("<4I", f.read(16))
                 (dtype_code,) = struct.unpack("<B", f.read(1))
+                if dtype_code not in _CODE_DTYPES:
+                    raise FormatError(f"{path}: unknown dtype code {dtype_code}")
                 dtype = _CODE_DTYPES[dtype_code]
+                expected = _param_shapes(n_classes, widths, embed_dim)
                 (n_tensors,) = struct.unpack("<I", f.read(4))
+                if n_tensors != len(expected):
+                    raise FormatError(f"{path}: section {name!r} has {n_tensors} tensors")
                 tensors = {}
                 for _ in range(n_tensors):
                     tname = _read_str(f)
                     (ndim,) = struct.unpack("<B", f.read(1))
                     shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
+                    # checked before the payload is read: a corrupt shape
+                    # must not size the read
+                    if expected.pop(tname, None) != shape:
+                        raise FormatError(f"{path}: unexpected tensor {tname!r} {shape}")
                     count = int(np.prod(shape))
                     raw = f.read(count * 8)
                     if len(raw) != count * 8:
@@ -322,6 +331,10 @@ def load_checkpoint(path):
             for _ in range(n_meta):
                 key = _read_str(f)
                 (meta[key],) = struct.unpack("<d", f.read(8))
+            if f.read(1):
+                raise FormatError(f"{path}: trailing bytes after the metadata")
     except struct.error as e:
         raise FormatError(f"{path}: truncated checkpoint ({e})") from e
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: undecodable name ({e})") from e
     return sections, meta

@@ -29,10 +29,6 @@ class Box:
     def slices(self) -> tuple[slice, slice, slice]:
         return tuple(slice(c, c + s) for c, s in zip(self.corner, self.size))
 
-    @property
-    def n_voxels(self) -> int:
-        return self.size[0] * self.size[1] * self.size[2]
-
 
 def _rng_of(rng_or_seed) -> np.random.Generator:
     if isinstance(rng_or_seed, np.random.Generator):
@@ -102,9 +98,3 @@ def cutmix_with_box(
     img[sel] = d_img.data[sel]
     lab[sel] = d_lab.data[sel]
     return Volume(img), LabelMap(lab, r_lab.n_classes), box
-
-
-def cutmix(recipient, donor, rng_or_seed):
-    """CutMix with a freshly sampled box."""
-    box = sample_box(recipient[0].dims, rng_or_seed)
-    return cutmix_with_box(recipient, donor, box)

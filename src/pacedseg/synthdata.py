@@ -16,7 +16,7 @@ against the hidden truth lands in the 0.60-0.70 band.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -84,14 +84,6 @@ class Dataset:
     @property
     def n_unlabeled(self) -> int:
         return len(self.unlabeled)
-
-
-@dataclass(eq=False)
-class PseudoLabelSet:
-    reg: LabelMap
-    seg: LabelMap
-    fused: LabelMap
-    weight_map: Volume
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +274,7 @@ def slice_weight_map(dims, k: int, w0: float, half_life: float) -> Volume:
     return Volume(np.broadcast_to(weights, (h, w, d)).copy())
 
 
-def fuse_with_weight_map(reg: LabelMap, seg: LabelMap, weight_map: Volume) -> PseudoLabelSet:
+def fuse_with_weight_map(reg: LabelMap, seg: LabelMap, weight_map: Volume) -> LabelMap:
     """Per-voxel argmax of w*onehot(reg) + (1-w)*onehot(seg); ties to class 0."""
     if reg.dims != seg.dims or reg.dims != weight_map.dims:
         raise ValueError("dims mismatch between reg, seg, and weight map")
@@ -291,17 +283,7 @@ def fuse_with_weight_map(reg: LabelMap, seg: LabelMap, weight_map: Volume) -> Ps
     eye = np.eye(reg.n_classes)
     w = weight_map.data[..., None]
     score = w * eye[reg.data] + (1.0 - w) * eye[seg.data]
-    fused = LabelMap(np.argmax(score, axis=3), reg.n_classes)
-    return PseudoLabelSet(reg=reg, seg=seg, fused=fused, weight_map=weight_map)
-
-
-def fuse_labels(reg: LabelMap, seg: LabelMap, k: int, w0: float, half_life: float) -> PseudoLabelSet:
-    """Distance-decayed fusion favoring registration near the annotated slice."""
-    if half_life == math.inf:
-        weights = Volume(np.full(reg.dims, w0))
-    else:
-        weights = slice_weight_map(reg.dims, k, w0, half_life)
-    return fuse_with_weight_map(reg, seg, weights)
+    return LabelMap(np.argmax(score, axis=3), reg.n_classes)
 
 
 # ---------------------------------------------------------------------------

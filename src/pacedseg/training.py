@@ -21,8 +21,7 @@ augmentation draws — ablation variants see identical inputs.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -231,7 +230,7 @@ def load_config(path) -> TrainConfig:
     values = {}
     try:
         text = Path(path).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -350,7 +349,7 @@ class Trainer:
         )
         reg_f = LabelMap(apply_flips(labeled.reg_label.data, flips), cfg.n_classes)
         wmap_f = Volume(apply_flips(self._weight_maps[labeled.case_id], flips))
-        fused = fuse_with_weight_map(reg_f, ys_l, wmap_f).fused
+        fused = fuse_with_weight_map(reg_f, ys_l, wmap_f)
         probs_l, _, _ = forward_graph(tape, pnodes, xs_l.data, self._dropout_mask(subs[2]))
         ls_node = dice_ce_node(tape, probs_l, fused.data, cfg.n_classes)
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ScheduleStateError
-from .grids import BoolMask, ProbMap, Volume
-from .network import ModelParams, forward_parts, head_forward, make_dropout_mask
+from .grids import BoolMask, ProbMap
+from .network import ModelParams, head_forward, make_dropout_mask
 
 
 @dataclass(eq=False)
@@ -59,11 +59,6 @@ def entropy_values(p: np.ndarray, n_classes: int) -> np.ndarray:
     return ent
 
 
-def entropy_map(probs: ProbMap) -> UncertaintyMap:
-    """Per-voxel predictive entropy of a probability map, in nats."""
-    return UncertaintyMap(entropy_values(probs.data, probs.n_classes), probs.n_classes)
-
-
 def mc_pass_seed(seed: int, t: int) -> int:
     """Seed of the t-th stochastic pass; pinned so oracles can replay passes."""
     return seed + t
@@ -72,7 +67,11 @@ def mc_pass_seed(seed: int, t: int) -> int:
 def mc_uncertainty_from_trunk(
     params: ModelParams, hdec: np.ndarray, n_passes: int, seed: int
 ):
-    """T dropout-on head passes over a shared trunk; mean probs + entropy."""
+    """T dropout-on head passes over a shared trunk; mean probs + entropy.
+
+    Pass t uses ``mc_pass_seed(seed, t)``, so averaging T full dropout-on
+    forward passes with those seeds reproduces the mean exactly.
+    """
     if n_passes < 1:
         raise ValueError("need at least one stochastic pass")
     acc = None
@@ -84,17 +83,6 @@ def mc_uncertainty_from_trunk(
     mean = acc / n_passes
     umap = UncertaintyMap(entropy_values(mean, params.n_classes), params.n_classes)
     return ProbMap(mean), umap
-
-
-def mc_uncertainty(params: ModelParams, image: Volume, n_passes: int, seed: int):
-    """Monte-Carlo dropout uncertainty for one image.
-
-    Returns (mean probability map, entropy map). Pass t uses
-    ``mc_pass_seed(seed, t)``, so averaging T independent full forward
-    passes with those seeds reproduces the mean exactly.
-    """
-    hdec, _ = forward_parts(params, image.data)
-    return mc_uncertainty_from_trunk(params, hdec, n_passes, seed)
 
 
 # ---------------------------------------------------------------------------

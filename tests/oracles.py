@@ -2,11 +2,92 @@
 
 These are slow on purpose: each one computes its quantity the direct
 way, so a test can compare the optimized form in `src/` against it.
+
+- `dice_loss`: soft Dice of one class channel; checks
+  `pacedseg.losses.dice_node`.
+- `feature_contrast_loss`: one-anchor InfoNCE over cosine similarities;
+  the building block of `bidirectional_loss`.
+- `negatives_for` and `bidirectional_loss`: the per-anchor float loop;
+  check `pacedseg.contrastive.contrast_loss_node`.
+- `gather_contrast_loss_node`: the gather form of the same loss on a
+  tape; checks the values and gradients of `contrast_loss_node`.
+- `validate_batch`: the mining contracts of
+  `pacedseg.contrastive.mine_pairs`.
+
+The contrast references take the (M, F) strong-view feature grid as an
+argument, since a `ContrastBatch` holds only indices into it.
 """
+
+import math
 
 import numpy as np
 
 from pacedseg.contrastive import NEG_PAD
+from pacedseg.losses import DICE_EPS
+
+
+def dice_loss(pred_channel, target, eps=DICE_EPS) -> float:
+    """Soft Dice for one class channel: 1 - (2*sum(p*g)+eps)/(sum(p)+sum(g)+eps)."""
+    p = np.asarray(pred_channel, dtype=np.float64)
+    g = np.asarray(target, dtype=np.float64)
+    if p.shape != g.shape:
+        raise ValueError(f"shape mismatch: {p.shape} vs {g.shape}")
+    inter = float((p * g).sum())
+    return 1.0 - (2.0 * inter + eps) / (float(p.sum()) + float(g.sum()) + eps)
+
+
+def _unit(v, name):
+    n = np.linalg.norm(v, axis=-1, keepdims=True)
+    if (n == 0).any():
+        raise ValueError(f"{name} contains a zero vector; cosine undefined")
+    return v / n
+
+
+def feature_contrast_loss(anchor, positive, negatives, tau: float) -> float:
+    """-log( e^{cos(a,p)/tau} / (e^{cos(a,p)/tau} + sum_j e^{cos(a,n_j)/tau}) ).
+
+    Stabilized by max-subtraction; an empty negative list gives exactly 0.
+    """
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    a = _unit(np.asarray(anchor, dtype=np.float64), "anchor")
+    p = _unit(np.asarray(positive, dtype=np.float64), "positive")
+    logits = [float(a @ p) / tau]
+    for neg in negatives:
+        n = _unit(np.asarray(neg, dtype=np.float64), "negative")
+        logits.append(float(a @ n) / tau)
+    logits = np.asarray(logits)
+    m = logits.max()
+    return float(m + math.log(np.exp(logits - m).sum()) - logits[0])
+
+
+def negatives_for(batch, zsn, i):
+    """The listed negative rows of anchor i, taken from the (M, F) grid."""
+    return zsn[batch.neg_idx[i, : batch.neg_counts[i]]]
+
+
+def bidirectional_loss(batch, zsn) -> float:
+    """Mean over positives of both anchor directions; 0 for an empty batch."""
+    if batch.n_positives == 0:
+        return 0.0
+    total = 0.0
+    for i in range(batch.n_positives):
+        negs = negatives_for(batch, zsn, i)
+        total += feature_contrast_loss(batch.z1[i], batch.z2[i], negs, batch.tau)
+        total += feature_contrast_loss(batch.z2[i], batch.z1[i], negs, batch.tau)
+    return total / batch.n_positives
+
+
+def validate_batch(batch, preds_w1, preds_w2, preds_sn, mask_ds) -> None:
+    """Assert the mining contracts of `mine_pairs`."""
+    m = mask_ds.data.ravel()
+    p1, p2, psn = preds_w1.data.ravel(), preds_w2.data.ravel(), preds_sn.data.ravel()
+    assert m[batch.positions].all(), "positive off the selection mask"
+    assert (p1[batch.positions] == p2[batch.positions]).all(), "views disagree at a positive"
+    for i in range(batch.n_positives):
+        idx = batch.neg_idx[i, : batch.neg_counts[i]]
+        assert m[idx].all(), "negative off the selection mask"
+        assert (psn[idx] != batch.classes[i]).all(), "negative shares the anchor class"
 
 
 def gather_contrast_loss_node(tape, zsn_node, batch, z1_node=None, z2_node=None):

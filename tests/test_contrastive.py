@@ -4,32 +4,33 @@ import numpy as np
 import pytest
 
 from pacedseg.autodiff import Tape
-from pacedseg.contrastive import (
-    ContrastBatch,
-    bidirectional_loss,
-    contrast_loss_node,
-    feature_contrast_loss,
-    mine_pairs,
-    validate_batch,
-)
+from pacedseg.contrastive import ContrastBatch, contrast_loss_node, mine_pairs
 from pacedseg.grids import BoolMask, LabelMap, Volume
 from pacedseg.network import FeatureMap
 
-from oracles import gather_contrast_loss_node
+from oracles import (
+    bidirectional_loss,
+    feature_contrast_loss,
+    gather_contrast_loss_node,
+    negatives_for,
+    validate_batch,
+)
 
 
 def random_batch(rng, n_pos=3, k_neg=2, f=4, tau=0.5):
+    """A batch with per-anchor negative lists, and the (M, F) grid they index."""
     n_grid = max(n_pos * 2, 8)
     zsn = rng.standard_normal((n_grid, f))
     neg_idx = np.full((n_pos, k_neg), -1, dtype=np.int64)
     neg_counts = rng.integers(0, k_neg + 1, size=n_pos)
     for i in range(n_pos):
         neg_idx[i, : neg_counts[i]] = rng.choice(n_grid, size=neg_counts[i], replace=False)
-    return ContrastBatch(
+    batch = ContrastBatch(
         positions=np.arange(n_pos), classes=np.zeros(n_pos, dtype=np.int64),
         z1=rng.standard_normal((n_pos, f)), z2=rng.standard_normal((n_pos, f)),
-        neg_idx=neg_idx, neg_counts=neg_counts, zsn=zsn, tau=tau,
+        neg_idx=neg_idx, neg_counts=neg_counts, tau=tau,
     )
+    return batch, zsn
 
 
 class TestFeatureContrastLoss:
@@ -93,65 +94,63 @@ class TestBidirectionalLoss:
         batch = ContrastBatch(
             positions=np.array([0]), classes=np.array([1]),
             z1=np.array([[1.0, 2.0]]), z2=np.array([[1.0, 2.0]]),
-            neg_idx=np.full((1, 2), -1), neg_counts=np.array([0]),
-            zsn=np.ones((4, 2)), tau=0.5,
+            neg_idx=np.full((1, 2), -1), neg_counts=np.array([0]), tau=0.5,
         )
-        assert bidirectional_loss(batch) == 0.0
+        assert bidirectional_loss(batch, np.ones((4, 2))) == 0.0
 
     def test_symmetric_under_view_swap(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
-            batch = random_batch(rng, n_pos=int(rng.integers(1, 5)))
+            batch, zsn = random_batch(rng, n_pos=int(rng.integers(1, 5)))
             swapped = ContrastBatch(
                 positions=batch.positions, classes=batch.classes,
                 z1=batch.z2, z2=batch.z1,
-                neg_idx=batch.neg_idx, neg_counts=batch.neg_counts,
-                zsn=batch.zsn, tau=batch.tau,
+                neg_idx=batch.neg_idx, neg_counts=batch.neg_counts, tau=batch.tau,
             )
-            a, b = bidirectional_loss(batch), bidirectional_loss(swapped)
+            a, b = bidirectional_loss(batch, zsn), bidirectional_loss(swapped, zsn)
             assert abs(a - b) <= 1e-12
 
     def test_matches_naive_double_loop_oracle(self):
         """Direct exp-sum evaluation without the log-sum-exp stabilization."""
         rng = np.random.default_rng(4)
-        batch = random_batch(rng, n_pos=3, k_neg=2)
+        batch, zsn = random_batch(rng, n_pos=3, k_neg=2)
 
         def cos(u, v):
             return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
 
         expected = 0.0
         for i in range(3):
-            negs = batch.negatives_for(i)
+            negs = negatives_for(batch, zsn, i)
             for a, p in ((batch.z1[i], batch.z2[i]), (batch.z2[i], batch.z1[i])):
                 num = math.exp(cos(a, p) / batch.tau)
                 den = num + sum(math.exp(cos(a, n) / batch.tau) for n in negs)
                 expected += -math.log(num / den)
         expected /= 3
-        assert bidirectional_loss(batch) == pytest.approx(expected, abs=1e-6)
+        assert bidirectional_loss(batch, zsn) == pytest.approx(expected, abs=1e-6)
 
     def test_empty_batch_is_zero(self):
         batch = ContrastBatch(
             positions=np.zeros(0, dtype=int), classes=np.zeros(0, dtype=int),
             z1=np.zeros((0, 3)), z2=np.zeros((0, 3)),
             neg_idx=np.zeros((0, 2), dtype=int), neg_counts=np.zeros(0, dtype=int),
-            zsn=np.ones((4, 3)), tau=0.5,
+            tau=0.5,
         )
-        assert bidirectional_loss(batch) == 0.0
+        assert bidirectional_loss(batch, np.ones((4, 3))) == 0.0
 
 
 class TestContrastNode:
     def test_node_value_matches_float_path(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
-            batch = random_batch(rng, n_pos=int(rng.integers(1, 5)), k_neg=3)
+            batch, zsn = random_batch(rng, n_pos=int(rng.integers(1, 5)), k_neg=3)
             tape = Tape(np.float64)
-            node = contrast_loss_node(tape, tape.input(batch.zsn), batch)
-            assert float(node.value) == pytest.approx(bidirectional_loss(batch), rel=1e-10)
+            node = contrast_loss_node(tape, tape.input(zsn), batch)
+            assert float(node.value) == pytest.approx(bidirectional_loss(batch, zsn), rel=1e-10)
 
     def test_gradients_wrt_all_feature_vectors(self):
         rng = np.random.default_rng(6)
-        batch = random_batch(rng, n_pos=2, k_neg=2)
-        z1_0, z2_0, zsn_0 = batch.z1.copy(), batch.z2.copy(), batch.zsn.copy()
+        batch, zsn_0 = random_batch(rng, n_pos=2, k_neg=2)
+        z1_0, z2_0 = batch.z1.copy(), batch.z2.copy()
 
         def loss_at(z1, z2, zsn):
             tape = Tape(np.float64)
@@ -183,9 +182,9 @@ class TestContrastNode:
 ORACLE_RTOL = 1e-12
 
 
-def _loss_and_grads(build, batch):
+def _loss_and_grads(build, batch, zsn_grid):
     tape = Tape(np.float64)
-    zsn, z1, z2 = tape.input(batch.zsn), tape.input(batch.z1), tape.input(batch.z2)
+    zsn, z1, z2 = tape.input(zsn_grid), tape.input(batch.z1), tape.input(batch.z2)
     loss = build(tape, zsn, batch, z1, z2)
     tape.backward(loss)
     grads = {name: np.zeros_like(n.value) if n.grad is None else n.grad
@@ -193,9 +192,9 @@ def _loss_and_grads(build, batch):
     return float(loss.value), grads
 
 
-def assert_matches_gather_oracle(batch):
-    got, got_grads = _loss_and_grads(contrast_loss_node, batch)
-    ref, ref_grads = _loss_and_grads(gather_contrast_loss_node, batch)
+def assert_matches_gather_oracle(batch, zsn):
+    got, got_grads = _loss_and_grads(contrast_loss_node, batch, zsn)
+    ref, ref_grads = _loss_and_grads(gather_contrast_loss_node, batch, zsn)
     assert abs(got - ref) <= ORACLE_RTOL * abs(ref), (got, ref)
     for name, ref_g in ref_grads.items():
         err = np.abs(got_grads[name] - ref_g).max(initial=0.0)
@@ -207,28 +206,32 @@ class TestMatmulFormAgainstGatherOracle:
     def test_random_per_anchor_batches(self):
         rng = np.random.default_rng(15)
         for _ in range(30):
-            batch = random_batch(rng, n_pos=int(rng.integers(1, 7)),
-                                 k_neg=int(rng.integers(1, 5)), f=int(rng.integers(2, 6)))
-            assert_matches_gather_oracle(batch)
+            batch, zsn = random_batch(rng, n_pos=int(rng.integers(1, 7)),
+                                      k_neg=int(rng.integers(1, 5)), f=int(rng.integers(2, 6)))
+            assert_matches_gather_oracle(batch, zsn)
 
     def test_repeated_index_counts_twice(self):
         rng = np.random.default_rng(17)
-        batch = random_batch(rng, n_pos=2, k_neg=3)
+        batch, zsn = random_batch(rng, n_pos=2, k_neg=3)
         batch.neg_idx = np.array([[3, 3, 5], [5, -1, -1]])
         batch.neg_counts = np.array([3, 1])
-        loss = assert_matches_gather_oracle(batch)
-        assert loss == pytest.approx(bidirectional_loss(batch), rel=1e-12)
+        loss = assert_matches_gather_oracle(batch, zsn)
+        assert loss == pytest.approx(bidirectional_loss(batch, zsn), rel=1e-12)
 
     def test_all_padding_rows_give_exactly_zero(self):
         rng = np.random.default_rng(18)
-        batch = random_batch(rng, n_pos=4, k_neg=3)
+        batch, zsn = random_batch(rng, n_pos=4, k_neg=3)
         batch.neg_idx = np.full((4, 3), -1)
         batch.neg_counts = np.zeros(4, dtype=np.int64)
-        assert assert_matches_gather_oracle(batch) == 0.0
+        assert assert_matches_gather_oracle(batch, zsn) == 0.0
 
 
 def feature_grid(rng, dims, f=4):
     return FeatureMap(rng.standard_normal((*dims, f)) + 0.1)
+
+
+def flat_grid(fmap):
+    return fmap.data.reshape(-1, fmap.embed_dim)
 
 
 class TestMinePairs:
@@ -251,7 +254,7 @@ class TestMinePairs:
         inputs["preds_w2"] = LabelMap(np.ones((2, 2, 1), dtype=np.int64), 2)
         batch = mine_pairs(**inputs, k_neg=2)
         assert batch.n_positives == 0
-        assert bidirectional_loss(batch) == 0.0
+        assert bidirectional_loss(batch, flat_grid(inputs["zsn"])) == 0.0
 
     def test_uniform_strong_prediction_gives_empty_negatives(self):
         rng = np.random.default_rng(8)
@@ -262,7 +265,7 @@ class TestMinePairs:
         batch = mine_pairs(**inputs, k_neg=3)
         assert batch.n_positives == 4
         assert (batch.neg_counts == 0).all()
-        assert bidirectional_loss(batch) == 0.0
+        assert bidirectional_loss(batch, flat_grid(inputs["zsn"])) == 0.0
 
     def test_hand_enumerated_grid(self):
         """2x2x1 grid with hand-set predictions and confidences, K_neg=1."""
@@ -327,9 +330,10 @@ class TestMinePairs:
     def test_shared_class_pools_match_gather_oracle(self):
         rng = np.random.default_rng(16)
         for _ in range(10):
-            batch = mine_pairs(**self.make_inputs(rng, dims=(4, 4, 2)), k_neg=5)
+            inputs = self.make_inputs(rng, dims=(4, 4, 2))
+            batch = mine_pairs(**inputs, k_neg=5)
             assert np.unique(batch.neg_idx, axis=0).shape[0] < batch.n_positives
-            assert_matches_gather_oracle(batch)
+            assert_matches_gather_oracle(batch, flat_grid(inputs["zsn"]))
 
     def test_deterministic(self):
         rng_a, rng_b = np.random.default_rng(14), np.random.default_rng(14)

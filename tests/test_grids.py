@@ -64,11 +64,6 @@ class TestVolumeIO:
         with pytest.raises(FormatError):
             load_volume(path)
 
-    def test_sidecar_dims(self, tmp_path):
-        path = tmp_path / "s.vol"
-        save_volume(Volume(np.ones((4, 3, 2))), path)
-        assert (tmp_path / "s.vol.dims.txt").read_text() == "4 3 2 1\n"
-
 
 class TestTypes:
     def test_volume_rejects_nan(self):

@@ -4,18 +4,37 @@ import numpy as np
 import pytest
 
 from pacedseg.autodiff import Tape
-from pacedseg.grids import BoolMask, LabelMap, ProbMap
+from pacedseg.grids import LabelMap, ProbMap
 from pacedseg.losses import (
     CE_PROB_FLOOR,
     DICE_EPS,
     LossReport,
-    ce_loss,
+    ce_node,
     dice_ce_node,
-    dice_loss,
-    multiclass_dice,
-    supervised_loss,
-    unsupervised_loss,
+    dice_node,
 )
+
+from oracles import dice_loss
+
+
+def node_value(build, probs, *args):
+    """Float value of a loss graph built on a float64 tape over `probs`."""
+    tape = Tape(np.float64)
+    return float(build(tape, tape.input(probs), *args).value)
+
+
+def ce(pred, labels):
+    return node_value(ce_node, pred.data.reshape(-1, pred.n_classes), labels.data.ravel())
+
+
+def dice(pred, labels):
+    c = pred.n_classes
+    return node_value(dice_node, pred.data.reshape(-1, c), np.eye(c)[labels.data.ravel()], c)
+
+
+def dice_ce(pred, labels, gate=None):
+    gate_idx = None if gate is None else np.flatnonzero(gate.ravel())
+    return node_value(dice_ce_node, pred.data, labels.data, pred.n_classes, gate_idx)
 
 
 def probmap_from_labels(labels, n_classes=2, hot=1.0):
@@ -56,12 +75,12 @@ class TestCrossEntropy:
     def test_perfect_prediction_near_zero(self):
         labels = LabelMap(np.ones((2, 2, 2), dtype=np.int64), 2)
         pred = probmap_from_labels(labels.data)
-        assert ce_loss(pred, labels) == pytest.approx(0.0, abs=1e-6)
+        assert ce(pred, labels) == pytest.approx(0.0, abs=1e-6)
 
     def test_uniform_two_class_is_ln2(self):
         labels = LabelMap(np.zeros((2, 2, 2), dtype=np.int64), 2)
         pred = ProbMap(np.full((2, 2, 2, 2), 0.5))
-        assert ce_loss(pred, labels) == pytest.approx(math.log(2), rel=1e-12)
+        assert ce(pred, labels) == pytest.approx(math.log(2), rel=1e-12)
 
     def test_matches_naive_loop_oracle(self):
         rng = np.random.default_rng(0)
@@ -73,13 +92,12 @@ class TestCrossEntropy:
                 for d in range(2):
                     p = max(pred.data[h, w, d, labels.data[h, w, d]], CE_PROB_FLOOR)
                     total -= math.log(p)
-        assert ce_loss(pred, labels) == pytest.approx(total / 32, rel=1e-6)
+        assert ce(pred, labels) == pytest.approx(total / 32, rel=1e-6)
 
     def test_empty_gate_is_zero(self):
         labels = LabelMap(np.zeros((2, 2, 2), dtype=np.int64), 2)
         pred = ProbMap(np.full((2, 2, 2, 2), 0.5))
-        gate = BoolMask(np.zeros((2, 2, 2), dtype=bool))
-        assert ce_loss(pred, labels, gate) == 0.0
+        assert dice_ce(pred, labels, gate=np.zeros((2, 2, 2), dtype=bool)) == 0.0
 
 
 class TestSupervised:
@@ -87,22 +105,26 @@ class TestSupervised:
         rng = np.random.default_rng(1)
         labels = LabelMap(rng.integers(0, 2, size=(4, 4, 2)), 2)
         pred = probmap_from_labels(labels.data)
-        assert supervised_loss(pred, labels) <= 1e-4
+        assert dice_ce(pred, labels) <= 1e-4
 
     def test_bounded_below_by_components(self):
         rng = np.random.default_rng(2)
         pred = random_pred(rng)
         labels = LabelMap(rng.integers(0, 2, size=(4, 4, 2)), 2)
-        ls = supervised_loss(pred, labels)
-        assert ls >= multiclass_dice(pred, labels) - 1e-12
-        assert ls >= ce_loss(pred, labels) - 1e-12
+        ls = dice_ce(pred, labels)
+        assert ls >= dice(pred, labels) - 1e-12
+        assert ls >= ce(pred, labels) - 1e-12
 
     def test_equals_sum_of_components(self):
         rng = np.random.default_rng(3)
         pred = random_pred(rng)
         labels = LabelMap(rng.integers(0, 2, size=(4, 4, 2)), 2)
-        expected = multiclass_dice(pred, labels) + ce_loss(pred, labels)
-        assert supervised_loss(pred, labels) == pytest.approx(expected, rel=1e-12)
+        expected = dice(pred, labels) + ce(pred, labels)
+        assert dice_ce(pred, labels) == pytest.approx(expected, rel=1e-12)
+        onehot = labels.data == 1
+        assert dice(pred, labels) == pytest.approx(
+            dice_loss(pred.data[..., 1], onehot), rel=1e-12
+        )
 
 
 class TestUnsupervised:
@@ -110,16 +132,15 @@ class TestUnsupervised:
         rng = np.random.default_rng(4)
         pred = random_pred(rng)
         labels = LabelMap(rng.integers(0, 2, size=(4, 4, 2)), 2)
-        mask = BoolMask(np.zeros((4, 4, 2), dtype=bool))
-        assert unsupervised_loss(pred, labels, mask) == 0.0
+        assert dice_ce(pred, labels, gate=np.zeros((4, 4, 2), dtype=bool)) == 0.0
 
     def test_full_mask_equals_ungated(self):
         rng = np.random.default_rng(5)
         pred = random_pred(rng)
         labels = LabelMap(rng.integers(0, 2, size=(4, 4, 2)), 2)
-        mask = BoolMask(np.ones((4, 4, 2), dtype=bool))
-        assert unsupervised_loss(pred, labels, mask) == pytest.approx(
-            supervised_loss(pred, labels), rel=1e-12
+        full = np.ones((4, 4, 2), dtype=bool)
+        assert dice_ce(pred, labels, gate=full) == pytest.approx(
+            dice_ce(pred, labels), rel=1e-12
         )
 
     def test_gating_equals_subset_recomputation(self):
@@ -128,8 +149,7 @@ class TestUnsupervised:
         pred = random_pred(rng)
         labels = LabelMap(rng.integers(0, 2, size=(4, 4, 2)), 2)
         bits = rng.random((4, 4, 2)) < 0.5
-        mask = BoolMask(bits)
-        got = unsupervised_loss(pred, labels, mask)
+        got = dice_ce(pred, labels, gate=bits)
 
         idx = np.flatnonzero(bits.ravel())
         p = pred.data.reshape(-1, 2)[idx]

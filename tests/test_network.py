@@ -5,6 +5,7 @@ from pacedseg.autodiff import Tape
 from pacedseg.errors import FormatError, TrainingAbort
 from pacedseg.grids import Volume
 from pacedseg.network import (
+    CHECKPOINT_MAGIC,
     PARAM_NAMES,
     SGDState,
     ema_update,
@@ -205,6 +206,36 @@ class TestCheckpoint:
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"not a checkpoint" * 4)
         with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    # offsets in a one-section "student" checkpoint: the section name, its
+    # dtype code (the tensor count follows), and the first tensor's name
+    NAME_AT = len(CHECKPOINT_MAGIC) + 8 + 2
+    DTYPE_AT = NAME_AT + len("student") + 8 + 8 + 16
+    TENSOR_AT = DTYPE_AT + 1 + 4 + 2
+
+    @pytest.mark.parametrize("offset, byte, message", [
+        (DTYPE_AT, 9, "unknown dtype code 9"),
+        (NAME_AT, 0xFF, "undecodable name"),
+        (DTYPE_AT + 1, 11, "has 11 tensors"),
+        (TENSOR_AT + len("enc1_"), ord("x"), "unexpected tensor 'enc1_x'"),
+        # enc1_w's first dim becomes 1 + 256, caught before the payload read
+        (TENSOR_AT + len("enc1_w") + 1 + 1, 1, "unexpected tensor 'enc1_w'"),
+    ], ids=["dtype_code", "section_name", "tensor_count", "tensor_name", "tensor_shape"])
+    def test_corrupt_byte_raises(self, tmp_path, offset, byte, message):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"student": tiny_params()}, {"iteration": 3})
+        raw = bytearray(path.read_bytes())
+        raw[offset] = byte
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=message):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_raise(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"student": tiny_params()}, {"iteration": 3})
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(FormatError, match="trailing bytes"):
             load_checkpoint(path)
 
     def test_float32_roundtrip_dtype(self, tmp_path):

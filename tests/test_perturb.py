@@ -5,7 +5,6 @@ from pacedseg.grids import LabelMap, Volume
 from pacedseg.perturb import (
     Box,
     apply_flips,
-    cutmix,
     cutmix_with_box,
     sample_box,
     sample_flips,
@@ -88,7 +87,7 @@ class TestCutmix:
         rng = np.random.default_rng(6)
         for _ in range(10):
             rec, don = self.labeled_pair(rng.integers(100)), self.labeled_pair(rng.integers(100))
-            out_img, out_lab, box = cutmix(rec, don, rng)
+            out_img, out_lab, box = cutmix_with_box(rec, don, sample_box(rec[0].dims, rng))
             inside = np.zeros((8, 8, 4), dtype=bool)
             inside[box.slices] = True
             np.testing.assert_array_equal(out_img.data[inside], don[0].data[inside])
@@ -99,7 +98,7 @@ class TestCutmix:
     def test_image_and_label_share_the_box(self):
         rng = np.random.default_rng(7)
         rec, don = self.labeled_pair(8), self.labeled_pair(9)
-        out_img, out_lab, _ = cutmix(rec, don, rng)
+        out_img, out_lab, _ = cutmix_with_box(rec, don, sample_box(rec[0].dims, rng))
         # labels were derived from sign(image) on both sides, so the composed
         # pair must still satisfy that relation voxelwise
         np.testing.assert_array_equal(out_lab.data, (out_img.data > 0).astype(np.int64))
@@ -116,11 +115,11 @@ class TestCutmix:
         rec = self.labeled_pair(10)
         don = self.labeled_pair(11, dims=(8, 8, 8))
         with pytest.raises(ValueError):
-            cutmix(rec, don, 0)
+            cutmix_with_box(rec, don, sample_box(rec[0].dims, 0))
 
     def test_deterministic_per_seed(self):
         rec, don = self.labeled_pair(12), self.labeled_pair(13)
-        a = cutmix(rec, don, 99)
-        b = cutmix(rec, don, 99)
+        a = cutmix_with_box(rec, don, sample_box(rec[0].dims, 99))
+        b = cutmix_with_box(rec, don, sample_box(rec[0].dims, 99))
         np.testing.assert_array_equal(a[0].data, b[0].data)
         assert a[2] == b[2]

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from pacedseg.synthdata import (
     attach_registration,
     calibrate_registration_sigma,
     clean_field,
-    fuse_labels,
     fuse_with_weight_map,
     generate_dataset,
     load_dataset,
@@ -127,21 +124,22 @@ class TestFusion:
 
     def test_full_weight_infinite_half_life_returns_reg(self):
         reg, seg = self.make_pair()
-        fused = fuse_labels(reg, seg, k=3, w0=1.0, half_life=math.inf)
-        np.testing.assert_array_equal(fused.fused.data, reg.data)
+        # half_life = inf: the weight is w0 on every slice
+        fused = fuse_with_weight_map(reg, seg, Volume(np.full(reg.dims, 1.0)))
+        np.testing.assert_array_equal(fused.data, reg.data)
 
     def test_zero_weight_returns_seg(self):
         reg, seg = self.make_pair(1)
-        fused = fuse_labels(reg, seg, k=3, w0=0.0, half_life=2.0)
-        np.testing.assert_array_equal(fused.fused.data, seg.data)
+        fused = fuse_with_weight_map(reg, seg, slice_weight_map(reg.dims, 3, 0.0, 2.0))
+        np.testing.assert_array_equal(fused.data, seg.data)
 
     def test_agreement_is_idempotent_for_any_weight(self):
         rng = np.random.default_rng(2)
         reg, seg = self.make_pair(2)
         for w0 in (0.0, 0.3, 0.5, 0.8, 1.0):
-            fused = fuse_labels(reg, seg, k=2, w0=w0, half_life=1.5)
+            fused = fuse_with_weight_map(reg, seg, slice_weight_map(reg.dims, 2, w0, 1.5))
             agree = reg.data == seg.data
-            np.testing.assert_array_equal(fused.fused.data[agree], reg.data[agree])
+            np.testing.assert_array_equal(fused.data[agree], reg.data[agree])
 
     def test_weight_decays_monotonically_from_k(self):
         wm = slice_weight_map((4, 4, 10), k=4, w0=0.8, half_life=2.0)
@@ -153,17 +151,11 @@ class TestFusion:
         for d in range(0, 4):
             assert profile[d] <= profile[d + 1]
 
-    def test_weight_map_recorded(self):
-        reg, seg = self.make_pair(3)
-        out = fuse_labels(reg, seg, k=0, w0=0.7, half_life=3.0)
-        assert out.weight_map.dims == reg.dims
-        assert out.reg is reg and out.seg is seg
-
     def test_dim_mismatch_rejected(self):
         reg, _ = self.make_pair(4)
         seg = LabelMap(np.zeros((4, 4, 4), dtype=np.int64), 2)
         with pytest.raises(ValueError):
-            fuse_labels(reg, seg, k=0, w0=0.5, half_life=1.0)
+            fuse_with_weight_map(reg, seg, slice_weight_map(reg.dims, 0, 0.5, 1.0))
 
 
 class TestDatasetIO:

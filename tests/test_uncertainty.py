@@ -5,15 +5,15 @@ import pytest
 
 from pacedseg.errors import ScheduleStateError
 from pacedseg.grids import ProbMap, Volume
-from pacedseg.network import forward, init_params
+from pacedseg.network import forward, forward_parts, init_params
 from pacedseg.uncertainty import (
     UncertaintyMap,
     advance_age,
     confident_ratio,
-    entropy_map,
+    entropy_values,
     make_schedule,
     mc_pass_seed,
-    mc_uncertainty,
+    mc_uncertainty_from_trunk,
     select_mask,
     warmup_xi,
 )
@@ -24,23 +24,29 @@ def random_probmap(rng, dims=(4, 4, 2), n_classes=2):
     return ProbMap(raw / raw.sum(axis=3, keepdims=True))
 
 
+def mc_on_image(params, image, n_passes, seed):
+    """MC-dropout mean and entropy for one image, over one trunk pass."""
+    hdec, _ = forward_parts(params, image.data)
+    return mc_uncertainty_from_trunk(params, hdec, n_passes, seed)
+
+
 class TestEntropy:
     def test_degenerate_distribution_is_zero(self):
         probs = np.zeros((2, 2, 2, 2))
         probs[..., 0] = 1.0
-        np.testing.assert_array_equal(entropy_map(ProbMap(probs)).data, 0.0)
+        np.testing.assert_array_equal(entropy_values(probs, 2), 0.0)
 
     def test_uniform_is_ln2(self):
-        probs = ProbMap(np.full((2, 2, 2, 2), 0.5))
-        np.testing.assert_allclose(entropy_map(probs).data, math.log(2), atol=1e-9)
+        probs = np.full((2, 2, 2, 2), 0.5)
+        np.testing.assert_allclose(entropy_values(probs, 2), math.log(2), atol=1e-9)
 
     def test_bounds_over_random_probmaps(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             n_classes = int(rng.integers(2, 5))
-            ent = entropy_map(random_probmap(rng, n_classes=n_classes))
-            assert ent.data.min() >= 0.0
-            assert ent.data.max() <= math.log(n_classes)
+            ent = entropy_values(random_probmap(rng, n_classes=n_classes).data, n_classes)
+            assert ent.min() >= 0.0
+            assert ent.max() <= math.log(n_classes)
 
     def test_uncertainty_map_validates_range(self):
         with pytest.raises(ValueError):
@@ -51,13 +57,13 @@ class TestMCUncertainty:
     def test_t0_rejected(self):
         params = init_params(widths=(2, 2, 2, 2), embed_dim=3, seed=0)
         with pytest.raises(ValueError):
-            mc_uncertainty(params, Volume(np.zeros((4, 4, 2))), 0, 0)
+            mc_on_image(params, Volume(np.zeros((4, 4, 2))), 0, 0)
 
     def test_single_pass_no_dropout_degenerate(self):
         params = init_params(widths=(2, 2, 2, 2), embed_dim=3, dropout_rate=0.0, seed=1)
         # force a hard prediction by inflating the head weights
         params.tensors["seg_b"] = np.array([50.0, -50.0])
-        mean, ent = mc_uncertainty(params, Volume(np.zeros((4, 4, 2))), 1, 0)
+        mean, ent = mc_on_image(params, Volume(np.zeros((4, 4, 2))), 1, 0)
         np.testing.assert_allclose(ent.data, 0.0, atol=1e-12)
 
     def test_mean_matches_per_pass_reaccumulation(self):
@@ -65,7 +71,7 @@ class TestMCUncertainty:
         params = init_params(widths=(2, 3, 4, 3), embed_dim=4, dropout_rate=0.4, seed=2)
         image = Volume(np.random.default_rng(3).standard_normal((4, 4, 2)))
         seed, passes = 77, 4
-        mean, ent = mc_uncertainty(params, image, passes, seed)
+        mean, ent = mc_on_image(params, image, passes, seed)
         acc = np.zeros((4, 4, 2, 2))
         for t in range(passes):
             probs, _ = forward(params, image, dropout_on=True, rng_seed=mc_pass_seed(seed, t))
@@ -75,8 +81,8 @@ class TestMCUncertainty:
     def test_deterministic_per_seed(self):
         params = init_params(widths=(2, 3, 4, 3), embed_dim=4, dropout_rate=0.4, seed=2)
         image = Volume(np.random.default_rng(3).standard_normal((4, 4, 2)))
-        m1, e1 = mc_uncertainty(params, image, 3, 5)
-        m2, e2 = mc_uncertainty(params, image, 3, 5)
+        m1, e1 = mc_on_image(params, image, 3, 5)
+        m2, e2 = mc_on_image(params, image, 3, 5)
         np.testing.assert_array_equal(m1.data, m2.data)
         np.testing.assert_array_equal(e1.data, e2.data)
 
