@@ -4,10 +4,10 @@ A Tape records nodes in creation order, which is a topological order by
 construction, so the backward pass is a single reverse sweep. Values are
 numpy arrays (float32 or float64); each op caches what its backward
 closure needs. The op set is exactly what the segmentation model and its
-losses require: 3D convolution (via im2col + BLAS matmul), relu, nearest
-up-sampling, softmax, elementwise arithmetic, reductions, gathers,
-transpose and matmul, and the row-wise dot product used by the
-cosine-similarity contrastive loss.
+losses require: 3D convolution (via im2col + BLAS matmul), also of a
+nearest-up x2 input computed on the low-res grid (`up=2`), relu, softmax,
+elementwise arithmetic, reductions, gathers, transpose and matmul, and
+the row-wise dot product used by the cosine-similarity contrastive loss.
 
 Raw kernels (`conv3d_raw`, `softmax_raw`, ...) are shared with the
 tape-free inference path so both routes compute identical floats.
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Tape", "Node", "conv3d_raw", "softmax_raw", "upsample2_raw", "relu_raw"]
+__all__ = ["Tape", "Node", "conv3d_raw", "softmax_raw", "relu_raw"]
 
 
 # ---------------------------------------------------------------------------
@@ -58,12 +58,7 @@ def _weight_mat(w):
     return np.ascontiguousarray(w.transpose(4, 0, 1, 2, 3)).reshape(cout, -1)
 
 
-def conv3d_raw(x, w, b, stride=1, pad=1):
-    """Channels-first 3D convolution. x: (Cin,H,W,D), w: (Cin,kh,kw,kd,Cout).
-
-    Returns (out, cols); cols is the im2col matrix kept for the backward
-    pass, or None on the 1x1x1 fast path (the input itself serves).
-    """
+def _conv3d(x, w, b, stride, pad):
     cin, kh, kw, kd, cout = w.shape
     if x.shape[0] != cin:
         raise ValueError(f"conv input has {x.shape[0]} channels, weight expects {cin}")
@@ -81,7 +76,7 @@ def conv3d_raw(x, w, b, stride=1, pad=1):
     return out.reshape(cout, oh, ow, od), cols
 
 
-def conv3d_backward(gout, cols, x, w, stride, pad):
+def _conv3d_backward(gout, cols, x, w, stride, pad):
     cin, kh, kw, kd, cout = w.shape
     oh, ow, od = gout.shape[1:]
     gmat = np.ascontiguousarray(gout.reshape(cout, -1))
@@ -113,6 +108,83 @@ def conv3d_backward(gout, cols, x, w, stride, pad):
     return gx, gw, gb
 
 
+# _PARITY_TAPS[p, a, k] = 1 where full-res kernel tap k of an output at parity
+# p reads low-res tap a (offset a - 1) of a nearest-up x2 input.
+_PARITY_TAPS = np.array([
+    [[1, 0, 0], [0, 1, 1], [0, 0, 0]],  # even output: (w0, w1 + w2, 0)
+    [[0, 0, 0], [1, 1, 0], [0, 0, 1]],  # odd output:  (0, w0 + w1, w2)
+])
+
+
+def _check_up(w, stride, pad, up):
+    if up not in (1, 2):
+        raise ValueError(f"conv up-sampling factor must be 1 or 2, got {up}")
+    if up == 2 and (w.shape[1:4] != (3, 3, 3) or stride != 1 or pad != 1):
+        raise ValueError(
+            f"up=2 needs a 3x3x3 kernel with stride 1 and pad 1, got kernel "
+            f"{w.shape[1:4]}, stride {stride}, pad {pad}"
+        )
+
+
+def _parity_weight(w):
+    """(Cin,3,3,3,Cout) -> the (Cin,3,3,3,Cout*8) low-res weight of each output
+    parity; output channel c*8 + 4*ph + 2*pw + pd is channel c at parity (ph,pw,pd)."""
+    t = _PARITY_TAPS.astype(w.dtype)
+    m = np.tensordot(w, t, axes=([1], [2]))  # (Cin, kw, kd, Cout, ph, a)
+    m = np.tensordot(m, t, axes=([1], [2]))  # (Cin, kd, Cout, ph, a, pw, b)
+    m = np.tensordot(m, t, axes=([1], [2]))  # (Cin, Cout, ph, a, pw, b, pd, e)
+    cin, cout = w.shape[0], w.shape[4]
+    return m.transpose(0, 3, 5, 7, 1, 2, 4, 6).reshape(cin, 3, 3, 3, cout * 8)
+
+
+def _parity_weight_adjoint(gm, cout):
+    """Gradient of `_parity_weight` at its (Cin,3,3,3,Cout*8) output -> (Cin,3,3,3,Cout)."""
+    t = _PARITY_TAPS.astype(gm.dtype)
+    g = gm.reshape(gm.shape[0], 3, 3, 3, cout, 2, 2, 2)     # (Cin, a, b, e, Cout, ph, pw, pd)
+    g = np.tensordot(g, t, axes=([1, 5], [1, 0]))        # (Cin, b, e, Cout, pw, pd, kh)
+    g = np.tensordot(g, t, axes=([1, 4], [1, 0]))        # (Cin, e, Cout, pd, kh, kw)
+    g = np.tensordot(g, t, axes=([1, 3], [1, 0]))        # (Cin, Cout, kh, kw, kd)
+    return np.ascontiguousarray(g.transpose(0, 2, 3, 4, 1))
+
+
+def conv3d_raw(x, w, b, stride=1, pad=1, up=1):
+    """Channels-first 3D convolution. x: (Cin,H,W,D), w: (Cin,kh,kw,kd,Cout).
+
+    Returns (out, cols); cols is the im2col matrix kept for the backward
+    pass, or None on the 1x1x1 fast path (the input itself serves).
+
+    With up=2 the input is first up-sampled x2 by nearest neighbour, but the
+    conv runs on x's own grid. Along each axis the output at 2i + p sees the
+    low-res taps (i-1, i, i+1) with weights (w0, w1+w2, 0) for p = 0 and
+    (0, w0+w1, w2) for p = 1, zero padding included; so one pad-1 conv of x
+    with the merged Cout*8-channel weight, then a depth-to-space shuffle of
+    the 8 parities, equals the conv of the up-sampled input.
+    """
+    _check_up(w, stride, pad, up)
+    if up == 1:
+        return _conv3d(x, w, b, stride, pad)
+    cout = w.shape[4]
+    small, cols = _conv3d(x, _parity_weight(w), np.repeat(b, 8), 1, 1)
+    h, ww, d = small.shape[1:]
+    out = small.reshape(cout, 2, 2, 2, h, ww, d).transpose(0, 4, 1, 5, 2, 6, 3)
+    return out.reshape(cout, 2 * h, 2 * ww, 2 * d), cols
+
+
+def conv3d_backward(gout, cols, x, w, stride, pad, up=1):
+    """(gx, gw, gb) of `conv3d_raw(x, w, b, stride, pad, up)` for the output
+    gradient gout; cols is what that forward returned."""
+    _check_up(w, stride, pad, up)
+    if up == 1:
+        return _conv3d_backward(gout, cols, x, w, stride, pad)
+    cout = w.shape[4]
+    h, ww, d = x.shape[1:]
+    gsmall = gout.reshape(cout, h, 2, ww, 2, d, 2).transpose(0, 2, 4, 6, 1, 3, 5)
+    gx, gm, gb = _conv3d_backward(
+        gsmall.reshape(cout * 8, h, ww, d), cols, x, _parity_weight(w), 1, 1
+    )
+    return gx, _parity_weight_adjoint(gm, cout), gb.reshape(cout, 8).sum(axis=1)
+
+
 def softmax_raw(x):
     m = x.max(axis=-1, keepdims=True)
     e = np.exp(x - m)
@@ -121,11 +193,6 @@ def softmax_raw(x):
 
 def relu_raw(x):
     return np.maximum(x, 0)
-
-
-def upsample2_raw(x):
-    """Nearest-neighbor x2 on the spatial axes of a (C, h, w, d) tensor."""
-    return x.repeat(2, axis=1).repeat(2, axis=2).repeat(2, axis=3)
 
 
 # ---------------------------------------------------------------------------
@@ -329,25 +396,15 @@ class Tape:
         out._backward = lambda g: self._accum(x, g.T)
         return out
 
-    def conv3d(self, x: Node, w: Node, b: Node, stride=1, pad=1):
-        val, cols = conv3d_raw(x.value, w.value, b.value, stride, pad)
+    def conv3d(self, x: Node, w: Node, b: Node, stride=1, pad=1, up=1):
+        val, cols = conv3d_raw(x.value, w.value, b.value, stride, pad, up)
         out = self._record(val, (x, w, b))
 
         def back(g):
-            gx, gw, gb = conv3d_backward(g, cols, x.value, w.value, stride, pad)
+            gx, gw, gb = conv3d_backward(g, cols, x.value, w.value, stride, pad, up)
             self._accum(x, gx)
             self._accum(w, gw)
             self._accum(b, gb)
-
-        out._backward = back
-        return out
-
-    def upsample2(self, x: Node):
-        out = self._record(upsample2_raw(x.value), (x,))
-
-        def back(g):
-            c, h, w, d = x.value.shape
-            self._accum(x, g.reshape(c, h, 2, w, 2, d, 2).sum(axis=(2, 4, 6)))
 
         out._backward = back
         return out

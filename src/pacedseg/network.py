@@ -7,6 +7,10 @@ Layout (channels-last, half-resolution bottleneck):
              nearest-up x2 <- bottleneck
           -> conv3 -> relu -> dropout -> 1x1x1 head -> softmax
 
+The nearest-up x2 and the decoder conv3 are one op, `conv3d(..., up=2)`,
+which runs the conv at half resolution: 8 parity convs of the bottleneck
+(one merged weight), then a depth-to-space shuffle to full resolution.
+
 Dropout lives only in front of the segmentation head, so the trunk is a
 deterministic function of (params, image). Monte-Carlo passes exploit
 that: one trunk evaluation serves any number of stochastic head passes.
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Node, Tape, conv3d_raw, relu_raw, softmax_raw, upsample2_raw
+from .autodiff import Node, Tape, conv3d_raw, relu_raw, softmax_raw
 from .errors import FormatError, TrainingAbort
 from .grids import ProbMap, Volume
 
@@ -149,8 +153,7 @@ def forward_graph(tape: Tape, pnodes: dict[str, Node], image: np.ndarray, dropou
     h2 = tape.relu(tape.conv3d(h1, pnodes["enc2_w"], pnodes["enc2_b"]))
     hd = tape.relu(tape.conv3d(h2, pnodes["down_w"], pnodes["down_b"], stride=2))
     feats = tape.chw_to_hwc(tape.conv3d(hd, pnodes["proj_w"], pnodes["proj_b"], pad=0))
-    up = tape.upsample2(hd)
-    hdec = tape.relu(tape.conv3d(up, pnodes["dec_w"], pnodes["dec_b"]))
+    hdec = tape.relu(tape.conv3d(hd, pnodes["dec_w"], pnodes["dec_b"], up=2))
     if dropout_mask is not None:
         hdec = tape.mul_const(hdec, dropout_mask)
     logits = tape.chw_to_hwc(tape.conv3d(hdec, pnodes["seg_w"], pnodes["seg_b"], pad=0))
@@ -171,7 +174,7 @@ def forward_parts(params: ModelParams, image: np.ndarray):
     h2 = relu_raw(conv3d_raw(h1, t["enc2_w"], t["enc2_b"])[0])
     hd = relu_raw(conv3d_raw(h2, t["down_w"], t["down_b"], stride=2)[0])
     feats = np.moveaxis(conv3d_raw(hd, t["proj_w"], t["proj_b"], pad=0)[0], 0, 3)
-    hdec = relu_raw(conv3d_raw(upsample2_raw(hd), t["dec_w"], t["dec_b"])[0])
+    hdec = relu_raw(conv3d_raw(hd, t["dec_w"], t["dec_b"], up=2)[0])
     return hdec, feats
 
 

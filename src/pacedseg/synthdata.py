@@ -323,6 +323,19 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
         f.write("\n".join(rows) + "\n")
 
 
+def _manifest_int(path, what, text) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise FormatError(f"{path}: {what} must be an integer, got {text!r}") from None
+
+
+def _shaped(path, name, grid, want):
+    if grid.data.shape != want:
+        raise FormatError(f"{path}: {name} has shape {grid.data.shape}, manifest gives {want}")
+    return grid
+
+
 def load_dataset(in_dir, include_truth: bool = False) -> Dataset:
     """Read a dataset directory; truth/ is only touched when asked for."""
     root = Path(in_dir)
@@ -347,9 +360,11 @@ def load_dataset(in_dir, include_truth: bool = False) -> Dataset:
             key, _, value = line.partition("=")
             key = key.strip()
             if key == "dims":
-                dims = tuple(int(x) for x in value.split())
+                dims = tuple(_manifest_int(path, "dims", x) for x in value.split())
+                if len(dims) != 3 or min(dims) < 1:
+                    raise FormatError(f"{path}: dims must be 3 positive ints, got {value!r}")
             elif key == "classes":
-                n_classes = int(value)
+                n_classes = _manifest_int(path, "classes", value.strip())
             else:
                 raise FormatError(f"{path}: unknown manifest key {key!r}")
         else:
@@ -362,17 +377,21 @@ def load_dataset(in_dir, include_truth: bool = False) -> Dataset:
         if len(row) != 6:
             raise FormatError(f"{path}: malformed case row {row!r}")
         case_id, role, k_str, img, sl, reg = row
+        k = _manifest_int(path, f"{case_id} k", k_str)
+        if role == "labeled" and not 0 <= k < dims[2]:
+            raise FormatError(f"{path}: {case_id} slice k={k} outside depth {dims[2]}")
         truth = None
         if include_truth:
             tpath = root / "truth" / f"{case_id}.vol"
             if tpath.exists():
-                truth = load_labelmap(tpath, n_classes)
-        image = load_volume(root / img)
+                truth = _shaped(path, tpath, load_labelmap(tpath, n_classes), dims)
+        image = _shaped(path, img, load_volume(root / img), dims)
         if role == "labeled":
-            slices = load_labelmap(root / sl, n_classes)
-            reg_label = None if reg == "-" else load_labelmap(root / reg, n_classes)
+            slices = _shaped(path, sl, load_labelmap(root / sl, n_classes), (*dims[:2], 1))
+            reg_label = (None if reg == "-" else
+                         _shaped(path, reg, load_labelmap(root / reg, n_classes), dims))
             labeled.append(LabeledCase(
-                case_id=case_id, image=image, k=int(k_str),
+                case_id=case_id, image=image, k=k,
                 slice_labels=slices.data[:, :, 0].copy(),
                 reg_label=reg_label, truth=truth,
             ))

@@ -280,12 +280,12 @@ class Trainer:
     def __init__(self, config: TrainConfig, dataset: Dataset):
         config.validate()
         if dataset.n_labeled < 1 or dataset.n_unlabeled < 1:
-            raise ValueError("training needs at least one labeled and one unlabeled case")
+            raise ConfigError("training needs at least one labeled and one unlabeled case")
         if dataset.dims != config.dims:
-            raise ValueError(f"dataset dims {dataset.dims} != config dims {config.dims}")
+            raise ConfigError(f"dataset dims {dataset.dims} != config dims {config.dims}")
         for case in dataset.labeled:
             if case.reg_label is None:
-                raise ValueError(f"{case.case_id}: labeled case has no registration label")
+                raise ConfigError(f"{case.case_id}: labeled case has no registration label")
         self.config = config
         self.dataset = dataset
         self.dtype = config.np_dtype

@@ -13,6 +13,8 @@ way, so a test can compare the optimized form in `src/` against it.
   tape; checks the values and gradients of `contrast_loss_node`.
 - `validate_batch`: the mining contracts of
   `pacedseg.contrastive.mine_pairs`.
+- `upsample2`: nearest-neighbour x2 of a (C, h, w, d) tensor; with a
+  plain conv it checks `pacedseg.autodiff.conv3d_raw(..., up=2)`.
 
 The contrast references take the (M, F) strong-view feature grid as an
 argument, since a `ContrastBatch` holds only indices into it.
@@ -34,6 +36,11 @@ def dice_loss(pred_channel, target, eps=DICE_EPS) -> float:
         raise ValueError(f"shape mismatch: {p.shape} vs {g.shape}")
     inter = float((p * g).sum())
     return 1.0 - (2.0 * inter + eps) / (float(p.sum()) + float(g.sum()) + eps)
+
+
+def upsample2(x):
+    """Nearest-neighbour x2 on the spatial axes of a (C, h, w, d) tensor."""
+    return x.repeat(2, axis=1).repeat(2, axis=2).repeat(2, axis=3)
 
 
 def _unit(v, name):

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from oracles import upsample2
 
-from pacedseg.autodiff import Tape
+from pacedseg.autodiff import Tape, conv3d_backward, conv3d_raw
 
 RTOL = 1e-4
 STEP = 1e-3
@@ -206,9 +207,13 @@ class TestStructuralGrads:
 
         fd_check(build, [(4, 6), (4, 6)])
 
-    def test_upsample2(self):
-        weight = np.random.default_rng(6).standard_normal((2, 4, 4, 4))
-        fd_check(lambda t, xs: t.sum(t.mul_const(t.upsample2(xs[0]), weight)), [(2, 2, 2, 2)])
+    def test_conv3d_up2(self):
+        weight = np.random.default_rng(6).standard_normal((3, 4, 6, 4))
+
+        def build(t, xs):
+            return t.sum(t.mul_const(t.conv3d(xs[0], xs[1], xs[2], up=2), weight))
+
+        fd_check(build, [(2, 2, 3, 2), (2, 3, 3, 3, 3), (3,)], n_coords=12)
 
     def test_chw_to_hwc(self):
         weight = np.random.default_rng(7).standard_normal((3, 4, 2, 5))
@@ -238,8 +243,6 @@ class TestConvGrads:
         x = rng.standard_normal((2, 4, 4, 3))
         w = rng.standard_normal((2, 3, 3, 3, 2))
         b = rng.standard_normal(2)
-        from pacedseg.autodiff import conv3d_raw
-
         out, _ = conv3d_raw(x, w, b, stride=1, pad=1)
         xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (1, 1)))
         for co in range(2):
@@ -267,3 +270,64 @@ class TestConvGrads:
         b = tape.input(np.zeros(1))
         with pytest.raises(ValueError):
             tape.conv3d(x, w, b)
+
+
+class TestConvUp2:
+    """conv3d(..., up=2) against the up-sample-then-conv oracle."""
+
+    # odd low-res extent on one axis and Cin != Cout, so both borders of
+    # every axis and every parity are covered
+    X_SHAPE, W_SHAPE = (3, 3, 2, 5), (3, 3, 3, 3, 4)
+
+    def _pair(self, dtype, seed=0):
+        rng = np.random.default_rng(seed)
+        x, w = rng.standard_normal(self.X_SHAPE), rng.standard_normal(self.W_SHAPE)
+        b = rng.standard_normal(self.W_SHAPE[4])
+        x, w, b = (a.astype(dtype) for a in (x, w, b))
+        fused, cols = conv3d_raw(x, w, b, up=2)
+        xu = upsample2(x)
+        ref, ref_cols = conv3d_raw(xu, w, b)
+        g = rng.standard_normal(ref.shape).astype(dtype)
+        grads = conv3d_backward(g, cols, x, w, 1, 1, up=2)
+        rgx, rgw, rgb = conv3d_backward(g, ref_cols, xu, w, 1, 1)
+        # adjoint of the nearest-up x2: sum each 2x2x2 block
+        c, h, ww, d = x.shape
+        rgx = rgx.reshape(c, h, 2, ww, 2, d, 2).sum(axis=(2, 4, 6))
+        return [(fused, ref), *zip(grads, (rgx, rgw, rgb))]
+
+    @staticmethod
+    def _rel(got, want):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        return np.abs(got - want).max() / np.abs(want).max()
+
+    def test_float64_matches_upsampled_conv(self):
+        for got, want in self._pair(np.float64):
+            assert self._rel(got, want) < 1e-12
+
+    def test_float32_matches_upsampled_conv(self):
+        for got, want in self._pair(np.float32, seed=1):
+            assert self._rel(got, want) < 1e-5
+
+    def test_im2col_is_on_the_low_res_grid(self):
+        x = np.ones(self.X_SHAPE)
+        _, cols = conv3d_raw(x, np.ones(self.W_SHAPE), np.zeros(4), up=2)
+        assert cols.shape == (3 * 27, 3 * 2 * 5)
+
+    @pytest.mark.parametrize("w_shape,stride,pad,up", [
+        ((3, 1, 1, 1, 4), 1, 0, 2),
+        ((3, 3, 3, 1, 4), 1, 1, 2),
+        ((3, 3, 3, 3, 4), 2, 1, 2),
+        ((3, 3, 3, 3, 4), 1, 0, 2),
+        ((3, 3, 3, 3, 4), 1, 1, 3),
+        ((3, 3, 3, 3, 4), 1, 1, 0),
+    ])
+    def test_unsupported_arguments_raise(self, w_shape, stride, pad, up):
+        x, w, b = np.ones(self.X_SHAPE), np.ones(w_shape), np.zeros(4)
+        with pytest.raises(ValueError):
+            conv3d_raw(x, w, b, stride, pad, up)
+        g = np.ones((4, 6, 4, 10))
+        with pytest.raises(ValueError):
+            conv3d_backward(g, None, x, w, stride, pad, up)
+        tape = Tape(np.float64)
+        with pytest.raises(ValueError):
+            tape.conv3d(tape.input(x), tape.input(w), tape.input(b), stride, pad, up)

@@ -1,3 +1,5 @@
+import shutil
+
 import pytest
 
 from pacedseg.cli import EXIT_CONFIG, EXIT_OK, main
@@ -131,3 +133,73 @@ def test_eval_corrupt_checkpoint_exits_config(trained, tmp_path, capsys):
             "--checkpoint", str(bad), "--data-dir", str(data)]
     assert main(argv) == EXIT_CONFIG
     assert "trailing bytes" in capsys.readouterr().err
+
+
+TINY_CFG = (
+    "dim_h = 4\ndim_w = 4\ndim_d = 4\n"
+    "iterations = 1\nn_labeled = 1\nn_unlabeled = 1\nn_eval = 1\n"
+)
+
+
+@pytest.fixture(scope="module")
+def tiny_data(tmp_path_factory):
+    """A 4x4x4 gen-data directory and its config; returns (cfg, data dir)."""
+    root = tmp_path_factory.mktemp("cli_tiny")
+    cfg = root / "c.cfg"
+    cfg.write_text(TINY_CFG)
+    data = root / "data"
+    assert main(["--config", str(cfg), "--out-dir", str(data), "gen-data"]) == EXIT_OK
+    return cfg, data
+
+
+def _train_on(cfg, data, out):
+    return main(["--config", str(cfg), "--out-dir", str(out), "train", "--data-dir", str(data)])
+
+
+@pytest.mark.parametrize("old,new,message", [
+    (" labeled 2 ", " labeled two ", "k must be an integer, got 'two'"),
+    ("dims = 4 4 4", "dims = 4 4 x", "dims must be an integer, got 'x'"),
+    ("classes = 2", "classes = two", "classes must be an integer, got 'two'"),
+    ("dims = 4 4 4", "dims = 4 4", "dims must be 3 positive ints"),
+    (" labeled 2 ", " labeled 99 ", "k=99 outside depth 4"),
+], ids=["k_not_int", "dims_not_int", "classes_not_int", "two_dims", "k_past_depth"])
+def test_malformed_manifest_exits_config(tiny_data, tmp_path, capsys, old, new, message):
+    cfg, data = tiny_data
+    bad = tmp_path / "data"
+    shutil.copytree(data, bad)
+    manifest = bad / "manifest.txt"
+    text = manifest.read_text()
+    assert old in text
+    manifest.write_text(text.replace(old, new, 1))
+    assert _train_on(cfg, bad, tmp_path / "run") == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+def test_volume_off_manifest_dims_exits_config(tiny_data, tmp_path, capsys):
+    cfg, data = tiny_data
+    wide_cfg, wide = tmp_path / "w.cfg", tmp_path / "wide"
+    wide_cfg.write_text(TINY_CFG.replace("dim_h = 4", "dim_h = 8"))
+    assert main(["--config", str(wide_cfg), "--out-dir", str(wide), "gen-data"]) == EXIT_OK
+    bad = tmp_path / "data"
+    shutil.copytree(data, bad)
+    shutil.copy(wide / "images" / "case_0001.vol", bad / "images" / "case_0001.vol")
+    assert _train_on(cfg, bad, tmp_path / "run") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "images/case_0001.vol has shape (8, 4, 4), manifest gives (4, 4, 4)" in err
+
+
+def test_train_without_registration_exits_config(tiny_data, tmp_path, capsys):
+    cfg, _ = tiny_data
+    data = tmp_path / "data"
+    argv = ["--config", str(cfg), "--out-dir", str(data), "gen-data", "--no-registration"]
+    assert main(argv) == EXIT_OK
+    assert _train_on(cfg, data, tmp_path / "run") == EXIT_CONFIG
+    assert "has no registration label" in capsys.readouterr().err
+
+
+def test_train_on_other_dims_exits_config(tiny_data, tmp_path, capsys):
+    _, data = tiny_data
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(TINY_CFG.replace("dim_d = 4", "dim_d = 6"))
+    assert _train_on(cfg, data, tmp_path / "run") == EXIT_CONFIG
+    assert "dataset dims (4, 4, 4) != config dims (4, 4, 6)" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import pytest
 
 from pacedseg.errors import ConfigError, TrainingAbort
 from pacedseg.network import PARAM_NAMES
-from pacedseg.synthdata import attach_registration, generate_dataset
+from pacedseg.synthdata import Dataset, attach_registration, generate_dataset
 from pacedseg.training import (
     StepTrace,
     TrainConfig,
@@ -114,6 +114,13 @@ class TestTrainerMechanics:
         ds = generate_dataset(cfg.n_labeled, cfg.n_unlabeled, cfg.dims, seed=0)
         with pytest.raises(ValueError):
             Trainer(cfg, ds)
+
+    def test_empty_case_set_raises_config_error(self):
+        cfg = tiny_config()
+        ds = tiny_dataset(cfg)
+        for labeled, unlabeled in (([], ds.unlabeled), (ds.labeled, [])):
+            with pytest.raises(ConfigError, match="at least one labeled and one unlabeled"):
+                Trainer(cfg, Dataset(labeled, unlabeled, ds.dims, ds.n_classes))
 
     def test_lambda_follows_geometric_schedule(self):
         cfg = tiny_config()
