@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Tape", "Node", "conv3d_raw", "softmax_raw", "relu_raw"]
+__all__ = ["Tape", "Node", "conv3d_raw", "softmax_raw", "relu_raw", "fold_last"]
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +185,24 @@ def conv3d_backward(gout, cols, x, w, stride, pad, up=1):
     return gx, _parity_weight_adjoint(gm, cout), gb.reshape(cout, 8).sum(axis=1)
 
 
+def fold_last(ufunc, x):
+    """`ufunc.reduce(x, axis=-1)`, folded over the trailing axis one slice at a time.
+
+    numpy reduces a short trailing axis (the class axis, C = 2) row by row,
+    at a few elements per inner loop; folding whole slices runs each ufunc
+    call over every row at once. Like numpy's reduce, the fold starts from
+    the ufunc's identity when it has one (so an all -0.0 sum is +0.0), and
+    it adds in numpy's order for C < 8, so the result is bitwise equal.
+    """
+    out = x[..., 0].copy() if ufunc.identity is None else ufunc(ufunc.identity, x[..., 0])
+    for c in range(1, x.shape[-1]):
+        ufunc(out, x[..., c], out=out)
+    return out
+
+
 def softmax_raw(x):
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(x - fold_last(np.maximum, x)[..., None])
+    return e / fold_last(np.add, e)[..., None]
 
 
 def relu_raw(x):
@@ -424,7 +438,7 @@ class Tape:
         out = self._record(p, (x,))
 
         def back(g):
-            self._accum(x, p * (g - (g * p).sum(axis=-1, keepdims=True)))
+            self._accum(x, p * (g - fold_last(np.add, g * p)[..., None]))
 
         out._backward = back
         return out

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tape
+from .autodiff import Tape, fold_last
 from .contrastive import contrast_loss_node, mine_pairs
 from .errors import ConfigError, TrainingAbort
 from .grids import (
@@ -388,7 +388,7 @@ class Trainer:
             preds_sn = downsample_labels_majority(
                 LabelMap(np.argmax(probs_sn, axis=3), cfg.n_classes), factor
             )
-            conf_sn = downsample_mean(Volume(probs_sn.max(axis=3)), factor)
+            conf_sn = downsample_mean(Volume(fold_last(np.maximum, probs_sn)), factor)
             batch = mine_pairs(
                 FeatureMap(feats_u1), FeatureMap(feats_u2), FeatureMap(feats_u.value),
                 pw1, pw2, preds_sn, mask_ds, conf_sn, cfg.k_neg, cfg.tau_contrast,

@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .autodiff import fold_last
 from .errors import ScheduleStateError
 from .grids import BoolMask, ProbMap
 from .network import ModelParams, head_forward, make_dropout_mask
@@ -54,7 +55,7 @@ def entropy_values(p: np.ndarray, n_classes: int) -> np.ndarray:
     uniform extreme (order 1e-16).
     """
     p = np.asarray(p, dtype=np.float64)
-    ent = -np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0).sum(axis=-1)
+    ent = -fold_last(np.add, np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0))
     np.clip(ent, 0.0, math.log(n_classes), out=ent)
     return ent
 

@@ -15,6 +15,8 @@ way, so a test can compare the optimized form in `src/` against it.
   `pacedseg.contrastive.mine_pairs`.
 - `upsample2`: nearest-neighbour x2 of a (C, h, w, d) tensor; with a
   plain conv it checks `pacedseg.autodiff.conv3d_raw(..., up=2)`.
+- `softmax_reduce`: softmax over the last axis with numpy reductions;
+  checks the slice-folded `pacedseg.autodiff.softmax_raw` bit for bit.
 
 The contrast references take the (M, F) strong-view feature grid as an
 argument, since a `ContrastBatch` holds only indices into it.
@@ -41,6 +43,12 @@ def dice_loss(pred_channel, target, eps=DICE_EPS) -> float:
 def upsample2(x):
     """Nearest-neighbour x2 on the spatial axes of a (C, h, w, d) tensor."""
     return x.repeat(2, axis=1).repeat(2, axis=2).repeat(2, axis=3)
+
+
+def softmax_reduce(x):
+    """Softmax over the last axis with `max`/`sum` reductions along it."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _unit(v, name):

@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from oracles import upsample2
+from oracles import softmax_reduce, upsample2
 
-from pacedseg.autodiff import Tape, conv3d_backward, conv3d_raw
+from pacedseg.autodiff import Tape, conv3d_backward, conv3d_raw, fold_last, softmax_raw
 
 RTOL = 1e-4
 STEP = 1e-3
@@ -165,6 +165,40 @@ class TestReductionGrads:
             return t.sum(t.mul(p, xs[1]))
 
         fd_check(build, [(5, 3), (5, 3)])
+
+
+class TestFoldLast:
+    """The slice-by-slice class-axis fold against numpy's own reductions."""
+
+    @staticmethod
+    def _logits(n_classes, dtype, seed=0):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((6, 5, 4, n_classes)) * 10.0 ** rng.uniform(-6, 6, (6, 5, 4, n_classes))
+        x = x.astype(dtype)
+        x[0, 0] = 1.5                       # exact ties on every class
+        x[0, 1, :, -1] = x[0, 1, :, 0]      # ties between first and last class
+        x[1, 0] = -0.0                      # an all -0.0 row sums to +0.0
+        x[1, 1, :, 0] = -0.0
+        x[1, 1, :, 1:] = 0.0                # mixed-sign zeros
+        return x
+
+    @staticmethod
+    def _same_bits(a, b):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_bitwise_equal_to_reductions(self, n_classes, dtype):
+        x = self._logits(n_classes, dtype)
+        assert self._same_bits(fold_last(np.maximum, x), x.max(-1))
+        assert self._same_bits(fold_last(np.add, x), x.sum(-1))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_softmax_bitwise_equal_to_reduction_form(self, n_classes, dtype):
+        x = self._logits(n_classes, dtype, seed=1)
+        x = np.clip(x, -80, 80)             # keep exp finite in float32
+        assert self._same_bits(softmax_raw(x), softmax_reduce(x))
 
 
 class TestStructuralGrads:
