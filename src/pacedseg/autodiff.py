@@ -1,13 +1,21 @@
 """Reverse-mode differentiation over a fixed tensor op set.
 
 A Tape records nodes in creation order, which is a topological order by
-construction, so the backward pass is a single reverse sweep. Values are
-numpy arrays (float32 or float64); each op caches what its backward
-closure needs. The op set is exactly what the segmentation model and its
-losses require: 3D convolution (via im2col + BLAS matmul), also of a
+construction, so the backward pass is a single reverse sweep; each node's
+closure is dropped once the sweep has passed it, so a tape is swept once.
+Values are numpy arrays (float32 or float64); each op caches what its
+backward closure needs. The op set is exactly what the segmentation model
+and its losses require: 3D convolution (im2col + BLAS matmul), also of a
 nearest-up x2 input computed on the low-res grid (`up=2`), relu, softmax,
 elementwise arithmetic, reductions, gathers, transpose and matmul, and
 the row-wise dot product used by the cosine-similarity contrastive loss.
+
+The hot numpy ops run on long contiguous rows. A stride-1 conv reads each
+kernel tap as one contiguous run of the flattened zero-padded input (the
+flat-shift form of im2col), and its backward adds each tap's gradient
+back as one run; only strided convs gather windows. Reductions over the
+short trailing class axis fold one class slice at a time (`fold_last`),
+bitwise equal to numpy's own reduction.
 
 Raw kernels (`conv3d_raw`, `softmax_raw`, ...) are shared with the
 tape-free inference path so both routes compute identical floats.
@@ -29,7 +37,8 @@ def _out_extent(size, k, stride, pad):
 
 
 def _im2col(xp, kh, kw, kd, stride, oh, ow, od):
-    """Gather windows of a channels-first volume into (Cin*kh*kw*kd, N).
+    """Gather strided windows of a padded channels-first volume into
+    (Cin*kh*kw*kd, N); used for stride > 1 only.
 
     One dense block copy per kernel offset, so the cost is insensitive to
     the channel count (the fill is contiguous along the output grid).
@@ -53,9 +62,25 @@ def _im2col(xp, kh, kw, kd, stride, oh, ow, od):
 
 
 def _weight_mat(w):
-    """(Cin,kh,kw,kd,Cout) -> (Cout, Cin*kh*kw*kd), matching _im2col rows."""
+    """(Cin,kh,kw,kd,Cout) -> (Cout, Cin*kh*kw*kd), matching the cols rows."""
     cin, kh, kw, kd, cout = w.shape
     return np.ascontiguousarray(w.transpose(4, 0, 1, 2, 3)).reshape(cout, -1)
+
+
+def _flat_taps(kshape, frame, out):
+    """Flat-run geometry of a stride-1 conv on the padded (Hp, Wp, Dp) frame.
+
+    Output voxel (a, b, c) sits at frame offset (a*Wp + b)*Dp + c, and tap
+    (i, j, l) reads it shifted by (i*Wp + j)*Dp + l; so each tap is one
+    contiguous run of the flattened frame. The run length L spans every
+    output voxel; its columns past ow or od along a row are discarded.
+    Returns (tap offsets, L).
+    """
+    _, wp, dp = frame
+    oh, ow, od = out
+    kh, kw, kd = kshape
+    offsets = [(i * wp + j) * dp + l for i in range(kh) for j in range(kw) for l in range(kd)]
+    return offsets, (oh - 1) * wp * dp + (ow - 1) * dp + od
 
 
 def _conv3d(x, w, b, stride, pad):
@@ -66,14 +91,27 @@ def _conv3d(x, w, b, stride, pad):
     oh, ow, od = (_out_extent(s, k, stride, pad)
                   for s, k in zip((h, ww, d), (kh, kw, kd)))
     if kh == kw == kd == 1 and stride == 1 and pad == 0:
-        cols = None
         out = w.reshape(cin, cout).T @ x.reshape(cin, -1)
-    else:
-        xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (pad, pad))) if pad else x
+        out += b[:, None]
+        return out.reshape(cout, oh, ow, od), None
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (pad, pad))) if pad else x
+    if stride > 1:
         cols = _im2col(xp, kh, kw, kd, stride, oh, ow, od)
         out = _weight_mat(w) @ cols
-    out += b[:, None]
-    return out.reshape(cout, oh, ow, od), cols
+        out += b[:, None]
+        return out.reshape(cout, oh, ow, od), cols
+    _, hp, wp, dp = xp.shape
+    offsets, n = _flat_taps((kh, kw, kd), (hp, wp, dp), (oh, ow, od))
+    xf = xp.reshape(cin, -1)
+    cols = np.empty((cin, len(offsets), n), dtype=x.dtype)
+    for m, o in enumerate(offsets):
+        cols[:, m] = xf[:, o : o + n]
+    cols = cols.reshape(cin * len(offsets), n)
+    frame = np.empty((cout, oh * wp * dp), dtype=x.dtype)
+    run = frame[:, :n]
+    np.matmul(_weight_mat(w), cols, out=run)
+    run += b[:, None]
+    return frame.reshape(cout, oh, wp, dp)[:, :, :ow, :od], cols
 
 
 def _conv3d_backward(gout, cols, x, w, stride, pad):
@@ -86,24 +124,33 @@ def _conv3d_backward(gout, cols, x, w, stride, pad):
         gw = (xmat @ gmat.T).reshape(w.shape)
         gx = (w.reshape(cin, cout) @ gmat).reshape(x.shape)
         return gx, gw, gb
-    gw = np.ascontiguousarray(
-        (gmat @ cols.T).reshape(cout, cin, kh, kw, kd).transpose(1, 2, 3, 4, 0)
-    )
-    gcols = _weight_mat(w).T @ gmat
-    g5 = gcols.reshape(cin, kh * kw * kd, oh, ow, od)
     h, ww, d = x.shape[1:]
-    gxp = np.zeros((cin, h + 2 * pad, ww + 2 * pad, d + 2 * pad), dtype=gout.dtype)
-    m = 0
-    for i in range(kh):
-        for j in range(kw):
-            for l in range(kd):
-                gxp[
-                    :,
-                    i : i + oh * stride : stride,
-                    j : j + ow * stride : stride,
-                    l : l + od * stride : stride,
-                ] += g5[:, m]
-                m += 1
+    hp, wp, dp = h + 2 * pad, ww + 2 * pad, d + 2 * pad
+    gxp = np.zeros((cin, hp, wp, dp), dtype=gout.dtype)
+    if stride > 1:
+        gw = (cols @ gmat.T).reshape(w.shape)
+        g5 = (_weight_mat(w).T @ gmat).reshape(cin, kh * kw * kd, oh, ow, od)
+        m = 0
+        for i in range(kh):
+            for j in range(kw):
+                for l in range(kd):
+                    gxp[
+                        :,
+                        i : i + oh * stride : stride,
+                        j : j + ow * stride : stride,
+                        l : l + od * stride : stride,
+                    ] += g5[:, m]
+                    m += 1
+    else:
+        offsets, n = _flat_taps((kh, kw, kd), (hp, wp, dp), (oh, ow, od))
+        gframe = np.zeros((cout, oh, wp, dp), dtype=gout.dtype)
+        gframe[:, :, :ow, :od] = gout
+        grun = gframe.reshape(cout, -1)[:, :n]
+        gw = (cols @ grun.T).reshape(w.shape)
+        gcols = (_weight_mat(w).T @ grun).reshape(cin, len(offsets), n)
+        gxf = gxp.reshape(cin, -1)
+        for m, o in enumerate(offsets):
+            gxf[:, o : o + n] += gcols[:, m]
     gx = gxp[:, pad : pad + h, pad : pad + ww, pad : pad + d] if pad else gxp
     return gx, gw, gb
 
@@ -151,7 +198,12 @@ def conv3d_raw(x, w, b, stride=1, pad=1, up=1):
     """Channels-first 3D convolution. x: (Cin,H,W,D), w: (Cin,kh,kw,kd,Cout).
 
     Returns (out, cols); cols is the im2col matrix kept for the backward
-    pass, or None on the 1x1x1 fast path (the input itself serves).
+    pass, or None on the 1x1x1 fast path (the input itself serves). For
+    stride 1, cols is the flat-run matrix: row (c, tap) holds channel c of
+    the flattened padded input from the tap's offset on, over L columns
+    (see `_flat_taps`), and out is a (Cout, oh, ow, od) view of the
+    (Cout, oh, Wp, Dp) result frame. For stride > 1 it holds the gathered
+    windows, one column per output voxel.
 
     With up=2 the input is first up-sampled x2 by nearest neighbour, but the
     conv runs on x's own grid. Along each axis the output at 2i + p sees the
@@ -234,6 +286,7 @@ class Tape:
     def __init__(self, dtype=np.float64):
         self.dtype = dtype
         self.nodes: list[Node] = []
+        self._swept = False
 
     def _record(self, value, parents=()):
         node = Node(len(self.nodes), np.asarray(value, dtype=self.dtype), parents)
@@ -263,14 +316,25 @@ class Tape:
         self.nodes.clear()
 
     def backward(self, loss: Node):
+        """Fill `.grad` of every node the loss depends on; one sweep per tape.
+
+        Each node's closure, and with it the buffers it cached (a conv's
+        cols), is dropped as the sweep passes the node, so the sweep's peak
+        memory falls as it goes. A second sweep would find no closures and
+        yield no gradients, so it raises instead.
+        """
         if loss.value.size != 1:
             raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
+        if self._swept:
+            raise ValueError("backward already ran on this tape; record a new tape")
+        self._swept = True
         for n in self.nodes:
             n.grad = None
         loss.grad = np.ones_like(loss.value)
         for node in reversed(self.nodes):
-            if node.grad is not None and node._backward is not None:
-                node._backward(node.grad)
+            back, node._backward = node._backward, None
+            if node.grad is not None and back is not None:
+                back(node.grad)
 
     # -- arithmetic ---------------------------------------------------------
 

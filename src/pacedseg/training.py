@@ -327,6 +327,11 @@ class Trainer:
     def step(self, labeled: LabeledCase, unlabeled: UnlabeledCase,
              capture: StepTrace | None = None) -> LossReport:
         cfg = self.config
+        if self.t > self.schedule.t_max:
+            raise ConfigError(
+                f"iteration {self.t} is past the schedule's end (t_max = "
+                f"{self.schedule.t_max}); set iterations to the number of steps to run"
+            )
         if not self.student.finite():
             raise TrainingAbort(
                 f"non-finite student parameters entering iteration {self.t}; "

@@ -15,6 +15,10 @@ way, so a test can compare the optimized form in `src/` against it.
   `pacedseg.contrastive.mine_pairs`.
 - `upsample2`: nearest-neighbour x2 of a (C, h, w, d) tensor; with a
   plain conv it checks `pacedseg.autodiff.conv3d_raw(..., up=2)`.
+- `conv3d_windowed` and `conv3d_windowed_backward`: a conv as im2col of
+  its strided windows, with the backward's scatter of window gradients;
+  check the flat-run stride-1 path of `pacedseg.autodiff.conv3d_raw`
+  and `conv3d_backward`.
 - `softmax_reduce`: softmax over the last axis with numpy reductions;
   checks the slice-folded `pacedseg.autodiff.softmax_raw` bit for bit.
 
@@ -43,6 +47,43 @@ def dice_loss(pred_channel, target, eps=DICE_EPS) -> float:
 def upsample2(x):
     """Nearest-neighbour x2 on the spatial axes of a (C, h, w, d) tensor."""
     return x.repeat(2, axis=1).repeat(2, axis=2).repeat(2, axis=3)
+
+
+def _windows(x, kshape, stride, pad):
+    """(padded x, output extents, tap slices) of a conv's strided windows."""
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (pad, pad)))
+    out = tuple((s + 2 * pad - k) // stride + 1 for s, k in zip(x.shape[1:], kshape))
+    taps = [
+        (slice(None),) + tuple(slice(t, t + o * stride, stride) for t, o in zip(tap, out))
+        for tap in np.ndindex(*kshape)
+    ]
+    return xp, out, taps
+
+
+def conv3d_windowed(x, w, b, stride=1, pad=1):
+    """Conv of a (Cin, H, W, D) x with a (Cin, kh, kw, kd, Cout) w: one
+    (Cin*K, N) im2col row block per kernel tap, then a matmul."""
+    cin, *kshape, cout = w.shape
+    xp, out, taps = _windows(x, kshape, stride, pad)
+    cols = np.stack([xp[t].reshape(cin, -1) for t in taps], axis=1).reshape(-1, np.prod(out))
+    wmat = w.transpose(4, 0, 1, 2, 3).reshape(cout, -1)
+    return (wmat @ cols + b[:, None]).reshape(cout, *out)
+
+
+def conv3d_windowed_backward(gout, x, w, stride=1, pad=1):
+    """(gx, gw, gb) of `conv3d_windowed`: window gradients scattered back."""
+    cin, *kshape, cout = w.shape
+    xp, out, taps = _windows(x, kshape, stride, pad)
+    cols = np.stack([xp[t].reshape(cin, -1) for t in taps], axis=1).reshape(-1, np.prod(out))
+    gmat = gout.reshape(cout, -1)
+    gw = (gmat @ cols.T).reshape(cout, cin, *kshape).transpose(1, 2, 3, 4, 0)
+    wmat = w.transpose(4, 0, 1, 2, 3).reshape(cout, -1)
+    gcols = (wmat.T @ gmat).reshape(cin, len(taps), *out)
+    gxp = np.zeros_like(xp)
+    for m, t in enumerate(taps):
+        gxp[t] += gcols[:, m]
+    h, ww, d = x.shape[1:]
+    return gxp[:, pad : pad + h, pad : pad + ww, pad : pad + d], gw, gmat.sum(axis=1)
 
 
 def softmax_reduce(x):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import softmax_reduce, upsample2
+from oracles import conv3d_windowed, conv3d_windowed_backward, softmax_reduce, upsample2
 
 from pacedseg.autodiff import Tape, conv3d_backward, conv3d_raw, fold_last, softmax_raw
 
@@ -80,6 +80,15 @@ class TestBasicContracts:
         tape.backward(loss)
         assert a.grad is not None and loss.grad is not None
         assert unused.grad is None
+
+    def test_second_backward_raises(self):
+        tape = Tape(np.float64)
+        p = tape.input(np.ones(3))
+        loss = tape.sum(tape.mul(p, p))
+        tape.backward(loss)
+        np.testing.assert_array_equal(p.grad, 2 * np.ones(3))
+        with pytest.raises(ValueError, match="already ran"):
+            tape.backward(loss)
 
     def test_dtype_follows_tape(self):
         tape = Tape(np.float32)
@@ -306,6 +315,50 @@ class TestConvGrads:
             tape.conv3d(x, w, b)
 
 
+class TestFlatRunConv:
+    """conv3d_raw/conv3d_backward against the windowed im2col oracle.
+
+    Stride 1 runs on the flat-run cols; the stride-2 case keeps the
+    windowed cols and checks the (cols @ g.T) weight gradient.
+    """
+
+    CASES = [
+        # (x shape, w shape, stride, pad): odd extents with Cin != Cout,
+        # pad 0 and pad 1 on non-1x1 kernels, a non-cubic kernel
+        ((3, 5, 3, 7), (3, 3, 3, 3, 2), 1, 1),
+        ((2, 5, 4, 3), (2, 3, 3, 3, 4), 1, 0),
+        ((3, 5, 6, 4), (3, 2, 3, 1, 2), 1, 0),
+        ((2, 4, 5, 3), (2, 3, 1, 2, 3), 1, 1),
+        ((2, 5, 4, 6), (2, 3, 3, 3, 3), 2, 1),
+    ]
+
+    @staticmethod
+    def _errors(case, dtype, seed):
+        x_shape, w_shape, stride, pad = case
+        rng = np.random.default_rng(seed)
+        x, w = rng.standard_normal(x_shape), rng.standard_normal(w_shape)
+        b = rng.standard_normal(w_shape[4])
+        x, w, b = (a.astype(dtype) for a in (x, w, b))
+        out, cols = conv3d_raw(x, w, b, stride, pad)
+        ref = conv3d_windowed(x, w, b, stride, pad)
+        g = rng.standard_normal(ref.shape).astype(dtype)
+        got = conv3d_backward(g, cols, x, w, stride, pad)
+        want = conv3d_windowed_backward(g, x, w, stride, pad)
+        errors = []
+        for a, r in zip((out, *got), (ref, *want)):
+            assert a.shape == r.shape and a.dtype == dtype
+            errors.append(np.abs(a - r).max() / np.abs(r).max())
+        return errors
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_float64_matches_windowed(self, case):
+        assert max(self._errors(case, np.float64, seed=0)) < 1e-12
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_float32_matches_windowed(self, case):
+        assert max(self._errors(case, np.float32, seed=1)) < 1e-5
+
+
 class TestConvUp2:
     """conv3d(..., up=2) against the up-sample-then-conv oracle."""
 
@@ -343,9 +396,12 @@ class TestConvUp2:
             assert self._rel(got, want) < 1e-5
 
     def test_im2col_is_on_the_low_res_grid(self):
+        # flat runs of the padded (5, 4, 7) low-res frame: (3-1)*4*7 + (2-1)*7 + 5
+        # columns, fewer than the 6*4*10 = 240 voxels of the high-res grid
         x = np.ones(self.X_SHAPE)
         _, cols = conv3d_raw(x, np.ones(self.W_SHAPE), np.zeros(4), up=2)
-        assert cols.shape == (3 * 27, 3 * 2 * 5)
+        assert cols.shape == (3 * 27, 68)
+        assert cols.shape[1] < 6 * 4 * 10
 
     @pytest.mark.parametrize("w_shape,stride,pad,up", [
         ((3, 1, 1, 1, 4), 1, 0, 2),

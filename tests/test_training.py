@@ -167,6 +167,15 @@ class TestTrainerMechanics:
             assert rep.total == (rep.l_s + rep.l_u) + rep.l_bf
             assert rep.l_s >= 0 and rep.l_u >= 0 and rep.l_bf >= 0
 
+    @pytest.mark.parametrize("enable_su", [True, False])
+    def test_step_past_schedule_end_raises_config_error(self, enable_su):
+        cfg = tiny_config(iterations=2, decay_period=2, enable_su=enable_su)
+        trainer = Trainer(cfg, tiny_dataset(cfg))
+        for t in range(3):  # t = 0..t_max is inside the schedule
+            trainer.step(*trainer.batch_for(t))
+        with pytest.raises(ConfigError, match="past the schedule's end"):
+            trainer.step(*trainer.batch_for(3))
+
     def test_nonfinite_params_abort_with_schedule_dump(self):
         cfg = tiny_config()
         trainer = Trainer(cfg, tiny_dataset(cfg))
