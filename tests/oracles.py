@@ -50,22 +50,22 @@ def upsample2(x):
 
 
 def _windows(x, kshape, stride, pad):
-    """(padded x, output extents, tap slices) of a conv's strided windows."""
+    """(padded x, output extents, tap slices, (Cin*K, N) im2col) of a conv."""
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (pad, pad)))
     out = tuple((s + 2 * pad - k) // stride + 1 for s, k in zip(x.shape[1:], kshape))
     taps = [
         (slice(None),) + tuple(slice(t, t + o * stride, stride) for t, o in zip(tap, out))
         for tap in np.ndindex(*kshape)
     ]
-    return xp, out, taps
+    cols = np.stack([xp[t].reshape(x.shape[0], -1) for t in taps], axis=1)
+    return xp, out, taps, cols.reshape(-1, np.prod(out))
 
 
 def conv3d_windowed(x, w, b, stride=1, pad=1):
     """Conv of a (Cin, H, W, D) x with a (Cin, kh, kw, kd, Cout) w: one
-    (Cin*K, N) im2col row block per kernel tap, then a matmul."""
+    im2col row block of strided windows per kernel tap, then a matmul."""
     cin, *kshape, cout = w.shape
-    xp, out, taps = _windows(x, kshape, stride, pad)
-    cols = np.stack([xp[t].reshape(cin, -1) for t in taps], axis=1).reshape(-1, np.prod(out))
+    _, out, _, cols = _windows(x, kshape, stride, pad)
     wmat = w.transpose(4, 0, 1, 2, 3).reshape(cout, -1)
     return (wmat @ cols + b[:, None]).reshape(cout, *out)
 
@@ -73,8 +73,7 @@ def conv3d_windowed(x, w, b, stride=1, pad=1):
 def conv3d_windowed_backward(gout, x, w, stride=1, pad=1):
     """(gx, gw, gb) of `conv3d_windowed`: window gradients scattered back."""
     cin, *kshape, cout = w.shape
-    xp, out, taps = _windows(x, kshape, stride, pad)
-    cols = np.stack([xp[t].reshape(cin, -1) for t in taps], axis=1).reshape(-1, np.prod(out))
+    xp, out, taps, cols = _windows(x, kshape, stride, pad)
     gmat = gout.reshape(cout, -1)
     gw = (gmat @ cols.T).reshape(cout, cin, *kshape).transpose(1, 2, 3, 4, 0)
     wmat = w.transpose(4, 0, 1, 2, 3).reshape(cout, -1)

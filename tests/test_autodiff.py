@@ -182,8 +182,8 @@ class TestFoldLast:
     @staticmethod
     def _logits(n_classes, dtype, seed=0):
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal((6, 5, 4, n_classes)) * 10.0 ** rng.uniform(-6, 6, (6, 5, 4, n_classes))
-        x = x.astype(dtype)
+        shape = (6, 5, 4, n_classes)
+        x = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)).astype(dtype)
         x[0, 0] = 1.5                       # exact ties on every class
         x[0, 1, :, -1] = x[0, 1, :, 0]      # ties between first and last class
         x[1, 0] = -0.0                      # an all -0.0 row sums to +0.0
