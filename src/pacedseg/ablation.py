@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigError
 from .synthdata import attach_registration, generate_dataset
 from .training import TrainConfig, run_training
 
@@ -71,8 +72,8 @@ def format_table(aggregate: dict) -> str:
 def run_ablation(config: TrainConfig, seeds, out_dir, progress=None) -> AblationResult:
     """Train every variant for every seed; aggregate mean +- std per variant."""
     seeds = tuple(int(s) for s in seeds)
-    if len(seeds) < 3:
-        raise ValueError("ablation needs at least 3 seeds")
+    if len(seeds) < 3 or len(set(seeds)) != len(seeds) or min(seeds) < 0:
+        raise ConfigError(f"ablation needs at least 3 distinct non-negative seeds, got {seeds}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

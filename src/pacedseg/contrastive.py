@@ -23,9 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Node, Tape
-from .grids import BoolMask, LabelMap, Volume
 from .losses import _scalar
-from .network import FeatureMap
 
 NEG_PAD = -1
 
@@ -58,44 +56,46 @@ class ContrastBatch:
 
 
 def mine_pairs(
-    zw1: FeatureMap,
-    zw2: FeatureMap,
-    zsn: FeatureMap,
-    preds_w1: LabelMap,
-    preds_w2: LabelMap,
-    preds_sn: LabelMap,
-    mask_ds: BoolMask,
-    conf_sn: Volume,
+    zw1: np.ndarray,
+    zw2: np.ndarray,
+    zsn: np.ndarray,
+    preds_w1: np.ndarray,
+    preds_w2: np.ndarray,
+    preds_sn: np.ndarray,
+    mask_ds: np.ndarray,
+    conf_sn: np.ndarray,
     k_neg: int,
     tau: float = 0.5,
 ) -> ContrastBatch:
     """Select positives and per-class negative pools on the half-res grid.
 
-    Negatives are ordered by (confidence descending, linear index), so the
-    batch is deterministic for identical inputs.
+    Features are (h, w, d, F) grids; labels, the mask and the strong-view
+    confidence are (h, w, d) grids. Negatives are ordered by (confidence
+    descending, linear index), so the batch is deterministic for identical
+    inputs.
     """
-    dims = mask_ds.dims
-    for name, obj in (
+    dims = mask_ds.shape
+    for name, arr in (
         ("zw1", zw1), ("zw2", zw2), ("zsn", zsn),
         ("preds_w1", preds_w1), ("preds_w2", preds_w2), ("preds_sn", preds_sn),
         ("conf_sn", conf_sn),
     ):
-        if obj.dims != dims:
-            raise ValueError(f"{name} dims {obj.dims} != mask dims {dims}")
+        if arr.shape[:3] != dims:
+            raise ValueError(f"{name} dims {arr.shape[:3]} != mask dims {dims}")
     if k_neg < 0:
         raise ValueError("k_neg must be nonnegative")
     if tau <= 0:
         raise ValueError("tau must be positive")
 
-    m = mask_ds.data.ravel()
-    p1, p2, psn = preds_w1.data.ravel(), preds_w2.data.ravel(), preds_sn.data.ravel()
-    conf = conf_sn.data.ravel()
-    f = zw1.embed_dim
+    m = mask_ds.ravel()
+    p1, p2, psn = preds_w1.ravel(), preds_w2.ravel(), preds_sn.ravel()
+    conf = conf_sn.ravel()
+    f = zw1.shape[3]
 
     pos = np.flatnonzero(m & (p1 == p2))
     classes = p1[pos]
-    z1 = zw1.data.reshape(-1, f)[pos]
-    z2 = zw2.data.reshape(-1, f)[pos]
+    z1 = zw1.reshape(-1, f)[pos]
+    z2 = zw2.reshape(-1, f)[pos]
 
     # one ranked negative pool per anchor class, shared by its anchors
     pool_classes, pool_of = np.unique(classes, return_inverse=True)

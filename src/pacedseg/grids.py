@@ -1,16 +1,19 @@
-"""Dense 3D grids and their bit-exact on-disk format.
+"""Dense 3D grids: the boundary types and their bit-exact on-disk format.
 
 Every map in the pipeline (image, probability, label, mask, uncertainty)
 lives on the same (H, W, D) voxel grid, linearized in C order:
-flat index = (h*W + w)*D + d. The wrapper classes validate their
-invariants once at construction and then freeze the underlying array,
-so instances are safe to share across threads.
+flat index = (h*W + w)*D + d. Inside a training step the maps are plain
+numpy arrays. `Volume` and `LabelMap` exist only at the boundaries where
+values come from outside the step (dataset generation, volume files,
+manifests) or leave it for scoring: they validate their invariants once
+at construction and then freeze the underlying array, so instances are
+safe to share across threads.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +23,6 @@ from .errors import FormatError
 # H*W*D*C little-endian float64 values in C order.
 VOLUME_MAGIC = b"pacedseg-vol-v1\n"
 _HEADER = struct.Struct("<4I")
-
-PROB_SUM_TOL = 1e-5
 
 
 def _as_c_order(a: np.ndarray, dtype) -> np.ndarray:
@@ -51,33 +52,6 @@ class Volume:
 
 
 @dataclass(eq=False)
-class ProbMap:
-    """Per-voxel class probabilities, shape (H, W, D, C), rows sum to 1."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = _as_c_order(self.data, np.float64)
-        if self.data.ndim != 4 or self.data.shape[3] < 2 or min(self.data.shape[:3]) < 1:
-            raise ValueError(f"prob map must be (H, W, D, C>=2), got {self.data.shape}")
-        if not np.isfinite(self.data).all():
-            raise ValueError("prob map contains non-finite values")
-        if self.data.min() < -PROB_SUM_TOL or self.data.max() > 1 + PROB_SUM_TOL:
-            raise ValueError("probabilities outside [0, 1]")
-        sums = self.data.sum(axis=3)
-        if abs(sums - 1.0).max() > PROB_SUM_TOL:
-            raise ValueError("per-voxel probabilities do not sum to 1")
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape[:3]
-
-    @property
-    def n_classes(self) -> int:
-        return self.data.shape[3]
-
-
-@dataclass(eq=False)
 class LabelMap:
     """Integer class id per voxel, in [0, n_classes)."""
 
@@ -98,24 +72,6 @@ class LabelMap:
         return self.data.shape
 
 
-@dataclass(eq=False)
-class BoolMask:
-    """Boolean voxel selector with a cached true-bit count."""
-
-    data: np.ndarray
-    count: int = field(init=False)
-
-    def __post_init__(self):
-        self.data = _as_c_order(self.data, bool)
-        if self.data.ndim != 3 or min(self.data.shape) < 1:
-            raise ValueError(f"mask must be 3D and non-empty, got shape {self.data.shape}")
-        self.count = int(self.data.sum())
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape
-
-
 # ---------------------------------------------------------------------------
 # binary volume I/O
 # ---------------------------------------------------------------------------
@@ -130,15 +86,18 @@ def _write_raw(path, data4: np.ndarray) -> None:
 
 
 def _read_raw(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic = f.read(len(VOLUME_MAGIC))
-        if magic != VOLUME_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}")
-        header = f.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise FormatError(f"{path}: truncated header")
-        h, w, d, c = _HEADER.unpack(header)
-        payload = f.read()
+    try:
+        with open(path, "rb") as f:
+            magic = f.read(len(VOLUME_MAGIC))
+            header = f.read(_HEADER.size)
+            payload = f.read()
+    except OSError as e:
+        raise FormatError(f"cannot read {path}: {e}") from e
+    if magic != VOLUME_MAGIC:
+        raise FormatError(f"{path}: bad magic {magic!r}")
+    if len(header) != _HEADER.size:
+        raise FormatError(f"{path}: truncated header")
+    h, w, d, c = _HEADER.unpack(header)
     expected = h * w * d * c * 8
     if len(payload) != expected:
         raise FormatError(
@@ -195,27 +154,22 @@ def _block_view(a: np.ndarray, factor: tuple[int, int, int]) -> np.ndarray:
     )
 
 
-def downsample_mask(mask: BoolMask, factor: tuple[int, int, int]) -> BoolMask:
+def downsample_mask(mask: np.ndarray, factor: tuple[int, int, int]) -> np.ndarray:
     """Majority vote per block; an exact half-true block counts as true."""
-    blocks = _block_view(mask.data, factor)
+    blocks = _block_view(mask, factor)
     counts = blocks.sum(axis=3)
-    return BoolMask(2 * counts >= blocks.shape[3])
+    return 2 * counts >= blocks.shape[3]
 
 
-def downsample_labels_majority(labels: LabelMap, factor: tuple[int, int, int]) -> LabelMap:
+def downsample_labels_majority(
+    labels: np.ndarray, n_classes: int, factor: tuple[int, int, int]
+) -> np.ndarray:
     """Most frequent label per block; ties go to the smallest class id."""
-    blocks = _block_view(labels.data, factor)
-    counts = np.stack(
-        [(blocks == c).sum(axis=3) for c in range(labels.n_classes)], axis=3
-    )
-    return LabelMap(np.argmax(counts, axis=3), labels.n_classes)
+    blocks = _block_view(labels, factor)
+    counts = np.stack([(blocks == c).sum(axis=3) for c in range(n_classes)], axis=3)
+    return np.argmax(counts, axis=3)
 
 
-def downsample_mean(vol: Volume, factor: tuple[int, int, int]) -> Volume:
+def downsample_mean(vol: np.ndarray, factor: tuple[int, int, int]) -> np.ndarray:
     """Block-average a scalar field."""
-    return Volume(_block_view(vol.data, factor).mean(axis=3))
-
-
-def argmax_labels(probs: ProbMap) -> LabelMap:
-    """Harden probabilities; ties go to the smallest class id."""
-    return LabelMap(np.argmax(probs.data, axis=3), probs.n_classes)
+    return _block_view(vol, factor).mean(axis=3)

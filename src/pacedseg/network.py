@@ -29,7 +29,6 @@ import numpy as np
 
 from .autodiff import Node, Tape, conv3d_raw, relu_raw, softmax_raw
 from .errors import FormatError, TrainingAbort
-from .grids import ProbMap, Volume
 
 CHECKPOINT_MAGIC = b"pacedseg-ckpt-v1"
 CHECKPOINT_VERSION = 1
@@ -42,28 +41,6 @@ PARAM_NAMES = (
     "seg_w", "seg_b",
     "proj_w", "proj_b",
 )
-
-
-@dataclass(eq=False)
-class FeatureMap:
-    """Embedding vectors on the half-resolution grid, shape (h, w, d, F)."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data)
-        if self.data.ndim != 4:
-            raise ValueError(f"feature map must be (h, w, d, F), got {self.data.shape}")
-        if not np.isfinite(self.data).all():
-            raise ValueError("feature map contains non-finite values")
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape[:3]
-
-    @property
-    def embed_dim(self) -> int:
-        return self.data.shape[3]
 
 
 @dataclass(eq=False)
@@ -191,15 +168,17 @@ def head_forward(params: ModelParams, hdec: np.ndarray, dropout_mask=None) -> np
     return softmax_raw(logits)
 
 
-def forward(params: ModelParams, image: Volume, dropout_on: bool, rng_seed: int):
-    """Full inference pass; deterministic in (params, image, dropout_on, rng_seed)."""
-    hdec, feats = forward_parts(params, image.data)
+def forward(params: ModelParams, image: np.ndarray, dropout_on: bool, rng_seed: int):
+    """Full inference pass; deterministic in (params, image, dropout_on, rng_seed).
+
+    Returns (channels-last probabilities, channels-last half-resolution features).
+    """
+    hdec, feats = forward_parts(params, image)
     mask = None
     if dropout_on:
         rng = np.random.default_rng(rng_seed)
         mask = make_dropout_mask(hdec.shape, params.dropout_rate, rng).astype(params.dtype)
-    probs = head_forward(params, hdec, mask)
-    return ProbMap(probs), FeatureMap(feats)
+    return head_forward(params, hdec, mask), feats
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +302,10 @@ def load_checkpoint(path):
                     raw = f.read(count * 8)
                     if len(raw) != count * 8:
                         raise FormatError(f"{path}: truncated tensor {tname}")
-                    tensors[tname] = (
-                        np.frombuffer(raw, dtype="<f8").reshape(shape).astype(dtype)
-                    )
+                    tensor = np.frombuffer(raw, dtype="<f8").reshape(shape)
+                    if not np.isfinite(tensor).all():
+                        raise FormatError(f"{path}: non-finite values in tensor {tname}")
+                    tensors[tname] = tensor.astype(dtype)
                 sections[name] = ModelParams(
                     tensors, n_classes, embed_dim, dropout_rate, widths, dtype
                 )
@@ -336,6 +316,8 @@ def load_checkpoint(path):
                 (meta[key],) = struct.unpack("<d", f.read(8))
             if f.read(1):
                 raise FormatError(f"{path}: trailing bytes after the metadata")
+    except OSError as e:
+        raise FormatError(f"cannot read {path}: {e}") from e
     except struct.error as e:
         raise FormatError(f"{path}: truncated checkpoint ({e})") from e
     except UnicodeDecodeError as e:

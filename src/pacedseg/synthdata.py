@@ -262,7 +262,7 @@ def calibrate_registration_sigma(
 # label fusion
 # ---------------------------------------------------------------------------
 
-def slice_weight_map(dims, k: int, w0: float, half_life: float) -> Volume:
+def slice_weight_map(dims, k: int, w0: float, half_life: float) -> np.ndarray:
     """Per-voxel trust in the registration label: w0 * 2^(-|d - k| / half_life)."""
     if not 0.0 <= w0 <= 1.0:
         raise ValueError("w0 must be in [0, 1]")
@@ -271,19 +271,19 @@ def slice_weight_map(dims, k: int, w0: float, half_life: float) -> Volume:
     h, w, d = dims
     s = np.abs(np.arange(d) - k).astype(np.float64)
     weights = w0 * np.exp2(-s / half_life)
-    return Volume(np.broadcast_to(weights, (h, w, d)).copy())
+    return np.broadcast_to(weights, (h, w, d)).copy()
 
 
-def fuse_with_weight_map(reg: LabelMap, seg: LabelMap, weight_map: Volume) -> LabelMap:
+def fuse_with_weight_map(
+    reg: np.ndarray, seg: np.ndarray, weight_map: np.ndarray, n_classes: int
+) -> np.ndarray:
     """Per-voxel argmax of w*onehot(reg) + (1-w)*onehot(seg); ties to class 0."""
-    if reg.dims != seg.dims or reg.dims != weight_map.dims:
+    if not reg.shape == seg.shape == weight_map.shape:
         raise ValueError("dims mismatch between reg, seg, and weight map")
-    if reg.n_classes != seg.n_classes:
-        raise ValueError("class count mismatch")
-    eye = np.eye(reg.n_classes)
-    w = weight_map.data[..., None]
-    score = w * eye[reg.data] + (1.0 - w) * eye[seg.data]
-    return LabelMap(np.argmax(score, axis=3), reg.n_classes)
+    eye = np.eye(n_classes)
+    w = weight_map[..., None]
+    score = w * eye[reg] + (1.0 - w) * eye[seg]
+    return np.argmax(score, axis=3)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +342,10 @@ def load_dataset(in_dir, include_truth: bool = False) -> Dataset:
     path = root / MANIFEST_NAME
     if not path.exists():
         raise FormatError(f"no {MANIFEST_NAME} in {in_dir}")
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise FormatError(f"cannot read {path}: {e}") from e
     if not lines or lines[0].strip() != MANIFEST_HEADER:
         raise FormatError(f"{path}: unrecognized manifest header")
     dims = None

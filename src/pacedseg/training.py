@@ -14,9 +14,11 @@ One iteration consumes one labeled and one unlabeled case:
   update:   L = Ls + Lu + Lbf -> backprop -> SGD(momentum) on the student
             -> EMA refresh of the teacher -> age parameter advances.
 
-Per-step randomness comes from a fixed number of spawned seed streams, so
-toggling the selection or contrastive components never shifts the data
-augmentation draws — ablation variants see identical inputs.
+Per-step randomness comes from a fixed number of seed streams derived
+from (seed, t) alone, so toggling the selection or contrastive components
+never shifts the data augmentation draws — ablation variants see
+identical inputs — and a trainer set to iteration t draws what one that
+stepped there draws.
 """
 
 from __future__ import annotations
@@ -29,19 +31,10 @@ import numpy as np
 from .autodiff import Tape, fold_last
 from .contrastive import contrast_loss_node, mine_pairs
 from .errors import ConfigError, TrainingAbort
-from .grids import (
-    BoolMask,
-    LabelMap,
-    Volume,
-    argmax_labels,
-    downsample_labels_majority,
-    downsample_mask,
-    downsample_mean,
-)
+from .grids import LabelMap, downsample_labels_majority, downsample_mask, downsample_mean
 from .losses import LossReport, dice_ce_node
 from .metrics import MetricsRecord, evaluate_case, summarize
 from .network import (
-    FeatureMap,
     ModelParams,
     SGDState,
     ema_update,
@@ -188,6 +181,8 @@ class TrainConfig:
             (self.fuse_half_life > 0, "fuse_half_life must be positive"),
             (self.n_eval >= 1, "n_eval must be >= 1"),
             (self.eval_period >= 1, "eval_period must be >= 1"),
+            (all(s >= 0 for s in (self.seed, self.eval_seed, *self.ablation_seeds)),
+             "seed, eval_seed and ablation_seeds must be non-negative"),
         ]
         for ok, msg in checks:
             if not ok:
@@ -263,13 +258,13 @@ def save_config(config: TrainConfig, path) -> None:
 class StepTrace:
     """Intermediates captured for oracle tests and demos."""
 
-    labeled_strong: Volume | None = None
-    labeled_fused: LabelMap | None = None
+    labeled_strong: np.ndarray | None = None
+    labeled_fused: np.ndarray | None = None
     labeled_probs: np.ndarray | None = None
-    unlabeled_strong: Volume | None = None
-    unlabeled_pseudo: LabelMap | None = None
+    unlabeled_strong: np.ndarray | None = None
+    unlabeled_pseudo: np.ndarray | None = None
     unlabeled_probs: np.ndarray | None = None
-    mask: BoolMask | None = None
+    mask: np.ndarray | None = None
     teacher_w1: np.ndarray | None = None
     teacher_w2: np.ndarray | None = None
 
@@ -299,11 +294,10 @@ class Trainer:
             max(config.iterations, 1), config.alpha, config.delta, config.tau_sched
         )
         self.t = 0
-        self._root = np.random.SeedSequence((config.seed, 0xC0FFEE))
         self._weight_maps = {
             case.case_id: slice_weight_map(
                 config.dims, case.k, config.fuse_w0, config.fuse_half_life
-            ).data
+            )
             for case in dataset.labeled
         }
         self._drop_shape = (config.widths[3], *config.dims)
@@ -318,9 +312,9 @@ class Trainer:
             self._drop_shape, self.config.dropout_rate, rng
         ).astype(self.dtype)
 
-    def _teacher_view(self, view: Volume):
+    def _teacher_view(self, view: np.ndarray):
         """Teacher trunk + clean head on one weak view."""
-        hdec, feats = forward_parts(self.teacher, view.data)
+        hdec, feats = forward_parts(self.teacher, view)
         probs = head_forward(self.teacher, hdec)
         return hdec, feats, probs, np.argmax(probs, axis=3)
 
@@ -337,66 +331,60 @@ class Trainer:
                 f"non-finite student parameters entering iteration {self.t}; "
                 f"schedule={self.schedule}"
             )
-        subs = self._root.spawn(1)[0].spawn(8)
+        subs = np.random.SeedSequence((cfg.seed, 0xC0FFEE), spawn_key=(self.t,)).spawn(8)
         tape = Tape(self.dtype)
         pnodes = param_nodes(tape, self.student)
 
         # ----- labeled case: supervised loss against the fused label -----
         rng_l = np.random.default_rng(subs[0])
         flips = sample_flips(rng_l)
-        w1, _, _ = weak_perturb(labeled.image, rng_l, sigma_scale=cfg.weak_sigma, flips=flips)
-        w2, _, _ = weak_perturb(labeled.image, rng_l, sigma_scale=cfg.weak_sigma, flips=flips)
+        w1 = weak_perturb(labeled.image.data, rng_l, sigma_scale=cfg.weak_sigma, flips=flips)
+        w2 = weak_perturb(labeled.image.data, rng_l, sigma_scale=cfg.weak_sigma, flips=flips)
         _, _, probs1, y1 = self._teacher_view(w1)
         _, _, probs2, y2 = self._teacher_view(w2)
         box_l = sample_box(cfg.dims, np.random.default_rng(subs[1]))
-        xs_l, ys_l, _ = cutmix_with_box(
-            (w1, LabelMap(y1, cfg.n_classes)), (w2, LabelMap(y2, cfg.n_classes)), box_l
-        )
-        reg_f = LabelMap(apply_flips(labeled.reg_label.data, flips), cfg.n_classes)
-        wmap_f = Volume(apply_flips(self._weight_maps[labeled.case_id], flips))
-        fused = fuse_with_weight_map(reg_f, ys_l, wmap_f)
-        probs_l, _, _ = forward_graph(tape, pnodes, xs_l.data, self._dropout_mask(subs[2]))
-        ls_node = dice_ce_node(tape, probs_l, fused.data, cfg.n_classes)
+        xs_l, ys_l = cutmix_with_box((w1, y1), (w2, y2), box_l)
+        reg_f = apply_flips(labeled.reg_label.data, flips)
+        wmap_f = apply_flips(self._weight_maps[labeled.case_id], flips)
+        fused = fuse_with_weight_map(reg_f, ys_l, wmap_f, cfg.n_classes)
+        probs_l, _, _ = forward_graph(tape, pnodes, xs_l, self._dropout_mask(subs[2]))
+        ls_node = dice_ce_node(tape, probs_l, fused, cfg.n_classes)
 
         # ----- unlabeled case: gated consistency + feature contrast -----
-        u1, _, _ = weak_perturb(unlabeled.image, np.random.default_rng(subs[3]),
-                                sigma_scale=cfg.weak_sigma)
-        u2, _, _ = weak_perturb(unlabeled.image, np.random.default_rng(subs[4]),
-                                sigma_scale=cfg.weak_sigma)
+        u1 = weak_perturb(unlabeled.image.data, np.random.default_rng(subs[3]),
+                          sigma_scale=cfg.weak_sigma)
+        u2 = weak_perturb(unlabeled.image.data, np.random.default_rng(subs[4]),
+                          sigma_scale=cfg.weak_sigma)
         hdec_u1, feats_u1, probs_u1, yu1 = self._teacher_view(u1)
         _, feats_u2, probs_u2, yu2 = self._teacher_view(u2)
 
         branch = "warm" if self.schedule.last_lu >= self.schedule.lam else "confident"
         if cfg.enable_su:
             mc_seed = int(np.random.default_rng(subs[7]).integers(0, 2**62))
-            _, umap = mc_uncertainty_from_trunk(self.teacher, hdec_u1, cfg.mc_passes, mc_seed)
+            _, entropy = mc_uncertainty_from_trunk(self.teacher, hdec_u1, cfg.mc_passes, mc_seed)
             r_conf, v = confident_ratio(self.schedule, self.schedule.last_lu)
-            mask = select_mask(umap, r_conf)
+            mask = select_mask(entropy, r_conf)
         else:
             r_conf, v = 1.0, None
-            mask = BoolMask(np.ones(cfg.dims, dtype=bool))
+            mask = np.ones(cfg.dims, dtype=bool)
 
         box_u = sample_box(cfg.dims, np.random.default_rng(subs[5]))
-        xs_u, ys_u, _ = cutmix_with_box(
-            (u1, LabelMap(yu1, cfg.n_classes)), (u2, LabelMap(yu2, cfg.n_classes)), box_u
-        )
-        probs_u, feats_u, _ = forward_graph(tape, pnodes, xs_u.data, self._dropout_mask(subs[6]))
-        gate = np.flatnonzero(mask.data.ravel())
-        lu_node = dice_ce_node(tape, probs_u, ys_u.data, cfg.n_classes, gate_idx=gate)
+        xs_u, ys_u = cutmix_with_box((u1, yu1), (u2, yu2), box_u)
+        probs_u, feats_u, _ = forward_graph(tape, pnodes, xs_u, self._dropout_mask(subs[6]))
+        gate = np.flatnonzero(mask.ravel())
+        lu_node = dice_ce_node(tape, probs_u, ys_u, cfg.n_classes, gate_idx=gate)
 
         if cfg.enable_sc:
             factor = (2, 2, 2)
-            mask_ds = downsample_mask(mask, factor)
-            pw1 = downsample_labels_majority(LabelMap(yu1, cfg.n_classes), factor)
-            pw2 = downsample_labels_majority(LabelMap(yu2, cfg.n_classes), factor)
             probs_sn = np.asarray(probs_u.value, dtype=np.float64)
-            preds_sn = downsample_labels_majority(
-                LabelMap(np.argmax(probs_sn, axis=3), cfg.n_classes), factor
-            )
-            conf_sn = downsample_mean(Volume(fold_last(np.maximum, probs_sn)), factor)
             batch = mine_pairs(
-                FeatureMap(feats_u1), FeatureMap(feats_u2), FeatureMap(feats_u.value),
-                pw1, pw2, preds_sn, mask_ds, conf_sn, cfg.k_neg, cfg.tau_contrast,
+                feats_u1, feats_u2, feats_u.value,
+                downsample_labels_majority(yu1, cfg.n_classes, factor),
+                downsample_labels_majority(yu2, cfg.n_classes, factor),
+                downsample_labels_majority(np.argmax(probs_sn, axis=3), cfg.n_classes, factor),
+                downsample_mask(mask, factor),
+                downsample_mean(fold_last(np.maximum, probs_sn), factor),
+                cfg.k_neg, cfg.tau_contrast,
             )
             lbf_node = contrast_loss_node(tape, feats_u, batch)
         else:
@@ -441,7 +429,7 @@ class Trainer:
         report = LossReport(
             t=self.t,
             l_s=loss_vals[0], l_u=loss_vals[1], l_bf=loss_vals[2],
-            mask_count=mask.count, r_conf=r_conf, branch=branch, v=v,
+            mask_count=int(np.count_nonzero(mask)), r_conf=r_conf, branch=branch, v=v,
             lam=self.schedule.lam, lr=lr,
         )
         self.schedule = advance_age(replace(self.schedule, last_lu=lu_raw, v=v))
@@ -459,8 +447,9 @@ def evaluate_params(params: ModelParams, cases, n_classes: int) -> list[MetricsR
     """Dropout-off student predictions scored against hidden truths."""
     records = []
     for case in cases:
-        probs, _ = forward(params, case.image, dropout_on=False, rng_seed=0)
-        records.append(evaluate_case(case.case_id, argmax_labels(probs), case.truth))
+        probs, _ = forward(params, case.image.data, dropout_on=False, rng_seed=0)
+        pred = LabelMap(np.argmax(probs, axis=3), n_classes)
+        records.append(evaluate_case(case.case_id, pred, case.truth))
     return records
 
 

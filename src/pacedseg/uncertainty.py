@@ -25,27 +25,7 @@ import numpy as np
 
 from .autodiff import fold_last
 from .errors import ScheduleStateError
-from .grids import BoolMask, ProbMap
 from .network import ModelParams, head_forward, make_dropout_mask
-
-
-@dataclass(eq=False)
-class UncertaintyMap:
-    """Per-voxel predictive entropy in nats, bounded by ln(n_classes)."""
-
-    data: np.ndarray
-    n_classes: int
-
-    def __post_init__(self):
-        self.data = np.ascontiguousarray(self.data, dtype=np.float64)
-        if self.data.ndim != 3:
-            raise ValueError(f"uncertainty map must be 3D, got {self.data.shape}")
-        if self.data.size and (self.data.min() < 0 or self.data.max() > math.log(self.n_classes)):
-            raise ValueError("entropy outside [0, ln C]")
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape
 
 
 def entropy_values(p: np.ndarray, n_classes: int) -> np.ndarray:
@@ -67,8 +47,8 @@ def mc_pass_seed(seed: int, t: int) -> int:
 
 def mc_uncertainty_from_trunk(
     params: ModelParams, hdec: np.ndarray, n_passes: int, seed: int
-):
-    """T dropout-on head passes over a shared trunk; mean probs + entropy.
+) -> tuple[np.ndarray, np.ndarray]:
+    """T dropout-on head passes over a shared trunk; (mean probs, entropy in nats).
 
     Pass t uses ``mc_pass_seed(seed, t)``, so averaging T full dropout-on
     forward passes with those seeds reproduces the mean exactly.
@@ -82,8 +62,7 @@ def mc_uncertainty_from_trunk(
         probs = head_forward(params, hdec, mask).astype(np.float64)
         acc = probs if acc is None else acc + probs
     mean = acc / n_passes
-    umap = UncertaintyMap(entropy_values(mean, params.n_classes), params.n_classes)
-    return ProbMap(mean), umap
+    return mean, entropy_values(mean, params.n_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +126,7 @@ def confident_ratio(state: ScheduleState, lu: float):
     return v * cap, v
 
 
-def select_mask(u: UncertaintyMap, r_conf: float) -> BoolMask:
+def select_mask(u: np.ndarray, r_conf: float) -> np.ndarray:
     """Mark the floor(r_conf * H*W*D) most certain voxels.
 
     Ordering is (entropy, linear index) ascending, so entropy ties break
@@ -155,10 +134,10 @@ def select_mask(u: UncertaintyMap, r_conf: float) -> BoolMask:
     """
     if not 0.0 <= r_conf <= 1.0:
         raise ValueError(f"confident ratio {r_conf} outside [0, 1]")
-    flat = u.data.ravel()
+    flat = u.ravel()
     k = int(math.floor(r_conf * flat.size))
     mask = np.zeros(flat.size, dtype=bool)
     if k > 0:
         order = np.argsort(flat, kind="stable")
         mask[order[:k]] = True
-    return BoolMask(mask.reshape(u.data.shape))
+    return mask.reshape(u.shape)

@@ -135,8 +135,8 @@ def bidirectional_loss(batch, zsn) -> float:
 
 def validate_batch(batch, preds_w1, preds_w2, preds_sn, mask_ds) -> None:
     """Assert the mining contracts of `mine_pairs`."""
-    m = mask_ds.data.ravel()
-    p1, p2, psn = preds_w1.data.ravel(), preds_w2.data.ravel(), preds_sn.data.ravel()
+    m = mask_ds.ravel()
+    p1, p2, psn = preds_w1.ravel(), preds_w2.ravel(), preds_sn.ravel()
     assert m[batch.positions].all(), "positive off the selection mask"
     assert (p1[batch.positions] == p2[batch.positions]).all(), "views disagree at a positive"
     for i in range(batch.n_positives):

@@ -203,3 +203,44 @@ def test_train_on_other_dims_exits_config(tiny_data, tmp_path, capsys):
     cfg.write_text(TINY_CFG.replace("dim_d = 4", "dim_d = 6"))
     assert _train_on(cfg, data, tmp_path / "run") == EXIT_CONFIG
     assert "dataset dims (4, 4, 4) != config dims (4, 4, 6)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg_text,extra", [
+    ("seed = -1\n", []),
+    ("", ["--seed", "-5"]),
+    ("eval_seed = -1\n", []),
+    ("ablation_seeds = 1,-2,3\n", []),
+], ids=["seed", "seed_flag", "eval_seed", "ablation_seeds"])
+def test_negative_seed_exits_config(tmp_path, capsys, cfg_text, extra):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("iterations = 3\n" + cfg_text)
+    assert main(["--config", str(cfg), *extra, "schedule-dump"]) == EXIT_CONFIG
+    assert "must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seeds", ["1,2", "1,1,2", "1,2,-3"])
+def test_bad_ablation_seeds_exit_config(tmp_path, capsys, seeds):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(TINY_CFG)  # keeps a wrongly accepted seed list to a short run
+    argv = ["--config", str(cfg), "--out-dir", str(tmp_path), "ablate", "--seeds", seeds]
+    assert main(argv) == EXIT_CONFIG
+    assert "at least 3 distinct non-negative seeds" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_eval_directory_as_checkpoint_exits_config(tiny_data, tmp_path, capsys):
+    _, data = tiny_data
+    argv = ["--out-dir", str(tmp_path / "out"), "eval",
+            "--checkpoint", str(tmp_path), "--data-dir", str(data)]
+    assert main(argv) == EXIT_CONFIG
+    assert "cannot read" in capsys.readouterr().err
+
+
+def test_non_utf8_manifest_exits_config(tiny_data, tmp_path, capsys):
+    cfg, data = tiny_data
+    bad = tmp_path / "data"
+    shutil.copytree(data, bad)
+    manifest = bad / "manifest.txt"
+    manifest.write_bytes(manifest.read_bytes() + b"# \xff\n")
+    assert _train_on(cfg, bad, tmp_path / "run") == EXIT_CONFIG
+    assert "cannot read" in capsys.readouterr().err

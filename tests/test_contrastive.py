@@ -5,8 +5,6 @@ import pytest
 
 from pacedseg.autodiff import Tape
 from pacedseg.contrastive import ContrastBatch, contrast_loss_node, mine_pairs
-from pacedseg.grids import BoolMask, LabelMap, Volume
-from pacedseg.network import FeatureMap
 
 from oracles import (
     bidirectional_loss,
@@ -227,11 +225,11 @@ class TestMatmulFormAgainstGatherOracle:
 
 
 def feature_grid(rng, dims, f=4):
-    return FeatureMap(rng.standard_normal((*dims, f)) + 0.1)
+    return rng.standard_normal((*dims, f)) + 0.1
 
 
 def flat_grid(fmap):
-    return fmap.data.reshape(-1, fmap.embed_dim)
+    return fmap.reshape(-1, fmap.shape[3])
 
 
 class TestMinePairs:
@@ -240,18 +238,18 @@ class TestMinePairs:
         return dict(
             zw1=feature_grid(rng, dims), zw2=feature_grid(rng, dims),
             zsn=feature_grid(rng, dims),
-            preds_w1=LabelMap(rng.integers(0, 2, size=dims), 2),
-            preds_w2=LabelMap(rng.integers(0, 2, size=dims), 2),
-            preds_sn=LabelMap(rng.integers(0, 2, size=dims), 2),
-            mask_ds=BoolMask(np.ones(dims, dtype=bool)),
-            conf_sn=Volume(rng.random(dims)),
+            preds_w1=rng.integers(0, 2, size=dims),
+            preds_w2=rng.integers(0, 2, size=dims),
+            preds_sn=rng.integers(0, 2, size=dims),
+            mask_ds=np.ones(dims, dtype=bool),
+            conf_sn=rng.random(dims),
         )
 
     def test_no_consensus_zero_positives(self):
         rng = np.random.default_rng(7)
         inputs = self.make_inputs(rng)
-        inputs["preds_w1"] = LabelMap(np.zeros((2, 2, 1), dtype=np.int64), 2)
-        inputs["preds_w2"] = LabelMap(np.ones((2, 2, 1), dtype=np.int64), 2)
+        inputs["preds_w1"] = np.zeros((2, 2, 1), dtype=np.int64)
+        inputs["preds_w2"] = np.ones((2, 2, 1), dtype=np.int64)
         batch = mine_pairs(**inputs, k_neg=2)
         assert batch.n_positives == 0
         assert bidirectional_loss(batch, flat_grid(inputs["zsn"])) == 0.0
@@ -259,9 +257,9 @@ class TestMinePairs:
     def test_uniform_strong_prediction_gives_empty_negatives(self):
         rng = np.random.default_rng(8)
         inputs = self.make_inputs(rng)
-        inputs["preds_w1"] = LabelMap(np.ones((2, 2, 1), dtype=np.int64), 2)
-        inputs["preds_w2"] = LabelMap(np.ones((2, 2, 1), dtype=np.int64), 2)
-        inputs["preds_sn"] = LabelMap(np.ones((2, 2, 1), dtype=np.int64), 2)
+        inputs["preds_w1"] = np.ones((2, 2, 1), dtype=np.int64)
+        inputs["preds_w2"] = np.ones((2, 2, 1), dtype=np.int64)
+        inputs["preds_sn"] = np.ones((2, 2, 1), dtype=np.int64)
         batch = mine_pairs(**inputs, k_neg=3)
         assert batch.n_positives == 4
         assert (batch.neg_counts == 0).all()
@@ -273,11 +271,11 @@ class TestMinePairs:
         inputs = self.make_inputs(rng)
         # consensus (both views class 1) at flat cells 0 and 2; cell 1 disagrees,
         # cell 3 agrees on class 0
-        inputs["preds_w1"] = LabelMap(np.array([1, 0, 1, 0]).reshape(2, 2, 1), 2)
-        inputs["preds_w2"] = LabelMap(np.array([1, 1, 1, 0]).reshape(2, 2, 1), 2)
+        inputs["preds_w1"] = np.array([1, 0, 1, 0]).reshape(2, 2, 1)
+        inputs["preds_w2"] = np.array([1, 1, 1, 0]).reshape(2, 2, 1)
         # strong view predicts class 0 at cells 0,1 and class 1 at cells 2,3
-        inputs["preds_sn"] = LabelMap(np.array([0, 0, 1, 1]).reshape(2, 2, 1), 2)
-        inputs["conf_sn"] = Volume(np.array([0.9, 0.4, 0.8, 0.6]).reshape(2, 2, 1))
+        inputs["preds_sn"] = np.array([0, 0, 1, 1]).reshape(2, 2, 1)
+        inputs["conf_sn"] = np.array([0.9, 0.4, 0.8, 0.6]).reshape(2, 2, 1)
         batch = mine_pairs(**inputs, k_neg=1)
 
         # positives: cells 0 and 2 (class 1) and cell 3 (class 0)
@@ -293,7 +291,7 @@ class TestMinePairs:
         rng = np.random.default_rng(10)
         inputs = self.make_inputs(rng, dims=(4, 4, 2))
         bits = rng.random((4, 4, 2)) < 0.5
-        inputs["mask_ds"] = BoolMask(bits)
+        inputs["mask_ds"] = bits
         batch = mine_pairs(**inputs, k_neg=4)
         flat_mask = bits.ravel()
         assert flat_mask[batch.positions].all()
@@ -312,10 +310,10 @@ class TestMinePairs:
     def test_confidence_ordering_with_index_ties(self):
         rng = np.random.default_rng(12)
         inputs = self.make_inputs(rng, dims=(2, 2, 2))
-        inputs["preds_w1"] = LabelMap(np.ones((2, 2, 2), dtype=np.int64), 2)
-        inputs["preds_w2"] = LabelMap(np.ones((2, 2, 2), dtype=np.int64), 2)
-        inputs["preds_sn"] = LabelMap(np.zeros((2, 2, 2), dtype=np.int64), 2)
-        inputs["conf_sn"] = Volume(np.array([0.5, 0.9, 0.9, 0.1, 0.9, 0.2, 0.3, 0.4]).reshape(2, 2, 2))
+        inputs["preds_w1"] = np.ones((2, 2, 2), dtype=np.int64)
+        inputs["preds_w2"] = np.ones((2, 2, 2), dtype=np.int64)
+        inputs["preds_sn"] = np.zeros((2, 2, 2), dtype=np.int64)
+        inputs["conf_sn"] = np.array([0.5, 0.9, 0.9, 0.1, 0.9, 0.2, 0.3, 0.4]).reshape(2, 2, 2)
         batch = mine_pairs(**inputs, k_neg=4)
         # ties at 0.9 resolve by linear index: 1, 2, 4, then 0.5 at index 0
         np.testing.assert_array_equal(batch.neg_idx[0], [1, 2, 4, 0])
@@ -323,9 +321,20 @@ class TestMinePairs:
     def test_grid_mismatch_rejected(self):
         rng = np.random.default_rng(13)
         inputs = self.make_inputs(rng)
-        inputs["conf_sn"] = Volume(rng.random((4, 4, 2)))
+        inputs["conf_sn"] = rng.random((4, 4, 2))
         with pytest.raises(ValueError):
             mine_pairs(**inputs, k_neg=1)
+        inputs = self.make_inputs(rng)
+        inputs["zsn"] = feature_grid(rng, (2, 1, 1))
+        with pytest.raises(ValueError):
+            mine_pairs(**inputs, k_neg=1)
+
+    def test_bad_k_neg_or_tau_rejected(self):
+        inputs = self.make_inputs(np.random.default_rng(19))
+        with pytest.raises(ValueError, match="k_neg"):
+            mine_pairs(**inputs, k_neg=-1)
+        with pytest.raises(ValueError, match="tau"):
+            mine_pairs(**inputs, k_neg=1, tau=0.0)
 
     def test_shared_class_pools_match_gather_oracle(self):
         rng = np.random.default_rng(16)

@@ -6,17 +6,18 @@ import pytest
 from pacedseg.errors import FormatError
 from pacedseg.grids import (
     VOLUME_MAGIC,
-    BoolMask,
     LabelMap,
-    ProbMap,
     Volume,
-    argmax_labels,
     downsample_labels_majority,
     downsample_mask,
     downsample_mean,
     load_volume,
     save_volume,
 )
+from pacedseg.metrics import evaluate_case
+from pacedseg.network import forward, init_params
+from pacedseg.synthdata import UnlabeledCase
+from pacedseg.training import evaluate_params
 
 
 class TestVolumeIO:
@@ -77,100 +78,120 @@ class TestTypes:
         with pytest.raises(ValueError):
             vol.data[0, 0, 0] = 1.0
 
-    def test_probmap_sum_check(self):
-        bad = np.full((2, 2, 2, 2), 0.6)
-        with pytest.raises(ValueError):
-            ProbMap(bad)
-
     def test_labelmap_range(self):
         with pytest.raises(ValueError):
             LabelMap(np.full((2, 2, 2), 5), n_classes=2)
 
-    def test_mask_count_cached(self):
-        rng = np.random.default_rng(0)
-        bits = rng.random((4, 4, 4)) < 0.3
-        assert BoolMask(bits).count == int(bits.sum())
-
 
 class TestDownsampleMask:
     def test_all_true_stays_true(self):
-        mask = BoolMask(np.ones((4, 4, 4), dtype=bool))
-        out = downsample_mask(mask, (2, 2, 2))
-        assert out.count == 8 and out.data.all()
+        out = downsample_mask(np.ones((4, 4, 4), dtype=bool), (2, 2, 2))
+        assert out.dtype == bool and out.shape == (2, 2, 2) and out.all()
 
     def test_tie_resolves_true(self):
         bits = np.zeros((2, 2, 2), dtype=bool)
         bits.flat[:4] = True
-        out = downsample_mask(BoolMask(bits), (2, 2, 2))
-        assert out.dims == (1, 1, 1) and out.data[0, 0, 0]
+        out = downsample_mask(bits, (2, 2, 2))
+        assert out.shape == (1, 1, 1) and out[0, 0, 0]
 
     def test_matches_popcount_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             bits = rng.random((4, 4, 4)) < rng.uniform(0.2, 0.8)
-            out = downsample_mask(BoolMask(bits), (2, 2, 2))
+            out = downsample_mask(bits, (2, 2, 2))
             for i in range(2):
                 for j in range(2):
                     for l in range(2):
                         block = bits[2 * i : 2 * i + 2, 2 * j : 2 * j + 2, 2 * l : 2 * l + 2]
-                        assert out.data[i, j, l] == (block.sum() >= 4)
+                        assert out[i, j, l] == (block.sum() >= 4)
 
     def test_true_outputs_have_majority_sources(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             bits = rng.random((6, 4, 4)) < rng.random()
-            out = downsample_mask(BoolMask(bits), (3, 2, 2))
-            for i, j, l in np.argwhere(out.data):
+            out = downsample_mask(bits, (3, 2, 2))
+            for i, j, l in np.argwhere(out):
                 block = bits[3 * i : 3 * i + 3, 2 * j : 2 * j + 2, 2 * l : 2 * l + 2]
                 assert block.sum() >= 6  # ceil(12 / 2)
 
     def test_non_divisible_raises(self):
         with pytest.raises(ValueError):
-            downsample_mask(BoolMask(np.ones((3, 4, 4), dtype=bool)), (2, 2, 2))
+            downsample_mask(np.ones((3, 4, 4), dtype=bool), (2, 2, 2))
 
 
 class TestArgmaxLabels:
+    """`evaluate_params` hardens probabilities by argmax, ties to the smallest id.
+
+    The head is set by hand so the probabilities are known; the scored
+    record shows which voxels the hardened prediction put in the foreground.
+    """
+
+    DIMS = (4, 4, 2)
+
+    def params(self, n_classes=2, seed=0):
+        return init_params(n_classes=n_classes, widths=(2, 2, 2, 2), embed_dim=2,
+                           seed=seed, dtype=np.float64)
+
+    def case(self, truth, seed=1):
+        image = Volume(np.random.default_rng(seed).standard_normal(self.DIMS))
+        return UnlabeledCase("c", image, truth=LabelMap(truth, n_classes=4))
+
+    def constant_head(self, bias):
+        params = self.params(n_classes=len(bias))
+        params.tensors["seg_w"][:] = 0.0
+        params.tensors["seg_b"] = np.asarray(bias, dtype=np.float64)
+        return params
+
+    def assert_predicts_background_only(self, params):
+        empty = np.zeros(self.DIMS, dtype=np.int64)
+        (rec,) = evaluate_params(params, [self.case(empty)], params.n_classes)
+        assert rec.dsc == 1.0 and rec.asd is None  # both foregrounds empty
+        full = np.ones(self.DIMS, dtype=np.int64)
+        (rec,) = evaluate_params(params, [self.case(full)], params.n_classes)
+        assert rec.dsc == 0.0
+
     def test_constant_probs(self):
-        probs = np.broadcast_to([0.9, 0.1], (2, 2, 2, 2)).copy()
-        assert not argmax_labels(ProbMap(probs)).data.any()
+        self.assert_predicts_background_only(self.constant_head([np.log(0.9), np.log(0.1)]))
 
     def test_tie_breaks_to_smallest(self):
-        probs = np.full((2, 2, 2, 2), 0.5)
-        assert not argmax_labels(ProbMap(probs)).data.any()
+        self.assert_predicts_background_only(self.constant_head([0.0, 0.0]))
+        self.assert_predicts_background_only(self.constant_head([0.0, 0.0, 0.0]))
 
     def test_matches_linear_scan_oracle(self):
         rng = np.random.default_rng(5)
-        raw = rng.random((4, 4, 2, 3))
-        probs = ProbMap(raw / raw.sum(axis=3, keepdims=True))
-        got = argmax_labels(probs)
-        for h in range(4):
-            for w in range(4):
-                for d in range(2):
-                    best, best_p = 0, probs.data[h, w, d, 0]
-                    for c in range(1, 3):
-                        if probs.data[h, w, d, c] > best_p:
-                            best, best_p = c, probs.data[h, w, d, c]
-                    assert got.data[h, w, d] == best
+        for seed in range(5):
+            params = self.params(n_classes=3, seed=seed)
+            case = self.case(rng.integers(0, 3, size=self.DIMS), seed=seed)
+            probs, _ = forward(params, case.image.data, dropout_on=False, rng_seed=0)
+            pred = np.zeros(self.DIMS, dtype=np.int64)
+            for h, w, d in np.ndindex(*self.DIMS):
+                best, best_p = 0, probs[h, w, d, 0]
+                for c in range(1, 3):
+                    if probs[h, w, d, c] > best_p:
+                        best, best_p = c, probs[h, w, d, c]
+                pred[h, w, d] = best
+            expected = evaluate_case(case.case_id, LabelMap(pred, 3), case.truth)
+            assert evaluate_params(params, [case], 3) == [expected]
 
     def test_invariant_under_positive_rescale(self):
         rng = np.random.default_rng(9)
-        raw = rng.random((3, 4, 2, 4)) + 1e-3
-        probs = raw / raw.sum(axis=3, keepdims=True)
-        scaled = raw * rng.uniform(0.5, 4.0, size=(3, 4, 2, 1))
-        scaled /= scaled.sum(axis=3, keepdims=True)
-        np.testing.assert_array_equal(
-            argmax_labels(ProbMap(probs)).data, argmax_labels(ProbMap(scaled)).data
-        )
+        for seed in range(5):
+            params = self.params(n_classes=4, seed=seed)
+            case = self.case(rng.integers(0, 2, size=self.DIMS), seed=seed)
+            scaled = params.copy()
+            scaled.tensors["seg_w"] *= 2.0  # doubles every logit exactly
+            scaled.tensors["seg_b"] *= 2.0
+            assert evaluate_params(params, [case], 4) == evaluate_params(scaled, [case], 4)
 
 
 class TestBlockHelpers:
     def test_majority_labels(self):
         labels = np.zeros((2, 2, 2), dtype=np.int64)
         labels.flat[:4] = 1
-        out = downsample_labels_majority(LabelMap(labels, 2), (2, 2, 2))
-        assert out.data[0, 0, 0] == 0  # 4-4 tie goes to the smaller class id
+        out = downsample_labels_majority(labels, 2, (2, 2, 2))
+        assert out[0, 0, 0] == 0  # 4-4 tie goes to the smaller class id
 
     def test_mean_downsample(self):
-        vol = Volume(np.arange(8, dtype=np.float64).reshape(2, 2, 2))
+        vol = np.arange(8, dtype=np.float64).reshape(2, 2, 2)
         out = downsample_mean(vol, (2, 2, 2))
-        assert out.data[0, 0, 0] == pytest.approx(3.5)
+        assert out[0, 0, 0] == pytest.approx(3.5)

@@ -1,4 +1,5 @@
-"""Source hygiene checks that need no linter: every import is used."""
+"""Source hygiene checks that need no linter: every import and every
+top-level function or class of the package is used."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,13 @@ from pathlib import Path
 import pacedseg
 
 SRC = Path(pacedseg.__file__).parent
+BENCH = SRC.parents[1] / "bench"
+
+# names kept with no caller in src/ or bench/, each with its reason
+UNREFERENCED_OK = {
+    # derives DEFAULT_REG_SIGMA; rerun it when the generator defaults change
+    "calibrate_registration_sigma",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,3 +44,47 @@ def test_no_unused_imports_in_package():
         if path.name != "__init__.py" and (names := unused_imports(path.read_text()))
     }
     assert found == {}, f"unused imports (module: names): {found}"
+
+
+def top_level_defs(source: str) -> list[str]:
+    """Functions and classes a module defines at its top level."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name a module reads, loads as an attribute, or spells in a string
+    (the benchmark tracer names what it wraps as "module.attr" strings)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                names.update(parts)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def dead_names(defining: dict[str, str], referring: list[str]) -> list[str]:
+    """Top-level names of `defining` (module -> source) no `referring` source uses."""
+    used = set().union(*(referenced_names(src) for src in referring))
+    return sorted(name for src in defining.values() for name in top_level_defs(src)
+                  if name not in used)
+
+
+def test_scan_flags_a_dead_name():
+    lib = "def used():\n    pass\n\n\ndef dead():\n    pass\n\n\nclass Kept:\n    pass\n"
+    caller = "from lib import Kept, used\nused()\n"
+    assert dead_names({"lib": lib}, [lib, caller]) == ["dead"]
+
+
+def test_no_dead_names_in_package():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    referring = list(sources.values()) + [p.read_text() for p in sorted(BENCH.glob("*.py"))]
+    dead = set(dead_names(sources, referring)) - UNREFERENCED_OK
+    assert not dead, f"top-level names nothing in src/ or bench/ uses: {sorted(dead)}"

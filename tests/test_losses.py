@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pacedseg.autodiff import Tape
-from pacedseg.grids import LabelMap, ProbMap
 from pacedseg.losses import (
     CE_PROB_FLOOR,
     DICE_EPS,
@@ -24,29 +23,28 @@ def node_value(build, probs, *args):
 
 
 def ce(pred, labels):
-    return node_value(ce_node, pred.data.reshape(-1, pred.n_classes), labels.data.ravel())
+    return node_value(ce_node, pred.reshape(-1, pred.shape[3]), labels.ravel())
 
 
 def dice(pred, labels):
-    c = pred.n_classes
-    return node_value(dice_node, pred.data.reshape(-1, c), np.eye(c)[labels.data.ravel()], c)
+    c = pred.shape[3]
+    return node_value(dice_node, pred.reshape(-1, c), np.eye(c)[labels.ravel()], c)
 
 
 def dice_ce(pred, labels, gate=None):
     gate_idx = None if gate is None else np.flatnonzero(gate.ravel())
-    return node_value(dice_ce_node, pred.data, labels.data, pred.n_classes, gate_idx)
+    return node_value(dice_ce_node, pred, labels, pred.shape[3], gate_idx)
 
 
 def probmap_from_labels(labels, n_classes=2, hot=1.0):
     """Probabilities concentrated on the given labels."""
     eye = np.eye(n_classes)
-    probs = eye[labels] * hot + (1 - hot) / n_classes
-    return ProbMap(probs)
+    return eye[labels] * hot + (1 - hot) / n_classes
 
 
 def random_pred(rng, dims=(4, 4, 2), n_classes=2):
     raw = rng.random((*dims, n_classes)) + 1e-4
-    return ProbMap(raw / raw.sum(axis=3, keepdims=True))
+    return raw / raw.sum(axis=3, keepdims=True)
 
 
 class TestDiceChannel:
@@ -73,44 +71,44 @@ class TestDiceChannel:
 
 class TestCrossEntropy:
     def test_perfect_prediction_near_zero(self):
-        labels = LabelMap(np.ones((2, 2, 2), dtype=np.int64), 2)
-        pred = probmap_from_labels(labels.data)
+        labels = np.ones((2, 2, 2), dtype=np.int64)
+        pred = probmap_from_labels(labels)
         assert ce(pred, labels) == pytest.approx(0.0, abs=1e-6)
 
     def test_uniform_two_class_is_ln2(self):
-        labels = LabelMap(np.zeros((2, 2, 2), dtype=np.int64), 2)
-        pred = ProbMap(np.full((2, 2, 2, 2), 0.5))
+        labels = np.zeros((2, 2, 2), dtype=np.int64)
+        pred = np.full((2, 2, 2, 2), 0.5)
         assert ce(pred, labels) == pytest.approx(math.log(2), rel=1e-12)
 
     def test_matches_naive_loop_oracle(self):
         rng = np.random.default_rng(0)
         pred = random_pred(rng)
-        labels = LabelMap(rng.integers(0, 2, size=(4, 4, 2)), 2)
+        labels = rng.integers(0, 2, size=(4, 4, 2))
         total = 0.0
         for h in range(4):
             for w in range(4):
                 for d in range(2):
-                    p = max(pred.data[h, w, d, labels.data[h, w, d]], CE_PROB_FLOOR)
+                    p = max(pred[h, w, d, labels[h, w, d]], CE_PROB_FLOOR)
                     total -= math.log(p)
         assert ce(pred, labels) == pytest.approx(total / 32, rel=1e-6)
 
     def test_empty_gate_is_zero(self):
-        labels = LabelMap(np.zeros((2, 2, 2), dtype=np.int64), 2)
-        pred = ProbMap(np.full((2, 2, 2, 2), 0.5))
+        labels = np.zeros((2, 2, 2), dtype=np.int64)
+        pred = np.full((2, 2, 2, 2), 0.5)
         assert dice_ce(pred, labels, gate=np.zeros((2, 2, 2), dtype=bool)) == 0.0
 
 
 class TestSupervised:
     def test_perfect_prediction(self):
         rng = np.random.default_rng(1)
-        labels = LabelMap(rng.integers(0, 2, size=(4, 4, 2)), 2)
-        pred = probmap_from_labels(labels.data)
+        labels = rng.integers(0, 2, size=(4, 4, 2))
+        pred = probmap_from_labels(labels)
         assert dice_ce(pred, labels) <= 1e-4
 
     def test_bounded_below_by_components(self):
         rng = np.random.default_rng(2)
         pred = random_pred(rng)
-        labels = LabelMap(rng.integers(0, 2, size=(4, 4, 2)), 2)
+        labels = rng.integers(0, 2, size=(4, 4, 2))
         ls = dice_ce(pred, labels)
         assert ls >= dice(pred, labels) - 1e-12
         assert ls >= ce(pred, labels) - 1e-12
@@ -118,12 +116,12 @@ class TestSupervised:
     def test_equals_sum_of_components(self):
         rng = np.random.default_rng(3)
         pred = random_pred(rng)
-        labels = LabelMap(rng.integers(0, 2, size=(4, 4, 2)), 2)
+        labels = rng.integers(0, 2, size=(4, 4, 2))
         expected = dice(pred, labels) + ce(pred, labels)
         assert dice_ce(pred, labels) == pytest.approx(expected, rel=1e-12)
-        onehot = labels.data == 1
+        onehot = labels == 1
         assert dice(pred, labels) == pytest.approx(
-            dice_loss(pred.data[..., 1], onehot), rel=1e-12
+            dice_loss(pred[..., 1], onehot), rel=1e-12
         )
 
 
@@ -131,13 +129,13 @@ class TestUnsupervised:
     def test_empty_mask_zero(self):
         rng = np.random.default_rng(4)
         pred = random_pred(rng)
-        labels = LabelMap(rng.integers(0, 2, size=(4, 4, 2)), 2)
+        labels = rng.integers(0, 2, size=(4, 4, 2))
         assert dice_ce(pred, labels, gate=np.zeros((4, 4, 2), dtype=bool)) == 0.0
 
     def test_full_mask_equals_ungated(self):
         rng = np.random.default_rng(5)
         pred = random_pred(rng)
-        labels = LabelMap(rng.integers(0, 2, size=(4, 4, 2)), 2)
+        labels = rng.integers(0, 2, size=(4, 4, 2))
         full = np.ones((4, 4, 2), dtype=bool)
         assert dice_ce(pred, labels, gate=full) == pytest.approx(
             dice_ce(pred, labels), rel=1e-12
@@ -147,13 +145,13 @@ class TestUnsupervised:
         """The gated loss is literally the loss of the extracted voxel subset."""
         rng = np.random.default_rng(6)
         pred = random_pred(rng)
-        labels = LabelMap(rng.integers(0, 2, size=(4, 4, 2)), 2)
+        labels = rng.integers(0, 2, size=(4, 4, 2))
         bits = rng.random((4, 4, 2)) < 0.5
         got = dice_ce(pred, labels, gate=bits)
 
         idx = np.flatnonzero(bits.ravel())
-        p = pred.data.reshape(-1, 2)[idx]
-        g = labels.data.ravel()[idx]
+        p = pred.reshape(-1, 2)[idx]
+        g = labels.ravel()[idx]
         onehot = np.eye(2)[g]
         inter = (p[:, 1] * onehot[:, 1]).sum()
         dice = 1.0 - (2 * inter + DICE_EPS) / (p[:, 1].sum() + onehot[:, 1].sum() + DICE_EPS)

@@ -3,7 +3,6 @@ import pytest
 
 from pacedseg.autodiff import Tape
 from pacedseg.errors import FormatError, TrainingAbort
-from pacedseg.grids import Volume
 from pacedseg.network import (
     CHECKPOINT_MAGIC,
     PARAM_NAMES,
@@ -28,7 +27,7 @@ def tiny_params(seed=0, dtype=np.float64, dropout=0.3):
 
 
 def tiny_image(seed=1, dims=(4, 4, 2)):
-    return Volume(np.random.default_rng(seed).standard_normal(dims))
+    return np.random.default_rng(seed).standard_normal(dims)
 
 
 class TestForward:
@@ -37,48 +36,47 @@ class TestForward:
         for name in PARAM_NAMES:
             params.tensors[name] = np.zeros_like(params.tensors[name])
         probs, feats = forward(params, tiny_image(), dropout_on=False, rng_seed=0)
-        np.testing.assert_allclose(probs.data, 0.5, atol=0)
-        np.testing.assert_array_equal(feats.data, 0.0)
+        np.testing.assert_allclose(probs, 0.5, atol=0)
+        np.testing.assert_array_equal(feats, 0.0)
 
     def test_dropout_off_is_seed_independent(self):
         params, image = tiny_params(), tiny_image()
         p1, f1 = forward(params, image, dropout_on=False, rng_seed=1)
         p2, f2 = forward(params, image, dropout_on=False, rng_seed=999)
-        np.testing.assert_array_equal(p1.data, p2.data)
-        np.testing.assert_array_equal(f1.data, f2.data)
+        np.testing.assert_array_equal(p1, p2)
+        np.testing.assert_array_equal(f1, f2)
 
     def test_dropout_on_deterministic_per_seed(self):
         params, image = tiny_params(), tiny_image()
         p1, _ = forward(params, image, dropout_on=True, rng_seed=42)
         p2, _ = forward(params, image, dropout_on=True, rng_seed=42)
-        np.testing.assert_array_equal(p1.data, p2.data)
+        np.testing.assert_array_equal(p1, p2)
         p3, _ = forward(params, image, dropout_on=True, rng_seed=43)
-        assert not np.array_equal(p1.data, p3.data)
+        assert not np.array_equal(p1, p3)
 
     def test_odd_dims_rejected(self):
         with pytest.raises(ValueError):
-            forward(tiny_params(), Volume(np.zeros((3, 4, 2))), False, 0)
+            forward(tiny_params(), np.zeros((3, 4, 2)), False, 0)
 
     def test_graph_and_value_paths_agree_bitwise(self):
         params, image = tiny_params(), tiny_image()
         mask = make_dropout_mask((3, 4, 4, 2), params.dropout_rate, np.random.default_rng(5))
         tape = Tape(np.float64)
-        probs_node, feats_node, _ = forward_graph(tape, param_nodes(tape, params), image.data, mask)
+        probs_node, feats_node, _ = forward_graph(tape, param_nodes(tape, params), image, mask)
 
         hdec_probs, feats = forward(params, image, dropout_on=False, rng_seed=0)
-        np.testing.assert_array_equal(feats_node.value, feats.data)
+        np.testing.assert_array_equal(feats_node.value, feats)
 
         from pacedseg.network import forward_parts, head_forward
-        hdec, _ = forward_parts(params, image.data)
+        hdec, _ = forward_parts(params, image)
         np.testing.assert_array_equal(
             probs_node.value, head_forward(params, hdec, mask)
         )
 
     def test_feature_grid_is_half_resolution(self):
         probs, feats = forward(tiny_params(), tiny_image(dims=(8, 6, 4)), False, 0)
-        assert probs.dims == (8, 6, 4)
-        assert feats.dims == (4, 3, 2)
-        assert feats.embed_dim == 5
+        assert probs.shape == (8, 6, 4, 2)
+        assert feats.shape == (4, 3, 2, 5)
 
 
 class TestDropout:
@@ -238,6 +236,14 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="trailing bytes"):
             load_checkpoint(path)
 
+    def test_non_finite_tensor_raises(self, tmp_path):
+        params = tiny_params()
+        params.tensors["seg_b"] = np.array([0.0, np.nan])
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"student": params}, {})
+        with pytest.raises(FormatError, match="non-finite values in tensor seg_b"):
+            load_checkpoint(path)
+
     def test_float32_roundtrip_dtype(self, tmp_path):
         params = tiny_params(dtype=np.float32)
         path = tmp_path / "f32.ckpt"
@@ -262,12 +268,12 @@ class TestModelGradients:
         def loss_value(p):
             tape = Tape(np.float64)
             nodes = param_nodes(tape, p)
-            probs, _, _ = forward_graph(tape, nodes, image.data, mask)
+            probs, _, _ = forward_graph(tape, nodes, image, mask)
             return float(dice_ce_node(tape, probs, target, 2).value)
 
         tape = Tape(np.float64)
         nodes = param_nodes(tape, params)
-        probs, _, _ = forward_graph(tape, nodes, image.data, mask)
+        probs, _, _ = forward_graph(tape, nodes, image, mask)
         tape.backward(dice_ce_node(tape, probs, target, 2))
 
         rng = np.random.default_rng(11)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from pacedseg.grids import LabelMap, Volume
 from pacedseg.metrics import dsc_jaccard
 from pacedseg.synthdata import (
     DEFAULT_REG_BETA,
@@ -118,32 +117,30 @@ class TestRegistrationSurrogate:
 class TestFusion:
     def make_pair(self, seed=0, dims=(8, 8, 6)):
         rng = np.random.default_rng(seed)
-        reg = LabelMap(rng.integers(0, 2, size=dims), 2)
-        seg = LabelMap(rng.integers(0, 2, size=dims), 2)
-        return reg, seg
+        return rng.integers(0, 2, size=dims), rng.integers(0, 2, size=dims)
 
     def test_full_weight_infinite_half_life_returns_reg(self):
         reg, seg = self.make_pair()
         # half_life = inf: the weight is w0 on every slice
-        fused = fuse_with_weight_map(reg, seg, Volume(np.full(reg.dims, 1.0)))
-        np.testing.assert_array_equal(fused.data, reg.data)
+        fused = fuse_with_weight_map(reg, seg, np.full(reg.shape, 1.0), 2)
+        np.testing.assert_array_equal(fused, reg)
 
     def test_zero_weight_returns_seg(self):
         reg, seg = self.make_pair(1)
-        fused = fuse_with_weight_map(reg, seg, slice_weight_map(reg.dims, 3, 0.0, 2.0))
-        np.testing.assert_array_equal(fused.data, seg.data)
+        fused = fuse_with_weight_map(reg, seg, slice_weight_map(reg.shape, 3, 0.0, 2.0), 2)
+        np.testing.assert_array_equal(fused, seg)
 
     def test_agreement_is_idempotent_for_any_weight(self):
-        rng = np.random.default_rng(2)
         reg, seg = self.make_pair(2)
         for w0 in (0.0, 0.3, 0.5, 0.8, 1.0):
-            fused = fuse_with_weight_map(reg, seg, slice_weight_map(reg.dims, 2, w0, 1.5))
-            agree = reg.data == seg.data
-            np.testing.assert_array_equal(fused.data[agree], reg.data[agree])
+            fused = fuse_with_weight_map(reg, seg, slice_weight_map(reg.shape, 2, w0, 1.5), 2)
+            agree = reg == seg
+            np.testing.assert_array_equal(fused[agree], reg[agree])
 
     def test_weight_decays_monotonically_from_k(self):
         wm = slice_weight_map((4, 4, 10), k=4, w0=0.8, half_life=2.0)
-        profile = wm.data[0, 0]
+        assert wm.shape == (4, 4, 10)
+        profile = wm[0, 0]
         assert profile[4] == pytest.approx(0.8)
         assert profile[6] == pytest.approx(0.4)  # one half-life away
         for d in range(4, 9):
@@ -153,9 +150,11 @@ class TestFusion:
 
     def test_dim_mismatch_rejected(self):
         reg, _ = self.make_pair(4)
-        seg = LabelMap(np.zeros((4, 4, 4), dtype=np.int64), 2)
+        seg = np.zeros((4, 4, 4), dtype=np.int64)
         with pytest.raises(ValueError):
-            fuse_with_weight_map(reg, seg, slice_weight_map(reg.dims, 0, 0.5, 1.0))
+            fuse_with_weight_map(reg, seg, slice_weight_map(reg.shape, 0, 0.5, 1.0), 2)
+        with pytest.raises(ValueError):
+            fuse_with_weight_map(reg, reg, slice_weight_map((4, 4, 4), 0, 0.5, 1.0), 2)
 
 
 class TestDatasetIO:

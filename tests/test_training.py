@@ -210,6 +210,20 @@ class TestTrainerMechanics:
             rb = b.step(*b.batch_for(t))
             assert ra.csv_row() == rb.csv_row()
 
+    def test_step_draws_depend_on_t_alone(self):
+        """A trainer set to iteration 3 draws what one that stepped 0..2 draws."""
+        cfg = tiny_config()
+        ds = tiny_dataset(cfg)
+        stepped, fresh = Trainer(cfg, ds), Trainer(cfg, ds)
+        for t in range(3):
+            stepped.step(*stepped.batch_for(t))
+        fresh.t = 3
+        a, b = StepTrace(), StepTrace()
+        stepped.step(*stepped.batch_for(3), capture=a)
+        fresh.step(*fresh.batch_for(3), capture=b)
+        np.testing.assert_array_equal(a.labeled_strong, b.labeled_strong)
+        np.testing.assert_array_equal(a.unlabeled_strong, b.unlabeled_strong)
+
 
 def flat_dice_ce(probs, labels, idx=None):
     """Independent minimal loss path: direct formulas on flat arrays."""
@@ -233,8 +247,8 @@ class TestBaselineDegeneration:
         for t in range(3):
             trace = StepTrace()
             report = trainer.step(*trainer.batch_for(t), capture=trace)
-            ls = flat_dice_ce(trace.labeled_probs, trace.labeled_fused.data)
-            lu = flat_dice_ce(trace.unlabeled_probs, trace.unlabeled_pseudo.data)
+            ls = flat_dice_ce(trace.labeled_probs, trace.labeled_fused)
+            lu = flat_dice_ce(trace.unlabeled_probs, trace.unlabeled_pseudo)
             assert abs(report.l_s - ls) < 1e-9
             assert abs(report.l_u - lu) < 1e-9
             assert report.l_bf == 0.0
@@ -245,10 +259,10 @@ class TestBaselineDegeneration:
         for t in range(3):
             trace = StepTrace()
             report = trainer.step(*trainer.batch_for(t), capture=trace)
-            idx = np.flatnonzero(trace.mask.data.ravel())
+            idx = np.flatnonzero(trace.mask.ravel())
             assert idx.size == report.mask_count
             if idx.size:
-                lu = flat_dice_ce(trace.unlabeled_probs, trace.unlabeled_pseudo.data, idx)
+                lu = flat_dice_ce(trace.unlabeled_probs, trace.unlabeled_pseudo, idx)
                 assert abs(report.l_u - lu) < 1e-9
 
 

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from pacedseg.errors import ScheduleStateError
-from pacedseg.grids import ProbMap, Volume
 from pacedseg.network import forward, forward_parts, init_params
 from pacedseg.uncertainty import (
-    UncertaintyMap,
     advance_age,
     confident_ratio,
     entropy_values,
@@ -21,12 +19,12 @@ from pacedseg.uncertainty import (
 
 def random_probmap(rng, dims=(4, 4, 2), n_classes=2):
     raw = rng.random((*dims, n_classes)) + 1e-6
-    return ProbMap(raw / raw.sum(axis=3, keepdims=True))
+    return raw / raw.sum(axis=3, keepdims=True)
 
 
 def mc_on_image(params, image, n_passes, seed):
     """MC-dropout mean and entropy for one image, over one trunk pass."""
-    hdec, _ = forward_parts(params, image.data)
+    hdec, _ = forward_parts(params, image)
     return mc_uncertainty_from_trunk(params, hdec, n_passes, seed)
 
 
@@ -44,47 +42,44 @@ class TestEntropy:
         rng = np.random.default_rng(0)
         for _ in range(100):
             n_classes = int(rng.integers(2, 5))
-            ent = entropy_values(random_probmap(rng, n_classes=n_classes).data, n_classes)
+            ent = entropy_values(random_probmap(rng, n_classes=n_classes), n_classes)
             assert ent.min() >= 0.0
             assert ent.max() <= math.log(n_classes)
-
-    def test_uncertainty_map_validates_range(self):
-        with pytest.raises(ValueError):
-            UncertaintyMap(np.full((2, 2, 2), 5.0), n_classes=2)
 
 
 class TestMCUncertainty:
     def test_t0_rejected(self):
         params = init_params(widths=(2, 2, 2, 2), embed_dim=3, seed=0)
         with pytest.raises(ValueError):
-            mc_on_image(params, Volume(np.zeros((4, 4, 2))), 0, 0)
+            mc_on_image(params, np.zeros((4, 4, 2)), 0, 0)
 
     def test_single_pass_no_dropout_degenerate(self):
         params = init_params(widths=(2, 2, 2, 2), embed_dim=3, dropout_rate=0.0, seed=1)
         # force a hard prediction by inflating the head weights
         params.tensors["seg_b"] = np.array([50.0, -50.0])
-        mean, ent = mc_on_image(params, Volume(np.zeros((4, 4, 2))), 1, 0)
-        np.testing.assert_allclose(ent.data, 0.0, atol=1e-12)
+        mean, ent = mc_on_image(params, np.zeros((4, 4, 2)), 1, 0)
+        np.testing.assert_allclose(ent, 0.0, atol=1e-12)
 
     def test_mean_matches_per_pass_reaccumulation(self):
         """Average of T independent full forwards with the pinned pass seeds."""
         params = init_params(widths=(2, 3, 4, 3), embed_dim=4, dropout_rate=0.4, seed=2)
-        image = Volume(np.random.default_rng(3).standard_normal((4, 4, 2)))
+        image = np.random.default_rng(3).standard_normal((4, 4, 2))
         seed, passes = 77, 4
         mean, ent = mc_on_image(params, image, passes, seed)
         acc = np.zeros((4, 4, 2, 2))
         for t in range(passes):
             probs, _ = forward(params, image, dropout_on=True, rng_seed=mc_pass_seed(seed, t))
-            acc += probs.data
-        np.testing.assert_allclose(mean.data, acc / passes, atol=1e-6)
+            acc += probs
+        np.testing.assert_allclose(mean, acc / passes, atol=1e-6)
+        np.testing.assert_array_equal(ent, entropy_values(mean, 2))
 
     def test_deterministic_per_seed(self):
         params = init_params(widths=(2, 3, 4, 3), embed_dim=4, dropout_rate=0.4, seed=2)
-        image = Volume(np.random.default_rng(3).standard_normal((4, 4, 2)))
+        image = np.random.default_rng(3).standard_normal((4, 4, 2))
         m1, e1 = mc_on_image(params, image, 3, 5)
         m2, e2 = mc_on_image(params, image, 3, 5)
-        np.testing.assert_array_equal(m1.data, m2.data)
-        np.testing.assert_array_equal(e1.data, e2.data)
+        np.testing.assert_array_equal(m1, m2)
+        np.testing.assert_array_equal(e1, e2)
 
 
 class TestWarmup:
@@ -165,23 +160,24 @@ class TestConfidentRatio:
 
 class TestSelectMask:
     def umap(self, values, dims):
-        return UncertaintyMap(np.asarray(values, dtype=float).reshape(dims), 2)
+        return np.asarray(values, dtype=float).reshape(dims)
 
     def test_four_voxel_example(self):
         u = self.umap([0.1, 0.5, 0.3, 0.2], (4, 1, 1))
         mask = select_mask(u, 0.5)  # K = 2
-        np.testing.assert_array_equal(mask.data.ravel(), [True, False, False, True])
+        assert mask.dtype == bool and mask.shape == (4, 1, 1)
+        np.testing.assert_array_equal(mask.ravel(), [True, False, False, True])
 
     def test_full_ratio_full_mask(self):
         rng = np.random.default_rng(2)
         u = self.umap(rng.random(24) * 0.5, (2, 3, 4))
-        assert select_mask(u, 1.0).count == 24
+        assert np.count_nonzero(select_mask(u, 1.0)) == 24
 
     def test_ties_break_by_linear_index(self):
         u = self.umap(np.zeros(8), (2, 2, 2))
         mask = select_mask(u, 0.25)  # K = 2
-        np.testing.assert_array_equal(mask.data.ravel()[:2], [True, True])
-        assert mask.count == 2
+        np.testing.assert_array_equal(mask.ravel()[:2], [True, True])
+        assert np.count_nonzero(mask) == 2
 
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(3)
@@ -195,19 +191,19 @@ class TestSelectMask:
             r = float(rng.random())
             k = int(math.floor(r * n))
             mask = select_mask(u, r)
-            assert mask.count == k
-            order = sorted(range(n), key=lambda i: (u.data.ravel()[i], i))
+            assert np.count_nonzero(mask) == k
+            order = sorted(range(n), key=lambda i: (u.ravel()[i], i))
             expected = np.zeros(n, dtype=bool)
             expected[order[:k]] = True
-            np.testing.assert_array_equal(mask.data.ravel(), expected)
+            np.testing.assert_array_equal(mask.ravel(), expected)
 
     def test_no_unselected_voxel_beats_a_selected_one(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             u = self.umap(rng.random(8 * 8 * 8) * 0.6, (8, 8, 8))
             mask = select_mask(u, float(rng.uniform(0.1, 0.9)))
-            flat = u.data.ravel()
-            sel = mask.data.ravel()
+            flat = u.ravel()
+            sel = mask.ravel()
             if sel.any() and (~sel).any():
                 assert flat[~sel].min() >= flat[sel].max() - 1e-15
 
@@ -216,7 +212,7 @@ class TestSelectMask:
         u = self.umap(rng.random(64) * 0.5, (4, 4, 4))
         r1, r2 = sorted(rng.random(2))
         m1, m2 = select_mask(u, r1), select_mask(u, r2)
-        assert not (m1.data & ~m2.data).any()
+        assert not (m1 & ~m2).any()
 
     def test_ratio_out_of_range(self):
         u = self.umap(np.zeros(8), (2, 2, 2))
