@@ -3,6 +3,9 @@
 A Tape records nodes in creation order, which is a topological order by
 construction, so the backward pass is a single reverse sweep; each node's
 closure is dropped once the sweep has passed it, so a tape is swept once.
+A closure holds the nodes it reads, never the tape or the node it
+belongs to, so a tape holds no reference cycle: dropping it frees its
+values at once, by reference counting, whether or not backward ran.
 Values are numpy arrays (float32 or float64); each op caches what its
 backward closure needs. The op set is exactly what the segmentation model
 and its losses require: 3D convolution (im2col + BLAS matmul), also of a
@@ -266,18 +269,16 @@ def relu_raw(x):
 # ---------------------------------------------------------------------------
 
 class Node:
-    __slots__ = ("id", "value", "grad", "parents", "_backward")
+    __slots__ = ("value", "grad", "_backward")
 
-    def __init__(self, node_id, value, parents=()):
-        self.id = node_id
+    def __init__(self, value):
         self.value = value
         self.grad = None
-        self.parents = parents
         self._backward = None
 
-    @property
-    def shape(self):
-        return self.value.shape
+
+def _accum(node, g):
+    node.grad = g if node.grad is None else node.grad + g
 
 
 class Tape:
@@ -288,32 +289,14 @@ class Tape:
         self.nodes: list[Node] = []
         self._swept = False
 
-    def _record(self, value, parents=()):
-        node = Node(len(self.nodes), np.asarray(value, dtype=self.dtype), parents)
+    def _record(self, value):
+        node = Node(np.asarray(value, dtype=self.dtype))
         self.nodes.append(node)
         return node
-
-    @staticmethod
-    def _accum(node, g):
-        node.grad = g if node.grad is None else node.grad + g
 
     def input(self, value):
         """A leaf holding a constant or parameter tensor."""
         return self._record(value)
-
-    def release(self):
-        """Drop node links and cached buffers.
-
-        Backward closures capture their producing nodes, so a used tape is
-        a cycle that only the garbage collector would reclaim; releasing
-        eagerly keeps the per-step allocation footprint flat.
-        """
-        for n in self.nodes:
-            n._backward = None
-            n.parents = ()
-            n.value = None
-            n.grad = None
-        self.nodes.clear()
 
     def backward(self, loss: Node):
         """Fill `.grad` of every node the loss depends on; one sweep per tape.
@@ -328,8 +311,6 @@ class Tape:
         if self._swept:
             raise ValueError("backward already ran on this tape; record a new tape")
         self._swept = True
-        for n in self.nodes:
-            n.grad = None
         loss.grad = np.ones_like(loss.value)
         for node in reversed(self.nodes):
             back, node._backward = node._backward, None
@@ -341,11 +322,11 @@ class Tape:
     def add(self, a: Node, b: Node):
         if a.value.shape != b.value.shape:
             raise ValueError("add: shape mismatch")
-        out = self._record(a.value + b.value, (a, b))
+        out = self._record(a.value + b.value)
 
         def back(g):
-            self._accum(a, g)
-            self._accum(b, g)
+            _accum(a, g)
+            _accum(b, g)
 
         out._backward = back
         return out
@@ -353,11 +334,11 @@ class Tape:
     def sub(self, a: Node, b: Node):
         if a.value.shape != b.value.shape:
             raise ValueError("sub: shape mismatch")
-        out = self._record(a.value - b.value, (a, b))
+        out = self._record(a.value - b.value)
 
         def back(g):
-            self._accum(a, g)
-            self._accum(b, -g)
+            _accum(a, g)
+            _accum(b, -g)
 
         out._backward = back
         return out
@@ -365,80 +346,70 @@ class Tape:
     def mul(self, a: Node, b: Node):
         if a.value.shape != b.value.shape:
             raise ValueError("mul: shape mismatch")
-        out = self._record(a.value * b.value, (a, b))
+        out = self._record(a.value * b.value)
 
         def back(g):
-            self._accum(a, g * b.value)
-            self._accum(b, g * a.value)
+            _accum(a, g * b.value)
+            _accum(b, g * a.value)
 
         out._backward = back
         return out
 
     def div(self, a: Node, b: Node):
-        out = self._record(a.value / b.value, (a, b))
+        out = self._record(a.value / b.value)
 
         def back(g):
-            self._accum(a, g / b.value)
-            self._accum(b, -g * a.value / (b.value * b.value))
+            _accum(a, g / b.value)
+            _accum(b, -g * a.value / (b.value * b.value))
 
         out._backward = back
         return out
 
     def scale(self, x: Node, s: float):
-        out = self._record(x.value * s, (x,))
-        out._backward = lambda g: self._accum(x, g * s)
+        out = self._record(x.value * s)
+        out._backward = lambda g: _accum(x, g * s)
         return out
 
     def add_const(self, x: Node, c):
-        out = self._record(x.value + c, (x,))
-        out._backward = lambda g: self._accum(x, g)
+        out = self._record(x.value + c)
+        out._backward = lambda g: _accum(x, g)
         return out
 
     def mul_const(self, x: Node, c):
         c = np.asarray(c, dtype=self.dtype)
-        out = self._record(x.value * c, (x,))
-        out._backward = lambda g: self._accum(x, g * c)
+        out = self._record(x.value * c)
+        out._backward = lambda g: _accum(x, g * c)
         return out
 
     def log(self, x: Node):
-        out = self._record(np.log(x.value), (x,))
-        out._backward = lambda g: self._accum(x, g / x.value)
-        return out
-
-    def exp(self, x: Node):
-        out = self._record(np.exp(x.value), (x,))
-        out._backward = lambda g: self._accum(x, g * out.value)
-        return out
-
-    def sqrt(self, x: Node):
-        out = self._record(np.sqrt(x.value), (x,))
-        out._backward = lambda g: self._accum(x, g * 0.5 / out.value)
+        out = self._record(np.log(x.value))
+        out._backward = lambda g: _accum(x, g / x.value)
         return out
 
     def clamp_min(self, x: Node, m: float):
-        out = self._record(np.maximum(x.value, m), (x,))
-        out._backward = lambda g: self._accum(x, g * (x.value > m))
+        out = self._record(np.maximum(x.value, m))
+        out._backward = lambda g: _accum(x, g * (x.value > m))
         return out
 
     def relu(self, x: Node):
-        out = self._record(relu_raw(x.value), (x,))
-        out._backward = lambda g: self._accum(x, g * (x.value > 0))
+        out = self._record(relu_raw(x.value))
+        out._backward = lambda g: _accum(x, g * (x.value > 0))
         return out
 
     # -- reductions ---------------------------------------------------------
 
     def sum(self, x: Node):
-        out = self._record(x.value.sum(), (x,))
-        out._backward = lambda g: self._accum(x, np.broadcast_to(g, x.value.shape))
+        out = self._record(x.value.sum())
+        out._backward = lambda g: _accum(x, np.broadcast_to(g, x.value.shape))
         return out
 
     def sum_axis(self, x: Node, axis: int, keepdims=True):
-        out = self._record(x.value.sum(axis=axis, keepdims=keepdims), (x,))
+        out = self._record(x.value.sum(axis=axis, keepdims=keepdims))
 
         def back(g):
             if not keepdims:
                 g = np.expand_dims(g, axis)
-            self._accum(x, np.broadcast_to(g, x.value.shape))
+            _accum(x, np.broadcast_to(g, x.value.shape))
 
         out._backward = back
         return out
@@ -448,10 +419,10 @@ class Tape:
         m = x.value.max(axis=-1, keepdims=True)
         e = np.exp(x.value - m)
         s = e.sum(axis=-1, keepdims=True)
-        out = self._record((m + np.log(s))[..., 0], (x,))
+        out = self._record((m + np.log(s))[..., 0])
 
         def back(g):
-            self._accum(x, (e / s) * g[..., None])
+            _accum(x, (e / s) * g[..., None])
 
         out._backward = back
         return out
@@ -459,30 +430,30 @@ class Tape:
     # -- linear algebra & structure ------------------------------------------
 
     def matmul(self, a: Node, b: Node):
-        out = self._record(a.value @ b.value, (a, b))
+        out = self._record(a.value @ b.value)
 
         def back(g):
-            self._accum(a, g @ b.value.T)
-            self._accum(b, a.value.T @ g)
+            _accum(a, g @ b.value.T)
+            _accum(b, a.value.T @ g)
 
         out._backward = back
         return out
 
     def transpose(self, x: Node):
         """Reverse the axes of a node, as ``.T`` (a view; matmul takes it as is)."""
-        out = self._record(x.value.T, (x,))
-        out._backward = lambda g: self._accum(x, g.T)
+        out = self._record(x.value.T)
+        out._backward = lambda g: _accum(x, g.T)
         return out
 
     def conv3d(self, x: Node, w: Node, b: Node, stride=1, pad=1, up=1):
         val, cols = conv3d_raw(x.value, w.value, b.value, stride, pad, up)
-        out = self._record(val, (x, w, b))
+        out = self._record(val)
 
         def back(g):
             gx, gw, gb = conv3d_backward(g, cols, x.value, w.value, stride, pad, up)
-            self._accum(x, gx)
-            self._accum(w, gw)
-            self._accum(b, gb)
+            _accum(x, gx)
+            _accum(w, gw)
+            _accum(b, gb)
 
         out._backward = back
         return out
@@ -493,27 +464,27 @@ class Tape:
         The result is materialized contiguously so downstream reductions
         over the channel axis run at full speed.
         """
-        out = self._record(np.ascontiguousarray(np.moveaxis(x.value, 0, 3)), (x,))
-        out._backward = lambda g: self._accum(x, np.moveaxis(g, 3, 0))
+        out = self._record(np.ascontiguousarray(np.moveaxis(x.value, 0, 3)))
+        out._backward = lambda g: _accum(x, np.moveaxis(g, 3, 0))
         return out
 
     def softmax(self, x: Node):
         p = softmax_raw(x.value)
-        out = self._record(p, (x,))
+        out = self._record(p)
 
         def back(g):
-            self._accum(x, p * (g - fold_last(np.add, g * p)[..., None]))
+            _accum(x, p * (g - fold_last(np.add, g * p)[..., None]))
 
         out._backward = back
         return out
 
     def reshape(self, x: Node, shape):
-        out = self._record(x.value.reshape(shape), (x,))
-        out._backward = lambda g: self._accum(x, g.reshape(x.value.shape))
+        out = self._record(x.value.reshape(shape))
+        out._backward = lambda g: _accum(x, g.reshape(x.value.shape))
         return out
 
     def concat(self, parts: list[Node], axis: int):
-        out = self._record(np.concatenate([p.value for p in parts], axis=axis), tuple(parts))
+        out = self._record(np.concatenate([p.value for p in parts], axis=axis))
         sizes = [p.value.shape[axis] for p in parts]
 
         def back(g):
@@ -521,7 +492,7 @@ class Tape:
             for p, size in zip(parts, sizes):
                 sel = [slice(None)] * g.ndim
                 sel[axis] = slice(start, start + size)
-                self._accum(p, g[tuple(sel)])
+                _accum(p, g[tuple(sel)])
                 start += size
 
         out._backward = back
@@ -530,12 +501,12 @@ class Tape:
     def take_rows(self, x: Node, idx):
         """out[i] = x[idx[i]]; duplicate indices accumulate on backward."""
         idx = np.asarray(idx)
-        out = self._record(x.value[idx], (x,))
+        out = self._record(x.value[idx])
 
         def back(g):
             gx = np.zeros_like(x.value)
             np.add.at(gx, idx, g)
-            self._accum(x, gx)
+            _accum(x, gx)
 
         out._backward = back
         return out
@@ -544,23 +515,23 @@ class Tape:
         """out[i] = p[i, labels[i]] for a (N, C) node."""
         labels = np.asarray(labels)
         rows = np.arange(p.value.shape[0])
-        out = self._record(p.value[rows, labels], (p,))
+        out = self._record(p.value[rows, labels])
 
         def back(g):
             gp = np.zeros_like(p.value)
             gp[rows, labels] = g
-            self._accum(p, gp)
+            _accum(p, gp)
 
         out._backward = back
         return out
 
     def rows_dot(self, a: Node, b: Node):
         """Row-wise dot product of two (P, F) nodes -> (P,)."""
-        out = self._record((a.value * b.value).sum(axis=-1), (a, b))
+        out = self._record((a.value * b.value).sum(axis=-1))
 
         def back(g):
-            self._accum(a, g[..., None] * b.value)
-            self._accum(b, g[..., None] * a.value)
+            _accum(a, g[..., None] * b.value)
+            _accum(b, g[..., None] * a.value)
 
         out._backward = back
         return out
@@ -569,10 +540,10 @@ class Tape:
         """Scale each trailing-axis vector to unit L2 norm."""
         n = np.sqrt((x.value * x.value).sum(axis=-1, keepdims=True))
         y = x.value / n
-        out = self._record(y, (x,))
+        out = self._record(y)
 
         def back(g):
-            self._accum(x, g / n - y * ((g * y).sum(axis=-1, keepdims=True) / n))
+            _accum(x, g / n - y * ((g * y).sum(axis=-1, keepdims=True) / n))
 
         out._backward = back
         return out

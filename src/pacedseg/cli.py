@@ -19,7 +19,7 @@ from .metrics import MetricsRecord, summarize
 from .network import load_checkpoint
 from .synthdata import attach_registration, generate_dataset, load_dataset, save_dataset
 from .training import TrainConfig, evaluate_params, load_config, run_training, save_config
-from .uncertainty import advance_age, confident_ratio, make_schedule, warmup_xi
+from .uncertainty import Schedule, warmup_xi
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -55,7 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="emit (t, xi, lambda, R_conf, v, K) per iteration as CSV")
     sd.add_argument("--lu-const", type=float,
                     help="constant unsupervised loss fed to the schedule")
-    sd.add_argument("--lu-csv", help="train_log.csv whose L_u column drives the schedule")
+    sd.add_argument("--lu-csv", help="train_log.csv whose L_u column drives the schedule "
+                                     "(a run with loss_w_u = 1)")
     return parser
 
 
@@ -167,6 +168,11 @@ def _read_lu_column(path) -> list[float]:
 
 
 def cmd_schedule_dump(cfg: TrainConfig, args) -> int:
+    if args.lu_csv and cfg.loss_w_u != 1:
+        raise ConfigError(
+            f"--lu-csv replays a log's L_u column, which holds loss_w_u * L_u; "
+            f"it needs loss_w_u = 1, got {cfg.loss_w_u!r}"
+        )
     lu_series = _read_lu_column(args.lu_csv) if args.lu_csv else None
     if lu_series is not None and len(lu_series) > cfg.iterations:
         raise ConfigError(
@@ -177,18 +183,16 @@ def cmd_schedule_dump(cfg: TrainConfig, args) -> int:
         raise ConfigError(f"--lu-const must be >= 0, got {lu_const!r}")
     n_vox = cfg.dim_h * cfg.dim_w * cfg.dim_d
     # as in Trainer: a zero-iteration run still has a valid (empty) schedule
-    state = make_schedule(max(cfg.iterations, 1), cfg.alpha, cfg.delta, cfg.tau_sched)
-    last_lu = math.inf
+    schedule = Schedule(max(cfg.iterations, 1), cfg.alpha, cfg.delta, cfg.tau_sched)
     print("t,xi,lambda,R_conf,v,K")
     steps = len(lu_series) if lu_series is not None else cfg.iterations
     for t in range(steps):
-        xi = warmup_xi(state.t, state.t_max)
-        r_conf, v = confident_ratio(state, last_lu)
+        r_conf, v = schedule.ratio()
+        xi = warmup_xi(t, schedule.t_max)
         k = int(math.floor(r_conf * n_vox))
         v_str = "" if v is None else repr(v)
-        print(f"{t},{xi!r},{state.lam!r},{r_conf!r},{v_str},{k}")
-        last_lu = lu_series[t] if lu_series is not None else lu_const
-        state = advance_age(state)
+        print(f"{t},{xi!r},{schedule.lam!r},{r_conf!r},{v_str},{k}")
+        schedule.advance(lu_series[t] if lu_series is not None else lu_const)
     return EXIT_OK
 
 

@@ -9,10 +9,6 @@ class ConfigError(ValueError):
     """A config file or CLI argument set cannot be turned into a valid run."""
 
 
-class ScheduleStateError(ValueError):
-    """The self-paced schedule is in an unusable state (e.g. age <= 0)."""
-
-
 class TrainingAbort(RuntimeError):
     """Training hit a non-finite loss or gradient; carries a diagnostic dump."""
 

@@ -119,7 +119,7 @@ def make_dropout_mask(shape, rate, rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def forward_graph(tape: Tape, pnodes: dict[str, Node], image: np.ndarray, dropout_mask=None):
-    """Differentiable forward; returns (prob_node, feature_node, logit_node).
+    """Differentiable forward; returns (prob_node, feature_node).
 
     The engine runs channels-first internally; the returned probability and
     feature nodes are channels-last, (H, W, D, C) and (h, w, d, F).
@@ -134,7 +134,7 @@ def forward_graph(tape: Tape, pnodes: dict[str, Node], image: np.ndarray, dropou
     if dropout_mask is not None:
         hdec = tape.mul_const(hdec, dropout_mask)
     logits = tape.chw_to_hwc(tape.conv3d(hdec, pnodes["seg_w"], pnodes["seg_b"], pad=0))
-    return tape.softmax(logits), feats, logits
+    return tape.softmax(logits), feats
 
 
 def param_nodes(tape: Tape, params: ModelParams) -> dict[str, Node]:
@@ -166,19 +166,6 @@ def head_forward(params: ModelParams, hdec: np.ndarray, dropout_mask=None) -> np
         np.moveaxis(conv3d_raw(a, t["seg_w"], t["seg_b"], pad=0)[0], 0, 3)
     )
     return softmax_raw(logits)
-
-
-def forward(params: ModelParams, image: np.ndarray, dropout_on: bool, rng_seed: int):
-    """Full inference pass; deterministic in (params, image, dropout_on, rng_seed).
-
-    Returns (channels-last probabilities, channels-last half-resolution features).
-    """
-    hdec, feats = forward_parts(params, image)
-    mask = None
-    if dropout_on:
-        rng = np.random.default_rng(rng_seed)
-        mask = make_dropout_mask(hdec.shape, params.dropout_rate, rng).astype(params.dtype)
-    return head_forward(params, hdec, mask), feats
 
 
 # ---------------------------------------------------------------------------

@@ -12,18 +12,20 @@ One iteration consumes one labeled and one unlabeled case:
             pseudo label, plus the bidirectional feature contrast loss
             (teacher anchors, student strong-view negatives);
   update:   L = Ls + Lu + Lbf -> backprop -> SGD(momentum) on the student
-            -> EMA refresh of the teacher -> age parameter advances.
+            -> EMA refresh of the teacher -> the schedule advances.
 
 Per-step randomness comes from a fixed number of seed streams derived
 from (seed, t) alone, so toggling the selection or contrastive components
 never shifts the data augmentation draws — ablation variants see
-identical inputs — and a trainer set to iteration t draws what one that
-stepped there draws.
+identical inputs — and a trainer whose schedule is set to iteration t
+draws what one that stepped there draws. The trainer's clock is its
+schedule's: the run state is the schedule (t, lambda, last L_u), the
+student and teacher parameters and the SGD velocity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +40,6 @@ from .network import (
     ModelParams,
     SGDState,
     ema_update,
-    forward,
     forward_graph,
     forward_parts,
     head_forward,
@@ -59,13 +60,7 @@ from .synthdata import (
     generate_dataset,
     slice_weight_map,
 )
-from .uncertainty import (
-    advance_age,
-    confident_ratio,
-    make_schedule,
-    mc_uncertainty_from_trunk,
-    select_mask,
-)
+from .uncertainty import Schedule, mc_uncertainty_from_trunk, select_mask
 
 TRAIN_LOG_NAME = "train_log.csv"
 EVAL_LOG_NAME = "eval_log.csv"
@@ -163,7 +158,7 @@ class TrainConfig:
             (self.mc_passes >= 1, "mc_passes must be >= 1"),
             (self.tau_sched > 0, "tau_sched must be positive"),
             (self.alpha > 0, "alpha must be positive"),
-            (self.delta > 0, "delta must be positive"),
+            (self.delta >= 1, "delta must be >= 1: the age parameter never shrinks"),
             (self.tau_contrast > 0, "tau_contrast must be positive"),
             (self.k_neg >= 0, "k_neg must be >= 0"),
             (self.n_classes >= 2, "need at least 2 classes"),
@@ -175,10 +170,16 @@ class TrainConfig:
             (all(v >= 4 and v % 2 == 0 for v in self.dims), "dims must be even and >= 4"),
             (self.n_labeled >= 1 and self.n_unlabeled >= 1,
              "need at least one labeled and one unlabeled case"),
+            (self.noise_amp >= 0, "noise_amp must be >= 0"),
             (0 < self.radius_lo <= self.radius_hi < 0.5, "radius range must be in (0, 0.5)"),
+            (0 <= self.center_jitter < 0.5, "center_jitter must be in [0, 0.5)"),
+            (self.edge_width > 0, "edge_width must be positive"),
             (self.reg_sigma >= 0 and self.reg_beta >= 0, "registration noise must be >= 0"),
             (0 <= self.fuse_w0 <= 1, "fuse_w0 must be in [0, 1]"),
             (self.fuse_half_life > 0, "fuse_half_life must be positive"),
+            (self.weak_sigma >= 0, "weak_sigma must be >= 0"),
+            (all(w >= 0 for w in (self.loss_w_s, self.loss_w_u, self.loss_w_bf)),
+             "loss weights loss_w_s, loss_w_u and loss_w_bf must be >= 0"),
             (self.n_eval >= 1, "n_eval must be >= 1"),
             (self.eval_period >= 1, "eval_period must be >= 1"),
             (all(s >= 0 for s in (self.seed, self.eval_seed, *self.ablation_seeds)),
@@ -265,8 +266,6 @@ class StepTrace:
     unlabeled_pseudo: np.ndarray | None = None
     unlabeled_probs: np.ndarray | None = None
     mask: np.ndarray | None = None
-    teacher_w1: np.ndarray | None = None
-    teacher_w2: np.ndarray | None = None
 
 
 class Trainer:
@@ -290,10 +289,9 @@ class Trainer:
         )
         self.teacher = self.student.copy()
         self.opt = SGDState(self.student)
-        self.schedule = make_schedule(
+        self.schedule = Schedule(
             max(config.iterations, 1), config.alpha, config.delta, config.tau_sched
         )
-        self.t = 0
         self._weight_maps = {
             case.case_id: slice_weight_map(
                 config.dims, case.k, config.fuse_w0, config.fuse_half_life
@@ -301,6 +299,11 @@ class Trainer:
             for case in dataset.labeled
         }
         self._drop_shape = (config.widths[3], *config.dims)
+
+    @property
+    def t(self) -> int:
+        """The iteration the next step runs; the schedule owns the clock."""
+        return self.schedule.t
 
     def current_lr(self) -> float:
         period = self.config.effective_decay_period
@@ -313,19 +316,15 @@ class Trainer:
         ).astype(self.dtype)
 
     def _teacher_view(self, view: np.ndarray):
-        """Teacher trunk + clean head on one weak view."""
+        """Teacher trunk + clean head on one weak view; (trunk, features, labels)."""
         hdec, feats = forward_parts(self.teacher, view)
-        probs = head_forward(self.teacher, hdec)
-        return hdec, feats, probs, np.argmax(probs, axis=3)
+        return hdec, feats, np.argmax(head_forward(self.teacher, hdec), axis=3)
 
     def step(self, labeled: LabeledCase, unlabeled: UnlabeledCase,
              capture: StepTrace | None = None) -> LossReport:
         cfg = self.config
-        if self.t > self.schedule.t_max:
-            raise ConfigError(
-                f"iteration {self.t} is past the schedule's end (t_max = "
-                f"{self.schedule.t_max}); set iterations to the number of steps to run"
-            )
+        r_conf, v = self.schedule.ratio()
+        branch = "warm" if v is None else "confident"
         if not self.student.finite():
             raise TrainingAbort(
                 f"non-finite student parameters entering iteration {self.t}; "
@@ -340,14 +339,14 @@ class Trainer:
         flips = sample_flips(rng_l)
         w1 = weak_perturb(labeled.image.data, rng_l, sigma_scale=cfg.weak_sigma, flips=flips)
         w2 = weak_perturb(labeled.image.data, rng_l, sigma_scale=cfg.weak_sigma, flips=flips)
-        _, _, probs1, y1 = self._teacher_view(w1)
-        _, _, probs2, y2 = self._teacher_view(w2)
+        y1 = self._teacher_view(w1)[2]
+        y2 = self._teacher_view(w2)[2]
         box_l = sample_box(cfg.dims, np.random.default_rng(subs[1]))
         xs_l, ys_l = cutmix_with_box((w1, y1), (w2, y2), box_l)
         reg_f = apply_flips(labeled.reg_label.data, flips)
         wmap_f = apply_flips(self._weight_maps[labeled.case_id], flips)
         fused = fuse_with_weight_map(reg_f, ys_l, wmap_f, cfg.n_classes)
-        probs_l, _, _ = forward_graph(tape, pnodes, xs_l, self._dropout_mask(subs[2]))
+        probs_l, _ = forward_graph(tape, pnodes, xs_l, self._dropout_mask(subs[2]))
         ls_node = dice_ce_node(tape, probs_l, fused, cfg.n_classes)
 
         # ----- unlabeled case: gated consistency + feature contrast -----
@@ -355,14 +354,12 @@ class Trainer:
                           sigma_scale=cfg.weak_sigma)
         u2 = weak_perturb(unlabeled.image.data, np.random.default_rng(subs[4]),
                           sigma_scale=cfg.weak_sigma)
-        hdec_u1, feats_u1, probs_u1, yu1 = self._teacher_view(u1)
-        _, feats_u2, probs_u2, yu2 = self._teacher_view(u2)
+        hdec_u1, feats_u1, yu1 = self._teacher_view(u1)
+        _, feats_u2, yu2 = self._teacher_view(u2)
 
-        branch = "warm" if self.schedule.last_lu >= self.schedule.lam else "confident"
         if cfg.enable_su:
             mc_seed = int(np.random.default_rng(subs[7]).integers(0, 2**62))
             _, entropy = mc_uncertainty_from_trunk(self.teacher, hdec_u1, cfg.mc_passes, mc_seed)
-            r_conf, v = confident_ratio(self.schedule, self.schedule.last_lu)
             mask = select_mask(entropy, r_conf)
         else:
             r_conf, v = 1.0, None
@@ -370,7 +367,7 @@ class Trainer:
 
         box_u = sample_box(cfg.dims, np.random.default_rng(subs[5]))
         xs_u, ys_u = cutmix_with_box((u1, yu1), (u2, yu2), box_u)
-        probs_u, feats_u, _ = forward_graph(tape, pnodes, xs_u, self._dropout_mask(subs[6]))
+        probs_u, feats_u = forward_graph(tape, pnodes, xs_u, self._dropout_mask(subs[6]))
         gate = np.flatnonzero(mask.ravel())
         lu_node = dice_ce_node(tape, probs_u, ys_u, cfg.n_classes, gate_idx=gate)
 
@@ -410,17 +407,12 @@ class Trainer:
             capture.unlabeled_pseudo = ys_u
             capture.unlabeled_probs = np.asarray(probs_u.value, dtype=np.float64)
             capture.mask = mask
-            capture.teacher_w1 = probs_u1
-            capture.teacher_w2 = probs_u2
 
         tape.backward(total)
         grads = {
             name: (node.grad if node.grad is not None else np.zeros_like(node.value))
             for name, node in pnodes.items()
         }
-        loss_vals = (float(ls_w.value), float(lu_w.value), float(lbf_w.value))
-        lu_raw = float(lu_node.value)
-        tape.release()
 
         lr = self.current_lr()
         sgd_step(self.student, grads, lr, cfg.momentum, self.opt)
@@ -428,12 +420,11 @@ class Trainer:
 
         report = LossReport(
             t=self.t,
-            l_s=loss_vals[0], l_u=loss_vals[1], l_bf=loss_vals[2],
+            l_s=float(ls_w.value), l_u=float(lu_w.value), l_bf=float(lbf_w.value),
             mask_count=int(np.count_nonzero(mask)), r_conf=r_conf, branch=branch, v=v,
             lam=self.schedule.lam, lr=lr,
         )
-        self.schedule = advance_age(replace(self.schedule, last_lu=lu_raw, v=v))
-        self.t += 1
+        self.schedule.advance(float(lu_node.value))
         return report
 
     def batch_for(self, t: int) -> tuple[LabeledCase, UnlabeledCase]:
@@ -447,7 +438,7 @@ def evaluate_params(params: ModelParams, cases, n_classes: int) -> list[MetricsR
     """Dropout-off student predictions scored against hidden truths."""
     records = []
     for case in cases:
-        probs, _ = forward(params, case.image.data, dropout_on=False, rng_seed=0)
+        probs = head_forward(params, forward_parts(params, case.image.data)[0])
         pred = LabelMap(np.argmax(probs, axis=3), n_classes)
         records.append(evaluate_case(case.case_id, pred, case.truth))
     return records

@@ -5,12 +5,13 @@ pseudo labels are trustworthy enough to learn from:
 
 * predictive entropy of the mean over T stochastic forward passes ranks
   voxels from certain to uncertain;
-* a confident ratio turns the training clock and the latest unsupervised
-  loss into the fraction of voxels admitted this iteration, with a
-  warm-up branch (capped at 10% of the schedule ceiling) while the loss
-  still exceeds the age parameter, and a loss-proportional weight
-  v = 1 - Lu/lambda once it drops below;
-* the age parameter lambda grows geometrically, lambda = alpha * delta^t.
+* one mutable `Schedule` holds the self-paced state: the clock t, the age
+  parameter lambda = alpha * delta^t (delta >= 1, so it never shrinks) and
+  the latest unsupervised loss. Its confident ratio is the fraction of
+  voxels admitted this iteration, with a warm-up branch (capped at
+  WARM_CAP of the ramp) while the loss still exceeds lambda, and a
+  loss-proportional weight v = 1 - Lu/lambda once it drops below. The
+  trainer and the CLI's schedule-dump step the same object.
 
 Because dropout sits only in front of the segmentation head, the T
 stochastic passes share a single trunk evaluation.
@@ -19,12 +20,12 @@ stochastic passes share a single trunk evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import fold_last
-from .errors import ScheduleStateError
+from .errors import ConfigError
 from .network import ModelParams, head_forward, make_dropout_mask
 
 
@@ -69,28 +70,8 @@ def mc_uncertainty_from_trunk(
 # schedule
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScheduleState:
-    """Scalar state of the self-paced schedule at iteration t."""
-
-    t: int
-    t_max: int
-    alpha: float
-    delta: float
-    lam: float
-    tau_sched: float
-    last_lu: float
-    v: float | None
-    warm_cap: float = 0.1
-
-
-def make_schedule(t_max: int, alpha=0.1, delta=1.01, tau_sched=10.0) -> ScheduleState:
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    return ScheduleState(
-        t=0, t_max=t_max, alpha=alpha, delta=delta, lam=alpha,
-        tau_sched=tau_sched, last_lu=math.inf, v=None,
-    )
+# ceiling of the confident ratio on the warm branch, as a share of the ramp
+WARM_CAP = 0.1
 
 
 def warmup_xi(t: int, t_max: int) -> float:
@@ -103,27 +84,54 @@ def warmup_xi(t: int, t_max: int) -> float:
     return min(0.1 * math.exp(-5.0 * frac * frac), 1.0)
 
 
-def advance_age(state: ScheduleState) -> ScheduleState:
-    """One iteration: t increments, the age parameter grows by delta."""
-    return replace(state, t=state.t + 1, lam=state.lam * state.delta)
+@dataclass
+class Schedule:
+    """The self-paced schedule's whole state: the clock t, the age parameter
+    lam = alpha * delta^t, and the last unweighted unsupervised loss fed in
+    (inf before the first step, so step 0 is on the warm branch)."""
 
+    t_max: int
+    alpha: float = 0.1
+    delta: float = 1.01
+    tau_sched: float = 10.0
+    t: int = field(default=0, init=False)
+    lam: float = field(init=False)
+    last_lu: float = field(default=math.inf, init=False)
 
-def confident_ratio(state: ScheduleState, lu: float):
-    """Fraction of voxels admitted this iteration, and the self-paced weight.
+    def __post_init__(self):
+        if not (self.t_max > 0 and self.alpha > 0 and self.delta >= 1):
+            raise ValueError(
+                f"need t_max > 0, alpha > 0 and delta >= 1 (the age parameter never "
+                f"shrinks), got t_max={self.t_max}, alpha={self.alpha}, delta={self.delta}"
+            )
+        self.lam = self.alpha
 
-    Warm branch (lu >= lambda): ratio = warm_cap * min(xi(t) * tau, 1),
-    weight undefined. Confident branch (lu < lambda): ratio =
-    v * min(xi(t) * tau, 1) with v = 1 - lu/lambda.
-    """
-    if state.lam <= 0:
-        raise ScheduleStateError(f"age parameter must be positive, got {state.lam}")
-    if lu < 0:
-        raise ValueError("unsupervised loss must be nonnegative")
-    cap = min(warmup_xi(state.t, state.t_max) * state.tau_sched, 1.0)
-    if lu >= state.lam:
-        return state.warm_cap * cap, None
-    v = 1.0 - lu / state.lam
-    return v * cap, v
+    def ratio(self):
+        """(fraction of voxels admitted at t, self-paced weight v).
+
+        Warm branch (last_lu >= lam): ratio = WARM_CAP * min(xi(t) * tau, 1)
+        and v is None. Confident branch (last_lu < lam): ratio =
+        v * min(xi(t) * tau, 1) with v = 1 - last_lu/lam.
+        """
+        if self.t > self.t_max:
+            raise ConfigError(
+                f"iteration {self.t} is past the schedule's end (t_max = "
+                f"{self.t_max}); set iterations to the number of steps to run"
+            )
+        cap = min(warmup_xi(self.t, self.t_max) * self.tau_sched, 1.0)
+        if self.last_lu >= self.lam:
+            return WARM_CAP * cap, None
+        v = 1.0 - self.last_lu / self.lam
+        return v * cap, v
+
+    def advance(self, lu: float) -> None:
+        """One iteration that saw unsupervised loss lu: t increments, the age
+        parameter grows by delta."""
+        if not lu >= 0:
+            raise ValueError(f"unsupervised loss must be >= 0, got {lu!r}")
+        self.t += 1
+        self.lam *= self.delta
+        self.last_lu = lu
 
 
 def select_mask(u: np.ndarray, r_conf: float) -> np.ndarray:

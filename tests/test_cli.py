@@ -244,3 +244,53 @@ def test_non_utf8_manifest_exits_config(tiny_data, tmp_path, capsys):
     manifest.write_bytes(manifest.read_bytes() + b"# \xff\n")
     assert _train_on(cfg, bad, tmp_path / "run") == EXIT_CONFIG
     assert "cannot read" in capsys.readouterr().err
+
+
+OUT_OF_RANGE = [
+    ("edge_width", "0"), ("edge_width", "-0.1"), ("noise_amp", "-1"), ("weak_sigma", "-1"),
+    ("loss_w_s", "-1"), ("loss_w_u", "-1"), ("loss_w_bf", "-1"), ("center_jitter", "0.6"),
+    ("center_jitter", "-0.1"), ("delta", "0.5"),
+]
+
+
+@pytest.mark.parametrize("key,value", OUT_OF_RANGE, ids=[f"{k}={v}" for k, v in OUT_OF_RANGE])
+def test_out_of_range_config_exits_config(tmp_path, capsys, key, value):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{SMALL_CFG}{key} = {value}\n")
+    argv = ["--config", str(cfg), "--out-dir", str(tmp_path / "run"), "train"]
+    assert main(argv) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_lu_csv_of_a_weighted_log_exits_config(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("iterations = 3\nloss_w_u = 0.5\n")
+    log = tmp_path / "train_log.csv"
+    log.write_text("t,L_u\n0,0.5\n")
+    assert main(["--config", str(cfg), "schedule-dump", "--lu-csv", str(log)]) == EXIT_CONFIG
+    assert "needs loss_w_u = 1" in capsys.readouterr().err
+
+
+def test_lu_csv_replays_the_schedule_of_a_run(tmp_path, capsys):
+    """schedule-dump of a run's own log reproduces its schedule columns, over
+    both branches (alpha = 100 leaves the warm branch after step 0)."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(SMALL_CFG.replace("iterations = 2", "iterations = 12")
+                   + "alpha = 100\ntau_sched = 2000\n")
+    run = tmp_path / "run"
+    assert main(["--config", str(cfg), "--out-dir", str(run), "train"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "schedule-dump",
+                 "--lu-csv", str(run / "train_log.csv")]) == EXIT_OK
+    dumped = capsys.readouterr().out.splitlines()
+    logged = (run / "train_log.csv").read_text().splitlines()
+
+    def columns(rows, names):
+        header = rows[0].split(",")
+        return [tuple(row.split(",")[header.index(n)] for n in names) for row in rows[1:]]
+
+    assert len(dumped) == len(logged) == 1 + 12
+    assert {b for (b,) in columns(logged, ["branch"])} == {"warm", "confident"}
+    assert (columns(dumped, ["lambda", "R_conf", "v", "K"])
+            == columns(logged, ["lambda", "R_conf", "v", "K"]))

@@ -15,7 +15,7 @@ from pacedseg.grids import (
     save_volume,
 )
 from pacedseg.metrics import evaluate_case
-from pacedseg.network import forward, init_params
+from pacedseg.network import forward_parts, head_forward, init_params
 from pacedseg.synthdata import UnlabeledCase
 from pacedseg.training import evaluate_params
 
@@ -162,7 +162,7 @@ class TestArgmaxLabels:
         for seed in range(5):
             params = self.params(n_classes=3, seed=seed)
             case = self.case(rng.integers(0, 3, size=self.DIMS), seed=seed)
-            probs, _ = forward(params, case.image.data, dropout_on=False, rng_seed=0)
+            probs = head_forward(params, forward_parts(params, case.image.data)[0])
             pred = np.zeros(self.DIMS, dtype=np.int64)
             for h, w, d in np.ndindex(*self.DIMS):
                 best, best_p = 0, probs[h, w, d, 0]

@@ -1,10 +1,11 @@
-"""Source hygiene checks that need no linter: every import and every
-top-level function or class of the package is used."""
+"""Source hygiene checks that need no linter: every import, every
+top-level function or class and every tape op of the package is used."""
 
 import ast
 from pathlib import Path
 
 import pacedseg
+from pacedseg.autodiff import Tape
 
 SRC = Path(pacedseg.__file__).parent
 BENCH = SRC.parents[1] / "bench"
@@ -88,3 +89,33 @@ def test_no_dead_names_in_package():
     referring = list(sources.values()) + [p.read_text() for p in sorted(BENCH.glob("*.py"))]
     dead = set(dead_names(sources, referring)) - UNREFERENCED_OK
     assert not dead, f"top-level names nothing in src/ or bench/ uses: {sorted(dead)}"
+
+
+# public Tape ops kept with no `tape.<op>(...)` call in src/, each with its reason
+UNCALLED_OPS_OK = {
+    # the autodiff tests build their gradient checks on it
+    "mul",
+}
+
+
+def uncalled_ops(ops: set[str], sources: list[str]) -> list[str]:
+    """Members of `ops` that no `tape.<op>(...)` call in `sources` names."""
+    called = {
+        node.func.attr
+        for src in sources for node in ast.walk(ast.parse(src))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "tape"
+    }
+    return sorted(ops - called)
+
+
+def test_scan_flags_an_uncalled_op():
+    caller = "def f(tape, x):\n    return tape.relu(x)\n\n\nother.exp(1)\n"
+    assert uncalled_ops({"relu", "exp"}, [caller]) == ["exp"]
+
+
+def test_every_tape_op_has_a_caller_in_package():
+    ops = {name for name in vars(Tape) if not name.startswith("_")}
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    uncalled = set(uncalled_ops(ops, sources)) - UNCALLED_OPS_OK
+    assert not uncalled, f"Tape ops no tape.<op>(...) call in src/ uses: {sorted(uncalled)}"

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,8 +11,9 @@ from pacedseg.network import (
     PARAM_NAMES,
     SGDState,
     ema_update,
-    forward,
     forward_graph,
+    forward_parts,
+    head_forward,
     init_params,
     load_checkpoint,
     make_dropout_mask,
@@ -30,53 +34,68 @@ def tiny_image(seed=1, dims=(4, 4, 2)):
     return np.random.default_rng(seed).standard_normal(dims)
 
 
+def infer(params, image, dropout_mask=None):
+    """(probabilities, features) of the tape-free inference path."""
+    hdec, feats = forward_parts(params, image)
+    return head_forward(params, hdec, dropout_mask), feats
+
+
 class TestForward:
     def test_zero_params_uniform_probs_zero_features(self):
         params = tiny_params()
         for name in PARAM_NAMES:
             params.tensors[name] = np.zeros_like(params.tensors[name])
-        probs, feats = forward(params, tiny_image(), dropout_on=False, rng_seed=0)
+        probs, feats = infer(params, tiny_image())
         np.testing.assert_allclose(probs, 0.5, atol=0)
         np.testing.assert_array_equal(feats, 0.0)
 
-    def test_dropout_off_is_seed_independent(self):
-        params, image = tiny_params(), tiny_image()
-        p1, f1 = forward(params, image, dropout_on=False, rng_seed=1)
-        p2, f2 = forward(params, image, dropout_on=False, rng_seed=999)
-        np.testing.assert_array_equal(p1, p2)
-        np.testing.assert_array_equal(f1, f2)
-
     def test_dropout_on_deterministic_per_seed(self):
         params, image = tiny_params(), tiny_image()
-        p1, _ = forward(params, image, dropout_on=True, rng_seed=42)
-        p2, _ = forward(params, image, dropout_on=True, rng_seed=42)
+
+        def draw(seed):
+            return make_dropout_mask((3, 4, 4, 2), params.dropout_rate,
+                                     np.random.default_rng(seed))
+
+        p1, _ = infer(params, image, draw(42))
+        p2, _ = infer(params, image, draw(42))
         np.testing.assert_array_equal(p1, p2)
-        p3, _ = forward(params, image, dropout_on=True, rng_seed=43)
+        p3, _ = infer(params, image, draw(43))
         assert not np.array_equal(p1, p3)
 
     def test_odd_dims_rejected(self):
         with pytest.raises(ValueError):
-            forward(tiny_params(), np.zeros((3, 4, 2)), False, 0)
+            forward_parts(tiny_params(), np.zeros((3, 4, 2)))
 
     def test_graph_and_value_paths_agree_bitwise(self):
         params, image = tiny_params(), tiny_image()
         mask = make_dropout_mask((3, 4, 4, 2), params.dropout_rate, np.random.default_rng(5))
         tape = Tape(np.float64)
-        probs_node, feats_node, _ = forward_graph(tape, param_nodes(tape, params), image, mask)
+        probs_node, feats_node = forward_graph(tape, param_nodes(tape, params), image, mask)
 
-        hdec_probs, feats = forward(params, image, dropout_on=False, rng_seed=0)
+        hdec, feats = forward_parts(params, image)
         np.testing.assert_array_equal(feats_node.value, feats)
-
-        from pacedseg.network import forward_parts, head_forward
-        hdec, _ = forward_parts(params, image)
         np.testing.assert_array_equal(
             probs_node.value, head_forward(params, hdec, mask)
         )
 
     def test_feature_grid_is_half_resolution(self):
-        probs, feats = forward(tiny_params(), tiny_image(dims=(8, 6, 4)), False, 0)
+        probs, feats = infer(tiny_params(), tiny_image(dims=(8, 6, 4)))
         assert probs.shape == (8, 6, 4, 2)
         assert feats.shape == (4, 3, 2, 5)
+
+    def test_unswept_graph_is_freed_without_the_collector(self):
+        """A tape holds no reference cycle, so dropping one that never ran
+        backward frees its values by reference counting alone."""
+        params, image = tiny_params(), tiny_image()
+        gc.disable()
+        try:
+            tape = Tape(np.float64)
+            probs = forward_graph(tape, param_nodes(tape, params), image)[0]
+            ref = weakref.ref(probs.value)
+            del tape, probs
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestDropout:
@@ -268,12 +287,12 @@ class TestModelGradients:
         def loss_value(p):
             tape = Tape(np.float64)
             nodes = param_nodes(tape, p)
-            probs, _, _ = forward_graph(tape, nodes, image, mask)
+            probs, _ = forward_graph(tape, nodes, image, mask)
             return float(dice_ce_node(tape, probs, target, 2).value)
 
         tape = Tape(np.float64)
         nodes = param_nodes(tape, params)
-        probs, _, _ = forward_graph(tape, nodes, image, mask)
+        probs, _ = forward_graph(tape, nodes, image, mask)
         tape.backward(dice_ce_node(tape, probs, target, 2))
 
         rng = np.random.default_rng(11)

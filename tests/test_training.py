@@ -139,9 +139,9 @@ class TestTrainerMechanics:
     def test_lr_decays_at_derived_period(self):
         cfg = tiny_config(decay_period=None)
         trainer = Trainer(cfg, tiny_dataset(cfg))
-        trainer.t = cfg.effective_decay_period - 1
+        trainer.schedule.t = cfg.effective_decay_period - 1
         assert trainer.current_lr() == pytest.approx(0.01)
-        trainer.t = cfg.effective_decay_period
+        trainer.schedule.t = cfg.effective_decay_period
         assert trainer.current_lr() == pytest.approx(0.01 * 0.1)
 
     def test_first_step_is_warm_branch(self):
@@ -217,7 +217,7 @@ class TestTrainerMechanics:
         stepped, fresh = Trainer(cfg, ds), Trainer(cfg, ds)
         for t in range(3):
             stepped.step(*stepped.batch_for(t))
-        fresh.t = 3
+        fresh.schedule.t = 3
         a, b = StepTrace(), StepTrace()
         stepped.step(*stepped.batch_for(3), capture=a)
         fresh.step(*fresh.batch_for(3), capture=b)

@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from pacedseg.errors import ScheduleStateError
-from pacedseg.network import forward, forward_parts, init_params
+from pacedseg.network import forward_parts, head_forward, init_params, make_dropout_mask
 from pacedseg.uncertainty import (
-    advance_age,
-    confident_ratio,
+    WARM_CAP,
+    Schedule,
     entropy_values,
-    make_schedule,
     mc_pass_seed,
     mc_uncertainty_from_trunk,
     select_mask,
@@ -68,8 +66,10 @@ class TestMCUncertainty:
         mean, ent = mc_on_image(params, image, passes, seed)
         acc = np.zeros((4, 4, 2, 2))
         for t in range(passes):
-            probs, _ = forward(params, image, dropout_on=True, rng_seed=mc_pass_seed(seed, t))
-            acc += probs
+            hdec, _ = forward_parts(params, image)
+            rng = np.random.default_rng(mc_pass_seed(seed, t))
+            mask = make_dropout_mask(hdec.shape, params.dropout_rate, rng).astype(params.dtype)
+            acc += head_forward(params, hdec, mask)
         np.testing.assert_allclose(mean, acc / passes, atol=1e-6)
         np.testing.assert_array_equal(ent, entropy_values(mean, 2))
 
@@ -104,58 +104,66 @@ class TestWarmup:
 
 class TestAgeSchedule:
     def test_initial_age_is_alpha(self):
-        state = make_schedule(100)
-        assert state.lam == 0.1 and state.t == 0
+        schedule = Schedule(100)
+        assert schedule.lam == 0.1 and schedule.t == 0 and schedule.last_lu == math.inf
 
     def test_one_step(self):
-        state = advance_age(make_schedule(100))
-        assert state.t == 1
-        assert state.lam == pytest.approx(0.101, rel=1e-12)
+        schedule = Schedule(100)
+        schedule.advance(0.3)
+        assert schedule.t == 1 and schedule.last_lu == 0.3
+        assert schedule.lam == pytest.approx(0.101, rel=1e-12)
 
     def test_hundred_steps_closed_form(self):
-        state = make_schedule(1000)
+        schedule = Schedule(1000)
         for _ in range(100):
-            state = advance_age(state)
-        assert state.lam == pytest.approx(0.1 * 1.01**100, rel=1e-12)
-        assert state.lam == pytest.approx(0.27048, rel=1e-4)
+            schedule.advance(1.0)
+        assert schedule.lam == pytest.approx(0.1 * 1.01**100, rel=1e-12)
+        assert schedule.lam == pytest.approx(0.27048, rel=1e-4)
+
+
+def schedule_at(t_max, t, lu, **kwargs):
+    """A schedule stepped to iteration t whose last loss is lu (a multiple of lambda)."""
+    schedule = Schedule(t_max, **kwargs)
+    for _ in range(t):
+        schedule.advance(0.0)
+    schedule.last_lu = lu * schedule.lam
+    return schedule
 
 
 class TestConfidentRatio:
     def test_self_paced_weight_direct_substitution(self):
-        state = make_schedule(100)
-        _, v = confident_ratio(state, state.lam / 2)
+        _, v = schedule_at(100, 0, 0.5).ratio()
         assert v == pytest.approx(0.5, abs=0)
 
     def test_warm_branch_saturated(self):
         # xi(t_max) * tau = 0.1 * 1000 >> 1, so the min saturates at 1
-        state = make_schedule(10, tau_sched=1000.0)
+        schedule = Schedule(10, tau_sched=1000.0)
         for _ in range(10):
-            state = advance_age(state)
-        r, v = confident_ratio(state, lu=state.lam + 1.0)
-        assert r == pytest.approx(0.1, abs=0) and v is None
+            schedule.advance(schedule.lam + 1.0)
+        r, v = schedule.ratio()
+        assert r == pytest.approx(WARM_CAP, abs=0) and v is None
 
     def test_endpoint_confident_branch(self):
-        state = make_schedule(100, tau_sched=10.0)
-        for _ in range(100):
-            state = advance_age(state)
-        r, v = confident_ratio(state, lu=state.lam / 2)
+        r, v = schedule_at(100, 100, 0.5, tau_sched=10.0).ratio()
         assert v == pytest.approx(0.5)
         assert r == pytest.approx(0.5 * min(warmup_xi(100, 100) * 10.0, 1.0), abs=0)
 
     def test_warm_branch_capped_at_one_tenth(self):
         rng = np.random.default_rng(1)
-        state = make_schedule(50, tau_sched=10.0)
+        schedule = Schedule(50, tau_sched=10.0)
         for _ in range(50):
-            r, v = confident_ratio(state, lu=state.lam + rng.random())
+            r, v = schedule.ratio()
             assert v is None and r <= 0.1 + 1e-15
-            state = advance_age(state)
+            schedule.advance(schedule.lam * schedule.delta + rng.random())
 
     def test_invalid_states(self):
-        state = make_schedule(10)
-        with pytest.raises(ScheduleStateError):
-            confident_ratio(state.__class__(**{**state.__dict__, "lam": 0.0}), 1.0)
-        with pytest.raises(ValueError):
-            confident_ratio(state, -1.0)
+        for t_max, kwargs in ((10, {"alpha": 0.0}), (10, {"delta": 0.5}),
+                              (10, {"delta": float("nan")}), (0, {})):
+            with pytest.raises(ValueError, match="never shrinks"):
+                Schedule(t_max, **kwargs)
+        for lu in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="must be >= 0"):
+                Schedule(10).advance(lu)
 
 
 class TestSelectMask:
