@@ -1,8 +1,10 @@
 """Command-line entry points.
 
 Verbs: gen-data, train, eval, ablate, schedule-dump. Global flags
---config / --seed / --out-dir apply to every verb. Exit codes: 0 on
-success, 2 on configuration errors, 3 on a numeric training abort.
+--config / --seed / --out-dir apply to every verb; all but schedule-dump
+create --out-dir. --data-dir and --checkpoint read the named-array files
+that gen-data and train write. Exit codes: 0 on success, 2 on configuration
+errors and unusable files or directories, 3 on a numeric training abort.
 """
 
 from __future__ import annotations
@@ -114,9 +116,7 @@ def cmd_eval(cfg: TrainConfig, args) -> int:
     if not cases:
         raise ConfigError(f"{args.data_dir} has no truth volumes to score against")
     records = evaluate_params(sections[args.section], cases, ds.n_classes)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "metrics.csv", "w") as f:
+    with open(Path(args.out_dir) / "metrics.csv", "w") as f:
         f.write(MetricsRecord.CSV_HEADER + "\n")
         for rec in records:
             f.write(rec.csv_row() + "\n")
@@ -152,14 +152,16 @@ def _read_lu_column(path) -> list[float]:
     header = lines[0].split(",") if lines else []
     if "L_u" not in header:
         raise ConfigError(f"{path}: no L_u column")
-    col = header.index("L_u")
     values = []
     for lineno, row in enumerate(lines[1:], 2):
         if not row:
             continue
+        cells = dict(zip(header, row.split(",")))
+        if cells.get("branch") == "off":
+            raise ConfigError(f"{path}:{lineno}: branch=off: this run's schedule selected nothing")
         try:
-            value = float(row.split(",")[col])
-        except (IndexError, ValueError) as e:
+            value = float(cells["L_u"])
+        except (KeyError, ValueError) as e:
             raise ConfigError(f"{path}:{lineno}: no numeric L_u in {row!r}") from e
         if not value >= 0:
             raise ConfigError(f"{path}:{lineno}: L_u must be >= 0, got {value!r}")
@@ -209,6 +211,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_cfg(args)
+        if args.command != "schedule-dump":
+            try:
+                Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+            except OSError as e:
+                raise ConfigError(f"cannot create --out-dir {args.out_dir}: {e}") from e
         return _COMMANDS[args.command](cfg, args)
     except (ConfigError, FormatError, FileNotFoundError) as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -1,28 +1,26 @@
-"""Dense 3D grids: the boundary types and their bit-exact on-disk format.
+"""Dense 3D grids: the boundary types and the package's one on-disk format.
 
 Every map in the pipeline (image, probability, label, mask, uncertainty)
 lives on the same (H, W, D) voxel grid, linearized in C order:
 flat index = (h*W + w)*D + d. Inside a training step the maps are plain
 numpy arrays. `Volume` and `LabelMap` exist only at the boundaries where
-values come from outside the step (dataset generation, volume files,
-manifests) or leave it for scoring: they validate their invariants once
-at construction and then freeze the underlying array, so instances are
-safe to share across threads.
+values come from outside the step (dataset generation, dataset files) or
+leave it for scoring: they validate their invariants once at construction
+and then freeze the underlying array, so instances are safe to share
+across threads.
+Checkpoints and dataset files are all named-array files (`save_arrays`,
+`load_arrays`): the package's one binary layout lives here.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError
-
-# 16-byte magic, then H, W, D, C as little-endian uint32, then
-# H*W*D*C little-endian float64 values in C order.
-VOLUME_MAGIC = b"pacedseg-vol-v1\n"
-_HEADER = struct.Struct("<4I")
 
 
 def _as_c_order(a: np.ndarray, dtype) -> np.ndarray:
@@ -73,67 +71,69 @@ class LabelMap:
 
 
 # ---------------------------------------------------------------------------
-# binary volume I/O
+# named-array files
 # ---------------------------------------------------------------------------
 
-def _write_raw(path, data4: np.ndarray) -> None:
-    h, w, d, c = data4.shape
-    payload = np.ascontiguousarray(data4, dtype="<f8").tobytes()
+# 16-byte magic, uint32 array count, then per array: name (uint16 byte length
+# + UTF-8), dtype code and ndim (uint8 each), ndim uint32 dims and the C-order
+# payload, all little-endian: the bytes depend only on what is written.
+ARRAYS_MAGIC = b"pacedseg-arr-v1\n"
+_DTYPES = (np.dtype(np.float64), np.dtype(np.float32), np.dtype(np.int64))
+
+
+def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
+    """Write float64, float32 and int64 arrays under their names, in dict order."""
     with open(path, "wb") as f:
-        f.write(VOLUME_MAGIC)
-        f.write(_HEADER.pack(h, w, d, c))
-        f.write(payload)
+        f.write(ARRAYS_MAGIC + struct.pack("<I", len(arrays)))
+        for name, a in arrays.items():
+            a, raw = np.asarray(a), name.encode()
+            if a.dtype not in _DTYPES:
+                raise ValueError(f"array {name!r}: dtype {a.dtype} is not f8, f4 or i8")
+            f.write(struct.pack(f"<H{len(raw)}sBB{a.ndim}I", len(raw), raw,
+                                _DTYPES.index(a.dtype), a.ndim, *a.shape))
+            f.write(a.astype(a.dtype.newbyteorder("<"), copy=False).tobytes())
 
 
-def _read_raw(path) -> np.ndarray:
+def load_arrays(path) -> dict[str, np.ndarray]:
+    """Read a `save_arrays` file into writable arrays; any fault is a FormatError.
+
+    Each header is checked against the bytes left in the file before its
+    payload is taken, so a corrupt shape cannot size an allocation.
+    """
     try:
         with open(path, "rb") as f:
-            magic = f.read(len(VOLUME_MAGIC))
-            header = f.read(_HEADER.size)
-            payload = f.read()
+            buf = memoryview(f.read())
     except OSError as e:
         raise FormatError(f"cannot read {path}: {e}") from e
-    if magic != VOLUME_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if len(header) != _HEADER.size:
-        raise FormatError(f"{path}: truncated header")
-    h, w, d, c = _HEADER.unpack(header)
-    expected = h * w * d * c * 8
-    if len(payload) != expected:
-        raise FormatError(
-            f"{path}: header claims {h}x{w}x{d}x{c} ({expected} bytes) "
-            f"but payload has {len(payload)} bytes"
-        )
-    return np.frombuffer(payload, dtype="<f8").reshape(h, w, d, c)
+    pos = 0
 
+    def take(n: int, what: str) -> memoryview:
+        nonlocal pos
+        if n > len(buf) - pos:
+            raise FormatError(f"{path}: truncated {what}: needs {n} bytes, {len(buf) - pos} left")
+        pos += n
+        return buf[pos - n:pos]
 
-def save_volume(vol: Volume, path) -> None:
-    _write_raw(path, vol.data[..., None])
-
-
-def load_volume(path) -> Volume:
-    data = _read_raw(path)
-    if data.shape[3] != 1:
-        raise FormatError(f"{path}: expected 1 channel, got {data.shape[3]}")
-    try:
-        return Volume(data[..., 0])
-    except ValueError as e:
-        raise FormatError(f"{path}: {e}") from e
-
-
-def save_labelmap(lm: LabelMap, path) -> None:
-    _write_raw(path, lm.data.astype(np.float64)[..., None])
-
-
-def load_labelmap(path, n_classes: int) -> LabelMap:
-    data = _read_raw(path)
-    if data.shape[3] != 1:
-        raise FormatError(f"{path}: expected 1 channel, got {data.shape[3]}")
-    labels = np.rint(data[..., 0]).astype(np.int64)
-    try:
-        return LabelMap(labels, n_classes)
-    except ValueError as e:
-        raise FormatError(f"{path}: {e}") from e
+    if take(len(ARRAYS_MAGIC), "magic") != ARRAYS_MAGIC:
+        raise FormatError(f"{path}: bad magic")
+    (count,) = struct.unpack("<I", take(4, "array count"))
+    arrays = {}
+    for _ in range(count):
+        (n,) = struct.unpack("<H", take(2, "name length"))
+        try:
+            name = bytes(take(n, "name")).decode()
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{path}: undecodable name ({e})") from e
+        code, ndim = take(2, f"header of {name!r}")
+        if code >= len(_DTYPES) or name in arrays:
+            raise FormatError(f"{path}: array {name!r} repeats or has unknown dtype code {code}")
+        dtype = _DTYPES[code]
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"shape of {name!r}"))
+        payload = take(dtype.itemsize * math.prod(shape), f"array {name!r} of shape {shape}")
+        arrays[name] = np.frombuffer(payload, dtype.newbyteorder("<")).astype(dtype).reshape(shape)
+    if pos != len(buf):
+        raise FormatError(f"{path}: {len(buf) - pos} trailing bytes after the last array")
+    return arrays
 
 
 # ---------------------------------------------------------------------------

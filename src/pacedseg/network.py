@@ -18,20 +18,20 @@ that: one trunk evaluation serves any number of stochastic head passes.
 Teacher maintenance (exponential moving average) and the SGD-with-momentum
 optimizer operate directly on parameter dicts; the teacher is never
 touched by the optimizer.
+
+A checkpoint is a named-array file (`grids.save_arrays`) of parameter sets
+and scalar metadata; the model sizes are read back off the tensor shapes.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Node, Tape, conv3d_raw, relu_raw, softmax_raw
 from .errors import FormatError, TrainingAbort
-
-CHECKPOINT_MAGIC = b"pacedseg-ckpt-v1"
-CHECKPOINT_VERSION = 1
+from .grids import load_arrays, save_arrays
 
 PARAM_NAMES = (
     "enc1_w", "enc1_b",
@@ -214,99 +214,47 @@ def sgd_step(
 # checkpoints
 # ---------------------------------------------------------------------------
 
-_DTYPE_CODES = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
-_CODE_DTYPES = {v: np.dtype(k) for k, v in _DTYPE_CODES.items()}
-
-
-def _write_str(f, s: str):
-    raw = s.encode()
-    f.write(struct.pack("<H", len(raw)))
-    f.write(raw)
-
-
-def _read_str(f) -> str:
-    (n,) = struct.unpack("<H", f.read(2))
-    return f.read(n).decode()
-
-
 def save_checkpoint(path, sections: dict[str, ModelParams], meta: dict[str, float]):
-    """Versioned binary layout: header, named parameter sets, scalar metadata."""
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<II", CHECKPOINT_VERSION, len(sections)))
-        for name, params in sections.items():
-            _write_str(f, name)
-            f.write(struct.pack("<II", params.n_classes, params.embed_dim))
-            f.write(struct.pack("<d", params.dropout_rate))
-            f.write(struct.pack("<4I", *params.widths))
-            f.write(struct.pack("<B", _DTYPE_CODES[np.dtype(params.dtype)]))
-            f.write(struct.pack("<I", len(PARAM_NAMES)))
-            for tname in PARAM_NAMES:
-                arr = params.tensors[tname]
-                _write_str(f, tname)
-                f.write(struct.pack("<B", arr.ndim))
-                f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        f.write(struct.pack("<I", len(meta)))
-        for key, value in meta.items():
-            _write_str(f, key)
-            f.write(struct.pack("<d", float(value)))
+    """Each section's tensors as `<section>/<param>` in the section's dtype,
+    its `<section>/dropout_rate`, and `meta/<key>`, both float64 scalars."""
+    arrays = {}
+    for name, params in sections.items():
+        arrays |= {f"{name}/{t}": np.asarray(params.tensors[t], params.dtype) for t in PARAM_NAMES}
+        arrays[f"{name}/dropout_rate"] = np.float64(params.dropout_rate)
+    arrays |= {f"meta/{key}": np.float64(value) for key, value in meta.items()}
+    save_arrays(path, arrays)
 
 
 def load_checkpoint(path):
-    try:
-        with open(path, "rb") as f:
-            magic = f.read(len(CHECKPOINT_MAGIC))
-            if magic != CHECKPOINT_MAGIC:
-                raise FormatError(f"{path}: bad checkpoint magic")
-            version, n_sections = struct.unpack("<II", f.read(8))
-            if version != CHECKPOINT_VERSION:
-                raise FormatError(f"{path}: unsupported checkpoint version {version}")
-            sections = {}
-            for _ in range(n_sections):
-                name = _read_str(f)
-                n_classes, embed_dim = struct.unpack("<II", f.read(8))
-                (dropout_rate,) = struct.unpack("<d", f.read(8))
-                widths = struct.unpack("<4I", f.read(16))
-                (dtype_code,) = struct.unpack("<B", f.read(1))
-                if dtype_code not in _CODE_DTYPES:
-                    raise FormatError(f"{path}: unknown dtype code {dtype_code}")
-                dtype = _CODE_DTYPES[dtype_code]
-                expected = _param_shapes(n_classes, widths, embed_dim)
-                (n_tensors,) = struct.unpack("<I", f.read(4))
-                if n_tensors != len(expected):
-                    raise FormatError(f"{path}: section {name!r} has {n_tensors} tensors")
-                tensors = {}
-                for _ in range(n_tensors):
-                    tname = _read_str(f)
-                    (ndim,) = struct.unpack("<B", f.read(1))
-                    shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
-                    # checked before the payload is read: a corrupt shape
-                    # must not size the read
-                    if expected.pop(tname, None) != shape:
-                        raise FormatError(f"{path}: unexpected tensor {tname!r} {shape}")
-                    count = int(np.prod(shape))
-                    raw = f.read(count * 8)
-                    if len(raw) != count * 8:
-                        raise FormatError(f"{path}: truncated tensor {tname}")
-                    tensor = np.frombuffer(raw, dtype="<f8").reshape(shape)
-                    if not np.isfinite(tensor).all():
-                        raise FormatError(f"{path}: non-finite values in tensor {tname}")
-                    tensors[tname] = tensor.astype(dtype)
-                sections[name] = ModelParams(
-                    tensors, n_classes, embed_dim, dropout_rate, widths, dtype
-                )
-            (n_meta,) = struct.unpack("<I", f.read(4))
-            meta = {}
-            for _ in range(n_meta):
-                key = _read_str(f)
-                (meta[key],) = struct.unpack("<d", f.read(8))
-            if f.read(1):
-                raise FormatError(f"{path}: trailing bytes after the metadata")
-    except OSError as e:
-        raise FormatError(f"cannot read {path}: {e}") from e
-    except struct.error as e:
-        raise FormatError(f"{path}: truncated checkpoint ({e})") from e
-    except UnicodeDecodeError as e:
-        raise FormatError(f"{path}: undecodable name ({e})") from e
+    """(sections, meta) of a `save_checkpoint` file; any fault is a FormatError.
+
+    A section's sizes are read off its `seg_w`, `proj_w` and conv weight
+    shapes; every tensor must then have the shape `_param_shapes` gives.
+    """
+    groups: dict[str, dict[str, np.ndarray]] = {}
+    for key, a in load_arrays(path).items():
+        group, _, name = key.rpartition("/")
+        groups.setdefault(group, {})[name] = a
+    meta = {}
+    for key, a in groups.pop("meta", {}).items():
+        if a.shape != ():
+            raise FormatError(f"{path}: metadata {key!r} has shape {a.shape}, not ()")
+        meta[key] = float(a)
+    sections = {}
+    for name, arrays in groups.items():
+        last = {tname: a.shape[-1] for tname, a in arrays.items() if a.ndim}
+        widths = tuple(last.get(f"{layer}_w", 0) for layer in ("enc1", "enc2", "down", "dec"))
+        n_classes, embed_dim = last.get("seg_w", 0), last.get("proj_w", 0)
+        expected = _param_shapes(n_classes, widths, embed_dim) | {"dropout_rate": ()}
+        got = {tname: a.shape for tname, a in arrays.items()}
+        wrong = sorted(t for t in got.keys() | expected.keys() if got.get(t) != expected.get(t))
+        if wrong:
+            raise FormatError(f"{path}: section {name!r} has missing or misshapen tensors {wrong}")
+        dropout_rate, dtype = float(arrays.pop("dropout_rate")), arrays["enc1_w"].dtype
+        for tname, a in arrays.items():
+            if a.dtype != dtype or dtype not in (np.float32, np.float64):
+                raise FormatError(f"{path}: section {name!r} holds a {a.dtype} {tname}")
+            if not np.isfinite(a).all():
+                raise FormatError(f"{path}: non-finite values in tensor {tname}")
+        sections[name] = ModelParams(arrays, n_classes, embed_dim, dropout_rate, widths, dtype)
     return sections, meta

@@ -11,6 +11,9 @@ by smooth random radial jitter whose magnitude grows with distance from
 the annotated slice, sigma * (1 + beta * |d - k|) voxels. With sigma = 0
 it is exact. The default sigma is calibrated so the surrogate's mean DSC
 against the hidden truth lands in the 0.60-0.70 band.
+
+A dataset directory holds two named-array files (`grids.save_arrays`):
+`data.arr`, all that training reads, and `truth.arr`, read only to score.
 """
 
 from __future__ import annotations
@@ -22,18 +25,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .grids import (
-    LabelMap,
-    Volume,
-    load_labelmap,
-    load_volume,
-    save_labelmap,
-    save_volume,
-)
+from .grids import LabelMap, Volume, load_arrays, save_arrays
 from .metrics import dsc_jaccard
 
-MANIFEST_NAME = "manifest.txt"
-MANIFEST_HEADER = "# pacedseg dataset manifest v1"
+DATA_NAME = "data.arr"
+TRUTH_NAME = "truth.arr"
 
 # Calibrated via calibrate_registration_sigma() on the default 32x32x16
 # generator so that mean DSC(reg, truth) over 20 cases sits mid-band
@@ -291,115 +287,64 @@ def fuse_with_weight_map(
 # ---------------------------------------------------------------------------
 
 def save_dataset(dataset: Dataset, out_dir) -> None:
-    """images/ + slices/ + reg/ as training inputs, truth/ as hidden eval data."""
-    out = Path(out_dir)
-    for sub in ("images", "slices", "reg", "truth"):
-        (out / sub).mkdir(parents=True, exist_ok=True)
-    rows = []
-    for case in dataset.labeled:
-        img = f"images/{case.case_id}.vol"
-        sl = f"slices/{case.case_id}.vol"
-        save_volume(case.image, out / img)
-        save_labelmap(LabelMap(case.slice_labels[:, :, None], dataset.n_classes), out / sl)
-        reg = "-"
-        if case.reg_label is not None:
-            reg = f"reg/{case.case_id}.vol"
-            save_labelmap(case.reg_label, out / reg)
-        if case.truth is not None:
-            save_labelmap(case.truth, out / "truth" / f"{case.case_id}.vol")
-        rows.append(f"{case.case_id} labeled {case.k} {img} {sl} {reg}")
-    for case in dataset.unlabeled:
-        img = f"images/{case.case_id}.vol"
-        save_volume(case.image, out / img)
-        if case.truth is not None:
-            save_labelmap(case.truth, out / "truth" / f"{case.case_id}.vol")
-        rows.append(f"{case.case_id} unlabeled -1 {img} - -")
-    h, w, d = dataset.dims
-    with open(out / MANIFEST_NAME, "w") as f:
-        f.write(MANIFEST_HEADER + "\n")
-        f.write(f"dims = {h} {w} {d}\n")
-        f.write(f"classes = {dataset.n_classes}\n")
-        f.write("cases:\n")
-        f.write("\n".join(rows) + "\n")
-
-
-def _manifest_int(path, what, text) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise FormatError(f"{path}: {what} must be an integer, got {text!r}") from None
-
-
-def _shaped(path, name, grid, want):
-    if grid.data.shape != want:
-        raise FormatError(f"{path}: {name} has shape {grid.data.shape}, manifest gives {want}")
-    return grid
+    """Write `data.arr` and, when the cases carry truths, `truth.arr` into the
+    directory `out_dir`. Case i must be `case_{i:04d}`, and registration labels
+    and truths must be on all cases or none."""
+    cases = dataset.labeled + dataset.unlabeled
+    if [case.case_id for case in cases] != [f"case_{i:04d}" for i in range(len(cases))]:
+        raise ValueError("dataset files hold case_0000, case_0001, ..., labeled cases first")
+    regs = [case.reg_label.data for case in dataset.labeled if case.reg_label is not None]
+    truths = [case.truth.data for case in cases if case.truth is not None]
+    if 0 < len(regs) < dataset.n_labeled or 0 < len(truths) < len(cases):
+        raise ValueError("registration labels or truths are on only some cases")
+    arrays = {
+        "classes": np.int64(dataset.n_classes),
+        "images": np.stack([case.image.data for case in cases]),
+        "k": np.array([case.k for case in dataset.labeled], dtype=np.int64),
+        "slices": np.stack([case.slice_labels for case in dataset.labeled]).astype(np.int64),
+    }
+    if regs:
+        arrays["reg"] = np.stack(regs)
+    save_arrays(Path(out_dir) / DATA_NAME, arrays)
+    if truths:
+        save_arrays(Path(out_dir) / TRUTH_NAME, {"truth": np.stack(truths)})
 
 
 def load_dataset(in_dir, include_truth: bool = False) -> Dataset:
-    """Read a dataset directory; truth/ is only touched when asked for."""
+    """Read a dataset directory; truth.arr is only opened when asked for."""
     root = Path(in_dir)
-    path = root / MANIFEST_NAME
-    if not path.exists():
-        raise FormatError(f"no {MANIFEST_NAME} in {in_dir}")
-    try:
-        lines = path.read_text().splitlines()
-    except (OSError, UnicodeDecodeError) as e:
-        raise FormatError(f"cannot read {path}: {e}") from e
-    if not lines or lines[0].strip() != MANIFEST_HEADER:
-        raise FormatError(f"{path}: unrecognized manifest header")
-    dims = None
-    n_classes = None
-    rows = []
-    in_cases = False
-    for line in lines[1:]:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line == "cases:":
-            in_cases = True
-            continue
-        if not in_cases:
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key == "dims":
-                dims = tuple(_manifest_int(path, "dims", x) for x in value.split())
-                if len(dims) != 3 or min(dims) < 1:
-                    raise FormatError(f"{path}: dims must be 3 positive ints, got {value!r}")
-            elif key == "classes":
-                n_classes = _manifest_int(path, "classes", value.strip())
-            else:
-                raise FormatError(f"{path}: unknown manifest key {key!r}")
-        else:
-            rows.append(line.split())
-    if dims is None or n_classes is None:
-        raise FormatError(f"{path}: manifest missing dims/classes")
+    arrays = load_arrays(root / DATA_NAME)
+    truth_file = root / TRUTH_NAME
+    hidden = load_arrays(truth_file) if include_truth and truth_file.exists() else {}
+    if set(arrays) - {"reg"} != {"classes", "images", "k", "slices"} or set(hidden) - {"truth"}:
+        raise FormatError(f"{root}: data.arr holds {sorted(arrays)}, truth.arr {sorted(hidden)}")
+    arrays |= hidden
+    images, ks = arrays["images"], arrays["k"]
+    if images.ndim != 4 or ks.ndim != 1 or len(ks) > len(images):
+        raise FormatError(f"{root}: images {images.shape} or k {ks.shape} is misshapen")
+    n_labeled, (n_cases, h, w, d) = len(ks), images.shape
+    shapes = {"classes": (), "images": images.shape, "k": ks.shape, "truth": images.shape,
+              "slices": (n_labeled, h, w), "reg": (n_labeled, h, w, d)}
+    for name, a in arrays.items():
+        dtype = np.dtype(np.float64 if name == "images" else np.int64)
+        if (a.dtype, a.shape) != (dtype, shapes[name]):
+            raise FormatError(f"{root}: {name} is {a.dtype} {a.shape}, "
+                              f"expected {dtype} {shapes[name]}")
+    if ((ks < 0) | (ks >= d)).any():
+        raise FormatError(f"{root}: slice indices k={ks.tolist()} outside depth {d}")
+    n_classes = int(arrays["classes"])
+    arrays["slices"] = arrays["slices"][..., None]  # each an (H, W, 1) label map
 
-    labeled, unlabeled = [], []
-    for row in rows:
-        if len(row) != 6:
-            raise FormatError(f"{path}: malformed case row {row!r}")
-        case_id, role, k_str, img, sl, reg = row
-        k = _manifest_int(path, f"{case_id} k", k_str)
-        if role == "labeled" and not 0 <= k < dims[2]:
-            raise FormatError(f"{path}: {case_id} slice k={k} outside depth {dims[2]}")
-        truth = None
-        if include_truth:
-            tpath = root / "truth" / f"{case_id}.vol"
-            if tpath.exists():
-                truth = _shaped(path, tpath, load_labelmap(tpath, n_classes), dims)
-        image = _shaped(path, img, load_volume(root / img), dims)
-        if role == "labeled":
-            slices = _shaped(path, sl, load_labelmap(root / sl, n_classes), (*dims[:2], 1))
-            reg_label = (None if reg == "-" else
-                         _shaped(path, reg, load_labelmap(root / reg, n_classes), dims))
-            labeled.append(LabeledCase(
-                case_id=case_id, image=image, k=k,
-                slice_labels=slices.data[:, :, 0].copy(),
-                reg_label=reg_label, truth=truth,
-            ))
-        elif role == "unlabeled":
-            unlabeled.append(UnlabeledCase(case_id=case_id, image=image, truth=truth))
-        else:
-            raise FormatError(f"{path}: unknown role {role!r}")
-    return Dataset(labeled, unlabeled, dims, n_classes)
+    def label_maps(name):
+        return ([LabelMap(a, n_classes) for a in arrays[name]] if name in arrays
+                else [None] * n_cases)
+
+    try:
+        slices, reg, truth = label_maps("slices"), label_maps("reg"), label_maps("truth")
+        cases = [UnlabeledCase(f"case_{i:04d}", Volume(image), truth[i])
+                 for i, image in enumerate(images)]
+    except ValueError as e:
+        raise FormatError(f"{root}: {e}") from e
+    labeled = [LabeledCase(case.case_id, case.image, int(k), slices[i].data[:, :, 0].copy(),
+                           reg[i], case.truth) for i, (case, k) in enumerate(zip(cases, ks))]
+    return Dataset(labeled, cases[n_labeled:], (h, w, d), n_classes)

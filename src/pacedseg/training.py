@@ -362,7 +362,7 @@ class Trainer:
             _, entropy = mc_uncertainty_from_trunk(self.teacher, hdec_u1, cfg.mc_passes, mc_seed)
             mask = select_mask(entropy, r_conf)
         else:
-            r_conf, v = 1.0, None
+            r_conf, v, branch = 1.0, None, "off"
             mask = np.ones(cfg.dims, dtype=bool)
 
         box_u = sample_box(cfg.dims, np.random.default_rng(subs[5]))

@@ -1,8 +1,10 @@
 import shutil
 
+import numpy as np
 import pytest
 
 from pacedseg.cli import EXIT_CONFIG, EXIT_OK, main
+from pacedseg.grids import load_arrays, save_arrays
 from pacedseg.metrics import MetricsRecord
 from pacedseg.network import load_checkpoint
 from pacedseg.synthdata import load_dataset
@@ -156,36 +158,44 @@ def _train_on(cfg, data, out):
     return main(["--config", str(cfg), "--out-dir", str(out), "train", "--data-dir", str(data)])
 
 
-@pytest.mark.parametrize("old,new,message", [
-    (" labeled 2 ", " labeled two ", "k must be an integer, got 'two'"),
-    ("dims = 4 4 4", "dims = 4 4 x", "dims must be an integer, got 'x'"),
-    ("classes = 2", "classes = two", "classes must be an integer, got 'two'"),
-    ("dims = 4 4 4", "dims = 4 4", "dims must be 3 positive ints"),
-    (" labeled 2 ", " labeled 99 ", "k=99 outside depth 4"),
-], ids=["k_not_int", "dims_not_int", "classes_not_int", "two_dims", "k_past_depth"])
-def test_malformed_manifest_exits_config(tiny_data, tmp_path, capsys, old, new, message):
+@pytest.mark.parametrize("fname,name,edit,message", [
+    ("data.arr", "k", lambda k: k + 97, "k=[99] outside depth 4"),
+    # images twice as tall: the stored slices no longer match them
+    ("data.arr", "images", lambda a: np.concatenate([a, a], axis=1),
+     "slices is int64 (1, 4, 4), expected int64 (1, 8, 4)"),
+    ("data.arr", "slices", lambda a: a[:, :2], "slices is int64 (1, 2, 4), expected"),
+    ("data.arr", "reg", lambda a: a[..., :2], "reg is int64 (1, 4, 4, 2), expected"),
+    ("data.arr", "reg", lambda a: a.astype(np.float64), "reg is float64"),
+    ("truth.arr", "truth", lambda a: a[:1], "truth is int64 (1, 4, 4, 4), expected"),
+], ids=["k_past_depth", "images", "slices", "reg", "reg_dtype", "truth"])
+def test_malformed_data_exits_config(tiny_data, trained, tmp_path, capsys,
+                                     fname, name, edit, message):
     cfg, data = tiny_data
     bad = tmp_path / "data"
     shutil.copytree(data, bad)
-    manifest = bad / "manifest.txt"
-    text = manifest.read_text()
-    assert old in text
-    manifest.write_text(text.replace(old, new, 1))
-    assert _train_on(cfg, bad, tmp_path / "run") == EXIT_CONFIG
+    arrays = load_arrays(bad / fname)
+    arrays[name] = edit(arrays[name])
+    save_arrays(bad / fname, arrays)
+    if fname == "truth.arr":  # only eval reads the truth
+        argv = ["--config", str(cfg), "--out-dir", str(tmp_path / "out"), "eval",
+                "--checkpoint", str(trained[2] / "final.ckpt"), "--data-dir", str(bad)]
+        assert main(argv) == EXIT_CONFIG
+    else:
+        assert _train_on(cfg, bad, tmp_path / "run") == EXIT_CONFIG
     assert message in capsys.readouterr().err
 
 
-def test_volume_off_manifest_dims_exits_config(tiny_data, tmp_path, capsys):
-    cfg, data = tiny_data
-    wide_cfg, wide = tmp_path / "w.cfg", tmp_path / "wide"
-    wide_cfg.write_text(TINY_CFG.replace("dim_h = 4", "dim_h = 8"))
-    assert main(["--config", str(wide_cfg), "--out-dir", str(wide), "gen-data"]) == EXIT_OK
-    bad = tmp_path / "data"
-    shutil.copytree(data, bad)
-    shutil.copy(wide / "images" / "case_0001.vol", bad / "images" / "case_0001.vol")
-    assert _train_on(cfg, bad, tmp_path / "run") == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "images/case_0001.vol has shape (8, 4, 4), manifest gives (4, 4, 4)" in err
+def test_manifest_layout_is_not_read(tmp_path, capsys):
+    """A directory in the older manifest + one-file-per-case layout is refused."""
+    old = tmp_path / "old"
+    (old / "images").mkdir(parents=True)
+    (old / "manifest.txt").write_text("# pacedseg dataset manifest v1\ndims = 4 4 4\n")
+    argv = ["--out-dir", str(tmp_path / "run"), "train", "--data-dir", str(old)]
+    assert main(argv) == EXIT_CONFIG
+    assert "cannot read" in capsys.readouterr().err
+    (old / "data.arr").write_text("# pacedseg dataset manifest v1\n")
+    assert main(argv) == EXIT_CONFIG
+    assert "data.arr: bad magic" in capsys.readouterr().err
 
 
 def test_train_without_registration_exits_config(tiny_data, tmp_path, capsys):
@@ -233,16 +243,6 @@ def test_eval_directory_as_checkpoint_exits_config(tiny_data, tmp_path, capsys):
     argv = ["--out-dir", str(tmp_path / "out"), "eval",
             "--checkpoint", str(tmp_path), "--data-dir", str(data)]
     assert main(argv) == EXIT_CONFIG
-    assert "cannot read" in capsys.readouterr().err
-
-
-def test_non_utf8_manifest_exits_config(tiny_data, tmp_path, capsys):
-    cfg, data = tiny_data
-    bad = tmp_path / "data"
-    shutil.copytree(data, bad)
-    manifest = bad / "manifest.txt"
-    manifest.write_bytes(manifest.read_bytes() + b"# \xff\n")
-    assert _train_on(cfg, bad, tmp_path / "run") == EXIT_CONFIG
     assert "cannot read" in capsys.readouterr().err
 
 
@@ -294,3 +294,44 @@ def test_lu_csv_replays_the_schedule_of_a_run(tmp_path, capsys):
     assert {b for (b,) in columns(logged, ["branch"])} == {"warm", "confident"}
     assert (columns(dumped, ["lambda", "R_conf", "v", "K"])
             == columns(logged, ["lambda", "R_conf", "v", "K"]))
+
+
+@pytest.mark.parametrize("verb", [
+    ["gen-data"], ["train"], ["eval", "--checkpoint", "c", "--data-dir", "d"], ["ablate"],
+], ids=lambda verb: verb[0])
+def test_unusable_out_dir_exits_config(tmp_path, capsys, verb):
+    taken = tmp_path / "file"
+    taken.write_text("")
+    for out in (taken, taken / "sub"):
+        assert main(["--out-dir", str(out), *verb]) == EXIT_CONFIG
+        assert "cannot create --out-dir" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def su_off_log(tmp_path_factory):
+    """train_log.csv of an SU-off run whose schedule leaves the warm branch at t = 1."""
+    root = tmp_path_factory.mktemp("su_off")
+    cfg = root / "c.cfg"
+    cfg.write_text(SMALL_CFG.replace("iterations = 2", "iterations = 4")
+                   + "alpha = 100\ntau_sched = 2000\nenable_su = false\n")
+    assert main(["--config", str(cfg), "--out-dir", str(root / "run"), "train"]) == EXIT_OK
+    return cfg, root / "run" / "train_log.csv"
+
+
+def test_su_off_steps_log_branch_off(su_off_log):
+    _, log = su_off_log
+    rows = log.read_text().splitlines()
+    header = rows[0].split(",")
+    cells = [dict(zip(header, row.split(","))) for row in rows[1:]]
+    assert len(cells) == 4
+    # R_conf = 1 and every voxel (8 * 8 * 4) selected, from the warm step on
+    assert ([(c["branch"], c["R_conf"], c["v"], c["K"]) for c in cells]
+            == [("off", "1.0", "", "256")] * 4)
+
+
+def test_lu_csv_of_an_su_off_run_exits_config(su_off_log, capsys):
+    cfg, log = su_off_log
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "schedule-dump", "--lu-csv", str(log)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert ":2: branch=off" in captured.err and captured.out == ""

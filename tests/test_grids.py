@@ -5,14 +5,14 @@ import pytest
 
 from pacedseg.errors import FormatError
 from pacedseg.grids import (
-    VOLUME_MAGIC,
+    ARRAYS_MAGIC,
     LabelMap,
     Volume,
     downsample_labels_majority,
     downsample_mask,
     downsample_mean,
-    load_volume,
-    save_volume,
+    load_arrays,
+    save_arrays,
 )
 from pacedseg.metrics import evaluate_case
 from pacedseg.network import forward_parts, head_forward, init_params
@@ -20,50 +20,104 @@ from pacedseg.synthdata import UnlabeledCase
 from pacedseg.training import evaluate_params
 
 
+def array_file(name: bytes, code: int, shape, payload: bytes, count: int = 1) -> bytes:
+    """A named-array file assembled by hand, independently of `save_arrays`."""
+    return (ARRAYS_MAGIC + struct.pack("<IH", count, len(name)) + name
+            + struct.pack(f"<BB{len(shape)}I", code, len(shape), *shape) + payload)
+
+
 class TestVolumeIO:
+    """Volumes go to disk as named arrays; the codec must give them back bit for bit."""
+
     def test_roundtrip_zeros(self, tmp_path):
         vol = Volume(np.zeros((2, 2, 2)))
-        path = tmp_path / "z.vol"
-        save_volume(vol, path)
-        back = load_volume(path)
+        path = tmp_path / "z.arr"
+        save_arrays(path, {"image": vol.data})
+        back = Volume(load_arrays(path)["image"])
         assert back.dims == (2, 2, 2)
         np.testing.assert_array_equal(back.data, vol.data)
 
     def test_roundtrip_linear_index_bytes(self, tmp_path):
         """Byte-compare against an independently assembled buffer."""
         data = np.arange(3 * 4 * 5, dtype=np.float64).reshape(3, 4, 5)
-        path = tmp_path / "lin.vol"
-        save_volume(Volume(data), path)
-        expected = (
-            VOLUME_MAGIC
-            + struct.pack("<4I", 3, 4, 5, 1)
-            + data.astype("<f8").tobytes()
-        )
+        path = tmp_path / "lin.arr"
+        save_arrays(path, {"image": Volume(data).data})
+        expected = array_file(b"image", 0, (3, 4, 5), data.astype("<f8").tobytes())
         assert path.read_bytes() == expected
-        np.testing.assert_array_equal(load_volume(path).data, data)
+        np.testing.assert_array_equal(load_arrays(path)["image"], data)
 
     def test_roundtrip_random_bit_exact(self, tmp_path):
         rng = np.random.default_rng(7)
         for i in range(20):
             dims = tuple(rng.integers(1, 7, size=3))
-            data = rng.standard_normal(dims) * 10.0 ** rng.integers(-8, 8)
-            path = tmp_path / f"r{i}.vol"
-            save_volume(Volume(data), path)
-            back = load_volume(path)
-            assert back.data.tobytes() == np.ascontiguousarray(data).tobytes()
+            arrays = {
+                "f8": rng.standard_normal(dims) * 10.0 ** rng.integers(-8, 8),
+                "f4": rng.standard_normal(dims).astype(np.float32),
+                "i8": rng.integers(-2**62, 2**62, size=dims),
+                "scalar": np.float64(rng.standard_normal()),
+            }
+            path = tmp_path / f"r{i}.arr"
+            save_arrays(path, arrays)
+            back = load_arrays(path)
+            assert list(back) == list(arrays)
+            for name, a in arrays.items():
+                assert back[name].dtype == a.dtype and back[name].shape == np.shape(a)
+                assert back[name].tobytes() == np.ascontiguousarray(a).tobytes()
+                assert back[name].flags.writeable
 
     def test_payload_length_mismatch(self, tmp_path):
-        path = tmp_path / "bad.vol"
-        payload = np.zeros(7, dtype="<f8").tobytes()
-        path.write_bytes(VOLUME_MAGIC + struct.pack("<4I", 2, 2, 2, 1) + payload)
-        with pytest.raises(FormatError):
-            load_volume(path)
+        path = tmp_path / "bad.arr"
+        path.write_bytes(array_file(b"v", 0, (2, 2, 2), np.zeros(7, dtype="<f8").tobytes()))
+        with pytest.raises(FormatError, match="truncated array 'v' of shape"):
+            load_arrays(path)
 
     def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.vol"
+        path = tmp_path / "junk.arr"
         path.write_bytes(b"x" * 64)
-        with pytest.raises(FormatError):
-            load_volume(path)
+        with pytest.raises(FormatError, match="bad magic"):
+            load_arrays(path)
+
+
+class TestArrayFile:
+    def test_equal_arrays_give_equal_bytes(self, tmp_path):
+        arrays = {"a": np.arange(6.0).reshape(2, 3), "b": np.int64(4)}
+        save_arrays(tmp_path / "1.arr", arrays)
+        save_arrays(tmp_path / "2.arr", {k: np.array(v, copy=True) for k, v in arrays.items()})
+        assert (tmp_path / "1.arr").read_bytes() == (tmp_path / "2.arr").read_bytes()
+
+    def test_non_contiguous_input_is_written_in_c_order(self, tmp_path):
+        data = np.arange(24.0).reshape(2, 3, 4)
+        save_arrays(tmp_path / "t.arr", {"t": data.transpose(2, 0, 1)})
+        np.testing.assert_array_equal(load_arrays(tmp_path / "t.arr")["t"],
+                                      data.transpose(2, 0, 1))
+
+    def test_other_dtypes_are_refused(self, tmp_path):
+        for a in (np.zeros(2, dtype=bool), np.zeros(2, dtype=np.int32)):
+            with pytest.raises(ValueError, match="not f8, f4 or i8"):
+                save_arrays(tmp_path / "x.arr", {"x": a})
+
+    @pytest.mark.parametrize("raw, message", [
+        (array_file(b"v", 3, (2,), bytes(16)), "unknown dtype code 3"),
+        (array_file(b"\xff", 0, (2,), bytes(16)), "undecodable name"),
+        (array_file(b"v", 0, (2,), bytes(17)), "1 trailing bytes"),
+        (array_file(b"v", 0, (2,), bytes(16), count=2), "truncated name length"),
+        (array_file(b"v", 0, (2,), bytes(16), count=2) + struct.pack("<HcBB", 1, b"v", 0, 0)
+         + bytes(8), "array 'v' repeats"),
+        # a shape of 2**96 float64 values is refused before any allocation
+        (array_file(b"v", 0, (2**32 - 1,) * 3, bytes(16)), "truncated array 'v'"),
+        (ARRAYS_MAGIC + b"\0\0", "truncated array count"),
+        (b"", "truncated magic"),
+    ], ids=["dtype_code", "name", "trailing", "count", "repeated_name", "huge_shape",
+            "short_header", "empty"])
+    def test_malformed_file_raises(self, tmp_path, raw, message):
+        path = tmp_path / "bad.arr"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match=message):
+            load_arrays(path)
+
+    def test_unreadable_path_raises(self, tmp_path):
+        with pytest.raises(FormatError, match="cannot read"):
+            load_arrays(tmp_path)
 
 
 class TestTypes:

@@ -47,6 +47,29 @@ def test_no_unused_imports_in_package():
     assert found == {}, f"unused imports (module: names): {found}"
 
 
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules a source imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_scan_finds_imported_modules():
+    source = "import struct\nfrom os.path import join\nfrom .grids import x\n"
+    assert imported_modules(source) == {"struct", "os"}
+
+
+def test_only_grids_packs_bytes():
+    """The binary layout lives in grids.py: no other module imports struct."""
+    packers = sorted(path.name for path in SRC.glob("*.py")
+                     if "struct" in imported_modules(path.read_text()))
+    assert packers == ["grids.py"]
+
+
 def top_level_defs(source: str) -> list[str]:
     """Functions and classes a module defines at its top level."""
     return [node.name for node in ast.parse(source).body

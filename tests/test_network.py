@@ -6,8 +6,8 @@ import pytest
 
 from pacedseg.autodiff import Tape
 from pacedseg.errors import FormatError, TrainingAbort
+from pacedseg.grids import ARRAYS_MAGIC, load_arrays, save_arrays
 from pacedseg.network import (
-    CHECKPOINT_MAGIC,
     PARAM_NAMES,
     SGDState,
     ema_update,
@@ -225,19 +225,21 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
-    # offsets in a one-section "student" checkpoint: the section name, its
-    # dtype code (the tensor count follows), and the first tensor's name
-    NAME_AT = len(CHECKPOINT_MAGIC) + 8 + 2
-    DTYPE_AT = NAME_AT + len("student") + 8 + 8 + 16
-    TENSOR_AT = DTYPE_AT + 1 + 4 + 2
+    # offsets in a one-section "student" checkpoint: the array count, then the
+    # first array's name ("student/enc1_w"), its dtype code and its shape
+    COUNT_AT = len(ARRAYS_MAGIC)
+    NAME_AT = COUNT_AT + 4 + 2
+    DTYPE_AT = NAME_AT + len("student/enc1_w")
+    SHAPE_AT = DTYPE_AT + 1 + 1
 
     @pytest.mark.parametrize("offset, byte, message", [
         (DTYPE_AT, 9, "unknown dtype code 9"),
         (NAME_AT, 0xFF, "undecodable name"),
-        (DTYPE_AT + 1, 11, "has 11 tensors"),
-        (TENSOR_AT + len("enc1_"), ord("x"), "unexpected tensor 'enc1_x'"),
+        # 11 of the 14 arrays (12 tensors, dropout_rate, iteration) are read
+        (COUNT_AT, 11, "trailing bytes"),
+        (NAME_AT + len("student/enc1_"), ord("x"), "enc1_x"),
         # enc1_w's first dim becomes 1 + 256, caught before the payload read
-        (TENSOR_AT + len("enc1_w") + 1 + 1, 1, "unexpected tensor 'enc1_w'"),
+        (SHAPE_AT + 1, 1, "truncated array 'student/enc1_w'"),
     ], ids=["dtype_code", "section_name", "tensor_count", "tensor_name", "tensor_shape"])
     def test_corrupt_byte_raises(self, tmp_path, offset, byte, message):
         path = tmp_path / "model.ckpt"
@@ -247,6 +249,37 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match=message):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("student/seg_b", np.zeros(3), r"misshapen tensors \['seg_b'\]"),
+        ("student/proj_w", np.zeros((4, 1, 1, 1, 6)), r"tensors \['proj_b'\]"),
+        ("student/enc1_w", None, r"\['enc1_b', 'enc1_w', 'enc2_w'\]"),
+        ("student/dropout_rate", None, "dropout_rate"),
+        ("student/extra", np.zeros(1), "extra"),
+        ("student/seg_b", np.zeros(2, dtype=np.float32), "holds a float32 seg_b"),
+        ("student/seg_b", np.zeros(2, dtype=np.int64), "holds a int64 seg_b"),
+        ("meta/iteration", np.zeros(2), "metadata 'iteration' has shape"),
+    ], ids=["bias_shape", "embed_dim", "missing_tensor", "missing_dropout", "extra_tensor",
+            "mixed_dtype", "int_dtype", "meta_shape"])
+    def test_malformed_section_raises(self, tmp_path, name, value, message):
+        """Shapes, dtypes and names the codec accepts but a model cannot have."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"student": tiny_params()}, {"iteration": 3})
+        arrays = load_arrays(path)
+        if value is None:
+            del arrays[name]
+        else:
+            arrays[name] = value
+        save_arrays(path, arrays)
+        with pytest.raises(FormatError, match=message):
+            load_checkpoint(path)
+
+    def test_equal_models_give_equal_bytes(self, tmp_path):
+        for i in range(2):
+            save_checkpoint(tmp_path / f"{i}.ckpt", {"student": tiny_params(seed=4),
+                                                     "teacher": tiny_params(seed=5)},
+                            {"iteration": 7, "lambda": 0.25})
+        assert (tmp_path / "0.ckpt").read_bytes() == (tmp_path / "1.ckpt").read_bytes()
 
     def test_trailing_bytes_raise(self, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -270,6 +303,8 @@ class TestCheckpoint:
         sections, _ = load_checkpoint(path)
         got = sections["student"]
         assert got.dtype == np.float32
+        stored = {a.dtype for a in load_arrays(path).values()}
+        assert stored == {np.dtype(np.float32), np.dtype(np.float64)}  # f4 tensors, f8 scalars
         for name in PARAM_NAMES:
             np.testing.assert_array_equal(got.tensors[name], params.tensors[name])
 

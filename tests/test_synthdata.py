@@ -176,12 +176,43 @@ class TestDatasetIO:
         ds = generate_dataset(1, 1, (16, 16, 8), seed=7)
         attach_registration(ds, seed=7)
         save_dataset(ds, tmp_path)
-        import shutil
-
-        shutil.rmtree(tmp_path / "truth")
+        (tmp_path / "truth.arr").unlink()
         back = load_dataset(tmp_path, include_truth=False)
         assert back.labeled[0].truth is None
         assert back.unlabeled[0].truth is None
+        assert load_dataset(tmp_path, include_truth=True).unlabeled[0].truth is None
+
+    def test_roundtrip_without_registration_or_truth(self, tmp_path):
+        ds = generate_dataset(2, 1, (8, 8, 4), seed=3)
+        for case in ds.labeled + ds.unlabeled:
+            case.truth = None
+        save_dataset(ds, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.arr"]
+        back = load_dataset(tmp_path, include_truth=True)
+        assert [c.case_id for c in back.labeled + back.unlabeled] == [
+            "case_0000", "case_0001", "case_0002"]
+        assert all(c.reg_label is None and c.truth is None for c in back.labeled)
+        np.testing.assert_array_equal(back.unlabeled[0].image.data, ds.unlabeled[0].image.data)
+
+    def test_equal_datasets_give_equal_bytes(self, tmp_path):
+        for name in ("a", "b"):
+            ds = attach_registration(generate_dataset(2, 2, (8, 8, 4), seed=5), seed=5)
+            (tmp_path / name).mkdir()
+            save_dataset(ds, tmp_path / name)
+        for fname in ("data.arr", "truth.arr"):
+            assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda ds: setattr(ds.unlabeled[0], "case_id", "scan_7"), "case_0000, case_0001"),
+        (lambda ds: setattr(ds.labeled[1], "reg_label", None), "only some cases"),
+        (lambda ds: setattr(ds.unlabeled[1], "truth", None), "only some cases"),
+    ], ids=["case_id", "partial_reg", "partial_truth"])
+    def test_save_refuses_what_the_files_cannot_hold(self, tmp_path, edit, message):
+        ds = attach_registration(generate_dataset(2, 2, (8, 8, 4), seed=5), seed=5)
+        edit(ds)
+        with pytest.raises(ValueError, match=message):
+            save_dataset(ds, tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_attach_registration_deterministic(self):
         a = generate_dataset(3, 0, (16, 16, 8), seed=8)
