@@ -6,18 +6,27 @@ closure is dropped once the sweep has passed it, so a tape is swept once.
 A closure holds the nodes it reads, never the tape or the node it
 belongs to, so a tape holds no reference cycle: dropping it frees its
 values at once, by reference counting, whether or not backward ran.
-Values are numpy arrays (float32 or float64); each op caches what its
-backward closure needs. The op set is exactly what the segmentation model
-and its losses require: 3D convolution (im2col + BLAS matmul), also of a
-nearest-up x2 input computed on the low-res grid (`up=2`), relu, softmax,
-elementwise arithmetic, reductions, gathers, transpose and matmul, and
-the row-wise dot product used by the cosine-similarity contrastive loss.
+Values are numpy arrays (float32 or float64); each op's closure holds
+the nodes it reads and what it derived from them. The op set is exactly
+what the segmentation model and its losses require: 3D convolution
+(im2col + BLAS matmul), also of a nearest-up x2 input computed on the
+low-res grid (`up=2`), relu, softmax, elementwise arithmetic, reductions,
+gathers, transpose and matmul, and the row-wise dot product used by the
+cosine-similarity contrastive loss.
 
 The hot numpy ops run on long contiguous rows. A stride-1 conv reads each
 kernel tap as one contiguous run of the flattened zero-padded input (the
 flat-shift form of im2col), and its backward adds each tap's gradient
-back as one run; only strided convs gather windows. Reductions over the
-short trailing class axis fold one class slice at a time (`fold_last`),
+back as one run; only strided convs gather windows. No im2col matrix is
+kept for backward: a stride-1 conv gathers its cols one tile of `TILE`
+output-frame columns at a time, a strided conv gathers its windows whole,
+and each backward gathers them again from the input node (recompute in
+backward, as in Chen et al., arXiv 1604.06174). The padded input, the
+tile of cols, the tile of column gradients and the zero-bordered
+gradient frame live in work buffers kept across calls, one per geometry,
+so their pages are not faulted in afresh on every call. The buffers are
+per process and not thread-safe. Reductions over the short trailing class
+axis fold one class slice at a time (`fold_last`, `argmax_last`),
 bitwise equal to numpy's own reduction.
 
 Raw kernels (`conv3d_raw`, `softmax_raw`, ...) are shared with the
@@ -28,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Tape", "Node", "conv3d_raw", "softmax_raw", "relu_raw", "fold_last"]
+__all__ = ["Tape", "Node", "conv3d_raw", "softmax_raw", "relu_raw", "fold_last", "argmax_last"]
 
 
 # ---------------------------------------------------------------------------
@@ -39,17 +48,48 @@ def _out_extent(size, k, stride, pad):
     return (size + 2 * pad - k) // stride + 1
 
 
+# Output-frame columns gathered per tile; a tile of cols is a few MB at
+# most, so no conv builds, or keeps for backward, a full im2col matrix.
+TILE = 4096
+
+_kept: dict = {}
+
+
+def _kept_buffer(key, shape, dtype, zero=False):
+    """A work buffer kept across calls under (key, shape, dtype).
+
+    A `zero` buffer is zero-filled once, when it is made; a caller keys it
+    on every size that decides which of its regions get written, so the
+    regions no call writes stay zero. The buffers are per process and not
+    thread-safe: two convs of one geometry must not run at once.
+    """
+    full = (key, shape, np.dtype(dtype))
+    buf = _kept.get(full)
+    if buf is None:
+        buf = _kept[full] = (np.zeros if zero else np.empty)(shape, dtype)
+    return buf
+
+
+def _padded(x, pad):
+    """x zero-padded by `pad` on every spatial side, in a kept buffer."""
+    if not pad:
+        return x
+    cin, h, w, d = x.shape
+    xp = _kept_buffer(("pad", x.shape, pad), (cin, h + 2 * pad, w + 2 * pad, d + 2 * pad),
+                      x.dtype, zero=True)
+    xp[:, pad : pad + h, pad : pad + w, pad : pad + d] = x
+    return xp
+
+
 def _im2col(xp, kh, kw, kd, stride, oh, ow, od):
-    """Gather strided windows of a padded channels-first volume into
-    (Cin*kh*kw*kd, N); used for stride > 1 only.
+    """Gather strided windows of a padded channels-first volume into a kept
+    (Cin*kh*kw*kd, N) buffer; used for stride > 1 only.
 
     One dense block copy per kernel offset, so the cost is insensitive to
     the channel count (the fill is contiguous along the output grid).
     """
     cin = xp.shape[0]
-    n = oh * ow * od
-    cols = np.empty((cin, kh * kw * kd, n), dtype=xp.dtype)
-    colsv = cols.reshape(cin, kh * kw * kd, oh, ow, od)
+    colsv = _kept_buffer("win", (cin, kh * kw * kd, oh, ow, od), xp.dtype)
     m = 0
     for i in range(kh):
         for j in range(kw):
@@ -61,7 +101,7 @@ def _im2col(xp, kh, kw, kd, stride, oh, ow, od):
                     l : l + od * stride : stride,
                 ]
                 m += 1
-    return cols.reshape(cin * kh * kw * kd, n)
+    return colsv.reshape(cin * kh * kw * kd, oh * ow * od)
 
 
 def _weight_mat(w):
@@ -86,6 +126,25 @@ def _flat_taps(kshape, frame, out):
     return offsets, (oh - 1) * wp * dp + (ow - 1) * dp + od
 
 
+def _tiles(n):
+    return [(s, min(s + TILE, n)) for s in range(0, n, TILE)]
+
+
+def _run_cols(xf, offsets, n, s, e):
+    """Columns s:e of the flat-run im2col of the flattened padded input xf,
+    as a (Cin*K, e - s) view of a kept buffer: row (c, tap) holds channel c
+    read from the tap's offset on."""
+    cin, k = xf.shape[0], len(offsets)
+    cols = _kept_buffer("cols", (cin, k, min(n, TILE)), xf.dtype)
+    for m, o in enumerate(offsets):
+        cols[:, m, : e - s] = xf[:, o + s : o + e]
+    return cols.reshape(cin * k, -1)[:, : e - s]
+
+
+def _pointwise(w, stride, pad):
+    return w.shape[1:4] == (1, 1, 1) and stride == 1 and pad == 0
+
+
 def _conv3d(x, w, b, stride, pad):
     cin, kh, kw, kd, cout = w.shape
     if x.shape[0] != cin:
@@ -93,46 +152,45 @@ def _conv3d(x, w, b, stride, pad):
     h, ww, d = x.shape[1:]
     oh, ow, od = (_out_extent(s, k, stride, pad)
                   for s, k in zip((h, ww, d), (kh, kw, kd)))
-    if kh == kw == kd == 1 and stride == 1 and pad == 0:
+    if _pointwise(w, stride, pad):
         out = w.reshape(cin, cout).T @ x.reshape(cin, -1)
         out += b[:, None]
-        return out.reshape(cout, oh, ow, od), None
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (pad, pad))) if pad else x
+        return out.reshape(cout, oh, ow, od)
+    xp = _padded(x, pad)
     if stride > 1:
-        cols = _im2col(xp, kh, kw, kd, stride, oh, ow, od)
-        out = _weight_mat(w) @ cols
+        out = _weight_mat(w) @ _im2col(xp, kh, kw, kd, stride, oh, ow, od)
         out += b[:, None]
-        return out.reshape(cout, oh, ow, od), cols
+        return out.reshape(cout, oh, ow, od)
     _, hp, wp, dp = xp.shape
     offsets, n = _flat_taps((kh, kw, kd), (hp, wp, dp), (oh, ow, od))
-    xf = xp.reshape(cin, -1)
-    cols = np.empty((cin, len(offsets), n), dtype=x.dtype)
-    for m, o in enumerate(offsets):
-        cols[:, m] = xf[:, o : o + n]
-    cols = cols.reshape(cin * len(offsets), n)
+    xf, wmat = xp.reshape(cin, -1), _weight_mat(w)
     frame = np.empty((cout, oh * wp * dp), dtype=x.dtype)
-    run = frame[:, :n]
-    np.matmul(_weight_mat(w), cols, out=run)
-    run += b[:, None]
-    return frame.reshape(cout, oh, wp, dp)[:, :, :ow, :od], cols
+    for s, e in _tiles(n):
+        np.matmul(wmat, _run_cols(xf, offsets, n, s, e), out=frame[:, s:e])
+    frame[:, :n] += b[:, None]
+    return frame.reshape(cout, oh, wp, dp)[:, :, :ow, :od]
 
 
-def _conv3d_backward(gout, cols, x, w, stride, pad):
+def _conv3d_backward(gout, x, w, stride, pad):
     cin, kh, kw, kd, cout = w.shape
     oh, ow, od = gout.shape[1:]
     gmat = np.ascontiguousarray(gout.reshape(cout, -1))
     gb = gmat.sum(axis=1)
-    if cols is None:  # 1x1x1 fast path
+    if _pointwise(w, stride, pad):
         xmat = x.reshape(cin, -1)
         gw = (xmat @ gmat.T).reshape(w.shape)
         gx = (w.reshape(cin, cout) @ gmat).reshape(x.shape)
         return gx, gw, gb
     h, ww, d = x.shape[1:]
-    hp, wp, dp = h + 2 * pad, ww + 2 * pad, d + 2 * pad
+    xp = _padded(x, pad)  # the forward's cols are gathered again from x
+    _, hp, wp, dp = xp.shape
+    k = kh * kw * kd
     gxp = np.zeros((cin, hp, wp, dp), dtype=gout.dtype)
+    wmat_t = _weight_mat(w).T
     if stride > 1:
-        gw = (cols @ gmat.T).reshape(w.shape)
-        g5 = (_weight_mat(w).T @ gmat).reshape(cin, kh * kw * kd, oh, ow, od)
+        gw = (_im2col(xp, kh, kw, kd, stride, oh, ow, od) @ gmat.T).reshape(w.shape)
+        g5 = _kept_buffer("gwin", (cin, k, oh, ow, od), gout.dtype)
+        np.matmul(wmat_t, gmat, out=g5.reshape(cin * k, -1))
         m = 0
         for i in range(kh):
             for j in range(kw):
@@ -146,14 +204,19 @@ def _conv3d_backward(gout, cols, x, w, stride, pad):
                     m += 1
     else:
         offsets, n = _flat_taps((kh, kw, kd), (hp, wp, dp), (oh, ow, od))
-        gframe = np.zeros((cout, oh, wp, dp), dtype=gout.dtype)
+        # zero between the rows of gout, which the runs read through
+        gframe = _kept_buffer(("gframe", ow, od), (cout, oh, wp, dp), gout.dtype, zero=True)
         gframe[:, :, :ow, :od] = gout
-        grun = gframe.reshape(cout, -1)[:, :n]
-        gw = (cols @ grun.T).reshape(w.shape)
-        gcols = (_weight_mat(w).T @ grun).reshape(cin, len(offsets), n)
-        gxf = gxp.reshape(cin, -1)
-        for m, o in enumerate(offsets):
-            gxf[:, o : o + n] += gcols[:, m]
+        grun, xf, gxf = gframe.reshape(cout, -1), xp.reshape(cin, -1), gxp.reshape(cin, -1)
+        gcols = _kept_buffer("gcols", (cin, k, min(n, TILE)), gout.dtype)
+        gw = np.zeros((cin * k, cout), dtype=gout.dtype)
+        for s, e in _tiles(n):
+            g = grun[:, s:e]
+            gw += _run_cols(xf, offsets, n, s, e) @ g.T
+            np.matmul(wmat_t, g, out=gcols.reshape(cin * k, -1)[:, : e - s])
+            for m, o in enumerate(offsets):
+                gxf[:, o + s : o + e] += gcols[:, m, : e - s]
+        gw = gw.reshape(w.shape)
     gx = gxp[:, pad : pad + h, pad : pad + ww, pad : pad + d] if pad else gxp
     return gx, gw, gb
 
@@ -200,13 +263,11 @@ def _parity_weight_adjoint(gm, cout):
 def conv3d_raw(x, w, b, stride=1, pad=1, up=1):
     """Channels-first 3D convolution. x: (Cin,H,W,D), w: (Cin,kh,kw,kd,Cout).
 
-    Returns (out, cols); cols is the im2col matrix kept for the backward
-    pass, or None on the 1x1x1 fast path (the input itself serves). For
-    stride 1, cols is the flat-run matrix: row (c, tap) holds channel c of
-    the flattened padded input from the tap's offset on, over L columns
-    (see `_flat_taps`), and out is a (Cout, oh, ow, od) view of the
-    (Cout, oh, Wp, Dp) result frame. For stride > 1 it holds the gathered
-    windows, one column per output voxel.
+    Returns the (Cout, oh, ow, od) output. For stride 1 it is a view of the
+    (Cout, oh, Wp, Dp) result frame, filled one tile of flat-run columns at
+    a time (see `_flat_taps` and `_run_cols`); for stride > 1 the windows
+    are gathered, one column per output voxel. Nothing is kept for the
+    backward pass: `conv3d_backward` gathers the columns again from x.
 
     With up=2 the input is first up-sampled x2 by nearest neighbour, but the
     conv runs on x's own grid. Along each axis the output at 2i + p sees the
@@ -219,23 +280,23 @@ def conv3d_raw(x, w, b, stride=1, pad=1, up=1):
     if up == 1:
         return _conv3d(x, w, b, stride, pad)
     cout = w.shape[4]
-    small, cols = _conv3d(x, _parity_weight(w), np.repeat(b, 8), 1, 1)
+    small = _conv3d(x, _parity_weight(w), np.repeat(b, 8), 1, 1)
     h, ww, d = small.shape[1:]
     out = small.reshape(cout, 2, 2, 2, h, ww, d).transpose(0, 4, 1, 5, 2, 6, 3)
-    return out.reshape(cout, 2 * h, 2 * ww, 2 * d), cols
+    return out.reshape(cout, 2 * h, 2 * ww, 2 * d)
 
 
-def conv3d_backward(gout, cols, x, w, stride, pad, up=1):
+def conv3d_backward(gout, x, w, stride, pad, up=1):
     """(gx, gw, gb) of `conv3d_raw(x, w, b, stride, pad, up)` for the output
-    gradient gout; cols is what that forward returned."""
+    gradient gout."""
     _check_up(w, stride, pad, up)
     if up == 1:
-        return _conv3d_backward(gout, cols, x, w, stride, pad)
+        return _conv3d_backward(gout, x, w, stride, pad)
     cout = w.shape[4]
     h, ww, d = x.shape[1:]
     gsmall = gout.reshape(cout, h, 2, ww, 2, d, 2).transpose(0, 2, 4, 6, 1, 3, 5)
     gx, gm, gb = _conv3d_backward(
-        gsmall.reshape(cout * 8, h, ww, d), cols, x, _parity_weight(w), 1, 1
+        gsmall.reshape(cout * 8, h, ww, d), x, _parity_weight(w), 1, 1
     )
     return gx, _parity_weight_adjoint(gm, cout), gb.reshape(cout, 8).sum(axis=1)
 
@@ -253,6 +314,24 @@ def fold_last(ufunc, x):
     for c in range(1, x.shape[-1]):
         ufunc(out, x[..., c], out=out)
     return out
+
+
+def argmax_last(x):
+    """`np.argmax(x, axis=-1)` for NaN-free x, folded over the trailing axis.
+
+    A class wins where it is strictly greater than every class before it
+    (`>` folded one slice at a time), so ties go to the lowest class, as in
+    numpy; each comparison runs over every row at once instead of numpy's
+    row-by-row reduction of the short class axis. A winning class c is above
+    every index so far, so `maximum` records it.
+    """
+    idx = np.zeros(x.shape[:-1], dtype=np.intp)
+    best = x[..., 0]
+    for c in range(1, x.shape[-1]):
+        np.maximum(idx, c * (x[..., c] > best), out=idx)
+        if c + 1 < x.shape[-1]:
+            best = np.maximum(best, x[..., c])
+    return idx
 
 
 def softmax_raw(x):
@@ -301,9 +380,11 @@ class Tape:
     def backward(self, loss: Node):
         """Fill `.grad` of every node the loss depends on; one sweep per tape.
 
-        Each node's closure, and with it the buffers it cached (a conv's
-        cols), is dropped as the sweep passes the node, so the sweep's peak
-        memory falls as it goes. A second sweep would find no closures and
+        Each node's closure, and with it what it derived from its inputs
+        (a softmax's probabilities, a gather's indices), is dropped as the
+        sweep passes the node, so the sweep's peak memory falls as it goes.
+        A conv's closure holds only its nodes: backward gathers the cols
+        again from the input. A second sweep would find no closures and
         yield no gradients, so it raises instead.
         """
         if loss.value.size != 1:
@@ -446,11 +527,11 @@ class Tape:
         return out
 
     def conv3d(self, x: Node, w: Node, b: Node, stride=1, pad=1, up=1):
-        val, cols = conv3d_raw(x.value, w.value, b.value, stride, pad, up)
-        out = self._record(val)
+        out = self._record(conv3d_raw(x.value, w.value, b.value, stride, pad, up))
 
         def back(g):
-            gx, gw, gb = conv3d_backward(g, cols, x.value, w.value, stride, pad, up)
+            # by keyword, so a wrapper can read w and stride without the positions
+            gx, gw, gb = conv3d_backward(g, x.value, w=w.value, stride=stride, pad=pad, up=up)
             _accum(x, gx)
             _accum(w, gw)
             _accum(b, gb)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import argmax_last
 from .errors import FormatError
 
 
@@ -167,7 +168,7 @@ def downsample_labels_majority(
     """Most frequent label per block; ties go to the smallest class id."""
     blocks = _block_view(labels, factor)
     counts = np.stack([(blocks == c).sum(axis=3) for c in range(n_classes)], axis=3)
-    return np.argmax(counts, axis=3)
+    return argmax_last(counts)
 
 
 def downsample_mean(vol: np.ndarray, factor: tuple[int, int, int]) -> np.ndarray:

@@ -147,11 +147,11 @@ def forward_parts(params: ModelParams, image: np.ndarray):
     _check_dims(image.shape)
     t = params.tensors
     x = np.asarray(image, dtype=params.dtype)[None]
-    h1 = relu_raw(conv3d_raw(x, t["enc1_w"], t["enc1_b"])[0])
-    h2 = relu_raw(conv3d_raw(h1, t["enc2_w"], t["enc2_b"])[0])
-    hd = relu_raw(conv3d_raw(h2, t["down_w"], t["down_b"], stride=2)[0])
-    feats = np.moveaxis(conv3d_raw(hd, t["proj_w"], t["proj_b"], pad=0)[0], 0, 3)
-    hdec = relu_raw(conv3d_raw(hd, t["dec_w"], t["dec_b"], up=2)[0])
+    h1 = relu_raw(conv3d_raw(x, t["enc1_w"], t["enc1_b"]))
+    h2 = relu_raw(conv3d_raw(h1, t["enc2_w"], t["enc2_b"]))
+    hd = relu_raw(conv3d_raw(h2, t["down_w"], t["down_b"], stride=2))
+    feats = np.moveaxis(conv3d_raw(hd, t["proj_w"], t["proj_b"], pad=0), 0, 3)
+    hdec = relu_raw(conv3d_raw(hd, t["dec_w"], t["dec_b"], up=2))
     return hdec, feats
 
 
@@ -163,7 +163,7 @@ def head_forward(params: ModelParams, hdec: np.ndarray, dropout_mask=None) -> np
     t = params.tensors
     a = hdec * dropout_mask if dropout_mask is not None else hdec
     logits = np.ascontiguousarray(
-        np.moveaxis(conv3d_raw(a, t["seg_w"], t["seg_b"], pad=0)[0], 0, 3)
+        np.moveaxis(conv3d_raw(a, t["seg_w"], t["seg_b"], pad=0), 0, 3)
     )
     return softmax_raw(logits)
 

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import argmax_last
 from .errors import FormatError
 from .grids import LabelMap, Volume, load_arrays, save_arrays
 from .metrics import dsc_jaccard
@@ -279,7 +280,7 @@ def fuse_with_weight_map(
     eye = np.eye(n_classes)
     w = weight_map[..., None]
     score = w * eye[reg] + (1.0 - w) * eye[seg]
-    return np.argmax(score, axis=3)
+    return argmax_last(score)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tape, fold_last
+from .autodiff import Tape, argmax_last, fold_last
 from .contrastive import contrast_loss_node, mine_pairs
 from .errors import ConfigError, TrainingAbort
 from .grids import LabelMap, downsample_labels_majority, downsample_mask, downsample_mean
@@ -318,7 +318,7 @@ class Trainer:
     def _teacher_view(self, view: np.ndarray):
         """Teacher trunk + clean head on one weak view; (trunk, features, labels)."""
         hdec, feats = forward_parts(self.teacher, view)
-        return hdec, feats, np.argmax(head_forward(self.teacher, hdec), axis=3)
+        return hdec, feats, argmax_last(head_forward(self.teacher, hdec))
 
     def step(self, labeled: LabeledCase, unlabeled: UnlabeledCase,
              capture: StepTrace | None = None) -> LossReport:
@@ -378,7 +378,7 @@ class Trainer:
                 feats_u1, feats_u2, feats_u.value,
                 downsample_labels_majority(yu1, cfg.n_classes, factor),
                 downsample_labels_majority(yu2, cfg.n_classes, factor),
-                downsample_labels_majority(np.argmax(probs_sn, axis=3), cfg.n_classes, factor),
+                downsample_labels_majority(argmax_last(probs_sn), cfg.n_classes, factor),
                 downsample_mask(mask, factor),
                 downsample_mean(fold_last(np.maximum, probs_sn), factor),
                 cfg.k_neg, cfg.tau_contrast,
@@ -439,7 +439,7 @@ def evaluate_params(params: ModelParams, cases, n_classes: int) -> list[MetricsR
     records = []
     for case in cases:
         probs = head_forward(params, forward_parts(params, case.image.data)[0])
-        pred = LabelMap(np.argmax(probs, axis=3), n_classes)
+        pred = LabelMap(argmax_last(probs), n_classes)
         records.append(evaluate_case(case.case_id, pred, case.truth))
     return records
 

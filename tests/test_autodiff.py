@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from oracles import conv3d_windowed, conv3d_windowed_backward, softmax_reduce, upsample2
 
-from pacedseg.autodiff import Tape, conv3d_backward, conv3d_raw, fold_last, softmax_raw
+from pacedseg import autodiff
+from pacedseg.autodiff import (
+    Tape,
+    argmax_last,
+    conv3d_backward,
+    conv3d_raw,
+    fold_last,
+    softmax_raw,
+)
 
 RTOL = 1e-4
 STEP = 1e-3
@@ -192,6 +200,18 @@ class TestFoldLast:
         assert self._same_bits(fold_last(np.maximum, x), x.max(-1))
         assert self._same_bits(fold_last(np.add, x), x.sum(-1))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_argmax_equal_to_numpy_ties_to_lowest(self, n_classes, dtype):
+        x = self._logits(n_classes, np.float64, seed=2)
+        if dtype == np.int64:
+            x = np.sign(x).astype(dtype)    # vote counts: ties on most rows
+        x = x.astype(dtype)
+        x[2, 0, :2] = x[2, 0, :2, -1:]      # every class tied with the last
+        got = argmax_last(x)
+        assert self._same_bits(got, np.argmax(x, axis=-1))
+        assert (got[0, 0] == 0).all() and (got[2, 0, :2] == 0).all()
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n_classes", [2, 3])
     def test_softmax_bitwise_equal_to_reduction_form(self, n_classes, dtype):
@@ -276,7 +296,7 @@ class TestConvGrads:
         x = rng.standard_normal((2, 4, 4, 3))
         w = rng.standard_normal((2, 3, 3, 3, 2))
         b = rng.standard_normal(2)
-        out, _ = conv3d_raw(x, w, b, stride=1, pad=1)
+        out = conv3d_raw(x, w, b, stride=1, pad=1)
         xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (1, 1)))
         for co in range(2):
             for oh in range(4):
@@ -308,8 +328,9 @@ class TestConvGrads:
 class TestFlatRunConv:
     """conv3d_raw/conv3d_backward against the windowed im2col oracle.
 
-    Stride 1 runs on the flat-run cols; the stride-2 case keeps the
-    windowed cols and checks the (cols @ g.T) weight gradient.
+    Stride 1 runs on flat-run cols gathered one tile at a time, in forward
+    and again in backward; the stride-2 case gathers the windowed cols and
+    checks the (cols @ g.T) weight gradient. The last case spans two tiles.
     """
 
     CASES = [
@@ -320,6 +341,7 @@ class TestFlatRunConv:
         ((3, 5, 6, 4), (3, 2, 3, 1, 2), 1, 0),
         ((2, 4, 5, 3), (2, 3, 1, 2, 3), 1, 1),
         ((2, 5, 4, 6), (2, 3, 3, 3, 3), 2, 1),
+        ((2, 20, 18, 16), (2, 3, 3, 3, 3), 1, 1),
     ]
 
     @staticmethod
@@ -329,10 +351,10 @@ class TestFlatRunConv:
         x, w = rng.standard_normal(x_shape), rng.standard_normal(w_shape)
         b = rng.standard_normal(w_shape[4])
         x, w, b = (a.astype(dtype) for a in (x, w, b))
-        out, cols = conv3d_raw(x, w, b, stride, pad)
+        out = conv3d_raw(x, w, b, stride, pad)
         ref = conv3d_windowed(x, w, b, stride, pad)
         g = rng.standard_normal(ref.shape).astype(dtype)
-        got = conv3d_backward(g, cols, x, w, stride, pad)
+        got = conv3d_backward(g, x, w, stride, pad)
         want = conv3d_windowed_backward(g, x, w, stride, pad)
         errors = []
         for a, r in zip((out, *got), (ref, *want)):
@@ -348,6 +370,56 @@ class TestFlatRunConv:
     def test_float32_matches_windowed(self, case):
         assert max(self._errors(case, np.float32, seed=1)) < 1e-5
 
+    @pytest.mark.parametrize("case", CASES[:4])
+    def test_ragged_small_tiles_match_windowed(self, case, monkeypatch):
+        monkeypatch.setattr(autodiff, "TILE", 7)
+        assert max(self._errors(case, np.float64, seed=2)) < 1e-12
+
+
+class TestKeptBuffers:
+    """Convs interleaved so that work buffers kept on shape alone would collide."""
+
+    @staticmethod
+    def _check(x_shape, w_shape, pad, seed):
+        rng = np.random.default_rng(seed)
+        x, w = rng.standard_normal(x_shape), rng.standard_normal(w_shape)
+        b = rng.standard_normal(w_shape[4])
+        out = conv3d_raw(x, w, b, 1, pad)
+        g = rng.standard_normal(out.shape)
+        got = (out, *conv3d_backward(g, x, w, 1, pad))
+        want = (conv3d_windowed(x, w, b, 1, pad), *conv3d_windowed_backward(g, x, w, 1, pad))
+        for a, r in zip(got, want):
+            assert a.shape == r.shape
+            assert np.abs(a - r).max() < 1e-12 * np.abs(r).max()
+
+    def test_same_padded_shape_from_another_pad(self):
+        # (2, 5, 5, 5) at pad 1 and (2, 3, 3, 3) at pad 2 both pad to (2, 7, 7, 7)
+        for seed in range(3):
+            self._check((2, 5, 5, 5), (2, 3, 3, 3, 3), 1, seed)
+            self._check((2, 3, 3, 3), (2, 3, 3, 3, 3), 2, seed)
+
+    def test_same_gradient_frame_with_another_kernel_width(self):
+        # both give a (3, 4, 8, 7) gradient frame, the first with ow = 8, the second 6
+        for seed in range(3):
+            self._check((2, 4, 6, 5), (2, 3, 1, 3, 3), 1, seed)
+            self._check((2, 4, 6, 5), (2, 3, 3, 3, 3), 1, seed)
+
+    @pytest.mark.parametrize("stride,up", [(1, 1), (2, 1), (1, 2)])
+    def test_results_survive_a_later_call(self, stride, up):
+        rng = np.random.default_rng(9)
+
+        def call():
+            x, w = rng.standard_normal((3, 4, 6, 4)), rng.standard_normal((3, 3, 3, 3, 2))
+            out = conv3d_raw(x, w, rng.standard_normal(2), stride, 1, up)
+            g = rng.standard_normal(out.shape)
+            return [out, *conv3d_backward(g, x, w, stride, 1, up)]
+
+        first = call()
+        kept = [a.copy() for a in first]
+        call()
+        for a, k in zip(first, kept):
+            np.testing.assert_array_equal(a, k)
+
 
 class TestConvUp2:
     """conv3d(..., up=2) against the up-sample-then-conv oracle."""
@@ -361,12 +433,12 @@ class TestConvUp2:
         x, w = rng.standard_normal(self.X_SHAPE), rng.standard_normal(self.W_SHAPE)
         b = rng.standard_normal(self.W_SHAPE[4])
         x, w, b = (a.astype(dtype) for a in (x, w, b))
-        fused, cols = conv3d_raw(x, w, b, up=2)
+        fused = conv3d_raw(x, w, b, up=2)
         xu = upsample2(x)
-        ref, ref_cols = conv3d_raw(xu, w, b)
+        ref = conv3d_raw(xu, w, b)
         g = rng.standard_normal(ref.shape).astype(dtype)
-        grads = conv3d_backward(g, cols, x, w, 1, 1, up=2)
-        rgx, rgw, rgb = conv3d_backward(g, ref_cols, xu, w, 1, 1)
+        grads = conv3d_backward(g, x, w, 1, 1, up=2)
+        rgx, rgw, rgb = conv3d_backward(g, xu, w, 1, 1)
         # adjoint of the nearest-up x2: sum each 2x2x2 block
         c, h, ww, d = x.shape
         rgx = rgx.reshape(c, h, 2, ww, 2, d, 2).sum(axis=(2, 4, 6))
@@ -385,13 +457,25 @@ class TestConvUp2:
         for got, want in self._pair(np.float32, seed=1):
             assert self._rel(got, want) < 1e-5
 
-    def test_im2col_is_on_the_low_res_grid(self):
+    def test_im2col_is_on_the_low_res_grid(self, monkeypatch):
         # flat runs of the padded (5, 4, 7) low-res frame: (3-1)*4*7 + (2-1)*7 + 5
         # columns, fewer than the 6*4*10 = 240 voxels of the high-res grid
+        shapes = []
+
+        def recording(*args):
+            cols = run_cols(*args)
+            shapes.append(cols.shape)
+            return cols
+
+        run_cols = autodiff._run_cols
+        monkeypatch.setattr(autodiff, "_run_cols", recording)
         x = np.ones(self.X_SHAPE)
-        _, cols = conv3d_raw(x, np.ones(self.W_SHAPE), np.zeros(4), up=2)
-        assert cols.shape == (3 * 27, 68)
-        assert cols.shape[1] < 6 * 4 * 10
+        w = np.ones(self.W_SHAPE)
+        out = conv3d_raw(x, w, np.zeros(4), up=2)
+        assert shapes == [(3 * 27, 68)]
+        assert shapes[0][1] < 6 * 4 * 10
+        conv3d_backward(np.ones_like(out), x, w, 1, 1, up=2)
+        assert shapes == [(3 * 27, 68)] * 2
 
     @pytest.mark.parametrize("w_shape,stride,pad,up", [
         ((3, 1, 1, 1, 4), 1, 0, 2),
@@ -407,7 +491,7 @@ class TestConvUp2:
             conv3d_raw(x, w, b, stride, pad, up)
         g = np.ones((4, 6, 4, 10))
         with pytest.raises(ValueError):
-            conv3d_backward(g, None, x, w, stride, pad, up)
+            conv3d_backward(g, x, w, stride, pad, up)
         tape = Tape(np.float64)
         with pytest.raises(ValueError):
             tape.conv3d(tape.input(x), tape.input(w), tape.input(b), stride, pad, up)

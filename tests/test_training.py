@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -236,6 +237,24 @@ def flat_dice_ce(probs, labels, idx=None):
     dice = 1.0 - (2.0 * np.dot(pc, g) + 1e-5) / (pc.sum() + g.sum() + 1e-5)
     picked = np.maximum(p2[np.arange(lab.size), lab], 1e-7)
     return dice + float(np.mean(-np.log(picked)))
+
+
+class TestStepMemory:
+    def test_default_float32_step_allocates_under_30_mib(self):
+        """A conv keeps no im2col matrix for backward, so the traced peak of
+        one default-size step stays low (48.5 MiB when each student conv
+        kept its full cols on the tape)."""
+        cfg = TrainConfig(n_labeled=2, n_unlabeled=2, seed=1).validate()
+        trainer = Trainer(cfg, tiny_dataset(cfg))
+        for t in range(3):
+            trainer.step(*trainer.batch_for(t))
+        tracemalloc.start()
+        try:
+            trainer.step(*trainer.batch_for(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestBaselineDegeneration:
