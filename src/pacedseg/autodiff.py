@@ -14,20 +14,22 @@ low-res grid (`up=2`), relu, softmax, elementwise arithmetic, reductions,
 gathers, transpose and matmul, and the row-wise dot product used by the
 cosine-similarity contrastive loss.
 
-The hot numpy ops run on long contiguous rows. A stride-1 conv reads each
-kernel tap as one contiguous run of the flattened zero-padded input (the
-flat-shift form of im2col), and its backward adds each tap's gradient
-back as one run; only strided convs gather windows. No im2col matrix is
-kept for backward: a stride-1 conv gathers its cols one tile of `TILE`
-output-frame columns at a time, a strided conv gathers its windows whole,
-and each backward gathers them again from the input node (recompute in
-backward, as in Chen et al., arXiv 1604.06174). The padded input, the
-tile of cols, the tile of column gradients and the zero-bordered
-gradient frame live in work buffers kept across calls, one per geometry,
-so their pages are not faulted in afresh on every call. The buffers are
-per process and not thread-safe. Reductions over the short trailing class
-axis fold one class slice at a time (`fold_last`, `argmax_last`),
-bitwise equal to numpy's own reduction.
+The hot numpy ops run on long contiguous rows. Every conv splits its
+zero-padded input into its stride phases (space-to-depth, the
+counterpart of the depth-to-space shuffle of `up=2`; Shi et al., arXiv
+1609.05158), so each kernel tap reads one contiguous run of one phase
+(the flat-shift form of im2col), and its backward adds each tap's
+gradient back as one run; stride 1 is the one-phase case. No im2col
+matrix is kept for backward: a conv gathers its cols one tile of `TILE`
+output-frame columns at a time, and its backward gathers them again
+from the input node (recompute in backward, as in Chen et al., arXiv
+1604.06174). The phase buffer, the tile of cols, the tile of column
+gradients and the zero-bordered gradient frame live in work buffers
+kept across calls, one per geometry, so their pages are not faulted in
+afresh on every call. The buffers are per process and not thread-safe.
+Reductions over the short trailing class axis fold one class slice at a
+time (`fold_last`, `argmax_last`), bitwise equal to numpy's own
+reduction.
 
 Raw kernels (`conv3d_raw`, `softmax_raw`, ...) are shared with the
 tape-free inference path so both routes compute identical floats.
@@ -43,10 +45,6 @@ __all__ = ["Tape", "Node", "conv3d_raw", "softmax_raw", "relu_raw", "fold_last",
 # ---------------------------------------------------------------------------
 # raw kernels
 # ---------------------------------------------------------------------------
-
-def _out_extent(size, k, stride, pad):
-    return (size + 2 * pad - k) // stride + 1
-
 
 # Output-frame columns gathered per tile; a tile of cols is a few MB at
 # most, so no conv builds, or keeps for backward, a full im2col matrix.
@@ -70,60 +68,66 @@ def _kept_buffer(key, shape, dtype, zero=False):
     return buf
 
 
-def _padded(x, pad):
-    """x zero-padded by `pad` on every spatial side, in a kept buffer."""
-    if not pad:
-        return x
-    cin, h, w, d = x.shape
-    xp = _kept_buffer(("pad", x.shape, pad), (cin, h + 2 * pad, w + 2 * pad, d + 2 * pad),
-                      x.dtype, zero=True)
-    xp[:, pad : pad + h, pad : pad + w, pad : pad + d] = x
-    return xp
-
-
-def _im2col(xp, kh, kw, kd, stride, oh, ow, od):
-    """Gather strided windows of a padded channels-first volume into a kept
-    (Cin*kh*kw*kd, N) buffer; used for stride > 1 only.
-
-    One dense block copy per kernel offset, so the cost is insensitive to
-    the channel count (the fill is contiguous along the output grid).
-    """
-    cin = xp.shape[0]
-    colsv = _kept_buffer("win", (cin, kh * kw * kd, oh, ow, od), xp.dtype)
-    m = 0
-    for i in range(kh):
-        for j in range(kw):
-            for l in range(kd):
-                colsv[:, m] = xp[
-                    :,
-                    i : i + oh * stride : stride,
-                    j : j + ow * stride : stride,
-                    l : l + od * stride : stride,
-                ]
-                m += 1
-    return colsv.reshape(cin * kh * kw * kd, oh * ow * od)
-
-
 def _weight_mat(w):
     """(Cin,kh,kw,kd,Cout) -> (Cout, Cin*kh*kw*kd), matching the cols rows."""
     cin, kh, kw, kd, cout = w.shape
     return np.ascontiguousarray(w.transpose(4, 0, 1, 2, 3)).reshape(cout, -1)
 
 
-def _flat_taps(kshape, frame, out):
-    """Flat-run geometry of a stride-1 conv on the padded (Hp, Wp, Dp) frame.
+def _axis_phases(size, pad, stride, q):
+    """(entries, x indices) of each phase p along one axis: the entries a < q
+    whose padded position a*stride + p holds x, and the x indices they hold."""
+    out = []
+    for p in range(stride):
+        lo = max(0, -((p - pad) // stride))
+        n = max(0, min(q, -((p - pad - size) // stride)) - lo)
+        x0 = lo * stride + p - pad
+        out.append((slice(lo, lo + n), slice(x0, x0 + n * stride, stride)))
+    return out
 
-    Output voxel (a, b, c) sits at frame offset (a*Wp + b)*Dp + c, and tap
-    (i, j, l) reads it shifted by (i*Wp + j)*Dp + l; so each tap is one
-    contiguous run of the flattened frame. The run length L spans every
-    output voxel; its columns past ow or od along a row are discarded.
-    Returns (tap offsets, L).
+
+def _geometry(xshape, kshape, stride, pad):
+    """Flat-run geometry of a conv on the stride phases of its padded input.
+
+    Along each axis, padded position a*stride + p is entry a of phase p, and
+    kernel tap i reads phase i % stride shifted by i // stride. The stride**3
+    phases lie back to back, each an (Hq, Wq, Dq) frame of Nq entries with
+    Hq = oh + (kh - 1) // stride. Output voxel (a, b, c) sits at offset
+    (a*Wq + b)*Dq + c of a phase, so tap (i, j, l) reads one contiguous run
+    from phase*Nq + ((i//s)*Wq + j//s)*Dq + l//s. The run length L spans
+    every output voxel; its columns past ow or od along a row are discarded.
+    Stride 1 is the one-phase case, the zero-padded input itself.
+
+    Returns (out extents, phase frame, tap offsets in (i, j, l) order, L,
+    copies), where each copy pairs a block of the (Cin, s**3, Hq, Wq, Dq)
+    phase buffer with the slice of x it holds.
     """
-    _, wp, dp = frame
+    out = tuple((n + 2 * pad - k) // stride + 1 for n, k in zip(xshape[1:], kshape))
+    frame = tuple(o + (k - 1) // stride for o, k in zip(out, kshape))
+    hq, wq, dq = frame
+    offsets = [
+        (((i % stride) * stride + j % stride) * stride + l % stride) * hq * wq * dq
+        + ((i // stride) * wq + j // stride) * dq + l // stride
+        for i in range(kshape[0]) for j in range(kshape[1]) for l in range(kshape[2])
+    ]
+    axes = [_axis_phases(n, pad, stride, q) for n, q in zip(xshape[1:], frame)]
+    copies = [
+        ((slice(None), (ph * stride + pw) * stride + pd, eh, ew, ed), (slice(None), xh, xw, xd))
+        for ph, (eh, xh) in enumerate(axes[0])
+        for pw, (ew, xw) in enumerate(axes[1])
+        for pd, (ed, xd) in enumerate(axes[2])
+    ]
     oh, ow, od = out
-    kh, kw, kd = kshape
-    offsets = [(i * wp + j) * dp + l for i in range(kh) for j in range(kw) for l in range(kd)]
-    return offsets, (oh - 1) * wp * dp + (ow - 1) * dp + od
+    return out, frame, offsets, (oh - 1) * wq * dq + (ow - 1) * dq + od, copies
+
+
+def _phases(x, stride, pad, frame, copies):
+    """x on its zero-bordered stride phases, as a flat (Cin, s**3 * Nq) kept buffer."""
+    xq = _kept_buffer(("phases", x.shape, stride, pad), (x.shape[0], stride**3, *frame),
+                      x.dtype, zero=True)
+    for dst, src in copies:
+        xq[dst] = x[src]
+    return xq.reshape(x.shape[0], -1)
 
 
 def _tiles(n):
@@ -131,9 +135,9 @@ def _tiles(n):
 
 
 def _run_cols(xf, offsets, n, s, e):
-    """Columns s:e of the flat-run im2col of the flattened padded input xf,
-    as a (Cin*K, e - s) view of a kept buffer: row (c, tap) holds channel c
-    read from the tap's offset on."""
+    """Columns s:e of the flat-run im2col of the flat phase buffer xf, as a
+    (Cin*K, e - s) view of a kept buffer: row (c, tap) holds channel c read
+    from the tap's offset on."""
     cin, k = xf.shape[0], len(offsets)
     cols = _kept_buffer("cols", (cin, k, min(n, TILE)), xf.dtype)
     for m, o in enumerate(offsets):
@@ -149,26 +153,17 @@ def _conv3d(x, w, b, stride, pad):
     cin, kh, kw, kd, cout = w.shape
     if x.shape[0] != cin:
         raise ValueError(f"conv input has {x.shape[0]} channels, weight expects {cin}")
-    h, ww, d = x.shape[1:]
-    oh, ow, od = (_out_extent(s, k, stride, pad)
-                  for s, k in zip((h, ww, d), (kh, kw, kd)))
     if _pointwise(w, stride, pad):
         out = w.reshape(cin, cout).T @ x.reshape(cin, -1)
         out += b[:, None]
-        return out.reshape(cout, oh, ow, od)
-    xp = _padded(x, pad)
-    if stride > 1:
-        out = _weight_mat(w) @ _im2col(xp, kh, kw, kd, stride, oh, ow, od)
-        out += b[:, None]
-        return out.reshape(cout, oh, ow, od)
-    _, hp, wp, dp = xp.shape
-    offsets, n = _flat_taps((kh, kw, kd), (hp, wp, dp), (oh, ow, od))
-    xf, wmat = xp.reshape(cin, -1), _weight_mat(w)
-    frame = np.empty((cout, oh * wp * dp), dtype=x.dtype)
+        return out.reshape(cout, *x.shape[1:])
+    (oh, ow, od), frame, offsets, n, copies = _geometry(x.shape, (kh, kw, kd), stride, pad)
+    xf, wmat = _phases(x, stride, pad, frame, copies), _weight_mat(w)
+    res = np.empty((cout, oh * frame[1] * frame[2]), dtype=x.dtype)
     for s, e in _tiles(n):
-        np.matmul(wmat, _run_cols(xf, offsets, n, s, e), out=frame[:, s:e])
-    frame[:, :n] += b[:, None]
-    return frame.reshape(cout, oh, wp, dp)[:, :, :ow, :od]
+        np.matmul(wmat, _run_cols(xf, offsets, n, s, e), out=res[:, s:e])
+    res[:, :n] += b[:, None]
+    return res.reshape(cout, oh, *frame[1:])[:, :, :ow, :od]
 
 
 def _conv3d_backward(gout, x, w, stride, pad):
@@ -181,44 +176,28 @@ def _conv3d_backward(gout, x, w, stride, pad):
         gw = (xmat @ gmat.T).reshape(w.shape)
         gx = (w.reshape(cin, cout) @ gmat).reshape(x.shape)
         return gx, gw, gb
-    h, ww, d = x.shape[1:]
-    xp = _padded(x, pad)  # the forward's cols are gathered again from x
-    _, hp, wp, dp = xp.shape
-    k = kh * kw * kd
-    gxp = np.zeros((cin, hp, wp, dp), dtype=gout.dtype)
+    _, frame, offsets, n, copies = _geometry(x.shape, (kh, kw, kd), stride, pad)
+    xf = _phases(x, stride, pad, frame, copies)  # the forward's cols are gathered again from x
+    k = len(offsets)
+    # zero between the rows of gout, which the runs read through
+    gframe = _kept_buffer(("gframe", ow, od), (cout, oh, *frame[1:]), gout.dtype, zero=True)
+    gframe[:, :, :ow, :od] = gout
+    grun = gframe.reshape(cout, -1)
+    gxf = np.zeros_like(xf)
+    gcols = _kept_buffer("gcols", (cin, k, min(n, TILE)), gout.dtype)
     wmat_t = _weight_mat(w).T
-    if stride > 1:
-        gw = (_im2col(xp, kh, kw, kd, stride, oh, ow, od) @ gmat.T).reshape(w.shape)
-        g5 = _kept_buffer("gwin", (cin, k, oh, ow, od), gout.dtype)
-        np.matmul(wmat_t, gmat, out=g5.reshape(cin * k, -1))
-        m = 0
-        for i in range(kh):
-            for j in range(kw):
-                for l in range(kd):
-                    gxp[
-                        :,
-                        i : i + oh * stride : stride,
-                        j : j + ow * stride : stride,
-                        l : l + od * stride : stride,
-                    ] += g5[:, m]
-                    m += 1
-    else:
-        offsets, n = _flat_taps((kh, kw, kd), (hp, wp, dp), (oh, ow, od))
-        # zero between the rows of gout, which the runs read through
-        gframe = _kept_buffer(("gframe", ow, od), (cout, oh, wp, dp), gout.dtype, zero=True)
-        gframe[:, :, :ow, :od] = gout
-        grun, xf, gxf = gframe.reshape(cout, -1), xp.reshape(cin, -1), gxp.reshape(cin, -1)
-        gcols = _kept_buffer("gcols", (cin, k, min(n, TILE)), gout.dtype)
-        gw = np.zeros((cin * k, cout), dtype=gout.dtype)
-        for s, e in _tiles(n):
-            g = grun[:, s:e]
-            gw += _run_cols(xf, offsets, n, s, e) @ g.T
-            np.matmul(wmat_t, g, out=gcols.reshape(cin * k, -1)[:, : e - s])
-            for m, o in enumerate(offsets):
-                gxf[:, o + s : o + e] += gcols[:, m, : e - s]
-        gw = gw.reshape(w.shape)
-    gx = gxp[:, pad : pad + h, pad : pad + ww, pad : pad + d] if pad else gxp
-    return gx, gw, gb
+    gw = np.zeros((cin * k, cout), dtype=gout.dtype)
+    for s, e in _tiles(n):
+        g = grun[:, s:e]
+        gw += _run_cols(xf, offsets, n, s, e) @ g.T
+        np.matmul(wmat_t, g, out=gcols.reshape(cin * k, -1)[:, : e - s])
+        for m, o in enumerate(offsets):
+            gxf[:, o + s : o + e] += gcols[:, m, : e - s]
+    # x rows that no window reads keep a zero gradient
+    gx, gxq = np.zeros_like(x), gxf.reshape(cin, stride**3, *frame)
+    for dst, src in copies:
+        gx[src] = gxq[dst]
+    return gx, gw.reshape(w.shape), gb
 
 
 # _PARITY_TAPS[p, a, k] = 1 where full-res kernel tap k of an output at parity
@@ -263,11 +242,11 @@ def _parity_weight_adjoint(gm, cout):
 def conv3d_raw(x, w, b, stride=1, pad=1, up=1):
     """Channels-first 3D convolution. x: (Cin,H,W,D), w: (Cin,kh,kw,kd,Cout).
 
-    Returns the (Cout, oh, ow, od) output. For stride 1 it is a view of the
-    (Cout, oh, Wp, Dp) result frame, filled one tile of flat-run columns at
-    a time (see `_flat_taps` and `_run_cols`); for stride > 1 the windows
-    are gathered, one column per output voxel. Nothing is kept for the
-    backward pass: `conv3d_backward` gathers the columns again from x.
+    Returns the (Cout, oh, ow, od) output, a view of the (Cout, oh, Wq, Dq)
+    result frame on x's stride phases, filled one tile of flat-run columns
+    at a time (see `_geometry` and `_run_cols`); every stride takes this
+    path. Nothing is kept for the backward pass: `conv3d_backward` gathers
+    the columns again from x.
 
     With up=2 the input is first up-sampled x2 by nearest neighbour, but the
     conv runs on x's own grid. Along each axis the output at 2i + p sees the

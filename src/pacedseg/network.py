@@ -206,7 +206,10 @@ def sgd_step(
         if not np.isfinite(g).all():
             raise TrainingAbort(f"non-finite gradient in {name}")
         v = state.velocity[name] = momentum * state.velocity[name] + g
-        params.tensors[name] = params.tensors[name] - lr * v
+        p = params.tensors[name] - lr * v
+        if not np.isfinite(p).all():
+            raise TrainingAbort(f"non-finite update of {name}")
+        params.tensors[name] = p
     return params
 
 

@@ -145,7 +145,14 @@ class TrainConfig:
         return {"float32": np.float32, "float64": np.float64}[self.dtype]
 
     def validate(self) -> "TrainConfig":
+        # inf has a meaning only for fuse_half_life (every slice trusted alike)
+        # and tau_sched (the warm cap is 1 from the first step)
+        infinite = [name for name in ("lr0", "alpha", "delta", "tau_contrast", "noise_amp",
+                                      "weak_sigma", "reg_sigma", "reg_beta", "loss_w_s",
+                                      "loss_w_u", "loss_w_bf")
+                    if not np.isfinite(getattr(self, name))]
         checks = [
+            (not infinite, f"{', '.join(infinite)} must be finite"),
             (self.iterations >= 0, "iterations must be >= 0"),
             (self.lr0 > 0, "lr0 must be positive"),
             (0 < self.lr_decay <= 1, "lr_decay must be in (0, 1]"),

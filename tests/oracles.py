@@ -17,8 +17,8 @@ way, so a test can compare the optimized form in `src/` against it.
   plain conv it checks `pacedseg.autodiff.conv3d_raw(..., up=2)`.
 - `conv3d_windowed` and `conv3d_windowed_backward`: a conv as im2col of
   its strided windows, with the backward's scatter of window gradients;
-  check the flat-run stride-1 path of `pacedseg.autodiff.conv3d_raw`
-  and `conv3d_backward`.
+  check the flat-run path of `pacedseg.autodiff.conv3d_raw` and
+  `conv3d_backward` on the stride phases, at every stride.
 - `softmax_reduce`: softmax over the last axis with numpy reductions;
   checks the slice-folded `pacedseg.autodiff.softmax_raw` bit for bit.
 

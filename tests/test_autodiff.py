@@ -328,9 +328,11 @@ class TestConvGrads:
 class TestFlatRunConv:
     """conv3d_raw/conv3d_backward against the windowed im2col oracle.
 
-    Stride 1 runs on flat-run cols gathered one tile at a time, in forward
-    and again in backward; the stride-2 case gathers the windowed cols and
-    checks the (cols @ g.T) weight gradient. The last case spans two tiles.
+    Every conv, stride 1 or 2, runs on flat-run cols of its padded input's
+    stride phases, gathered one tile at a time in forward and again in
+    backward. The stride-2 cases cover the phase frame: kernels whose taps
+    read one phase or several, pads 0 to 2, input rows that no window
+    reads, and two tiles.
     """
 
     CASES = [
@@ -342,6 +344,13 @@ class TestFlatRunConv:
         ((2, 4, 5, 3), (2, 3, 1, 2, 3), 1, 1),
         ((2, 5, 4, 6), (2, 3, 3, 3, 3), 2, 1),
         ((2, 20, 18, 16), (2, 3, 3, 3, 3), 1, 1),
+        # kernel 2 on odd extents: the input's last row is read by no window
+        ((2, 5, 4, 3), (2, 2, 2, 2, 3), 2, 0),
+        ((2, 5, 4, 3), (2, 2, 2, 2, 3), 2, 1),
+        ((2, 5, 6, 4), (2, 1, 1, 1, 3), 2, 0),
+        ((2, 6, 5, 7), (2, 3, 1, 2, 3), 2, 1),
+        ((2, 7, 7, 7), (2, 3, 3, 3, 2), 2, 2),
+        ((2, 40, 36, 32), (2, 3, 3, 3, 3), 2, 1),
     ]
 
     @staticmethod
@@ -370,24 +379,44 @@ class TestFlatRunConv:
     def test_float32_matches_windowed(self, case):
         assert max(self._errors(case, np.float32, seed=1)) < 1e-5
 
-    @pytest.mark.parametrize("case", CASES[:4])
+    @pytest.mark.parametrize("case", CASES)
     def test_ragged_small_tiles_match_windowed(self, case, monkeypatch):
         monkeypatch.setattr(autodiff, "TILE", 7)
         assert max(self._errors(case, np.float64, seed=2)) < 1e-12
+
+    def test_stride2_cols_are_runs_of_the_phase_frame(self, monkeypatch):
+        # x padded to (8, 6, 7) gives a (3, 2, 3) output on (4, 3, 4) phase
+        # frames: one tile of (3-1)*3*4 + (2-1)*4 + 3 columns, each tap a run
+        shapes = []
+
+        def recording(*args):
+            cols = run_cols(*args)
+            shapes.append(cols.shape)
+            return cols
+
+        run_cols = autodiff._run_cols
+        monkeypatch.setattr(autodiff, "_run_cols", recording)
+        x, w = np.ones((3, 6, 4, 5)), np.ones((3, 3, 3, 3, 2))
+        out = conv3d_raw(x, w, np.zeros(2), 2, 1)
+        assert out.shape == (2, 3, 2, 3)
+        assert shapes == [(3 * 27, 31)]
+        conv3d_backward(np.ones_like(out), x, w, 2, 1)
+        assert shapes == [(3 * 27, 31)] * 2
 
 
 class TestKeptBuffers:
     """Convs interleaved so that work buffers kept on shape alone would collide."""
 
     @staticmethod
-    def _check(x_shape, w_shape, pad, seed):
+    def _check(x_shape, w_shape, pad, seed, stride=1):
         rng = np.random.default_rng(seed)
         x, w = rng.standard_normal(x_shape), rng.standard_normal(w_shape)
         b = rng.standard_normal(w_shape[4])
-        out = conv3d_raw(x, w, b, 1, pad)
+        out = conv3d_raw(x, w, b, stride, pad)
         g = rng.standard_normal(out.shape)
-        got = (out, *conv3d_backward(g, x, w, 1, pad))
-        want = (conv3d_windowed(x, w, b, 1, pad), *conv3d_windowed_backward(g, x, w, 1, pad))
+        got = (out, *conv3d_backward(g, x, w, stride, pad))
+        want = (conv3d_windowed(x, w, b, stride, pad),
+                *conv3d_windowed_backward(g, x, w, stride, pad))
         for a, r in zip(got, want):
             assert a.shape == r.shape
             assert np.abs(a - r).max() < 1e-12 * np.abs(r).max()
@@ -403,6 +432,17 @@ class TestKeptBuffers:
         for seed in range(3):
             self._check((2, 4, 6, 5), (2, 3, 1, 3, 3), 1, seed)
             self._check((2, 4, 6, 5), (2, 3, 3, 3, 3), 1, seed)
+
+    def test_stride1_and_stride2_on_one_input_shape(self):
+        for seed in range(3):
+            self._check((2, 5, 6, 5), (2, 3, 3, 3, 3), 1, seed, stride=1)
+            self._check((2, 5, 6, 5), (2, 3, 3, 3, 3), 1, seed, stride=2)
+
+    def test_stride2_kernels_with_different_phase_frames(self):
+        # padded to (7, 7, 7): kernel 3 gives (4, 4, 4) phase frames, kernel 2 (3, 3, 3)
+        for seed in range(3):
+            self._check((2, 5, 5, 5), (2, 3, 3, 3, 3), 1, seed, stride=2)
+            self._check((2, 5, 5, 5), (2, 2, 2, 2, 3), 1, seed, stride=2)
 
     @pytest.mark.parametrize("stride,up", [(1, 1), (2, 1), (1, 2)])
     def test_results_survive_a_later_call(self, stride, up):

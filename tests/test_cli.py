@@ -3,7 +3,7 @@ import shutil
 import numpy as np
 import pytest
 
-from pacedseg.cli import EXIT_CONFIG, EXIT_OK, main
+from pacedseg.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from pacedseg.grids import load_arrays, save_arrays
 from pacedseg.metrics import MetricsRecord
 from pacedseg.network import load_checkpoint
@@ -249,7 +249,8 @@ def test_eval_directory_as_checkpoint_exits_config(tiny_data, tmp_path, capsys):
 OUT_OF_RANGE = [
     ("edge_width", "0"), ("edge_width", "-0.1"), ("noise_amp", "-1"), ("weak_sigma", "-1"),
     ("loss_w_s", "-1"), ("loss_w_u", "-1"), ("loss_w_bf", "-1"), ("center_jitter", "0.6"),
-    ("center_jitter", "-0.1"), ("delta", "0.5"),
+    ("center_jitter", "-0.1"), ("delta", "0.5"), ("lr0", "inf"), ("noise_amp", "inf"),
+    ("alpha", "inf"), ("delta", "inf"), ("tau_contrast", "inf"), ("loss_w_s", "inf"),
 ]
 
 
@@ -335,3 +336,14 @@ def test_lu_csv_of_an_su_off_run_exits_config(su_off_log, capsys):
     assert main(["--config", str(cfg), "schedule-dump", "--lu-csv", str(log)]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert ":2: branch=off" in captured.err and captured.out == ""
+
+
+def test_divergent_last_step_exits_numeric(tmp_path, capsys):
+    # the one step's update overflows float32; no checkpoint of it is written
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(SMALL_CFG.replace("iterations = 2", "iterations = 1") + "lr0 = 1e300\n")
+    run = tmp_path / "run"
+    with np.errstate(over="ignore"):
+        assert main(["--config", str(cfg), "--out-dir", str(run), "train"]) == EXIT_NUMERIC
+    assert "non-finite update" in capsys.readouterr().err
+    assert not (run / "final.ckpt").exists()

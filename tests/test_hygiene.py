@@ -71,17 +71,25 @@ def test_only_grids_packs_bytes():
 
 
 def top_level_defs(source: str) -> list[str]:
-    """Functions and classes a module defines at its top level."""
-    return [node.name for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    """Functions, classes and non-dunder constants a module defines at its top level."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)
+                      and not (t.id.startswith("__") and t.id.endswith("__"))]
+    return names
 
 
 def referenced_names(source: str) -> set[str]:
     """Every name a module reads, loads as an attribute, or spells in a string
-    (the benchmark tracer names what it wraps as "module.attr" strings)."""
+    (the benchmark tracer names what it wraps as "module.attr" strings); a
+    name that is only assigned to is not read."""
     names = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -105,6 +113,12 @@ def test_scan_flags_a_dead_name():
     lib = "def used():\n    pass\n\n\ndef dead():\n    pass\n\n\nclass Kept:\n    pass\n"
     caller = "from lib import Kept, used\nused()\n"
     assert dead_names({"lib": lib}, [lib, caller]) == ["dead"]
+
+
+def test_scan_flags_a_dead_constant():
+    lib = "__all__ = []\nUSED = 1\nDEAD = 2\nTYPED: int = 3\n\n\ndef f():\n    return TYPED\n"
+    caller = "from lib import USED, f\nf()\n"
+    assert dead_names({"lib": lib}, [lib, caller]) == ["DEAD"]
 
 
 def test_no_dead_names_in_package():
