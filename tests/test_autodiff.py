@@ -51,6 +51,19 @@ def fd_check(build, shapes, seed=0, n_coords=20, step=STEP, rtol=RTOL):
             assert err < rtol, f"input {vi} coord {ci}: {analytic} vs {numeric}"
 
 
+def record_run_cols(monkeypatch):
+    """A list that gathers the shape of every tile of cols `_run_cols` returns."""
+    shapes, run_cols = [], autodiff._run_cols
+
+    def recording(*args):
+        cols = run_cols(*args)
+        shapes.append(cols.shape)
+        return cols
+
+    monkeypatch.setattr(autodiff, "_run_cols", recording)
+    return shapes
+
+
 class TestBasicContracts:
     def test_linear_loss_gives_unit_gradients(self):
         tape = Tape(np.float64)
@@ -387,15 +400,7 @@ class TestFlatRunConv:
     def test_stride2_cols_are_runs_of_the_phase_frame(self, monkeypatch):
         # x padded to (8, 6, 7) gives a (3, 2, 3) output on (4, 3, 4) phase
         # frames: one tile of (3-1)*3*4 + (2-1)*4 + 3 columns, each tap a run
-        shapes = []
-
-        def recording(*args):
-            cols = run_cols(*args)
-            shapes.append(cols.shape)
-            return cols
-
-        run_cols = autodiff._run_cols
-        monkeypatch.setattr(autodiff, "_run_cols", recording)
+        shapes = record_run_cols(monkeypatch)
         x, w = np.ones((3, 6, 4, 5)), np.ones((3, 3, 3, 3, 2))
         out = conv3d_raw(x, w, np.zeros(2), 2, 1)
         assert out.shape == (2, 3, 2, 3)
@@ -500,15 +505,7 @@ class TestConvUp2:
     def test_im2col_is_on_the_low_res_grid(self, monkeypatch):
         # flat runs of the padded (5, 4, 7) low-res frame: (3-1)*4*7 + (2-1)*7 + 5
         # columns, fewer than the 6*4*10 = 240 voxels of the high-res grid
-        shapes = []
-
-        def recording(*args):
-            cols = run_cols(*args)
-            shapes.append(cols.shape)
-            return cols
-
-        run_cols = autodiff._run_cols
-        monkeypatch.setattr(autodiff, "_run_cols", recording)
+        shapes = record_run_cols(monkeypatch)
         x = np.ones(self.X_SHAPE)
         w = np.ones(self.W_SHAPE)
         out = conv3d_raw(x, w, np.zeros(4), up=2)
