@@ -11,8 +11,7 @@ the nodes it reads and what it derived from them. The op set is exactly
 what the segmentation model and its losses require: 3D convolution
 (im2col + BLAS matmul), also of a nearest-up x2 input computed on the
 low-res grid (`up=2`), relu, softmax, elementwise arithmetic, reductions,
-gathers, transpose and matmul, and the row-wise dot product used by the
-cosine-similarity contrastive loss.
+gathers, transpose and matmul.
 
 The hot numpy ops run on long contiguous rows. Every conv splits its
 zero-padded input into its stride phases (space-to-depth, the
@@ -391,18 +390,6 @@ class Tape:
         out._backward = back
         return out
 
-    def sub(self, a: Node, b: Node):
-        if a.value.shape != b.value.shape:
-            raise ValueError("sub: shape mismatch")
-        out = self._record(a.value - b.value)
-
-        def back(g):
-            _accum(a, g)
-            _accum(b, -g)
-
-        out._backward = back
-        return out
-
     def mul(self, a: Node, b: Node):
         if a.value.shape != b.value.shape:
             raise ValueError("mul: shape mismatch")
@@ -425,12 +412,8 @@ class Tape:
         out._backward = back
         return out
 
-    def scale(self, x: Node, s: float):
-        out = self._record(x.value * s)
-        out._backward = lambda g: _accum(x, g * s)
-        return out
-
     def add_const(self, x: Node, c):
+        c = np.asarray(c, dtype=self.dtype)
         out = self._record(x.value + c)
         out._backward = lambda g: _accum(x, g)
         return out
@@ -581,17 +564,6 @@ class Tape:
             gp = np.zeros_like(p.value)
             gp[rows, labels] = g
             _accum(p, gp)
-
-        out._backward = back
-        return out
-
-    def rows_dot(self, a: Node, b: Node):
-        """Row-wise dot product of two (P, F) nodes -> (P,)."""
-        out = self._record((a.value * b.value).sum(axis=-1))
-
-        def back(g):
-            _accum(a, g[..., None] * b.value)
-            _accum(b, g[..., None] * a.value)
 
         out._backward = back
         return out

@@ -156,13 +156,14 @@ def contrast_loss_node(
 
     z1n = tape.row_normalize(z1_node) if z1_node is not None else tape.input(_unit(batch.z1, "z1"))
     z2n = tape.row_normalize(z2_node) if z2_node is not None else tape.input(_unit(batch.z2, "z2"))
-    s12 = tape.scale(tape.rows_dot(z1n, z2n), 1.0 / tau)           # (P,)
+    s12 = tape.mul_const(tape.sum_axis(tape.mul(z1n, z2n), -1, keepdims=False), 1.0 / tau)  # (P,)
     s12_col = tape.reshape(s12, (p_count, 1))
+    minus_s12 = tape.mul_const(s12, -1.0)
 
     def direction(anchor_n: Node) -> Node:
-        sims = tape.add_const(tape.scale(tape.matmul(anchor_n, negs_t), 1.0 / tau), log_mult)
+        sims = tape.add_const(tape.mul_const(tape.matmul(anchor_n, negs_t), 1.0 / tau), log_mult)
         logits = tape.concat([s12_col, sims], axis=1)
-        return tape.sum(tape.sub(tape.logsumexp(logits), s12))
+        return tape.sum(tape.add(tape.logsumexp(logits), minus_s12))
 
     total = tape.add(direction(z1n), direction(z2n))
-    return _scalar(tape, tape.scale(total, 1.0 / p_count))
+    return _scalar(tape, tape.mul_const(total, 1.0 / p_count))

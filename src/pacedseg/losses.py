@@ -29,28 +29,28 @@ def _scalar(tape: Tape, node: Node) -> Node:
 
 
 def dice_node(tape: Tape, probs_flat: Node, onehot: np.ndarray, n_classes: int) -> Node:
-    """Soft Dice over foreground classes on (N, C) probabilities."""
-    onehot = np.asarray(onehot, dtype=tape.dtype)
-    g_sums = onehot.sum(axis=0)
-    pg = tape.mul_const(probs_flat, onehot)
-    inter_cols = tape.sum_axis(pg, axis=0, keepdims=False)
-    p_cols = tape.sum_axis(probs_flat, axis=0, keepdims=False)
-    terms = []
-    for c in range(1, n_classes):
-        inter_c = tape.take_rows(inter_cols, np.array([c]))
-        p_c = tape.take_rows(p_cols, np.array([c]))
-        num = tape.add_const(tape.scale(inter_c, 2.0), DICE_EPS)
-        den = tape.add_const(p_c, float(g_sums[c]) + DICE_EPS)
-        terms.append(tape.add_const(tape.scale(tape.div(num, den), -1.0), 1.0))
-    total = terms[0] if len(terms) == 1 else tape.concat(terms, axis=0)
-    return _scalar(tape, tape.scale(tape.sum(total), 1.0 / (n_classes - 1)))
+    """Soft Dice of (N, C) probabilities, averaged over foreground classes 1..C-1.
+
+    The foreground classes form one vector: one `take_rows` of the column
+    sums of p*g and of p, then 1 - (2*inter + eps) / (p + g + eps) for all
+    of them at once. The label counts g + eps are formed in float64 and
+    cast to the tape dtype once, as a float constant per class would be.
+    """
+    fg = np.arange(1, n_classes)
+    counts = np.asarray(onehot, dtype=np.float64).sum(axis=0)[fg]
+    inter = tape.take_rows(tape.sum_axis(tape.mul_const(probs_flat, onehot), 0, keepdims=False), fg)
+    p_sums = tape.take_rows(tape.sum_axis(probs_flat, 0, keepdims=False), fg)
+    num = tape.add_const(tape.mul_const(inter, 2.0), DICE_EPS)
+    den = tape.add_const(p_sums, counts + DICE_EPS)
+    terms = tape.add_const(tape.mul_const(tape.div(num, den), -1.0), 1.0)
+    return _scalar(tape, tape.mul_const(tape.sum(terms), 1.0 / (n_classes - 1)))
 
 
 def ce_node(tape: Tape, probs_flat: Node, labels: np.ndarray) -> Node:
     """Mean -log p[target] with probabilities floored at 1e-7 before the log."""
     picked = tape.select_class(probs_flat, labels)
     logp = tape.log(tape.clamp_min(picked, CE_PROB_FLOOR))
-    return _scalar(tape, tape.scale(tape.sum(logp), -1.0 / labels.shape[0]))
+    return _scalar(tape, tape.mul_const(tape.sum(logp), -1.0 / labels.shape[0]))
 
 
 def dice_ce_node(tape: Tape, prob_node: Node, target_labels: np.ndarray,

@@ -45,18 +45,22 @@ PARAM_NAMES = (
 
 @dataclass(eq=False)
 class ModelParams:
+    """The parameter tensors and the dropout rate; sizes and dtype are read
+    off the tensors."""
+
     tensors: dict[str, np.ndarray]
-    n_classes: int
-    embed_dim: int
     dropout_rate: float
-    widths: tuple[int, int, int, int]
-    dtype: np.dtype
+
+    @property
+    def n_classes(self) -> int:
+        return self.tensors["seg_w"].shape[-1]
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.tensors["enc1_w"].dtype
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            {k: v.copy() for k, v in self.tensors.items()},
-            self.n_classes, self.embed_dim, self.dropout_rate, self.widths, self.dtype,
-        )
+        return ModelParams({k: v.copy() for k, v in self.tensors.items()}, self.dropout_rate)
 
     def finite(self) -> bool:
         return all(np.isfinite(v).all() for v in self.tensors.values())
@@ -97,7 +101,7 @@ def init_params(
             fan_in = int(np.prod(wshape[:-1]))
         bound = 1.0 / np.sqrt(fan_in)
         tensors[name] = rng.uniform(-bound, bound, size=shape).astype(dtype)
-    return ModelParams(tensors, n_classes, embed_dim, dropout_rate, tuple(widths), np.dtype(dtype))
+    return ModelParams(tensors, dropout_rate)
 
 
 def _check_dims(shape):
@@ -198,18 +202,24 @@ def sgd_step(
     momentum: float,
     state: SGDState,
 ) -> ModelParams:
-    """Classical momentum update: v <- momentum*v + g; p <- p - lr*v."""
+    """Classical momentum update: v <- momentum*v + g; p <- p - lr*v.
+
+    Every new velocity and tensor is computed and checked before any is
+    stored, so a TrainingAbort leaves the parameters and velocities as they were.
+    """
     if lr <= 0:
         raise ValueError("learning rate must be positive")
+    velocity, tensors = {}, {}
     for name in PARAM_NAMES:
         g = grads[name]
         if not np.isfinite(g).all():
             raise TrainingAbort(f"non-finite gradient in {name}")
-        v = state.velocity[name] = momentum * state.velocity[name] + g
-        p = params.tensors[name] - lr * v
+        v = velocity[name] = momentum * state.velocity[name] + g
+        p = tensors[name] = params.tensors[name] - lr * v
         if not np.isfinite(p).all():
             raise TrainingAbort(f"non-finite update of {name}")
-        params.tensors[name] = p
+    state.velocity.update(velocity)
+    params.tensors.update(tensors)
     return params
 
 
@@ -222,7 +232,7 @@ def save_checkpoint(path, sections: dict[str, ModelParams], meta: dict[str, floa
     its `<section>/dropout_rate`, and `meta/<key>`, both float64 scalars."""
     arrays = {}
     for name, params in sections.items():
-        arrays |= {f"{name}/{t}": np.asarray(params.tensors[t], params.dtype) for t in PARAM_NAMES}
+        arrays |= {f"{name}/{t}": params.tensors[t] for t in PARAM_NAMES}
         arrays[f"{name}/dropout_rate"] = np.float64(params.dropout_rate)
     arrays |= {f"meta/{key}": np.float64(value) for key, value in meta.items()}
     save_arrays(path, arrays)
@@ -259,5 +269,5 @@ def load_checkpoint(path):
                 raise FormatError(f"{path}: section {name!r} holds a {a.dtype} {tname}")
             if not np.isfinite(a).all():
                 raise FormatError(f"{path}: non-finite values in tensor {tname}")
-        sections[name] = ModelParams(arrays, n_classes, embed_dim, dropout_rate, widths, dtype)
+        sections[name] = ModelParams(arrays, dropout_rate)
     return sections, meta

@@ -24,7 +24,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import argmax_last
 from .errors import FormatError
 from .grids import LabelMap, Volume, load_arrays, save_arrays
 from .metrics import dsc_jaccard
@@ -259,28 +258,28 @@ def calibrate_registration_sigma(
 # label fusion
 # ---------------------------------------------------------------------------
 
-def slice_weight_map(dims, k: int, w0: float, half_life: float) -> np.ndarray:
-    """Per-voxel trust in the registration label: w0 * 2^(-|d - k| / half_life)."""
+def slice_weight_map(depth: int, k: int, w0: float, half_life: float) -> np.ndarray:
+    """Trust in the registration label per depth slice d, a (depth,) vector:
+    w0 * 2^(-|d - k| / half_life). It depends on the depth index alone."""
     if not 0.0 <= w0 <= 1.0:
         raise ValueError("w0 must be in [0, 1]")
     if half_life <= 0:
         raise ValueError("half_life must be positive")
-    h, w, d = dims
-    s = np.abs(np.arange(d) - k).astype(np.float64)
-    weights = w0 * np.exp2(-s / half_life)
-    return np.broadcast_to(weights, (h, w, d)).copy()
+    s = np.abs(np.arange(depth) - k).astype(np.float64)
+    return w0 * np.exp2(-s / half_life)
 
 
-def fuse_with_weight_map(
-    reg: np.ndarray, seg: np.ndarray, weight_map: np.ndarray, n_classes: int
-) -> np.ndarray:
-    """Per-voxel argmax of w*onehot(reg) + (1-w)*onehot(seg); ties to class 0."""
-    if not reg.shape == seg.shape == weight_map.shape:
-        raise ValueError("dims mismatch between reg, seg, and weight map")
-    eye = np.eye(n_classes)
-    w = weight_map[..., None]
-    score = w * eye[reg] + (1.0 - w) * eye[seg]
-    return argmax_last(score)
+def fuse_with_weight_map(reg: np.ndarray, seg: np.ndarray, trust: np.ndarray) -> np.ndarray:
+    """Per-voxel argmax of w*onehot(reg) + (1-w)*onehot(seg), w = trust[d]; ties
+    go to the lower class.
+
+    Where reg and seg differ, reg scores w and seg scores 1 - w, so reg wins
+    where w > 1 - w, seg where w < 1 - w, and the lower of the two on a tie.
+    """
+    if reg.shape != seg.shape or trust.shape != reg.shape[-1:]:
+        raise ValueError("dims mismatch between reg, seg, and the per-slice trust")
+    return np.where(trust > 1 - trust, reg,
+                    np.where(trust < 1 - trust, seg, np.minimum(reg, seg)))
 
 
 # ---------------------------------------------------------------------------

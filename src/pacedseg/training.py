@@ -299,12 +299,6 @@ class Trainer:
         self.schedule = Schedule(
             max(config.iterations, 1), config.alpha, config.delta, config.tau_sched
         )
-        self._weight_maps = {
-            case.case_id: slice_weight_map(
-                config.dims, case.k, config.fuse_w0, config.fuse_half_life
-            )
-            for case in dataset.labeled
-        }
         self._drop_shape = (config.widths[3], *config.dims)
 
     @property
@@ -351,8 +345,8 @@ class Trainer:
         box_l = sample_box(cfg.dims, np.random.default_rng(subs[1]))
         xs_l, ys_l = cutmix_with_box((w1, y1), (w2, y2), box_l)
         reg_f = apply_flips(labeled.reg_label.data, flips)
-        wmap_f = apply_flips(self._weight_maps[labeled.case_id], flips)
-        fused = fuse_with_weight_map(reg_f, ys_l, wmap_f, cfg.n_classes)
+        trust = slice_weight_map(cfg.dim_d, labeled.k, cfg.fuse_w0, cfg.fuse_half_life)
+        fused = fuse_with_weight_map(reg_f, ys_l, trust[::-1] if flips[2] else trust)
         probs_l, _ = forward_graph(tape, pnodes, xs_l, self._dropout_mask(subs[2]))
         ls_node = dice_ce_node(tape, probs_l, fused, cfg.n_classes)
 
@@ -394,9 +388,9 @@ class Trainer:
         else:
             lbf_node = tape.input(0.0)
 
-        ls_w = tape.scale(ls_node, cfg.loss_w_s)
-        lu_w = tape.scale(lu_node, cfg.loss_w_u)
-        lbf_w = tape.scale(lbf_node, cfg.loss_w_bf)
+        ls_w = tape.mul_const(ls_node, cfg.loss_w_s)
+        lu_w = tape.mul_const(lu_node, cfg.loss_w_u)
+        lbf_w = tape.mul_const(lbf_node, cfg.loss_w_bf)
         total = tape.add(tape.add(ls_w, lu_w), lbf_w)
 
         if not np.isfinite(total.value):

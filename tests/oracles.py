@@ -21,6 +21,9 @@ way, so a test can compare the optimized form in `src/` against it.
   `conv3d_backward` on the stride phases, at every stride.
 - `softmax_reduce`: softmax over the last axis with numpy reductions;
   checks the slice-folded `pacedseg.autodiff.softmax_raw` bit for bit.
+- `fuse_one_hot`: label fusion as the argmax of trust-weighted one-hot
+  scores on a per-voxel trust map; checks the per-slice
+  `pacedseg.synthdata.fuse_with_weight_map`.
 
 The contrast references take the (M, F) strong-view feature grid as an
 argument, since a `ContrastBatch` holds only indices into it.
@@ -89,6 +92,13 @@ def softmax_reduce(x):
     """Softmax over the last axis with `max`/`sum` reductions along it."""
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def fuse_one_hot(reg, seg, weight_map, n_classes):
+    """Per-voxel argmax of w*onehot(reg) + (1-w)*onehot(seg); ties to the lower class."""
+    eye = np.eye(n_classes)
+    w = weight_map[..., None]
+    return np.argmax(w * eye[reg] + (1.0 - w) * eye[seg], axis=-1)
 
 
 def _unit(v, name):
@@ -167,14 +177,15 @@ def gather_contrast_loss_node(tape, zsn_node, batch, z1_node=None, z2_node=None)
 
     z1n = tape.row_normalize(z1_node if z1_node is not None else tape.input(batch.z1))
     z2n = tape.row_normalize(z2_node if z2_node is not None else tape.input(batch.z2))
-    s12 = tape.scale(tape.rows_dot(z1n, z2n), 1.0 / tau)               # (P,)
+    s12 = tape.mul_const(tape.sum_axis(tape.mul(z1n, z2n), -1, keepdims=False), 1.0 / tau)  # (P,)
     s12_col = tape.reshape(s12, (p_count, 1))
 
     def direction(anchor_n):
-        dots = tape.rows_dot(tape.take_rows(anchor_n, owner), negs)     # (P*K,)
-        sims = tape.add_const(tape.scale(tape.reshape(dots, (p_count, k)), 1.0 / tau), pad)
+        pairs = tape.mul(tape.take_rows(anchor_n, owner), negs)
+        dots = tape.sum_axis(pairs, -1, keepdims=False)                 # (P*K,)
+        sims = tape.add_const(tape.mul_const(tape.reshape(dots, (p_count, k)), 1.0 / tau), pad)
         logits = tape.concat([s12_col, sims], axis=1)
-        return tape.sum(tape.sub(tape.logsumexp(logits), s12))
+        return tape.sum(tape.add(tape.logsumexp(logits), tape.mul_const(s12, -1.0)))
 
     total = tape.add(direction(z1n), direction(z2n))
-    return tape.reshape(tape.scale(total, 1.0 / p_count), ())
+    return tape.reshape(tape.mul_const(total, 1.0 / p_count), ())

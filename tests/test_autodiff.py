@@ -75,7 +75,7 @@ class TestBasicContracts:
         tape = Tape(np.float64)
         value = np.random.default_rng(1).standard_normal((5,))
         p = tape.input(value)
-        tape.backward(tape.scale(tape.sum(tape.mul(p, p)), 0.5))
+        tape.backward(tape.mul_const(tape.sum(tape.mul(p, p)), 0.5))
         np.testing.assert_allclose(p.grad, value, rtol=1e-12)
 
     def test_non_scalar_loss_rejected(self):
@@ -105,7 +105,7 @@ class TestBasicContracts:
     def test_dtype_follows_tape(self):
         tape = Tape(np.float32)
         a = tape.input(np.ones((2, 2)))
-        out = tape.relu(tape.scale(a, 2.0))
+        out = tape.relu(tape.mul_const(a, 2.0))
         assert out.value.dtype == np.float32
         tape.backward(tape.sum(out))
         assert a.grad.dtype == np.float32
@@ -113,10 +113,12 @@ class TestBasicContracts:
 
 class TestElementwiseGrads:
     def test_add_sub_mul(self):
-        fd_check(
-            lambda t, xs: t.sum(t.mul(t.add(xs[0], xs[1]), t.sub(xs[0], xs[1]))),
-            [(3, 4), (3, 4)],
-        )
+        """(a + b) * (a - b), with a - b spelled as a plus the negation of b."""
+        def build(t, xs):
+            diff = t.add(xs[0], t.mul_const(xs[1], -1.0))
+            return t.sum(t.mul(t.add(xs[0], xs[1]), diff))
+
+        fd_check(build, [(3, 4), (3, 4)])
 
     def test_div(self):
         def build(t, xs):
@@ -126,7 +128,15 @@ class TestElementwiseGrads:
         fd_check(build, [(4,), (4,)])
 
     def test_scale_add_const(self):
-        fd_check(lambda t, xs: t.sum(t.add_const(t.scale(xs[0], -2.5), 3.0)), [(3, 3)])
+        fd_check(lambda t, xs: t.sum(t.add_const(t.mul_const(xs[0], -2.5), 3.0)), [(3, 3)])
+        # a constant is cast to the tape dtype first, whether a float or a float64 array
+        x = np.random.default_rng(8).standard_normal(1000).astype(np.float32)
+        tape = Tape(np.float32)
+        node = tape.input(x)
+        by_float = tape.add_const(node, 0.1).value
+        by_vector = tape.add_const(node, np.full(x.shape, 0.1)).value
+        assert by_vector.dtype == np.float32
+        assert by_float.tobytes() == by_vector.tobytes() == (x + np.float32(0.1)).tobytes()
 
     def test_mul_const(self):
         mask = np.random.default_rng(3).random((3, 3))
@@ -258,9 +268,10 @@ class TestStructuralGrads:
         fd_check(lambda t, xs: t.sum(t.select_class(xs[0], labels)), [(4, 3)])
 
     def test_rows_dot_and_transpose_matmul(self):
-        """The contrast loss's shapes: (P,) row dots, (P, F) @ (F, U) logits."""
+        """The contrast loss's shapes: (P,) row dots as mul then sum_axis, and
+        (P, F) @ (F, U) logits."""
         def build(t, xs):
-            a = t.rows_dot(xs[0], xs[1])
+            a = t.sum_axis(t.mul(xs[0], xs[1]), -1, keepdims=False)
             b = t.logsumexp(t.matmul(xs[0], t.transpose(xs[2])))
             return t.sum(t.add(a, b))
 

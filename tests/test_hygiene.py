@@ -128,13 +128,6 @@ def test_no_dead_names_in_package():
     assert not dead, f"top-level names nothing in src/ or bench/ uses: {sorted(dead)}"
 
 
-# public Tape ops kept with no `tape.<op>(...)` call in src/, each with its reason
-UNCALLED_OPS_OK = {
-    # the autodiff tests build their gradient checks on it
-    "mul",
-}
-
-
 def uncalled_ops(ops: set[str], sources: list[str]) -> list[str]:
     """Members of `ops` that no `tape.<op>(...)` call in `sources` names."""
     called = {
@@ -154,5 +147,5 @@ def test_scan_flags_an_uncalled_op():
 def test_every_tape_op_has_a_caller_in_package():
     ops = {name for name in vars(Tape) if not name.startswith("_")}
     sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
-    uncalled = set(uncalled_ops(ops, sources)) - UNCALLED_OPS_OK
-    assert not uncalled, f"Tape ops no tape.<op>(...) call in src/ uses: {sorted(uncalled)}"
+    uncalled = uncalled_ops(ops, sources)
+    assert not uncalled, f"Tape ops no tape.<op>(...) call in src/ uses: {uncalled}"

@@ -124,6 +124,13 @@ class TestSupervised:
             dice_loss(pred[..., 1], onehot), rel=1e-12
         )
 
+    def test_dice_is_the_mean_over_foreground_classes(self):
+        rng = np.random.default_rng(4)
+        pred = random_pred(rng, n_classes=3)
+        labels = rng.integers(0, 3, size=(4, 4, 2))
+        per_class = [dice_loss(pred[..., c], labels == c) for c in (1, 2)]
+        assert dice(pred, labels) == pytest.approx(np.mean(per_class), rel=1e-12)
+
 
 class TestUnsupervised:
     def test_empty_mask_zero(self):
@@ -159,55 +166,53 @@ class TestUnsupervised:
         assert got == pytest.approx(dice + ce, rel=1e-6)
 
 
+def assert_matches_finite_differences(loss_of_probs, logits0, rng, n_coords):
+    """The softmax-input gradient of a loss graph against central differences."""
+    def loss_at(logits):
+        tape = Tape(np.float64)
+        return float(loss_of_probs(tape, tape.softmax(tape.input(logits))).value)
+
+    tape = Tape(np.float64)
+    node = tape.input(logits0)
+    tape.backward(loss_of_probs(tape, tape.softmax(node)))
+    flat = logits0.reshape(-1)
+    for ci in rng.choice(flat.size, size=n_coords, replace=False):
+        bumped = logits0.copy()
+        bumped.reshape(-1)[ci] += 1e-3
+        hi = loss_at(bumped)
+        bumped.reshape(-1)[ci] -= 2e-3
+        lo = loss_at(bumped)
+        numeric = (hi - lo) / 2e-3
+        err = abs(node.grad.reshape(-1)[ci] - numeric) / max(1.0, abs(numeric))
+        assert err < 1e-4
+
+
 class TestLossGradients:
     def test_dice_and_ce_match_finite_differences(self):
         rng = np.random.default_rng(7)
         logits0 = rng.standard_normal((4, 4, 2, 2))
         labels = rng.integers(0, 2, size=(4, 4, 2))
+        assert_matches_finite_differences(
+            lambda tape, probs: dice_ce_node(tape, probs, labels, 2), logits0, rng, 20
+        )
 
-        def loss_at(logits):
-            tape = Tape(np.float64)
-            probs = tape.softmax(tape.input(logits))
-            return float(dice_ce_node(tape, probs, labels, 2).value)
-
-        tape = Tape(np.float64)
-        node = tape.input(logits0)
-        tape.backward(dice_ce_node(tape, tape.softmax(node), labels, 2))
-        flat = logits0.reshape(-1)
-        for ci in rng.choice(flat.size, size=20, replace=False):
-            bumped = logits0.copy()
-            bumped.reshape(-1)[ci] += 1e-3
-            hi = loss_at(bumped)
-            bumped.reshape(-1)[ci] -= 2e-3
-            lo = loss_at(bumped)
-            numeric = (hi - lo) / 2e-3
-            err = abs(node.grad.reshape(-1)[ci] - numeric) / max(1.0, abs(numeric))
-            assert err < 1e-4
+    def test_three_class_dice_matches_finite_differences(self):
+        rng = np.random.default_rng(9)
+        logits0 = rng.standard_normal((4, 4, 2, 3))
+        labels = rng.integers(0, 3, size=(4, 4, 2))
+        assert_matches_finite_differences(
+            lambda tape, probs: dice_ce_node(tape, probs, labels, 3), logits0, rng, 20
+        )
 
     def test_gated_loss_gradient(self):
         rng = np.random.default_rng(8)
         logits0 = rng.standard_normal((4, 4, 2, 2))
         labels = rng.integers(0, 2, size=(4, 4, 2))
         gate = np.flatnonzero(rng.random(32) < 0.5)
-
-        def loss_at(logits):
-            tape = Tape(np.float64)
-            probs = tape.softmax(tape.input(logits))
-            return float(dice_ce_node(tape, probs, labels, 2, gate_idx=gate).value)
-
-        tape = Tape(np.float64)
-        node = tape.input(logits0)
-        tape.backward(dice_ce_node(tape, tape.softmax(node), labels, 2, gate_idx=gate))
-        flat = logits0.reshape(-1)
-        for ci in rng.choice(flat.size, size=16, replace=False):
-            bumped = logits0.copy()
-            bumped.reshape(-1)[ci] += 1e-3
-            hi = loss_at(bumped)
-            bumped.reshape(-1)[ci] -= 2e-3
-            lo = loss_at(bumped)
-            numeric = (hi - lo) / 2e-3
-            err = abs(node.grad.reshape(-1)[ci] - numeric) / max(1.0, abs(numeric))
-            assert err < 1e-4
+        assert_matches_finite_differences(
+            lambda tape, probs: dice_ce_node(tape, probs, labels, 2, gate_idx=gate),
+            logits0, rng, 16,
+        )
 
 
 class TestLossReport:

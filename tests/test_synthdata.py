@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from oracles import fuse_one_hot
+
 from pacedseg.metrics import dsc_jaccard
+from pacedseg.perturb import apply_flips
 from pacedseg.synthdata import (
     DEFAULT_REG_BETA,
     DEFAULT_REG_SIGMA,
@@ -122,25 +125,24 @@ class TestFusion:
     def test_full_weight_infinite_half_life_returns_reg(self):
         reg, seg = self.make_pair()
         # half_life = inf: the weight is w0 on every slice
-        fused = fuse_with_weight_map(reg, seg, np.full(reg.shape, 1.0), 2)
+        fused = fuse_with_weight_map(reg, seg, np.full(reg.shape[2], 1.0))
         np.testing.assert_array_equal(fused, reg)
 
     def test_zero_weight_returns_seg(self):
         reg, seg = self.make_pair(1)
-        fused = fuse_with_weight_map(reg, seg, slice_weight_map(reg.shape, 3, 0.0, 2.0), 2)
+        fused = fuse_with_weight_map(reg, seg, slice_weight_map(reg.shape[2], 3, 0.0, 2.0))
         np.testing.assert_array_equal(fused, seg)
 
     def test_agreement_is_idempotent_for_any_weight(self):
         reg, seg = self.make_pair(2)
         for w0 in (0.0, 0.3, 0.5, 0.8, 1.0):
-            fused = fuse_with_weight_map(reg, seg, slice_weight_map(reg.shape, 2, w0, 1.5), 2)
+            fused = fuse_with_weight_map(reg, seg, slice_weight_map(reg.shape[2], 2, w0, 1.5))
             agree = reg == seg
             np.testing.assert_array_equal(fused[agree], reg[agree])
 
     def test_weight_decays_monotonically_from_k(self):
-        wm = slice_weight_map((4, 4, 10), k=4, w0=0.8, half_life=2.0)
-        assert wm.shape == (4, 4, 10)
-        profile = wm[0, 0]
+        profile = slice_weight_map(10, k=4, w0=0.8, half_life=2.0)
+        assert profile.shape == (10,)
         assert profile[4] == pytest.approx(0.8)
         assert profile[6] == pytest.approx(0.4)  # one half-life away
         for d in range(4, 9):
@@ -152,9 +154,26 @@ class TestFusion:
         reg, _ = self.make_pair(4)
         seg = np.zeros((4, 4, 4), dtype=np.int64)
         with pytest.raises(ValueError):
-            fuse_with_weight_map(reg, seg, slice_weight_map(reg.shape, 0, 0.5, 1.0), 2)
+            fuse_with_weight_map(reg, seg, slice_weight_map(reg.shape[2], 0, 0.5, 1.0))
         with pytest.raises(ValueError):
-            fuse_with_weight_map(reg, reg, slice_weight_map((4, 4, 4), 0, 0.5, 1.0), 2)
+            fuse_with_weight_map(reg, reg, slice_weight_map(4, 0, 0.5, 1.0))
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_matches_one_hot_argmax(self, n_classes):
+        rng = np.random.default_rng(n_classes)
+        dims = (5, 4, 8)
+        reg, seg = rng.integers(0, n_classes, size=(2, *dims))
+        trust = rng.random(dims[2])
+        trust[[1, 3, 6]] = 0.5, 0.0, 1.0    # an exact tie goes to the lower class
+        full = np.broadcast_to(trust, dims)
+        np.testing.assert_array_equal(fuse_with_weight_map(reg, seg, trust),
+                                      fuse_one_hot(reg, seg, full, n_classes))
+        # a depth flip reverses the trust vector, as the flipped full map
+        flips = (True, False, True)
+        reg_f, seg_f = apply_flips(reg, flips), apply_flips(seg, flips)
+        np.testing.assert_array_equal(fuse_with_weight_map(reg_f, seg_f, trust[::-1]),
+                                      fuse_one_hot(reg_f, seg_f, apply_flips(full, flips),
+                                                   n_classes))
 
 
 class TestDatasetIO:
