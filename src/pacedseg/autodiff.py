@@ -446,15 +446,9 @@ class Tape:
         out._backward = lambda g: _accum(x, np.broadcast_to(g, x.value.shape))
         return out
 
-    def sum_axis(self, x: Node, axis: int, keepdims=True):
-        out = self._record(x.value.sum(axis=axis, keepdims=keepdims))
-
-        def back(g):
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            _accum(x, np.broadcast_to(g, x.value.shape))
-
-        out._backward = back
+    def sum_axis(self, x: Node, axis: int):
+        out = self._record(x.value.sum(axis=axis))
+        out._backward = lambda g: _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.value.shape))
         return out
 
     def logsumexp(self, x: Node):

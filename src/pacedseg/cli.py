@@ -54,11 +54,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ab.add_argument("--seeds", help="comma-separated run seeds (default from config)")
 
     sd = sub.add_parser("schedule-dump",
-                        help="emit (t, xi, lambda, R_conf, v, K) per iteration as CSV")
-    sd.add_argument("--lu-const", type=float,
+                        help="emit (t, xi, lambda, R_conf, v, K) per iteration as CSV under "
+                             "a constant L_u; a run's own schedule is in its train_log.csv")
+    sd.add_argument("--lu-const", type=float, default=0.05,
                     help="constant unsupervised loss fed to the schedule")
-    sd.add_argument("--lu-csv", help="train_log.csv whose L_u column drives the schedule "
-                                     "(a run with loss_w_u = 1)")
     return parser
 
 
@@ -143,58 +142,20 @@ def cmd_ablate(cfg: TrainConfig, args) -> int:
     return EXIT_OK
 
 
-def _read_lu_column(path) -> list[float]:
-    """The L_u column of a train_log.csv; any malformed row is a ConfigError."""
-    try:
-        lines = Path(path).read_text().splitlines()
-    except (OSError, UnicodeDecodeError) as e:
-        raise ConfigError(f"cannot read {path}: {e}") from e
-    header = lines[0].split(",") if lines else []
-    if "L_u" not in header:
-        raise ConfigError(f"{path}: no L_u column")
-    values = []
-    for lineno, row in enumerate(lines[1:], 2):
-        if not row:
-            continue
-        cells = dict(zip(header, row.split(",")))
-        if cells.get("branch") == "off":
-            raise ConfigError(f"{path}:{lineno}: branch=off: this run's schedule selected nothing")
-        try:
-            value = float(cells["L_u"])
-        except (KeyError, ValueError) as e:
-            raise ConfigError(f"{path}:{lineno}: no numeric L_u in {row!r}") from e
-        if not value >= 0:
-            raise ConfigError(f"{path}:{lineno}: L_u must be >= 0, got {value!r}")
-        values.append(value)
-    return values
-
-
 def cmd_schedule_dump(cfg: TrainConfig, args) -> int:
-    if args.lu_csv and cfg.loss_w_u != 1:
-        raise ConfigError(
-            f"--lu-csv replays a log's L_u column, which holds loss_w_u * L_u; "
-            f"it needs loss_w_u = 1, got {cfg.loss_w_u!r}"
-        )
-    lu_series = _read_lu_column(args.lu_csv) if args.lu_csv else None
-    if lu_series is not None and len(lu_series) > cfg.iterations:
-        raise ConfigError(
-            f"{args.lu_csv}: {len(lu_series)} L_u rows but iterations is {cfg.iterations}"
-        )
-    lu_const = args.lu_const if args.lu_const is not None else 0.05
-    if not lu_const >= 0:
-        raise ConfigError(f"--lu-const must be >= 0, got {lu_const!r}")
+    if not args.lu_const >= 0:
+        raise ConfigError(f"--lu-const must be >= 0, got {args.lu_const!r}")
     n_vox = cfg.dim_h * cfg.dim_w * cfg.dim_d
     # as in Trainer: a zero-iteration run still has a valid (empty) schedule
     schedule = Schedule(max(cfg.iterations, 1), cfg.alpha, cfg.delta, cfg.tau_sched)
     print("t,xi,lambda,R_conf,v,K")
-    steps = len(lu_series) if lu_series is not None else cfg.iterations
-    for t in range(steps):
+    for t in range(cfg.iterations):
         r_conf, v = schedule.ratio()
         xi = warmup_xi(t, schedule.t_max)
         k = int(math.floor(r_conf * n_vox))
         v_str = "" if v is None else repr(v)
         print(f"{t},{xi!r},{schedule.lam!r},{r_conf!r},{v_str},{k}")
-        schedule.advance(lu_series[t] if lu_series is not None else lu_const)
+        schedule.advance(args.lu_const)
     return EXIT_OK
 
 

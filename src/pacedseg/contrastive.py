@@ -121,19 +121,12 @@ def _unit(v: np.ndarray, name: str) -> np.ndarray:
     return v / n
 
 
-def contrast_loss_node(
-    tape: Tape,
-    zsn_node: Node,
-    batch: ContrastBatch,
-    z1_node: Node | None = None,
-    z2_node: Node | None = None,
-) -> Node:
+def contrast_loss_node(tape: Tape, zsn_node: Node, batch: ContrastBatch) -> Node:
     """Differentiable bidirectional loss.
 
     ``zsn_node`` is the (h, w, d, F) or (M, F) strong-view feature node;
-    anchors default to constants taken from the batch (the weak views come
-    from the EMA teacher during training) but can be supplied as nodes for
-    gradient checks.
+    the anchors are constants taken from the batch, since the weak views
+    come from the EMA teacher.
     """
     p_count = batch.n_positives
     if p_count == 0:
@@ -154,9 +147,8 @@ def contrast_loss_node(
     flat = tape.reshape(zsn_node, (-1, f))
     negs_t = tape.transpose(tape.row_normalize(tape.take_rows(flat, uniq)))   # (F, U)
 
-    z1n = tape.row_normalize(z1_node) if z1_node is not None else tape.input(_unit(batch.z1, "z1"))
-    z2n = tape.row_normalize(z2_node) if z2_node is not None else tape.input(_unit(batch.z2, "z2"))
-    s12 = tape.mul_const(tape.sum_axis(tape.mul(z1n, z2n), -1, keepdims=False), 1.0 / tau)  # (P,)
+    z1n, z2n = tape.input(_unit(batch.z1, "z1")), tape.input(_unit(batch.z2, "z2"))
+    s12 = tape.mul_const(tape.sum_axis(tape.mul(z1n, z2n), -1), 1.0 / tau)  # (P,)
     s12_col = tape.reshape(s12, (p_count, 1))
     minus_s12 = tape.mul_const(s12, -1.0)
 

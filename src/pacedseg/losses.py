@@ -38,8 +38,8 @@ def dice_node(tape: Tape, probs_flat: Node, onehot: np.ndarray, n_classes: int) 
     """
     fg = np.arange(1, n_classes)
     counts = np.asarray(onehot, dtype=np.float64).sum(axis=0)[fg]
-    inter = tape.take_rows(tape.sum_axis(tape.mul_const(probs_flat, onehot), 0, keepdims=False), fg)
-    p_sums = tape.take_rows(tape.sum_axis(probs_flat, 0, keepdims=False), fg)
+    inter = tape.take_rows(tape.sum_axis(tape.mul_const(probs_flat, onehot), 0), fg)
+    p_sums = tape.take_rows(tape.sum_axis(probs_flat, 0), fg)
     num = tape.add_const(tape.mul_const(inter, 2.0), DICE_EPS)
     den = tape.add_const(p_sums, counts + DICE_EPS)
     terms = tape.add_const(tape.mul_const(tape.div(num, den), -1.0), 1.0)

@@ -182,8 +182,8 @@ def ema_update(teacher: ModelParams, student: ModelParams, decay: float) -> Mode
         raise ValueError("EMA decay must be in [0, 1)")
     for name in PARAM_NAMES:
         t, s = teacher.tensors[name], student.tensors[name]
-        if t.shape != s.shape:
-            raise ValueError(f"shape mismatch for {name}: {t.shape} vs {s.shape}")
+        if (t.dtype, t.shape) != (s.dtype, s.shape):
+            raise ValueError(f"mismatch for {name}: {t.dtype} {t.shape} vs {s.dtype} {s.shape}")
         teacher.tensors[name] = decay * t + (1.0 - decay) * s
     return teacher
 
@@ -205,17 +205,22 @@ def sgd_step(
     """Classical momentum update: v <- momentum*v + g; p <- p - lr*v.
 
     Every new velocity and tensor is computed and checked before any is
-    stored, so a TrainingAbort leaves the parameters and velocities as they were.
+    stored, so a ValueError or TrainingAbort leaves the parameters and
+    velocities as they were. A gradient must match its tensor's dtype and
+    shape: numpy would otherwise promote or broadcast it into the update.
     """
     if lr <= 0:
         raise ValueError("learning rate must be positive")
     velocity, tensors = {}, {}
     for name in PARAM_NAMES:
-        g = grads[name]
+        g, p = grads[name], params.tensors[name]
+        if (g.dtype, g.shape) != (p.dtype, p.shape):
+            raise ValueError(f"gradient of {name} is {g.dtype} {g.shape}, "
+                             f"its tensor {p.dtype} {p.shape}")
         if not np.isfinite(g).all():
             raise TrainingAbort(f"non-finite gradient in {name}")
         v = velocity[name] = momentum * state.velocity[name] + g
-        p = tensors[name] = params.tensors[name] - lr * v
+        p = tensors[name] = p - lr * v
         if not np.isfinite(p).all():
             raise TrainingAbort(f"non-finite update of {name}")
     state.velocity.update(velocity)

@@ -33,7 +33,9 @@ TRUTH_NAME = "truth.arr"
 
 # Calibrated via calibrate_registration_sigma() on the default 32x32x16
 # generator so that mean DSC(reg, truth) over 20 cases sits mid-band
-# (0.645-0.682 across dataset seeds).
+# (0.641-0.687 over dataset seeds 1-5, with attach_registration's seeds).
+# A re-bisection with those seeds reads 3.26; 3.1 is kept until the
+# surrogate itself is next recalibrated.
 DEFAULT_REG_SIGMA = 3.1
 DEFAULT_REG_BETA = 0.15
 
@@ -63,7 +65,6 @@ class UnlabeledCase:
     case_id: str
     image: Volume
     truth: LabelMap | None = None
-    shape: EllipsoidParams | None = None
 
 
 @dataclass(eq=False)
@@ -146,11 +147,11 @@ def generate_dataset(
         ))
     for j in range(n_unlabeled):
         rng = np.random.default_rng(children[n_labeled + j])
-        image, truth, params = _draw_case(
+        image, truth, _ = _draw_case(
             rng, dims, radius_range, center_jitter, edge_width, noise_amp
         )
         unlabeled.append(UnlabeledCase(
-            case_id=f"case_{n_labeled + j:04d}", image=image, truth=truth, shape=params,
+            case_id=f"case_{n_labeled + j:04d}", image=image, truth=truth,
         ))
     return Dataset(labeled, unlabeled, tuple(dims))
 
@@ -198,9 +199,6 @@ def register_surrogate(
         dx = (hh[:, None] - cx) / a_d
         dy = (ww[None, :] - cy) / b_d
         f = np.sqrt(dx * dx + dy * dy)
-        if sigma == 0.0:
-            out[:, :, di] = f < 1.0
-            continue
         theta = np.arctan2(dy, dx)
         radius_px = np.sqrt((a_d * np.cos(theta)) ** 2 + (b_d * np.sin(theta)) ** 2)
         s = abs(di - k)
@@ -235,15 +233,13 @@ def calibrate_registration_sigma(
     hi: float = 8.0,
     iters: int = 24,
 ) -> float:
-    """Bisect sigma so the surrogate's mean DSC against truth hits `target`."""
+    """Bisect sigma so the surrogate's mean DSC against truth hits `target`,
+    with the per-case seeds that `attach_registration` gives a training run."""
     ds = generate_dataset(n_cases, 0, dims, seed=seed)
 
     def mean_dsc(sigma: float) -> float:
-        vals = []
-        for i, case in enumerate(ds.labeled):
-            reg = register_surrogate(case, sigma, beta, seed=seed + 7 * i)
-            vals.append(dsc_jaccard(reg, case.truth)[0])
-        return float(np.mean(vals))
+        attach_registration(ds, sigma, beta, seed=seed)
+        return float(np.mean([dsc_jaccard(c.reg_label, c.truth)[0] for c in ds.labeled]))
 
     for _ in range(iters):
         mid = 0.5 * (lo + hi)

@@ -155,7 +155,7 @@ def validate_batch(batch, preds_w1, preds_w2, preds_sn, mask_ds) -> None:
         assert (psn[idx] != batch.classes[i]).all(), "negative shares the anchor class"
 
 
-def gather_contrast_loss_node(tape, zsn_node, batch, z1_node=None, z2_node=None):
+def gather_contrast_loss_node(tape, zsn_node, batch):
     """The gather form of `contrast_loss_node`.
 
     Every anchor's K negatives are gathered into a (P*K, F) block,
@@ -175,14 +175,14 @@ def gather_contrast_loss_node(tape, zsn_node, batch, z1_node=None, z2_node=None)
     pad = np.where(batch.neg_idx == NEG_PAD, -np.inf, 0.0)
     owner = np.repeat(np.arange(p_count), k)                            # anchor of each row
 
-    z1n = tape.row_normalize(z1_node if z1_node is not None else tape.input(batch.z1))
-    z2n = tape.row_normalize(z2_node if z2_node is not None else tape.input(batch.z2))
-    s12 = tape.mul_const(tape.sum_axis(tape.mul(z1n, z2n), -1, keepdims=False), 1.0 / tau)  # (P,)
+    z1n = tape.row_normalize(tape.input(batch.z1))
+    z2n = tape.row_normalize(tape.input(batch.z2))
+    s12 = tape.mul_const(tape.sum_axis(tape.mul(z1n, z2n), -1), 1.0 / tau)  # (P,)
     s12_col = tape.reshape(s12, (p_count, 1))
 
     def direction(anchor_n):
         pairs = tape.mul(tape.take_rows(anchor_n, owner), negs)
-        dots = tape.sum_axis(pairs, -1, keepdims=False)                 # (P*K,)
+        dots = tape.sum_axis(pairs, -1)                                 # (P*K,)
         sims = tape.add_const(tape.mul_const(tape.reshape(dots, (p_count, k)), 1.0 / tau), pad)
         logits = tape.concat([s12_col, sims], axis=1)
         return tape.sum(tape.add(tape.logsumexp(logits), tape.mul_const(s12, -1.0)))

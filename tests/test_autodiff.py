@@ -271,7 +271,7 @@ class TestStructuralGrads:
         """The contrast loss's shapes: (P,) row dots as mul then sum_axis, and
         (P, F) @ (F, U) logits."""
         def build(t, xs):
-            a = t.sum_axis(t.mul(xs[0], xs[1]), -1, keepdims=False)
+            a = t.sum_axis(t.mul(xs[0], xs[1]), -1)
             b = t.logsumexp(t.matmul(xs[0], t.transpose(xs[2])))
             return t.sum(t.add(a, b))
 

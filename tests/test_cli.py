@@ -34,55 +34,25 @@ def test_schedule_dump_with_zero_iterations_prints_header_only(tmp_path, capsys)
     assert capsys.readouterr().out.splitlines() == ["t,xi,lambda,R_conf,v,K"]
 
 
-def test_lu_csv_longer_than_iterations_exits_config(tmp_path, capsys):
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("iterations = 3\n")
-    log = tmp_path / "train_log.csv"
-    log.write_text("t,L_u\n" + "".join(f"{t},0.5\n" for t in range(5)))
-    assert main(["--config", str(cfg), "schedule-dump", "--lu-csv", str(log)]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "5 L_u rows" in err and "iterations is 3" in err
+def test_negative_or_nan_loss_exits_config(capsys):
+    for value in ("-1", "nan"):
+        assert main(["schedule-dump", "--lu-const", value]) == EXIT_CONFIG
+    assert capsys.readouterr().err.count("--lu-const must be >= 0") == 2
 
 
-def _dump_with_lu_csv(tmp_path, text):
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("iterations = 3\n")
-    log = tmp_path / "train_log.csv"
-    log.write_text(text)
-    return main(["--config", str(cfg), "schedule-dump", "--lu-csv", str(log)])
-
-
-def test_lu_csv_non_numeric_cell_exits_config(tmp_path, capsys):
-    assert _dump_with_lu_csv(tmp_path, "t,L_u\n0,abc\n") == EXIT_CONFIG
-    assert "'0,abc'" in capsys.readouterr().err
-
-
-def test_lu_csv_short_row_exits_config(tmp_path, capsys):
-    assert _dump_with_lu_csv(tmp_path, "t,L_u\n0\n") == EXIT_CONFIG
-    assert ":2:" in capsys.readouterr().err
-
-
-def test_lu_csv_empty_file_exits_config(tmp_path, capsys):
-    assert _dump_with_lu_csv(tmp_path, "") == EXIT_CONFIG
-    assert "no L_u column" in capsys.readouterr().err
-
-
-def test_negative_or_nan_loss_exits_config(tmp_path, capsys):
-    for cell in ("-0.5", "nan"):
-        assert _dump_with_lu_csv(tmp_path, f"t,L_u\n0,{cell}\n") == EXIT_CONFIG
-    assert main(["schedule-dump", "--lu-const", "-1"]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.count("L_u must be >= 0") == 2 and "--lu-const must be >= 0" in err
-
-
-def test_unreadable_config_or_lu_csv_exits_config(tmp_path, capsys):
+def test_unreadable_config_exits_config(tmp_path, capsys):
     binary = tmp_path / "binary"
     binary.write_bytes(b"\xff\xfe\x00")
     assert main(["--config", str(binary), "schedule-dump"]) == EXIT_CONFIG
-    for bad in (binary, tmp_path):
-        argv = ["schedule-dump", "--lu-csv", str(bad)]
-        assert main(argv) == EXIT_CONFIG
-    assert capsys.readouterr().err.count("cannot read") == 3
+    assert "cannot read" in capsys.readouterr().err
+
+
+def test_lu_csv_is_an_unknown_flag(capsys):
+    """schedule-dump reads no log: a run's schedule is in its own train_log.csv."""
+    with pytest.raises(SystemExit) as exc:
+        main(["schedule-dump", "--lu-csv", "x"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --lu-csv x" in capsys.readouterr().err
 
 
 SMALL_CFG = (
@@ -264,39 +234,6 @@ def test_out_of_range_config_exits_config(tmp_path, capsys, key, value):
     assert not (tmp_path / "run").exists()
 
 
-def test_lu_csv_of_a_weighted_log_exits_config(tmp_path, capsys):
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("iterations = 3\nloss_w_u = 0.5\n")
-    log = tmp_path / "train_log.csv"
-    log.write_text("t,L_u\n0,0.5\n")
-    assert main(["--config", str(cfg), "schedule-dump", "--lu-csv", str(log)]) == EXIT_CONFIG
-    assert "needs loss_w_u = 1" in capsys.readouterr().err
-
-
-def test_lu_csv_replays_the_schedule_of_a_run(tmp_path, capsys):
-    """schedule-dump of a run's own log reproduces its schedule columns, over
-    both branches (alpha = 100 leaves the warm branch after step 0)."""
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text(SMALL_CFG.replace("iterations = 2", "iterations = 12")
-                   + "alpha = 100\ntau_sched = 2000\n")
-    run = tmp_path / "run"
-    assert main(["--config", str(cfg), "--out-dir", str(run), "train"]) == EXIT_OK
-    capsys.readouterr()
-    assert main(["--config", str(cfg), "schedule-dump",
-                 "--lu-csv", str(run / "train_log.csv")]) == EXIT_OK
-    dumped = capsys.readouterr().out.splitlines()
-    logged = (run / "train_log.csv").read_text().splitlines()
-
-    def columns(rows, names):
-        header = rows[0].split(",")
-        return [tuple(row.split(",")[header.index(n)] for n in names) for row in rows[1:]]
-
-    assert len(dumped) == len(logged) == 1 + 12
-    assert {b for (b,) in columns(logged, ["branch"])} == {"warm", "confident"}
-    assert (columns(dumped, ["lambda", "R_conf", "v", "K"])
-            == columns(logged, ["lambda", "R_conf", "v", "K"]))
-
-
 @pytest.mark.parametrize("verb", [
     ["gen-data"], ["train"], ["eval", "--checkpoint", "c", "--data-dir", "d"], ["ablate"],
 ], ids=lambda verb: verb[0])
@@ -308,34 +245,19 @@ def test_unusable_out_dir_exits_config(tmp_path, capsys, verb):
         assert "cannot create --out-dir" in capsys.readouterr().err
 
 
-@pytest.fixture(scope="module")
-def su_off_log(tmp_path_factory):
-    """train_log.csv of an SU-off run whose schedule leaves the warm branch at t = 1."""
-    root = tmp_path_factory.mktemp("su_off")
-    cfg = root / "c.cfg"
+def test_su_off_steps_log_branch_off(tmp_path):
+    # a schedule that, with SU on, would leave the warm branch at t = 1
+    cfg = tmp_path / "c.cfg"
     cfg.write_text(SMALL_CFG.replace("iterations = 2", "iterations = 4")
                    + "alpha = 100\ntau_sched = 2000\nenable_su = false\n")
-    assert main(["--config", str(cfg), "--out-dir", str(root / "run"), "train"]) == EXIT_OK
-    return cfg, root / "run" / "train_log.csv"
-
-
-def test_su_off_steps_log_branch_off(su_off_log):
-    _, log = su_off_log
-    rows = log.read_text().splitlines()
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "run"), "train"]) == EXIT_OK
+    rows = (tmp_path / "run" / "train_log.csv").read_text().splitlines()
     header = rows[0].split(",")
     cells = [dict(zip(header, row.split(","))) for row in rows[1:]]
     assert len(cells) == 4
     # R_conf = 1 and every voxel (8 * 8 * 4) selected, from the warm step on
     assert ([(c["branch"], c["R_conf"], c["v"], c["K"]) for c in cells]
             == [("off", "1.0", "", "256")] * 4)
-
-
-def test_lu_csv_of_an_su_off_run_exits_config(su_off_log, capsys):
-    cfg, log = su_off_log
-    capsys.readouterr()
-    assert main(["--config", str(cfg), "schedule-dump", "--lu-csv", str(log)]) == EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert ":2: branch=off" in captured.err and captured.out == ""
 
 
 def test_divergent_last_step_exits_numeric(tmp_path, capsys):

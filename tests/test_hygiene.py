@@ -1,5 +1,6 @@
 """Source hygiene checks that need no linter: every import, every
-top-level function or class and every tape op of the package is used."""
+top-level function or class, every tape op and every optional parameter
+of the package is used."""
 
 import ast
 from pathlib import Path
@@ -13,6 +14,17 @@ BENCH = SRC.parents[1] / "bench"
 # names kept with no caller in src/ or bench/, each with its reason
 UNREFERENCED_OK = {
     # derives DEFAULT_REG_SIGMA; rerun it when the generator defaults change
+    "calibrate_registration_sigma",
+}
+
+# functions whose optional parameters no call in src/ or bench/ passes,
+# kept each with its reason
+UNPASSED_OK = {
+    # the StepTrace of one step, which run diagnostics read (ROADMAP item 3)
+    "Trainer.step",
+    # tests drive the CLI in-process; the console script reads sys.argv
+    "main",
+    # has no caller at all (UNREFERENCED_OK); its parameters are its knobs
     "calibrate_registration_sigma",
 }
 
@@ -149,3 +161,82 @@ def test_every_tape_op_has_a_caller_in_package():
     sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
     uncalled = uncalled_ops(ops, sources)
     assert not uncalled, f"Tape ops no tape.<op>(...) call in src/ uses: {uncalled}"
+
+
+def optional_params(source: str) -> dict[str, list[tuple[int | None, str]]]:
+    """(position or None if keyword-only, name) of every defaulted parameter
+    of each top-level function and method, by "f" or "Class.method";
+    a method's positions skip self."""
+    found = {}
+
+    def record(qualname, fn, skip):
+        args = fn.args
+        positional = (args.posonlyargs + args.args)[skip:]
+        first_default = len(positional) - len(args.defaults)
+        params = [(i, a.arg) for i, a in enumerate(positional) if i >= first_default]
+        params += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+        if params:
+            found[qualname] = params
+
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            record(node.name, node, 0)
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in fn.decorator_list)
+                    record(f"{node.name}.{fn.name}", fn, 0 if static else 1)
+    return found
+
+
+def unpassed_params(defining: dict[str, str], calling: list[str]) -> list[str]:
+    """"f(p)" for each optional parameter p of a function in `defining`
+    (module -> source) that no call in `calling` passes. Calls match by
+    the called name alone; `Class(...)` calls `Class.__init__`. Only the
+    arguments a call spells out count: `*seq` and `**mapping` pass nothing
+    the source shows."""
+    passed = {}  # called name -> (positional count, keyword names)
+    for src in calling:
+        for node in ast.walk(ast.parse(src)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            n_pos, kws = passed.get(name, (0, set()))
+            spelled = next((i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)),
+                           len(node.args))
+            passed[name] = (max(n_pos, spelled), kws | {k.arg for k in node.keywords})
+    found = []
+    for src in defining.values():
+        for qualname, params in optional_params(src).items():
+            owner, _, method = qualname.rpartition(".")
+            n_pos, kws = passed.get(owner if method == "__init__" else method, (0, set()))
+            found += [f"{qualname}({name})" for pos, name in params
+                      if name not in kws and (pos is None or pos >= n_pos)]
+    return sorted(found)
+
+
+def test_scan_flags_an_unpassed_optional_parameter():
+    lib = ("def f(a, b=1, *, c=2, d=3):\n    pass\n\n\n"
+           "class K:\n    def __init__(self, x=0, y=0):\n        pass\n\n"
+           "    def m(self, p=1, q=2):\n        pass\n\n"
+           "    @staticmethod\n    def s(u=0):\n        pass\n")
+    caller = "f(0, 5, d=4)\nK(1)\nk.m(q=3)\nK.s(1)\n"
+    assert unpassed_params({"lib": lib}, [lib, caller]) == ["K.__init__(y)", "K.m(p)", "f(c)"]
+
+
+def test_scan_counts_only_spelled_out_arguments():
+    lib = "def f(a, b=1, c=2):\n    pass\n\n\ndef g(a=1, b=2):\n    pass\n"
+    caller = "f(0, *rest)\ng(a=0, **kwargs)\n"
+    assert unpassed_params({"lib": lib}, [caller]) == ["f(b)", "f(c)", "g(b)"]
+
+
+def test_every_optional_parameter_has_a_caller_that_passes_it():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    calling = list(sources.values()) + [p.read_text() for p in sorted(BENCH.glob("*.py"))]
+    found = unpassed_params(sources, calling)
+    unpassed = [p for p in found if p.partition("(")[0] not in UNPASSED_OK]
+    assert not unpassed, f"optional parameters no call in src/ or bench/ passes: {unpassed}"
+    stale = UNPASSED_OK - {p.partition("(")[0] for p in found}
+    assert not stale, f"UNPASSED_OK entries whose parameters are all passed: {sorted(stale)}"

@@ -144,6 +144,11 @@ class TestEMA:
         with pytest.raises(ValueError):
             ema_update(teacher, student, 0.9)
 
+    def test_dtype_mismatch_raises(self):
+        teacher, student = tiny_params(dtype=np.float32), tiny_params()
+        with pytest.raises(ValueError, match="float32"):
+            ema_update(teacher, student, 0.9)
+
 
 class TestSGD:
     def test_plain_step(self):
@@ -201,6 +206,26 @@ class TestSGD:
         for name in PARAM_NAMES:
             np.testing.assert_array_equal(params.tensors[name], tensors[name])
             np.testing.assert_array_equal(state.velocity[name], velocity[name])
+
+    @pytest.mark.parametrize("bad", ["dtype", "shape"])
+    def test_mismatched_gradient_raises_and_leaves_tensors_and_velocities(self, bad):
+        """A float64 gradient would promote a float32 tensor and its velocity;
+        a (1,) one would broadcast over the tensor."""
+        params = tiny_params(dtype=np.float32)
+        state = SGDState(params)
+        grads = {k: np.ones_like(v) for k, v in params.tensors.items()}
+        sgd_step(params, grads, lr=0.1, momentum=0.9, state=state)
+        tensors = {k: v.copy() for k, v in params.tensors.items()}
+        velocity = {k: v.copy() for k, v in state.velocity.items()}
+        g = grads["proj_b"]
+        grads["proj_b"] = g.astype(np.float64) if bad == "dtype" else np.ones(1, g.dtype)
+        with pytest.raises(ValueError, match="gradient of proj_b"):
+            sgd_step(params, grads, lr=0.1, momentum=0.9, state=state)
+        for name in PARAM_NAMES:
+            assert params.tensors[name].tobytes() == tensors[name].tobytes()
+            assert params.tensors[name].dtype == np.float32
+            assert state.velocity[name].tobytes() == velocity[name].tobytes()
+            assert state.velocity[name].dtype == np.float32
 
     def test_teacher_untouched_by_optimizer(self):
         student, teacher = tiny_params(seed=0), tiny_params(seed=0)

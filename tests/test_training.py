@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -16,6 +17,7 @@ from pacedseg.training import (
     run_training,
     save_config,
 )
+from pacedseg.uncertainty import Schedule
 
 
 def tiny_config(**overrides):
@@ -313,6 +315,26 @@ class TestRunTraining:
         run_training(cfg, tiny_dataset(cfg), tmp_path / "b")
         for name in ("train_log.csv", "eval_log.csv", "eval_final.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_logged_l_u_replays_the_logged_schedule(self, tmp_path):
+        """A Schedule fed the log's own L_u column reproduces its lambda,
+        R_conf, v and K columns, over both branches (alpha = 100 leaves the
+        warm branch after step 0)."""
+        cfg = tiny_config(alpha=100.0, tau_sched=2000.0)
+        run_training(cfg, tiny_dataset(cfg), tmp_path)
+        rows = (tmp_path / "train_log.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        cells = [dict(zip(header, row.split(","))) for row in rows[1:]]
+        assert len(cells) == cfg.iterations
+        assert {c["branch"] for c in cells} == {"warm", "confident"}
+        schedule = Schedule(cfg.iterations, cfg.alpha, cfg.delta, cfg.tau_sched)
+        n_vox = cfg.dim_h * cfg.dim_w * cfg.dim_d
+        for c in cells:
+            r_conf, v = schedule.ratio()
+            replayed = (repr(schedule.lam), repr(r_conf), "" if v is None else repr(v),
+                        str(math.floor(r_conf * n_vox)))
+            assert (c["lambda"], c["R_conf"], c["v"], c["K"]) == replayed, c["t"]
+            schedule.advance(float(c["L_u"]))
 
     def test_logged_lambda_column_matches_growth_law(self, tmp_path):
         cfg = tiny_config()
