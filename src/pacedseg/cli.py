@@ -150,7 +150,8 @@ def cmd_schedule_dump(cfg: TrainConfig, args) -> int:
     schedule = Schedule(max(cfg.iterations, 1), cfg.alpha, cfg.delta, cfg.tau_sched)
     print("t,xi,lambda,R_conf,v,K")
     for t in range(cfg.iterations):
-        r_conf, v = schedule.ratio()
+        # as in Trainer: with SU off every voxel is selected, and lambda still grows
+        r_conf, v = schedule.ratio() if cfg.enable_su else (1.0, None)
         xi = warmup_xi(t, schedule.t_max)
         k = int(math.floor(r_conf * n_vox))
         v_str = "" if v is None else repr(v)

@@ -4,6 +4,15 @@ Foreground is every non-background voxel (label != 0). Surfaces are
 foreground voxels with at least one six-connected background neighbor;
 voxels on the volume border count as surface. Distances are Euclidean
 between voxel centers in voxel units (isotropic unit spacing).
+
+Nearest surface distances come from one dense kernel. Each surface voxel
+x of one set becomes the row [x, |x|^2, 1] and each voxel y of the other
+the row [-2y, 1, |y|^2], so one float64 matmul of the two row sets gives
+|x - y|^2 for every pair. Every product and partial sum there is an
+integer far below 2^53, so each squared distance is exact whatever order
+or fused multiply-adds the BLAS uses, and its sqrt is the correctly
+rounded distance. The pair matrix is built PAIR_CHUNK pairs at a time:
+a row-min per block and a running column-min give both directions.
 """
 
 from __future__ import annotations
@@ -11,10 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import UndefinedMetricError
 from .grids import LabelMap
+
+# pairs of surface voxels per block of the distance matrix (512 KiB of float64)
+PAIR_CHUNK = 1 << 16
 
 
 @dataclass
@@ -64,6 +75,22 @@ def surface_voxels(fg: np.ndarray) -> np.ndarray:
     return np.argwhere(fg & ~interior)
 
 
+def nearest_distances(sa: np.ndarray, sb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distance from each row of sa to its nearest row of sb, and the reverse)
+    for two nonempty sets of integer voxel coordinates."""
+    xa, xb = sa.astype(np.float64), sb.astype(np.float64)
+    lhs = np.column_stack([xa, (xa * xa).sum(axis=1), np.ones(len(xa))])
+    rhs = np.column_stack([-2.0 * xb, np.ones(len(xb)), (xb * xb).sum(axis=1)]).T
+    rows = max(1, PAIR_CHUNK // len(xb))
+    sq_ab = np.empty(len(xa))
+    sq_ba = np.full(len(xb), np.inf)
+    for i in range(0, len(xa), rows):
+        block = lhs[i:i + rows] @ rhs
+        block.min(axis=1, out=sq_ab[i:i + rows])
+        np.minimum(sq_ba, block.min(axis=0), out=sq_ba)
+    return np.sqrt(sq_ab), np.sqrt(sq_ba)
+
+
 def surface_distances(pred: LabelMap, truth: LabelMap) -> tuple[float, float]:
     """(average symmetric surface distance, Hausdorff distance) in voxels."""
     if pred.dims != truth.dims:
@@ -71,10 +98,7 @@ def surface_distances(pred: LabelMap, truth: LabelMap) -> tuple[float, float]:
     a, b = _foreground(pred), _foreground(truth)
     if not a.any() or not b.any():
         raise UndefinedMetricError("surface distances need nonempty foregrounds")
-    sa = surface_voxels(a).astype(np.float64)
-    sb = surface_voxels(b).astype(np.float64)
-    d_ab = cKDTree(sb).query(sa)[0]
-    d_ba = cKDTree(sa).query(sb)[0]
+    d_ab, d_ba = nearest_distances(surface_voxels(a), surface_voxels(b))
     asd = (d_ab.sum() + d_ba.sum()) / (len(d_ab) + len(d_ba))
     hd = max(d_ab.max(), d_ba.max())
     return float(asd), float(hd)

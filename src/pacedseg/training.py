@@ -475,6 +475,7 @@ def run_training(config: TrainConfig, dataset: Dataset, out_dir) -> RunResult:
     trainer = Trainer(config, dataset)
     best = {"iteration": 0, "params": trainer.student.copy(), "summary": None}
     eval_rows = []
+    records = None  # the latest scores of the student
 
     with open(out / TRAIN_LOG_NAME, "w") as log:
         log.write(LossReport.CSV_HEADER + "\n")
@@ -487,21 +488,24 @@ def run_training(config: TrainConfig, dataset: Dataset, out_dir) -> RunResult:
                 raise
             log.write(report.csv_row() + "\n")
             if (t + 1) % config.eval_period == 0:
-                summary = summarize(evaluate_params(trainer.student, eval_set, config.n_classes))
+                records = evaluate_params(trainer.student, eval_set, config.n_classes)
+                summary = summarize(records)
                 eval_rows.append(_summary_row(t + 1, summary))
                 if best["summary"] is None or summary["dsc"] > best["summary"]["dsc"]:
                     best = {"iteration": t + 1, "params": trainer.student.copy(),
                             "summary": summary}
 
     if config.iterations > 0:
-        final_records = evaluate_params(trainer.student, eval_set, config.n_classes)
-        final_summary = summarize(final_records)
+        # a periodic eval at the last iteration already scored this student
+        if config.iterations % config.eval_period:
+            records = evaluate_params(trainer.student, eval_set, config.n_classes)
+        final_summary = summarize(records)
         if best["summary"] is None or final_summary["dsc"] > best["summary"]["dsc"]:
             best = {"iteration": config.iterations, "params": trainer.student.copy(),
                     "summary": final_summary}
         with open(out / EVAL_FINAL_NAME, "w") as f:
             f.write(MetricsRecord.CSV_HEADER + "\n")
-            for rec in final_records:
+            for rec in records:
                 f.write(rec.csv_row() + "\n")
     else:
         final_summary = {}

@@ -245,19 +245,37 @@ def test_unusable_out_dir_exits_config(tmp_path, capsys, verb):
         assert "cannot create --out-dir" in capsys.readouterr().err
 
 
-def test_su_off_steps_log_branch_off(tmp_path):
-    # a schedule that, with SU on, would leave the warm branch at t = 1
+def _su_off_run(tmp_path):
+    """(config path, train_log.csv rows as dicts) of a 4-step SU-off run whose
+    schedule, with SU on, would leave the warm branch at t = 1."""
     cfg = tmp_path / "c.cfg"
     cfg.write_text(SMALL_CFG.replace("iterations = 2", "iterations = 4")
                    + "alpha = 100\ntau_sched = 2000\nenable_su = false\n")
     assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "run"), "train"]) == EXIT_OK
-    rows = (tmp_path / "run" / "train_log.csv").read_text().splitlines()
+    return cfg, _csv_cells((tmp_path / "run" / "train_log.csv").read_text())
+
+
+def _csv_cells(text):
+    rows = text.splitlines()
     header = rows[0].split(",")
-    cells = [dict(zip(header, row.split(","))) for row in rows[1:]]
+    return [dict(zip(header, row.split(","))) for row in rows[1:]]
+
+
+def test_su_off_steps_log_branch_off(tmp_path):
+    _, cells = _su_off_run(tmp_path)
     assert len(cells) == 4
     # R_conf = 1 and every voxel (8 * 8 * 4) selected, from the warm step on
     assert ([(c["branch"], c["R_conf"], c["v"], c["K"]) for c in cells]
             == [("off", "1.0", "", "256")] * 4)
+
+
+def test_su_off_schedule_dump_matches_the_run_log(tmp_path, capsys):
+    cfg, cells = _su_off_run(tmp_path)
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "schedule-dump"]) == EXIT_OK
+    columns = ("lambda", "R_conf", "v", "K")
+    assert ([tuple(c[k] for k in columns) for c in _csv_cells(capsys.readouterr().out)]
+            == [tuple(c[k] for k in columns) for c in cells])
 
 
 def test_divergent_last_step_exits_numeric(tmp_path, capsys):

@@ -1,8 +1,12 @@
 """Source hygiene checks that need no linter: every import, every
 top-level function or class, every tape op and every optional parameter
-of the package is used."""
+of the package is used, and the package needs nothing beyond numpy and
+the standard library."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pacedseg
@@ -73,6 +77,31 @@ def imported_modules(source: str) -> set[str]:
 def test_scan_finds_imported_modules():
     source = "import struct\nfrom os.path import join\nfrom .grids import x\n"
     assert imported_modules(source) == {"struct", "os"}
+
+
+def foreign_modules(source: str) -> set[str]:
+    """Modules a source imports that are neither numpy nor in the standard library."""
+    return imported_modules(source) - set(sys.stdlib_module_names) - {"numpy"}
+
+
+def test_scan_flags_a_foreign_module():
+    source = ("import math\nimport numpy as np\nfrom scipy.spatial import cKDTree\n"
+              "from . import grids\n")
+    assert foreign_modules(source) == {"scipy"}
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    found = {path.name: names for path in sorted(SRC.glob("*.py"))
+             if (names := foreign_modules(path.read_text()))}
+    assert found == {}, f"imports beyond numpy and the standard library: {found}"
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = ("import sys, pacedseg.cli\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)}).stdout
+    assert out.strip() == "[]"
 
 
 def test_only_grids_packs_bytes():

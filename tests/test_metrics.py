@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pacedseg import metrics
 from pacedseg.errors import UndefinedMetricError
 from pacedseg.grids import LabelMap
 from pacedseg.metrics import (
@@ -132,8 +133,54 @@ class TestSurfaceDistances:
             if not a.any() or not b.any():
                 continue
             got = surface_distances(lm(a.astype(np.int64)), lm(b.astype(np.int64)))
-            expected = brute_force_distances(a, b)
-            np.testing.assert_allclose(got, expected, atol=1e-9)
+            assert got == brute_force_distances(a, b)
+
+    def test_non_cubic_dims_match_all_pairs_oracle_exactly(self):
+        rng = np.random.default_rng(8)
+        for dims in ((2, 7, 3), (9, 2, 5), (3, 4, 11), (13, 6, 2), (5, 17, 4)):
+            for _ in range(4):
+                a = rng.random(dims) < rng.uniform(0.1, 0.9)
+                b = rng.random(dims) < rng.uniform(0.1, 0.9)
+                if a.any() and b.any():
+                    got = surface_distances(lm(a.astype(np.int64)), lm(b.astype(np.int64)))
+                    assert got == brute_force_distances(a, b), dims
+
+    def test_single_voxel_sets_match_all_pairs_oracle_exactly(self):
+        rng = np.random.default_rng(9)
+        dims = (7, 5, 6)
+        for _ in range(10):
+            one = np.zeros(dims, dtype=bool)
+            one[tuple(rng.integers(0, dims))] = True
+            other = rng.random(dims) < 0.3
+            for a, b in ((one, other), (other, one), (one, one)):
+                got = surface_distances(lm(a.astype(np.int64)), lm(b.astype(np.int64)))
+                assert got == brute_force_distances(a, b)
+
+    def test_all_foreground_against_sphere_crosses_chunk_seams(self):
+        """A collapsed all-foreground prediction has more surface rows than
+        one block of PAIR_CHUNK pairs holds, so the block seams are crossed."""
+        full = np.ones((32, 32, 16), dtype=bool)
+        x, y, z = np.indices(full.shape)
+        sphere = (x - 15.5) ** 2 + (y - 15.5) ** 2 + (z - 7.5) ** 2 < 49
+        rows_per_block = metrics.PAIR_CHUNK // len(surface_voxels(sphere))
+        assert len(surface_voxels(full)) > 10 * rows_per_block
+        for a, b in ((full, sphere), (sphere, full)):
+            got = surface_distances(lm(a.astype(np.int64)), lm(b.astype(np.int64)))
+            assert got == brute_force_distances(a, b)
+
+    def test_ragged_blocks_match_one_block(self, monkeypatch):
+        """Blocks of a few pairs, the last one short, give the distances of one
+        block holding every pair."""
+        rng = np.random.default_rng(10)
+        a = surface_voxels(rng.random((6, 9, 5)) < 0.5)
+        b = surface_voxels(rng.random((6, 9, 5)) < 0.5)
+        assert len(a) * len(b) <= metrics.PAIR_CHUNK
+        whole = metrics.nearest_distances(a, b)
+        monkeypatch.setattr(metrics, "PAIR_CHUNK", 4 * len(b) + 1)
+        assert len(a) % 4
+        blocked = metrics.nearest_distances(a, b)
+        for got, expected in zip(blocked, whole):
+            np.testing.assert_array_equal(got, expected)
 
     def test_hd_at_least_asd_and_order_invariant(self):
         rng = np.random.default_rng(6)

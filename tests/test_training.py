@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pacedseg import training
 from pacedseg.errors import ConfigError, TrainingAbort
 from pacedseg.network import PARAM_NAMES
 from pacedseg.synthdata import Dataset, attach_registration, generate_dataset
@@ -315,6 +316,23 @@ class TestRunTraining:
         run_training(cfg, tiny_dataset(cfg), tmp_path / "b")
         for name in ("train_log.csv", "eval_log.csv", "eval_final.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_last_eval_point_is_scored_once(self, tmp_path, monkeypatch):
+        """With eval_period dividing iterations, eval_final.csv reuses the
+        scores of the periodic eval at the last iteration."""
+        calls = []
+        scored = training.evaluate_params
+
+        def counting(*args):
+            calls.append(args)
+            return scored(*args)
+
+        monkeypatch.setattr(training, "evaluate_params", counting)
+        cfg = tiny_config(iterations=4, eval_period=2, decay_period=2)
+        result = run_training(cfg, tiny_dataset(cfg), tmp_path)
+        assert len(calls) == 2
+        last = (tmp_path / "eval_log.csv").read_text().splitlines()[-1].split(",")
+        assert last[:2] == ["4", repr(result.final_summary["dsc"])]
 
     def test_logged_l_u_replays_the_logged_schedule(self, tmp_path):
         """A Schedule fed the log's own L_u column reproduces its lambda,
