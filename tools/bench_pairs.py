@@ -100,8 +100,8 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
     """Gain rule, bound and resolution of one metric over paired runs."""
     sign = -1.0 if better == "lower" else 1.0  # sign * (change - parent) > 0 is a gain
     gains = [sign * (c - p) for p, c in zip(parent, change)]
-    p_med, c_med = statistics.median(parent), statistics.median(change)
-    p_q1, _, p_q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    p_q1, p_med, p_q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    c_med = statistics.median(change)
     wins = sum(g > 0 for g in gains)
     return {
         "parent": quartiles(parent),
