@@ -21,7 +21,7 @@ from .metrics import MetricsRecord, summarize
 from .network import load_checkpoint
 from .synthdata import attach_registration, generate_dataset, load_dataset, save_dataset
 from .training import TrainConfig, evaluate_params, load_config, run_training, save_config
-from .uncertainty import Schedule, warmup_xi
+from .uncertainty import Schedule, admitted, warmup_xi
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -150,8 +150,7 @@ def cmd_schedule_dump(cfg: TrainConfig, args) -> int:
     schedule = Schedule(max(cfg.iterations, 1), cfg.alpha, cfg.delta, cfg.tau_sched)
     print("t,xi,lambda,R_conf,v,K")
     for t in range(cfg.iterations):
-        # as in Trainer: with SU off every voxel is selected, and lambda still grows
-        r_conf, v = schedule.ratio() if cfg.enable_su else (1.0, None)
+        r_conf, v = admitted(schedule, cfg.enable_su)
         xi = warmup_xi(t, schedule.t_max)
         k = int(math.floor(r_conf * n_vox))
         v_str = "" if v is None else repr(v)

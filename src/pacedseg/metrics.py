@@ -13,6 +13,14 @@ integer far below 2^53, so each squared distance is exact whatever order
 or fused multiply-adds the BLAS uses, and its sqrt is the correctly
 rounded distance. The pair matrix is built PAIR_CHUNK pairs at a time:
 a row-min per block and a running column-min give both directions.
+
+The work grows with |Sa|·|Sb|, the product of the two surface sizes, where
+a k-d tree's grows with (|Sa|+|Sb|) log n. At the default 32x32x16 (at most
+3,784 surface voxels) the kernel is the faster of the two, and that is the
+only size the benchmark times. Larger volumes are scored exactly and in
+bounded memory, but slowly: at 112x112x80 an all-foreground prediction
+(59,720 surface voxels) takes about 1.3 s against a sphere and 15 s against
+itself, on one 2-core Xeon core with one BLAS thread.
 """
 
 from __future__ import annotations

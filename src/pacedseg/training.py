@@ -60,7 +60,7 @@ from .synthdata import (
     generate_dataset,
     slice_weight_map,
 )
-from .uncertainty import Schedule, mc_uncertainty_from_trunk, select_mask
+from .uncertainty import Schedule, admitted, mc_uncertainty_from_trunk, select_mask
 
 TRAIN_LOG_NAME = "train_log.csv"
 EVAL_LOG_NAME = "eval_log.csv"
@@ -324,8 +324,8 @@ class Trainer:
     def step(self, labeled: LabeledCase, unlabeled: UnlabeledCase,
              capture: StepTrace | None = None) -> LossReport:
         cfg = self.config
-        r_conf, v = self.schedule.ratio()
-        branch = "warm" if v is None else "confident"
+        r_conf, v = admitted(self.schedule, cfg.enable_su)
+        branch = "off" if not cfg.enable_su else "warm" if v is None else "confident"
         if not self.student.finite():
             raise TrainingAbort(
                 f"non-finite student parameters entering iteration {self.t}; "
@@ -363,7 +363,6 @@ class Trainer:
             _, entropy = mc_uncertainty_from_trunk(self.teacher, hdec_u1, cfg.mc_passes, mc_seed)
             mask = select_mask(entropy, r_conf)
         else:
-            r_conf, v, branch = 1.0, None, "off"
             mask = np.ones(cfg.dims, dtype=bool)
 
         box_u = sample_box(cfg.dims, np.random.default_rng(subs[5]))

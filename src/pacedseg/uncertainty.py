@@ -134,6 +134,17 @@ class Schedule:
         self.last_lu = lu
 
 
+def admitted(schedule: Schedule, enable_su: bool):
+    """(fraction of voxels admitted at the schedule's t, self-paced weight v).
+
+    With sample selection on this is schedule.ratio(); with it off every
+    voxel is admitted and v is None, while the schedule still checks its
+    clock and its age parameter still grows as the run advances it.
+    """
+    r_conf, v = schedule.ratio()
+    return (r_conf, v) if enable_su else (1.0, None)
+
+
 def select_mask(u: np.ndarray, r_conf: float) -> np.ndarray:
     """Mark the floor(r_conf * H*W*D) most certain voxels.
 

@@ -97,10 +97,10 @@ def test_gain_needs_nine_wins_and_a_median_beyond_the_parent_spread():
     assert bench_pairs.compare(parent, [p + 5 for p in parent], "higher", 0.25)["gain_rule_met"]
 
 
-def test_main_writes_the_summary(runs, tmp_path):
+def test_main_writes_the_summary(runs, tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "BENCHMARK", tmp_path / "BENCHMARK.json")
     out = tmp_path / "BENCH_1.json"
-    argv = ["collect", "--runs", str(runs), "--out", str(out),
-            "--benchmark", str(tmp_path / "BENCHMARK.json")]
+    argv = ["collect", "--runs", str(runs), "--out", str(out)]
     assert bench_pairs.main(argv) == 0
     written = json.loads(out.read_text())
     assert written["claim"] is None and written["method"] == bench_pairs.METHOD

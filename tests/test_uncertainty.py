@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from pacedseg.errors import ConfigError
 from pacedseg.network import forward_parts, head_forward, init_params, make_dropout_mask
 from pacedseg.uncertainty import (
     WARM_CAP,
     Schedule,
+    admitted,
     entropy_values,
     mc_pass_seed,
     mc_uncertainty_from_trunk,
@@ -155,6 +157,15 @@ class TestConfidentRatio:
             r, v = schedule.ratio()
             assert v is None and r <= 0.1 + 1e-15
             schedule.advance(schedule.lam * schedule.delta + rng.random())
+
+    def test_admitted_with_selection_off_is_every_voxel(self):
+        schedule = schedule_at(100, 100, 0.5, tau_sched=10.0)
+        assert admitted(schedule, True) == schedule.ratio()
+        assert admitted(schedule, False) == (1.0, None)
+        schedule.advance(0.0)
+        for enable_su in (True, False):
+            with pytest.raises(ConfigError, match="past the schedule's end"):
+                admitted(schedule, enable_su)
 
     def test_invalid_states(self):
         for t_max, kwargs in ((10, {"alpha": 0.0}), (10, {"delta": 0.5}),

@@ -15,8 +15,7 @@ when i is odd and the change first when i is even. Each run's
 `result.json` is kept as `<runs>/<workload>/seed<s>/<parent|change>.json`,
 with the commits and the command in `<runs>/pairs.json`. `run` then does
 what `collect` does: it reads the kept files and the metric directions
-and bounds of `BENCHMARK.json`, and writes the summary. `BENCHMARK.json`
-is the one next to this directory unless `--benchmark` names another.
+and bounds of the repo's `BENCHMARK.json`, and writes the summary.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = ROOT / "BENCHMARK.json"
 SIDES = ("parent", "change")
 PAIRS = 10
 BENCH_COMMAND = ("python3 bench/run.py --workload {workload} --seed {seed} "
@@ -46,9 +46,6 @@ METHOD = (
     "more than the BENCHMARK.json bound. resolved: the parent's quartile spread, relative to "
     "its median, is below the bound."
 )
-# the change must win at least WINS_NEEDED[0] of every WINS_NEEDED[1] pairs
-WINS_NEEDED = (9, 10)
-
 
 def plan(workloads: list[str], first_seed: int, pairs: int) -> list[tuple[str, int, str]]:
     """(workload, seed, side) of every run, in the order they run."""
@@ -110,8 +107,7 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
         "change_wins": wins,
         "change_losses": sum(g < 0 for g in gains),
         "ties": sum(g == 0 for g in gains),
-        "gain_rule_met": (wins * WINS_NEEDED[1] >= WINS_NEEDED[0] * len(gains)
-                          and sign * (c_med - p_med) > p_q3 - p_q1),
+        "gain_rule_met": 10 * wins >= 9 * len(gains) and sign * (c_med - p_med) > p_q3 - p_q1,
         "within_bound": relative(sign * (p_med - c_med), p_med) <= bound,
         "resolved": relative(p_q3 - p_q1, p_med) < bound,
         "parent_runs": [round(v, 4) for v in parent],
@@ -186,13 +182,12 @@ def _parse(argv):
         q.add_argument("--out", type=Path, required=True, help="BENCH_<pr>.json to write")
         q.add_argument("--what", default="", help="one paragraph on what the change does")
         q.add_argument("--claim", help="WORKLOAD:METRIC the change claims a gain on")
-        q.add_argument("--benchmark", type=Path, default=ROOT / "BENCHMARK.json")
     return p.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = _parse(argv)
-    declared = json.loads(args.benchmark.read_text())
+    declared = json.loads(BENCHMARK.read_text())
     if args.command == "run":
         run_pairs({"parent": args.parent.resolve(), "change": args.change.resolve()},
                   args.runs, declared, args.first_seed)
