@@ -2,7 +2,8 @@
 
 All variants of a seed train on the same dataset and are scored on the
 same held-out evaluation set, so differences isolate the selection and
-contrastive components.
+contrastive components. That dataset comes from `dataset_for_seed`, the
+one recipe of a run's training data, which `gen-data` and `train` use too.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .synthdata import attach_registration, generate_dataset
+from .metrics import METRICS
+from .synthdata import Dataset, attach_registration, generate_dataset
 from .training import TrainConfig, run_training
 
 VARIANTS = (
@@ -27,25 +29,22 @@ RUNS_CSV = "ablation_runs.csv"
 SUMMARY_CSV = "ablation_summary.csv"
 TABLE_TXT = "ablation_table.txt"
 
-_METRICS = ("dsc", "jaccard", "asd", "hd")
-
 
 @dataclass
 class AblationResult:
-    out_dir: str
-    seeds: tuple
     runs: dict            # (variant, seed) -> final summary dict
-    aggregate: dict       # variant -> {metric: (mean, std)}
     table: str
 
 
-def _dataset_for_seed(config: TrainConfig, seed: int):
+def dataset_for_seed(config: TrainConfig, seed: int, registration: bool = True) -> Dataset:
+    """The training data of a run with this config and seed: the generated
+    cases, with registration labels unless `registration` is off."""
     ds = generate_dataset(
-        config.n_labeled, config.n_unlabeled, config.dims, seed=seed,
-        noise_amp=config.noise_amp, radius_range=(config.radius_lo, config.radius_hi),
-        center_jitter=config.center_jitter, edge_width=config.edge_width,
+        config.n_labeled, config.n_unlabeled, config.dims, seed=seed, **config.generator_options
     )
-    return attach_registration(ds, config.reg_sigma, config.reg_beta, seed=seed)
+    if registration:
+        attach_registration(ds, config.reg_sigma, config.reg_beta, seed=seed)
+    return ds
 
 
 def _aggregate(values: list[float]) -> tuple[float, float]:
@@ -58,11 +57,11 @@ def _aggregate(values: list[float]) -> tuple[float, float]:
 
 
 def format_table(aggregate: dict) -> str:
-    header = f"{'variant':<10}" + "".join(f"{m.upper():>18}" for m in _METRICS)
+    header = f"{'variant':<10}" + "".join(f"{m.upper():>18}" for m in METRICS)
     lines = [header, "-" * len(header)]
     for name, _, _ in VARIANTS:
         cells = []
-        for metric in _METRICS:
+        for metric in METRICS:
             mean, std = aggregate[name][metric]
             cells.append(f"{mean:9.4f} +-{std:6.4f}")
         lines.append(f"{name:<10}" + "".join(f"{c:>18}" for c in cells))
@@ -79,7 +78,7 @@ def run_ablation(config: TrainConfig, seeds, out_dir, progress=None) -> Ablation
 
     runs = {}
     for seed in seeds:
-        dataset = _dataset_for_seed(config, seed)
+        dataset = dataset_for_seed(config, seed)
         for name, enable_su, enable_sc in VARIANTS:
             cfg = replace(config, enable_su=enable_su, enable_sc=enable_sc, seed=seed)
             run_dir = out / "runs" / f"{name}_seed{seed}"
@@ -91,26 +90,26 @@ def run_ablation(config: TrainConfig, seeds, out_dir, progress=None) -> Ablation
     aggregate = {
         name: {
             metric: _aggregate([runs[(name, s)][metric] for s in seeds])
-            for metric in _METRICS
+            for metric in METRICS
         }
         for name, _, _ in VARIANTS
     }
 
     with open(out / RUNS_CSV, "w") as f:
-        f.write("variant,seed," + ",".join(_METRICS) + "\n")
+        f.write("variant,seed," + ",".join(METRICS) + "\n")
         for name, _, _ in VARIANTS:
             for seed in seeds:
                 summary = runs[(name, seed)]
-                f.write(f"{name},{seed}," + ",".join(repr(summary[m]) for m in _METRICS) + "\n")
+                f.write(f"{name},{seed}," + ",".join(repr(summary[m]) for m in METRICS) + "\n")
     with open(out / SUMMARY_CSV, "w") as f:
-        f.write("variant," + ",".join(f"{m}_mean,{m}_std" for m in _METRICS) + ",n_runs\n")
+        f.write("variant," + ",".join(f"{m}_mean,{m}_std" for m in METRICS) + ",n_runs\n")
         for name, _, _ in VARIANTS:
             cells = []
-            for metric in _METRICS:
+            for metric in METRICS:
                 mean, std = aggregate[name][metric]
                 cells.extend([repr(mean), repr(std)])
             f.write(f"{name}," + ",".join(cells) + f",{len(seeds)}\n")
     table = format_table(aggregate)
     (out / TABLE_TXT).write_text(table + "\n")
 
-    return AblationResult(str(out), seeds, runs, aggregate, table)
+    return AblationResult(runs, table)

@@ -15,13 +15,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .ablation import run_ablation
+from .ablation import dataset_for_seed, run_ablation
 from .errors import ConfigError, FormatError, TrainingAbort
-from .metrics import MetricsRecord, summarize
+from .metrics import format_summary, summarize, write_records
 from .network import load_checkpoint
-from .synthdata import attach_registration, generate_dataset, load_dataset, save_dataset
+from .synthdata import load_dataset, save_dataset
 from .training import TrainConfig, evaluate_params, load_config, run_training, save_config
-from .uncertainty import Schedule, admitted, warmup_xi
+from .uncertainty import admitted, warmup_xi
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -68,19 +68,8 @@ def _load_cfg(args) -> TrainConfig:
     return cfg.validate()
 
 
-def _generate(cfg: TrainConfig, with_registration: bool):
-    ds = generate_dataset(
-        cfg.n_labeled, cfg.n_unlabeled, cfg.dims, seed=cfg.seed,
-        noise_amp=cfg.noise_amp, radius_range=(cfg.radius_lo, cfg.radius_hi),
-        center_jitter=cfg.center_jitter, edge_width=cfg.edge_width,
-    )
-    if with_registration:
-        attach_registration(ds, cfg.reg_sigma, cfg.reg_beta, seed=cfg.seed)
-    return ds
-
-
 def cmd_gen_data(cfg: TrainConfig, args) -> int:
-    ds = _generate(cfg, not args.no_registration)
+    ds = dataset_for_seed(cfg, cfg.seed, registration=not args.no_registration)
     save_dataset(ds, args.out_dir)
     save_config(cfg, Path(args.out_dir) / "config.txt")
     print(f"wrote {ds.n_labeled} labeled + {ds.n_unlabeled} unlabeled cases to {args.out_dir}")
@@ -91,15 +80,11 @@ def cmd_train(cfg: TrainConfig, args) -> int:
     if args.data_dir:
         ds = load_dataset(args.data_dir)
     else:
-        ds = _generate(cfg, with_registration=True)
+        ds = dataset_for_seed(cfg, cfg.seed)
     result = run_training(cfg, ds, args.out_dir)
     save_config(cfg, Path(args.out_dir) / "config.txt")
     if result.final_summary:
-        print(
-            f"final: DSC={result.final_summary['dsc']:.4f} "
-            f"Jaccard={result.final_summary['jaccard']:.4f} "
-            f"ASD={result.final_summary['asd']:.4f} HD={result.final_summary['hd']:.4f}"
-        )
+        print(f"final: {format_summary(result.final_summary)}")
     print(f"artifacts in {result.out_dir}")
     return EXIT_OK
 
@@ -110,20 +95,18 @@ def cmd_eval(cfg: TrainConfig, args) -> int:
         raise ConfigError(
             f"checkpoint has sections {sorted(sections)}, not {args.section!r}"
         )
+    params = sections[args.section]
     ds = load_dataset(args.data_dir, include_truth=True)
+    if params.n_classes != ds.n_classes:
+        raise ConfigError(f"checkpoint section {args.section!r} has {params.n_classes} classes, "
+                          f"dataset {args.data_dir} has {ds.n_classes}")
     cases = [c for c in ds.labeled + ds.unlabeled if c.truth is not None]
     if not cases:
         raise ConfigError(f"{args.data_dir} has no truth volumes to score against")
-    records = evaluate_params(sections[args.section], cases, ds.n_classes)
-    with open(Path(args.out_dir) / "metrics.csv", "w") as f:
-        f.write(MetricsRecord.CSV_HEADER + "\n")
-        for rec in records:
-            f.write(rec.csv_row() + "\n")
+    records = evaluate_params(params, cases, ds.n_classes)
+    write_records(Path(args.out_dir) / "metrics.csv", records)
     s = summarize(records)
-    print(
-        f"{len(records)} cases: DSC={s['dsc']:.4f} Jaccard={s['jaccard']:.4f} "
-        f"ASD={s['asd']:.4f} HD={s['hd']:.4f} (undefined: {int(s['n_undefined'])})"
-    )
+    print(f"{len(records)} cases: {format_summary(s)} (undefined: {int(s['n_undefined'])})")
     return EXIT_OK
 
 
@@ -146,8 +129,7 @@ def cmd_schedule_dump(cfg: TrainConfig, args) -> int:
     if not args.lu_const >= 0:
         raise ConfigError(f"--lu-const must be >= 0, got {args.lu_const!r}")
     n_vox = cfg.dim_h * cfg.dim_w * cfg.dim_d
-    # as in Trainer: a zero-iteration run still has a valid (empty) schedule
-    schedule = Schedule(max(cfg.iterations, 1), cfg.alpha, cfg.delta, cfg.tau_sched)
+    schedule = cfg.new_schedule()
     print("t,xi,lambda,R_conf,v,K")
     for t in range(cfg.iterations):
         r_conf, v = admitted(schedule, cfg.enable_su)

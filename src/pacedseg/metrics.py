@@ -36,6 +36,12 @@ from .grids import LabelMap
 PAIR_CHUNK = 1 << 16
 
 
+# each metric's MetricsRecord attribute and its label on the CLI's summary
+# lines, in the column order of every eval file; the surface metrics are
+# None on a case where either foreground is empty
+METRICS = {"dsc": "DSC", "jaccard": "Jaccard", "asd": "ASD", "hd": "HD"}
+
+
 @dataclass
 class MetricsRecord:
     """Per-case metric row; asd/hd are None when a foreground was empty."""
@@ -46,12 +52,11 @@ class MetricsRecord:
     asd: float | None
     hd: float | None
 
-    CSV_HEADER = "case_id,dsc,jaccard,asd,hd"
+    CSV_HEADER = ",".join(["case_id", *METRICS])
 
     def csv_row(self) -> str:
-        asd = "" if self.asd is None else repr(self.asd)
-        hd = "" if self.hd is None else repr(self.hd)
-        return f"{self.case_id},{self.dsc!r},{self.jaccard!r},{asd},{hd}"
+        cells = (getattr(self, m) for m in METRICS)
+        return ",".join([self.case_id, *("" if v is None else repr(v) for v in cells)])
 
 
 def _foreground(lm: LabelMap) -> np.ndarray:
@@ -122,13 +127,34 @@ def evaluate_case(case_id: str, pred: LabelMap, truth: LabelMap) -> MetricsRecor
 
 
 def summarize(records: list[MetricsRecord]) -> dict[str, float]:
-    """Mean metrics over cases; undefined surface values are excluded."""
-    out = {
-        "dsc": float(np.mean([r.dsc for r in records])),
-        "jaccard": float(np.mean([r.jaccard for r in records])),
-    }
-    defined = [r for r in records if r.asd is not None]
-    out["asd"] = float(np.mean([r.asd for r in defined])) if defined else float("nan")
-    out["hd"] = float(np.mean([r.hd for r in defined])) if defined else float("nan")
-    out["n_undefined"] = float(len(records) - len(defined))
+    """Mean of each metric over the cases where it is defined (nan where it is
+    defined on none), and n_undefined, the count of cases with an undefined one."""
+    out = {}
+    for m in METRICS:
+        values = [v for r in records if (v := getattr(r, m)) is not None]
+        out[m] = float(np.mean(values)) if values else float("nan")
+    undefined = [r for r in records if any(getattr(r, m) is None for m in METRICS)]
+    out["n_undefined"] = float(len(undefined))
     return out
+
+
+def format_summary(summary: dict[str, float]) -> str:
+    """`DSC=... Jaccard=... ASD=... HD=...`, each mean to 4 decimals."""
+    return " ".join(f"{label}={summary[m]:.4f}" for m, label in METRICS.items())
+
+
+def write_records(path, records: list[MetricsRecord]) -> None:
+    """The per-case CSV: a header, then one row per case."""
+    with open(path, "w") as f:
+        f.write(MetricsRecord.CSV_HEADER + "\n")
+        for rec in records:
+            f.write(rec.csv_row() + "\n")
+
+
+def write_eval_log(path, points: list[tuple[int, dict[str, float]]]) -> None:
+    """The periodic-eval CSV: one row of summary means per (iteration, summary)."""
+    with open(path, "w") as f:
+        f.write(",".join(["iteration", *(f"mean_{m}" for m in METRICS), "n_undefined"]) + "\n")
+        for iteration, summary in points:
+            means = (repr(summary[m]) for m in METRICS)
+            f.write(",".join([str(iteration), *means, str(int(summary["n_undefined"]))]) + "\n")

@@ -116,6 +116,11 @@ def _draw_case(rng, dims, radius_range, center_jitter, edge_width, noise_amp):
     return Volume(image), truth_labels(dims, params), params
 
 
+def valid_dims(dims) -> bool:
+    """Whether the model takes volumes of these (H, W, D): each even and >= 4."""
+    return len(dims) == 3 and all(v >= 4 and v % 2 == 0 for v in dims)
+
+
 def generate_dataset(
     n_labeled: int,
     n_unlabeled: int,
@@ -127,13 +132,12 @@ def generate_dataset(
     edge_width: float = 0.08,
 ) -> Dataset:
     """Seeded synthetic dataset; the annotated slice is always k = D//2."""
-    h, w, d = dims
-    if min(h, w, d) < 4 or h % 2 or w % 2 or d % 2:
+    if not valid_dims(dims):
         raise ValueError(f"dims {dims} must be >= 4 and divisible by 2")
     if n_labeled < 1 or n_unlabeled < 0:
         raise ValueError("need at least one labeled case")
     children = np.random.SeedSequence(seed).spawn(n_labeled + n_unlabeled)
-    k = d // 2
+    k = dims[2] // 2
     labeled, unlabeled = [], []
     for i in range(n_labeled):
         rng = np.random.default_rng(children[i])
@@ -326,6 +330,8 @@ def load_dataset(in_dir, include_truth: bool = False) -> Dataset:
         if (a.dtype, a.shape) != (dtype, shapes[name]):
             raise FormatError(f"{root}: {name} is {a.dtype} {a.shape}, "
                               f"expected {dtype} {shapes[name]}")
+    if not valid_dims((h, w, d)):
+        raise FormatError(f"{root}: image dims {(h, w, d)} must be >= 4 and divisible by 2")
     if ((ks < 0) | (ks >= d)).any():
         raise FormatError(f"{root}: slice indices k={ks.tolist()} outside depth {d}")
     n_classes = int(arrays["classes"])

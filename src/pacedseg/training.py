@@ -35,7 +35,7 @@ from .contrastive import contrast_loss_node, mine_pairs
 from .errors import ConfigError, TrainingAbort
 from .grids import LabelMap, downsample_labels_majority, downsample_mask, downsample_mean
 from .losses import LossReport, dice_ce_node
-from .metrics import MetricsRecord, evaluate_case, summarize
+from .metrics import MetricsRecord, evaluate_case, summarize, write_eval_log, write_records
 from .network import (
     ModelParams,
     SGDState,
@@ -59,6 +59,7 @@ from .synthdata import (
     fuse_with_weight_map,
     generate_dataset,
     slice_weight_map,
+    valid_dims,
 )
 from .uncertainty import Schedule, admitted, mc_uncertainty_from_trunk, select_mask
 
@@ -67,8 +68,6 @@ EVAL_LOG_NAME = "eval_log.csv"
 EVAL_FINAL_NAME = "eval_final.csv"
 FINAL_CKPT_NAME = "final.ckpt"
 BEST_CKPT_NAME = "best.ckpt"
-
-EVAL_LOG_HEADER = "iteration,mean_dsc,mean_jaccard,mean_asd,mean_hd,n_undefined"
 
 
 @dataclass
@@ -134,6 +133,17 @@ class TrainConfig:
         return (self.dim_h, self.dim_w, self.dim_d)
 
     @property
+    def generator_options(self) -> dict:
+        """The keyword arguments of `synthdata.generate_dataset` this config sets."""
+        return {"noise_amp": self.noise_amp, "radius_range": (self.radius_lo, self.radius_hi),
+                "center_jitter": self.center_jitter, "edge_width": self.edge_width}
+
+    def new_schedule(self) -> Schedule:
+        """The self-paced schedule at t = 0. A zero-iteration run still gets a
+        valid one (t_max = 1), which it never advances."""
+        return Schedule(max(self.iterations, 1), self.alpha, self.delta, self.tau_sched)
+
+    @property
     def effective_decay_period(self) -> int:
         """decay_period if set, else the share of iterations the defaults imply."""
         if self.decay_period is not None:
@@ -174,7 +184,7 @@ class TrainConfig:
             (self.embed_dim >= 1, "embed_dim must be >= 1"),
             (0 <= self.dropout_rate < 1, "dropout_rate must be in [0, 1)"),
             (self.dtype in ("float32", "float64"), "dtype must be float32 or float64"),
-            (all(v >= 4 and v % 2 == 0 for v in self.dims), "dims must be even and >= 4"),
+            (valid_dims(self.dims), "dims must be even and >= 4"),
             (self.n_labeled >= 1 and self.n_unlabeled >= 1,
              "need at least one labeled and one unlabeled case"),
             (self.noise_amp >= 0, "noise_amp must be >= 0"),
@@ -284,6 +294,9 @@ class Trainer:
             raise ConfigError("training needs at least one labeled and one unlabeled case")
         if dataset.dims != config.dims:
             raise ConfigError(f"dataset dims {dataset.dims} != config dims {config.dims}")
+        if dataset.n_classes != config.n_classes:
+            raise ConfigError(f"dataset has {dataset.n_classes} classes, "
+                              f"config n_classes is {config.n_classes}")
         for case in dataset.labeled:
             if case.reg_label is None:
                 raise ConfigError(f"{case.case_id}: labeled case has no registration label")
@@ -296,9 +309,7 @@ class Trainer:
         )
         self.teacher = self.student.copy()
         self.opt = SGDState(self.student)
-        self.schedule = Schedule(
-            max(config.iterations, 1), config.alpha, config.delta, config.tau_sched
-        )
+        self.schedule = config.new_schedule()
         self._drop_shape = (config.widths[3], *config.dims)
 
     @property
@@ -447,34 +458,28 @@ def evaluate_params(params: ModelParams, cases, n_classes: int) -> list[MetricsR
 @dataclass
 class RunResult:
     out_dir: str
-    iterations: int
-    final_summary: dict
-    best_summary: dict
-    best_iteration: int
-
-
-def _summary_row(iteration: int, summary: dict) -> str:
-    return (
-        f"{iteration},{summary['dsc']!r},{summary['jaccard']!r},"
-        f"{summary['asd']!r},{summary['hd']!r},{int(summary['n_undefined'])}"
-    )
+    final_summary: dict   # summarize() of the last iteration's student; {} for none
 
 
 def run_training(config: TrainConfig, dataset: Dataset, out_dir) -> RunResult:
-    """Train, log per-iteration losses and periodic metrics, persist checkpoints."""
+    """Train, log per-iteration losses and periodic metrics, persist checkpoints.
+
+    The student is scored every eval_period iterations (one eval_log.csv row
+    each) and after the last iteration, whose per-case scores go to
+    eval_final.csv. best.ckpt holds the scored student with the highest mean
+    DSC, the earliest on a tie, or the initial one in a run of no iterations.
+    """
     config.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     eval_set = generate_dataset(
-        config.n_eval, 0, config.dims, seed=config.eval_seed,
-        noise_amp=config.noise_amp, radius_range=(config.radius_lo, config.radius_hi),
-        center_jitter=config.center_jitter, edge_width=config.edge_width,
+        config.n_eval, 0, config.dims, seed=config.eval_seed, **config.generator_options
     ).labeled
 
     trainer = Trainer(config, dataset)
-    best = {"iteration": 0, "params": trainer.student.copy(), "summary": None}
-    eval_rows = []
-    records = None  # the latest scores of the student
+    best_iteration, best_params, best_dsc = 0, trainer.student.copy(), -np.inf
+    eval_points = []
+    records, summary = None, {}  # the latest scores of the student
 
     with open(out / TRAIN_LOG_NAME, "w") as log:
         log.write(LossReport.CSV_HEADER + "\n")
@@ -486,47 +491,24 @@ def run_training(config: TrainConfig, dataset: Dataset, out_dir) -> RunResult:
                 log.flush()
                 raise
             log.write(report.csv_row() + "\n")
-            if (t + 1) % config.eval_period == 0:
+            done = t + 1
+            periodic = done % config.eval_period == 0
+            if periodic or done == config.iterations:
                 records = evaluate_params(trainer.student, eval_set, config.n_classes)
                 summary = summarize(records)
-                eval_rows.append(_summary_row(t + 1, summary))
-                if best["summary"] is None or summary["dsc"] > best["summary"]["dsc"]:
-                    best = {"iteration": t + 1, "params": trainer.student.copy(),
-                            "summary": summary}
+                if periodic:
+                    eval_points.append((done, summary))
+                if summary["dsc"] > best_dsc:
+                    best_iteration, best_params = done, trainer.student.copy()
+                    best_dsc = summary["dsc"]
 
-    if config.iterations > 0:
-        # a periodic eval at the last iteration already scored this student
-        if config.iterations % config.eval_period:
-            records = evaluate_params(trainer.student, eval_set, config.n_classes)
-        final_summary = summarize(records)
-        if best["summary"] is None or final_summary["dsc"] > best["summary"]["dsc"]:
-            best = {"iteration": config.iterations, "params": trainer.student.copy(),
-                    "summary": final_summary}
-        with open(out / EVAL_FINAL_NAME, "w") as f:
-            f.write(MetricsRecord.CSV_HEADER + "\n")
-            for rec in records:
-                f.write(rec.csv_row() + "\n")
-    else:
-        final_summary = {}
-
-    with open(out / EVAL_LOG_NAME, "w") as f:
-        f.write(EVAL_LOG_HEADER + "\n")
-        for row in eval_rows:
-            f.write(row + "\n")
-
+    if records is not None:
+        write_records(out / EVAL_FINAL_NAME, records)
+    write_eval_log(out / EVAL_LOG_NAME, eval_points)
     save_checkpoint(
         out / FINAL_CKPT_NAME,
         {"student": trainer.student, "teacher": trainer.teacher},
         {"iteration": trainer.t, "lambda": trainer.schedule.lam},
     )
-    save_checkpoint(
-        out / BEST_CKPT_NAME,
-        {"student": best["params"]},
-        {"iteration": best["iteration"]},
-    )
-    return RunResult(
-        out_dir=str(out), iterations=config.iterations,
-        final_summary=final_summary,
-        best_summary=best["summary"] or {},
-        best_iteration=best["iteration"],
-    )
+    save_checkpoint(out / BEST_CKPT_NAME, {"student": best_params}, {"iteration": best_iteration})
+    return RunResult(str(out), summary)

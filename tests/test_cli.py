@@ -5,8 +5,8 @@ import pytest
 
 from pacedseg.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from pacedseg.grids import load_arrays, save_arrays
-from pacedseg.metrics import MetricsRecord
-from pacedseg.network import load_checkpoint
+from pacedseg.metrics import summarize
+from pacedseg.network import init_params, load_checkpoint, save_checkpoint
 from pacedseg.synthdata import load_dataset
 from pacedseg.training import evaluate_params
 
@@ -74,7 +74,7 @@ def trained(tmp_path_factory):
     return cfg, data, run
 
 
-def test_eval_matches_evaluate_params(trained, tmp_path):
+def test_eval_matches_evaluate_params(trained, tmp_path, capsys):
     cfg, data, run = trained
     ckpt = run / "final.ckpt"
     assert main(["--config", str(cfg), "--out-dir", str(tmp_path), "eval",
@@ -84,8 +84,57 @@ def test_eval_matches_evaluate_params(trained, tmp_path):
     cases = [c for c in ds.labeled + ds.unlabeled if c.truth is not None]
     records = evaluate_params(sections["student"], cases, ds.n_classes)
     rows = (tmp_path / "metrics.csv").read_text().splitlines()
-    assert rows == [MetricsRecord.CSV_HEADER] + [r.csv_row() for r in records]
+    assert rows == ["case_id,dsc,jaccard,asd,hd"] + [r.csv_row() for r in records]
     assert len(rows) == 1 + 2
+    s = summarize(records)
+    assert capsys.readouterr().out.splitlines() == [
+        f"2 cases: DSC={s['dsc']:.4f} Jaccard={s['jaccard']:.4f} ASD={s['asd']:.4f} "
+        f"HD={s['hd']:.4f} (undefined: {int(s['n_undefined'])})"
+    ]
+
+
+def test_train_writes_the_eval_formats(tmp_path, capsys):
+    """The eval file headers and the CLI's final line, spelled out."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(SMALL_CFG + "eval_period = 1\n")
+    run = tmp_path / "run"
+    assert main(["--config", str(cfg), "--out-dir", str(run), "train"]) == EXIT_OK
+    eval_log = (run / "eval_log.csv").read_text().splitlines()
+    assert eval_log[0] == "iteration,mean_dsc,mean_jaccard,mean_asd,mean_hd,n_undefined"
+    assert [row.split(",")[0] for row in eval_log[1:]] == ["1", "2"]
+    assert (run / "eval_final.csv").read_text().splitlines()[0] == "case_id,dsc,jaccard,asd,hd"
+    dsc, jaccard, asd, hd = (float(x) for x in eval_log[-1].split(",")[1:5])
+    assert capsys.readouterr().out.splitlines() == [
+        f"final: DSC={dsc:.4f} Jaccard={jaccard:.4f} ASD={asd:.4f} HD={hd:.4f}",
+        f"artifacts in {run}",
+    ]
+
+
+def test_eval_class_mismatch_exits_config(trained, tmp_path, capsys):
+    cfg, data, _ = trained
+    ckpt = tmp_path / "three.ckpt"
+    save_checkpoint(ckpt, {"student": init_params(n_classes=3)}, {"iteration": 0})
+    argv = ["--config", str(cfg), "--out-dir", str(tmp_path / "out"), "eval",
+            "--checkpoint", str(ckpt), "--data-dir", str(data)]
+    assert main(argv) == EXIT_CONFIG
+    assert "has 3 classes, dataset" in capsys.readouterr().err
+
+
+def test_eval_on_odd_dims_exits_config(trained, tmp_path, capsys):
+    """A dataset the model cannot take is refused when it is read, before a
+    forward pass."""
+    cfg, _, run = trained
+    data = tmp_path / "odd"
+    data.mkdir()
+    save_arrays(data / "data.arr", {
+        "classes": np.int64(2), "images": np.zeros((1, 7, 8, 4)),
+        "k": np.array([2]), "slices": np.zeros((1, 7, 8), dtype=np.int64),
+    })
+    save_arrays(data / "truth.arr", {"truth": np.zeros((1, 7, 8, 4), dtype=np.int64)})
+    argv = ["--config", str(cfg), "--out-dir", str(tmp_path / "out"), "eval",
+            "--checkpoint", str(run / "final.ckpt"), "--data-dir", str(data)]
+    assert main(argv) == EXIT_CONFIG
+    assert "image dims (7, 8, 4) must be >= 4 and divisible by 2" in capsys.readouterr().err
 
 
 def test_eval_missing_section_exits_config(trained, tmp_path, capsys):
@@ -137,7 +186,9 @@ def _train_on(cfg, data, out):
     ("data.arr", "reg", lambda a: a[..., :2], "reg is int64 (1, 4, 4, 2), expected"),
     ("data.arr", "reg", lambda a: a.astype(np.float64), "reg is float64"),
     ("truth.arr", "truth", lambda a: a[:1], "truth is int64 (1, 4, 4, 4), expected"),
-], ids=["k_past_depth", "images", "slices", "reg", "reg_dtype", "truth"])
+    # the config keeps its default n_classes = 2
+    ("data.arr", "classes", lambda c: np.int64(3), "dataset has 3 classes, config n_classes is 2"),
+], ids=["k_past_depth", "images", "slices", "reg", "reg_dtype", "truth", "classes"])
 def test_malformed_data_exits_config(tiny_data, trained, tmp_path, capsys,
                                      fname, name, edit, message):
     cfg, data = tiny_data

@@ -1,10 +1,12 @@
 """Source hygiene checks that need no linter: every import, every
-top-level function or class, every tape op and every optional parameter
-of the package is used, and the package needs nothing beyond numpy and
-the standard library."""
+top-level function or class, every dataclass field, every tape op and
+every optional parameter of the package is used, the package needs
+nothing beyond numpy and the standard library, and only metrics.py names
+the metric set."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +21,13 @@ BENCH = SRC.parents[1] / "bench"
 UNREFERENCED_OK = {
     # derives DEFAULT_REG_SIGMA; rerun it when the generator defaults change
     "calibrate_registration_sigma",
+}
+
+# dataclasses whose fields nothing in src/ or bench/ reads, each with its reason
+UNREAD_FIELDS_OK = {
+    # the intermediates of one step, which tests and run diagnostics read
+    # (ROADMAP item 3(b))
+    "StepTrace",
 }
 
 # functions whose optional parameters no call in src/ or bench/ passes,
@@ -269,3 +278,85 @@ def test_every_optional_parameter_has_a_caller_that_passes_it():
     assert not unpassed, f"optional parameters no call in src/ or bench/ passes: {unpassed}"
     stale = UNPASSED_OK - {p.partition("(")[0] for p in found}
     assert not stale, f"UNPASSED_OK entries whose parameters are all passed: {sorted(stale)}"
+
+
+# the metrics past dsc, which best-checkpoint selection also reads
+METRIC_WORDS = {"jaccard", "asd", "hd"}
+
+
+def metric_spellings(source: str) -> set[str]:
+    """The METRIC_WORDS a source spells as an attribute or as a word of a string."""
+    words = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            words.add(node.attr.lower())
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            words.update(re.findall(r"[a-z0-9]+", node.value.lower()))
+    return words & METRIC_WORDS
+
+
+def test_scan_flags_a_spelled_metric():
+    source = ('METRICS = ("dsc", "jaccard")\nr.asd\nprint(f"HD={x}")\n'
+              'hdec = r.dsc\n"""the mean_hd column"""\n')
+    assert metric_spellings(source) == {"jaccard", "asd", "hd"}
+    assert metric_spellings("hdec = r.dsc + len('hdr, masd')\n") == set()
+
+
+def test_only_metrics_names_the_metric_set():
+    """Adding, dropping or renaming a metric is an edit of metrics.py alone."""
+    found = {path.name: words for path in sorted(SRC.glob("*.py"))
+             if path.name != "metrics.py" and (words := metric_spellings(path.read_text()))}
+    assert found == {}, f"metric names spelled outside metrics.py: {found}"
+
+
+def dataclass_fields(source: str) -> list[tuple[str, str]]:
+    """(class, field) for each annotated field of each top-level dataclass."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and any(
+            getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+            for d in node.decorator_list
+        ):
+            found += [(node.name, stmt.target.id) for stmt in node.body
+                      if isinstance(stmt, ast.AnnAssign)]
+    return found
+
+
+def read_names(source: str) -> set[str]:
+    """Attribute names a source loads, and the identifier parts of its strings
+    (a getattr by name spells the field in a string); assignments are not reads."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                names.update(parts)
+    return names
+
+
+def unread_fields(defining: dict[str, str], reading: list[str]) -> list[str]:
+    """"Class.field" for each dataclass field of `defining` (module -> source)
+    that no `reading` source loads or spells."""
+    read = set().union(*(read_names(src) for src in reading))
+    return sorted(f"{cls}.{name}" for src in defining.values()
+                  for cls, name in dataclass_fields(src) if name not in read)
+
+
+def test_scan_flags_an_unread_field():
+    lib = ("@dataclass\nclass R:\n    shown: int\n    named: int\n    dead: int\n"
+           "    K = 1\n\n\n@dataclass(frozen=True)\nclass S:\n    written: int\n\n\n"
+           "class Plain:\n    ignored: int\n")
+    caller = "r = R(1, 2, dead=3)\nprint(r.shown, getattr(r, 'named'))\ns.written = 4\n"
+    assert unread_fields({"lib": lib}, [lib, caller]) == ["R.dead", "S.written"]
+
+
+def test_every_dataclass_field_is_read():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    reading = list(sources.values()) + [p.read_text() for p in sorted(BENCH.glob("*.py"))]
+    found = unread_fields(sources, reading)
+    unread = [f for f in found if f.partition(".")[0] not in UNREAD_FIELDS_OK]
+    assert not unread, f"dataclass fields nothing in src/ or bench/ reads: {unread}"
+    stale = UNREAD_FIELDS_OK - {f.partition(".")[0] for f in found}
+    assert not stale, f"UNREAD_FIELDS_OK entries whose fields are all read: {sorted(stale)}"

@@ -7,7 +7,8 @@ import pytest
 
 from pacedseg import training
 from pacedseg.errors import ConfigError, TrainingAbort
-from pacedseg.network import PARAM_NAMES
+from pacedseg.metrics import summarize
+from pacedseg.network import PARAM_NAMES, load_checkpoint
 from pacedseg.synthdata import Dataset, attach_registration, generate_dataset
 from pacedseg.training import (
     StepTrace,
@@ -318,8 +319,9 @@ class TestRunTraining:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_last_eval_point_is_scored_once(self, tmp_path, monkeypatch):
-        """With eval_period dividing iterations, eval_final.csv reuses the
-        scores of the periodic eval at the last iteration."""
+        """The student is scored once at each periodic point and once after the
+        last iteration, which is one of them when eval_period divides
+        iterations; eval_final.csv holds that last student's scores."""
         calls = []
         scored = training.evaluate_params
 
@@ -328,11 +330,22 @@ class TestRunTraining:
             return scored(*args)
 
         monkeypatch.setattr(training, "evaluate_params", counting)
-        cfg = tiny_config(iterations=4, eval_period=2, decay_period=2)
-        result = run_training(cfg, tiny_dataset(cfg), tmp_path)
-        assert len(calls) == 2
-        last = (tmp_path / "eval_log.csv").read_text().splitlines()[-1].split(",")
-        assert last[:2] == ["4", repr(result.final_summary["dsc"])]
+        for iterations, n_calls in ((4, 2), (5, 3)):
+            calls.clear()
+            cfg = tiny_config(iterations=iterations, eval_period=2, decay_period=2)
+            out = tmp_path / str(iterations)
+            result = run_training(cfg, tiny_dataset(cfg), out)
+            assert len(calls) == n_calls
+            eval_log = [row.split(",") for row in
+                        (out / "eval_log.csv").read_text().splitlines()[1:]]
+            assert [row[0] for row in eval_log] == ["2", "4"]
+            final_student = load_checkpoint(out / "final.ckpt")[0]["student"]
+            records = scored(final_student, calls[-1][1], cfg.n_classes)
+            assert ((out / "eval_final.csv").read_text().splitlines()[1:]
+                    == [rec.csv_row() for rec in records])
+            assert result.final_summary["dsc"] == summarize(records)["dsc"]
+            if iterations == 4:  # the periodic point at 4 is the final one
+                assert eval_log[-1][1] == repr(result.final_summary["dsc"])
 
     def test_logged_l_u_replays_the_logged_schedule(self, tmp_path):
         """A Schedule fed the log's own L_u column reproduces its lambda,

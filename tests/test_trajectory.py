@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from pacedseg.ablation import _dataset_for_seed
+from pacedseg.ablation import dataset_for_seed
 from pacedseg.losses import LossReport
 from pacedseg.training import TrainConfig, Trainer
 
@@ -31,7 +31,7 @@ CONFIG = TrainConfig(
 
 
 def run_rows() -> list[str]:
-    trainer = Trainer(CONFIG, _dataset_for_seed(CONFIG, CONFIG.seed))
+    trainer = Trainer(CONFIG, dataset_for_seed(CONFIG, CONFIG.seed))
     return [trainer.step(*trainer.batch_for(t)).csv_row() for t in range(CONFIG.iterations)]
 
 
