@@ -22,10 +22,11 @@ gradient back as one run; stride 1 is the one-phase case. No im2col
 matrix is kept for backward: a conv gathers its cols one tile of `TILE`
 output-frame columns at a time, and its backward gathers them again
 from the input node (recompute in backward, as in Chen et al., arXiv
-1604.06174). The phase buffer, the tile of cols, the tile of column
-gradients and the zero-bordered gradient frame live in work buffers
-kept across calls, one per geometry, so their pages are not faulted in
-afresh on every call. The buffers are per process and not thread-safe.
+1604.06174). Work buffers are kept across calls, so their pages are not
+faulted in afresh on every call: the zero-bordered phase buffer and
+gradient frame one per geometry, and the tiles of cols and of column
+gradients as views of one flat arena per role and dtype, sized for the
+largest tile yet. The buffers are per process and not thread-safe.
 Reductions over the short trailing class axis fold one class slice at a
 time (`fold_last`, `argmax_last`), bitwise equal to numpy's own
 reduction.
@@ -35,6 +36,8 @@ tape-free inference path so both routes compute identical floats.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -52,19 +55,35 @@ TILE = 4096
 _kept: dict = {}
 
 
-def _kept_buffer(key, shape, dtype, zero=False):
-    """A work buffer kept across calls under (key, shape, dtype).
+def _kept_buffer(key, shape, dtype):
+    """A zero-bordered work buffer kept across calls under (key, shape, dtype).
 
-    A `zero` buffer is zero-filled once, when it is made; a caller keys it
-    on every size that decides which of its regions get written, so the
-    regions no call writes stay zero. The buffers are per process and not
-    thread-safe: two convs of one geometry must not run at once.
+    It is zero-filled once, when it is made; a caller keys it on every size
+    that decides which of its regions get written, so the regions no call
+    writes stay zero. The buffers are per process and not thread-safe: two
+    convs of one geometry must not run at once.
     """
     full = (key, shape, np.dtype(dtype))
     buf = _kept.get(full)
     if buf is None:
-        buf = _kept[full] = (np.zeros if zero else np.empty)(shape, dtype)
+        buf = _kept[full] = np.zeros(shape, dtype)
     return buf
+
+
+def _arena(role, shape, dtype):
+    """An uninitialized `shape` view of the flat arena kept for (role, dtype).
+
+    Every call of a role shares one arena, grown to the largest request
+    yet, so a role keeps one buffer however many geometries it serves. A
+    view starts at the arena's first element and is C-contiguous, so each
+    caller sees the same strides as on a buffer of its own; it is valid
+    until the role's next call.
+    """
+    size, key = math.prod(shape), (role, np.dtype(dtype))
+    buf = _kept.get(key)
+    if buf is None or buf.size < size:
+        buf = _kept[key] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
 
 
 def _weight_mat(w):
@@ -123,7 +142,7 @@ def _geometry(xshape, kshape, stride, pad):
 def _phases(x, stride, pad, frame, copies):
     """x on its zero-bordered stride phases, as a flat (Cin, s**3 * Nq) kept buffer."""
     xq = _kept_buffer(("phases", x.shape, stride, pad), (x.shape[0], stride**3, *frame),
-                      x.dtype, zero=True)
+                      x.dtype)
     for dst, src in copies:
         xq[dst] = x[src]
     return xq.reshape(x.shape[0], -1)
@@ -138,7 +157,7 @@ def _run_cols(xf, offsets, n, s, e):
     (Cin*K, e - s) view of a kept buffer: row (c, tap) holds channel c read
     from the tap's offset on."""
     cin, k = xf.shape[0], len(offsets)
-    cols = _kept_buffer("cols", (cin, k, min(n, TILE)), xf.dtype)
+    cols = _arena("cols", (cin, k, min(n, TILE)), xf.dtype)
     for m, o in enumerate(offsets):
         cols[:, m, : e - s] = xf[:, o + s : o + e]
     return cols.reshape(cin * k, -1)[:, : e - s]
@@ -179,11 +198,11 @@ def _conv3d_backward(gout, x, w, stride, pad):
     xf = _phases(x, stride, pad, frame, copies)  # the forward's cols are gathered again from x
     k = len(offsets)
     # zero between the rows of gout, which the runs read through
-    gframe = _kept_buffer(("gframe", ow, od), (cout, oh, *frame[1:]), gout.dtype, zero=True)
+    gframe = _kept_buffer(("gframe", ow, od), (cout, oh, *frame[1:]), gout.dtype)
     gframe[:, :, :ow, :od] = gout
     grun = gframe.reshape(cout, -1)
     gxf = np.zeros_like(xf)
-    gcols = _kept_buffer("gcols", (cin, k, min(n, TILE)), gout.dtype)
+    gcols = _arena("gcols", (cin, k, min(n, TILE)), gout.dtype)
     wmat_t = _weight_mat(w).T
     gw = np.zeros((cin * k, cout), dtype=gout.dtype)
     for s, e in _tiles(n):
@@ -356,14 +375,16 @@ class Tape:
         return self._record(value)
 
     def backward(self, loss: Node):
-        """Fill `.grad` of every node the loss depends on; one sweep per tape.
+        """Fill `.grad` of every leaf the loss depends on; one sweep per tape.
 
         Each node's closure, and with it what it derived from its inputs
         (a softmax's probabilities, a gather's indices), is dropped as the
-        sweep passes the node, so the sweep's peak memory falls as it goes.
-        A conv's closure holds only its nodes: backward gathers the cols
-        again from the input. A second sweep would find no closures and
-        yield no gradients, so it raises instead.
+        sweep passes the node, and so is the node's gradient once the
+        closure has passed it on: after the sweep only the leaves (`input`
+        nodes) and the loss hold a `.grad`, and the sweep's peak memory
+        falls as it goes. A conv's closure holds only its nodes: backward
+        gathers the cols again from the input. A second sweep would find no
+        closures and yield no gradients, so it raises instead.
         """
         if loss.value.size != 1:
             raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
@@ -373,8 +394,12 @@ class Tape:
         loss.grad = np.ones_like(loss.value)
         for node in reversed(self.nodes):
             back, node._backward = node._backward, None
-            if node.grad is not None and back is not None:
+            if back is None:
+                continue
+            if node.grad is not None:
                 back(node.grad)
+            if node is not loss:
+                node.grad = None
 
     # -- arithmetic ---------------------------------------------------------
 

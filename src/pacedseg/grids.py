@@ -50,21 +50,30 @@ class Volume:
         return self.data.shape
 
 
+# a class id is one byte in memory
+MAX_CLASSES = 256
+
+
 @dataclass(eq=False)
 class LabelMap:
-    """Integer class id per voxel, in [0, n_classes)."""
+    """Integer class id per voxel, in [0, n_classes), with 2 <= n_classes <= 256.
+
+    The ids are held as one byte (uint8) each, narrowed only after the range
+    check, so an id that would wrap is refused; files store them as int64.
+    """
 
     data: np.ndarray
     n_classes: int = 2
 
     def __post_init__(self):
-        self.data = _as_c_order(self.data, np.int64)
-        if self.data.ndim != 3 or min(self.data.shape) < 1:
-            raise ValueError(f"label map must be 3D and non-empty, got shape {self.data.shape}")
-        if self.n_classes < 2:
-            raise ValueError("need at least 2 classes")
-        if self.data.size and (self.data.min() < 0 or self.data.max() >= self.n_classes):
+        data = np.asarray(self.data)
+        if data.ndim != 3 or min(data.shape) < 1:
+            raise ValueError(f"label map must be 3D and non-empty, got shape {data.shape}")
+        if not 2 <= self.n_classes <= MAX_CLASSES:
+            raise ValueError(f"need 2 to {MAX_CLASSES} classes, got {self.n_classes}")
+        if data.min() < 0 or data.max() >= self.n_classes:
             raise ValueError("labels outside [0, n_classes)")
+        self.data = _as_c_order(data, np.uint8)
 
     @property
     def dims(self) -> tuple[int, int, int]:

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .grids import LabelMap, Volume, load_arrays, save_arrays
+from .grids import MAX_CLASSES, LabelMap, Volume, load_arrays, save_arrays
 from .metrics import dsc_jaccard
 
 DATA_NAME = "data.arr"
@@ -54,7 +54,7 @@ class LabeledCase:
     case_id: str
     image: Volume
     k: int
-    slice_labels: np.ndarray               # (H, W) int annotation of slice k
+    slice_labels: np.ndarray               # (H, W) uint8 annotation of slice k
     reg_label: LabelMap | None = None      # registration pseudo label
     truth: LabelMap | None = None          # hidden; never read by training
     shape: EllipsoidParams | None = None   # hidden; drives the surrogate
@@ -102,7 +102,7 @@ def clean_field(dims, params: EllipsoidParams) -> np.ndarray:
 
 
 def truth_labels(dims, params: EllipsoidParams) -> LabelMap:
-    return LabelMap((_ellipsoid_r_sq(dims, params) < 1.0).astype(np.int64), 2)
+    return LabelMap((_ellipsoid_r_sq(dims, params) < 1.0).astype(np.uint8), 2)
 
 
 def _draw_case(rng, dims, radius_range, center_jitter, edge_width, noise_amp):
@@ -192,7 +192,7 @@ def register_surrogate(
 
     hh = np.arange(h) + 0.5
     ww = np.arange(w) + 0.5
-    out = np.zeros(dims, dtype=np.int64)
+    out = np.zeros(dims, dtype=np.uint8)
     modes = np.arange(1, _JITTER_MODES + 1)
     for di in range(d):
         q_sq = 1.0 - ((di + 0.5 - cz) / sc) ** 2
@@ -301,13 +301,13 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
         "classes": np.int64(dataset.n_classes),
         "images": np.stack([case.image.data for case in cases]),
         "k": np.array([case.k for case in dataset.labeled], dtype=np.int64),
-        "slices": np.stack([case.slice_labels for case in dataset.labeled]).astype(np.int64),
+        "slices": np.stack([case.slice_labels for case in dataset.labeled], dtype=np.int64),
     }
     if regs:
-        arrays["reg"] = np.stack(regs)
+        arrays["reg"] = np.stack(regs, dtype=np.int64)
     save_arrays(Path(out_dir) / DATA_NAME, arrays)
     if truths:
-        save_arrays(Path(out_dir) / TRUTH_NAME, {"truth": np.stack(truths)})
+        save_arrays(Path(out_dir) / TRUTH_NAME, {"truth": np.stack(truths, dtype=np.int64)})
 
 
 def load_dataset(in_dir, include_truth: bool = False) -> Dataset:
@@ -335,6 +335,8 @@ def load_dataset(in_dir, include_truth: bool = False) -> Dataset:
     if ((ks < 0) | (ks >= d)).any():
         raise FormatError(f"{root}: slice indices k={ks.tolist()} outside depth {d}")
     n_classes = int(arrays["classes"])
+    if not 2 <= n_classes <= MAX_CLASSES:
+        raise FormatError(f"{root}: classes={n_classes} is outside [2, {MAX_CLASSES}]")
     arrays["slices"] = arrays["slices"][..., None]  # each an (H, W, 1) label map
 
     def label_maps(name):

@@ -33,7 +33,13 @@ import numpy as np
 from .autodiff import Tape, argmax_last, fold_last
 from .contrastive import contrast_loss_node, mine_pairs
 from .errors import ConfigError, TrainingAbort
-from .grids import LabelMap, downsample_labels_majority, downsample_mask, downsample_mean
+from .grids import (
+    MAX_CLASSES,
+    LabelMap,
+    downsample_labels_majority,
+    downsample_mask,
+    downsample_mean,
+)
 from .losses import LossReport, dice_ce_node
 from .metrics import MetricsRecord, evaluate_case, summarize, write_eval_log, write_records
 from .network import (
@@ -178,7 +184,8 @@ class TrainConfig:
             (self.delta >= 1, "delta must be >= 1: the age parameter never shrinks"),
             (self.tau_contrast > 0, "tau_contrast must be positive"),
             (self.k_neg >= 0, "k_neg must be >= 0"),
-            (self.n_classes >= 2, "need at least 2 classes"),
+            (2 <= self.n_classes <= MAX_CLASSES,
+             f"n_classes must be in [2, {MAX_CLASSES}]: a label is one byte"),
             (len(self.widths) == 4 and all(c >= 1 for c in self.widths),
              "widths must be 4 positive channel counts"),
             (self.embed_dim >= 1, "embed_dim must be >= 1"),
@@ -325,7 +332,7 @@ class Trainer:
         rng = np.random.default_rng(seed_seq)
         return make_dropout_mask(
             self._drop_shape, self.config.dropout_rate, rng
-        ).astype(self.dtype)
+        ).astype(self.dtype, copy=False)
 
     def _teacher_view(self, view: np.ndarray):
         """Teacher trunk + clean head on one weak view; (trunk, features, labels)."""

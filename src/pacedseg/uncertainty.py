@@ -59,7 +59,8 @@ def mc_uncertainty_from_trunk(
     acc = None
     for t in range(n_passes):
         rng = np.random.default_rng(mc_pass_seed(seed, t))
-        mask = make_dropout_mask(hdec.shape, params.dropout_rate, rng).astype(params.dtype)
+        mask = make_dropout_mask(hdec.shape, params.dropout_rate, rng)
+        mask = mask.astype(params.dtype, copy=False)
         probs = head_forward(params, hdec, mask).astype(np.float64)
         acc = probs if acc is None else acc + probs
     mean = acc / n_passes

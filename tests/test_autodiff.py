@@ -93,6 +93,19 @@ class TestBasicContracts:
         assert a.grad is not None and loss.grad is not None
         assert unused.grad is None
 
+    def test_backward_keeps_only_leaf_and_loss_gradients(self):
+        tape = Tape(np.float64)
+        value = np.random.default_rng(2).standard_normal((4, 3))
+        p, c = tape.input(value), tape.input(np.full((4, 3), 2.0))
+        sq = tape.mul(p, p)
+        loss = tape.sum(tape.add(sq, tape.mul(c, tape.relu(p))))
+        tape.backward(loss)
+        interior = [n for n in tape.nodes if n not in (p, c, loss)]
+        assert len(interior) == 4 and all(n.grad is None for n in interior)
+        np.testing.assert_array_equal(loss.grad, 1.0)
+        np.testing.assert_allclose(p.grad, 2 * value + 2.0 * (value > 0), rtol=1e-15)
+        np.testing.assert_array_equal(c.grad, np.maximum(value, 0))
+
     def test_second_backward_raises(self):
         tape = Tape(np.float64)
         p = tape.input(np.ones(3))
@@ -459,6 +472,38 @@ class TestKeptBuffers:
         for seed in range(3):
             self._check((2, 5, 5, 5), (2, 3, 3, 3, 3), 1, seed, stride=2)
             self._check((2, 5, 5, 5), (2, 2, 2, 2, 3), 1, seed, stride=2)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_shared_arenas_give_the_results_of_a_conv_run_alone(self, dtype, monkeypatch):
+        # B's tiles of cols outgrow A's, so the second A runs on views of a
+        # grown arena; each conv must still give what it gives on fresh buffers
+        rng = np.random.default_rng(4)
+        geometries = {
+            "A": ((2, 4, 5, 3), (2, 3, 3, 3, 3), 1, 1),
+            "B": ((3, 9, 8, 6), (3, 3, 3, 3, 2), 2, 1),
+        }
+        inputs = {}
+        for name, (x_shape, w_shape, stride, pad) in geometries.items():
+            x, w = rng.standard_normal(x_shape).astype(dtype), rng.standard_normal(w_shape)
+            b = rng.standard_normal(w_shape[4]).astype(dtype)
+            out_shape = conv3d_raw(x, w.astype(dtype), b, stride, pad).shape
+            inputs[name] = (x, w.astype(dtype), b, rng.standard_normal(out_shape).astype(dtype))
+
+        def run(name):
+            x, w, b, g = inputs[name]
+            stride, pad = geometries[name][2:]
+            return [conv3d_raw(x, w, b, stride, pad), *conv3d_backward(g, x, w, stride, pad)]
+
+        alone = {}
+        for name in geometries:
+            monkeypatch.setattr(autodiff, "_kept", {})
+            alone[name] = run(name)
+        monkeypatch.setattr(autodiff, "_kept", {})
+        for name in ("A", "B", "A"):
+            for got, want in zip(run(name), alone[name]):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert sorted(k for k in autodiff._kept if isinstance(k[0], str)) == [
+            ("cols", np.dtype(dtype)), ("gcols", np.dtype(dtype))]
 
     @pytest.mark.parametrize("stride,up", [(1, 1), (2, 1), (1, 2)])
     def test_results_survive_a_later_call(self, stride, up):

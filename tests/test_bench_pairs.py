@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -105,3 +106,25 @@ def test_main_writes_the_summary(runs, tmp_path, monkeypatch):
     written = json.loads(out.read_text())
     assert written["claim"] is None and written["method"] == bench_pairs.METHOD
     assert written["host"].startswith("2-core ")
+
+
+def test_run_keeps_no_record_an_earlier_run_left(tmp_path):
+    """bench/run.py exits 1 both on a failed check and on an uncaught
+    exception; a run that wrote no record must not pass off the stale one."""
+    checkouts = {}
+    for side in bench_pairs.SIDES:
+        root = tmp_path / side
+        (root / "bench").mkdir(parents=True)
+        (root / "bench" / "run.py").write_text("import sys\nsys.exit(1)\n")
+        stale = root / ".bench_runs" / "early-seed1101-trace0" / "result.json"
+        stale.parent.mkdir(parents=True)
+        stale.write_text(json.dumps(result(1101, 10.0, 150.0, 0.54)))
+        git = ["git", "-C", str(root), "-c", "user.name=t", "-c", "user.email=t@t"]
+        subprocess.run([*git, "init", "-q"], check=True)
+        subprocess.run([*git, "add", "bench"], check=True)
+        subprocess.run([*git, "commit", "-q", "-m", "fake"], check=True)
+        checkouts[side] = root
+    declared = {**DECLARED, "workloads": [{"name": "early"}], "run_seconds": 1}
+    with pytest.raises(RuntimeError, match="parent early seed 1101 exited 1"):
+        bench_pairs.run_pairs(checkouts, tmp_path / "runs", declared, 1101)
+    assert not (tmp_path / "runs" / "early").exists()

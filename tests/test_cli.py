@@ -47,6 +47,13 @@ def test_unreadable_config_exits_config(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_more_classes_than_a_byte_holds_exits_config(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n_classes = 257\n")
+    assert main(["--config", str(cfg), "schedule-dump"]) == EXIT_CONFIG
+    assert "n_classes must be in [2, 256]" in capsys.readouterr().err
+
+
 def test_lu_csv_is_an_unknown_flag(capsys):
     """schedule-dump reads no log: a run's schedule is in its own train_log.csv."""
     with pytest.raises(SystemExit) as exc:
@@ -188,7 +195,11 @@ def _train_on(cfg, data, out):
     ("truth.arr", "truth", lambda a: a[:1], "truth is int64 (1, 4, 4, 4), expected"),
     # the config keeps its default n_classes = 2
     ("data.arr", "classes", lambda c: np.int64(3), "dataset has 3 classes, config n_classes is 2"),
-], ids=["k_past_depth", "images", "slices", "reg", "reg_dtype", "truth", "classes"])
+    # 258 would wrap to 2 in one byte; the range is checked before it narrows
+    ("data.arr", "reg", lambda a: np.full_like(a, 258), "labels outside [0, n_classes)"),
+    ("data.arr", "classes", lambda c: np.int64(300), "classes=300 is outside [2, 256]"),
+], ids=["k_past_depth", "images", "slices", "reg", "reg_dtype", "truth", "classes",
+        "reg_label_258", "classes_300"])
 def test_malformed_data_exits_config(tiny_data, trained, tmp_path, capsys,
                                      fname, name, edit, message):
     cfg, data = tiny_data

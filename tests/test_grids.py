@@ -136,6 +136,25 @@ class TestTypes:
         with pytest.raises(ValueError):
             LabelMap(np.full((2, 2, 2), 5), n_classes=2)
 
+    @pytest.mark.parametrize("label,n_classes", [(-1, 2), (2, 2), (256, 256)])
+    def test_labelmap_checks_the_range_before_it_narrows(self, label, n_classes):
+        # -1 and 256 would wrap to 255 and 0 in one byte
+        data = np.zeros((2, 2, 2), dtype=np.int64)
+        data[1, 0, 1] = label
+        with pytest.raises(ValueError, match="outside"):
+            LabelMap(data, n_classes)
+
+    @pytest.mark.parametrize("n_classes", [1, 257])
+    def test_labelmap_class_count_fits_a_byte(self, n_classes):
+        with pytest.raises(ValueError, match="need 2 to 256 classes"):
+            LabelMap(np.zeros((2, 2, 2), dtype=np.int64), n_classes)
+
+    def test_labelmap_holds_one_byte_per_voxel(self):
+        data = np.arange(8, dtype=np.int64).reshape(2, 2, 2) * 36  # 0 .. 252
+        lm = LabelMap(data, 256)
+        assert lm.data.dtype == np.uint8
+        np.testing.assert_array_equal(lm.data, data)
+
 
 class TestDownsampleMask:
     def test_all_true_stays_true(self):

@@ -1,8 +1,14 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import fuse_one_hot
 
+from pacedseg.ablation import dataset_for_seed
+from pacedseg.errors import FormatError
+from pacedseg.grids import load_arrays, save_arrays
 from pacedseg.metrics import dsc_jaccard
 from pacedseg.perturb import apply_flips
 from pacedseg.synthdata import (
@@ -18,6 +24,7 @@ from pacedseg.synthdata import (
     save_dataset,
     slice_weight_map,
 )
+from pacedseg.training import TrainConfig
 
 
 def slice_dice(a, b):
@@ -229,6 +236,49 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match=message):
             save_dataset(ds, tmp_path)
         assert list(tmp_path.iterdir()) == []
+
+    def test_labels_are_one_byte_in_memory_and_int64_on_disk(self, tmp_path):
+        ds = attach_registration(generate_dataset(2, 1, (8, 8, 4), seed=5), seed=5)
+        case = ds.labeled[0]
+        assert {case.truth.data.dtype, case.reg_label.data.dtype,
+                case.slice_labels.dtype} == {np.dtype(np.uint8)}
+        save_dataset(ds, tmp_path)
+        files = load_arrays(tmp_path / "data.arr") | load_arrays(tmp_path / "truth.arr")
+        assert {name: a.dtype for name, a in files.items()} == {
+            "classes": np.int64, "images": np.float64, "k": np.int64,
+            "slices": np.int64, "reg": np.int64, "truth": np.int64}
+        back = load_dataset(tmp_path, include_truth=True)
+        assert back.labeled[0].reg_label.data.dtype == np.uint8
+
+    @pytest.mark.parametrize("fname,name,edit,message", [
+        ("data.arr", "reg", lambda a: np.where(a == 1, 258, a), "labels outside"),
+        ("truth.arr", "truth", lambda a: np.where(a == 1, 256, a), "labels outside"),
+        ("data.arr", "slices", lambda a: a - 1, "labels outside"),
+        ("data.arr", "classes", lambda c: np.int64(257), "classes=257 is outside [2, 256]"),
+    ], ids=["reg_258", "truth_256", "slices_negative", "classes_257"])
+    def test_labels_that_a_byte_cannot_hold_are_format_errors(self, tmp_path, fname, name,
+                                                              edit, message):
+        save_dataset(attach_registration(generate_dataset(2, 1, (8, 8, 4), seed=5), seed=5),
+                     tmp_path)
+        arrays = load_arrays(tmp_path / fname)
+        arrays[name] = edit(arrays[name])
+        save_arrays(tmp_path / fname, arrays)
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_dataset(tmp_path, include_truth=True)
+
+    def test_default_dataset_holds_about_nine_bytes_per_case_voxel(self):
+        """float64 images (8 bytes) and uint8 truths (1) on every case, plus
+        uint8 registration labels on the labeled fifth: 9.2 bytes per
+        case-voxel before object overheads. With int64 labels it was 17.6."""
+        cfg = TrainConfig()
+        tracemalloc.start()
+        try:
+            ds = dataset_for_seed(cfg, 1)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        voxels = (ds.n_labeled + ds.n_unlabeled) * np.prod(ds.dims)
+        assert held / voxels <= 10.5
 
     def test_attach_registration_deterministic(self):
         a = generate_dataset(3, 0, (16, 16, 8), seed=8)

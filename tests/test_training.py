@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pacedseg import training
+from pacedseg import autodiff, training
 from pacedseg.errors import ConfigError, TrainingAbort
 from pacedseg.metrics import summarize
 from pacedseg.network import PARAM_NAMES, load_checkpoint
@@ -259,6 +259,18 @@ class TestStepMemory:
         finally:
             tracemalloc.stop()
         assert peak < 30 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_step_keeps_one_cols_and_one_gcols_arena(self, dtype, monkeypatch):
+        """Every conv of a step, whatever its geometry, takes its tiles of
+        cols and of column gradients from one arena per role."""
+        monkeypatch.setattr(autodiff, "_kept", {})
+        cfg = tiny_config(dtype=dtype)
+        trainer = Trainer(cfg, tiny_dataset(cfg))
+        trainer.step(*trainer.batch_for(0))
+        arenas = sorted(key for key in autodiff._kept if isinstance(key[0], str))
+        assert arenas == [("cols", np.dtype(dtype)), ("gcols", np.dtype(dtype))]
 
 
 class TestBaselineDegeneration:

@@ -70,9 +70,11 @@ def run_pairs(checkouts: dict[str, Path], runs: Path, declared: dict, first_seed
     for workload, seed, side in plan(workloads, first_seed, PAIRS):
         cmd = BENCH_COMMAND.format(workload=workload, seed=seed, seconds=f"{seconds:g}").split()
         print(f"{workload} seed {seed} {side}", flush=True)
-        proc = subprocess.run(cmd, cwd=checkouts[side], capture_output=True, text=True)
         produced = (checkouts[side] / ".bench_runs" / f"{workload}-seed{seed}-trace0"
                     / "result.json")
+        # exit code 1 is also an uncaught exception: only a record this run wrote counts
+        produced.unlink(missing_ok=True)
+        proc = subprocess.run(cmd, cwd=checkouts[side], capture_output=True, text=True)
         if proc.returncode not in (0, 1) or not produced.is_file():
             raise RuntimeError(f"{side} {workload} seed {seed} exited {proc.returncode}: "
                                f"{proc.stderr[-2000:]}")
