@@ -4,16 +4,15 @@ Positives are half-resolution locations that survive the down-sampled
 selection mask and where the two weak views predict the same class.
 Negatives for an anchor of class c are the most confident strong-view
 locations (also mask-gated) predicting any other class, capped at K per
-anchor. The loss is an InfoNCE-style term over cosine similarities,
+anchor class. The loss is an InfoNCE-style term over cosine similarities,
 summed in both anchor directions and averaged over positives.
 
 The differentiable loss uses the matrix form of InfoNCE. Anchors of one
 class share one negative pool, so a batch names few distinct negative
 rows: they are normalized once and every anchor is scored against all
-of them with one (P, F) @ (F, U) matmul per direction. Each anchor's own
-list enters its log-sum-exp as log(multiplicity) of each distinct row:
--inf for a row it does not list, log 2 for one it lists twice. The value
-is therefore the sum over that anchor's K-entry list.
+of them with one (P, F) @ (F, U) matmul per direction. An anchor's
+log-sum-exp adds 0 to each row its pool lists and -inf to every other
+row, so its value is the sum over that anchor's pool.
 """
 
 from __future__ import annotations
@@ -25,34 +24,33 @@ import numpy as np
 from .autodiff import Node, Tape
 from .losses import _scalar
 
-NEG_PAD = -1
-
 
 @dataclass(eq=False)
 class ContrastBatch:
-    """Mined positive pairs plus per-anchor negative index lists.
+    """Mined positive pairs plus one ranked negative pool per anchor class.
 
-    ``neg_idx`` rows index into the flattened (M, F) strong-view feature
-    grid that `mine_pairs` checked against the mask grid, and are padded
-    with -1 past ``neg_counts[i]`` entries.
-    `mine_pairs` gives every anchor of one class the same list, so there
-    are at most n_classes * K distinct indices. `contrast_loss_node`
-    scores anchors against those distinct rows and reads each anchor's
-    list as multiplicities, so the loss is exact for any lists, repeats
-    included.
+    Each pool holds at most K distinct flat indices into the (M, F)
+    strong-view feature grid that `mine_pairs` checked against the mask
+    grid, in (confidence descending, index) order. The anchors of one
+    weak-view class share a pool, so there are at most n_classes * K
+    distinct negative rows.
     """
 
     positions: np.ndarray      # (P,) flat indices into the half-res grid
-    classes: np.ndarray        # (P,) predicted class of each positive
     z1: np.ndarray             # (P, F) weak-view-1 embeddings
     z2: np.ndarray             # (P, F) weak-view-2 embeddings
-    neg_idx: np.ndarray        # (P, K) flat indices, NEG_PAD past the count
-    neg_counts: np.ndarray     # (P,)
+    pools: list[np.ndarray]    # one (<= K,) index array per anchor class
+    pool_of: np.ndarray        # (P,) pool of each anchor
     tau: float
 
     @property
     def n_positives(self) -> int:
         return int(self.positions.size)
+
+    @property
+    def neg_counts(self) -> np.ndarray:
+        """(P,) negatives per anchor: the size of its pool."""
+        return np.array([pool.size for pool in self.pools], dtype=np.int64)[self.pool_of]
 
 
 def mine_pairs(
@@ -93,25 +91,17 @@ def mine_pairs(
     f = zw1.shape[3]
 
     pos = np.flatnonzero(m & (p1 == p2))
-    classes = p1[pos]
     z1 = zw1.reshape(-1, f)[pos]
     z2 = zw2.reshape(-1, f)[pos]
 
     # one ranked negative pool per anchor class, shared by its anchors
-    pool_classes, pool_of = np.unique(classes, return_inverse=True)
-    pools = np.full((pool_classes.size, k_neg), NEG_PAD, dtype=np.int64)
-    pool_sizes = np.zeros(pool_classes.size, dtype=np.int64)
-    for j, c in enumerate(pool_classes):
+    pool_classes, pool_of = np.unique(p1[pos], return_inverse=True)
+    pools = []
+    for c in pool_classes:
         cand = np.flatnonzero(m & (psn != c))
-        pool = cand[np.argsort(-conf[cand], kind="stable")[:k_neg]]
-        pools[j, : pool.size] = pool
-        pool_sizes[j] = pool.size
-    neg_idx, neg_counts = pools[pool_of], pool_sizes[pool_of]
+        pools.append(cand[np.argsort(-conf[cand], kind="stable")[:k_neg]])
 
-    return ContrastBatch(
-        positions=pos, classes=classes, z1=z1, z2=z2,
-        neg_idx=neg_idx, neg_counts=neg_counts, tau=tau,
-    )
+    return ContrastBatch(positions=pos, z1=z1, z2=z2, pools=pools, pool_of=pool_of, tau=tau)
 
 
 def _unit(v: np.ndarray, name: str) -> np.ndarray:
@@ -134,15 +124,13 @@ def contrast_loss_node(tape: Tape, zsn_node: Node, batch: ContrastBatch) -> Node
     f = batch.z1.shape[1]
     tau = batch.tau
 
-    # the distinct negative rows, and how often each anchor's list names each
-    listed = batch.neg_idx != NEG_PAD
-    named = batch.neg_idx[listed]
-    present = np.bincount(named) > 0            # np.unique without its sort
-    uniq = np.flatnonzero(present)
-    cell = np.nonzero(listed)[0] * uniq.size + (np.cumsum(present) - 1)[named]
-    mult = np.bincount(cell, minlength=p_count * uniq.size).reshape(p_count, uniq.size)
-    with np.errstate(divide="ignore"):
-        log_mult = np.log(mult.astype(tape.dtype))                  # -inf where unlisted
+    # the distinct negative rows; each anchor adds 0 to its pool's rows, -inf elsewhere
+    # (asking for the inverse also spares np.unique its lazy numpy.ma import, ~1 MB)
+    uniq, col = np.unique(np.concatenate(batch.pools), return_inverse=True)
+    sizes = [pool.size for pool in batch.pools]
+    pool_mask = np.full((len(sizes), uniq.size), -np.inf, dtype=tape.dtype)
+    pool_mask[np.repeat(np.arange(len(sizes)), sizes), col] = 0.0
+    log_mult = pool_mask[batch.pool_of]  # (P, U)
 
     flat = tape.reshape(zsn_node, (-1, f))
     negs_t = tape.transpose(tape.row_normalize(tape.take_rows(flat, uniq)))   # (F, U)

@@ -78,6 +78,11 @@ def _param_shapes(n_classes, widths, embed_dim):
     }
 
 
+def valid_dropout_rate(rate) -> bool:
+    """Whether a model can drop with this rate: in [0, 1), so NaN is not."""
+    return 0.0 <= rate < 1.0
+
+
 def init_params(
     n_classes=2,
     widths=(4, 8, 8, 8),
@@ -87,7 +92,7 @@ def init_params(
     dtype=np.float64,
 ) -> ModelParams:
     """Seeded uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) initialization."""
-    if not 0.0 <= dropout_rate < 1.0:
+    if not valid_dropout_rate(dropout_rate):
         raise ValueError("dropout rate must be in [0, 1)")
     rng = np.random.default_rng(seed)
     shapes = _param_shapes(n_classes, widths, embed_dim)
@@ -269,6 +274,9 @@ def load_checkpoint(path):
         if wrong:
             raise FormatError(f"{path}: section {name!r} has missing or misshapen tensors {wrong}")
         dropout_rate, dtype = float(arrays.pop("dropout_rate")), arrays["enc1_w"].dtype
+        if not valid_dropout_rate(dropout_rate):
+            raise FormatError(f"{path}: section {name!r} has dropout_rate {dropout_rate}, "
+                              "not in [0, 1)")
         for tname, a in arrays.items():
             if a.dtype != dtype or dtype not in (np.float32, np.float64):
                 raise FormatError(f"{path}: section {name!r} holds a {a.dtype} {tname}")

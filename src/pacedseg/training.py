@@ -54,6 +54,7 @@ from .network import (
     param_nodes,
     save_checkpoint,
     sgd_step,
+    valid_dropout_rate,
 )
 from .perturb import apply_flips, cutmix_with_box, sample_box, sample_flips, weak_perturb
 from .synthdata import (
@@ -189,7 +190,7 @@ class TrainConfig:
             (len(self.widths) == 4 and all(c >= 1 for c in self.widths),
              "widths must be 4 positive channel counts"),
             (self.embed_dim >= 1, "embed_dim must be >= 1"),
-            (0 <= self.dropout_rate < 1, "dropout_rate must be in [0, 1)"),
+            (valid_dropout_rate(self.dropout_rate), "dropout_rate must be in [0, 1)"),
             (self.dtype in ("float32", "float64"), "dtype must be float32 or float64"),
             (valid_dims(self.dims), "dims must be even and >= 4"),
             (self.n_labeled >= 1 and self.n_unlabeled >= 1,

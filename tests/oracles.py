@@ -7,8 +7,9 @@ way, so a test can compare the optimized form in `src/` against it.
   `pacedseg.losses.dice_node`.
 - `feature_contrast_loss`: one-anchor InfoNCE over cosine similarities;
   the building block of `bidirectional_loss`.
-- `negatives_for` and `bidirectional_loss`: the per-anchor float loop;
-  check `pacedseg.contrastive.contrast_loss_node`.
+- `negatives_for` and `bidirectional_loss`: the per-anchor float loop
+  over each anchor's pool rows; check
+  `pacedseg.contrastive.contrast_loss_node`.
 - `gather_contrast_loss_node`: the gather form of the same loss on a
   tape; checks the values and gradients of `contrast_loss_node`.
 - `validate_batch`: the mining contracts of
@@ -33,7 +34,6 @@ import math
 
 import numpy as np
 
-from pacedseg.contrastive import NEG_PAD
 from pacedseg.losses import DICE_EPS
 
 
@@ -127,8 +127,8 @@ def feature_contrast_loss(anchor, positive, negatives, tau: float) -> float:
 
 
 def negatives_for(batch, zsn, i):
-    """The listed negative rows of anchor i, taken from the (M, F) grid."""
-    return zsn[batch.neg_idx[i, : batch.neg_counts[i]]]
+    """The rows of anchor i's negative pool, taken from the (M, F) grid."""
+    return zsn[batch.pools[batch.pool_of[i]]]
 
 
 def bidirectional_loss(batch, zsn) -> float:
@@ -143,36 +143,53 @@ def bidirectional_loss(batch, zsn) -> float:
     return total / batch.n_positives
 
 
-def validate_batch(batch, preds_w1, preds_w2, preds_sn, mask_ds) -> None:
-    """Assert the mining contracts of `mine_pairs`."""
-    m = mask_ds.ravel()
-    p1, p2, psn = preds_w1.ravel(), preds_w2.ravel(), preds_sn.ravel()
+def validate_batch(batch, inputs, k_neg) -> None:
+    """Assert the mining contracts of `mine_pairs` on the keyword `inputs`
+    it was called with."""
+    m = inputs["mask_ds"].ravel()
+    p1, p2 = inputs["preds_w1"].ravel(), inputs["preds_w2"].ravel()
+    psn, conf = inputs["preds_sn"].ravel(), inputs["conf_sn"].ravel()
     assert m[batch.positions].all(), "positive off the selection mask"
     assert (p1[batch.positions] == p2[batch.positions]).all(), "views disagree at a positive"
-    for i in range(batch.n_positives):
-        idx = batch.neg_idx[i, : batch.neg_counts[i]]
-        assert m[idx].all(), "negative off the selection mask"
-        assert (psn[idx] != batch.classes[i]).all(), "negative shares the anchor class"
+    classes = p1[batch.positions]
+    same_pool = batch.pool_of[:, None] == batch.pool_of[None, :]
+    assert (same_pool == (classes[:, None] == classes[None, :])).all(), \
+        "anchors share a pool unless they share a class"
+    np.testing.assert_array_equal(np.unique(batch.pool_of), np.arange(len(batch.pools)))
+    np.testing.assert_array_equal(batch.neg_counts, [batch.pools[j].size for j in batch.pool_of])
+    for j, pool in enumerate(batch.pools):
+        assert pool.size <= k_neg, "pool longer than k_neg"
+        assert np.unique(pool).size == pool.size, "pool names a row twice"
+        ranks = list(zip(-conf[pool], pool))
+        assert ranks == sorted(ranks), "pool not in (confidence descending, index) order"
+        assert m[pool].all(), "negative off the selection mask"
+        assert (psn[pool] != classes[batch.pool_of == j][0]).all(), \
+            "negative shares the anchor class"
 
 
 def gather_contrast_loss_node(tape, zsn_node, batch):
     """The gather form of `contrast_loss_node`.
 
-    Every anchor's K negatives are gathered into a (P*K, F) block,
-    normalized and dotted with their anchor one row at a time; entries
-    past an anchor's count are masked with -inf before the log-sum-exp.
+    Every anchor's pool is copied into a K-entry row of a (P*K, F) block,
+    normalized and dotted with its anchor one row at a time; entries past
+    the pool's size are masked with -inf before the log-sum-exp. K is one
+    past the longest pool, so every row holds a masked entry.
     """
     p_count = batch.n_positives
     if p_count == 0:
         return tape.input(0.0)
-    k = batch.neg_idx.shape[1]
+    k = max(pool.size for pool in batch.pools) + 1
     f = batch.z1.shape[1]
     tau = batch.tau
 
+    neg_idx = np.zeros((p_count, k), dtype=np.int64)
+    pad = np.full((p_count, k), -np.inf)
+    for i, j in enumerate(batch.pool_of):
+        n = batch.pools[j].size
+        neg_idx[i, :n], pad[i, :n] = batch.pools[j], 0.0
+
     flat = tape.reshape(zsn_node, (-1, f))
-    gather_idx = np.where(batch.neg_idx == NEG_PAD, 0, batch.neg_idx).ravel()
-    negs = tape.row_normalize(tape.take_rows(flat, gather_idx))        # (P*K, F)
-    pad = np.where(batch.neg_idx == NEG_PAD, -np.inf, 0.0)
+    negs = tape.row_normalize(tape.take_rows(flat, neg_idx.ravel()))   # (P*K, F)
     owner = np.repeat(np.arange(p_count), k)                            # anchor of each row
 
     z1n = tape.row_normalize(tape.input(batch.z1))

@@ -163,6 +163,19 @@ def test_eval_corrupt_checkpoint_exits_config(trained, tmp_path, capsys):
     assert "trailing bytes" in capsys.readouterr().err
 
 
+def test_eval_dropout_rate_outside_unit_interval_exits_config(trained, tmp_path, capsys):
+    cfg, data, run = trained
+    arrays = load_arrays(run / "final.ckpt")
+    arrays["student/dropout_rate"] = np.float64(1.5)
+    bad = tmp_path / "bad.ckpt"
+    save_arrays(bad, arrays)
+    argv = ["--config", str(cfg), "--out-dir", str(tmp_path / "out"), "eval",
+            "--checkpoint", str(bad), "--data-dir", str(data)]
+    assert main(argv) == EXIT_CONFIG
+    assert "section 'student' has dropout_rate 1.5, not in [0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
 TINY_CFG = (
     "dim_h = 4\ndim_w = 4\ndim_d = 4\n"
     "iterations = 1\nn_labeled = 1\nn_unlabeled = 1\nn_eval = 1\n"

@@ -16,17 +16,17 @@ from oracles import (
 
 
 def random_batch(rng, n_pos=3, k_neg=2, f=4, tau=0.5):
-    """A batch with per-anchor negative lists, and the (M, F) grid they index."""
+    """A batch with random negative pools, each shared by at least one
+    anchor, and the (M, F) grid they index."""
     n_grid = max(n_pos * 2, 8)
     zsn = rng.standard_normal((n_grid, f))
-    neg_idx = np.full((n_pos, k_neg), -1, dtype=np.int64)
-    neg_counts = rng.integers(0, k_neg + 1, size=n_pos)
-    for i in range(n_pos):
-        neg_idx[i, : neg_counts[i]] = rng.choice(n_grid, size=neg_counts[i], replace=False)
+    n_pools = int(rng.integers(1, n_pos + 1))
+    pools = [rng.choice(n_grid, size=int(rng.integers(0, k_neg + 1)), replace=False)
+             for _ in range(n_pools)]
     batch = ContrastBatch(
-        positions=np.arange(n_pos), classes=np.zeros(n_pos, dtype=np.int64),
+        positions=np.arange(n_pos),
         z1=rng.standard_normal((n_pos, f)), z2=rng.standard_normal((n_pos, f)),
-        neg_idx=neg_idx, neg_counts=neg_counts, tau=tau,
+        pools=pools, pool_of=rng.permutation(np.arange(n_pos) % n_pools), tau=tau,
     )
     return batch, zsn
 
@@ -90,9 +90,9 @@ class TestFeatureContrastLoss:
 class TestBidirectionalLoss:
     def test_single_identical_pair_no_negatives(self):
         batch = ContrastBatch(
-            positions=np.array([0]), classes=np.array([1]),
+            positions=np.array([0]),
             z1=np.array([[1.0, 2.0]]), z2=np.array([[1.0, 2.0]]),
-            neg_idx=np.full((1, 2), -1), neg_counts=np.array([0]), tau=0.5,
+            pools=[np.zeros(0, dtype=np.int64)], pool_of=np.array([0]), tau=0.5,
         )
         assert bidirectional_loss(batch, np.ones((4, 2))) == 0.0
 
@@ -101,9 +101,8 @@ class TestBidirectionalLoss:
         for _ in range(100):
             batch, zsn = random_batch(rng, n_pos=int(rng.integers(1, 5)))
             swapped = ContrastBatch(
-                positions=batch.positions, classes=batch.classes,
-                z1=batch.z2, z2=batch.z1,
-                neg_idx=batch.neg_idx, neg_counts=batch.neg_counts, tau=batch.tau,
+                positions=batch.positions, z1=batch.z2, z2=batch.z1,
+                pools=batch.pools, pool_of=batch.pool_of, tau=batch.tau,
             )
             a, b = bidirectional_loss(batch, zsn), bidirectional_loss(swapped, zsn)
             assert abs(a - b) <= 1e-12
@@ -128,10 +127,8 @@ class TestBidirectionalLoss:
 
     def test_empty_batch_is_zero(self):
         batch = ContrastBatch(
-            positions=np.zeros(0, dtype=int), classes=np.zeros(0, dtype=int),
-            z1=np.zeros((0, 3)), z2=np.zeros((0, 3)),
-            neg_idx=np.zeros((0, 2), dtype=int), neg_counts=np.zeros(0, dtype=int),
-            tau=0.5,
+            positions=np.zeros(0, dtype=int), z1=np.zeros((0, 3)), z2=np.zeros((0, 3)),
+            pools=[], pool_of=np.zeros(0, dtype=int), tau=0.5,
         )
         assert bidirectional_loss(batch, np.ones((4, 3))) == 0.0
 
@@ -200,19 +197,11 @@ class TestMatmulFormAgainstGatherOracle:
                                       k_neg=int(rng.integers(1, 5)), f=int(rng.integers(2, 6)))
             assert_matches_gather_oracle(batch, zsn)
 
-    def test_repeated_index_counts_twice(self):
-        rng = np.random.default_rng(17)
-        batch, zsn = random_batch(rng, n_pos=2, k_neg=3)
-        batch.neg_idx = np.array([[3, 3, 5], [5, -1, -1]])
-        batch.neg_counts = np.array([3, 1])
-        loss = assert_matches_gather_oracle(batch, zsn)
-        assert loss == pytest.approx(bidirectional_loss(batch, zsn), rel=1e-12)
-
     def test_all_padding_rows_give_exactly_zero(self):
         rng = np.random.default_rng(18)
         batch, zsn = random_batch(rng, n_pos=4, k_neg=3)
-        batch.neg_idx = np.full((4, 3), -1)
-        batch.neg_counts = np.zeros(4, dtype=np.int64)
+        batch.pools = [np.zeros(0, dtype=np.int64) for _ in batch.pools]
+        assert (batch.neg_counts == 0).all()
         assert assert_matches_gather_oracle(batch, zsn) == 0.0
 
 
@@ -272,12 +261,12 @@ class TestMinePairs:
 
         # positives: cells 0 and 2 (class 1) and cell 3 (class 0)
         np.testing.assert_array_equal(batch.positions, [0, 2, 3])
-        np.testing.assert_array_equal(batch.classes, [1, 1, 0])
-        # class-1 anchors: candidates are strong-class-0 cells {0, 1}; top conf = 0
         # class-0 anchors: candidates are strong-class-1 cells {2, 3}; top conf = 2
-        np.testing.assert_array_equal(batch.neg_idx[:, 0], [0, 0, 2])
-        validate_batch(batch, inputs["preds_w1"], inputs["preds_w2"],
-                       inputs["preds_sn"], inputs["mask_ds"])
+        # class-1 anchors: candidates are strong-class-0 cells {0, 1}; top conf = 0
+        assert [pool.tolist() for pool in batch.pools] == [[2], [0]]
+        np.testing.assert_array_equal(batch.pool_of, [1, 1, 0])
+        np.testing.assert_array_equal(batch.neg_counts, [1, 1, 1])
+        validate_batch(batch, inputs, k_neg=1)
 
     def test_mask_gates_positives_and_negatives(self):
         rng = np.random.default_rng(10)
@@ -287,17 +276,15 @@ class TestMinePairs:
         batch = mine_pairs(**inputs, k_neg=4)
         flat_mask = bits.ravel()
         assert flat_mask[batch.positions].all()
-        for i in range(batch.n_positives):
-            idx = batch.neg_idx[i, : batch.neg_counts[i]]
-            assert flat_mask[idx].all()
+        for pool in batch.pools:
+            assert flat_mask[pool].all()
 
     def test_negatives_never_share_anchor_class(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             inputs = self.make_inputs(rng, dims=(4, 2, 2))
             batch = mine_pairs(**inputs, k_neg=3)
-            validate_batch(batch, inputs["preds_w1"], inputs["preds_w2"],
-                           inputs["preds_sn"], inputs["mask_ds"])
+            validate_batch(batch, inputs, k_neg=3)
 
     def test_confidence_ordering_with_index_ties(self):
         rng = np.random.default_rng(12)
@@ -308,7 +295,20 @@ class TestMinePairs:
         inputs["conf_sn"] = np.array([0.5, 0.9, 0.9, 0.1, 0.9, 0.2, 0.3, 0.4]).reshape(2, 2, 2)
         batch = mine_pairs(**inputs, k_neg=4)
         # ties at 0.9 resolve by linear index: 1, 2, 4, then 0.5 at index 0
-        np.testing.assert_array_equal(batch.neg_idx[0], [1, 2, 4, 0])
+        assert len(batch.pools) == 1
+        np.testing.assert_array_equal(batch.pools[0], [1, 2, 4, 0])
+        validate_batch(batch, inputs, k_neg=4)
+
+    def test_tied_confidences_rank_by_index_on_a_large_grid(self):
+        """Many ties in more candidates than a small-array sort sees."""
+        rng = np.random.default_rng(20)
+        inputs = self.make_inputs(rng, dims=(4, 4, 4))
+        inputs["conf_sn"] = rng.integers(0, 3, size=(4, 4, 4)) / 2
+        batch = mine_pairs(**inputs, k_neg=64)
+        validate_batch(batch, inputs, k_neg=64)
+        for j, pool in enumerate(batch.pools):
+            c = inputs["preds_w1"].ravel()[batch.positions[batch.pool_of == j][0]]
+            assert pool.size == np.count_nonzero(inputs["preds_sn"] != c)
 
     def test_grid_mismatch_rejected(self):
         rng = np.random.default_rng(13)
@@ -333,7 +333,8 @@ class TestMinePairs:
         for _ in range(10):
             inputs = self.make_inputs(rng, dims=(4, 4, 2))
             batch = mine_pairs(**inputs, k_neg=5)
-            assert np.unique(batch.neg_idx, axis=0).shape[0] < batch.n_positives
+            assert len(batch.pools) < batch.n_positives
+            validate_batch(batch, inputs, k_neg=5)
             assert_matches_gather_oracle(batch, flat_grid(inputs["zsn"]))
 
     def test_deterministic(self):
@@ -341,4 +342,5 @@ class TestMinePairs:
         a = mine_pairs(**self.make_inputs(rng_a, dims=(4, 4, 2)), k_neg=3)
         b = mine_pairs(**self.make_inputs(rng_b, dims=(4, 4, 2)), k_neg=3)
         np.testing.assert_array_equal(a.positions, b.positions)
-        np.testing.assert_array_equal(a.neg_idx, b.neg_idx)
+        np.testing.assert_array_equal(a.pool_of, b.pool_of)
+        assert [p.tolist() for p in a.pools] == [p.tolist() for p in b.pools]

@@ -322,26 +322,34 @@ def dataclass_fields(source: str) -> list[tuple[str, str]]:
     return found
 
 
-def read_names(source: str) -> set[str]:
-    """Attribute names a source loads, and the identifier parts of its strings
-    (a getattr by name spells the field in a string); assignments are not reads."""
+def loaded_attributes(source: str) -> set[str]:
+    """Attribute names a source loads; assignments are not reads."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def spelled_names(source: str) -> set[str]:
+    """The identifier parts of a source's strings: a getattr by name, or the
+    tracer's "module.attr", spells the field in a string."""
     names = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            names.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
             parts = node.value.split(".")
             if all(part.isidentifier() for part in parts):
                 names.update(parts)
     return names
 
 
-def unread_fields(defining: dict[str, str], reading: list[str]) -> list[str]:
+def unread_fields(defining: dict[str, str], reading: list[str], spelling: list[str]) -> list[str]:
     """"Class.field" for each dataclass field of `defining` (module -> source)
-    that no `reading` source loads or spells."""
-    read = set().union(*(read_names(src) for src in reading))
+    that no `reading` source loads as an attribute, and that neither its own
+    module nor a `spelling` source spells in a string. A string elsewhere,
+    such as a data-file key, names something else."""
+    loaded = set().union(*(loaded_attributes(src) for src in reading))
+    spelled = set().union(*(spelled_names(src) for src in spelling))
     return sorted(f"{cls}.{name}" for src in defining.values()
-                  for cls, name in dataclass_fields(src) if name not in read)
+                  for cls, name in dataclass_fields(src)
+                  if name not in loaded | spelled | spelled_names(src))
 
 
 def test_scan_flags_an_unread_field():
@@ -349,13 +357,20 @@ def test_scan_flags_an_unread_field():
            "    K = 1\n\n\n@dataclass(frozen=True)\nclass S:\n    written: int\n\n\n"
            "class Plain:\n    ignored: int\n")
     caller = "r = R(1, 2, dead=3)\nprint(r.shown, getattr(r, 'named'))\ns.written = 4\n"
-    assert unread_fields({"lib": lib}, [lib, caller]) == ["R.dead", "S.written"]
+    assert unread_fields({"lib": lib}, [lib, caller], [caller]) == ["R.dead", "S.written"]
+
+
+def test_scan_counts_a_string_only_in_the_own_module_or_a_spelling_source():
+    lib = "@dataclass\nclass R:\n    key: int\n    named: int\n\n\nNAMES = ('named',)\n"
+    other = "data = arrays['key']\n"
+    assert unread_fields({"lib": lib}, [lib, other], []) == ["R.key"]
+    assert unread_fields({"lib": lib}, [lib], [other]) == []
 
 
 def test_every_dataclass_field_is_read():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    reading = list(sources.values()) + [p.read_text() for p in sorted(BENCH.glob("*.py"))]
-    found = unread_fields(sources, reading)
+    bench = [p.read_text() for p in sorted(BENCH.glob("*.py"))]
+    found = unread_fields(sources, list(sources.values()) + bench, bench)
     unread = [f for f in found if f.partition(".")[0] not in UNREAD_FIELDS_OK]
     assert not unread, f"dataclass fields nothing in src/ or bench/ reads: {unread}"
     stale = UNREAD_FIELDS_OK - {f.partition(".")[0] for f in found}

@@ -66,6 +66,11 @@ class TestForward:
         with pytest.raises(ValueError):
             forward_parts(tiny_params(), np.zeros((3, 4, 2)))
 
+    @pytest.mark.parametrize("rate", [np.nan, 1.5, -0.2])
+    def test_dropout_rate_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(ValueError, match=r"dropout rate must be in \[0, 1\)"):
+            tiny_params(dropout=rate)
+
     def test_graph_and_value_paths_agree_bitwise(self):
         params, image = tiny_params(), tiny_image()
         mask = make_dropout_mask((3, 4, 4, 2), params.dropout_rate, np.random.default_rng(5))
@@ -304,8 +309,12 @@ class TestCheckpoint:
         ("student/seg_b", np.zeros(2, dtype=np.float32), "holds a float32 seg_b"),
         ("student/seg_b", np.zeros(2, dtype=np.int64), "holds a int64 seg_b"),
         ("meta/iteration", np.zeros(2), "metadata 'iteration' has shape"),
+        ("student/dropout_rate", np.float64(np.nan), r"dropout_rate nan, not in \[0, 1\)"),
+        ("student/dropout_rate", np.float64(1.5), r"dropout_rate 1.5, not in \[0, 1\)"),
+        ("student/dropout_rate", np.float64(-0.2), r"dropout_rate -0.2, not in \[0, 1\)"),
     ], ids=["bias_shape", "embed_dim", "missing_tensor", "missing_dropout", "extra_tensor",
-            "mixed_dtype", "int_dtype", "meta_shape"])
+            "mixed_dtype", "int_dtype", "meta_shape", "dropout_nan", "dropout_1.5",
+            "dropout_-0.2"])
     def test_malformed_section_raises(self, tmp_path, name, value, message):
         """Shapes, dtypes and names the codec accepts but a model cannot have."""
         path = tmp_path / "model.ckpt"
