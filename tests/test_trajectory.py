@@ -1,16 +1,23 @@
-"""The float64 loss trajectory of a short confident-regime run, pinned.
+"""The float64 loss trajectories of two short runs, pinned.
 
-`tests/data/f64_trajectory.csv` holds the `train_log.csv` rows of an
-8-step float64 run (16x16x8 volumes, `alpha=100, tau_sched=2000`, so the
-mask covers about 99% of the volume from step 1). It was written by the
-decoder that up-samples the bottleneck and then convolves it at full
-resolution. A speedup that reorders float sums must keep `L_s`, `L_u` and
-`L_bf` within 1e-12 relative and the mask count `K` exact.
+Each reference holds the `train_log.csv` rows of an 8-step float64 run
+on 16x16x8 volumes:
+- `tests/data/f64_trajectory.csv`, the confident regime
+  (`alpha=100, tau_sched=2000`, so the mask covers about 99% of the
+  volume from step 1). It was written by the decoder that up-samples the
+  bottleneck and then convolves it at full resolution.
+- `tests/data/f64_trajectory_warm.csv`, the default schedule: SU stays
+  on its warm branch and the mask holds at most 10% of the voxels. It was
+  written by the decoder that convolves the bottleneck with one merged
+  3x3x3 weight per output parity.
+
+A speedup that reorders float sums must keep `L_s`, `L_u` and `L_bf`
+within 1e-12 relative and the mask count `K` exact.
 
 `L_bf` reads 0 from a fresh init; the contrast numerics are pinned by
 `test_contrastive.py`.
 
-Regenerate (only when a change is meant to move the trajectory):
+Regenerate (only when a change is meant to move the trajectories):
     PYTHONPATH=src python tests/test_trajectory.py
 """
 
@@ -22,17 +29,20 @@ from pacedseg.ablation import dataset_for_seed
 from pacedseg.losses import LossReport
 from pacedseg.training import TrainConfig, Trainer
 
-DATA = Path(__file__).parent / "data" / "f64_trajectory.csv"
+DATA = Path(__file__).parent / "data"
 RTOL = 1e-12
-CONFIG = TrainConfig(
-    dim_h=16, dim_w=16, dim_d=8, n_labeled=2, n_unlabeled=2, iterations=8,
-    dtype="float64", alpha=100.0, tau_sched=2000.0, seed=0,
-)
+SHORT_RUN = dict(dim_h=16, dim_w=16, dim_d=8, n_labeled=2, n_unlabeled=2, iterations=8,
+                 dtype="float64", seed=0)
+REFERENCES = {
+    "confident": (DATA / "f64_trajectory.csv",
+                  TrainConfig(**SHORT_RUN, alpha=100.0, tau_sched=2000.0)),
+    "warm": (DATA / "f64_trajectory_warm.csv", TrainConfig(**SHORT_RUN)),
+}
 
 
-def run_rows() -> list[str]:
-    trainer = Trainer(CONFIG, dataset_for_seed(CONFIG, CONFIG.seed))
-    return [trainer.step(*trainer.batch_for(t)).csv_row() for t in range(CONFIG.iterations)]
+def run_rows(config: TrainConfig) -> list[str]:
+    trainer = Trainer(config, dataset_for_seed(config, config.seed))
+    return [trainer.step(*trainer.batch_for(t)).csv_row() for t in range(config.iterations)]
 
 
 def _columns(rows: list[str]) -> dict[str, list[str]]:
@@ -41,12 +51,13 @@ def _columns(rows: list[str]) -> dict[str, list[str]]:
     return {name: [c[i] for c in cells] for i, name in enumerate(header)}
 
 
-def test_float64_trajectory_matches_reference():
-    lines = DATA.read_text().splitlines()
+def _check(regime: str) -> None:
+    path, config = REFERENCES[regime]
+    lines = path.read_text().splitlines()
     assert lines[0] == LossReport.CSV_HEADER
     want = _columns(lines[1:])
-    got = _columns(run_rows())
-    assert got["t"] == want["t"] == [str(t) for t in range(CONFIG.iterations)]
+    got = _columns(run_rows(config))
+    assert got["t"] == want["t"] == [str(t) for t in range(config.iterations)]
     assert got["K"] == want["K"]
     for col in ("L_s", "L_u", "L_bf"):
         g = np.array(got[col], dtype=np.float64)
@@ -56,6 +67,23 @@ def test_float64_trajectory_matches_reference():
         assert err.max() <= RTOL, f"{col}: max error {err.max():.3e}"
 
 
+def test_float64_trajectory_matches_reference():
+    _check("confident")
+
+
+def test_float64_warm_trajectory_matches_reference():
+    _check("warm")
+
+
+def test_warm_reference_stays_on_the_warm_branch():
+    path, config = REFERENCES["warm"]
+    ref = _columns(path.read_text().splitlines()[1:])
+    voxels = config.dim_h * config.dim_w * config.dim_d  # the mask of one volume
+    assert set(ref["branch"]) == {"warm"}
+    assert max(int(k) for k in ref["K"]) <= 0.1 * voxels
+
+
 if __name__ == "__main__":
-    DATA.parent.mkdir(exist_ok=True)
-    DATA.write_text("\n".join([LossReport.CSV_HEADER] + run_rows()) + "\n")
+    DATA.mkdir(exist_ok=True)
+    for path, config in REFERENCES.values():
+        path.write_text("\n".join([LossReport.CSV_HEADER] + run_rows(config)) + "\n")
