@@ -23,13 +23,13 @@ matrix is kept for backward: a conv gathers its cols one tile of `TILE`
 output-frame columns at a time, and its backward gathers them again
 from the input node (recompute in backward, as in Chen et al., arXiv
 1604.06174). Work buffers are kept across calls, so their pages are not
-faulted in afresh on every call: the zero-bordered phase buffer and
-gradient frame one per geometry, and the tiles of cols and of column
-gradients as views of one flat arena per role and dtype, sized for the
-largest tile yet. The buffers are per process and not thread-safe.
-Reductions over the short trailing class axis fold one class slice at a
-time (`fold_last`, `argmax_last`), bitwise equal to numpy's own
-reduction.
+faulted in afresh on every call: the zero-bordered phase buffer,
+gradient frame and `up=2` parity-gradient frame one per geometry, and
+the tiles of cols and of column gradients as views of one flat arena per
+role and dtype, sized for the largest tile yet. The buffers are per
+process and not thread-safe. Reductions over the short trailing class
+axis fold one class slice at a time (`fold_last`, `argmax_last`),
+bitwise equal to numpy's own reduction.
 
 Raw kernels (`conv3d_raw`, `softmax_raw`, ...) are shared with the
 tape-free inference path so both routes compute identical floats.
@@ -219,10 +219,11 @@ def _conv3d_backward(gout, x, w, stride, pad):
 
 
 # _PARITY_TAPS[p, a, k] = 1 where full-res kernel tap k of an output at parity
-# p reads low-res tap a (offset a - 1) of a nearest-up x2 input.
+# p reads tap a of the 2x2x2 low-res kernel: low-res offset a - 1 for p = 0,
+# a for p = 1, so parity p of low-res voxel i sits at i + p of a pad-1 conv.
 _PARITY_TAPS = np.array([
-    [[1, 0, 0], [0, 1, 1], [0, 0, 0]],  # even output: (w0, w1 + w2, 0)
-    [[0, 0, 0], [1, 1, 0], [0, 0, 1]],  # odd output:  (0, w0 + w1, w2)
+    [[1, 0, 0], [0, 1, 1]],  # even output: (w0, w1 + w2) on (i - 1, i)
+    [[1, 1, 0], [0, 0, 1]],  # odd output:  (w0 + w1, w2) on (i, i + 1)
 ])
 
 
@@ -237,24 +238,34 @@ def _check_up(w, stride, pad, up):
 
 
 def _parity_weight(w):
-    """(Cin,3,3,3,Cout) -> the (Cin,3,3,3,Cout*8) low-res weight of each output
+    """(Cin,3,3,3,Cout) -> the (Cin,2,2,2,Cout*8) low-res weight of each output
     parity; output channel c*8 + 4*ph + 2*pw + pd is channel c at parity (ph,pw,pd)."""
     t = _PARITY_TAPS.astype(w.dtype)
     m = np.tensordot(w, t, axes=([1], [2]))  # (Cin, kw, kd, Cout, ph, a)
     m = np.tensordot(m, t, axes=([1], [2]))  # (Cin, kd, Cout, ph, a, pw, b)
     m = np.tensordot(m, t, axes=([1], [2]))  # (Cin, Cout, ph, a, pw, b, pd, e)
     cin, cout = w.shape[0], w.shape[4]
-    return m.transpose(0, 3, 5, 7, 1, 2, 4, 6).reshape(cin, 3, 3, 3, cout * 8)
+    return m.transpose(0, 3, 5, 7, 1, 2, 4, 6).reshape(cin, 2, 2, 2, cout * 8)
 
 
 def _parity_weight_adjoint(gm, cout):
-    """Gradient of `_parity_weight` at its (Cin,3,3,3,Cout*8) output -> (Cin,3,3,3,Cout)."""
+    """Gradient of `_parity_weight` at its (Cin,2,2,2,Cout*8) output -> (Cin,3,3,3,Cout)."""
     t = _PARITY_TAPS.astype(gm.dtype)
-    g = gm.reshape(gm.shape[0], 3, 3, 3, cout, 2, 2, 2)     # (Cin, a, b, e, Cout, ph, pw, pd)
+    g = gm.reshape(gm.shape[0], 2, 2, 2, cout, 2, 2, 2)     # (Cin, a, b, e, Cout, ph, pw, pd)
     g = np.tensordot(g, t, axes=([1, 5], [1, 0]))        # (Cin, b, e, Cout, pw, pd, kh)
     g = np.tensordot(g, t, axes=([1, 4], [1, 0]))        # (Cin, e, Cout, pd, kh, kw)
     g = np.tensordot(g, t, axes=([1, 3], [1, 0]))        # (Cin, Cout, kh, kw, kd)
     return np.ascontiguousarray(g.transpose(0, 2, 3, 4, 1))
+
+
+def _parities(full, low, h, w, d):
+    """(full-res view, parity-conv view) of each of the 8 output parities of a
+    (C, 2h, 2w, 2d) array and its (C*8, h+1, w+1, d+1) parity conv, in which
+    parity p of low-res voxel i sits at i + p."""
+    full = full.reshape(-1, h, 2, w, 2, d, 2)
+    low = low.reshape(-1, 2, 2, 2, h + 1, w + 1, d + 1)
+    return [(full[:, :, p, :, q, :, r], low[:, p, q, r, p:p + h, q:q + w, r:r + d])
+            for p, q, r in np.ndindex(2, 2, 2)]
 
 
 def conv3d_raw(x, w, b, stride=1, pad=1, up=1):
@@ -268,19 +279,21 @@ def conv3d_raw(x, w, b, stride=1, pad=1, up=1):
 
     With up=2 the input is first up-sampled x2 by nearest neighbour, but the
     conv runs on x's own grid. Along each axis the output at 2i + p sees the
-    low-res taps (i-1, i, i+1) with weights (w0, w1+w2, 0) for p = 0 and
-    (0, w0+w1, w2) for p = 1, zero padding included; so one pad-1 conv of x
-    with the merged Cout*8-channel weight, then a depth-to-space shuffle of
-    the 8 parities, equals the conv of the up-sampled input.
+    low-res taps (i-1, i) with weights (w0, w1+w2) for p = 0 and (i, i+1)
+    with (w0+w1, w2) for p = 1, zero padding included; so one pad-1 conv of
+    x with the 2x2x2 Cout*8-channel weight of the 8 parities holds parity p
+    of voxel i at i + p, and its 8 shifted crops, shuffled depth-to-space,
+    equal the conv of the up-sampled input (sub-pixel resize-convolution).
     """
     _check_up(w, stride, pad, up)
     if up == 1:
         return _conv3d(x, w, b, stride, pad)
-    cout = w.shape[4]
+    h, ww, d = x.shape[1:]
     small = _conv3d(x, _parity_weight(w), np.repeat(b, 8), 1, 1)
-    h, ww, d = small.shape[1:]
-    out = small.reshape(cout, 2, 2, 2, h, ww, d).transpose(0, 4, 1, 5, 2, 6, 3)
-    return out.reshape(cout, 2 * h, 2 * ww, 2 * d)
+    out = np.empty((w.shape[4], 2 * h, 2 * ww, 2 * d), dtype=small.dtype)
+    for o, s in _parities(out, small, h, ww, d):
+        o[...] = s
+    return out
 
 
 def conv3d_backward(gout, x, w, stride, pad, up=1):
@@ -291,10 +304,11 @@ def conv3d_backward(gout, x, w, stride, pad, up=1):
         return _conv3d_backward(gout, x, w, stride, pad)
     cout = w.shape[4]
     h, ww, d = x.shape[1:]
-    gsmall = gout.reshape(cout, h, 2, ww, 2, d, 2).transpose(0, 2, 4, 6, 1, 3, 5)
-    gx, gm, gb = _conv3d_backward(
-        gsmall.reshape(cout * 8, h, ww, d), x, _parity_weight(w), 1, 1
-    )
+    # the grid points no parity lands on keep a zero gradient
+    gsmall = _kept_buffer(("parities",), (cout * 8, h + 1, ww + 1, d + 1), gout.dtype)
+    for g, s in _parities(gout, gsmall, h, ww, d):
+        s[...] = g
+    gx, gm, gb = _conv3d_backward(gsmall, x, _parity_weight(w), 1, 1)
     return gx, _parity_weight_adjoint(gm, cout), gb.reshape(cout, 8).sum(axis=1)
 
 

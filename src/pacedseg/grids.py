@@ -15,6 +15,7 @@ Checkpoints and dataset files are all named-array files (`save_arrays`,
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -26,8 +27,8 @@ from .errors import FormatError
 
 def _as_c_order(a: np.ndarray, dtype) -> np.ndarray:
     out = np.ascontiguousarray(a, dtype=dtype)
-    if out is a:
-        out = a.copy()
+    if np.may_share_memory(out, a):  # numpy may return a new view of a ('<f8' as float64)
+        out = out.copy()
     out.setflags(write=False)
     return out
 
@@ -107,22 +108,33 @@ def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
 def load_arrays(path) -> dict[str, np.ndarray]:
     """Read a `save_arrays` file into writable arrays; any fault is a FormatError.
 
-    Each header is checked against the bytes left in the file before its
-    payload is taken, so a corrupt shape cannot size an allocation.
+    Each payload is read once, straight into its own array. Each header is
+    checked against the bytes left in the file before its array is made, so
+    a corrupt shape cannot size an allocation.
     """
     try:
         with open(path, "rb") as f:
-            buf = memoryview(f.read())
+            return _read_arrays(path, f, os.fstat(f.fileno()).st_size)
     except OSError as e:
         raise FormatError(f"cannot read {path}: {e}") from e
+
+
+def _read_arrays(path, f, size: int) -> dict[str, np.ndarray]:
     pos = 0
 
-    def take(n: int, what: str) -> memoryview:
+    def claim(n: int, what: str) -> None:
+        """Count the next n bytes as read, once the file is known to hold them."""
         nonlocal pos
-        if n > len(buf) - pos:
-            raise FormatError(f"{path}: truncated {what}: needs {n} bytes, {len(buf) - pos} left")
+        if n > size - pos:
+            raise FormatError(f"{path}: truncated {what}: needs {n} bytes, {size - pos} left")
         pos += n
-        return buf[pos - n:pos]
+
+    def take(n: int, what: str) -> bytes:
+        claim(n, what)
+        raw = f.read(n)
+        if len(raw) != n:
+            raise FormatError(f"{path}: shrank while {what} was read")
+        return raw
 
     if take(len(ARRAYS_MAGIC), "magic") != ARRAYS_MAGIC:
         raise FormatError(f"{path}: bad magic")
@@ -131,7 +143,7 @@ def load_arrays(path) -> dict[str, np.ndarray]:
     for _ in range(count):
         (n,) = struct.unpack("<H", take(2, "name length"))
         try:
-            name = bytes(take(n, "name")).decode()
+            name = take(n, "name").decode()
         except UnicodeDecodeError as e:
             raise FormatError(f"{path}: undecodable name ({e})") from e
         code, ndim = take(2, f"header of {name!r}")
@@ -139,10 +151,14 @@ def load_arrays(path) -> dict[str, np.ndarray]:
             raise FormatError(f"{path}: array {name!r} repeats or has unknown dtype code {code}")
         dtype = _DTYPES[code]
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"shape of {name!r}"))
-        payload = take(dtype.itemsize * math.prod(shape), f"array {name!r} of shape {shape}")
-        arrays[name] = np.frombuffer(payload, dtype.newbyteorder("<")).astype(dtype).reshape(shape)
-    if pos != len(buf):
-        raise FormatError(f"{path}: {len(buf) - pos} trailing bytes after the last array")
+        what = f"array {name!r} of shape {shape}"
+        claim(dtype.itemsize * math.prod(shape), what)
+        a = np.empty(shape, dtype.newbyteorder("<"))
+        if f.readinto(a.reshape(-1).view(np.uint8)) != a.nbytes:
+            raise FormatError(f"{path}: shrank while {what} was read")
+        arrays[name] = a.astype(dtype, copy=False)
+    if pos != size:
+        raise FormatError(f"{path}: {size - pos} trailing bytes after the last array")
     return arrays
 
 

@@ -8,8 +8,9 @@ Layout (channels-last, half-resolution bottleneck):
           -> conv3 -> relu -> dropout -> 1x1x1 head -> softmax
 
 The nearest-up x2 and the decoder conv3 are one op, `conv3d(..., up=2)`,
-which runs the conv at half resolution: 8 parity convs of the bottleneck
-(one merged weight), then a depth-to-space shuffle to full resolution.
+which runs the conv at half resolution: one 2x2x2 conv of the bottleneck
+whose weight holds the 8 output parities, then a depth-to-space shuffle of
+their shifted crops to full resolution.
 
 Dropout lives only in front of the segmentation head, so the trunk is a
 deterministic function of (params, image). Monte-Carlo passes exploit

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -311,25 +312,31 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
 
 
 def load_dataset(in_dir, include_truth: bool = False) -> Dataset:
-    """Read a dataset directory; truth.arr is only opened when asked for."""
+    """Read a dataset directory; truth.arr is only opened when asked for.
+
+    Each file's int64 label maps are narrowed to one byte, and its images
+    copied into their volumes, before the next file is read, so loading
+    holds one file's payloads at a time beside what the dataset keeps.
+    """
     root = Path(in_dir)
     arrays = load_arrays(root / DATA_NAME)
-    truth_file = root / TRUTH_NAME
-    hidden = load_arrays(truth_file) if include_truth and truth_file.exists() else {}
-    if set(arrays) - {"reg"} != {"classes", "images", "k", "slices"} or set(hidden) - {"truth"}:
-        raise FormatError(f"{root}: data.arr holds {sorted(arrays)}, truth.arr {sorted(hidden)}")
-    arrays |= hidden
+    if set(arrays) - {"reg"} != {"classes", "images", "k", "slices"}:
+        raise FormatError(f"{root}: data.arr holds {sorted(arrays)}")
     images, ks = arrays["images"], arrays["k"]
     if images.ndim != 4 or ks.ndim != 1 or len(ks) > len(images):
         raise FormatError(f"{root}: images {images.shape} or k {ks.shape} is misshapen")
     n_labeled, (n_cases, h, w, d) = len(ks), images.shape
     shapes = {"classes": (), "images": images.shape, "k": ks.shape, "truth": images.shape,
               "slices": (n_labeled, h, w), "reg": (n_labeled, h, w, d)}
-    for name, a in arrays.items():
-        dtype = np.dtype(np.float64 if name == "images" else np.int64)
-        if (a.dtype, a.shape) != (dtype, shapes[name]):
-            raise FormatError(f"{root}: {name} is {a.dtype} {a.shape}, "
-                              f"expected {dtype} {shapes[name]}")
+
+    def check(store):
+        for name, a in store.items():
+            dtype = np.dtype(np.float64 if name == "images" else np.int64)
+            if (a.dtype, a.shape) != (dtype, shapes[name]):
+                raise FormatError(f"{root}: {name} is {a.dtype} {a.shape}, "
+                                  f"expected {dtype} {shapes[name]}")
+
+    check(arrays)
     if not valid_dims((h, w, d)):
         raise FormatError(f"{root}: image dims {(h, w, d)} must be >= 4 and divisible by 2")
     if ((ks < 0) | (ks >= d)).any():
@@ -337,18 +344,26 @@ def load_dataset(in_dir, include_truth: bool = False) -> Dataset:
     n_classes = int(arrays["classes"])
     if not 2 <= n_classes <= MAX_CLASSES:
         raise FormatError(f"{root}: classes={n_classes} is outside [2, {MAX_CLASSES}]")
+
+    def each(make, store, name):
+        """make(a) for each case a of store[name], which is dropped; None per case if absent."""
+        try:
+            return [make(a) for a in store.pop(name)] if name in store else [None] * n_cases
+        except ValueError as e:
+            raise FormatError(f"{root}: {e}") from e
+
+    label_map = partial(LabelMap, n_classes=n_classes)
     arrays["slices"] = arrays["slices"][..., None]  # each an (H, W, 1) label map
-
-    def label_maps(name):
-        return ([LabelMap(a, n_classes) for a in arrays[name]] if name in arrays
-                else [None] * n_cases)
-
-    try:
-        slices, reg, truth = label_maps("slices"), label_maps("reg"), label_maps("truth")
-        cases = [UnlabeledCase(f"case_{i:04d}", Volume(image), truth[i])
-                 for i, image in enumerate(images)]
-    except ValueError as e:
-        raise FormatError(f"{root}: {e}") from e
+    slices, reg = each(label_map, arrays, "slices"), each(label_map, arrays, "reg")
+    del images  # the volumes copy the images: the file's array goes once they are made
+    volumes = each(Volume, arrays, "images")
+    truth_file = root / TRUTH_NAME
+    hidden = load_arrays(truth_file) if include_truth and truth_file.exists() else {}
+    if set(hidden) - {"truth"}:
+        raise FormatError(f"{root}: truth.arr holds {sorted(hidden)}")
+    check(hidden)
+    truth = each(label_map, hidden, "truth")
+    cases = [UnlabeledCase(f"case_{i:04d}", image, truth[i]) for i, image in enumerate(volumes)]
     labeled = [LabeledCase(case.case_id, case.image, int(k), slices[i].data[:, :, 0].copy(),
                            reg[i], case.truth) for i, (case, k) in enumerate(zip(cases, ks))]
     return Dataset(labeled, cases[n_labeled:], (h, w, d), n_classes)

@@ -1,5 +1,7 @@
 """Finite-difference verification of every op's backward pass."""
 
+import math
+
 import numpy as np
 import pytest
 from oracles import conv3d_windowed, conv3d_windowed_backward, softmax_reduce, upsample2
@@ -529,10 +531,10 @@ class TestConvUp2:
     # every axis and every parity are covered
     X_SHAPE, W_SHAPE = (3, 3, 2, 5), (3, 3, 3, 3, 4)
 
-    def _pair(self, dtype, seed=0):
+    def _pair(self, dtype, seed=0, x_shape=X_SHAPE, w_shape=W_SHAPE):
         rng = np.random.default_rng(seed)
-        x, w = rng.standard_normal(self.X_SHAPE), rng.standard_normal(self.W_SHAPE)
-        b = rng.standard_normal(self.W_SHAPE[4])
+        x, w = rng.standard_normal(x_shape), rng.standard_normal(w_shape)
+        b = rng.standard_normal(w_shape[4])
         x, w, b = (a.astype(dtype) for a in (x, w, b))
         fused = conv3d_raw(x, w, b, up=2)
         xu = upsample2(x)
@@ -558,17 +560,47 @@ class TestConvUp2:
         for got, want in self._pair(np.float32, seed=1):
             assert self._rel(got, want) < 1e-5
 
+    @pytest.mark.parametrize("x_shape", [(3, 1, 2, 5), (3, 3, 1, 5), (3, 3, 2, 1)])
+    def test_low_res_extent_1_matches_upsampled_conv(self, x_shape):
+        # each parity reads only padding on one side of the one-voxel axis
+        for got, want in self._pair(np.float64, seed=2, x_shape=x_shape):
+            assert self._rel(got, want) < 1e-12
+
+    def test_parity_weight_adjoint_is_its_transpose(self):
+        # <P(w), G> = <w, P*(G)> for the linear map P = _parity_weight
+        rng = np.random.default_rng(3)
+        w = rng.standard_normal(self.W_SHAPE)
+        g = rng.standard_normal((3, 2, 2, 2, 4 * 8))
+        lhs = np.vdot(autodiff._parity_weight(w), g)
+        rhs = np.vdot(w, autodiff._parity_weight_adjoint(g, 4))
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
     def test_im2col_is_on_the_low_res_grid(self, monkeypatch):
-        # flat runs of the padded (5, 4, 7) low-res frame: (3-1)*4*7 + (2-1)*7 + 5
-        # columns, fewer than the 6*4*10 = 240 voxels of the high-res grid
+        # 8 taps of a 2x2x2 kernel over the (4, 3, 6) parity grid, as flat runs
+        # of the padded (5, 4, 7) low-res frame: (4-1)*4*7 + (3-1)*7 + 6 columns,
+        # fewer than the 6*4*10 = 240 voxels of the high-res grid; a gather of
+        # 3*27 rows over the (3, 2, 5) low-res grid would take 3*27*68 entries
         shapes = record_run_cols(monkeypatch)
         x = np.ones(self.X_SHAPE)
         w = np.ones(self.W_SHAPE)
         out = conv3d_raw(x, w, np.zeros(4), up=2)
-        assert shapes == [(3 * 27, 68)]
+        assert shapes == [(3 * 8, 104)]
         assert shapes[0][1] < 6 * 4 * 10
+        assert math.prod(shapes[0]) < 3 * 27 * 68
         conv3d_backward(np.ones_like(out), x, w, 1, 1, up=2)
-        assert shapes == [(3 * 27, 68)] * 2
+        assert shapes == [(3 * 8, 104)] * 2
+
+    def test_kept_parity_gradient_frame_keeps_its_zero_border(self, monkeypatch):
+        # both parity frames hold 2304 entries, 4*8 * (4, 3, 6) and 2*8 * (4, 6, 6),
+        # so a frame kept on its size alone would carry A's blocks into B's border
+        monkeypatch.setattr(autodiff, "_kept", {})
+        geometries = {"A": (self.X_SHAPE, self.W_SHAPE), "B": ((2, 3, 5, 5), (2, 3, 3, 3, 2))}
+        for seed, name in enumerate(("A", "B", "A")):
+            x_shape, w_shape = geometries[name]
+            for got, want in self._pair(np.float64, seed, x_shape, w_shape):
+                assert self._rel(got, want) < 1e-12
+        frames = [k for k in autodiff._kept if k[0] == ("parities",)]
+        assert sorted(k[1] for k in frames) == [(16, 4, 6, 6), (32, 4, 3, 6)]
 
     @pytest.mark.parametrize("w_shape,stride,pad,up", [
         ((3, 1, 1, 1, 4), 1, 0, 2),

@@ -132,6 +132,16 @@ class TestTypes:
         with pytest.raises(ValueError):
             vol.data[0, 0, 0] = 1.0
 
+    @pytest.mark.parametrize("dtype", [np.dtype(np.float64),
+                                       np.dtype(np.float64).newbyteorder("<")])
+    def test_volume_owns_its_data(self, dtype):
+        # '<f8' is what `load_arrays` returns; numpy gives a new view of such an
+        # array for a float64 request, which must not be shared with the source
+        src = np.zeros((2, 2, 2, 2), dtype)
+        vol = Volume(src[1])
+        src[1] = 1.0
+        assert not np.shares_memory(vol.data, src) and vol.data.max() == 0.0
+
     def test_labelmap_range(self):
         with pytest.raises(ValueError):
             LabelMap(np.full((2, 2, 2), 5), n_classes=2)
