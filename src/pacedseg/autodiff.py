@@ -7,7 +7,10 @@ A closure holds the nodes it reads, never the tape or the node it
 belongs to, so a tape holds no reference cycle: dropping it frees its
 values at once, by reference counting, whether or not backward ran.
 Values are numpy arrays (float32 or float64); each op's closure holds
-the nodes it reads and what it derived from them. The op set is exactly
+the nodes it reads and what it derived from them. A leaf recorded with
+`input(..., grad=False)`, such as the model's input image, takes no
+gradient: it never holds a `.grad`, and a conv reading it skips the
+input-gradient half of its backward. The op set is exactly
 what the segmentation model and its losses require: 3D convolution
 (im2col + BLAS matmul), also of a nearest-up x2 input computed on the
 low-res grid (`up=2`), relu, softmax, elementwise arithmetic, reductions,
@@ -18,7 +21,9 @@ zero-padded input into its stride phases (space-to-depth, the
 counterpart of the depth-to-space shuffle of `up=2`; Shi et al., arXiv
 1609.05158), so each kernel tap reads one contiguous run of one phase
 (the flat-shift form of im2col), and its backward adds each tap's
-gradient back as one run; stride 1 is the one-phase case. No im2col
+gradient back as one run; stride 1 is the one-phase case. This
+geometry depends on the shapes, stride and padding alone, so it is
+built once per geometry and cached (`_geometry`). No im2col
 matrix is kept for backward: a conv gathers its cols one tile of `TILE`
 output-frame columns at a time, and its backward gathers them again
 from the input node (recompute in backward, as in Chen et al., arXiv
@@ -37,6 +42,7 @@ tape-free inference path so both routes compute identical floats.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -104,6 +110,7 @@ def _axis_phases(size, pad, stride, q):
     return out
 
 
+@functools.cache
 def _geometry(xshape, kshape, stride, pad):
     """Flat-run geometry of a conv on the stride phases of its padded input.
 
@@ -117,24 +124,25 @@ def _geometry(xshape, kshape, stride, pad):
     Stride 1 is the one-phase case, the zero-padded input itself.
 
     Returns (out extents, phase frame, tap offsets in (i, j, l) order, L,
-    copies), where each copy pairs a block of the (Cin, s**3, Hq, Wq, Dq)
-    phase buffer with the slice of x it holds.
+    copies), all tuples, where each copy pairs a block of the (Cin, s**3,
+    Hq, Wq, Dq) phase buffer with the slice of x it holds. It is a pure
+    function of its arguments, so it is built once per geometry and cached.
     """
     out = tuple((n + 2 * pad - k) // stride + 1 for n, k in zip(xshape[1:], kshape))
     frame = tuple(o + (k - 1) // stride for o, k in zip(out, kshape))
     hq, wq, dq = frame
-    offsets = [
+    offsets = tuple(
         (((i % stride) * stride + j % stride) * stride + l % stride) * hq * wq * dq
         + ((i // stride) * wq + j // stride) * dq + l // stride
         for i in range(kshape[0]) for j in range(kshape[1]) for l in range(kshape[2])
-    ]
+    )
     axes = [_axis_phases(n, pad, stride, q) for n, q in zip(xshape[1:], frame)]
-    copies = [
+    copies = tuple(
         ((slice(None), (ph * stride + pw) * stride + pd, eh, ew, ed), (slice(None), xh, xw, xd))
         for ph, (eh, xh) in enumerate(axes[0])
         for pw, (ew, xw) in enumerate(axes[1])
         for pd, (ed, xd) in enumerate(axes[2])
-    ]
+    )
     oh, ow, od = out
     return out, frame, offsets, (oh - 1) * wq * dq + (ow - 1) * dq + od, copies
 
@@ -184,7 +192,7 @@ def _conv3d(x, w, b, stride, pad):
     return res.reshape(cout, oh, *frame[1:])[:, :, :ow, :od]
 
 
-def _conv3d_backward(gout, x, w, stride, pad):
+def _conv3d_backward(gout, x, w, stride, pad, need_gx):
     cin, kh, kw, kd, cout = w.shape
     oh, ow, od = gout.shape[1:]
     gmat = np.ascontiguousarray(gout.reshape(cout, -1))
@@ -192,7 +200,7 @@ def _conv3d_backward(gout, x, w, stride, pad):
     if _pointwise(w, stride, pad):
         xmat = x.reshape(cin, -1)
         gw = (xmat @ gmat.T).reshape(w.shape)
-        gx = (w.reshape(cin, cout) @ gmat).reshape(x.shape)
+        gx = (w.reshape(cin, cout) @ gmat).reshape(x.shape) if need_gx else None
         return gx, gw, gb
     _, frame, offsets, n, copies = _geometry(x.shape, (kh, kw, kd), stride, pad)
     xf = _phases(x, stride, pad, frame, copies)  # the forward's cols are gathered again from x
@@ -201,14 +209,16 @@ def _conv3d_backward(gout, x, w, stride, pad):
     gframe = _kept_buffer(("gframe", ow, od), (cout, oh, *frame[1:]), gout.dtype)
     gframe[:, :, :ow, :od] = gout
     grun = gframe.reshape(cout, -1)
+    gw = np.zeros((cin * k, cout), dtype=gout.dtype)
+    for s, e in _tiles(n):
+        gw += _run_cols(xf, offsets, n, s, e) @ grun[:, s:e].T
+    if not need_gx:
+        return None, gw.reshape(w.shape), gb
     gxf = np.zeros_like(xf)
     gcols = _arena("gcols", (cin, k, min(n, TILE)), gout.dtype)
     wmat_t = _weight_mat(w).T
-    gw = np.zeros((cin * k, cout), dtype=gout.dtype)
     for s, e in _tiles(n):
-        g = grun[:, s:e]
-        gw += _run_cols(xf, offsets, n, s, e) @ g.T
-        np.matmul(wmat_t, g, out=gcols.reshape(cin * k, -1)[:, : e - s])
+        np.matmul(wmat_t, grun[:, s:e], out=gcols.reshape(cin * k, -1)[:, : e - s])
         for m, o in enumerate(offsets):
             gxf[:, o + s : o + e] += gcols[:, m, : e - s]
     # x rows that no window reads keep a zero gradient
@@ -296,19 +306,20 @@ def conv3d_raw(x, w, b, stride=1, pad=1, up=1):
     return out
 
 
-def conv3d_backward(gout, x, w, stride, pad, up=1):
+def conv3d_backward(gout, x, w, stride, pad, up=1, need_gx=True):
     """(gx, gw, gb) of `conv3d_raw(x, w, b, stride, pad, up)` for the output
-    gradient gout."""
+    gradient gout. With need_gx=False gx is None and its GEMM, scatter-adds
+    and frames are skipped; gw and gb are the same floats either way."""
     _check_up(w, stride, pad, up)
     if up == 1:
-        return _conv3d_backward(gout, x, w, stride, pad)
+        return _conv3d_backward(gout, x, w, stride, pad, need_gx)
     cout = w.shape[4]
     h, ww, d = x.shape[1:]
     # the grid points no parity lands on keep a zero gradient
     gsmall = _kept_buffer(("parities",), (cout * 8, h + 1, ww + 1, d + 1), gout.dtype)
     for g, s in _parities(gout, gsmall, h, ww, d):
         s[...] = g
-    gx, gm, gb = _conv3d_backward(gsmall, x, _parity_weight(w), 1, 1)
+    gx, gm, gb = _conv3d_backward(gsmall, x, _parity_weight(w), 1, 1, need_gx)
     return gx, _parity_weight_adjoint(gm, cout), gb.reshape(cout, 8).sum(axis=1)
 
 
@@ -359,16 +370,18 @@ def relu_raw(x):
 # ---------------------------------------------------------------------------
 
 class Node:
-    __slots__ = ("value", "grad", "_backward")
+    __slots__ = ("value", "grad", "_backward", "takes_grad")
 
     def __init__(self, value):
         self.value = value
         self.grad = None
         self._backward = None
+        self.takes_grad = True
 
 
 def _accum(node, g):
-    node.grad = g if node.grad is None else node.grad + g
+    if node.takes_grad:
+        node.grad = g if node.grad is None else node.grad + g
 
 
 class Tape:
@@ -384,9 +397,16 @@ class Tape:
         self.nodes.append(node)
         return node
 
-    def input(self, value):
-        """A leaf holding a constant or parameter tensor."""
-        return self._record(value)
+    def input(self, value, grad=True):
+        """A leaf holding a constant or parameter tensor.
+
+        With grad=False the leaf takes no gradient: backward leaves its
+        `.grad` None, and an op that would only compute a gradient for it
+        skips that work (a conv on it asks `conv3d_backward` for no gx).
+        """
+        node = self._record(value)
+        node.takes_grad = grad
+        return node
 
     def backward(self, loss: Node):
         """Fill `.grad` of every leaf the loss depends on; one sweep per tape.
@@ -526,7 +546,8 @@ class Tape:
 
         def back(g):
             # by keyword, so a wrapper can read w and stride without the positions
-            gx, gw, gb = conv3d_backward(g, x.value, w=w.value, stride=stride, pad=pad, up=up)
+            gx, gw, gb = conv3d_backward(g, x.value, w=w.value, stride=stride, pad=pad, up=up,
+                                         need_gx=x.takes_grad)
             _accum(x, gx)
             _accum(w, gw)
             _accum(b, gb)

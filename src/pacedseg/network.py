@@ -135,7 +135,7 @@ def forward_graph(tape: Tape, pnodes: dict[str, Node], image: np.ndarray, dropou
     feature nodes are channels-last, (H, W, D, C) and (h, w, d, F).
     """
     _check_dims(image.shape)
-    x = tape.input(image[None])
+    x = tape.input(image[None], grad=False)
     h1 = tape.relu(tape.conv3d(x, pnodes["enc1_w"], pnodes["enc1_b"]))
     h2 = tape.relu(tape.conv3d(h1, pnodes["enc2_w"], pnodes["enc2_b"]))
     hd = tape.relu(tape.conv3d(h2, pnodes["down_w"], pnodes["down_b"], stride=2))
@@ -168,14 +168,13 @@ def forward_parts(params: ModelParams, image: np.ndarray):
 def head_forward(params: ModelParams, hdec: np.ndarray, dropout_mask=None) -> np.ndarray:
     """Segmentation head on (possibly dropout-gated) decoder activations.
 
-    Returns channels-last (H, W, D, C) probabilities.
+    Returns (H, W, D, C) probabilities laid out as the conv's class-major
+    (C, H, W, D) result: an (H, W, D, C) view over it, so each class slice
+    `p[..., c]` that `fold_last` and `argmax_last` read is contiguous.
     """
     t = params.tensors
     a = hdec * dropout_mask if dropout_mask is not None else hdec
-    logits = np.ascontiguousarray(
-        np.moveaxis(conv3d_raw(a, t["seg_w"], t["seg_b"], pad=0), 0, 3)
-    )
-    return softmax_raw(logits)
+    return softmax_raw(np.moveaxis(conv3d_raw(a, t["seg_w"], t["seg_b"], pad=0), 0, 3))
 
 
 # ---------------------------------------------------------------------------

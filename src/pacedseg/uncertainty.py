@@ -62,7 +62,10 @@ def mc_uncertainty_from_trunk(
         mask = make_dropout_mask(hdec.shape, params.dropout_rate, rng)
         mask = mask.astype(params.dtype, copy=False)
         probs = head_forward(params, hdec, mask).astype(np.float64)
-        acc = probs if acc is None else acc + probs
+        if acc is None:
+            acc = probs
+        else:
+            acc += probs
     mean = acc / n_passes
     return mean, entropy_values(mean, params.n_classes)
 
@@ -147,17 +150,25 @@ def admitted(schedule: Schedule, enable_su: bool):
 
 
 def select_mask(u: np.ndarray, r_conf: float) -> np.ndarray:
-    """Mark the floor(r_conf * H*W*D) most certain voxels.
+    """Mark the K = floor(r_conf * H*W*D) most certain voxels.
 
-    Ordering is (entropy, linear index) ascending, so entropy ties break
-    toward earlier voxels and the mask always has exactly K true bits.
+    Ordering is (entropy, linear index) ascending, NaN last, as a stable
+    `argsort` ranks them, so entropy ties break toward earlier voxels and
+    the mask always has exactly K true bits. No full sort is made:
+    `np.partition` finds the K-th smallest entropy, every voxel below it is
+    kept, and the lowest-index voxels equal to it fill the rest.
     """
     if not 0.0 <= r_conf <= 1.0:
         raise ValueError(f"confident ratio {r_conf} outside [0, 1]")
     flat = u.ravel()
     k = int(math.floor(r_conf * flat.size))
-    mask = np.zeros(flat.size, dtype=bool)
-    if k > 0:
-        order = np.argsort(flat, kind="stable")
-        mask[order[:k]] = True
+    if k == 0:
+        return np.zeros(u.shape, dtype=bool)
+    kth = np.partition(flat, k - 1)[k - 1]
+    if np.isnan(kth):  # partition, like argsort, ranks NaN after every number
+        tied = np.isnan(flat)
+        mask = ~tied
+    else:
+        mask, tied = flat < kth, flat == kth
+    mask[np.flatnonzero(tied)[: k - np.count_nonzero(mask)]] = True
     return mask.reshape(u.shape)

@@ -117,6 +117,21 @@ class TestBasicContracts:
         with pytest.raises(ValueError, match="already ran"):
             tape.backward(loss)
 
+    def test_leaf_without_grad_gets_none_and_changes_no_other_grad(self):
+        rng = np.random.default_rng(3)
+        values = [rng.standard_normal(s) for s in ((2, 4, 4, 3), (2, 3, 3, 3, 3), (3,))]
+        weight = rng.standard_normal((3, 4, 4, 3))
+        grads = {}
+        for grad in (True, False):
+            tape = Tape(np.float64)
+            x, w, b = tape.input(values[0], grad=grad), tape.input(values[1]), tape.input(values[2])
+            out = tape.conv3d(x, w, b)
+            tape.backward(tape.add(tape.sum(tape.mul_const(out, weight)), tape.sum(tape.mul(x, x))))
+            assert (x.grad is not None) == grad
+            grads[grad] = (w.grad, b.grad)
+        for on, off in zip(grads[True], grads[False]):
+            assert on.tobytes() == off.tobytes()
+
     def test_dtype_follows_tape(self):
         tape = Tape(np.float32)
         a = tape.input(np.ones((2, 2)))
@@ -601,6 +616,38 @@ class TestConvUp2:
                 assert self._rel(got, want) < 1e-12
         frames = [k for k in autodiff._kept if k[0] == ("parities",)]
         assert sorted(k[1] for k in frames) == [(16, 4, 6, 6), (32, 4, 3, 6)]
+
+    def test_up1_conv_on_a_parity_frame_shape_between_up2_calls(self, monkeypatch):
+        # A's parity gradient frames are (32, 4, 3, 6) and, zero-bordered for
+        # the runs, (32, 4, 4, 7); B1 and B2 are up=1 convs whose gradient
+        # frames have those shapes but other ow and od
+        monkeypatch.setattr(autodiff, "_kept", {})
+        b_geometries = [((2, 4, 1, 4), (2, 3, 3, 3, 32)), ((2, 4, 2, 5), (2, 3, 3, 3, 32))]
+        for seed, b in enumerate(b_geometries):
+            for got, want in self._pair(np.float64, 2 * seed):
+                assert self._rel(got, want) < 1e-12
+            TestKeptBuffers._check(*b, pad=1, seed=seed)
+        for got, want in self._pair(np.float64, 5):
+            assert self._rel(got, want) < 1e-12
+
+    @pytest.mark.parametrize("x_shape,w_shape,stride,up", [
+        ((3, 4, 5, 3), (3, 3, 3, 3, 2), 1, 1),
+        ((3, 5, 4, 6), (3, 3, 3, 3, 2), 2, 1),
+        ((3, 3, 2, 5), (3, 3, 3, 3, 4), 1, 2),
+        ((3, 3, 2, 2), (3, 1, 1, 1, 4), 1, 1),
+    ], ids=["stride1", "stride2", "up2", "pointwise"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_weight_and_bias_grads_without_gx_are_bitwise_equal(
+            self, x_shape, w_shape, stride, up, dtype):
+        rng = np.random.default_rng(11)
+        x, w = rng.standard_normal(x_shape).astype(dtype), rng.standard_normal(w_shape).astype(dtype)
+        pad = 0 if w_shape[1] == 1 else 1
+        out = conv3d_raw(x, w, np.zeros(w_shape[4], dtype), stride, pad, up)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        gx, gw, gb = conv3d_backward(g, x, w, stride, pad, up)
+        none, gw_only, gb_only = conv3d_backward(g, x, w, stride, pad, up, need_gx=False)
+        assert gx is not None and none is None
+        assert gw.tobytes() == gw_only.tobytes() and gb.tobytes() == gb_only.tobytes()
 
     @pytest.mark.parametrize("w_shape,stride,pad,up", [
         ((3, 1, 1, 1, 4), 1, 0, 2),

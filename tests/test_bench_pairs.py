@@ -98,6 +98,32 @@ def test_gain_needs_nine_wins_and_a_median_beyond_the_parent_spread():
     assert bench_pairs.compare(parent, [p + 5 for p in parent], "higher", 0.25)["gain_rule_met"]
 
 
+def test_collect_reports_raw_times_and_host_factors(runs):
+    """Each side's median unscaled time and host factor, next to the scaled
+    medians, so a reader can tell whether the scaling moved a claim."""
+    early = bench_pairs.collect(runs, DECLARED, "", None)["workloads"]["early"]
+    assert "host_factor_median" not in early  # the fixture's records carry no raw values
+    for i, seed_dir in enumerate(sorted((runs / "early").glob("seed*"))):
+        for side, factor in (("parent", 1.0 + i / 100), ("change", 1.2 - i / 100)):
+            kept = seed_dir / f"{side}.json"
+            record = json.loads(kept.read_text())
+            scaled = record["metrics"]["run_s"]["value"]
+            record["details"]["raw_metrics"] = {"run_s": scaled * factor,
+                                                "peak_rss_mb": 1.0, "final_dsc": 1.0}
+            record["details"]["host_factors"] = {"setup": 1.0, "run": factor}
+            kept.write_text(json.dumps(record))
+    early = bench_pairs.collect(runs, DECLARED, "", None)["workloads"]["early"]
+    assert early["host_factor_median"] == {"parent": {"setup": 1.0, "run": 1.045},
+                                           "change": {"setup": 1.0, "run": 1.155}}
+    run_s = early["metrics"]["run_s"]
+    # parent: 10.0..10.9 times 1.00..1.09; change: 14.0..15.26 times 1.20..1.11
+    parent = sorted((10.0 + i / 10) * (1.0 + i / 100) for i in range(10))
+    change = sorted(1.4 * (10.0 + i / 10) * (1.2 - i / 100) for i in range(10))
+    assert run_s["raw_median"] == {"parent": round((parent[4] + parent[5]) / 2, 4),
+                                   "change": round((change[4] + change[5]) / 2, 4)}
+    assert "raw_median" not in early["metrics"]["peak_rss_mb"]
+
+
 def test_main_writes_the_summary(runs, tmp_path, monkeypatch):
     monkeypatch.setattr(bench_pairs, "BENCHMARK", tmp_path / "BENCHMARK.json")
     out = tmp_path / "BENCH_1.json"

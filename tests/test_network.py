@@ -83,6 +83,19 @@ class TestForward:
             probs_node.value, head_forward(params, hdec, mask)
         )
 
+    def test_image_leaf_holds_no_gradient(self):
+        params, image = tiny_params(), tiny_image()
+        tape = Tape(np.float64)
+        pnodes = param_nodes(tape, params)
+        probs, feats = forward_graph(tape, pnodes, image)
+        weight = np.random.default_rng(2).standard_normal(probs.value.shape)
+        tape.backward(tape.add(tape.sum(tape.mul_const(probs, weight)), tape.sum(feats)))
+        leaves = [n for n in tape.nodes if not n.takes_grad]
+        assert len(leaves) == 1
+        np.testing.assert_array_equal(leaves[0].value, image[None])
+        assert leaves[0].grad is None
+        assert all(pnodes[name].grad is not None for name in PARAM_NAMES)
+
     def test_feature_grid_is_half_resolution(self):
         probs, feats = infer(tiny_params(), tiny_image(dims=(8, 6, 4)))
         assert probs.shape == (8, 6, 4, 2)

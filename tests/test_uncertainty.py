@@ -198,6 +198,27 @@ class TestSelectMask:
         np.testing.assert_array_equal(mask.ravel()[:2], [True, True])
         assert np.count_nonzero(mask) == 2
 
+    @staticmethod
+    def sorted_mask(u, r):
+        """The K first voxels in (entropy, index) order, NaN after every number."""
+        flat = u.ravel()
+        k = int(math.floor(r * flat.size))
+        order = sorted(range(flat.size), key=lambda i: (
+            math.isnan(flat[i]), 0.0 if math.isnan(flat[i]) else flat[i], i))
+        expected = np.zeros(flat.size, dtype=bool)
+        expected[order[:k]] = True
+        return expected.reshape(u.shape), k
+
+    def check_against_sort(self, u, r):
+        mask = select_mask(u, r)
+        expected, k = self.sorted_mask(u, r)
+        assert mask.dtype == bool and mask.shape == u.shape
+        assert np.count_nonzero(mask) == k
+        np.testing.assert_array_equal(mask, expected)
+        # the stable argsort ranks the same voxels first
+        np.testing.assert_array_equal(
+            mask.ravel(), np.isin(np.arange(u.size), np.argsort(u.ravel(), kind="stable")[:k]))
+
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -206,15 +227,19 @@ class TestSelectMask:
             vals = rng.random(n)
             if rng.random() < 0.5:  # force heavy ties
                 vals = np.round(vals, 1)
-            u = self.umap(vals * math.log(2), dims)
-            r = float(rng.random())
-            k = int(math.floor(r * n))
-            mask = select_mask(u, r)
-            assert np.count_nonzero(mask) == k
-            order = sorted(range(n), key=lambda i: (u.ravel()[i], i))
-            expected = np.zeros(n, dtype=bool)
-            expected[order[:k]] = True
-            np.testing.assert_array_equal(mask.ravel(), expected)
+            self.check_against_sort(self.umap(vals * math.log(2), dims), float(rng.random()))
+        grids = []
+        for dims in ((4, 4, 4), (3, 5, 2), (6, 2, 7)):
+            # three entropy levels: the K-th value is tied on both sides of the cut
+            grids.append(np.array([0.1, 0.3, 0.6])[rng.integers(0, 3, size=dims)])
+        for n_nan in (1, 20, 40, 64):
+            # NaN ranks after every number, as in argsort
+            vals = np.round(rng.random(64), 1)
+            vals[rng.choice(64, size=n_nan, replace=False)] = np.nan
+            grids.append(vals.reshape(4, 4, 4))
+        for u in grids:
+            for r in (0.0, 1 / u.size, 0.5, 1.0):
+                self.check_against_sort(u, r)
 
     def test_no_unselected_voxel_beats_a_selected_one(self):
         rng = np.random.default_rng(4)

@@ -34,6 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = ROOT / "BENCHMARK.json"
 SIDES = ("parent", "change")
 PAIRS = 10
+TIME_UNITS = ("s", "ms")
 BENCH_COMMAND = ("python3 bench/run.py --workload {workload} --seed {seed} "
                  "--seconds {seconds} --trace 0")
 METHOD = (
@@ -44,7 +45,9 @@ METHOD = (
     "least 9 of 10 wins and a median difference larger than the parent's quartile spread, in "
     "the better direction. within_bound: the change's median is no worse than the parent's by "
     "more than the BENCHMARK.json bound. resolved: the parent's quartile spread, relative to "
-    "its median, is below the bound."
+    "its median, is below the bound. raw_median: each side's median unscaled time; "
+    "host_factor_median: each side's median host factor per phase, so a reader can see "
+    "whether the scaling moved a time."
 )
 
 def plan(workloads: list[str], first_seed: int, pairs: int) -> list[tuple[str, int, str]]:
@@ -127,13 +130,26 @@ def summarize_workload(results: dict[str, list[dict]], declared: list[dict]) -> 
         "attempted_steps": {side: sum(r["attempted"] for r in results[side]) for side in SIDES},
         "metrics": {},
     }
+    details = {side: [r["details"] for r in results[side]] for side in SIDES}
+    if all("host_factors" in d for side in SIDES for d in details[side]):
+        summary["host_factor_median"] = {
+            side: {phase: _median([d["host_factors"][phase] for d in details[side]])
+                   for phase in details[side][0]["host_factors"]} for side in SIDES}
     for m in declared:
         runs = {side: [r["metrics"][m["name"]]["value"] for r in results[side]] for side in SIDES}
-        summary["metrics"][m["name"]] = {
+        block = summary["metrics"][m["name"]] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"],
             **compare(runs["parent"], runs["change"], m["better"], m["bound"]),
         }
+        if m["unit"] in TIME_UNITS and all(m["name"] in d.get("raw_metrics", {})
+                                           for side in SIDES for d in details[side]):
+            block["raw_median"] = {side: _median([d["raw_metrics"][m["name"]]
+                                                  for d in details[side]]) for side in SIDES}
     return summary
+
+
+def _median(values: list[float]) -> float:
+    return round(statistics.median(values), 4)
 
 
 def collect(runs: Path, declared: dict, what: str, claim: str | None) -> dict:
