@@ -370,6 +370,25 @@ class TestConvGrads:
 
         fd_check(build, [(3, 2, 2, 2), (3, 1, 1, 1, 4), (4,)])
 
+    @pytest.mark.parametrize("x_shape,w_shape,stride,up", [
+        ((3, 4, 5, 3), (3, 3, 3, 3, 2), 1, 1),
+        ((3, 5, 4, 6), (3, 3, 3, 3, 2), 2, 1),
+        ((3, 3, 2, 5), (3, 3, 3, 3, 4), 1, 2),
+        ((3, 3, 2, 2), (3, 1, 1, 1, 4), 1, 1),
+    ], ids=["stride1", "stride2", "up2", "pointwise"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_weight_and_bias_grads_without_gx_are_bitwise_equal(
+            self, x_shape, w_shape, stride, up, dtype):
+        rng = np.random.default_rng(11)
+        x, w = rng.standard_normal(x_shape).astype(dtype), rng.standard_normal(w_shape).astype(dtype)
+        pad = 0 if w_shape[1] == 1 else 1
+        out = conv3d_raw(x, w, np.zeros(w_shape[4], dtype), stride, pad, up)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        gx, gw, gb = conv3d_backward(g, x, w, stride, pad, up)
+        none, gw_only, gb_only = conv3d_backward(g, x, w, stride, pad, up, need_gx=False)
+        assert gx is not None and none is None
+        assert gw.tobytes() == gw_only.tobytes() and gb.tobytes() == gb_only.tobytes()
+
     def test_conv_channel_mismatch(self):
         tape = Tape(np.float64)
         x = tape.input(np.ones((3, 2, 2, 2)))
@@ -629,25 +648,6 @@ class TestConvUp2:
             TestKeptBuffers._check(*b, pad=1, seed=seed)
         for got, want in self._pair(np.float64, 5):
             assert self._rel(got, want) < 1e-12
-
-    @pytest.mark.parametrize("x_shape,w_shape,stride,up", [
-        ((3, 4, 5, 3), (3, 3, 3, 3, 2), 1, 1),
-        ((3, 5, 4, 6), (3, 3, 3, 3, 2), 2, 1),
-        ((3, 3, 2, 5), (3, 3, 3, 3, 4), 1, 2),
-        ((3, 3, 2, 2), (3, 1, 1, 1, 4), 1, 1),
-    ], ids=["stride1", "stride2", "up2", "pointwise"])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_weight_and_bias_grads_without_gx_are_bitwise_equal(
-            self, x_shape, w_shape, stride, up, dtype):
-        rng = np.random.default_rng(11)
-        x, w = rng.standard_normal(x_shape).astype(dtype), rng.standard_normal(w_shape).astype(dtype)
-        pad = 0 if w_shape[1] == 1 else 1
-        out = conv3d_raw(x, w, np.zeros(w_shape[4], dtype), stride, pad, up)
-        g = rng.standard_normal(out.shape).astype(dtype)
-        gx, gw, gb = conv3d_backward(g, x, w, stride, pad, up)
-        none, gw_only, gb_only = conv3d_backward(g, x, w, stride, pad, up, need_gx=False)
-        assert gx is not None and none is None
-        assert gw.tobytes() == gw_only.tobytes() and gb.tobytes() == gb_only.tobytes()
 
     @pytest.mark.parametrize("w_shape,stride,pad,up", [
         ((3, 1, 1, 1, 4), 1, 0, 2),
