@@ -82,10 +82,10 @@ def run_ablation(config: TrainConfig, seeds, out_dir, progress=None) -> Ablation
         for name, enable_su, enable_sc in VARIANTS:
             cfg = replace(config, enable_su=enable_su, enable_sc=enable_sc, seed=seed)
             run_dir = out / "runs" / f"{name}_seed{seed}"
-            result = run_training(cfg, dataset, run_dir)
-            runs[(name, seed)] = result.final_summary
+            summary = run_training(cfg, dataset, run_dir)
+            runs[(name, seed)] = summary
             if progress is not None:
-                progress(name, seed, result.final_summary)
+                progress(name, seed, summary)
 
     aggregate = {
         name: {

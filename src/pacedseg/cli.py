@@ -81,11 +81,11 @@ def cmd_train(cfg: TrainConfig, args) -> int:
         ds = load_dataset(args.data_dir)
     else:
         ds = dataset_for_seed(cfg, cfg.seed)
-    result = run_training(cfg, ds, args.out_dir)
+    summary = run_training(cfg, ds, args.out_dir)
     save_config(cfg, Path(args.out_dir) / "config.txt")
-    if result.final_summary:
-        print(f"final: {format_summary(result.final_summary)}")
-    print(f"artifacts in {result.out_dir}")
+    if summary:
+        print(f"final: {format_summary(summary)}")
+    print(f"artifacts in {Path(args.out_dir)}")
     return EXIT_OK
 
 

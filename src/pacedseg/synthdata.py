@@ -27,14 +27,13 @@ import numpy as np
 
 from .errors import FormatError
 from .grids import MAX_CLASSES, LabelMap, Volume, load_arrays, save_arrays
-from .metrics import dsc_jaccard
 
 DATA_NAME = "data.arr"
 TRUTH_NAME = "truth.arr"
 
-# Calibrated via calibrate_registration_sigma() on the default 32x32x16
-# generator so that mean DSC(reg, truth) over 20 cases sits mid-band
-# (0.641-0.687 over dataset seeds 1-5, with attach_registration's seeds).
+# Calibrated by calibrate_registration_sigma() in tests/test_synthdata.py on
+# the default 32x32x16 generator so that mean DSC(reg, truth) over 20 cases
+# sits mid-band (0.641-0.687 over dataset seeds 1-5, attach_registration's seeds).
 # A re-bisection with those seeds reads 3.26; 3.1 is kept until the
 # surrogate itself is next recalibrated.
 DEFAULT_REG_SIGMA = 3.1
@@ -226,33 +225,6 @@ def attach_registration(
     for i, case in enumerate(dataset.labeled):
         case.reg_label = register_surrogate(case, sigma, beta, seed=seed + 1009 * i)
     return dataset
-
-
-def calibrate_registration_sigma(
-    dims=(32, 32, 16),
-    n_cases: int = 20,
-    target: float = 0.65,
-    beta: float = DEFAULT_REG_BETA,
-    seed: int = 12345,
-    lo: float = 0.0,
-    hi: float = 8.0,
-    iters: int = 24,
-) -> float:
-    """Bisect sigma so the surrogate's mean DSC against truth hits `target`,
-    with the per-case seeds that `attach_registration` gives a training run."""
-    ds = generate_dataset(n_cases, 0, dims, seed=seed)
-
-    def mean_dsc(sigma: float) -> float:
-        attach_registration(ds, sigma, beta, seed=seed)
-        return float(np.mean([dsc_jaccard(c.reg_label, c.truth)[0] for c in ds.labeled]))
-
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mean_dsc(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,6 @@ TRAIN_LOG_NAME = "train_log.csv"
 EVAL_LOG_NAME = "eval_log.csv"
 EVAL_FINAL_NAME = "eval_final.csv"
 FINAL_CKPT_NAME = "final.ckpt"
-BEST_CKPT_NAME = "best.ckpt"
 
 
 @dataclass
@@ -282,7 +281,7 @@ def save_config(config: TrainConfig, path) -> None:
 
 @dataclass
 class StepTrace:
-    """Intermediates captured for oracle tests and demos."""
+    """Intermediates captured for oracle tests and run diagnostics (ROADMAP item 3(b))."""
 
     labeled_strong: np.ndarray | None = None
     labeled_fused: np.ndarray | None = None
@@ -463,19 +462,13 @@ def evaluate_params(params: ModelParams, cases, n_classes: int) -> list[MetricsR
     return records
 
 
-@dataclass
-class RunResult:
-    out_dir: str
-    final_summary: dict   # summarize() of the last iteration's student; {} for none
-
-
-def run_training(config: TrainConfig, dataset: Dataset, out_dir) -> RunResult:
+def run_training(config: TrainConfig, dataset: Dataset, out_dir) -> dict:
     """Train, log per-iteration losses and periodic metrics, persist checkpoints.
 
     The student is scored every eval_period iterations (one eval_log.csv row
     each) and after the last iteration, whose per-case scores go to
-    eval_final.csv. best.ckpt holds the scored student with the highest mean
-    DSC, the earliest on a tie, or the initial one in a run of no iterations.
+    eval_final.csv. Returns summarize() of that last student; {} for a run
+    of no iterations.
     """
     config.validate()
     out = Path(out_dir)
@@ -485,7 +478,6 @@ def run_training(config: TrainConfig, dataset: Dataset, out_dir) -> RunResult:
     ).labeled
 
     trainer = Trainer(config, dataset)
-    best_iteration, best_params, best_dsc = 0, trainer.student.copy(), -np.inf
     eval_points = []
     records, summary = None, {}  # the latest scores of the student
 
@@ -506,9 +498,6 @@ def run_training(config: TrainConfig, dataset: Dataset, out_dir) -> RunResult:
                 summary = summarize(records)
                 if periodic:
                     eval_points.append((done, summary))
-                if summary["dsc"] > best_dsc:
-                    best_iteration, best_params = done, trainer.student.copy()
-                    best_dsc = summary["dsc"]
 
     if records is not None:
         write_records(out / EVAL_FINAL_NAME, records)
@@ -518,5 +507,4 @@ def run_training(config: TrainConfig, dataset: Dataset, out_dir) -> RunResult:
         {"student": trainer.student, "teacher": trainer.teacher},
         {"iteration": trainer.t, "lambda": trainer.schedule.lam},
     )
-    save_checkpoint(out / BEST_CKPT_NAME, {"student": best_params}, {"iteration": best_iteration})
-    return RunResult(str(out), summary)
+    return summary

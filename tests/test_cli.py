@@ -81,15 +81,17 @@ def trained(tmp_path_factory):
     return cfg, data, run
 
 
-def test_eval_matches_evaluate_params(trained, tmp_path, capsys):
+@pytest.mark.parametrize("section", ["student", "teacher"])
+def test_eval_matches_evaluate_params(trained, tmp_path, capsys, section):
     cfg, data, run = trained
     ckpt = run / "final.ckpt"
     assert main(["--config", str(cfg), "--out-dir", str(tmp_path), "eval",
-                 "--checkpoint", str(ckpt), "--data-dir", str(data)]) == EXIT_OK
+                 "--checkpoint", str(ckpt), "--data-dir", str(data),
+                 "--section", section]) == EXIT_OK
     sections, _ = load_checkpoint(ckpt)
     ds = load_dataset(data, include_truth=True)
     cases = [c for c in ds.labeled + ds.unlabeled if c.truth is not None]
-    records = evaluate_params(sections["student"], cases, ds.n_classes)
+    records = evaluate_params(sections[section], cases, ds.n_classes)
     rows = (tmp_path / "metrics.csv").read_text().splitlines()
     assert rows == ["case_id,dsc,jaccard,asd,hd"] + [r.csv_row() for r in records]
     assert len(rows) == 1 + 2
@@ -147,16 +149,16 @@ def test_eval_on_odd_dims_exits_config(trained, tmp_path, capsys):
 def test_eval_missing_section_exits_config(trained, tmp_path, capsys):
     cfg, data, run = trained
     argv = ["--config", str(cfg), "--out-dir", str(tmp_path), "eval",
-            "--checkpoint", str(run / "best.ckpt"), "--data-dir", str(data),
-            "--section", "teacher"]
+            "--checkpoint", str(run / "final.ckpt"), "--data-dir", str(data),
+            "--section", "ema"]
     assert main(argv) == EXIT_CONFIG
-    assert "'teacher'" in capsys.readouterr().err
+    assert "'ema'" in capsys.readouterr().err
 
 
 def test_eval_corrupt_checkpoint_exits_config(trained, tmp_path, capsys):
     cfg, data, run = trained
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes((run / "best.ckpt").read_bytes() + b"\0")
+    bad.write_bytes((run / "final.ckpt").read_bytes() + b"\0")
     argv = ["--config", str(cfg), "--out-dir", str(tmp_path), "eval",
             "--checkpoint", str(bad), "--data-dir", str(data)]
     assert main(argv) == EXIT_CONFIG

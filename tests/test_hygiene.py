@@ -17,12 +17,6 @@ from pacedseg.autodiff import Tape
 SRC = Path(pacedseg.__file__).parent
 BENCH = SRC.parents[1] / "bench"
 
-# names kept with no caller in src/ or bench/, each with its reason
-UNREFERENCED_OK = {
-    # derives DEFAULT_REG_SIGMA; rerun it when the generator defaults change
-    "calibrate_registration_sigma",
-}
-
 # dataclasses whose fields nothing in src/ or bench/ reads, each with its reason
 UNREAD_FIELDS_OK = {
     # the intermediates of one step, which tests and run diagnostics read
@@ -37,8 +31,6 @@ UNPASSED_OK = {
     "Trainer.step",
     # tests drive the CLI in-process; the console script reads sys.argv
     "main",
-    # has no caller at all (UNREFERENCED_OK); its parameters are its knobs
-    "calibrate_registration_sigma",
 }
 
 
@@ -174,8 +166,8 @@ def test_scan_flags_a_dead_constant():
 def test_no_dead_names_in_package():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     referring = list(sources.values()) + [p.read_text() for p in sorted(BENCH.glob("*.py"))]
-    dead = set(dead_names(sources, referring)) - UNREFERENCED_OK
-    assert not dead, f"top-level names nothing in src/ or bench/ uses: {sorted(dead)}"
+    dead = dead_names(sources, referring)
+    assert not dead, f"top-level names nothing in src/ or bench/ uses: {dead}"
 
 
 def uncalled_ops(ops: set[str], sources: list[str]) -> list[str]:
@@ -280,7 +272,7 @@ def test_every_optional_parameter_has_a_caller_that_passes_it():
     assert not stale, f"UNPASSED_OK entries whose parameters are all passed: {sorted(stale)}"
 
 
-# the metrics past dsc, which best-checkpoint selection also reads
+# the metrics past dsc, which the CLI's ablate progress line also reads
 METRIC_WORDS = {"jaccard", "asd", "hd"}
 
 

@@ -15,7 +15,6 @@ from pacedseg.synthdata import (
     DEFAULT_REG_BETA,
     DEFAULT_REG_SIGMA,
     attach_registration,
-    calibrate_registration_sigma,
     clean_field,
     fuse_with_weight_map,
     generate_dataset,
@@ -71,6 +70,33 @@ class TestGenerator:
             generate_dataset(1, 0, (7, 16, 8), seed=0)
         with pytest.raises(ValueError):
             generate_dataset(0, 5, (16, 16, 8), seed=0)
+
+
+def calibrate_registration_sigma(
+    dims=(32, 32, 16),
+    n_cases: int = 20,
+    target: float = 0.65,
+    beta: float = DEFAULT_REG_BETA,
+    seed: int = 12345,
+    lo: float = 0.0,
+    hi: float = 8.0,
+    iters: int = 24,
+) -> float:
+    """Bisect sigma so the surrogate's mean DSC against truth hits `target`,
+    with the per-case seeds that `attach_registration` gives a training run."""
+    ds = generate_dataset(n_cases, 0, dims, seed=seed)
+
+    def mean_dsc(sigma: float) -> float:
+        attach_registration(ds, sigma, beta, seed=seed)
+        return float(np.mean([dsc_jaccard(c.reg_label, c.truth)[0] for c in ds.labeled]))
+
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if mean_dsc(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 class TestRegistrationSurrogate:

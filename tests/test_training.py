@@ -304,30 +304,40 @@ class TestBaselineDegeneration:
 class TestRunTraining:
     def test_zero_iterations_checkpoints_only(self, tmp_path):
         cfg = tiny_config(iterations=0)
-        result = run_training(cfg, tiny_dataset(cfg), tmp_path)
+        summary = run_training(cfg, tiny_dataset(cfg), tmp_path)
         assert (tmp_path / "final.ckpt").exists()
-        assert (tmp_path / "best.ckpt").exists()
         train_log = (tmp_path / "train_log.csv").read_text().splitlines()
         assert len(train_log) == 1  # header only
-        assert result.final_summary == {}
+        assert summary == {}
+
+    def test_run_writes_only_the_last_student_files(self, tmp_path):
+        """A run leaves its logs, the last student's scores and final.ckpt,
+        and no other checkpoint; a run of no iterations scores nothing."""
+        for iterations, names in ((2, {"train_log.csv", "eval_log.csv", "eval_final.csv",
+                                       "final.ckpt"}),
+                                  (0, {"train_log.csv", "eval_log.csv", "final.ckpt"})):
+            cfg = tiny_config(iterations=iterations, eval_period=1, decay_period=1)
+            out = tmp_path / str(iterations)
+            run_training(cfg, tiny_dataset(cfg), out)
+            assert {p.name for p in out.iterdir()} == names
 
     def test_run_produces_logs_and_checkpoints(self, tmp_path):
         cfg = tiny_config()
-        result = run_training(cfg, tiny_dataset(cfg), tmp_path)
+        summary = run_training(cfg, tiny_dataset(cfg), tmp_path)
         train_log = (tmp_path / "train_log.csv").read_text().splitlines()
         assert len(train_log) == 1 + cfg.iterations
         assert train_log[0].startswith("t,L_s,L_u,L_bf,L_total")
         eval_log = (tmp_path / "eval_log.csv").read_text().splitlines()
         assert len(eval_log) == 1 + cfg.iterations // cfg.eval_period
-        assert 0.0 <= result.final_summary["dsc"] <= 1.0
+        assert 0.0 <= summary["dsc"] <= 1.0
         assert (tmp_path / "eval_final.csv").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
-        """Identical config + seed -> byte-identical logs."""
+        """Identical config + seed -> byte-identical logs and checkpoint."""
         cfg = tiny_config()
         run_training(cfg, tiny_dataset(cfg), tmp_path / "a")
         run_training(cfg, tiny_dataset(cfg), tmp_path / "b")
-        for name in ("train_log.csv", "eval_log.csv", "eval_final.csv"):
+        for name in ("train_log.csv", "eval_log.csv", "eval_final.csv", "final.ckpt"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_last_eval_point_is_scored_once(self, tmp_path, monkeypatch):
@@ -346,7 +356,7 @@ class TestRunTraining:
             calls.clear()
             cfg = tiny_config(iterations=iterations, eval_period=2, decay_period=2)
             out = tmp_path / str(iterations)
-            result = run_training(cfg, tiny_dataset(cfg), out)
+            summary = run_training(cfg, tiny_dataset(cfg), out)
             assert len(calls) == n_calls
             eval_log = [row.split(",") for row in
                         (out / "eval_log.csv").read_text().splitlines()[1:]]
@@ -355,9 +365,9 @@ class TestRunTraining:
             records = scored(final_student, calls[-1][1], cfg.n_classes)
             assert ((out / "eval_final.csv").read_text().splitlines()[1:]
                     == [rec.csv_row() for rec in records])
-            assert result.final_summary["dsc"] == summarize(records)["dsc"]
+            assert summary["dsc"] == summarize(records)["dsc"]
             if iterations == 4:  # the periodic point at 4 is the final one
-                assert eval_log[-1][1] == repr(result.final_summary["dsc"])
+                assert eval_log[-1][1] == repr(summary["dsc"])
 
     def test_logged_l_u_replays_the_logged_schedule(self, tmp_path):
         """A Schedule fed the log's own L_u column reproduces its lambda,
