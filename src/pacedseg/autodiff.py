@@ -13,8 +13,8 @@ gradient: it never holds a `.grad`, and a conv reading it skips the
 input-gradient half of its backward. The op set is exactly
 what the segmentation model and its losses require: 3D convolution
 (im2col + BLAS matmul), also of a nearest-up x2 input computed on the
-low-res grid (`up=2`), relu, softmax, elementwise arithmetic, reductions,
-gathers, transpose and matmul.
+low-res grid (`up=2`) and with its relu fused in, softmax, elementwise
+arithmetic, reductions, gathers, transpose and matmul.
 
 The hot numpy ops run on long contiguous rows. Every conv splits its
 zero-padded input into its stride phases (space-to-depth, the
@@ -28,11 +28,13 @@ matrix is kept for backward: a conv gathers its cols one tile of `TILE`
 output-frame columns at a time, and its backward gathers them again
 from the input node (recompute in backward, as in Chen et al., arXiv
 1604.06174). Work buffers are kept across calls, so their pages are not
-faulted in afresh on every call: the zero-bordered phase buffer,
-gradient frame and `up=2` parity-gradient frame one per geometry, and
-the tiles of cols and of column gradients as views of one flat arena per
-role and dtype, sized for the largest tile yet. The buffers are per
-process and not thread-safe. Reductions over the short trailing class
+faulted in afresh on every call: the zero-bordered phase buffer and
+gradient frame one per geometry (the `up=2` backward writes its output
+parities straight into the latter), and the tiles of cols and of column
+gradients as views of one flat arena per role and dtype, sized for the
+largest tile yet. The buffers are per process and not thread-safe. A
+conv applies its relu, when asked, in place on its own result frame; it
+writes no input or leaf array. Reductions over the short trailing class
 axis fold one class slice at a time (`fold_last`, `argmax_last`),
 bitwise equal to numpy's own reduction.
 
@@ -47,7 +49,7 @@ import math
 
 import numpy as np
 
-__all__ = ["Tape", "Node", "conv3d_raw", "softmax_raw", "relu_raw", "fold_last", "argmax_last"]
+__all__ = ["Tape", "Node", "conv3d_raw", "softmax_raw", "fold_last", "argmax_last"]
 
 
 # ---------------------------------------------------------------------------
@@ -175,13 +177,21 @@ def _pointwise(w, stride, pad):
     return w.shape[1:4] == (1, 1, 1) and stride == 1 and pad == 0
 
 
-def _conv3d(x, w, b, stride, pad):
+def _relu_inplace(frame, relu):
+    """relu of a contiguous result frame, in place; a strided view of it would
+    run the ufunc about three times slower."""
+    if relu:
+        np.maximum(frame, 0, out=frame)
+
+
+def _conv3d(x, w, b, stride, pad, relu):
     cin, kh, kw, kd, cout = w.shape
     if x.shape[0] != cin:
         raise ValueError(f"conv input has {x.shape[0]} channels, weight expects {cin}")
     if _pointwise(w, stride, pad):
         out = w.reshape(cin, cout).T @ x.reshape(cin, -1)
         out += b[:, None]
+        _relu_inplace(out, relu)
         return out.reshape(cout, *x.shape[1:])
     (oh, ow, od), frame, offsets, n, copies = _geometry(x.shape, (kh, kw, kd), stride, pad)
     xf, wmat = _phases(x, stride, pad, frame, copies), _weight_mat(w)
@@ -189,33 +199,35 @@ def _conv3d(x, w, b, stride, pad):
     for s, e in _tiles(n):
         np.matmul(wmat, _run_cols(xf, offsets, n, s, e), out=res[:, s:e])
     res[:, :n] += b[:, None]
+    _relu_inplace(res[:, :n], relu)  # past n the frame is never written
     return res.reshape(cout, oh, *frame[1:])[:, :, :ow, :od]
 
 
-def _conv3d_backward(gout, x, w, stride, pad, need_gx):
+def _grad_frame(x, w, stride, pad, up, dtype):
+    """(kept zero-bordered (Cout, oh, Wq, Dq) output-gradient frame of a conv,
+    its (Cout, oh, ow, od) output view). Its runs read through the zeros
+    between the rows of the view; the frame is keyed on `up` as well, because
+    an up=2 caller leaves the view's grid points that no parity lands on zero."""
+    (oh, ow, od), frame, *_ = _geometry(x.shape, w.shape[1:4], stride, pad)
+    gframe = _kept_buffer(("gframe", up, ow, od), (w.shape[4], oh, *frame[1:]), dtype)
+    return gframe, gframe[:, :, :ow, :od]
+
+
+def _conv3d_backward(gframe, x, w, stride, pad, need_gx):
+    """(gx, gw) of a non-pointwise conv, from its `_grad_frame` filled with
+    the output gradient."""
     cin, kh, kw, kd, cout = w.shape
-    oh, ow, od = gout.shape[1:]
-    gmat = np.ascontiguousarray(gout.reshape(cout, -1))
-    gb = gmat.sum(axis=1)
-    if _pointwise(w, stride, pad):
-        xmat = x.reshape(cin, -1)
-        gw = (xmat @ gmat.T).reshape(w.shape)
-        gx = (w.reshape(cin, cout) @ gmat).reshape(x.shape) if need_gx else None
-        return gx, gw, gb
     _, frame, offsets, n, copies = _geometry(x.shape, (kh, kw, kd), stride, pad)
     xf = _phases(x, stride, pad, frame, copies)  # the forward's cols are gathered again from x
     k = len(offsets)
-    # zero between the rows of gout, which the runs read through
-    gframe = _kept_buffer(("gframe", ow, od), (cout, oh, *frame[1:]), gout.dtype)
-    gframe[:, :, :ow, :od] = gout
     grun = gframe.reshape(cout, -1)
-    gw = np.zeros((cin * k, cout), dtype=gout.dtype)
+    gw = np.zeros((cin * k, cout), dtype=gframe.dtype)
     for s, e in _tiles(n):
         gw += _run_cols(xf, offsets, n, s, e) @ grun[:, s:e].T
     if not need_gx:
-        return None, gw.reshape(w.shape), gb
+        return None, gw.reshape(w.shape)
     gxf = np.zeros_like(xf)
-    gcols = _arena("gcols", (cin, k, min(n, TILE)), gout.dtype)
+    gcols = _arena("gcols", (cin, k, min(n, TILE)), gframe.dtype)
     wmat_t = _weight_mat(w).T
     for s, e in _tiles(n):
         np.matmul(wmat_t, grun[:, s:e], out=gcols.reshape(cin * k, -1)[:, : e - s])
@@ -225,7 +237,7 @@ def _conv3d_backward(gout, x, w, stride, pad, need_gx):
     gx, gxq = np.zeros_like(x), gxf.reshape(cin, stride**3, *frame)
     for dst, src in copies:
         gx[src] = gxq[dst]
-    return gx, gw.reshape(w.shape), gb
+    return gx, gw.reshape(w.shape)
 
 
 # _PARITY_TAPS[p, a, k] = 1 where full-res kernel tap k of an output at parity
@@ -273,19 +285,21 @@ def _parities(full, low, h, w, d):
     (C, 2h, 2w, 2d) array and its (C*8, h+1, w+1, d+1) parity conv, in which
     parity p of low-res voxel i sits at i + p."""
     full = full.reshape(-1, h, 2, w, 2, d, 2)
-    low = low.reshape(-1, 2, 2, 2, h + 1, w + 1, d + 1)
-    return [(full[:, :, p, :, q, :, r], low[:, p, q, r, p:p + h, q:q + w, r:r + d])
+    # basic slices of low: views, so the backward can write through them
+    return [(full[:, :, p, :, q, :, r], low[4 * p + 2 * q + r::8, p:p + h, q:q + w, r:r + d])
             for p, q, r in np.ndindex(2, 2, 2)]
 
 
-def conv3d_raw(x, w, b, stride=1, pad=1, up=1):
+def conv3d_raw(x, w, b, stride=1, pad=1, up=1, relu=False):
     """Channels-first 3D convolution. x: (Cin,H,W,D), w: (Cin,kh,kw,kd,Cout).
 
     Returns the (Cout, oh, ow, od) output, a view of the (Cout, oh, Wq, Dq)
     result frame on x's stride phases, filled one tile of flat-run columns
     at a time (see `_geometry` and `_run_cols`); every stride takes this
     path. Nothing is kept for the backward pass: `conv3d_backward` gathers
-    the columns again from x.
+    the columns again from x. With relu=True the output is relu(conv),
+    applied in place over the contiguous result frame, so no second copy of
+    the output is made; x itself is never written.
 
     With up=2 the input is first up-sampled x2 by nearest neighbour, but the
     conv runs on x's own grid. Along each axis the output at 2i + p sees the
@@ -297,30 +311,44 @@ def conv3d_raw(x, w, b, stride=1, pad=1, up=1):
     """
     _check_up(w, stride, pad, up)
     if up == 1:
-        return _conv3d(x, w, b, stride, pad)
+        return _conv3d(x, w, b, stride, pad, relu)
     h, ww, d = x.shape[1:]
-    small = _conv3d(x, _parity_weight(w), np.repeat(b, 8), 1, 1)
+    small = _conv3d(x, _parity_weight(w), np.repeat(b, 8), 1, 1, False)
     out = np.empty((w.shape[4], 2 * h, 2 * ww, 2 * d), dtype=small.dtype)
     for o, s in _parities(out, small, h, ww, d):
         o[...] = s
+    _relu_inplace(out, relu)
     return out
 
 
 def conv3d_backward(gout, x, w, stride, pad, up=1, need_gx=True):
     """(gx, gw, gb) of `conv3d_raw(x, w, b, stride, pad, up)` for the output
     gradient gout. With need_gx=False gx is None and its GEMM, scatter-adds
-    and frames are skipped; gw and gb are the same floats either way."""
+    and frames are skipped; gw and gb are the same floats either way.
+
+    With up=2, gout's 8 parities are written straight into the gradient
+    frame of the parity conv, where parity p of low-res voxel i sits at i + p.
+    """
     _check_up(w, stride, pad, up)
+    cin, cout = w.shape[0], w.shape[4]
+    gmat = np.ascontiguousarray(gout.reshape(cout, -1))
+    gb = gmat.sum(axis=1)
+    if _pointwise(w, stride, pad):
+        gw = (x.reshape(cin, -1) @ gmat.T).reshape(w.shape)
+        gx = (w.reshape(cin, cout) @ gmat).reshape(x.shape) if need_gx else None
+        return gx, gw, gb
     if up == 1:
-        return _conv3d_backward(gout, x, w, stride, pad, need_gx)
-    cout = w.shape[4]
+        gframe, view = _grad_frame(x, w, stride, pad, up, gout.dtype)
+        view[...] = gout
+        return (*_conv3d_backward(gframe, x, w, stride, pad, need_gx), gb)
     h, ww, d = x.shape[1:]
+    wp = _parity_weight(w)
     # the grid points no parity lands on keep a zero gradient
-    gsmall = _kept_buffer(("parities",), (cout * 8, h + 1, ww + 1, d + 1), gout.dtype)
-    for g, s in _parities(gout, gsmall, h, ww, d):
+    gframe, view = _grad_frame(x, wp, 1, 1, up, gout.dtype)
+    for g, s in _parities(gout, view, h, ww, d):
         s[...] = g
-    gx, gm, gb = _conv3d_backward(gsmall, x, _parity_weight(w), 1, 1, need_gx)
-    return gx, _parity_weight_adjoint(gm, cout), gb.reshape(cout, 8).sum(axis=1)
+    gx, gm = _conv3d_backward(gframe, x, wp, 1, 1, need_gx)
+    return gx, _parity_weight_adjoint(gm, cout), gb
 
 
 def fold_last(ufunc, x):
@@ -359,10 +387,6 @@ def argmax_last(x):
 def softmax_raw(x):
     e = np.exp(x - fold_last(np.maximum, x)[..., None])
     return e / fold_last(np.add, e)[..., None]
-
-
-def relu_raw(x):
-    return np.maximum(x, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -493,11 +517,6 @@ class Tape:
         out._backward = lambda g: _accum(x, g * (x.value > m))
         return out
 
-    def relu(self, x: Node):
-        out = self._record(relu_raw(x.value))
-        out._backward = lambda g: _accum(x, g * (x.value > 0))
-        return out
-
     # -- reductions ---------------------------------------------------------
 
     def sum(self, x: Node):
@@ -541,10 +560,19 @@ class Tape:
         out._backward = lambda g: _accum(x, g.T)
         return out
 
-    def conv3d(self, x: Node, w: Node, b: Node, stride=1, pad=1, up=1):
-        out = self._record(conv3d_raw(x.value, w.value, b.value, stride, pad, up))
+    def conv3d(self, x: Node, w: Node, b: Node, stride=1, pad=1, up=1, relu=False):
+        """conv3d_raw as one node; with relu=True the node holds relu(conv).
+
+        The fused backward gates g by value > 0 before the conv backward:
+        relu(v) > 0 exactly where v > 0, so this is the product an unfused
+        relu node would pass back, and the pre-relu output is never kept.
+        """
+        out = self._record(conv3d_raw(x.value, w.value, b.value, stride, pad, up, relu))
+        value = out.value
 
         def back(g):
+            if relu:
+                g = g * (value > 0)
             # by keyword, so a wrapper can read w and stride without the positions
             gx, gw, gb = conv3d_backward(g, x.value, w=w.value, stride=stride, pad=pad, up=up,
                                          need_gx=x.takes_grad)

@@ -5,9 +5,10 @@ lives on the same (H, W, D) voxel grid, linearized in C order:
 flat index = (h*W + w)*D + d. Inside a training step the maps are plain
 numpy arrays. `Volume` and `LabelMap` exist only at the boundaries where
 values come from outside the step (dataset generation, dataset files) or
-leave it for scoring: they validate their invariants once at construction
-and then freeze the underlying array, so instances are safe to share
-across threads.
+leave it for scoring: they validate their invariants once at construction,
+narrow the data to what the step reads (float32 intensities, one-byte
+class ids) and then freeze the underlying array, so instances are safe to
+share across threads.
 Checkpoints and dataset files are all named-array files (`save_arrays`,
 `load_arrays`): the package's one binary layout lives here.
 """
@@ -27,7 +28,7 @@ from .errors import FormatError
 
 def _as_c_order(a: np.ndarray, dtype) -> np.ndarray:
     out = np.ascontiguousarray(a, dtype=dtype)
-    if np.may_share_memory(out, a):  # numpy may return a new view of a ('<f8' as float64)
+    if np.may_share_memory(out, a):  # numpy may return a new view of a ('<f4' as float32)
         out = out.copy()
     out.setflags(write=False)
     return out
@@ -35,16 +36,22 @@ def _as_c_order(a: np.ndarray, dtype) -> np.ndarray:
 
 @dataclass(eq=False)
 class Volume:
-    """Scalar field on an (H, W, D) grid; values must be finite."""
+    """Scalar field on an (H, W, D) grid, held in float32; values must be finite.
+
+    The model computes in float32 by default, so an image holds half the
+    bytes a float64 copy would. Float64 input is narrowed first and checked
+    after, so a value beyond the float32 range is refused as non-finite.
+    """
 
     data: np.ndarray
 
     def __post_init__(self):
-        self.data = _as_c_order(self.data, np.float64)
+        with np.errstate(over="ignore"):  # an overflow becomes inf, refused below
+            self.data = _as_c_order(self.data, np.float32)
         if self.data.ndim != 3 or min(self.data.shape) < 1:
             raise ValueError(f"volume must be 3D and non-empty, got shape {self.data.shape}")
         if not np.isfinite(self.data).all():
-            raise ValueError("volume contains non-finite values")
+            raise ValueError("volume contains non-finite values, or values beyond float32")
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -105,21 +112,41 @@ def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
             f.write(a.astype(a.dtype.newbyteorder("<"), copy=False).tobytes())
 
 
-def load_arrays(path) -> dict[str, np.ndarray]:
+# int64 values read at a time when a file's class ids are narrowed to one byte
+LABEL_CHUNK = 1 << 16
+
+
+def load_arrays(path, narrow=()) -> dict[str, np.ndarray]:
     """Read a `save_arrays` file into writable arrays; any fault is a FormatError.
 
     Each payload is read once, straight into its own array. Each header is
     checked against the bytes left in the file before its array is made, so
-    a corrupt shape cannot size an allocation.
+    a corrupt shape cannot size an allocation. An int64 array named in
+    `narrow` holds class ids: it is read `LABEL_CHUNK` values at a time into
+    one byte per value, each chunk checked to lie in [0, MAX_CLASSES) first,
+    so it is never whole in memory at eight bytes a value.
     """
     try:
         with open(path, "rb") as f:
-            return _read_arrays(path, f, os.fstat(f.fileno()).st_size)
+            return _read_arrays(path, f, os.fstat(f.fileno()).st_size, narrow)
     except OSError as e:
         raise FormatError(f"cannot read {path}: {e}") from e
 
 
-def _read_arrays(path, f, size: int) -> dict[str, np.ndarray]:
+def _read_class_ids(path, f, shape, what: str) -> np.ndarray:
+    out = np.empty(math.prod(shape), np.uint8)
+    chunk = np.empty(min(out.size, LABEL_CHUNK), "<i8")
+    for s in range(0, out.size, LABEL_CHUNK):
+        part = chunk[: out.size - s]
+        if f.readinto(part.view(np.uint8)) != part.nbytes:
+            raise FormatError(f"{path}: shrank while {what} was read")
+        if part.min() < 0 or part.max() >= MAX_CLASSES:
+            raise FormatError(f"{path}: {what} holds labels outside [0, {MAX_CLASSES})")
+        out[s : s + part.size] = part
+    return out.reshape(shape)
+
+
+def _read_arrays(path, f, size: int, narrow) -> dict[str, np.ndarray]:
     pos = 0
 
     def claim(n: int, what: str) -> None:
@@ -153,6 +180,9 @@ def _read_arrays(path, f, size: int) -> dict[str, np.ndarray]:
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"shape of {name!r}"))
         what = f"array {name!r} of shape {shape}"
         claim(dtype.itemsize * math.prod(shape), what)
+        if name in narrow and dtype == np.int64:
+            arrays[name] = _read_class_ids(path, f, shape, what)
+            continue
         a = np.empty(shape, dtype.newbyteorder("<"))
         if f.readinto(a.reshape(-1).view(np.uint8)) != a.nbytes:
             raise FormatError(f"{path}: shrank while {what} was read")

@@ -2,15 +2,18 @@
 
 Layout (channels-last, half-resolution bottleneck):
 
-    image -> conv3 -> relu -> conv3 -> relu -> conv3/stride2 -> relu
-                                                  |-> 1x1x1 projection head (F-dim embeddings)
+    image -> conv3+relu -> conv3+relu -> conv3/stride2+relu
+                                              |-> 1x1x1 projection head (F-dim embeddings)
              nearest-up x2 <- bottleneck
-          -> conv3 -> relu -> dropout -> 1x1x1 head -> softmax
+          -> conv3+relu -> dropout -> 1x1x1 head -> softmax
 
-The nearest-up x2 and the decoder conv3 are one op, `conv3d(..., up=2)`,
-which runs the conv at half resolution: one 2x2x2 conv of the bottleneck
-whose weight holds the 8 output parities, then a depth-to-space shuffle of
-their shifted crops to full resolution.
+The image is a float32 volume (`grids.Volume`), cast to the model's dtype
+on entry. Each conv3+relu is one op, `conv3d(..., relu=True)`: the conv
+applies its relu in place on its own result frame, so no layer keeps a
+pre-relu copy of its output. The nearest-up x2 and the decoder conv3 are
+one op, `conv3d(..., up=2)`, which runs the conv at half resolution: one
+2x2x2 conv of the bottleneck whose weight holds the 8 output parities,
+then a depth-to-space shuffle of their shifted crops to full resolution.
 
 Dropout lives only in front of the segmentation head, so the trunk is a
 deterministic function of (params, image). Monte-Carlo passes exploit
@@ -26,11 +29,12 @@ and scalar metadata; the model sizes are read back off the tensor shapes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Node, Tape, conv3d_raw, relu_raw, softmax_raw
+from .autodiff import Node, Tape, conv3d_raw, softmax_raw
 from .errors import FormatError, TrainingAbort
 from .grids import load_arrays, save_arrays
 
@@ -116,12 +120,24 @@ def _check_dims(shape):
         raise ValueError(f"image dims {shape} must be positive and divisible by 2")
 
 
-def make_dropout_mask(shape, rate, rng) -> np.ndarray:
-    """Inverted dropout: zero with probability `rate`, scale keepers by 1/(1-rate)."""
+def make_dropout_mask(shape, rate, seed) -> np.ndarray:
+    """Inverted dropout: zero with probability `rate`, scale keepers by 1/(1-rate).
+
+    The keep bits are those of `default_rng(seed).random(shape, dtype=float32)
+    >= rate`, read off the raw generator words without forming the floats:
+    numpy turns each 32-bit half of a 64-bit PCG64 word, low half first,
+    into the float32 (u >> 8) * 2**-24, and a float32 rate r compares with
+    it as the integer test u >= ceil(r * 2**24) << 8.
+    """
     if rate == 0.0:
         return np.ones(shape, dtype=np.float32)
-    draws = rng.random(shape, dtype=np.float32)
-    return (draws >= rate) / np.float32(1.0 - rate)
+    n = math.prod(shape)
+    cut = math.ceil(float(np.float32(rate)) * 2**24)  # exact: a float32 times a power of 2
+    if cut >= 2**24:  # a rate that rounds to 1.0 in float32 keeps nothing
+        return np.zeros(shape, dtype=np.float32)
+    words = np.random.PCG64(seed).random_raw((n + 1) // 2).astype("<u8", copy=False)
+    keep = words.view("<u4")[:n] >= np.uint32(cut << 8)
+    return (keep / np.float32(1.0 - rate)).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +152,11 @@ def forward_graph(tape: Tape, pnodes: dict[str, Node], image: np.ndarray, dropou
     """
     _check_dims(image.shape)
     x = tape.input(image[None], grad=False)
-    h1 = tape.relu(tape.conv3d(x, pnodes["enc1_w"], pnodes["enc1_b"]))
-    h2 = tape.relu(tape.conv3d(h1, pnodes["enc2_w"], pnodes["enc2_b"]))
-    hd = tape.relu(tape.conv3d(h2, pnodes["down_w"], pnodes["down_b"], stride=2))
+    h1 = tape.conv3d(x, pnodes["enc1_w"], pnodes["enc1_b"], relu=True)
+    h2 = tape.conv3d(h1, pnodes["enc2_w"], pnodes["enc2_b"], relu=True)
+    hd = tape.conv3d(h2, pnodes["down_w"], pnodes["down_b"], stride=2, relu=True)
     feats = tape.chw_to_hwc(tape.conv3d(hd, pnodes["proj_w"], pnodes["proj_b"], pad=0))
-    hdec = tape.relu(tape.conv3d(hd, pnodes["dec_w"], pnodes["dec_b"], up=2))
+    hdec = tape.conv3d(hd, pnodes["dec_w"], pnodes["dec_b"], up=2, relu=True)
     if dropout_mask is not None:
         hdec = tape.mul_const(hdec, dropout_mask)
     logits = tape.chw_to_hwc(tape.conv3d(hdec, pnodes["seg_w"], pnodes["seg_b"], pad=0))
@@ -157,11 +173,11 @@ def forward_parts(params: ModelParams, image: np.ndarray):
     _check_dims(image.shape)
     t = params.tensors
     x = np.asarray(image, dtype=params.dtype)[None]
-    h1 = relu_raw(conv3d_raw(x, t["enc1_w"], t["enc1_b"]))
-    h2 = relu_raw(conv3d_raw(h1, t["enc2_w"], t["enc2_b"]))
-    hd = relu_raw(conv3d_raw(h2, t["down_w"], t["down_b"], stride=2))
+    h1 = conv3d_raw(x, t["enc1_w"], t["enc1_b"], relu=True)
+    h2 = conv3d_raw(h1, t["enc2_w"], t["enc2_b"], relu=True)
+    hd = conv3d_raw(h2, t["down_w"], t["down_b"], stride=2, relu=True)
     feats = np.moveaxis(conv3d_raw(hd, t["proj_w"], t["proj_b"], pad=0), 0, 3)
-    hdec = relu_raw(conv3d_raw(hd, t["dec_w"], t["dec_b"], up=2))
+    hdec = conv3d_raw(hd, t["dec_w"], t["dec_b"], up=2, relu=True)
     return hdec, feats
 
 

@@ -12,8 +12,11 @@ the annotated slice, sigma * (1 + beta * |d - k|) voxels. With sigma = 0
 it is exact. The default sigma is calibrated so the surrogate's mean DSC
 against the hidden truth lands in the 0.60-0.70 band.
 
-A dataset directory holds two named-array files (`grids.save_arrays`):
-`data.arr`, all that training reads, and `truth.arr`, read only to score.
+A case is drawn in float64 and held as a float32 `Volume`. A dataset
+directory holds two named-array files (`grids.save_arrays`): `data.arr`,
+all that training reads, and `truth.arr`, read only to score. Images are
+stored as float32; float64 images, as earlier versions wrote them, still
+load and are narrowed on the way in. Label maps are stored as int64.
 """
 
 from __future__ import annotations
@@ -287,8 +290,10 @@ def load_dataset(in_dir, include_truth: bool = False) -> Dataset:
     """Read a dataset directory; truth.arr is only opened when asked for.
 
     Each file's int64 label maps are narrowed to one byte, and its images
-    copied into their volumes, before the next file is read, so loading
-    holds one file's payloads at a time beside what the dataset keeps.
+    copied into their float32 volumes, before the next file is read, so
+    loading holds one file's payloads at a time beside what the dataset keeps.
+    The truths, an int64 label per voxel of every case, are narrowed a chunk
+    at a time as they are read (`load_arrays(..., narrow=...)`).
     """
     root = Path(in_dir)
     arrays = load_arrays(root / DATA_NAME)
@@ -303,10 +308,12 @@ def load_dataset(in_dir, include_truth: bool = False) -> Dataset:
 
     def check(store):
         for name, a in store.items():
-            dtype = np.dtype(np.float64 if name == "images" else np.int64)
-            if (a.dtype, a.shape) != (dtype, shapes[name]):
-                raise FormatError(f"{root}: {name} is {a.dtype} {a.shape}, "
-                                  f"expected {dtype} {shapes[name]}")
+            dtypes = ("float32", "float64") if name == "images" else ("int64",)
+            # the only one-byte arrays are class ids `load_arrays` narrowed from int64
+            stored = "int64" if a.dtype == np.uint8 else a.dtype.name
+            if stored not in dtypes or a.shape != shapes[name]:
+                raise FormatError(f"{root}: {name} is {stored} {a.shape}, expected "
+                                  f"{' or '.join(dtypes)} {shapes[name]}")
 
     check(arrays)
     if not valid_dims((h, w, d)):
@@ -330,7 +337,9 @@ def load_dataset(in_dir, include_truth: bool = False) -> Dataset:
     del images  # the volumes copy the images: the file's array goes once they are made
     volumes = each(Volume, arrays, "images")
     truth_file = root / TRUTH_NAME
-    hidden = load_arrays(truth_file) if include_truth and truth_file.exists() else {}
+    # a truth per voxel of every case: the largest payload, so it is narrowed as it is read
+    hidden = (load_arrays(truth_file, narrow=("truth",))
+              if include_truth and truth_file.exists() else {})
     if set(hidden) - {"truth"}:
         raise FormatError(f"{root}: truth.arr holds {sorted(hidden)}")
     check(hidden)

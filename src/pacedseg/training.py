@@ -329,9 +329,8 @@ class Trainer:
         return self.config.lr0 * self.config.lr_decay ** (self.t // period)
 
     def _dropout_mask(self, seed_seq) -> np.ndarray:
-        rng = np.random.default_rng(seed_seq)
         return make_dropout_mask(
-            self._drop_shape, self.config.dropout_rate, rng
+            self._drop_shape, self.config.dropout_rate, seed_seq
         ).astype(self.dtype, copy=False)
 
     def _teacher_view(self, view: np.ndarray):

@@ -58,8 +58,7 @@ def mc_uncertainty_from_trunk(
         raise ValueError("need at least one stochastic pass")
     acc = None
     for t in range(n_passes):
-        rng = np.random.default_rng(mc_pass_seed(seed, t))
-        mask = make_dropout_mask(hdec.shape, params.dropout_rate, rng)
+        mask = make_dropout_mask(hdec.shape, params.dropout_rate, mc_pass_seed(seed, t))
         mask = mask.astype(params.dtype, copy=False)
         probs = head_forward(params, hdec, mask).astype(np.float64)
         if acc is None:

@@ -100,7 +100,7 @@ class TestBasicContracts:
         value = np.random.default_rng(2).standard_normal((4, 3))
         p, c = tape.input(value), tape.input(np.full((4, 3), 2.0))
         sq = tape.mul(p, p)
-        loss = tape.sum(tape.add(sq, tape.mul(c, tape.relu(p))))
+        loss = tape.sum(tape.add(sq, tape.mul(c, tape.clamp_min(p, 0.0))))
         tape.backward(loss)
         interior = [n for n in tape.nodes if n not in (p, c, loss)]
         assert len(interior) == 4 and all(n.grad is None for n in interior)
@@ -135,7 +135,7 @@ class TestBasicContracts:
     def test_dtype_follows_tape(self):
         tape = Tape(np.float32)
         a = tape.input(np.ones((2, 2)))
-        out = tape.relu(tape.mul_const(a, 2.0))
+        out = tape.clamp_min(tape.mul_const(a, 2.0), 0.0)
         assert out.value.dtype == np.float32
         tape.backward(tape.sum(out))
         assert a.grad.dtype == np.float32
@@ -199,11 +199,13 @@ class TestElementwiseGrads:
             assert abs(x.grad[i] - (hi - lo) / (2 * STEP)) < RTOL
 
     def test_relu(self):
+        """The relu a conv fuses passes g back where its output is positive."""
         rng = np.random.default_rng(5)
-        vals = rng.uniform(0.1, 1.0, size=(4, 4)) * rng.choice([-1, 1], size=(4, 4))
+        vals = rng.uniform(0.1, 1.0, size=(1, 4, 4, 4)) * rng.choice([-1, 1], size=(1, 4, 4, 4))
         tape = Tape(np.float64)
         x = tape.input(vals)
-        tape.backward(tape.sum(tape.relu(x)))
+        identity = (tape.input(np.ones((1, 1, 1, 1, 1))), tape.input(np.zeros(1)))
+        tape.backward(tape.sum(tape.conv3d(x, *identity, pad=0, relu=True)))
         np.testing.assert_array_equal(x.grad, (vals > 0).astype(float))
 
 
@@ -625,23 +627,27 @@ class TestConvUp2:
         assert shapes == [(3 * 8, 104)] * 2
 
     def test_kept_parity_gradient_frame_keeps_its_zero_border(self, monkeypatch):
-        # both parity frames hold 2304 entries, 4*8 * (4, 3, 6) and 2*8 * (4, 6, 6),
-        # so a frame kept on its size alone would carry A's blocks into B's border
+        # the parities are written straight into the zero-bordered gradient
+        # frame of the parity conv, (Cout*8, h+1, w+2, d+2): 4*8 * (4, 4, 7) and
+        # 2*8 * (4, 7, 7) entries; a frame shared between A and B would carry
+        # A's blocks into B's border and its unwritten grid points
         monkeypatch.setattr(autodiff, "_kept", {})
         geometries = {"A": (self.X_SHAPE, self.W_SHAPE), "B": ((2, 3, 5, 5), (2, 3, 3, 3, 2))}
         for seed, name in enumerate(("A", "B", "A")):
             x_shape, w_shape = geometries[name]
             for got, want in self._pair(np.float64, seed, x_shape, w_shape):
                 assert self._rel(got, want) < 1e-12
-        frames = [k for k in autodiff._kept if k[0] == ("parities",)]
-        assert sorted(k[1] for k in frames) == [(16, 4, 6, 6), (32, 4, 3, 6)]
+        frames = [k for k in autodiff._kept if k[0][:2] == ("gframe", 2)]
+        assert sorted(k[1] for k in frames) == [(16, 4, 7, 7), (32, 4, 4, 7)]
 
     def test_up1_conv_on_a_parity_frame_shape_between_up2_calls(self, monkeypatch):
-        # A's parity gradient frames are (32, 4, 3, 6) and, zero-bordered for
-        # the runs, (32, 4, 4, 7); B1 and B2 are up=1 convs whose gradient
-        # frames have those shapes but other ow and od
+        # A's parity gradient frame is (32, 4, 4, 7), its output view
+        # (32, 4, 3, 6); B1 and B2 are up=1 convs whose gradient frames have
+        # those shapes but other ow and od, and B3's 2x2x2 kernel gives A's
+        # frame with A's ow and od, which an up=1 call writes in full
         monkeypatch.setattr(autodiff, "_kept", {})
-        b_geometries = [((2, 4, 1, 4), (2, 3, 3, 3, 32)), ((2, 4, 2, 5), (2, 3, 3, 3, 32))]
+        b_geometries = [((2, 4, 1, 4), (2, 3, 3, 3, 32)), ((2, 4, 2, 5), (2, 3, 3, 3, 32)),
+                        ((2, 3, 2, 5), (2, 2, 2, 2, 32))]
         for seed, b in enumerate(b_geometries):
             for got, want in self._pair(np.float64, 2 * seed):
                 assert self._rel(got, want) < 1e-12
@@ -667,3 +673,41 @@ class TestConvUp2:
         tape = Tape(np.float64)
         with pytest.raises(ValueError):
             tape.conv3d(tape.input(x), tape.input(w), tape.input(b), stride, pad, up)
+
+
+class TestFusedRelu:
+    """conv3d(..., relu=True) against a conv node followed by a relu node.
+
+    `clamp_min(v, 0.0)` is that relu node: it holds np.maximum(v, 0) and
+    passes back g * (v > 0).
+    """
+
+    GEOMETRIES = {
+        "stride1": ((3, 4, 5, 3), (3, 3, 3, 3, 4), 1, 1),
+        "stride2": ((3, 5, 4, 6), (3, 3, 3, 3, 4), 2, 1),
+        "up2": ((3, 3, 2, 5), (3, 3, 3, 3, 4), 1, 2),
+    }
+
+    @staticmethod
+    def _run(case, dtype, fused):
+        x_shape, w_shape, stride, up = case
+        rng = np.random.default_rng(13)
+        x, w, b = rng.standard_normal(x_shape), rng.standard_normal(w_shape), rng.standard_normal(4)
+        tape = Tape(dtype)
+        nodes = [tape.input(a.astype(dtype)) for a in (x, w, b)]
+        if fused:
+            out = tape.conv3d(*nodes, stride=stride, pad=1, up=up, relu=True)
+        else:
+            out = tape.clamp_min(tape.conv3d(*nodes, stride=stride, pad=1, up=up), 0.0)
+        weight = rng.standard_normal(out.value.shape)
+        tape.backward(tape.sum(tape.mul_const(out, weight)))
+        return [out.value] + [n.grad for n in nodes]
+
+    @pytest.mark.parametrize("case", GEOMETRIES.values(), ids=GEOMETRIES.keys())
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_value_and_gradients_bitwise_equal_to_conv_then_relu(self, case, dtype):
+        fused, unfused = self._run(case, dtype, True), self._run(case, dtype, False)
+        assert (fused[0] == 0).any() and (fused[0] > 0).any()
+        for got, want in zip(fused, unfused):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()

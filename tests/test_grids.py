@@ -1,8 +1,10 @@
+import re
 import struct
 
 import numpy as np
 import pytest
 
+from pacedseg import grids
 from pacedseg.errors import FormatError
 from pacedseg.grids import (
     ARRAYS_MAGIC,
@@ -41,8 +43,8 @@ class TestVolumeIO:
         """Byte-compare against an independently assembled buffer."""
         data = np.arange(3 * 4 * 5, dtype=np.float64).reshape(3, 4, 5)
         path = tmp_path / "lin.arr"
-        save_arrays(path, {"image": Volume(data).data})
-        expected = array_file(b"image", 0, (3, 4, 5), data.astype("<f8").tobytes())
+        save_arrays(path, {"image": Volume(data).data})  # a volume is float32, dtype code 1
+        expected = array_file(b"image", 1, (3, 4, 5), data.astype("<f4").tobytes())
         assert path.read_bytes() == expected
         np.testing.assert_array_equal(load_arrays(path)["image"], data)
 
@@ -119,6 +121,29 @@ class TestArrayFile:
         with pytest.raises(FormatError, match="cannot read"):
             load_arrays(tmp_path)
 
+    @pytest.mark.parametrize("chunk", [7, 60, 1 << 16])
+    def test_narrowed_class_ids_equal_the_int64_payload(self, tmp_path, monkeypatch, chunk):
+        # 60 values: chunks of 7 end mid-array, a chunk of 60 ends with it
+        monkeypatch.setattr(grids, "LABEL_CHUNK", chunk)
+        rng = np.random.default_rng(5)
+        arrays = {"ids": rng.integers(0, 256, size=(3, 4, 5)), "f": rng.standard_normal(4),
+                  "none": np.zeros((0, 3), dtype=np.int64)}
+        save_arrays(tmp_path / "a.arr", arrays)
+        back = load_arrays(tmp_path / "a.arr", narrow=("ids", "f", "none"))
+        assert back["ids"].dtype == np.uint8 and back["ids"].flags.writeable
+        np.testing.assert_array_equal(back["ids"], arrays["ids"])
+        assert back["f"].tobytes() == arrays["f"].tobytes()  # only int64 arrays narrow
+        assert back["none"].shape == (0, 3) and back["none"].dtype == np.uint8
+
+    @pytest.mark.parametrize("bad", [-1, 256, 2**40])
+    def test_narrowed_class_id_outside_a_byte_raises(self, tmp_path, monkeypatch, bad):
+        monkeypatch.setattr(grids, "LABEL_CHUNK", 7)
+        ids = np.ones(30, dtype=np.int64)
+        ids[25] = bad  # in the fourth chunk
+        save_arrays(tmp_path / "a.arr", {"ids": ids})
+        with pytest.raises(FormatError, match=re.escape("holds labels outside [0, 256)")):
+            load_arrays(tmp_path / "a.arr", narrow=("ids",))
+
 
 class TestTypes:
     def test_volume_rejects_nan(self):
@@ -132,15 +157,31 @@ class TestTypes:
         with pytest.raises(ValueError):
             vol.data[0, 0, 0] = 1.0
 
-    @pytest.mark.parametrize("dtype", [np.dtype(np.float64),
-                                       np.dtype(np.float64).newbyteorder("<")])
+    @pytest.mark.parametrize("dtype", [np.dtype(np.float32),
+                                       np.dtype(np.float32).newbyteorder("<")])
     def test_volume_owns_its_data(self, dtype):
-        # '<f8' is what `load_arrays` returns; numpy gives a new view of such an
-        # array for a float64 request, which must not be shared with the source
+        # '<f4' is what `load_arrays` returns; numpy gives a new view of such an
+        # array for a float32 request, which must not be shared with the source
         src = np.zeros((2, 2, 2, 2), dtype)
         vol = Volume(src[1])
         src[1] = 1.0
         assert not np.shares_memory(vol.data, src) and vol.data.max() == 0.0
+
+    def test_volume_holds_float32_narrowed_from_float64(self):
+        data = np.random.default_rng(3).standard_normal((3, 4, 5))
+        vol = Volume(data)
+        assert vol.data.dtype == np.float32 and vol.data.flags.c_contiguous
+        assert vol.data.tobytes() == data.astype(np.float32).tobytes()
+        assert Volume(vol.data).data.tobytes() == vol.data.tobytes()
+
+    @pytest.mark.parametrize("value", [3.5e38, -1e300, np.inf])
+    def test_volume_refuses_values_beyond_float32(self, value):
+        data = np.zeros((2, 2, 2))
+        data[1, 0, 1] = value
+        with pytest.raises(ValueError, match="non-finite values, or values beyond float32"):
+            Volume(data)
+        data[1, 0, 1] = 3.4e38  # below float32's largest finite value
+        assert Volume(data).data[1, 0, 1] == np.float32(3.4e38)
 
     def test_labelmap_range(self):
         with pytest.raises(ValueError):

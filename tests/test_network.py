@@ -53,8 +53,7 @@ class TestForward:
         params, image = tiny_params(), tiny_image()
 
         def draw(seed):
-            return make_dropout_mask((3, 4, 4, 2), params.dropout_rate,
-                                     np.random.default_rng(seed))
+            return make_dropout_mask((3, 4, 4, 2), params.dropout_rate, seed)
 
         p1, _ = infer(params, image, draw(42))
         p2, _ = infer(params, image, draw(42))
@@ -73,7 +72,7 @@ class TestForward:
 
     def test_graph_and_value_paths_agree_bitwise(self):
         params, image = tiny_params(), tiny_image()
-        mask = make_dropout_mask((3, 4, 4, 2), params.dropout_rate, np.random.default_rng(5))
+        mask = make_dropout_mask((3, 4, 4, 2), params.dropout_rate, 5)
         tape = Tape(np.float64)
         probs_node, feats_node = forward_graph(tape, param_nodes(tape, params), image, mask)
 
@@ -95,6 +94,22 @@ class TestForward:
         np.testing.assert_array_equal(leaves[0].value, image[None])
         assert leaves[0].grad is None
         assert all(pnodes[name].grad is not None for name in PARAM_NAMES)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fused_relus_write_no_input(self, dtype):
+        """Every conv applies its relu in place on its own result; the image
+        and the parameters, read-only here, come out byte for byte unchanged."""
+        params, image = tiny_params(dtype=dtype), tiny_image().astype(np.float32)
+        arrays = [image, *params.tensors.values()]
+        before = [a.tobytes() for a in arrays]
+        for a in arrays:
+            a.setflags(write=False)
+        hdec, feats = forward_parts(params, image)
+        tape = Tape(dtype)
+        probs, graph_feats = forward_graph(tape, param_nodes(tape, params), image)
+        tape.backward(tape.add(tape.sum(tape.mul(probs, probs)), tape.sum(graph_feats)))
+        assert [a.tobytes() for a in arrays] == before
+        assert (hdec == 0).any() and (hdec > 0).any()
 
     def test_feature_grid_is_half_resolution(self):
         probs, feats = infer(tiny_params(), tiny_image(dims=(8, 6, 4)))
@@ -119,8 +134,7 @@ class TestForward:
 class TestDropout:
     def test_zeroed_fraction_and_survivor_scale(self):
         rate = 0.3
-        rng = np.random.default_rng(0)
-        mask = make_dropout_mask((100, 100), rate, rng)
+        mask = make_dropout_mask((100, 100), rate, 0)
         zeroed = (mask == 0).mean()
         assert abs(zeroed - rate) < 0.02
         survivors = mask[mask > 0]
@@ -128,8 +142,38 @@ class TestDropout:
         # inverted dropout preserves the layer expectation
         assert abs(mask.mean() - 1.0) < 0.05
 
+    # rates at and beside points of the 2**-24 grid the float32 draws lie on,
+    # one that rounds to 1.0 in float32, and the rates of a run
+    GRID = 2.0**-24
+    RATES = [1e-8, 0.1, 0.3, 0.5, 0.999, GRID, 3 * GRID, 0.25, 0.25 + GRID / 2,
+             np.nextafter(0.25, 0.0), np.nextafter(0.25, 1.0), np.nextafter(5 * GRID, 0.0),
+             np.nextafter(5 * GRID, 1.0), 1.0 - GRID, 1.0 - GRID / 4]
+
+    @pytest.mark.parametrize("rate", RATES)
+    @pytest.mark.parametrize("shape", [(3, 4, 4, 2), (5, 3, 7)], ids=["even", "odd"])
+    def test_mask_is_the_float32_draws_against_the_rate(self, rate, shape):
+        """The raw-word mask keeps exactly what comparing float32 uniform draws
+        from `default_rng(seed)` with the rate keeps, for a seed sequence too."""
+        rate = float(rate)
+        for seed in (7, np.random.SeedSequence(3).spawn(2)[1]):
+            keep = np.random.default_rng(seed).random(shape, dtype=np.float32) >= rate
+            want = keep / np.float32(1.0 - rate)
+            got = make_dropout_mask(shape, rate, seed)
+            assert got.dtype == np.float32 and got.shape == shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_rates_at_and_just_above_a_draw(self):
+        """A draw equal to the rate is kept; one just below it is dropped. Between
+        0.25 and 0.5 a float32 rate can lie halfway between two draws."""
+        shape, seed = (4, 5, 6), 11
+        draws = np.random.default_rng(seed).random(shape, dtype=np.float32).ravel()
+        for d in draws[(draws >= 0.25) & (draws < 0.5)][:5]:
+            for rate in (float(d), float(np.nextafter(d, np.float32(1)))):
+                want = (draws.reshape(shape) >= rate) / np.float32(1.0 - rate)
+                assert make_dropout_mask(shape, rate, seed).tobytes() == want.tobytes()
+
     def test_rate_zero_identity(self):
-        mask = make_dropout_mask((10, 10), 0.0, np.random.default_rng(0))
+        mask = make_dropout_mask((10, 10), 0.0, 0)
         np.testing.assert_array_equal(mask, 1.0)
 
 
@@ -384,7 +428,7 @@ class TestModelGradients:
         params = tiny_params(seed=7)
         image = tiny_image(seed=8)
         target = np.random.default_rng(9).integers(0, 2, size=(4, 4, 2))
-        mask = make_dropout_mask((3, 4, 4, 2), 0.3, np.random.default_rng(10))
+        mask = make_dropout_mask((3, 4, 4, 2), 0.3, 10)
 
         def loss_value(p):
             tape = Tape(np.float64)

@@ -37,8 +37,9 @@ class TestGenerator:
     def test_noiseless_image_is_clean_field(self):
         ds = generate_dataset(1, 0, (16, 16, 8), seed=0, noise_amp=0.0)
         case = ds.labeled[0]
+        # the field is drawn in float64 and held narrowed to float32
         np.testing.assert_array_equal(
-            case.image.data, clean_field((16, 16, 8), case.shape)
+            case.image.data, clean_field((16, 16, 8), case.shape).astype(np.float32)
         )
         # ground truth is the 0.5 level set of the clean field
         np.testing.assert_array_equal(case.truth.data == 1, case.image.data > 0.5)
@@ -243,6 +244,31 @@ class TestDatasetIO:
         assert all(c.reg_label is None and c.truth is None for c in back.labeled)
         np.testing.assert_array_equal(back.unlabeled[0].image.data, ds.unlabeled[0].image.data)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_images_load_from_float32_or_float64_files(self, tmp_path, dtype):
+        """float32 as `save_dataset` writes them, float64 as earlier versions
+        did; both load as the float32 volumes the generator made."""
+        ds = attach_registration(generate_dataset(2, 1, (8, 8, 4), seed=4), seed=4)
+        save_dataset(ds, tmp_path)
+        arrays = load_arrays(tmp_path / "data.arr")
+        wide = np.random.default_rng(0).standard_normal(arrays["images"].shape)
+        arrays["images"] = wide.astype(dtype)
+        save_arrays(tmp_path / "data.arr", arrays)
+        back = load_dataset(tmp_path, include_truth=True)
+        for got, want in zip(back.labeled + back.unlabeled, wide):
+            assert got.image.data.dtype == np.float32
+            assert got.image.data.tobytes() == want.astype(np.float32).tobytes()
+        np.testing.assert_array_equal(back.unlabeled[0].truth.data, ds.unlabeled[0].truth.data)
+
+    def test_integer_images_are_format_errors(self, tmp_path):
+        save_dataset(generate_dataset(1, 1, (8, 8, 4), seed=4), tmp_path)
+        arrays = load_arrays(tmp_path / "data.arr")
+        arrays["images"] = arrays["images"].astype(np.int64)
+        save_arrays(tmp_path / "data.arr", arrays)
+        with pytest.raises(FormatError, match=re.escape("images is int64 (2, 8, 8, 4), "
+                                                        "expected float32 or float64")):
+            load_dataset(tmp_path)
+
     def test_equal_datasets_give_equal_bytes(self, tmp_path):
         for name in ("a", "b"):
             ds = attach_registration(generate_dataset(2, 2, (8, 8, 4), seed=5), seed=5)
@@ -271,7 +297,7 @@ class TestDatasetIO:
         save_dataset(ds, tmp_path)
         files = load_arrays(tmp_path / "data.arr") | load_arrays(tmp_path / "truth.arr")
         assert {name: a.dtype for name, a in files.items()} == {
-            "classes": np.int64, "images": np.float64, "k": np.int64,
+            "classes": np.int64, "images": np.float32, "k": np.int64,
             "slices": np.int64, "reg": np.int64, "truth": np.int64}
         back = load_dataset(tmp_path, include_truth=True)
         assert back.labeled[0].reg_label.data.dtype == np.uint8
@@ -307,10 +333,11 @@ class TestDatasetIO:
         with pytest.raises(FormatError, match=re.escape(message)):
             load_dataset(tmp_path, include_truth=True)
 
-    def test_default_dataset_holds_about_nine_bytes_per_case_voxel(self):
-        """float64 images (8 bytes) and uint8 truths (1) on every case, plus
-        uint8 registration labels on the labeled fifth: 9.2 bytes per
-        case-voxel before object overheads. With int64 labels it was 17.6."""
+    def test_default_dataset_holds_about_five_bytes_per_case_voxel(self):
+        """float32 images (4 bytes) and uint8 truths (1) on every case, plus
+        uint8 registration labels on the labeled fifth: 5.2 bytes per
+        case-voxel before object overheads. With float64 images it was 9.2,
+        and with int64 labels as well 17.6."""
         cfg = TrainConfig()
         tracemalloc.start()
         try:
@@ -319,7 +346,9 @@ class TestDatasetIO:
         finally:
             tracemalloc.stop()
         voxels = (ds.n_labeled + ds.n_unlabeled) * np.prod(ds.dims)
-        assert held / voxels <= 10.5
+        assert held / voxels <= 6.0
+        cases = ds.labeled + ds.unlabeled
+        assert sum(case.image.data.nbytes for case in cases) == 4 * voxels
 
     def test_attach_registration_deterministic(self):
         a = generate_dataset(3, 0, (16, 16, 8), seed=8)

@@ -4,12 +4,14 @@ Each reference holds the `train_log.csv` rows of an 8-step float64 run
 on 16x16x8 volumes:
 - `tests/data/f64_trajectory.csv`, the confident regime
   (`alpha=100, tau_sched=2000`, so the mask covers about 99% of the
-  volume from step 1). It was written by the decoder that up-samples the
-  bottleneck and then convolves it at full resolution.
+  volume from step 1);
 - `tests/data/f64_trajectory_warm.csv`, the default schedule: SU stays
-  on its warm branch and the mask holds at most 10% of the voxels. It was
-  written by the decoder that convolves the bottleneck with one merged
-  3x3x3 weight per output parity.
+  on its warm branch and the mask holds at most 10% of the voxels.
+
+Both were last written once images were held in float32, so each is
+rounded to float32 before the float64 weak-view noise is added, and once
+the decoder's bias gradient summed its full-resolution output gradient
+per channel.
 
 A speedup that reorders float sums must keep `L_s`, `L_u` and `L_bf`
 within 1e-12 relative and the mask count `K` exact.
@@ -19,6 +21,8 @@ within 1e-12 relative and the mask count `K` exact.
 
 Regenerate (only when a change is meant to move the trajectories):
     PYTHONPATH=src python tests/test_trajectory.py
+It prints, per reference, the largest relative change of each loss column
+and whether `K` changed, before it overwrites the file.
 """
 
 from pathlib import Path
@@ -51,6 +55,17 @@ def _columns(rows: list[str]) -> dict[str, list[str]]:
     return {name: [c[i] for c in cells] for i, name in enumerate(header)}
 
 
+def _max_errors(got: dict[str, list[str]], want: dict[str, list[str]]) -> dict[str, float]:
+    """Largest change of each loss column: relative where the reference is
+    non-zero, absolute at exact zeros."""
+    errors = {}
+    for col in ("L_s", "L_u", "L_bf"):
+        g = np.array(got[col], dtype=np.float64)
+        w = np.array(want[col], dtype=np.float64)
+        errors[col] = float((np.abs(g - w) / np.where(w == 0.0, 1.0, np.abs(w))).max())
+    return errors
+
+
 def _check(regime: str) -> None:
     path, config = REFERENCES[regime]
     lines = path.read_text().splitlines()
@@ -59,12 +74,8 @@ def _check(regime: str) -> None:
     got = _columns(run_rows(config))
     assert got["t"] == want["t"] == [str(t) for t in range(config.iterations)]
     assert got["K"] == want["K"]
-    for col in ("L_s", "L_u", "L_bf"):
-        g = np.array(got[col], dtype=np.float64)
-        w = np.array(want[col], dtype=np.float64)
-        # relative where the reference is non-zero, absolute at exact zeros
-        err = np.abs(g - w) / np.where(w == 0.0, 1.0, np.abs(w))
-        assert err.max() <= RTOL, f"{col}: max error {err.max():.3e}"
+    for col, err in _max_errors(got, want).items():
+        assert err <= RTOL, f"{col}: max error {err:.3e}"
 
 
 def test_float64_trajectory_matches_reference():
@@ -86,4 +97,10 @@ def test_warm_reference_stays_on_the_warm_branch():
 if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
     for path, config in REFERENCES.values():
-        path.write_text("\n".join([LossReport.CSV_HEADER] + run_rows(config)) + "\n")
+        rows = run_rows(config)
+        if path.exists():  # report the drift from the reference it replaces
+            want, got = _columns(path.read_text().splitlines()[1:]), _columns(rows)
+            changes = ", ".join(f"{col} {err:.3e}" for col, err in _max_errors(got, want).items())
+            print(f"{path.name}: max relative change {changes}; "
+                  f"K {'changed' if got['K'] != want['K'] else 'identical'}")
+        path.write_text("\n".join([LossReport.CSV_HEADER] + rows) + "\n")
