@@ -115,8 +115,8 @@ def contrast_loss_node(tape: Tape, zsn_node: Node, batch: ContrastBatch) -> Node
     """Differentiable bidirectional loss.
 
     ``zsn_node`` is the (h, w, d, F) or (M, F) strong-view feature node;
-    the anchors are constants taken from the batch, since the weak views
-    come from the EMA teacher.
+    the anchors are constants taken from the batch, leaves that take no
+    gradient, since the weak views come from the EMA teacher.
     """
     p_count = batch.n_positives
     if p_count == 0:
@@ -135,7 +135,8 @@ def contrast_loss_node(tape: Tape, zsn_node: Node, batch: ContrastBatch) -> Node
     flat = tape.reshape(zsn_node, (-1, f))
     negs_t = tape.transpose(tape.row_normalize(tape.take_rows(flat, uniq)))   # (F, U)
 
-    z1n, z2n = tape.input(_unit(batch.z1, "z1")), tape.input(_unit(batch.z2, "z2"))
+    z1n = tape.input(_unit(batch.z1, "z1"), grad=False)
+    z2n = tape.input(_unit(batch.z2, "z2"), grad=False)
     s12 = tape.mul_const(tape.sum_axis(tape.mul(z1n, z2n), -1), 1.0 / tau)  # (P,)
     s12_col = tape.reshape(s12, (p_count, 1))
     minus_s12 = tape.mul_const(s12, -1.0)

@@ -10,7 +10,8 @@ narrow the data to what the step reads (float32 intensities, one-byte
 class ids) and then freeze the underlying array, so instances are safe to
 share across threads.
 Checkpoints and dataset files are all named-array files (`save_arrays`,
-`load_arrays`): the package's one binary layout lives here.
+`load_arrays`): the package's one binary layout lives here. Class ids are
+stored as the one byte each that `LabelMap` holds.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class LabelMap:
     """Integer class id per voxel, in [0, n_classes), with 2 <= n_classes <= 256.
 
     The ids are held as one byte (uint8) each, narrowed only after the range
-    check, so an id that would wrap is refused; files store them as int64.
+    check, so an id that would wrap is refused; files store the same bytes.
     """
 
     data: np.ndarray
@@ -96,57 +97,37 @@ class LabelMap:
 # + UTF-8), dtype code and ndim (uint8 each), ndim uint32 dims and the C-order
 # payload, all little-endian: the bytes depend only on what is written.
 ARRAYS_MAGIC = b"pacedseg-arr-v1\n"
-_DTYPES = (np.dtype(np.float64), np.dtype(np.float32), np.dtype(np.int64))
+_DTYPES = (np.dtype(np.float64), np.dtype(np.float32), np.dtype(np.int64), np.dtype(np.uint8))
 
 
 def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
-    """Write float64, float32 and int64 arrays under their names, in dict order."""
+    """Write float64, float32, int64 and uint8 arrays under their names, in dict order."""
     with open(path, "wb") as f:
         f.write(ARRAYS_MAGIC + struct.pack("<I", len(arrays)))
         for name, a in arrays.items():
             a, raw = np.asarray(a), name.encode()
             if a.dtype not in _DTYPES:
-                raise ValueError(f"array {name!r}: dtype {a.dtype} is not f8, f4 or i8")
+                raise ValueError(f"array {name!r}: dtype {a.dtype} is not f8, f4, i8 or u1")
             f.write(struct.pack(f"<H{len(raw)}sBB{a.ndim}I", len(raw), raw,
                                 _DTYPES.index(a.dtype), a.ndim, *a.shape))
             f.write(a.astype(a.dtype.newbyteorder("<"), copy=False).tobytes())
 
 
-# int64 values read at a time when a file's class ids are narrowed to one byte
-LABEL_CHUNK = 1 << 16
-
-
-def load_arrays(path, narrow=()) -> dict[str, np.ndarray]:
+def load_arrays(path) -> dict[str, np.ndarray]:
     """Read a `save_arrays` file into writable arrays; any fault is a FormatError.
 
     Each payload is read once, straight into its own array. Each header is
     checked against the bytes left in the file before its array is made, so
-    a corrupt shape cannot size an allocation. An int64 array named in
-    `narrow` holds class ids: it is read `LABEL_CHUNK` values at a time into
-    one byte per value, each chunk checked to lie in [0, MAX_CLASSES) first,
-    so it is never whole in memory at eight bytes a value.
+    a corrupt shape cannot size an allocation.
     """
     try:
         with open(path, "rb") as f:
-            return _read_arrays(path, f, os.fstat(f.fileno()).st_size, narrow)
+            return _read_arrays(path, f, os.fstat(f.fileno()).st_size)
     except OSError as e:
         raise FormatError(f"cannot read {path}: {e}") from e
 
 
-def _read_class_ids(path, f, shape, what: str) -> np.ndarray:
-    out = np.empty(math.prod(shape), np.uint8)
-    chunk = np.empty(min(out.size, LABEL_CHUNK), "<i8")
-    for s in range(0, out.size, LABEL_CHUNK):
-        part = chunk[: out.size - s]
-        if f.readinto(part.view(np.uint8)) != part.nbytes:
-            raise FormatError(f"{path}: shrank while {what} was read")
-        if part.min() < 0 or part.max() >= MAX_CLASSES:
-            raise FormatError(f"{path}: {what} holds labels outside [0, {MAX_CLASSES})")
-        out[s : s + part.size] = part
-    return out.reshape(shape)
-
-
-def _read_arrays(path, f, size: int, narrow) -> dict[str, np.ndarray]:
+def _read_arrays(path, f, size: int) -> dict[str, np.ndarray]:
     pos = 0
 
     def claim(n: int, what: str) -> None:
@@ -180,9 +161,6 @@ def _read_arrays(path, f, size: int, narrow) -> dict[str, np.ndarray]:
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"shape of {name!r}"))
         what = f"array {name!r} of shape {shape}"
         claim(dtype.itemsize * math.prod(shape), what)
-        if name in narrow and dtype == np.int64:
-            arrays[name] = _read_class_ids(path, f, shape, what)
-            continue
         a = np.empty(shape, dtype.newbyteorder("<"))
         if f.readinto(a.reshape(-1).view(np.uint8)) != a.nbytes:
             raise FormatError(f"{path}: shrank while {what} was read")

@@ -103,14 +103,8 @@ def init_params(
     shapes = _param_shapes(n_classes, widths, embed_dim)
     tensors = {}
     for name in PARAM_NAMES:
-        shape = shapes[name]
-        if name.endswith("_w"):
-            fan_in = int(np.prod(shape[:-1]))
-        else:
-            wshape = shapes[name[:-2] + "_w"]
-            fan_in = int(np.prod(wshape[:-1]))
-        bound = 1.0 / np.sqrt(fan_in)
-        tensors[name] = rng.uniform(-bound, bound, size=shape).astype(dtype)
+        bound = 1.0 / np.sqrt(math.prod(shapes[name[:-2] + "_w"][:-1]))  # a bias shares its fan-in
+        tensors[name] = rng.uniform(-bound, bound, size=shapes[name]).astype(dtype)
     return ModelParams(tensors, dropout_rate)
 
 
@@ -120,8 +114,10 @@ def _check_dims(shape):
         raise ValueError(f"image dims {shape} must be positive and divisible by 2")
 
 
-def make_dropout_mask(shape, rate, seed) -> np.ndarray:
+def make_dropout_mask(shape, rate, seed, dtype=np.float32) -> np.ndarray:
     """Inverted dropout: zero with probability `rate`, scale keepers by 1/(1-rate).
+
+    The mask is computed in float32 and then cast to `dtype`, the model's.
 
     The keep bits are those of `default_rng(seed).random(shape, dtype=float32)
     >= rate`, read off the raw generator words without forming the floats:
@@ -130,19 +126,31 @@ def make_dropout_mask(shape, rate, seed) -> np.ndarray:
     it as the integer test u >= ceil(r * 2**24) << 8.
     """
     if rate == 0.0:
-        return np.ones(shape, dtype=np.float32)
+        return np.ones(shape, dtype=dtype)
     n = math.prod(shape)
     cut = math.ceil(float(np.float32(rate)) * 2**24)  # exact: a float32 times a power of 2
     if cut >= 2**24:  # a rate that rounds to 1.0 in float32 keeps nothing
-        return np.zeros(shape, dtype=np.float32)
+        return np.zeros(shape, dtype=dtype)
     words = np.random.PCG64(seed).random_raw((n + 1) // 2).astype("<u8", copy=False)
     keep = words.view("<u4")[:n] >= np.uint32(cut << 8)
-    return (keep / np.float32(1.0 - rate)).reshape(shape)
+    return (keep / np.float32(1.0 - rate)).reshape(shape).astype(dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
 # forward passes
 # ---------------------------------------------------------------------------
+
+def _trunk(tape: Tape, pnodes: dict[str, Node], image: np.ndarray):
+    """The deterministic layers; returns the channels-first (pre-dropout
+    decoder, feature) nodes, (C, H, W, D) and (F, h, w, d)."""
+    _check_dims(image.shape)
+    x = tape.input(image[None], grad=False)
+    h1 = tape.conv3d(x, pnodes["enc1_w"], pnodes["enc1_b"], relu=True)
+    h2 = tape.conv3d(h1, pnodes["enc2_w"], pnodes["enc2_b"], relu=True)
+    hd = tape.conv3d(h2, pnodes["down_w"], pnodes["down_b"], stride=2, relu=True)
+    feats = tape.conv3d(hd, pnodes["proj_w"], pnodes["proj_b"], pad=0)
+    return tape.conv3d(hd, pnodes["dec_w"], pnodes["dec_b"], up=2, relu=True), feats
+
 
 def forward_graph(tape: Tape, pnodes: dict[str, Node], image: np.ndarray, dropout_mask=None):
     """Differentiable forward; returns (prob_node, feature_node).
@@ -150,13 +158,8 @@ def forward_graph(tape: Tape, pnodes: dict[str, Node], image: np.ndarray, dropou
     The engine runs channels-first internally; the returned probability and
     feature nodes are channels-last, (H, W, D, C) and (h, w, d, F).
     """
-    _check_dims(image.shape)
-    x = tape.input(image[None], grad=False)
-    h1 = tape.conv3d(x, pnodes["enc1_w"], pnodes["enc1_b"], relu=True)
-    h2 = tape.conv3d(h1, pnodes["enc2_w"], pnodes["enc2_b"], relu=True)
-    hd = tape.conv3d(h2, pnodes["down_w"], pnodes["down_b"], stride=2, relu=True)
-    feats = tape.chw_to_hwc(tape.conv3d(hd, pnodes["proj_w"], pnodes["proj_b"], pad=0))
-    hdec = tape.conv3d(hd, pnodes["dec_w"], pnodes["dec_b"], up=2, relu=True)
+    hdec, feats = _trunk(tape, pnodes, image)
+    feats = tape.chw_to_hwc(feats)
     if dropout_mask is not None:
         hdec = tape.mul_const(hdec, dropout_mask)
     logits = tape.chw_to_hwc(tape.conv3d(hdec, pnodes["seg_w"], pnodes["seg_b"], pad=0))
@@ -168,17 +171,11 @@ def param_nodes(tape: Tape, params: ModelParams) -> dict[str, Node]:
 
 
 def forward_parts(params: ModelParams, image: np.ndarray):
-    """Tape-free trunk evaluation; returns (pre-dropout decoder activations,
-    channels-last feature grid)."""
-    _check_dims(image.shape)
-    t = params.tensors
-    x = np.asarray(image, dtype=params.dtype)[None]
-    h1 = conv3d_raw(x, t["enc1_w"], t["enc1_b"], relu=True)
-    h2 = conv3d_raw(h1, t["enc2_w"], t["enc2_b"], relu=True)
-    hd = conv3d_raw(h2, t["down_w"], t["down_b"], stride=2, relu=True)
-    feats = np.moveaxis(conv3d_raw(hd, t["proj_w"], t["proj_b"], pad=0), 0, 3)
-    hdec = conv3d_raw(hd, t["dec_w"], t["dec_b"], up=2, relu=True)
-    return hdec, feats
+    """The trunk's values, recorded on a tape that is then dropped; returns
+    (pre-dropout decoder activations, channels-last feature grid)."""
+    tape = Tape(params.dtype)
+    hdec, feats = _trunk(tape, param_nodes(tape, params), image)
+    return hdec.value, np.moveaxis(feats.value, 0, 3)
 
 
 def head_forward(params: ModelParams, hdec: np.ndarray, dropout_mask=None) -> np.ndarray:

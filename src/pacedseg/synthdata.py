@@ -15,8 +15,9 @@ against the hidden truth lands in the 0.60-0.70 band.
 A case is drawn in float64 and held as a float32 `Volume`. A dataset
 directory holds two named-array files (`grids.save_arrays`): `data.arr`,
 all that training reads, and `truth.arr`, read only to score. Images are
-stored as float32; float64 images, as earlier versions wrote them, still
-load and are narrowed on the way in. Label maps are stored as int64.
+stored as float32 and label maps as one byte per voxel, as they are held.
+Float64 images and int64 label maps, as earlier versions wrote them, still
+load and are narrowed on the way in.
 """
 
 from __future__ import annotations
@@ -277,23 +278,22 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
         "classes": np.int64(dataset.n_classes),
         "images": np.stack([case.image.data for case in cases]),
         "k": np.array([case.k for case in dataset.labeled], dtype=np.int64),
-        "slices": np.stack([case.slice_labels for case in dataset.labeled], dtype=np.int64),
+        "slices": np.stack([case.slice_labels for case in dataset.labeled]),
     }
     if regs:
-        arrays["reg"] = np.stack(regs, dtype=np.int64)
+        arrays["reg"] = np.stack(regs)
     save_arrays(Path(out_dir) / DATA_NAME, arrays)
     if truths:
-        save_arrays(Path(out_dir) / TRUTH_NAME, {"truth": np.stack(truths, dtype=np.int64)})
+        save_arrays(Path(out_dir) / TRUTH_NAME, {"truth": np.stack(truths)})
 
 
 def load_dataset(in_dir, include_truth: bool = False) -> Dataset:
     """Read a dataset directory; truth.arr is only opened when asked for.
 
-    Each file's int64 label maps are narrowed to one byte, and its images
-    copied into their float32 volumes, before the next file is read, so
-    loading holds one file's payloads at a time beside what the dataset keeps.
-    The truths, an int64 label per voxel of every case, are narrowed a chunk
-    at a time as they are read (`load_arrays(..., narrow=...)`).
+    Each file's arrays are copied into the dataset's label maps and volumes
+    before the next file is read, so loading holds one file's payloads at a
+    time beside what the dataset keeps (int64 label maps at eight bytes a
+    voxel).
     """
     root = Path(in_dir)
     arrays = load_arrays(root / DATA_NAME)
@@ -303,17 +303,17 @@ def load_dataset(in_dir, include_truth: bool = False) -> Dataset:
     if images.ndim != 4 or ks.ndim != 1 or len(ks) > len(images):
         raise FormatError(f"{root}: images {images.shape} or k {ks.shape} is misshapen")
     n_labeled, (n_cases, h, w, d) = len(ks), images.shape
-    shapes = {"classes": (), "images": images.shape, "k": ks.shape, "truth": images.shape,
-              "slices": (n_labeled, h, w), "reg": (n_labeled, h, w, d)}
+    labels = ("uint8", "int64")  # int64 class ids, as earlier versions wrote, still load
+    expected = {"classes": (("int64",), ()), "images": (("float32", "float64"), images.shape),
+                "k": (("int64",), ks.shape), "slices": (labels, (n_labeled, h, w)),
+                "reg": (labels, (n_labeled, h, w, d)), "truth": (labels, images.shape)}
 
     def check(store):
         for name, a in store.items():
-            dtypes = ("float32", "float64") if name == "images" else ("int64",)
-            # the only one-byte arrays are class ids `load_arrays` narrowed from int64
-            stored = "int64" if a.dtype == np.uint8 else a.dtype.name
-            if stored not in dtypes or a.shape != shapes[name]:
-                raise FormatError(f"{root}: {name} is {stored} {a.shape}, expected "
-                                  f"{' or '.join(dtypes)} {shapes[name]}")
+            dtypes, shape = expected[name]
+            if a.dtype.name not in dtypes or a.shape != shape:
+                raise FormatError(f"{root}: {name} is {a.dtype} {a.shape}, expected "
+                                  f"{' or '.join(dtypes)} {shape}")
 
     check(arrays)
     if not valid_dims((h, w, d)):
@@ -337,9 +337,7 @@ def load_dataset(in_dir, include_truth: bool = False) -> Dataset:
     del images  # the volumes copy the images: the file's array goes once they are made
     volumes = each(Volume, arrays, "images")
     truth_file = root / TRUTH_NAME
-    # a truth per voxel of every case: the largest payload, so it is narrowed as it is read
-    hidden = (load_arrays(truth_file, narrow=("truth",))
-              if include_truth and truth_file.exists() else {})
+    hidden = load_arrays(truth_file) if include_truth and truth_file.exists() else {}
     if set(hidden) - {"truth"}:
         raise FormatError(f"{root}: truth.arr holds {sorted(hidden)}")
     check(hidden)

@@ -328,11 +328,6 @@ class Trainer:
         period = self.config.effective_decay_period
         return self.config.lr0 * self.config.lr_decay ** (self.t // period)
 
-    def _dropout_mask(self, seed_seq) -> np.ndarray:
-        return make_dropout_mask(
-            self._drop_shape, self.config.dropout_rate, seed_seq
-        ).astype(self.dtype, copy=False)
-
     def _teacher_view(self, view: np.ndarray):
         """Teacher trunk + clean head on one weak view; (trunk, features, labels)."""
         hdec, feats = forward_parts(self.teacher, view)
@@ -364,7 +359,8 @@ class Trainer:
         reg_f = apply_flips(labeled.reg_label.data, flips)
         trust = slice_weight_map(cfg.dim_d, labeled.k, cfg.fuse_w0, cfg.fuse_half_life)
         fused = fuse_with_weight_map(reg_f, ys_l, trust[::-1] if flips[2] else trust)
-        probs_l, _ = forward_graph(tape, pnodes, xs_l, self._dropout_mask(subs[2]))
+        probs_l, _ = forward_graph(tape, pnodes, xs_l, make_dropout_mask(
+            self._drop_shape, cfg.dropout_rate, subs[2], self.dtype))
         ls_node = dice_ce_node(tape, probs_l, fused, cfg.n_classes)
 
         # ----- unlabeled case: gated consistency + feature contrast -----
@@ -384,7 +380,8 @@ class Trainer:
 
         box_u = sample_box(cfg.dims, np.random.default_rng(subs[5]))
         xs_u, ys_u = cutmix_with_box((u1, yu1), (u2, yu2), box_u)
-        probs_u, feats_u = forward_graph(tape, pnodes, xs_u, self._dropout_mask(subs[6]))
+        probs_u, feats_u = forward_graph(tape, pnodes, xs_u, make_dropout_mask(
+            self._drop_shape, cfg.dropout_rate, subs[6], self.dtype))
         gate = np.flatnonzero(mask.ravel())
         lu_node = dice_ce_node(tape, probs_u, ys_u, cfg.n_classes, gate_idx=gate)
 

@@ -58,8 +58,8 @@ def mc_uncertainty_from_trunk(
         raise ValueError("need at least one stochastic pass")
     acc = None
     for t in range(n_passes):
-        mask = make_dropout_mask(hdec.shape, params.dropout_rate, mc_pass_seed(seed, t))
-        mask = mask.astype(params.dtype, copy=False)
+        mask = make_dropout_mask(hdec.shape, params.dropout_rate, mc_pass_seed(seed, t),
+                                 params.dtype)
         probs = head_forward(params, hdec, mask).astype(np.float64)
         if acc is None:
             acc = probs

@@ -203,15 +203,17 @@ def _train_on(cfg, data, out):
     ("data.arr", "k", lambda k: k + 97, "k=[99] outside depth 4"),
     # images twice as tall: the stored slices no longer match them
     ("data.arr", "images", lambda a: np.concatenate([a, a], axis=1),
-     "slices is int64 (1, 4, 4), expected int64 (1, 8, 4)"),
-    ("data.arr", "slices", lambda a: a[:, :2], "slices is int64 (1, 2, 4), expected"),
-    ("data.arr", "reg", lambda a: a[..., :2], "reg is int64 (1, 4, 4, 2), expected"),
+     "slices is uint8 (1, 4, 4), expected uint8 or int64 (1, 8, 4)"),
+    ("data.arr", "slices", lambda a: a[:, :2], "slices is uint8 (1, 2, 4), expected"),
+    ("data.arr", "reg", lambda a: a[..., :2], "reg is uint8 (1, 4, 4, 2), expected"),
     ("data.arr", "reg", lambda a: a.astype(np.float64), "reg is float64"),
-    ("truth.arr", "truth", lambda a: a[:1], "truth is int64 (1, 4, 4, 4), expected"),
+    ("truth.arr", "truth", lambda a: a[:1], "truth is uint8 (1, 4, 4, 4), expected"),
     # the config keeps its default n_classes = 2
     ("data.arr", "classes", lambda c: np.int64(3), "dataset has 3 classes, config n_classes is 2"),
-    # 258 would wrap to 2 in one byte; the range is checked before it narrows
-    ("data.arr", "reg", lambda a: np.full_like(a, 258), "labels outside [0, n_classes)"),
+    # an int64 file, as earlier versions wrote: 258 would wrap to 2 in one byte,
+    # so the range is checked before it narrows
+    ("data.arr", "reg", lambda a: np.full(a.shape, 258, dtype=np.int64),
+     "labels outside [0, n_classes)"),
     ("data.arr", "classes", lambda c: np.int64(300), "classes=300 is outside [2, 256]"),
 ], ids=["k_past_depth", "images", "slices", "reg", "reg_dtype", "truth", "classes",
         "reg_label_258", "classes_300"])

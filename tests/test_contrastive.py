@@ -166,6 +166,32 @@ class TestContrastNode:
             err = abs(grad[ci] - numeric) / max(1.0, abs(numeric))
             assert err < 1e-4, f"zsn[{ci}]"
 
+    def test_anchors_take_no_gradient(self, monkeypatch):
+        """The weak-view anchors are teacher constants: backward leaves their
+        leaves without a gradient, and the strong-view gradient is the one
+        anchors that took a gradient would give, bit for bit."""
+        rng = np.random.default_rng(21)
+        batch, zsn = random_batch(rng, n_pos=3, k_neg=2)
+        units = [z / np.linalg.norm(z, axis=-1, keepdims=True) for z in (batch.z1, batch.z2)]
+
+        def backward():
+            tape = Tape(np.float64)
+            n_zsn = tape.input(zsn)
+            loss = contrast_loss_node(tape, n_zsn, batch)
+            tape.backward(loss)
+            anchors = [next(n for n in tape.nodes
+                            if n.value.shape == u.shape and (n.value == u).all()) for u in units]
+            return loss.value, n_zsn.grad, anchors
+
+        loss, grad, anchors = backward()
+        assert all(a.grad is None for a in anchors)
+        record = Tape.input
+        monkeypatch.setattr(Tape, "input", lambda tape, value, grad=True: record(tape, value))
+        wide_loss, wide_grad, wide_anchors = backward()
+        assert all(a.grad is not None for a in wide_anchors)
+        assert loss.tobytes() == wide_loss.tobytes()
+        assert grad.tobytes() == wide_grad.tobytes()
+
 
 # float64 agreement of the matmul form with the gather oracle, relative to
 # the scale of the loss and of its gradient in the strong-view features

@@ -161,6 +161,9 @@ class TestDropout:
             got = make_dropout_mask(shape, rate, seed)
             assert got.dtype == np.float32 and got.shape == shape
             assert got.tobytes() == want.tobytes()
+            # a float64 model's mask is the float32 one, cast
+            wide = make_dropout_mask(shape, rate, seed, np.float64)
+            assert wide.dtype == np.float64 and wide.tobytes() == want.astype(np.float64).tobytes()
 
     def test_rates_at_and_just_above_a_draw(self):
         """A draw equal to the rate is kept; one just below it is dropped. Between
@@ -173,8 +176,10 @@ class TestDropout:
                 assert make_dropout_mask(shape, rate, seed).tobytes() == want.tobytes()
 
     def test_rate_zero_identity(self):
-        mask = make_dropout_mask((10, 10), 0.0, 0)
-        np.testing.assert_array_equal(mask, 1.0)
+        for dtype in (np.float32, np.float64):
+            mask = make_dropout_mask((10, 10), 0.0, 0, dtype)
+            assert mask.dtype == dtype
+            np.testing.assert_array_equal(mask, 1.0)
 
 
 class TestEMA:

@@ -289,7 +289,7 @@ class TestDatasetIO:
             save_dataset(ds, tmp_path)
         assert list(tmp_path.iterdir()) == []
 
-    def test_labels_are_one_byte_in_memory_and_int64_on_disk(self, tmp_path):
+    def test_labels_are_one_byte_in_memory_and_on_disk(self, tmp_path):
         ds = attach_registration(generate_dataset(2, 1, (8, 8, 4), seed=5), seed=5)
         case = ds.labeled[0]
         assert {case.truth.data.dtype, case.reg_label.data.dtype,
@@ -298,9 +298,36 @@ class TestDatasetIO:
         files = load_arrays(tmp_path / "data.arr") | load_arrays(tmp_path / "truth.arr")
         assert {name: a.dtype for name, a in files.items()} == {
             "classes": np.int64, "images": np.float32, "k": np.int64,
-            "slices": np.int64, "reg": np.int64, "truth": np.int64}
+            "slices": np.uint8, "reg": np.uint8, "truth": np.uint8}
+        assert files["truth"].tobytes() == b"".join(
+            case.truth.data.tobytes() for case in ds.labeled + ds.unlabeled)
         back = load_dataset(tmp_path, include_truth=True)
         assert back.labeled[0].reg_label.data.dtype == np.uint8
+
+    def test_int64_label_files_load_as_the_same_dataset(self, tmp_path):
+        """Earlier versions stored class ids as int64; such a directory loads
+        to the dataset its one-byte twin does."""
+        ds = attach_registration(generate_dataset(2, 2, (8, 8, 4), seed=5), seed=5)
+        for name in ("bytes", "wide"):
+            (tmp_path / name).mkdir()
+            save_dataset(ds, tmp_path / name)
+        for fname, names in (("data.arr", ("slices", "reg")), ("truth.arr", ("truth",))):
+            arrays = load_arrays(tmp_path / "wide" / fname)
+            arrays |= {name: arrays[name].astype(np.int64) for name in names}
+            save_arrays(tmp_path / "wide" / fname, arrays)
+        a, b = (load_dataset(tmp_path / name, include_truth=True) for name in ("bytes", "wide"))
+        assert (a.dims, a.n_classes, len(a.labeled), len(a.unlabeled)) == \
+               (b.dims, b.n_classes, len(b.labeled), len(b.unlabeled))
+        for ca, cb in zip(a.labeled, b.labeled):
+            assert ca.k == cb.k
+            assert ca.slice_labels.dtype == cb.slice_labels.dtype == np.uint8
+            np.testing.assert_array_equal(ca.slice_labels, cb.slice_labels)
+            assert ca.reg_label.data.tobytes() == cb.reg_label.data.tobytes()
+        for ca, cb in zip(a.labeled + a.unlabeled, b.labeled + b.unlabeled):
+            assert ca.case_id == cb.case_id
+            assert ca.image.data.tobytes() == cb.image.data.tobytes()
+            assert cb.truth.data.dtype == np.uint8
+            assert ca.truth.data.tobytes() == cb.truth.data.tobytes()
 
     def test_loading_peaks_below_twice_what_the_dataset_holds(self, tmp_path):
         """Each payload is read once into its own array, and each file's int64
@@ -317,10 +344,13 @@ class TestDatasetIO:
         assert all(case.truth is not None for case in ds.labeled + ds.unlabeled)
         assert peak <= 2 * held
 
+    # the label edits widen to int64, as earlier versions stored class ids
     @pytest.mark.parametrize("fname,name,edit,message", [
-        ("data.arr", "reg", lambda a: np.where(a == 1, 258, a), "labels outside"),
-        ("truth.arr", "truth", lambda a: np.where(a == 1, 256, a), "labels outside"),
-        ("data.arr", "slices", lambda a: a - 1, "labels outside"),
+        ("data.arr", "reg", lambda a: np.where(a == 1, 258, a.astype(np.int64)),
+         "labels outside"),
+        ("truth.arr", "truth", lambda a: np.where(a == 1, 256, a.astype(np.int64)),
+         "labels outside"),
+        ("data.arr", "slices", lambda a: a.astype(np.int64) - 1, "labels outside"),
         ("data.arr", "classes", lambda c: np.int64(257), "classes=257 is outside [2, 256]"),
     ], ids=["reg_258", "truth_256", "slices_negative", "classes_257"])
     def test_labels_that_a_byte_cannot_hold_are_format_errors(self, tmp_path, fname, name,
