@@ -30,13 +30,14 @@ from the input node (recompute in backward, as in Chen et al., arXiv
 1604.06174). Work buffers are kept across calls, so their pages are not
 faulted in afresh on every call: the zero-bordered phase buffer and
 gradient frame one per geometry (the `up=2` backward writes its output
-parities straight into the latter), and the tiles of cols and of column
-gradients as views of one flat arena per role and dtype, sized for the
-largest tile yet. The buffers are per process and not thread-safe. A
-conv applies its relu, when asked, in place on its own result frame; it
-writes no input or leaf array. Reductions over the short trailing class
-axis fold one class slice at a time (`fold_last`, `argmax_last`),
-bitwise equal to numpy's own reduction.
+parities straight into the latter), and the tiles of cols as views of
+one flat arena per dtype, sized for the largest tile yet. A backward
+takes its tiles of column gradients from that arena too, once its weight
+gradient has read the last tile of cols. The buffers are per process
+and not thread-safe. A conv applies its relu, when asked, in place on
+its own result frame; it writes no input or leaf array. Reductions over
+the short trailing class axis fold one class slice at a time
+(`fold_last`, `argmax_last`), bitwise equal to numpy's own reduction.
 
 Raw kernels (`conv3d_raw`, `softmax_raw`, ...) are shared with the
 tape-free inference path so both routes compute identical floats.
@@ -78,16 +79,17 @@ def _kept_buffer(key, shape, dtype):
     return buf
 
 
-def _arena(role, shape, dtype):
-    """An uninitialized `shape` view of the flat arena kept for (role, dtype).
+def _arena(shape, dtype):
+    """An uninitialized `shape` view of the flat "cols" arena kept per dtype.
 
-    Every call of a role shares one arena, grown to the largest request
-    yet, so a role keeps one buffer however many geometries it serves. A
-    view starts at the arena's first element and is C-contiguous, so each
-    caller sees the same strides as on a buffer of its own; it is valid
-    until the role's next call.
+    Every conv tile shares it, grown to the largest request yet, so one
+    buffer serves every geometry and both uses: the cols of a forward or of
+    a weight gradient, then the column gradients of a backward. A view
+    starts at the arena's first element and is C-contiguous, so each caller
+    sees the same strides as on a buffer of its own; it is valid until the
+    next call.
     """
-    size, key = math.prod(shape), (role, np.dtype(dtype))
+    size, key = math.prod(shape), ("cols", np.dtype(dtype))
     buf = _kept.get(key)
     if buf is None or buf.size < size:
         buf = _kept[key] = np.empty(size, dtype)
@@ -167,7 +169,7 @@ def _run_cols(xf, offsets, n, s, e):
     (Cin*K, e - s) view of a kept buffer: row (c, tap) holds channel c read
     from the tap's offset on."""
     cin, k = xf.shape[0], len(offsets)
-    cols = _arena("cols", (cin, k, min(n, TILE)), xf.dtype)
+    cols = _arena((cin, k, min(n, TILE)), xf.dtype)
     for m, o in enumerate(offsets):
         cols[:, m, : e - s] = xf[:, o + s : o + e]
     return cols.reshape(cin * k, -1)[:, : e - s]
@@ -227,7 +229,8 @@ def _conv3d_backward(gframe, x, w, stride, pad, need_gx):
     if not need_gx:
         return None, gw.reshape(w.shape)
     gxf = np.zeros_like(xf)
-    gcols = _arena("gcols", (cin, k, min(n, TILE)), gframe.dtype)
+    # the gw loop is done with the cols arena, so its tiles take the column gradients
+    gcols = _arena((cin, k, min(n, TILE)), gframe.dtype)
     wmat_t = _weight_mat(w).T
     for s, e in _tiles(n):
         np.matmul(wmat_t, grun[:, s:e], out=gcols.reshape(cin * k, -1)[:, : e - s])
@@ -394,7 +397,7 @@ def softmax_raw(x):
 # ---------------------------------------------------------------------------
 
 class Node:
-    __slots__ = ("value", "grad", "_backward", "takes_grad")
+    __slots__ = ("value", "grad", "_backward", "takes_grad", "__weakref__")
 
     def __init__(self, value):
         self.value = value
@@ -434,6 +437,9 @@ class Tape:
 
     def backward(self, loss: Node):
         """Fill `.grad` of every leaf the loss depends on; one sweep per tape.
+
+        A leaf may be read by several tapes; one that already holds a
+        `.grad` from another tape's sweep gets this sweep's gradient added.
 
         Each node's closure, and with it what it derived from its inputs
         (a softmax's probabilities, a gather's indices), is dropped as the

@@ -11,8 +11,11 @@ One iteration consumes one labeled and one unlabeled case:
             CutMix strong view -> mask-gated Dice+CE against the CutMixed
             pseudo label, plus the bidirectional feature contrast loss
             (teacher anchors, student strong-view negatives);
-  update:   L = Ls + Lu + Lbf -> backprop -> SGD(momentum) on the student
-            -> EMA refresh of the teacher -> the schedule advances.
+  update:   L = Ls + Lu + Lbf, each branch's graph on its own tape and
+            swept as soon as its loss exists, both into one set of
+            parameter leaves (each leaf's gradient is g_l + g_u) -> finite
+            check -> SGD(momentum) on the student -> EMA refresh of the
+            teacher -> the schedule advances.
 
 Per-step randomness comes from a fixed number of seed streams derived
 from (seed, t) alone, so toggling the selection or contrastive components
@@ -335,6 +338,17 @@ class Trainer:
 
     def step(self, labeled: LabeledCase, unlabeled: UnlabeledCase,
              capture: StepTrace | None = None) -> LossReport:
+        """One iteration on one labeled and one unlabeled case.
+
+        Each branch records its student graph on a tape of its own and
+        sweeps it as soon as its loss exists, so the labeled graph is freed
+        before the unlabeled branch runs MC and records its own. Both tapes
+        read one set of parameter leaves, and each leaf takes one addend per
+        branch, so its gradient is g_l + g_u, the floats one sweep of
+        L = Ls + Lu + Lbf would give: float addition commutes. The
+        finite-loss check comes before any update of the student, the
+        velocity, the teacher or the schedule.
+        """
         cfg = self.config
         r_conf, v = admitted(self.schedule, cfg.enable_su)
         branch = "off" if not cfg.enable_su else "warm" if v is None else "confident"
@@ -344,52 +358,97 @@ class Trainer:
                 f"schedule={self.schedule}"
             )
         subs = np.random.SeedSequence((cfg.seed, 0xC0FFEE), spawn_key=(self.t,)).spawn(8)
-        tape = Tape(self.dtype)
-        pnodes = param_nodes(tape, self.student)
+        pnodes = param_nodes(Tape(self.dtype), self.student)  # leaves only; the tape is dropped
+        ls_w, ls = self._labeled_loss(labeled, subs, pnodes, capture)
+        (lu_w, lu), (lbf_w, lbf), mask = self._unlabeled_loss(unlabeled, subs, pnodes, r_conf,
+                                                              capture)
+        if not np.isfinite((ls_w + lu_w) + lbf_w):
+            raise TrainingAbort(
+                f"non-finite loss at iteration {self.t}: "
+                f"Ls={float(ls)} Lu={float(lu)} Lbf={float(lbf)} schedule={self.schedule}"
+            )
 
-        # ----- labeled case: supervised loss against the fused label -----
-        rng_l = np.random.default_rng(subs[0])
-        flips = sample_flips(rng_l)
-        w1 = weak_perturb(labeled.image.data, rng_l, sigma_scale=cfg.weak_sigma, flips=flips)
-        w2 = weak_perturb(labeled.image.data, rng_l, sigma_scale=cfg.weak_sigma, flips=flips)
+        grads = {
+            name: (node.grad if node.grad is not None else np.zeros_like(node.value))
+            for name, node in pnodes.items()
+        }
+        lr = self.current_lr()
+        sgd_step(self.student, grads, lr, cfg.momentum, self.opt)
+        ema_update(self.teacher, self.student, cfg.ema_decay)
+
+        report = LossReport(
+            t=self.t,
+            l_s=float(ls_w), l_u=float(lu_w), l_bf=float(lbf_w),
+            mask_count=int(np.count_nonzero(mask)), r_conf=r_conf, branch=branch, v=v,
+            lam=self.schedule.lam, lr=lr,
+        )
+        self.schedule.advance(float(lu))
+        return report
+
+    def _labeled_loss(self, case: LabeledCase, subs, pnodes, capture):
+        """Supervised loss against the fused label, swept into the leaves'
+        gradients; (weighted, unweighted) Ls. Its tape dies on return."""
+        cfg = self.config
+        tape = Tape(self.dtype)
+        rng = np.random.default_rng(subs[0])
+        flips = sample_flips(rng)
+        w1 = weak_perturb(case.image.data, rng, sigma_scale=cfg.weak_sigma, flips=flips)
+        w2 = weak_perturb(case.image.data, rng, sigma_scale=cfg.weak_sigma, flips=flips)
         y1 = self._teacher_view(w1)[2]
         y2 = self._teacher_view(w2)[2]
-        box_l = sample_box(cfg.dims, np.random.default_rng(subs[1]))
-        xs_l, ys_l = cutmix_with_box((w1, y1), (w2, y2), box_l)
-        reg_f = apply_flips(labeled.reg_label.data, flips)
-        trust = slice_weight_map(cfg.dim_d, labeled.k, cfg.fuse_w0, cfg.fuse_half_life)
-        fused = fuse_with_weight_map(reg_f, ys_l, trust[::-1] if flips[2] else trust)
-        probs_l, _ = forward_graph(tape, pnodes, xs_l, make_dropout_mask(
+        box = sample_box(cfg.dims, np.random.default_rng(subs[1]))
+        xs, ys = cutmix_with_box((w1, y1), (w2, y2), box)
+        reg_f = apply_flips(case.reg_label.data, flips)
+        trust = slice_weight_map(cfg.dim_d, case.k, cfg.fuse_w0, cfg.fuse_half_life)
+        fused = fuse_with_weight_map(reg_f, ys, trust[::-1] if flips[2] else trust)
+        probs, _ = forward_graph(tape, pnodes, xs, make_dropout_mask(
             self._drop_shape, cfg.dropout_rate, subs[2], self.dtype))
-        ls_node = dice_ce_node(tape, probs_l, fused, cfg.n_classes)
+        ls = dice_ce_node(tape, probs, fused, cfg.n_classes)
+        ls_w = tape.mul_const(ls, cfg.loss_w_s)
+        if capture is not None:
+            capture.labeled_strong = xs
+            capture.labeled_fused = fused
+            capture.labeled_probs = np.asarray(probs.value, dtype=np.float64)
+        tape.backward(ls_w)
+        return ls_w.value, ls.value
 
-        # ----- unlabeled case: gated consistency + feature contrast -----
-        u1 = weak_perturb(unlabeled.image.data, np.random.default_rng(subs[3]),
+    def _self_paced_mask(self, hdec: np.ndarray, sub, r_conf: float) -> np.ndarray:
+        """The voxels SU admits: the r_conf share on which the teacher's MC
+        head passes over its decoder activations hdec agree most (lowest
+        entropy); every voxel with SU off."""
+        cfg = self.config
+        if not cfg.enable_su:
+            return np.ones(cfg.dims, dtype=bool)
+        mc_seed = int(np.random.default_rng(sub).integers(0, 2**62))
+        entropy = mc_uncertainty_from_trunk(self.teacher, hdec, cfg.mc_passes, mc_seed)[1]
+        return select_mask(entropy, r_conf)
+
+    def _unlabeled_loss(self, case: UnlabeledCase, subs, pnodes, r_conf: float, capture):
+        """Gated consistency and feature contrast, swept into the leaves'
+        gradients; ((weighted, unweighted) Lu, the same of Lbf, the mask).
+        Its tape dies on return."""
+        cfg = self.config
+        tape = Tape(self.dtype)
+        u1 = weak_perturb(case.image.data, np.random.default_rng(subs[3]),
                           sigma_scale=cfg.weak_sigma)
-        u2 = weak_perturb(unlabeled.image.data, np.random.default_rng(subs[4]),
+        u2 = weak_perturb(case.image.data, np.random.default_rng(subs[4]),
                           sigma_scale=cfg.weak_sigma)
         hdec_u1, feats_u1, yu1 = self._teacher_view(u1)
-        _, feats_u2, yu2 = self._teacher_view(u2)
+        feats_u2, yu2 = self._teacher_view(u2)[1:]
+        mask = self._self_paced_mask(hdec_u1, subs[7], r_conf)
+        del hdec_u1  # MC read it last; the student graph is recorded without it
 
-        if cfg.enable_su:
-            mc_seed = int(np.random.default_rng(subs[7]).integers(0, 2**62))
-            _, entropy = mc_uncertainty_from_trunk(self.teacher, hdec_u1, cfg.mc_passes, mc_seed)
-            mask = select_mask(entropy, r_conf)
-        else:
-            mask = np.ones(cfg.dims, dtype=bool)
-
-        box_u = sample_box(cfg.dims, np.random.default_rng(subs[5]))
-        xs_u, ys_u = cutmix_with_box((u1, yu1), (u2, yu2), box_u)
-        probs_u, feats_u = forward_graph(tape, pnodes, xs_u, make_dropout_mask(
+        box = sample_box(cfg.dims, np.random.default_rng(subs[5]))
+        xs, ys = cutmix_with_box((u1, yu1), (u2, yu2), box)
+        probs, feats = forward_graph(tape, pnodes, xs, make_dropout_mask(
             self._drop_shape, cfg.dropout_rate, subs[6], self.dtype))
-        gate = np.flatnonzero(mask.ravel())
-        lu_node = dice_ce_node(tape, probs_u, ys_u, cfg.n_classes, gate_idx=gate)
+        lu = dice_ce_node(tape, probs, ys, cfg.n_classes, gate_idx=np.flatnonzero(mask.ravel()))
 
         if cfg.enable_sc:
             factor = (2, 2, 2)
-            probs_sn = np.asarray(probs_u.value, dtype=np.float64)
+            probs_sn = np.asarray(probs.value, dtype=np.float64)
             batch = mine_pairs(
-                feats_u1, feats_u2, feats_u.value,
+                feats_u1, feats_u2, feats.value,
                 downsample_labels_majority(yu1, cfg.n_classes, factor),
                 downsample_labels_majority(yu2, cfg.n_classes, factor),
                 downsample_labels_majority(argmax_last(probs_sn), cfg.n_classes, factor),
@@ -397,49 +456,19 @@ class Trainer:
                 downsample_mean(fold_last(np.maximum, probs_sn), factor),
                 cfg.k_neg, cfg.tau_contrast,
             )
-            lbf_node = contrast_loss_node(tape, feats_u, batch)
+            lbf = contrast_loss_node(tape, feats, batch)
         else:
-            lbf_node = tape.input(0.0)
+            lbf = tape.input(0.0)
 
-        ls_w = tape.mul_const(ls_node, cfg.loss_w_s)
-        lu_w = tape.mul_const(lu_node, cfg.loss_w_u)
-        lbf_w = tape.mul_const(lbf_node, cfg.loss_w_bf)
-        total = tape.add(tape.add(ls_w, lu_w), lbf_w)
-
-        if not np.isfinite(total.value):
-            raise TrainingAbort(
-                f"non-finite loss at iteration {self.t}: "
-                f"Ls={float(ls_node.value)} Lu={float(lu_node.value)} "
-                f"Lbf={float(lbf_node.value)} schedule={self.schedule}"
-            )
-
+        lu_w = tape.mul_const(lu, cfg.loss_w_u)
+        lbf_w = tape.mul_const(lbf, cfg.loss_w_bf)
         if capture is not None:
-            capture.labeled_strong = xs_l
-            capture.labeled_fused = fused
-            capture.labeled_probs = np.asarray(probs_l.value, dtype=np.float64)
-            capture.unlabeled_strong = xs_u
-            capture.unlabeled_pseudo = ys_u
-            capture.unlabeled_probs = np.asarray(probs_u.value, dtype=np.float64)
+            capture.unlabeled_strong = xs
+            capture.unlabeled_pseudo = ys
+            capture.unlabeled_probs = np.asarray(probs.value, dtype=np.float64)
             capture.mask = mask
-
-        tape.backward(total)
-        grads = {
-            name: (node.grad if node.grad is not None else np.zeros_like(node.value))
-            for name, node in pnodes.items()
-        }
-
-        lr = self.current_lr()
-        sgd_step(self.student, grads, lr, cfg.momentum, self.opt)
-        ema_update(self.teacher, self.student, cfg.ema_decay)
-
-        report = LossReport(
-            t=self.t,
-            l_s=float(ls_w.value), l_u=float(lu_w.value), l_bf=float(lbf_w.value),
-            mask_count=int(np.count_nonzero(mask)), r_conf=r_conf, branch=branch, v=v,
-            lam=self.schedule.lam, lr=lr,
-        )
-        self.schedule.advance(float(lu_node.value))
-        return report
+        tape.backward(tape.add(lu_w, lbf_w))
+        return (lu_w.value, lu.value), (lbf_w.value, lbf.value), mask
 
     def batch_for(self, t: int) -> tuple[LabeledCase, UnlabeledCase]:
         return (

@@ -134,6 +134,26 @@ def test_main_writes_the_summary(runs, tmp_path, monkeypatch):
     assert written["host"].startswith("2-core ")
 
 
+@pytest.mark.parametrize("claim", ["peak_rss_mb:early", "early:peak_rss_mb:early", "early",
+                                   "early:", "scale:run_s", "early:step_ms_p50"])
+def test_run_refuses_an_undeclared_claim_before_any_run(claim, tmp_path, monkeypatch, capsys):
+    declared = tmp_path / "BENCHMARK.json"
+    declared.write_text(json.dumps(DECLARED))
+    monkeypatch.setattr(bench_pairs, "BENCHMARK", declared)
+
+    def no_runs(*args):
+        raise AssertionError("a benchmark process ran before the claim was checked")
+
+    monkeypatch.setattr(bench_pairs, "run_pairs", no_runs)
+    out = tmp_path / "BENCH_1.json"
+    argv = ["run", "--parent", str(tmp_path), "--change", str(tmp_path), "--first-seed", "1",
+            "--runs", str(tmp_path / "runs"), "--out", str(out), "--claim", claim]
+    assert bench_pairs.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"--claim {claim!r} is not WORKLOAD:METRIC" in err and "early, late" in err
+    assert not out.exists()
+
+
 def test_run_keeps_no_record_an_earlier_run_left(tmp_path):
     """bench/run.py exits 1 both on a failed check and on an uncaught
     exception; a run that wrote no record must not pass off the stale one."""

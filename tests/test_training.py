@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -188,6 +190,38 @@ class TestTrainerMechanics:
         with pytest.raises(TrainingAbort, match="schedule"):
             trainer.step(*trainer.batch_for(0))
 
+    @pytest.mark.parametrize("branch", ["labeled", "unlabeled"])
+    def test_nonfinite_loss_aborts_before_any_update(self, branch, monkeypatch):
+        """A NaN loss in either branch aborts the step, naming every loss and
+        the schedule, and leaves student, teacher, velocity and schedule as
+        they were, though that branch's graph was already swept."""
+        cfg = tiny_config()
+        trainer = Trainer(cfg, tiny_dataset(cfg))
+        trainer.step(*trainer.batch_for(0))  # a nonzero velocity and a finite last L_u
+        real = training.dice_ce_node
+
+        def poisoned(tape, probs, labels, n_classes, gate_idx=None):
+            node = real(tape, probs, labels, n_classes, gate_idx=gate_idx)
+            hit = (gate_idx is None) == (branch == "labeled")  # the labeled loss is ungated
+            return tape.mul_const(node, np.nan) if hit else node
+
+        monkeypatch.setattr(training, "dice_ce_node", poisoned)
+
+        def state():
+            return ({k: v.tobytes() for k, v in trainer.student.tensors.items()},
+                    {k: v.tobytes() for k, v in trainer.teacher.tensors.items()},
+                    {k: v.tobytes() for k, v in trainer.opt.velocity.items()},
+                    (trainer.schedule.t, trainer.schedule.lam, trainer.schedule.last_lu))
+
+        before = state()
+        with pytest.raises(TrainingAbort, match="non-finite loss at iteration 1") as err:
+            trainer.step(*trainer.batch_for(1))
+        msg = str(err.value)
+        assert ("Ls=nan" in msg) == (branch == "labeled")
+        assert ("Lu=nan" in msg) == (branch == "unlabeled")
+        assert "Lbf=" in msg and "schedule=Schedule(" in msg
+        assert state() == before
+
     def test_teacher_matches_ema_closed_form_over_five_steps(self):
         """theta_t = d^t theta_0 + (1-d) sum_i d^(t-1-i) student_{i+1}."""
         cfg = tiny_config(dtype="float64")
@@ -244,11 +278,16 @@ def flat_dice_ce(probs, labels, idx=None):
 
 
 class TestStepMemory:
-    def test_default_float32_step_allocates_under_30_mib(self):
-        """A conv keeps no im2col matrix for backward, so the traced peak of
-        one default-size step stays low (48.5 MiB when each student conv
-        kept its full cols on the tape)."""
-        cfg = TrainConfig(n_labeled=2, n_unlabeled=2, seed=1).validate()
+    # The traced peak of one warm default-size step, about 15% above the
+    # 5.54 MiB (float32) and 9.90 MiB (float64) it measures with each branch
+    # swept on its own tape; one tape swept once at the end peaked at 11.04
+    # and 19.13 MiB, and 48.5 MiB in float32 when each student conv kept its
+    # full cols on the tape.
+    PEAK_MIB = {"float32": 6.5, "float64": 11.5}
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_default_step_traced_peak_is_bounded(self, dtype):
+        cfg = TrainConfig(n_labeled=2, n_unlabeled=2, seed=1, dtype=dtype).validate()
         trainer = Trainer(cfg, tiny_dataset(cfg))
         for t in range(3):
             trainer.step(*trainer.batch_for(t))
@@ -258,19 +297,46 @@ class TestStepMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 30 * 2**20, f"peak {peak / 2**20:.1f} MiB"
-
+        assert peak < self.PEAK_MIB[dtype] * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_step_keeps_one_cols_and_one_gcols_arena(self, dtype, monkeypatch):
+    def test_step_keeps_one_cols_arena(self, dtype, monkeypatch):
         """Every conv of a step, whatever its geometry, takes its tiles of
-        cols and of column gradients from one arena per role."""
+        cols and of column gradients from one arena."""
         monkeypatch.setattr(autodiff, "_kept", {})
         cfg = tiny_config(dtype=dtype)
         trainer = Trainer(cfg, tiny_dataset(cfg))
         trainer.step(*trainer.batch_for(0))
-        arenas = sorted(key for key in autodiff._kept if isinstance(key[0], str))
-        assert arenas == [("cols", np.dtype(dtype)), ("gcols", np.dtype(dtype))]
+        arenas = [key for key in autodiff._kept if isinstance(key[0], str)]
+        assert arenas == [("cols", np.dtype(dtype))]
+
+    def test_labeled_tape_is_freed_before_the_unlabeled_graph(self, monkeypatch):
+        """The labeled branch sweeps its own tape, so no node of it is alive
+        when the unlabeled student graph is recorded, by reference counting
+        alone."""
+        cfg = tiny_config()
+        trainer = Trainer(cfg, tiny_dataset(cfg))
+        labeled, alive = [], []
+        real_backward, real_graph = autodiff.Tape.backward, training.forward_graph
+
+        def backward(tape, loss):
+            if not labeled:  # the first sweep of a step is the labeled branch's
+                labeled.extend([weakref.ref(tape), *map(weakref.ref, tape.nodes)])
+            return real_backward(tape, loss)
+
+        def forward_graph(tape, *args):
+            if labeled:
+                alive.append(sum(ref() is not None for ref in labeled))
+            return real_graph(tape, *args)
+
+        monkeypatch.setattr(autodiff.Tape, "backward", backward)
+        monkeypatch.setattr(training, "forward_graph", forward_graph)
+        gc.disable()
+        try:
+            trainer.step(*trainer.batch_for(0))
+        finally:
+            gc.enable()
+        assert len(labeled) > 20 and alive == [0]
 
 
 class TestBaselineDegeneration:

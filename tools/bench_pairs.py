@@ -152,6 +152,18 @@ def _median(values: list[float]) -> float:
     return round(statistics.median(values), 4)
 
 
+def parse_claim(claim: str, declared: dict) -> tuple[str, str]:
+    """(workload, metric) of a WORKLOAD:METRIC claim; both names must be
+    declared in BENCHMARK.json, or ValueError."""
+    workload, _, metric = claim.partition(":")
+    workloads = [w["name"] for w in declared["workloads"]]
+    metrics = [m["name"] for m in declared["end_to_end"]]
+    if workload not in workloads or metric not in metrics:
+        raise ValueError(f"--claim {claim!r} is not WORKLOAD:METRIC with WORKLOAD one of "
+                         f"{', '.join(workloads)} and METRIC one of {', '.join(metrics)}")
+    return workload, metric
+
+
 def collect(runs: Path, declared: dict, what: str, claim: str | None) -> dict:
     """The BENCH_<pr>.json object of the kept runs under `runs`."""
     meta = json.loads((runs / "pairs.json").read_text())
@@ -178,7 +190,7 @@ def collect(runs: Path, declared: dict, what: str, claim: str | None) -> dict:
         "workloads": workloads,
     }
     if claim:
-        workload, _, metric = claim.partition(":")
+        workload, metric = parse_claim(claim, declared)
         block = workloads[workload]["metrics"][metric]
         out["claim"] = {"metric": metric, "workload": workload,
                         **{k: block[k] for k in ("parent", "change", "change_wins")},
@@ -206,6 +218,12 @@ def _parse(argv):
 def main(argv=None) -> int:
     args = _parse(argv)
     declared = json.loads(BENCHMARK.read_text())
+    if args.claim:  # checked before the first of the runs, not after the last
+        try:
+            parse_claim(args.claim, declared)
+        except ValueError as e:
+            print(f"bench_pairs: {e}", file=sys.stderr)
+            return 2
     if args.command == "run":
         run_pairs({"parent": args.parent.resolve(), "change": args.change.resolve()},
                   args.runs, declared, args.first_seed)
