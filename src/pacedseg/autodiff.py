@@ -14,7 +14,8 @@ input-gradient half of its backward. The op set is exactly
 what the segmentation model and its losses require: 3D convolution
 (im2col + BLAS matmul), also of a nearest-up x2 input computed on the
 low-res grid (`up=2`) and with its relu fused in, softmax, elementwise
-arithmetic, reductions, gathers, transpose and matmul.
+arithmetic, reductions, gathers, transpose, and each direction of the
+contrast loss as one node (`pool_logsumexp`).
 
 The hot numpy ops run on long contiguous rows. Every conv splits its
 zero-padded input into its stride phases (space-to-depth, the
@@ -479,18 +480,6 @@ class Tape:
         out._backward = back
         return out
 
-    def mul(self, a: Node, b: Node):
-        if a.value.shape != b.value.shape:
-            raise ValueError("mul: shape mismatch")
-        out = self._record(a.value * b.value)
-
-        def back(g):
-            _accum(a, g * b.value)
-            _accum(b, g * a.value)
-
-        out._backward = back
-        return out
-
     def div(self, a: Node, b: Node):
         out = self._record(a.value / b.value)
 
@@ -535,33 +524,42 @@ class Tape:
         out._backward = lambda g: _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.value.shape))
         return out
 
-    def logsumexp(self, x: Node):
-        """Log-sum-exp over the last axis; tolerates -inf padding entries."""
-        m = x.value.max(axis=-1, keepdims=True)
-        e = np.exp(x.value - m)
+    def pool_logsumexp(self, s12, anchors, negs_t: Node, scale, pool_mask, pool_of):
+        """Row log-sum-exp of [s12 | scale * anchors @ negs_t + pool_mask[pool_of]].
+
+        One direction of a matrix-form InfoNCE: s12 (P,) and the (P, F)
+        anchors are constants; an anchor in pool j adds row j of pool_mask
+        (0 on the pool's columns of the (F, U) negs_t, -inf elsewhere). The
+        logits are built in place in one (P, U+1) frame, the only array of
+        that size the node keeps: it then holds the exponentials, and the
+        backward turns it into the logit gradient in place.
+        """
+        c = np.asarray(scale, dtype=self.dtype)
+        e = np.empty((anchors.shape[0], negs_t.value.shape[1] + 1), dtype=self.dtype)
+        e[:, 0] = s12
+        sims = e[:, 1:]
+        np.matmul(anchors, negs_t.value, out=sims)
+        sims *= c
+        for j, row in enumerate(pool_mask):
+            np.add(sims, row, out=sims, where=(pool_of == j)[:, None])
+        m = e.max(axis=-1, keepdims=True)
+        e -= m
+        np.exp(e, out=e)
         s = e.sum(axis=-1, keepdims=True)
         out = self._record((m + np.log(s))[..., 0])
 
         def back(g):
-            _accum(x, (e / s) * g[..., None])
+            np.divide(e, s, out=e)
+            np.multiply(e, g[:, None], out=e)
+            _accum(negs_t, anchors.T @ (e[:, 1:] * c))
 
         out._backward = back
         return out
 
     # -- linear algebra & structure ------------------------------------------
 
-    def matmul(self, a: Node, b: Node):
-        out = self._record(a.value @ b.value)
-
-        def back(g):
-            _accum(a, g @ b.value.T)
-            _accum(b, a.value.T @ g)
-
-        out._backward = back
-        return out
-
     def transpose(self, x: Node):
-        """Reverse the axes of a node, as ``.T`` (a view; matmul takes it as is)."""
+        """Reverse the axes of a node, as ``.T`` (a view; a matmul takes it as is)."""
         out = self._record(x.value.T)
         out._backward = lambda g: _accum(x, g.T)
         return out
@@ -612,21 +610,6 @@ class Tape:
     def reshape(self, x: Node, shape):
         out = self._record(x.value.reshape(shape))
         out._backward = lambda g: _accum(x, g.reshape(x.value.shape))
-        return out
-
-    def concat(self, parts: list[Node], axis: int):
-        out = self._record(np.concatenate([p.value for p in parts], axis=axis))
-        sizes = [p.value.shape[axis] for p in parts]
-
-        def back(g):
-            start = 0
-            for p, size in zip(parts, sizes):
-                sel = [slice(None)] * g.ndim
-                sel[axis] = slice(start, start + size)
-                _accum(p, g[tuple(sel)])
-                start += size
-
-        out._backward = back
         return out
 
     def take_rows(self, x: Node, idx):

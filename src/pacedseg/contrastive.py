@@ -12,7 +12,8 @@ class share one negative pool, so a batch names few distinct negative
 rows: they are normalized once and every anchor is scored against all
 of them with one (P, F) @ (F, U) matmul per direction. An anchor's
 log-sum-exp adds 0 to each row its pool lists and -inf to every other
-row, so its value is the sum over that anchor's pool.
+row, so its value is the sum over that anchor's pool. Each direction is
+one `Tape.pool_logsumexp` node, which keeps one (P, U+1) frame.
 """
 
 from __future__ import annotations
@@ -114,15 +115,16 @@ def _unit(v: np.ndarray, name: str) -> np.ndarray:
 def contrast_loss_node(tape: Tape, zsn_node: Node, batch: ContrastBatch) -> Node:
     """Differentiable bidirectional loss.
 
-    ``zsn_node`` is the (h, w, d, F) or (M, F) strong-view feature node;
-    the anchors are constants taken from the batch, leaves that take no
-    gradient, since the weak views come from the EMA teacher.
+    ``zsn_node`` is the (h, w, d, F) or (M, F) strong-view feature node.
+    The anchors and their positive logits are teacher constants, plain
+    arrays that no tape node holds, since the weak views come from the EMA
+    teacher; each direction is one `Tape.pool_logsumexp` node.
     """
     p_count = batch.n_positives
     if p_count == 0:
         return tape.input(0.0)
     f = batch.z1.shape[1]
-    tau = batch.tau
+    scale = 1.0 / batch.tau
 
     # the distinct negative rows; each anchor adds 0 to its pool's rows, -inf elsewhere
     # (asking for the inverse also spares np.unique its lazy numpy.ma import, ~1 MB)
@@ -130,21 +132,17 @@ def contrast_loss_node(tape: Tape, zsn_node: Node, batch: ContrastBatch) -> Node
     sizes = [pool.size for pool in batch.pools]
     pool_mask = np.full((len(sizes), uniq.size), -np.inf, dtype=tape.dtype)
     pool_mask[np.repeat(np.arange(len(sizes)), sizes), col] = 0.0
-    log_mult = pool_mask[batch.pool_of]  # (P, U)
 
     flat = tape.reshape(zsn_node, (-1, f))
     negs_t = tape.transpose(tape.row_normalize(tape.take_rows(flat, uniq)))   # (F, U)
 
-    z1n = tape.input(_unit(batch.z1, "z1"), grad=False)
-    z2n = tape.input(_unit(batch.z2, "z2"), grad=False)
-    s12 = tape.mul_const(tape.sum_axis(tape.mul(z1n, z2n), -1), 1.0 / tau)  # (P,)
-    s12_col = tape.reshape(s12, (p_count, 1))
-    minus_s12 = tape.mul_const(s12, -1.0)
+    z1n = np.asarray(_unit(batch.z1, "z1"), dtype=tape.dtype)
+    z2n = np.asarray(_unit(batch.z2, "z2"), dtype=tape.dtype)
+    s12 = (z1n * z2n).sum(axis=-1) * np.asarray(scale, dtype=tape.dtype)  # (P,)
 
-    def direction(anchor_n: Node) -> Node:
-        sims = tape.add_const(tape.mul_const(tape.matmul(anchor_n, negs_t), 1.0 / tau), log_mult)
-        logits = tape.concat([s12_col, sims], axis=1)
-        return tape.sum(tape.add(tape.logsumexp(logits), minus_s12))
+    def direction(anchors: np.ndarray) -> Node:
+        lse = tape.pool_logsumexp(s12, anchors, negs_t, scale, pool_mask, batch.pool_of)
+        return tape.sum(tape.add_const(lse, -s12))
 
     total = tape.add(direction(z1n), direction(z2n))
     return _scalar(tape, tape.mul_const(total, 1.0 / p_count))

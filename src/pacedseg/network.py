@@ -3,7 +3,7 @@
 Layout (channels-last, half-resolution bottleneck):
 
     image -> conv3+relu -> conv3+relu -> conv3/stride2+relu
-                                              |-> 1x1x1 projection head (F-dim embeddings)
+                                              |-> 1x1x1 projection head (F-dim, where read)
              nearest-up x2 <- bottleneck
           -> conv3+relu -> dropout -> 1x1x1 head -> softmax
 
@@ -142,28 +142,33 @@ def make_dropout_mask(shape, rate, seed, dtype=np.float32) -> np.ndarray:
 
 def _trunk(tape: Tape, pnodes: dict[str, Node], image: np.ndarray):
     """The deterministic layers; returns the channels-first (pre-dropout
-    decoder, feature) nodes, (C, H, W, D) and (F, h, w, d)."""
+    decoder, down-sampled) nodes, (C, H, W, D) and (C3, h, w, d)."""
     _check_dims(image.shape)
     x = tape.input(image[None], grad=False)
     h1 = tape.conv3d(x, pnodes["enc1_w"], pnodes["enc1_b"], relu=True)
     h2 = tape.conv3d(h1, pnodes["enc2_w"], pnodes["enc2_b"], relu=True)
     hd = tape.conv3d(h2, pnodes["down_w"], pnodes["down_b"], stride=2, relu=True)
-    feats = tape.conv3d(hd, pnodes["proj_w"], pnodes["proj_b"], pad=0)
-    return tape.conv3d(hd, pnodes["dec_w"], pnodes["dec_b"], up=2, relu=True), feats
+    return tape.conv3d(hd, pnodes["dec_w"], pnodes["dec_b"], up=2, relu=True), hd
 
 
 def forward_graph(tape: Tape, pnodes: dict[str, Node], image: np.ndarray, dropout_mask=None):
-    """Differentiable forward; returns (prob_node, feature_node).
+    """Differentiable forward; returns (prob_node, down-sampled node).
 
-    The engine runs channels-first internally; the returned probability and
-    feature nodes are channels-last, (H, W, D, C) and (h, w, d, F).
+    The engine runs channels-first internally; the probability node is
+    channels-last, (H, W, D, C). A caller that reads the features records
+    the projection head on the (C3, h, w, d) down-sampled node with
+    `feature_node`, so a graph whose features nobody reads records none.
     """
-    hdec, feats = _trunk(tape, pnodes, image)
-    feats = tape.chw_to_hwc(feats)
+    hdec, hd = _trunk(tape, pnodes, image)
     if dropout_mask is not None:
         hdec = tape.mul_const(hdec, dropout_mask)
     logits = tape.chw_to_hwc(tape.conv3d(hdec, pnodes["seg_w"], pnodes["seg_b"], pad=0))
-    return tape.softmax(logits), feats
+    return tape.softmax(logits), hd
+
+
+def feature_node(tape: Tape, pnodes: dict[str, Node], hd: Node) -> Node:
+    """The projection head on a down-sampled node; a contiguous (h, w, d, F) node."""
+    return tape.chw_to_hwc(tape.conv3d(hd, pnodes["proj_w"], pnodes["proj_b"], pad=0))
 
 
 def param_nodes(tape: Tape, params: ModelParams) -> dict[str, Node]:
@@ -172,10 +177,16 @@ def param_nodes(tape: Tape, params: ModelParams) -> dict[str, Node]:
 
 def forward_parts(params: ModelParams, image: np.ndarray):
     """The trunk's values, recorded on a tape that is then dropped; returns
-    (pre-dropout decoder activations, channels-last feature grid)."""
+    (pre-dropout decoder activations, down-sampled activations)."""
     tape = Tape(params.dtype)
-    hdec, feats = _trunk(tape, param_nodes(tape, params), image)
-    return hdec.value, np.moveaxis(feats.value, 0, 3)
+    hdec, hd = _trunk(tape, param_nodes(tape, params), image)
+    return hdec.value, hd.value
+
+
+def feature_grid(params: ModelParams, hd: np.ndarray) -> np.ndarray:
+    """The projection head on down-sampled activations, as an (h, w, d, F) view."""
+    t = params.tensors
+    return np.moveaxis(conv3d_raw(hd, t["proj_w"], t["proj_b"], pad=0), 0, 3)
 
 
 def head_forward(params: ModelParams, hdec: np.ndarray, dropout_mask=None) -> np.ndarray:

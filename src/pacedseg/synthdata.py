@@ -292,8 +292,8 @@ def load_dataset(in_dir, include_truth: bool = False) -> Dataset:
 
     Each file's arrays are copied into the dataset's label maps and volumes
     before the next file is read, so loading holds one file's payloads at a
-    time beside what the dataset keeps (int64 label maps at eight bytes a
-    voxel).
+    time beside what the dataset keeps (label maps at one byte a voxel,
+    float32 volumes at four).
     """
     root = Path(in_dir)
     arrays = load_arrays(root / DATA_NAME)

@@ -49,6 +49,8 @@ from .network import (
     ModelParams,
     SGDState,
     ema_update,
+    feature_grid,
+    feature_node,
     forward_graph,
     forward_parts,
     head_forward,
@@ -332,9 +334,9 @@ class Trainer:
         return self.config.lr0 * self.config.lr_decay ** (self.t // period)
 
     def _teacher_view(self, view: np.ndarray):
-        """Teacher trunk + clean head on one weak view; (trunk, features, labels)."""
-        hdec, feats = forward_parts(self.teacher, view)
-        return hdec, feats, argmax_last(head_forward(self.teacher, hdec))
+        """Teacher trunk + clean head on one weak view; (decoder, down-sampled, labels)."""
+        hdec, hd = forward_parts(self.teacher, view)
+        return hdec, hd, argmax_last(head_forward(self.teacher, hdec))
 
     def step(self, labeled: LabeledCase, unlabeled: UnlabeledCase,
              capture: StepTrace | None = None) -> LossReport:
@@ -433,22 +435,23 @@ class Trainer:
                           sigma_scale=cfg.weak_sigma)
         u2 = weak_perturb(case.image.data, np.random.default_rng(subs[4]),
                           sigma_scale=cfg.weak_sigma)
-        hdec_u1, feats_u1, yu1 = self._teacher_view(u1)
-        feats_u2, yu2 = self._teacher_view(u2)[1:]
+        hdec_u1, hd_u1, yu1 = self._teacher_view(u1)
+        hd_u2, yu2 = self._teacher_view(u2)[1:]
         mask = self._self_paced_mask(hdec_u1, subs[7], r_conf)
         del hdec_u1  # MC read it last; the student graph is recorded without it
 
         box = sample_box(cfg.dims, np.random.default_rng(subs[5]))
         xs, ys = cutmix_with_box((u1, yu1), (u2, yu2), box)
-        probs, feats = forward_graph(tape, pnodes, xs, make_dropout_mask(
+        probs, hd = forward_graph(tape, pnodes, xs, make_dropout_mask(
             self._drop_shape, cfg.dropout_rate, subs[6], self.dtype))
         lu = dice_ce_node(tape, probs, ys, cfg.n_classes, gate_idx=np.flatnonzero(mask.ravel()))
 
-        if cfg.enable_sc:
+        if cfg.enable_sc:  # only the contrast reads features
             factor = (2, 2, 2)
             probs_sn = np.asarray(probs.value, dtype=np.float64)
+            feats = feature_node(tape, pnodes, hd)
             batch = mine_pairs(
-                feats_u1, feats_u2, feats.value,
+                feature_grid(self.teacher, hd_u1), feature_grid(self.teacher, hd_u2), feats.value,
                 downsample_labels_majority(yu1, cfg.n_classes, factor),
                 downsample_labels_majority(yu2, cfg.n_classes, factor),
                 downsample_labels_majority(argmax_last(probs_sn), cfg.n_classes, factor),

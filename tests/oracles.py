@@ -10,8 +10,14 @@ way, so a test can compare the optimized form in `src/` against it.
 - `negatives_for` and `bidirectional_loss`: the per-anchor float loop
   over each anchor's pool rows; check
   `pacedseg.contrastive.contrast_loss_node`.
-- `gather_contrast_loss_node`: the gather form of the same loss on a
-  tape; checks the values and gradients of `contrast_loss_node`.
+- `OracleTape`: a `Tape` with the general ops the package no longer
+  records (`mul`, `concat`, `logsumexp`, `matmul`), each with its own
+  backward; the contrast references below are built from them.
+- `gather_contrast_loss_node`: the gather form of the same loss on an
+  `OracleTape`; checks the values and gradients of `contrast_loss_node`.
+- `matmul_contrast_loss_node`: the matrix form of the loss as a chain of
+  general ops on an `OracleTape`; the bitwise reference of
+  `pacedseg.autodiff.Tape.pool_logsumexp` and `contrast_loss_node`.
 - `validate_batch`: the mining contracts of
   `pacedseg.contrastive.mine_pairs`.
 - `upsample2`: nearest-neighbour x2 of a (C, h, w, d) tensor; with a
@@ -34,7 +40,62 @@ import math
 
 import numpy as np
 
+from pacedseg.autodiff import Node, Tape, _accum
 from pacedseg.losses import DICE_EPS
+
+
+class OracleTape(Tape):
+    """A `Tape` with general ops for the reference graphs of the tests."""
+
+    def mul(self, a: Node, b: Node):
+        if a.value.shape != b.value.shape:
+            raise ValueError("mul: shape mismatch")
+        out = self._record(a.value * b.value)
+
+        def back(g):
+            _accum(a, g * b.value)
+            _accum(b, g * a.value)
+
+        out._backward = back
+        return out
+
+    def logsumexp(self, x: Node):
+        """Log-sum-exp over the last axis; tolerates -inf padding entries."""
+        m = x.value.max(axis=-1, keepdims=True)
+        e = np.exp(x.value - m)
+        s = e.sum(axis=-1, keepdims=True)
+        out = self._record((m + np.log(s))[..., 0])
+
+        def back(g):
+            _accum(x, (e / s) * g[..., None])
+
+        out._backward = back
+        return out
+
+    def matmul(self, a: Node, b: Node):
+        out = self._record(a.value @ b.value)
+
+        def back(g):
+            _accum(a, g @ b.value.T)
+            _accum(b, a.value.T @ g)
+
+        out._backward = back
+        return out
+
+    def concat(self, parts: list[Node], axis: int):
+        out = self._record(np.concatenate([p.value for p in parts], axis=axis))
+        sizes = [p.value.shape[axis] for p in parts]
+
+        def back(g):
+            start = 0
+            for p, size in zip(parts, sizes):
+                sel = [slice(None)] * g.ndim
+                sel[axis] = slice(start, start + size)
+                _accum(p, g[tuple(sel)])
+                start += size
+
+        out._backward = back
+        return out
 
 
 def dice_loss(pred_channel, target, eps=DICE_EPS) -> float:
@@ -203,6 +264,55 @@ def gather_contrast_loss_node(tape, zsn_node, batch):
         sims = tape.add_const(tape.mul_const(tape.reshape(dots, (p_count, k)), 1.0 / tau), pad)
         logits = tape.concat([s12_col, sims], axis=1)
         return tape.sum(tape.add(tape.logsumexp(logits), tape.mul_const(s12, -1.0)))
+
+    total = tape.add(direction(z1n), direction(z2n))
+    return tape.reshape(tape.mul_const(total, 1.0 / p_count), ())
+
+
+def pool_mask_of(batch, dtype):
+    """(distinct negative rows, (n_pools, U) mask: 0 on a pool's columns,
+    -inf elsewhere) of a batch, as `contrast_loss_node` builds them."""
+    uniq, col = np.unique(np.concatenate(batch.pools), return_inverse=True)
+    sizes = [pool.size for pool in batch.pools]
+    pool_mask = np.full((len(sizes), uniq.size), -np.inf, dtype=dtype)
+    pool_mask[np.repeat(np.arange(len(sizes)), sizes), col] = 0.0
+    return uniq, pool_mask
+
+
+def matmul_lse_direction(tape, s12_col, anchor_n, negs_t, scale, log_mult):
+    """(P,) row log-sum-exp of [s12 | scale * anchors @ negs_t + log_mult] as
+    a chain of general ops; the reference of `Tape.pool_logsumexp`."""
+    sims = tape.add_const(tape.mul_const(tape.matmul(anchor_n, negs_t), scale), log_mult)
+    return tape.logsumexp(tape.concat([s12_col, sims], axis=1))
+
+
+def matmul_contrast_loss_node(tape, zsn_node, batch, anchor_grad=False):
+    """The matrix form of `contrast_loss_node` as a chain of general ops.
+
+    The anchors are leaves that take a gradient when `anchor_grad` is set,
+    and each direction keeps its matmul, its scaled copy, its masked copy,
+    the concat and the exponentials on the tape.
+    """
+    p_count = batch.n_positives
+    if p_count == 0:
+        return tape.input(0.0)
+    f = batch.z1.shape[1]
+    tau = batch.tau
+    uniq, pool_mask = pool_mask_of(batch, tape.dtype)
+    log_mult = pool_mask[batch.pool_of]  # (P, U)
+
+    flat = tape.reshape(zsn_node, (-1, f))
+    negs_t = tape.transpose(tape.row_normalize(tape.take_rows(flat, uniq)))   # (F, U)
+
+    z1n = tape.input(_unit(batch.z1, "z1"), grad=anchor_grad)
+    z2n = tape.input(_unit(batch.z2, "z2"), grad=anchor_grad)
+    s12 = tape.mul_const(tape.sum_axis(tape.mul(z1n, z2n), -1), 1.0 / tau)  # (P,)
+    s12_col = tape.reshape(s12, (p_count, 1))
+    minus_s12 = tape.mul_const(s12, -1.0)
+
+    def direction(anchor_n):
+        lse = matmul_lse_direction(tape, s12_col, anchor_n, negs_t, 1.0 / tau, log_mult)
+        return tape.sum(tape.add(lse, minus_s12))
 
     total = tape.add(direction(z1n), direction(z2n))
     return tape.reshape(tape.mul_const(total, 1.0 / p_count), ())

@@ -4,7 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from oracles import conv3d_windowed, conv3d_windowed_backward, softmax_reduce, upsample2
+from oracles import (
+    OracleTape,
+    conv3d_windowed,
+    conv3d_windowed_backward,
+    softmax_reduce,
+    upsample2,
+)
 
 from pacedseg import autodiff
 from pacedseg.autodiff import (
@@ -23,17 +29,18 @@ STEP = 1e-3
 def fd_check(build, shapes, seed=0, n_coords=20, step=STEP, rtol=RTOL):
     """Central finite differences on random coordinates of every input.
 
-    `build(tape, nodes)` must return a scalar node. Inputs are float64;
+    `build(tape, nodes)` must return a scalar node; the tape is an
+    `OracleTape`, so a build may use its general ops. Inputs are float64;
     the error is |analytic - numeric| / max(1, |numeric|) per coordinate.
     """
     rng = np.random.default_rng(seed)
     values = [rng.standard_normal(s) for s in shapes]
 
     def loss_at(vals):
-        tape = Tape(np.float64)
+        tape = OracleTape(np.float64)
         return float(build(tape, [tape.input(v) for v in vals]).value)
 
-    tape = Tape(np.float64)
+    tape = OracleTape(np.float64)
     nodes = [tape.input(v) for v in values]
     tape.backward(build(tape, nodes))
 
@@ -74,7 +81,7 @@ class TestBasicContracts:
         np.testing.assert_array_equal(p.grad, np.ones((3, 4)))
 
     def test_quadratic_loss_gradient_equals_params(self):
-        tape = Tape(np.float64)
+        tape = OracleTape(np.float64)
         value = np.random.default_rng(1).standard_normal((5,))
         p = tape.input(value)
         tape.backward(tape.mul_const(tape.sum(tape.mul(p, p)), 0.5))
@@ -87,7 +94,7 @@ class TestBasicContracts:
             tape.backward(p)
 
     def test_backward_populates_reachable_nodes(self):
-        tape = Tape(np.float64)
+        tape = OracleTape(np.float64)
         a = tape.input(np.ones(3))
         unused = tape.log(a)
         loss = tape.sum(tape.mul(a, a))
@@ -96,7 +103,7 @@ class TestBasicContracts:
         assert unused.grad is None
 
     def test_backward_keeps_only_leaf_and_loss_gradients(self):
-        tape = Tape(np.float64)
+        tape = OracleTape(np.float64)
         value = np.random.default_rng(2).standard_normal((4, 3))
         p, c = tape.input(value), tape.input(np.full((4, 3), 2.0))
         sq = tape.mul(p, p)
@@ -109,7 +116,7 @@ class TestBasicContracts:
         np.testing.assert_array_equal(c.grad, np.maximum(value, 0))
 
     def test_second_backward_raises(self):
-        tape = Tape(np.float64)
+        tape = OracleTape(np.float64)
         p = tape.input(np.ones(3))
         loss = tape.sum(tape.mul(p, p))
         tape.backward(loss)
@@ -123,7 +130,7 @@ class TestBasicContracts:
         weight = rng.standard_normal((3, 4, 4, 3))
         grads = {}
         for grad in (True, False):
-            tape = Tape(np.float64)
+            tape = OracleTape(np.float64)
             x, w, b = tape.input(values[0], grad=grad), tape.input(values[1]), tape.input(values[2])
             out = tape.conv3d(x, w, b)
             tape.backward(tape.add(tape.sum(tape.mul_const(out, weight)), tape.sum(tape.mul(x, x))))
@@ -146,12 +153,12 @@ class TestBasicContracts:
             out = tape.conv3d(tape.input(image, grad=False), w, b, relu=True)
             return tape.sum(tape.mul(tape.add(out, shift), out))
 
-        one = Tape(dtype)
+        one = OracleTape(dtype)
         leaves = [one.input(v) for v in values]
         one.backward(one.add(*(branch_loss(one, leaves, image) for image in images)))
-        shared = [Tape(dtype).input(v) for v in values]
+        shared = [OracleTape(dtype).input(v) for v in values]
         for image in images:
-            tape = Tape(dtype)
+            tape = OracleTape(dtype)
             tape.backward(branch_loss(tape, shared, image))
         for a, b in zip(leaves, shared):
             assert a.grad.dtype == b.grad.dtype and a.grad.tobytes() == b.grad.tobytes()
@@ -244,6 +251,22 @@ class TestReductionGrads:
         pad = np.zeros((3, 5))
         pad[:, 3:] = -np.inf
         fd_check(lambda t, xs: t.sum(t.logsumexp(t.add_const(xs[0], pad))), [(3, 5)])
+
+    def test_pool_logsumexp_with_neg_inf_pool_entries(self):
+        """Rows of two pools, each -inf on the columns it does not list, and
+        one column no pool lists; the anchors and s12 are constants."""
+        rng = np.random.default_rng(7)
+        anchors, s12, weight = (rng.standard_normal(s) for s in ((4, 3), (4,), (4,)))
+        inf = -np.inf
+        pool_mask = np.array([[0.0, inf, 0.0, 0.0, inf], [inf, 0.0, 0.0, inf, inf]])
+        pool_of = np.array([0, 1, 1, 0])
+
+        def build(t, xs):
+            negs_t = t.transpose(xs[0])
+            lse = t.pool_logsumexp(s12, anchors, negs_t, 2.0, pool_mask, pool_of)
+            return t.sum(t.mul_const(lse, weight))
+
+        fd_check(build, [(5, 3)])
 
     def test_softmax(self):
         def build(t, xs):

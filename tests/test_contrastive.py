@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +8,14 @@ from pacedseg.autodiff import Tape
 from pacedseg.contrastive import ContrastBatch, contrast_loss_node, mine_pairs
 
 from oracles import (
+    OracleTape,
     bidirectional_loss,
     feature_contrast_loss,
     gather_contrast_loss_node,
+    matmul_contrast_loss_node,
+    matmul_lse_direction,
     negatives_for,
+    pool_mask_of,
     validate_batch,
 )
 
@@ -166,31 +171,145 @@ class TestContrastNode:
             err = abs(grad[ci] - numeric) / max(1.0, abs(numeric))
             assert err < 1e-4, f"zsn[{ci}]"
 
-    def test_anchors_take_no_gradient(self, monkeypatch):
-        """The weak-view anchors are teacher constants: backward leaves their
-        leaves without a gradient, and the strong-view gradient is the one
-        anchors that took a gradient would give, bit for bit."""
+    def test_anchors_take_no_gradient(self):
+        """The weak-view anchors are teacher constants: no tape node holds
+        one or takes a gradient for one, and the strong-view gradient is the
+        one anchors that took a gradient would give, bit for bit."""
         rng = np.random.default_rng(21)
         batch, zsn = random_batch(rng, n_pos=3, k_neg=2)
         units = [z / np.linalg.norm(z, axis=-1, keepdims=True) for z in (batch.z1, batch.z2)]
 
-        def backward():
-            tape = Tape(np.float64)
+        def anchor_nodes(tape):
+            return [n for n in tape.nodes for u in units
+                    if n.value.shape == u.shape and (n.value == u).all()]
+
+        tape = Tape(np.float64)
+        n_zsn = tape.input(zsn)
+        loss = contrast_loss_node(tape, n_zsn, batch)
+        assert anchor_nodes(tape) == []
+        tape.backward(loss)
+        assert [n for n in tape.nodes if n.grad is not None] == [n_zsn, loss]
+
+        wide = OracleTape(np.float64)
+        wide_zsn = wide.input(zsn)
+        wide_loss = matmul_contrast_loss_node(wide, wide_zsn, batch, anchor_grad=True)
+        wide.backward(wide_loss)
+        wide_anchors = anchor_nodes(wide)
+        assert len(wide_anchors) == 2 and all(a.grad is not None for a in wide_anchors)
+        assert loss.value.tobytes() == wide_loss.value.tobytes()
+        assert n_zsn.grad.tobytes() == wide_zsn.grad.tobytes()
+
+
+def pooled_batch(rng, n_pos, pool_sizes, f=4, n_grid=12, dtype=np.float64, tau=0.5):
+    """A batch whose pools have the given sizes, each shared by at least one
+    anchor when n_pos allows, drawn from an (n_grid, F) grid."""
+    pools = [np.sort(rng.choice(n_grid, size=size, replace=False)) for size in pool_sizes]
+    batch = ContrastBatch(
+        positions=np.arange(n_pos),
+        z1=rng.standard_normal((n_pos, f)).astype(dtype),
+        z2=rng.standard_normal((n_pos, f)).astype(dtype),
+        pools=pools, pool_of=rng.permutation(np.arange(n_pos) % len(pools)), tau=tau,
+    )
+    return batch, rng.standard_normal((n_grid, f)).astype(dtype)
+
+
+# (anchors, pool sizes): one pool; two ragged pools; an empty pool, whose
+# anchors' rows are -inf apart from their positive; every pool empty; P = 1
+POOL_CASES = {
+    "one_pool": (5, [7]),
+    "two_ragged_pools": (7, [6, 2]),
+    "empty_pool": (6, [0, 4]),
+    "all_pools_empty": (4, [0, 0]),
+    "one_anchor": (1, [5]),
+}
+
+
+class TestPoolLogsumexp:
+    """The fused direction node against the chain of general ops it
+    replaces: matmul, scale, mask, concat and log-sum-exp."""
+
+    @staticmethod
+    def _direction(case, dtype, fused):
+        n_pos, sizes = case
+        batch, zsn = pooled_batch(np.random.default_rng(31), n_pos, sizes, dtype=dtype)
+        uniq, pool_mask = pool_mask_of(batch, dtype)
+        anchors = batch.z1 / np.linalg.norm(batch.z1, axis=-1, keepdims=True)
+        s12 = np.random.default_rng(32).standard_normal(n_pos).astype(dtype)
+        weight = np.random.default_rng(33).standard_normal(n_pos)
+        tape = OracleTape(dtype)
+        negs = tape.input(zsn[uniq])
+        negs_t = tape.transpose(negs)
+        if fused:
+            lse = tape.pool_logsumexp(s12, anchors, negs_t, 2.0, pool_mask, batch.pool_of)
+        else:
+            lse = matmul_lse_direction(
+                tape, tape.input(s12[:, None], grad=False), tape.input(anchors, grad=False),
+                negs_t, 2.0, pool_mask[batch.pool_of])
+        tape.backward(tape.sum(tape.mul_const(lse, weight)))
+        return lse.value, negs.grad
+
+    @pytest.mark.parametrize("case", POOL_CASES.values(), ids=POOL_CASES.keys())
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_value_and_gradient_bitwise_equal_to_the_op_chain(self, case, dtype):
+        (value, grad), (want, want_grad) = (self._direction(case, dtype, fused)
+                                            for fused in (True, False))
+        assert value.dtype == want.dtype and value.tobytes() == want.tobytes()
+        assert np.isfinite(value).all()
+        assert grad.dtype == want_grad.dtype and grad.shape == want_grad.shape
+        assert grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("case", POOL_CASES.values(), ids=POOL_CASES.keys())
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_loss_and_strong_view_gradient_bitwise_equal_to_the_matmul_chain(self, case, dtype):
+        batch, zsn = pooled_batch(np.random.default_rng(34), *case, dtype=dtype)
+        got = []
+        for tape, build in ((Tape(dtype), contrast_loss_node),
+                            (OracleTape(dtype), matmul_contrast_loss_node)):
+            n_zsn = tape.input(zsn)
+            loss = build(tape, n_zsn, batch)
+            tape.backward(loss)
+            got.append((loss.value.tobytes(), n_zsn.grad.tobytes()))
+        assert got[0] == got[1]
+
+
+class TestContrastMemory:
+    # A synthetic float32 batch the size of a confident step's: P = 2048
+    # anchors against U = 64 distinct negatives in two pools. Each direction
+    # keeps one (P, U+1) frame (0.51 MiB); after the forward 1.33 MiB is
+    # held, the two frames plus the two (P, F) anchor arrays, and the peak
+    # through the backward is 1.86 MiB; the bound is about 15% above it. A
+    # chain of general ops held 5.50 MiB after the forward and peaked at
+    # 6.52 MiB.
+    P, U, F = 2048, 64, 16
+    HELD_SLACK_MIB = 0.5
+    PEAK_MIB = 2.15
+
+    def test_forward_holds_two_frames_and_the_backward_peak_is_bounded(self):
+        rng = np.random.default_rng(35)
+        dtype = np.float32
+        zsn = rng.standard_normal((2048, self.F)).astype(dtype)
+        half = self.U // 2
+        batch = ContrastBatch(
+            positions=np.arange(self.P),
+            z1=rng.standard_normal((self.P, self.F)).astype(dtype),
+            z2=rng.standard_normal((self.P, self.F)).astype(dtype),
+            pools=[np.arange(half), np.arange(half, self.U)],
+            pool_of=np.arange(self.P) % 2, tau=0.5,
+        )
+        frame = self.P * (self.U + 1) * np.dtype(dtype).itemsize
+        tracemalloc.start()
+        try:
+            tape = Tape(dtype)
             n_zsn = tape.input(zsn)
             loss = contrast_loss_node(tape, n_zsn, batch)
+            held = tracemalloc.get_traced_memory()[0]
             tape.backward(loss)
-            anchors = [next(n for n in tape.nodes
-                            if n.value.shape == u.shape and (n.value == u).all()) for u in units]
-            return loss.value, n_zsn.grad, anchors
-
-        loss, grad, anchors = backward()
-        assert all(a.grad is None for a in anchors)
-        record = Tape.input
-        monkeypatch.setattr(Tape, "input", lambda tape, value, grad=True: record(tape, value))
-        wide_loss, wide_grad, wide_anchors = backward()
-        assert all(a.grad is not None for a in wide_anchors)
-        assert loss.tobytes() == wide_loss.tobytes()
-        assert grad.tobytes() == wide_grad.tobytes()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n_zsn.grad is not None and float(loss.value) > 0
+        assert held < 2 * frame + self.HELD_SLACK_MIB * 2**20, f"held {held / 2**20:.2f} MiB"
+        assert peak < self.PEAK_MIB * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 # float64 agreement of the matmul form with the gather oracle, relative to
@@ -199,7 +318,7 @@ ORACLE_RTOL = 1e-12
 
 
 def _loss_and_grad(build, batch, zsn_grid):
-    tape = Tape(np.float64)
+    tape = OracleTape(np.float64)
     zsn = tape.input(zsn_grid)
     loss = build(tape, zsn, batch)
     tape.backward(loss)

@@ -4,6 +4,8 @@ import weakref
 import numpy as np
 import pytest
 
+from oracles import OracleTape
+
 from pacedseg.autodiff import Tape
 from pacedseg.errors import FormatError, TrainingAbort
 from pacedseg.grids import ARRAYS_MAGIC, load_arrays, save_arrays
@@ -11,6 +13,8 @@ from pacedseg.network import (
     PARAM_NAMES,
     SGDState,
     ema_update,
+    feature_grid,
+    feature_node,
     forward_graph,
     forward_parts,
     head_forward,
@@ -36,8 +40,8 @@ def tiny_image(seed=1, dims=(4, 4, 2)):
 
 def infer(params, image, dropout_mask=None):
     """(probabilities, features) of the tape-free inference path."""
-    hdec, feats = forward_parts(params, image)
-    return head_forward(params, hdec, dropout_mask), feats
+    hdec, hd = forward_parts(params, image)
+    return head_forward(params, hdec, dropout_mask), feature_grid(params, hd)
 
 
 class TestForward:
@@ -74,10 +78,13 @@ class TestForward:
         params, image = tiny_params(), tiny_image()
         mask = make_dropout_mask((3, 4, 4, 2), params.dropout_rate, 5)
         tape = Tape(np.float64)
-        probs_node, feats_node = forward_graph(tape, param_nodes(tape, params), image, mask)
+        pnodes = param_nodes(tape, params)
+        probs_node, hd_node = forward_graph(tape, pnodes, image, mask)
+        feats_node = feature_node(tape, pnodes, hd_node)
 
-        hdec, feats = forward_parts(params, image)
-        np.testing.assert_array_equal(feats_node.value, feats)
+        hdec, hd = forward_parts(params, image)
+        np.testing.assert_array_equal(hd_node.value, hd)
+        np.testing.assert_array_equal(feats_node.value, feature_grid(params, hd))
         np.testing.assert_array_equal(
             probs_node.value, head_forward(params, hdec, mask)
         )
@@ -86,7 +93,8 @@ class TestForward:
         params, image = tiny_params(), tiny_image()
         tape = Tape(np.float64)
         pnodes = param_nodes(tape, params)
-        probs, feats = forward_graph(tape, pnodes, image)
+        probs, hd = forward_graph(tape, pnodes, image)
+        feats = feature_node(tape, pnodes, hd)
         weight = np.random.default_rng(2).standard_normal(probs.value.shape)
         tape.backward(tape.add(tape.sum(tape.mul_const(probs, weight)), tape.sum(feats)))
         leaves = [n for n in tape.nodes if not n.takes_grad]
@@ -104,9 +112,12 @@ class TestForward:
         before = [a.tobytes() for a in arrays]
         for a in arrays:
             a.setflags(write=False)
-        hdec, feats = forward_parts(params, image)
-        tape = Tape(dtype)
-        probs, graph_feats = forward_graph(tape, param_nodes(tape, params), image)
+        hdec, hd = forward_parts(params, image)
+        feature_grid(params, hd)
+        tape = OracleTape(dtype)
+        pnodes = param_nodes(tape, params)
+        probs, hd_node = forward_graph(tape, pnodes, image)
+        graph_feats = feature_node(tape, pnodes, hd_node)
         tape.backward(tape.add(tape.sum(tape.mul(probs, probs)), tape.sum(graph_feats)))
         assert [a.tobytes() for a in arrays] == before
         assert (hdec == 0).any() and (hdec > 0).any()

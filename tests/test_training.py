@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pacedseg import autodiff, training
+from pacedseg import autodiff, network, training
 from pacedseg.errors import ConfigError, TrainingAbort
 from pacedseg.metrics import summarize
 from pacedseg.network import PARAM_NAMES, load_checkpoint
@@ -279,11 +279,13 @@ def flat_dice_ce(probs, labels, idx=None):
 
 class TestStepMemory:
     # The traced peak of one warm default-size step, about 15% above the
-    # 5.54 MiB (float32) and 9.90 MiB (float64) it measures with each branch
-    # swept on its own tape; one tape swept once at the end peaked at 11.04
-    # and 19.13 MiB, and 48.5 MiB in float32 when each student conv kept its
+    # 5.44 MiB (float32) and 9.46 MiB (float64) it measures with each branch
+    # swept on its own tape and the projection head run only where the
+    # contrast reads features; with the head on every view it read 5.54 and
+    # 9.90 MiB, one tape swept once at the end peaked at 11.04 and
+    # 19.13 MiB, and 48.5 MiB in float32 when each student conv kept its
     # full cols on the tape.
-    PEAK_MIB = {"float32": 6.5, "float64": 11.5}
+    PEAK_MIB = {"float32": 6.3, "float64": 10.9}
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_default_step_traced_peak_is_bounded(self, dtype):
@@ -337,6 +339,64 @@ class TestStepMemory:
         finally:
             gc.enable()
         assert len(labeled) > 20 and alive == [0]
+
+
+class TestFeatureHead:
+    @staticmethod
+    def _step(monkeypatch, enable_sc, unread_heads):
+        """(projection-head convs, loss report, parameter gradients) of one
+        step; with unread_heads every student graph also records the
+        projection head, which nothing reads. With a zero seg bias the
+        fresh model predicts both classes, so the contrast fires."""
+        cfg = tiny_config(enable_su=False, enable_sc=enable_sc, seed=1)
+        trainer = Trainer(cfg, tiny_dataset(cfg))
+        trainer.student.tensors["seg_b"][:] = 0.0
+        trainer.teacher = trainer.student.copy()
+        proj_shape = trainer.student.tensors["proj_w"].shape
+        convs, grads = [], {}
+
+        def counting(conv):
+            def wrapped(x, w, *args, **kwargs):
+                convs.append(w.shape == proj_shape)
+                return conv(x, w, *args, **kwargs)
+            return wrapped
+
+        def recording(tape, pnodes, image, dropout_mask=None):
+            probs, hd = real_graph(tape, pnodes, image, dropout_mask)
+            if unread_heads:
+                network.feature_node(tape, pnodes, hd)
+            return probs, hd
+
+        def keeping(params, step_grads, *args):
+            grads.update({k: v.copy() for k, v in step_grads.items()})
+            return real_sgd(params, step_grads, *args)
+
+        real_graph, real_sgd = training.forward_graph, training.sgd_step
+        with monkeypatch.context() as m:
+            m.setattr(autodiff, "conv3d_raw", counting(autodiff.conv3d_raw))
+            m.setattr(network, "conv3d_raw", counting(network.conv3d_raw))
+            m.setattr(training, "forward_graph", recording)
+            m.setattr(training, "sgd_step", keeping)
+            report = trainer.step(*trainer.batch_for(0))
+        return sum(convs), report, grads
+
+    @pytest.mark.parametrize("enable_sc", [True, False])
+    def test_only_feature_readers_run_the_projection_head(self, enable_sc, monkeypatch):
+        """Of the six views a step runs (three per branch), only the
+        unlabeled student graph and its two teacher views feed the contrast,
+        so only they run the projection head, and with SC off none does.
+        Every student graph recording the head as well, unread, as the model
+        once did, changes no gradient bit."""
+        n_proj, report, grads = self._step(monkeypatch, enable_sc, unread_heads=False)
+        n_wide, wide_report, wide_grads = self._step(monkeypatch, enable_sc, unread_heads=True)
+        assert n_proj == (3 if enable_sc else 0)
+        assert n_wide == n_proj + 2
+        assert (report.l_bf != 0) == enable_sc
+        assert (grads["proj_w"] != 0).any() == enable_sc
+        assert report.csv_row() == wide_report.csv_row()
+        assert grads.keys() == wide_grads.keys() == set(PARAM_NAMES)
+        for name in PARAM_NAMES:
+            assert grads[name].tobytes() == wide_grads[name].tobytes(), name
 
 
 class TestBaselineDegeneration:
