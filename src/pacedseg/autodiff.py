@@ -22,8 +22,17 @@ zero-padded input into its stride phases (space-to-depth, the
 counterpart of the depth-to-space shuffle of `up=2`; Shi et al., arXiv
 1609.05158), so each kernel tap reads one contiguous run of one phase
 (the flat-shift form of im2col), and its backward adds each tap's
-gradient back as one run; stride 1 is the one-phase case. This
-geometry depends on the shapes, stride and padding alone, so it is
+gradient back as one run; stride 1 is the one-phase case. At stride 1
+depth tap l reads the run of in-plane tap (i, j, 0) shifted by +l, so a
+conv whose gathered rows outnumber its outputs (the full-resolution
+enc1 and enc2) lowers its depth axis into the GEMM instead of the cols:
+it gathers only the in-plane taps, multiplies them by every depth tap's
+weights stacked in rows, and adds the row blocks back shifted; its
+backward stacks shifted copies of the output gradient into one tile
+that gives both the weight and the input gradient. That sits between
+im2col and kn2row (Vasudevan et al., ASAP 2017), in the spirit of MEC's
+compact lowering (Cho & Brand, ICML 2017). This geometry, fold
+included, depends on the shapes, stride and padding alone, so it is
 built once per geometry and cached (`_geometry`). No im2col
 matrix is kept for backward: a conv gathers its cols one tile of `TILE`
 output-frame columns at a time, and its backward gathers them again
@@ -31,11 +40,11 @@ from the input node (recompute in backward, as in Chen et al., arXiv
 1604.06174). Work buffers are kept across calls, so their pages are not
 faulted in afresh on every call: the zero-bordered phase buffer and
 gradient frame one per geometry (the `up=2` backward writes its output
-parities straight into the latter), and the tiles of cols as views of
-one flat arena per dtype, sized for the largest tile yet. A backward
-takes its tiles of column gradients from that arena too, once its weight
-gradient has read the last tile of cols. The buffers are per process
-and not thread-safe. A conv applies its relu, when asked, in place on
+parities straight into the latter), and every tile buffer as a disjoint
+view of one flat arena per dtype, sized for the largest request yet. A
+backward's tile of column gradients overwrites the tile of cols its
+weight gradient has just read. The buffers are per process and not
+thread-safe. A conv applies its relu, when asked, in place on
 its own result frame; it writes no input or leaf array. Reductions over
 the short trailing class axis fold one class slice at a time
 (`fold_last`, `argmax_last`), bitwise equal to numpy's own reduction.
@@ -80,27 +89,43 @@ def _kept_buffer(key, shape, dtype):
     return buf
 
 
-def _arena(shape, dtype):
-    """An uninitialized `shape` view of the flat "cols" arena kept per dtype.
+def _arena(dtype, columns, *rows):
+    """Uninitialized (*row, width) views, one per row shape, of the flat "cols"
+    arena kept per dtype; width is `columns` rounded up to a multiple of 16.
 
     Every conv tile shares it, grown to the largest request yet, so one
-    buffer serves every geometry and both uses: the cols of a forward or of
-    a weight gradient, then the column gradients of a backward. A view
-    starts at the arena's first element and is C-contiguous, so each caller
-    sees the same strides as on a buffer of its own; it is valid until the
-    next call.
+    buffer serves every geometry and every use: the cols of a forward or of
+    a weight gradient, a folded conv's product or stacked output gradient,
+    then the column gradients of a backward. The views lie back to back
+    from the arena's 64-byte aligned first element and are disjoint and
+    C-contiguous, so every row of every view starts 64-byte aligned, which
+    makes the gathers and GEMMs on them a few percent faster. They are
+    valid until the next call.
     """
-    size, key = math.prod(shape), ("cols", np.dtype(dtype))
+    width, itemsize = -(-columns // 16) * 16, np.dtype(dtype).itemsize
+    sizes, key = [math.prod(row) * width for row in rows], ("cols", np.dtype(dtype))
     buf = _kept.get(key)
-    if buf is None or buf.size < size:
-        buf = _kept[key] = np.empty(size, dtype)
-    return buf[:size].reshape(shape)
+    if buf is None or buf.size < sum(sizes):
+        raw = np.empty(sum(sizes) + 64 // itemsize, dtype)
+        skip = -raw.ctypes.data % 64 // itemsize
+        buf = _kept[key] = raw[skip : skip + sum(sizes)]
+    views, start = [], 0
+    for row, size in zip(rows, sizes):
+        views.append(buf[start : start + size].reshape(*row, width))
+        start += size
+    return views
 
 
-def _weight_mat(w):
-    """(Cin,kh,kw,kd,Cout) -> (Cout, Cin*kh*kw*kd), matching the cols rows."""
+def _weight_mat(w, fold):
+    """(Cin,kh,kw,kd,Cout) -> the (fold*Cout, Cin*kh*kw*kd/fold) GEMM weight.
+
+    Its columns match the cols rows (c, gathered tap); row l*Cout + o holds
+    output o's weights of depth tap l of a folded conv (`_geometry`). With
+    fold 1 it is the plain (Cout, Cin*kh*kw*kd) im2col weight.
+    """
     cin, kh, kw, kd, cout = w.shape
-    return np.ascontiguousarray(w.transpose(4, 0, 1, 2, 3)).reshape(cout, -1)
+    w = w.reshape(cin, kh, kw, kd // fold, fold, cout)
+    return np.ascontiguousarray(w.transpose(4, 5, 0, 1, 2, 3)).reshape(fold * cout, -1)
 
 
 def _axis_phases(size, pad, stride, q):
@@ -116,7 +141,7 @@ def _axis_phases(size, pad, stride, q):
 
 
 @functools.cache
-def _geometry(xshape, kshape, stride, pad):
+def _geometry(xshape, wshape, stride, pad):
     """Flat-run geometry of a conv on the stride phases of its padded input.
 
     Along each axis, padded position a*stride + p is entry a of phase p, and
@@ -128,18 +153,30 @@ def _geometry(xshape, kshape, stride, pad):
     every output voxel; its columns past ow or od along a row are discarded.
     Stride 1 is the one-phase case, the zero-padded input itself.
 
-    Returns (out extents, phase frame, tap offsets in (i, j, l) order, L,
-    copies), all tuples, where each copy pairs a block of the (Cin, s**3,
-    Hq, Wq, Dq) phase buffer with the slice of x it holds. It is a pure
-    function of its arguments, so it is built once per geometry and cached.
+    At stride 1 depth tap l reads the run of tap (i, j, 0) shifted by +l, so
+    a conv may fold its kd depth taps into the GEMM instead of the cols: it
+    gathers the taps (i, j, 0) alone, kd - 1 columns longer, multiplies them
+    by the (kd*Cout, Cin*kh*kw) weight of `_weight_mat`, and adds row block l
+    of the product shifted by +l. The fold saves Cin*kh*kw*(kd - 1) gathered
+    rows per column and adds kd*Cout product rows, so it is taken at stride 1
+    when the saving is the larger (enc1 and enc2, not the 64-output parity
+    conv of up=2); fold = 1, gathering every tap, is the plain im2col.
+
+    Returns (out extents, phase frame, offsets of the gathered taps in
+    (i, j, l) order, L, copies, fold), all tuples but fold, where each copy
+    pairs a block of the (Cin, s**3, Hq, Wq, Dq) phase buffer with the slice
+    of x it holds. It is a pure function of its arguments, so it is built
+    once per geometry and cached.
     """
-    out = tuple((n + 2 * pad - k) // stride + 1 for n, k in zip(xshape[1:], kshape))
-    frame = tuple(o + (k - 1) // stride for o, k in zip(out, kshape))
+    cin, kh, kw, kd, cout = wshape
+    fold = kd if stride == 1 and cin * kh * kw * (kd - 1) > kd * cout else 1
+    out = tuple((n + 2 * pad - k) // stride + 1 for n, k in zip(xshape[1:], (kh, kw, kd)))
+    frame = tuple(o + (k - 1) // stride for o, k in zip(out, (kh, kw, kd)))
     hq, wq, dq = frame
     offsets = tuple(
         (((i % stride) * stride + j % stride) * stride + l % stride) * hq * wq * dq
         + ((i // stride) * wq + j // stride) * dq + l // stride
-        for i in range(kshape[0]) for j in range(kshape[1]) for l in range(kshape[2])
+        for i in range(kh) for j in range(kw) for l in range(0, kd, fold)
     )
     axes = [_axis_phases(n, pad, stride, q) for n, q in zip(xshape[1:], frame)]
     copies = tuple(
@@ -149,7 +186,7 @@ def _geometry(xshape, kshape, stride, pad):
         for pd, (ed, xd) in enumerate(axes[2])
     )
     oh, ow, od = out
-    return out, frame, offsets, (oh - 1) * wq * dq + (ow - 1) * dq + od, copies
+    return out, frame, offsets, (oh - 1) * wq * dq + (ow - 1) * dq + od, copies, fold
 
 
 def _phases(x, stride, pad, frame, copies):
@@ -165,15 +202,33 @@ def _tiles(n):
     return [(s, min(s + TILE, n)) for s in range(0, n, TILE)]
 
 
-def _run_cols(xf, offsets, n, s, e):
+def _run_cols(xf, offsets, cols, s, e):
     """Columns s:e of the flat-run im2col of the flat phase buffer xf, as a
-    (Cin*K, e - s) view of a kept buffer: row (c, tap) holds channel c read
-    from the tap's offset on."""
-    cin, k = xf.shape[0], len(offsets)
-    cols = _arena((cin, k, min(n, TILE)), xf.dtype)
+    (Cin*K, e - s) view of the (Cin, K, width) tile buffer cols: row
+    (c, tap) holds channel c read from the tap's offset on."""
     for m, o in enumerate(offsets):
         cols[:, m, : e - s] = xf[:, o + s : o + e]
-    return cols.reshape(cin * k, -1)[:, : e - s]
+    return cols.reshape(-1, cols.shape[2])[:, : e - s]
+
+
+def _sum_shifted(prod, out):
+    """out = the sum over l of row block l of a folded conv's (fold, Cout,
+    width) product, shifted by +l: depth tap l's share of each output."""
+    t = out.shape[1]
+    np.add(prod[0, :, :t], prod[1, :, 1 : t + 1], out=out)
+    for l in range(2, prod.shape[0]):
+        out += prod[l, :, l : l + t]
+
+
+def _shifted_grad(grun, stack, s, e):
+    """Columns s:e of the fold copies of the flat output gradient grun, copy
+    l shifted by +l, as a (fold*Cout, e - s) view of the (fold, Cout, width)
+    buffer stack; entries before grun's start are zero."""
+    for l in range(stack.shape[0]):
+        lo = min(max(0, l - s), e - s)
+        stack[l, :, :lo] = 0
+        stack[l, :, lo : e - s] = grun[:, s + lo - l : e - l]
+    return stack.reshape(-1, stack.shape[2])[:, : e - s]
 
 
 def _pointwise(w, stride, pad):
@@ -188,7 +243,7 @@ def _relu_inplace(frame, relu):
 
 
 def _conv3d(x, w, b, stride, pad, relu):
-    cin, kh, kw, kd, cout = w.shape
+    cin, cout = w.shape[0], w.shape[4]
     if x.shape[0] != cin:
         raise ValueError(f"conv input has {x.shape[0]} channels, weight expects {cin}")
     if _pointwise(w, stride, pad):
@@ -196,11 +251,19 @@ def _conv3d(x, w, b, stride, pad, relu):
         out += b[:, None]
         _relu_inplace(out, relu)
         return out.reshape(cout, *x.shape[1:])
-    (oh, ow, od), frame, offsets, n, copies = _geometry(x.shape, (kh, kw, kd), stride, pad)
-    xf, wmat = _phases(x, stride, pad, frame, copies), _weight_mat(w)
+    (oh, ow, od), frame, offsets, n, copies, fold = _geometry(x.shape, w.shape, stride, pad)
+    xf, wmat = _phases(x, stride, pad, frame, copies), _weight_mat(w, fold)
     res = np.empty((cout, oh * frame[1] * frame[2]), dtype=x.dtype)
+    # a folded tile gathers fold - 1 more columns, the reach of its last depth tap
+    cols, *prod = _arena(x.dtype, min(n, TILE) + fold - 1, (cin, len(offsets)),
+                         *[(fold, cout)] * (fold > 1))
     for s, e in _tiles(n):
-        np.matmul(wmat, _run_cols(xf, offsets, n, s, e), out=res[:, s:e])
+        tile = _run_cols(xf, offsets, cols, s, e + fold - 1)
+        if fold == 1:
+            np.matmul(wmat, tile, out=res[:, s:e])
+        else:
+            np.matmul(wmat, tile, out=prod[0].reshape(fold * cout, -1)[:, : tile.shape[1]])
+            _sum_shifted(prod[0], res[:, s:e])
     res[:, :n] += b[:, None]
     _relu_inplace(res[:, :n], relu)  # past n the frame is never written
     return res.reshape(cout, oh, *frame[1:])[:, :, :ow, :od]
@@ -211,32 +274,40 @@ def _grad_frame(x, w, stride, pad, up, dtype):
     its (Cout, oh, ow, od) output view). Its runs read through the zeros
     between the rows of the view; the frame is keyed on `up` as well, because
     an up=2 caller leaves the view's grid points that no parity lands on zero."""
-    (oh, ow, od), frame, *_ = _geometry(x.shape, w.shape[1:4], stride, pad)
+    (oh, ow, od), frame, *_ = _geometry(x.shape, w.shape, stride, pad)
     gframe = _kept_buffer(("gframe", up, ow, od), (w.shape[4], oh, *frame[1:]), dtype)
     return gframe, gframe[:, :, :ow, :od]
 
 
 def _conv3d_backward(gframe, x, w, stride, pad, need_gx):
     """(gx, gw) of a non-pointwise conv, from its `_grad_frame` filled with
-    the output gradient."""
-    cin, kh, kw, kd, cout = w.shape
-    _, frame, offsets, n, copies = _geometry(x.shape, (kh, kw, kd), stride, pad)
+    the output gradient.
+
+    One tile loop gives both. A folded conv stacks its fold shifted copies
+    of the output gradient into one tile G over the gathered taps' longer
+    runs: gw is cols @ G.T, and the column gradients W.T @ G are added back
+    with one run per gathered tap. The frame's zeros past the output run
+    stand in for the gradient beyond it.
+    """
+    cin, cout = w.shape[0], w.shape[4]
+    _, frame, offsets, n, copies, fold = _geometry(x.shape, w.shape, stride, pad)
     xf = _phases(x, stride, pad, frame, copies)  # the forward's cols are gathered again from x
-    k = len(offsets)
+    k, m = len(offsets), n + fold - 1
     grun = gframe.reshape(cout, -1)
-    gw = np.zeros((cin * k, cout), dtype=gframe.dtype)
-    for s, e in _tiles(n):
-        gw += _run_cols(xf, offsets, n, s, e) @ grun[:, s:e].T
+    cols, *stack = _arena(gframe.dtype, min(m, TILE), (cin, k), *[(fold, cout)] * (fold > 1))
+    gw = np.zeros((cin * k, fold * cout), dtype=gframe.dtype)
+    gxf = np.zeros_like(xf) if need_gx else None
+    wmat_t = _weight_mat(w, fold).T
+    for s, e in _tiles(m):
+        g = grun[:, s:e] if fold == 1 else _shifted_grad(grun, stack[0], s, e)
+        gw += _run_cols(xf, offsets, cols, s, e) @ g.T
+        if need_gx:
+            # the tile's cols are read, so their buffer takes its column gradients
+            np.matmul(wmat_t, g, out=cols.reshape(cin * k, -1)[:, : e - s])
+            for t, o in enumerate(offsets):
+                gxf[:, o + s : o + e] += cols[:, t, : e - s]
     if not need_gx:
         return None, gw.reshape(w.shape)
-    gxf = np.zeros_like(xf)
-    # the gw loop is done with the cols arena, so its tiles take the column gradients
-    gcols = _arena((cin, k, min(n, TILE)), gframe.dtype)
-    wmat_t = _weight_mat(w).T
-    for s, e in _tiles(n):
-        np.matmul(wmat_t, grun[:, s:e], out=gcols.reshape(cin * k, -1)[:, : e - s])
-        for m, o in enumerate(offsets):
-            gxf[:, o + s : o + e] += gcols[:, m, : e - s]
     # x rows that no window reads keep a zero gradient
     gx, gxq = np.zeros_like(x), gxf.reshape(cin, stride**3, *frame)
     for dst, src in copies:
@@ -251,6 +322,9 @@ _PARITY_TAPS = np.array([
     [[1, 0, 0], [0, 1, 1]],  # even output: (w0, w1 + w2) on (i - 1, i)
     [[1, 1, 0], [0, 0, 1]],  # odd output:  (w0 + w1, w2) on (i, i + 1)
 ])
+# the same on all three axes: row (i, j, l) of the 27 full-res taps, column
+# (a, b, e, ph, pw, pd) of the 8 low-res taps of the 8 parities
+_PARITY_MATRIX = np.einsum("pai,qbj,rel->ijlabepqr", *[_PARITY_TAPS] * 3).reshape(27, 64)
 
 
 def _check_up(w, stride, pad, up):
@@ -266,22 +340,16 @@ def _check_up(w, stride, pad, up):
 def _parity_weight(w):
     """(Cin,3,3,3,Cout) -> the (Cin,2,2,2,Cout*8) low-res weight of each output
     parity; output channel c*8 + 4*ph + 2*pw + pd is channel c at parity (ph,pw,pd)."""
-    t = _PARITY_TAPS.astype(w.dtype)
-    m = np.tensordot(w, t, axes=([1], [2]))  # (Cin, kw, kd, Cout, ph, a)
-    m = np.tensordot(m, t, axes=([1], [2]))  # (Cin, kd, Cout, ph, a, pw, b)
-    m = np.tensordot(m, t, axes=([1], [2]))  # (Cin, Cout, ph, a, pw, b, pd, e)
     cin, cout = w.shape[0], w.shape[4]
-    return m.transpose(0, 3, 5, 7, 1, 2, 4, 6).reshape(cin, 2, 2, 2, cout * 8)
+    m = _PARITY_MATRIX.T.astype(w.dtype) @ w.reshape(cin, 27, cout)  # (Cin, a b e, ph pw pd, Cout)
+    return m.reshape(cin, 8, 8, cout).transpose(0, 1, 3, 2).reshape(cin, 2, 2, 2, cout * 8)
 
 
 def _parity_weight_adjoint(gm, cout):
     """Gradient of `_parity_weight` at its (Cin,2,2,2,Cout*8) output -> (Cin,3,3,3,Cout)."""
-    t = _PARITY_TAPS.astype(gm.dtype)
-    g = gm.reshape(gm.shape[0], 2, 2, 2, cout, 2, 2, 2)     # (Cin, a, b, e, Cout, ph, pw, pd)
-    g = np.tensordot(g, t, axes=([1, 5], [1, 0]))        # (Cin, b, e, Cout, pw, pd, kh)
-    g = np.tensordot(g, t, axes=([1, 4], [1, 0]))        # (Cin, e, Cout, pd, kh, kw)
-    g = np.tensordot(g, t, axes=([1, 3], [1, 0]))        # (Cin, Cout, kh, kw, kd)
-    return np.ascontiguousarray(g.transpose(0, 2, 3, 4, 1))
+    cin = gm.shape[0]
+    g = gm.reshape(cin, 8, cout, 8).transpose(0, 1, 3, 2).reshape(cin, 64, cout)
+    return (_PARITY_MATRIX.astype(gm.dtype) @ g).reshape(cin, 3, 3, 3, cout)
 
 
 def _parities(full, low, h, w, d):

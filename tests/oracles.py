@@ -26,6 +26,14 @@ way, so a test can compare the optimized form in `src/` against it.
   its strided windows, with the backward's scatter of window gradients;
   check the flat-run path of `pacedseg.autodiff.conv3d_raw` and
   `conv3d_backward` on the stride phases, at every stride.
+- `conv3d_direct` and `conv3d_direct_backward`: a conv and its gradients
+  by definition, one output voxel and kernel tap at a time; check the
+  depth-folded GEMM of `pacedseg.autodiff.conv3d_raw` and
+  `conv3d_backward`.
+- `parity_weight` and `parity_weight_adjoint`: the low-res weight of each
+  output parity of an `up=2` conv, and its adjoint, as three tensordots
+  with the per-axis tap table; the float64 reference of the one-matmul
+  `pacedseg.autodiff._parity_weight` and `_parity_weight_adjoint`.
 - `softmax_reduce`: softmax over the last axis with numpy reductions;
   checks the slice-folded `pacedseg.autodiff.softmax_raw` bit for bit.
 - `fuse_one_hot`: label fusion as the argmax of trust-weighted one-hot
@@ -147,6 +155,67 @@ def conv3d_windowed_backward(gout, x, w, stride=1, pad=1):
         gxp[t] += gcols[:, m]
     h, ww, d = x.shape[1:]
     return gxp[:, pad : pad + h, pad : pad + ww, pad : pad + d], gw, gmat.sum(axis=1)
+
+
+def _direct_taps(x, w, stride, pad):
+    """(padded x, output extents, ((oh, ow, od), (i, j, l), x voxel) of every
+    output voxel and kernel tap) of a conv."""
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (pad, pad)))
+    kshape = w.shape[1:4]
+    out = tuple((s + 2 * pad - k) // stride + 1 for s, k in zip(x.shape[1:], kshape))
+    pairs = [(o, t, tuple(a * stride + b for a, b in zip(o, t)))
+             for o in np.ndindex(*out) for t in np.ndindex(*kshape)]
+    return xp, out, pairs
+
+
+def conv3d_direct(x, w, b, stride=1, pad=1):
+    """Conv of a (Cin, H, W, D) x with a (Cin, kh, kw, kd, Cout) w, by its
+    definition: each output voxel sums x times w over every kernel tap."""
+    xp, out, pairs = _direct_taps(x, w, stride, pad)
+    res = np.zeros((w.shape[4], *out), dtype=np.result_type(x, w))
+    for o, t, v in pairs:
+        res[(slice(None), *o)] += xp[(slice(None), *v)] @ w[(slice(None), *t)]
+    return res + b.reshape(-1, 1, 1, 1)
+
+
+def conv3d_direct_backward(gout, x, w, stride=1, pad=1):
+    """(gx, gw, gb) of `conv3d_direct`, by the chain rule through each
+    output voxel and kernel tap."""
+    xp, _, pairs = _direct_taps(x, w, stride, pad)
+    gxp, gw = np.zeros_like(xp), np.zeros_like(w)
+    for o, t, v in pairs:
+        g = gout[(slice(None), *o)]
+        gw[(slice(None), *t)] += np.outer(xp[(slice(None), *v)], g)
+        gxp[(slice(None), *v)] += w[(slice(None), *t)] @ g
+    h, ww, d = x.shape[1:]
+    return gxp[:, pad : pad + h, pad : pad + ww, pad : pad + d], gw, gout.sum(axis=(1, 2, 3))
+
+
+# PARITY_TAPS[p, a, k] = 1 where full-res tap k of an output at parity p of
+# one axis reads low-res tap a: (w0, w1 + w2) on (i - 1, i) for p = 0,
+# (w0 + w1, w2) on (i, i + 1) for p = 1
+PARITY_TAPS = np.array([[[1, 0, 0], [0, 1, 1]], [[1, 1, 0], [0, 0, 1]]])
+
+
+def parity_weight(w):
+    """(Cin,3,3,3,Cout) -> the (Cin,2,2,2,Cout*8) low-res weight of each output
+    parity, one axis of taps at a time."""
+    t = PARITY_TAPS.astype(w.dtype)
+    m = np.tensordot(w, t, axes=([1], [2]))  # (Cin, kw, kd, Cout, ph, a)
+    m = np.tensordot(m, t, axes=([1], [2]))  # (Cin, kd, Cout, ph, a, pw, b)
+    m = np.tensordot(m, t, axes=([1], [2]))  # (Cin, Cout, ph, a, pw, b, pd, e)
+    cin, cout = w.shape[0], w.shape[4]
+    return m.transpose(0, 3, 5, 7, 1, 2, 4, 6).reshape(cin, 2, 2, 2, cout * 8)
+
+
+def parity_weight_adjoint(gm, cout):
+    """Gradient of `parity_weight` at its (Cin,2,2,2,Cout*8) output -> (Cin,3,3,3,Cout)."""
+    t = PARITY_TAPS.astype(gm.dtype)
+    g = gm.reshape(gm.shape[0], 2, 2, 2, cout, 2, 2, 2)     # (Cin, a, b, e, Cout, ph, pw, pd)
+    g = np.tensordot(g, t, axes=([1, 5], [1, 0]))        # (Cin, b, e, Cout, pw, pd, kh)
+    g = np.tensordot(g, t, axes=([1, 4], [1, 0]))        # (Cin, e, Cout, pd, kh, kw)
+    g = np.tensordot(g, t, axes=([1, 3], [1, 0]))        # (Cin, Cout, kh, kw, kd)
+    return g.transpose(0, 2, 3, 4, 1)
 
 
 def softmax_reduce(x):

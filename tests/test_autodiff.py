@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 from oracles import (
     OracleTape,
+    conv3d_direct,
+    conv3d_direct_backward,
     conv3d_windowed,
     conv3d_windowed_backward,
+    parity_weight,
+    parity_weight_adjoint,
     softmax_reduce,
     upsample2,
 )
@@ -518,6 +522,111 @@ class TestFlatRunConv:
         assert shapes == [(3 * 27, 31)] * 2
 
 
+class TestFoldedConv:
+    """Stride-1 convs that fold their depth taps into the GEMM, against the
+    direct per-voxel oracle in float64.
+
+    A folded conv gathers only the taps (i, j, 0), fold - 1 columns longer,
+    and adds row block l of its product shifted by +l; its backward stacks
+    fold shifted copies of the output gradient into one tile. Small tiles
+    put those shifts across tile ends, and tiles shorter than the fold's
+    reach start the stacked gradient inside its zero head.
+    """
+
+    CASES = {
+        # (x shape, w shape, pad): an enc2-like conv on odd extents, pad 0,
+        # a two-tap depth, and a kernel flat in one in-plane axis
+        "enc2": ((4, 5, 4, 7), (4, 3, 3, 3, 2), 1),
+        "pad0": ((3, 5, 6, 5), (3, 3, 3, 3, 2), 0),
+        "kd2": ((3, 4, 5, 6), (3, 3, 3, 2, 2), 1),
+        "kh1": ((3, 4, 5, 6), (3, 1, 3, 3, 1), 1),
+    }
+
+    @staticmethod
+    def _inputs(case, seed):
+        x_shape, w_shape, pad = case
+        rng = np.random.default_rng(seed)
+        x, w = rng.standard_normal(x_shape), rng.standard_normal(w_shape)
+        return x, w, rng.standard_normal(w_shape[4]), pad, rng
+
+    @staticmethod
+    def _close(got, want):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_the_shape_rule_folds_these_cases(self, case):
+        x_shape, w_shape, pad = case
+        _, _, offsets, _, _, fold = autodiff._geometry(x_shape, w_shape, 1, pad)
+        assert fold == w_shape[3] and len(offsets) == w_shape[1] * w_shape[2]
+
+    def test_the_shape_rule_on_the_model_convs(self):
+        # enc1 and enc2 fold; the stride-2 down conv and the 64-output
+        # parity conv of the up=2 decoder gather all their taps
+        folds = [autodiff._geometry(x, w, stride, 1)[-1] for x, w, stride in [
+            ((1, 32, 32, 16), (1, 3, 3, 3, 4), 1),
+            ((4, 32, 32, 16), (4, 3, 3, 3, 8), 1),
+            ((8, 32, 32, 16), (8, 3, 3, 3, 8), 2),
+            ((8, 16, 16, 8), (8, 2, 2, 2, 64), 1),
+        ]]
+        assert folds == [3, 3, 1, 1]
+
+    @pytest.mark.parametrize("tile", [None, 1, 2, 7])
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_matches_the_direct_oracle(self, case, tile, monkeypatch):
+        if tile:
+            monkeypatch.setattr(autodiff, "TILE", tile)
+        x, w, b, pad, rng = self._inputs(case, seed=5)
+        out = conv3d_raw(x, w, b, 1, pad)
+        self._close(out, conv3d_direct(x, w, b, 1, pad))
+        g = rng.standard_normal(out.shape)
+        for got, want in zip(conv3d_backward(g, x, w, 1, pad), conv3d_direct_backward(g, x, w, 1, pad)):
+            self._close(got, want)
+
+    def test_ragged_tiles_fold_across_tile_ends(self, monkeypatch):
+        # TILE = 8 divides neither the 4*6*9 + 3*9 + 7 = 250 output columns
+        # nor the 252 columns of the backward's longer runs; each forward
+        # tile gathers 8 + 2 columns of the 9 taps (i, j, 0)
+        monkeypatch.setattr(autodiff, "TILE", 8)
+        shapes = record_run_cols(monkeypatch)
+        x, w, b, pad, rng = self._inputs(self.CASES["enc2"], seed=6)
+        n = 4 * 6 * 9 + 3 * 9 + 7
+        out = conv3d_raw(x, w, b, 1, pad)
+        assert shapes == [(4 * 9, 10)] * (n // 8) + [(4 * 9, n % 8 + 2)]
+        self._close(out, conv3d_direct(x, w, b, 1, pad))
+        shapes.clear()
+        g = rng.standard_normal(out.shape)
+        got = conv3d_backward(g, x, w, 1, pad)
+        assert shapes == [(4 * 9, 8)] * ((n + 2) // 8) + [(4 * 9, (n + 2) % 8)]
+        for a, r in zip(got, conv3d_direct_backward(g, x, w, 1, pad)):
+            self._close(a, r)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_without_gx_weight_and_bias_grads_are_bitwise_equal(self, dtype):
+        x, w, b, pad, rng = self._inputs(self.CASES["enc2"], seed=7)
+        x, w = x.astype(dtype), w.astype(dtype)
+        g = rng.standard_normal(conv3d_raw(x, w, b.astype(dtype), 1, pad).shape).astype(dtype)
+        gx, gw, gb = conv3d_backward(g, x, w, 1, pad)
+        none, gw_only, gb_only = conv3d_backward(g, x, w, 1, pad, need_gx=False)
+        assert gx is not None and none is None
+        assert gw.tobytes() == gw_only.tobytes() and gb.tobytes() == gb_only.tobytes()
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_fused_relu_matches_the_direct_oracle(self, case):
+        x, w, b, pad, rng = self._inputs(case, seed=8)
+        tape = Tape(np.float64)
+        nodes = [tape.input(a) for a in (x, w, b)]
+        out = tape.conv3d(*nodes, stride=1, pad=pad, relu=True)
+        pre = conv3d_direct(x, w, b, 1, pad)
+        assert (pre < 0).any() and (pre > 0).any()
+        self._close(out.value, np.maximum(pre, 0))
+        weight = rng.standard_normal(pre.shape)
+        tape.backward(tape.sum(tape.mul_const(out, weight)))
+        want = conv3d_direct_backward(weight * (pre > 0), x, w, 1, pad)
+        for node, r in zip(nodes, want):
+            self._close(node.grad, r)
+
+
 class TestKeptBuffers:
     """Convs interleaved so that work buffers kept on shape alone would collide."""
 
@@ -648,6 +757,17 @@ class TestConvUp2:
         # each parity reads only padding on one side of the one-voxel axis
         for got, want in self._pair(np.float64, seed=2, x_shape=x_shape):
             assert self._rel(got, want) < 1e-12
+
+    @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-14), (np.float32, 1e-6)])
+    def test_parity_weight_matches_the_tensordot_oracle(self, dtype, rtol):
+        rng = np.random.default_rng(4)
+        w = rng.standard_normal(self.W_SHAPE).astype(dtype)
+        g = rng.standard_normal((3, 2, 2, 2, 4 * 8)).astype(dtype)
+        for got, want in [(autodiff._parity_weight(w), parity_weight(w.astype(np.float64))),
+                          (autodiff._parity_weight_adjoint(g, 4),
+                           parity_weight_adjoint(g.astype(np.float64), 4))]:
+            assert got.dtype == dtype and got.flags.c_contiguous
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
 
     def test_parity_weight_adjoint_is_its_transpose(self):
         # <P(w), G> = <w, P*(G)> for the linear map P = _parity_weight

@@ -45,7 +45,8 @@ def runs(tmp_path):
         (kept / "change.json").write_text(json.dumps(
             result(seed, 1.4 * (10.0 + i / 10), 120.0 + i, 0.54, correct=i != 3, failed=i == 3)))
     (runs / "pairs.json").write_text(json.dumps(
-        {"parent_commit": "aaa", "change_commit": "bbb", "command": "bench <w> <s>"}))
+        {"parent_commit": "aaa", "change_commit": "bbb", "parent_tree": "ccc",
+         "change_tree": "ddd", "command": "bench <w> <s>"}))
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(DECLARED))
     return runs
 
@@ -86,6 +87,7 @@ def test_collect_applies_the_gain_rule_and_the_bounds(runs):
                             "parent": rss["parent"], "change": rss["change"],
                             "change_wins": 10, "pairs": 10, "met": True}
     assert (out["parent_commit"], out["change_commit"]) == ("aaa", "bbb")
+    assert (out["parent_tree"], out["change_tree"]) == ("ccc", "ddd")
 
 
 def test_gain_needs_nine_wins_and_a_median_beyond_the_parent_spread():
@@ -154,21 +156,52 @@ def test_run_refuses_an_undeclared_claim_before_any_run(claim, tmp_path, monkeyp
     assert not out.exists()
 
 
+def fake_checkout(root, run_py):
+    """A git checkout at root whose bench/run.py is run_py."""
+    (root / "bench").mkdir(parents=True)
+    (root / "bench" / "run.py").write_text(run_py)
+    git = ["git", "-C", str(root), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    subprocess.run([*git, "add", "bench"], check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "fake"], check=True)
+    return root
+
+
+def test_run_records_each_sides_commit_and_tree(tmp_path, monkeypatch):
+    """The tree hash names the files a side ran, also for a commit made in a
+    scratch clone that never lands."""
+    monkeypatch.setattr(bench_pairs, "PAIRS", 2)
+    record = json.dumps(result(1101, 10.0, 150.0, 0.54))
+    checkouts = {side: fake_checkout(tmp_path / side, (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "seed = sys.argv[sys.argv.index('--seed') + 1]\n"
+        "out = Path(f'.bench_runs/early-seed{seed}-trace0')\n"
+        "out.mkdir(parents=True, exist_ok=True)\n"
+        f"(out / 'result.json').write_text({record!r})\n"
+        f"# {side}\n")) for side in bench_pairs.SIDES}
+    declared = {**DECLARED, "workloads": [{"name": "early"}], "run_seconds": 1}
+    bench_pairs.run_pairs(checkouts, tmp_path / "runs", declared, 1101)
+    meta = json.loads((tmp_path / "runs" / "pairs.json").read_text())
+    out = bench_pairs.collect(tmp_path / "runs", declared, "", None)
+    for side, root in checkouts.items():
+        git = ["git", "-C", str(root), "rev-parse"]
+        tree = subprocess.run([*git, "HEAD^{tree}"], capture_output=True, text=True).stdout
+        commit = subprocess.run([*git, "--short", "HEAD"], capture_output=True, text=True).stdout
+        assert meta[f"{side}_tree"] == out[f"{side}_tree"] == tree.strip()
+        assert meta[f"{side}_commit"] == out[f"{side}_commit"] == commit.strip()
+    assert meta["parent_tree"] != meta["change_tree"]
+
+
 def test_run_keeps_no_record_an_earlier_run_left(tmp_path):
     """bench/run.py exits 1 both on a failed check and on an uncaught
     exception; a run that wrote no record must not pass off the stale one."""
     checkouts = {}
     for side in bench_pairs.SIDES:
-        root = tmp_path / side
-        (root / "bench").mkdir(parents=True)
-        (root / "bench" / "run.py").write_text("import sys\nsys.exit(1)\n")
+        root = fake_checkout(tmp_path / side, "import sys\nsys.exit(1)\n")
         stale = root / ".bench_runs" / "early-seed1101-trace0" / "result.json"
         stale.parent.mkdir(parents=True)
         stale.write_text(json.dumps(result(1101, 10.0, 150.0, 0.54)))
-        git = ["git", "-C", str(root), "-c", "user.name=t", "-c", "user.email=t@t"]
-        subprocess.run([*git, "init", "-q"], check=True)
-        subprocess.run([*git, "add", "bench"], check=True)
-        subprocess.run([*git, "commit", "-q", "-m", "fake"], check=True)
         checkouts[side] = root
     declared = {**DECLARED, "workloads": [{"name": "early"}], "run_seconds": 1}
     with pytest.raises(RuntimeError, match="parent early seed 1101 exited 1"):

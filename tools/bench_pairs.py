@@ -13,7 +13,9 @@ seeds first_seed + 100k + i for i = 0 .. PAIRS-1. The pairs are
 interleaved across workloads, and pair i (1-based) runs the parent first
 when i is odd and the change first when i is even. Each run's
 `result.json` is kept as `<runs>/<workload>/seed<s>/<parent|change>.json`,
-with the commits and the command in `<runs>/pairs.json`. `run` then does
+with the command and each side's commit and tree hash in
+`<runs>/pairs.json`; the tree names the files a side ran even when its
+commit was made in a scratch clone and never lands. `run` then does
 what `collect` does: it reads the kept files and the metric directions
 and bounds of the repo's `BENCHMARK.json`, and writes the summary.
 """
@@ -60,14 +62,18 @@ def plan(workloads: list[str], first_seed: int, pairs: int) -> list[tuple[str, i
     return order
 
 
+def _rev_parse(checkout: Path, *args: str) -> str:
+    return subprocess.run(["git", "-C", str(checkout), "rev-parse", *args],
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
 def run_pairs(checkouts: dict[str, Path], runs: Path, declared: dict, first_seed: int) -> None:
     """Run every planned benchmark process and keep its result.json under `runs`."""
     workloads = [w["name"] for w in declared["workloads"]]
     seconds = declared["run_seconds"]
     runs.mkdir(parents=True, exist_ok=True)
-    meta = {f"{side}_commit": subprocess.run(
-        ["git", "-C", str(checkouts[side]), "rev-parse", "--short", "HEAD"],
-        capture_output=True, text=True, check=True).stdout.strip() for side in SIDES}
+    meta = {f"{side}_{name}": _rev_parse(checkouts[side], *args) for side in SIDES
+            for name, args in (("commit", ("--short", "HEAD")), ("tree", ("HEAD^{tree}",)))}
     meta["command"] = BENCH_COMMAND.format(workload="<w>", seed="<s>", seconds=f"{seconds:g}")
     (runs / "pairs.json").write_text(json.dumps(meta, indent=1) + "\n")
     for workload, seed, side in plan(workloads, first_seed, PAIRS):
@@ -179,8 +185,8 @@ def collect(runs: Path, declared: dict, what: str, claim: str | None) -> dict:
         raise ValueError(f"no kept runs under {runs}")
     out = {
         "what": what,
-        "parent_commit": meta["parent_commit"],
-        "change_commit": meta["change_commit"],
+        **{f"{side}_{name}": meta[f"{side}_{name}"] for name in ("commit", "tree")
+           for side in SIDES},
         "host": (f"{env['nproc']}-core {platform.machine()} {platform.system()} host, Python "
                  f"{env['python']}, numpy {env['numpy']} with {env['blas']} "
                  f"(bench/run.py pins BLAS to 1 thread)"),

@@ -3,8 +3,9 @@
     python3 tools/identity_runs.py OUT [--root DIR]
 
 Runs the package of the checkout at DIR (default: the checkout holding
-this script), imported from DIR/src, one process per run, with BLAS
-pinned to one thread, since run files depend on the BLAS thread count.
+this script), imported from DIR/src and DIR/bench alone, one process per
+run, with BLAS pinned to one thread, since run files depend on the BLAS
+thread count.
 It writes under OUT:
 
 - `data/`: `gen-data` of the default config;
@@ -71,12 +72,12 @@ print(f"contrast loss nonzero on {fired} of {steps} steps")
 
 
 def run_env(root: Path) -> dict[str, str]:
-    """The environment of every run: the checkout's src/ and bench/ first on
-    the path, BLAS at one thread."""
-    path = [str(root / "src"), str(root / "bench")]
-    if os.environ.get("PYTHONPATH"):
-        path.append(os.environ["PYTHONPATH"])
-    return {**os.environ, **BLAS_ENV, "PYTHONPATH": os.pathsep.join(path)}
+    """The environment of every run: the checkout's src/ and bench/ as the
+    whole PYTHONPATH, BLAS at one thread. The caller's PYTHONPATH is not
+    kept, so a package missing from the checkout is an error, not another
+    checkout's copy."""
+    path = os.pathsep.join([str(root / "src"), str(root / "bench")])
+    return {**os.environ, **BLAS_ENV, "PYTHONPATH": path}
 
 
 def write_config(path: Path, values: dict[str, str]) -> Path:
