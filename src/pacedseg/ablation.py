@@ -38,10 +38,13 @@ class AblationResult:
 
 def dataset_for_seed(config: TrainConfig, seed: int, registration: bool = True) -> Dataset:
     """The training data of a run with this config and seed: the generated
-    cases, with registration labels unless `registration` is off."""
+    cases, with registration labels unless `registration` is off. A config
+    whose class count the generator does not make is a ConfigError."""
     ds = generate_dataset(
         config.n_labeled, config.n_unlabeled, config.dims, seed=seed, **config.generator_options
     )
+    if ds.n_classes != config.n_classes:
+        raise ConfigError(f"n_classes is {config.n_classes}, the generator makes {ds.n_classes}")
     if registration:
         attach_registration(ds, config.reg_sigma, config.reg_beta, seed=seed)
     return ds

@@ -8,7 +8,8 @@ values come from outside the step (dataset generation, dataset files) or
 leave it for scoring: they validate their invariants once at construction,
 narrow the data to what the step reads (float32 intensities, one-byte
 class ids) and then freeze the underlying array, so instances are safe to
-share across threads.
+share across threads. They share memory only with an array already frozen
+(a row of a read-only file array); anything still writable is copied.
 Checkpoints and dataset files are all named-array files (`save_arrays`,
 `load_arrays`): the package's one binary layout lives here. Class ids are
 stored as the one byte each that `LabelMap` holds.
@@ -28,9 +29,12 @@ from .errors import FormatError
 
 
 def _as_c_order(a: np.ndarray, dtype) -> np.ndarray:
+    """`a` as read-only C-order `dtype`; it shares memory only with a frozen ndarray owner."""
     out = np.ascontiguousarray(a, dtype=dtype)
-    if np.may_share_memory(out, a):  # numpy may return a new view of a ('<f4' as float32)
-        out = out.copy()
+    if np.may_share_memory(out, a):  # out is a, or a view whose base owns the memory
+        owner = out.base if isinstance(out.base, np.ndarray) else out
+        if owner.base is not None or owner.flags.writeable:
+            out = out.copy()
     out.setflags(write=False)
     return out
 

@@ -15,9 +15,8 @@ against the hidden truth lands in the 0.60-0.70 band.
 A case is drawn in float64 and held as a float32 `Volume`. A dataset
 directory holds two named-array files (`grids.save_arrays`): `data.arr`,
 all that training reads, and `truth.arr`, read only to score. Images are
-stored as float32 and label maps as one byte per voxel, as they are held.
-Float64 images and int64 label maps, as earlier versions wrote them, still
-load and are narrowed on the way in.
+stored as float32 and label maps as one byte per voxel, as they are held,
+and `load_dataset` reads nothing else.
 """
 
 from __future__ import annotations
@@ -290,32 +289,32 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
 def load_dataset(in_dir, include_truth: bool = False) -> Dataset:
     """Read a dataset directory; truth.arr is only opened when asked for.
 
-    Each file's arrays are copied into the dataset's label maps and volumes
-    before the next file is read, so loading holds one file's payloads at a
-    time beside what the dataset keeps (label maps at one byte a voxel,
-    float32 volumes at four).
+    Each array must have the one dtype `save_dataset` writes: float32
+    `images`, uint8 `slices`, `reg` and `truth`, int64 `classes` and `k`.
+    The file arrays are frozen before any case is built, so the volumes and
+    label maps are read-only views of them and each payload is held once.
     """
     root = Path(in_dir)
     arrays = load_arrays(root / DATA_NAME)
     if set(arrays) - {"reg"} != {"classes", "images", "k", "slices"}:
         raise FormatError(f"{root}: data.arr holds {sorted(arrays)}")
+    truth_file = root / TRUTH_NAME
+    hidden = load_arrays(truth_file) if include_truth and truth_file.exists() else {}
+    if set(hidden) - {"truth"}:
+        raise FormatError(f"{root}: truth.arr holds {sorted(hidden)}")
+    arrays |= hidden
     images, ks = arrays["images"], arrays["k"]
     if images.ndim != 4 or ks.ndim != 1 or len(ks) > len(images):
         raise FormatError(f"{root}: images {images.shape} or k {ks.shape} is misshapen")
     n_labeled, (n_cases, h, w, d) = len(ks), images.shape
-    labels = ("uint8", "int64")  # int64 class ids, as earlier versions wrote, still load
-    expected = {"classes": (("int64",), ()), "images": (("float32", "float64"), images.shape),
-                "k": (("int64",), ks.shape), "slices": (labels, (n_labeled, h, w)),
-                "reg": (labels, (n_labeled, h, w, d)), "truth": (labels, images.shape)}
-
-    def check(store):
-        for name, a in store.items():
-            dtypes, shape = expected[name]
-            if a.dtype.name not in dtypes or a.shape != shape:
-                raise FormatError(f"{root}: {name} is {a.dtype} {a.shape}, expected "
-                                  f"{' or '.join(dtypes)} {shape}")
-
-    check(arrays)
+    expected = {"classes": ("int64", ()), "images": ("float32", images.shape),
+                "k": ("int64", ks.shape), "slices": ("uint8", (n_labeled, h, w)),
+                "reg": ("uint8", (n_labeled, h, w, d)), "truth": ("uint8", images.shape)}
+    for name, a in arrays.items():
+        dtype, shape = expected[name]
+        if (a.dtype.name, a.shape) != (dtype, shape):
+            raise FormatError(f"{root}: {name} is {a.dtype} {a.shape}, expected {dtype} {shape}")
+        a.setflags(write=False)
     if not valid_dims((h, w, d)):
         raise FormatError(f"{root}: image dims {(h, w, d)} must be >= 4 and divisible by 2")
     if ((ks < 0) | (ks >= d)).any():
@@ -324,25 +323,18 @@ def load_dataset(in_dir, include_truth: bool = False) -> Dataset:
     if not 2 <= n_classes <= MAX_CLASSES:
         raise FormatError(f"{root}: classes={n_classes} is outside [2, {MAX_CLASSES}]")
 
-    def each(make, store, name):
-        """make(a) for each case a of store[name], which is dropped; None per case if absent."""
+    def each(make, name):
+        """make(a) for each case a of arrays[name]; None per case if absent."""
         try:
-            return [make(a) for a in store.pop(name)] if name in store else [None] * n_cases
+            return [make(a) for a in arrays[name]] if name in arrays else [None] * n_cases
         except ValueError as e:
             raise FormatError(f"{root}: {e}") from e
 
     label_map = partial(LabelMap, n_classes=n_classes)
     arrays["slices"] = arrays["slices"][..., None]  # each an (H, W, 1) label map
-    slices, reg = each(label_map, arrays, "slices"), each(label_map, arrays, "reg")
-    del images  # the volumes copy the images: the file's array goes once they are made
-    volumes = each(Volume, arrays, "images")
-    truth_file = root / TRUTH_NAME
-    hidden = load_arrays(truth_file) if include_truth and truth_file.exists() else {}
-    if set(hidden) - {"truth"}:
-        raise FormatError(f"{root}: truth.arr holds {sorted(hidden)}")
-    check(hidden)
-    truth = each(label_map, hidden, "truth")
-    cases = [UnlabeledCase(f"case_{i:04d}", image, truth[i]) for i, image in enumerate(volumes)]
-    labeled = [LabeledCase(case.case_id, case.image, int(k), slices[i].data[:, :, 0].copy(),
+    slices, reg, truth = (each(label_map, name) for name in ("slices", "reg", "truth"))
+    cases = [UnlabeledCase(f"case_{i:04d}", image, truth[i])
+             for i, image in enumerate(each(Volume, "images"))]
+    labeled = [LabeledCase(case.case_id, case.image, int(k), slices[i].data[:, :, 0],
                            reg[i], case.truth) for i, (case, k) in enumerate(zip(cases, ks))]
     return Dataset(labeled, cases[n_labeled:], (h, w, d), n_classes)

@@ -136,10 +136,10 @@ def test_eval_on_odd_dims_exits_config(trained, tmp_path, capsys):
     data = tmp_path / "odd"
     data.mkdir()
     save_arrays(data / "data.arr", {
-        "classes": np.int64(2), "images": np.zeros((1, 7, 8, 4)),
-        "k": np.array([2]), "slices": np.zeros((1, 7, 8), dtype=np.int64),
+        "classes": np.int64(2), "images": np.zeros((1, 7, 8, 4), dtype=np.float32),
+        "k": np.array([2]), "slices": np.zeros((1, 7, 8), dtype=np.uint8),
     })
-    save_arrays(data / "truth.arr", {"truth": np.zeros((1, 7, 8, 4), dtype=np.int64)})
+    save_arrays(data / "truth.arr", {"truth": np.zeros((1, 7, 8, 4), dtype=np.uint8)})
     argv = ["--config", str(cfg), "--out-dir", str(tmp_path / "out"), "eval",
             "--checkpoint", str(run / "final.ckpt"), "--data-dir", str(data)]
     assert main(argv) == EXIT_CONFIG
@@ -203,20 +203,22 @@ def _train_on(cfg, data, out):
     ("data.arr", "k", lambda k: k + 97, "k=[99] outside depth 4"),
     # images twice as tall: the stored slices no longer match them
     ("data.arr", "images", lambda a: np.concatenate([a, a], axis=1),
-     "slices is uint8 (1, 4, 4), expected uint8 or int64 (1, 8, 4)"),
+     "slices is uint8 (1, 4, 4), expected uint8 (1, 8, 4)"),
     ("data.arr", "slices", lambda a: a[:, :2], "slices is uint8 (1, 2, 4), expected"),
     ("data.arr", "reg", lambda a: a[..., :2], "reg is uint8 (1, 4, 4, 2), expected"),
     ("data.arr", "reg", lambda a: a.astype(np.float64), "reg is float64"),
+    # class ids are one byte on disk, as in memory: int64 ids are refused
+    ("data.arr", "reg", lambda a: a.astype(np.int64),
+     "reg is int64 (1, 4, 4, 4), expected uint8 (1, 4, 4, 4)"),
     ("truth.arr", "truth", lambda a: a[:1], "truth is uint8 (1, 4, 4, 4), expected"),
     # the config keeps its default n_classes = 2
     ("data.arr", "classes", lambda c: np.int64(3), "dataset has 3 classes, config n_classes is 2"),
-    # an int64 file, as earlier versions wrote: 258 would wrap to 2 in one byte,
-    # so the range is checked before it narrows
-    ("data.arr", "reg", lambda a: np.full(a.shape, 258, dtype=np.int64),
+    # a byte holds class id 255, which two classes do not have
+    ("data.arr", "reg", lambda a: np.full(a.shape, 255, dtype=np.uint8),
      "labels outside [0, n_classes)"),
     ("data.arr", "classes", lambda c: np.int64(300), "classes=300 is outside [2, 256]"),
-], ids=["k_past_depth", "images", "slices", "reg", "reg_dtype", "truth", "classes",
-        "reg_label_258", "classes_300"])
+], ids=["k_past_depth", "images", "slices", "reg", "reg_dtype", "reg_int64", "truth", "classes",
+        "reg_label_255", "classes_300"])
 def test_malformed_data_exits_config(tiny_data, trained, tmp_path, capsys,
                                      fname, name, edit, message):
     cfg, data = tiny_data
@@ -254,6 +256,18 @@ def test_train_without_registration_exits_config(tiny_data, tmp_path, capsys):
     assert main(argv) == EXIT_OK
     assert _train_on(cfg, data, tmp_path / "run") == EXIT_CONFIG
     assert "has no registration label" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["gen-data", "train", "ablate"])
+def test_class_count_the_generator_does_not_make_exits_config(tmp_path, capsys, verb):
+    """The generator makes two classes, so no verb that generates data writes
+    a dataset or a run whose class count its config denies."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(TINY_CFG + "n_classes = 3\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out-dir", str(out), verb]) == EXIT_CONFIG
+    assert "n_classes is 3, the generator makes 2" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_train_on_other_dims_exits_config(tiny_data, tmp_path, capsys):

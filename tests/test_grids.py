@@ -142,6 +142,27 @@ class TestTypes:
         src[1] = 1.0
         assert not np.shares_memory(vol.data, src) and vol.data.max() == 0.0
 
+    @pytest.mark.parametrize("make,dtype", [(Volume, np.float32), (LabelMap, np.uint8)])
+    def test_only_memory_a_frozen_array_owns_is_shared(self, make, dtype):
+        """A read-only view of a writable array, or of a buffer that is not an
+        array, is copied: writing the owner leaves the held data unchanged. A
+        row of a frozen array is shared."""
+        src = np.zeros((2, 2, 2, 2), dtype)
+        view = src[1]
+        view.setflags(write=False)
+        held = make(view).data
+        src[1] = 1
+        assert not np.shares_memory(held, src) and held.max() == 0
+        buf = bytearray(8 * src.itemsize)
+        flat = np.frombuffer(buf, dtype)
+        flat.setflags(write=False)
+        held = make(flat.reshape(2, 2, 2)).data
+        buf[:] = b"\x01" * len(buf)
+        assert held.max() == 0
+        src.setflags(write=False)
+        row = make(src[1]).data
+        assert np.shares_memory(row, src) and not row.flags.writeable
+
     def test_volume_holds_float32_narrowed_from_float64(self):
         data = np.random.default_rng(3).standard_normal((3, 4, 5))
         vol = Volume(data)

@@ -33,16 +33,20 @@ def test_tiny_config_writes_every_run_file(tmp_path, capsys, monkeypatch):
     names = [name for name, _ in identity_runs.runs(tmp_path, TINY, 2)]
     assert [line.split(":")[0] for line in printed] == names
     assert names == ["data", "train_float32_default", "train_float32_confident",
-                     "train_float64_default", "train_float64_confident", "ablate",
-                     "late_float32", "late_float64"]
+                     "train_float64_default", "train_float64_confident",
+                     "eval_float32", "eval_float64", "ablate", "late_float32", "late_float64"]
     for name in names[1:5]:
         assert sorted(p.name for p in (out / name).iterdir()) == TRAIN_FILES
         assert len((out / name / "train_log.csv").read_text().splitlines()) == 7
         config = (out / name / "config.txt").read_text()
         assert f"dtype = {name.split('_')[1]}" in config and "dim_d = 8" in config
         assert ("alpha = 100.0" in config) == name.endswith("confident")
+    for name in names[5:7]:  # every case of the 2 + 2 has a truth
+        assert [p.name for p in (out / name).iterdir()] == ["metrics.csv"]
+        rows = (out / name / "metrics.csv").read_text().splitlines()
+        assert rows[0].startswith("case_id,dsc,") and len(rows) == 1 + 4
     assert len(list((out / "ablate" / "runs").iterdir())) == 4 * 3
-    for name in names[6:]:
+    for name in names[-2:]:
         assert sorted(p.name for p in (out / name).iterdir()) == ["final.ckpt", "train_log.csv"]
         assert len((out / name / "train_log.csv").read_text().splitlines()) == 3
         assert printed[names.index(name)].endswith("of 2 steps")

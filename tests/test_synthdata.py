@@ -26,6 +26,12 @@ from pacedseg.synthdata import (
 from pacedseg.training import TrainConfig
 
 
+# the one dtype per array that `save_dataset` writes, and every dtype `save_arrays` writes
+WRITTEN = {"classes": "int64", "images": "float32", "k": "int64", "slices": "uint8",
+           "reg": "uint8", "truth": "uint8"}
+SAVED = ("float64", "float32", "int64", "uint8")
+
+
 def slice_dice(a, b):
     na, nb = a.sum(), b.sum()
     if na == 0 and nb == 0:
@@ -244,30 +250,34 @@ class TestDatasetIO:
         assert all(c.reg_label is None and c.truth is None for c in back.labeled)
         np.testing.assert_array_equal(back.unlabeled[0].image.data, ds.unlabeled[0].image.data)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_images_load_from_float32_or_float64_files(self, tmp_path, dtype):
-        """float32 as `save_dataset` writes them, float64 as earlier versions
-        did; both load as the float32 volumes the generator made."""
+    def test_images_load_as_the_float32_arrays_written(self, tmp_path):
         ds = attach_registration(generate_dataset(2, 1, (8, 8, 4), seed=4), seed=4)
         save_dataset(ds, tmp_path)
         arrays = load_arrays(tmp_path / "data.arr")
-        wide = np.random.default_rng(0).standard_normal(arrays["images"].shape)
-        arrays["images"] = wide.astype(dtype)
+        images = np.random.default_rng(0).standard_normal(arrays["images"].shape)
+        arrays["images"] = images.astype(np.float32)
         save_arrays(tmp_path / "data.arr", arrays)
         back = load_dataset(tmp_path, include_truth=True)
-        for got, want in zip(back.labeled + back.unlabeled, wide):
+        for got, want in zip(back.labeled + back.unlabeled, arrays["images"]):
             assert got.image.data.dtype == np.float32
-            assert got.image.data.tobytes() == want.astype(np.float32).tobytes()
+            assert got.image.data.tobytes() == want.tobytes()
         np.testing.assert_array_equal(back.unlabeled[0].truth.data, ds.unlabeled[0].truth.data)
 
-    def test_integer_images_are_format_errors(self, tmp_path):
-        save_dataset(generate_dataset(1, 1, (8, 8, 4), seed=4), tmp_path)
-        arrays = load_arrays(tmp_path / "data.arr")
-        arrays["images"] = arrays["images"].astype(np.int64)
-        save_arrays(tmp_path / "data.arr", arrays)
-        with pytest.raises(FormatError, match=re.escape("images is int64 (2, 8, 8, 4), "
-                                                        "expected float32 or float64")):
-            load_dataset(tmp_path)
+    @pytest.mark.parametrize("name,dtype", [
+        (name, dtype) for name, written in WRITTEN.items() for dtype in SAVED if dtype != written])
+    def test_every_other_dtype_is_a_format_error(self, tmp_path, name, dtype):
+        """An array in any dtype but the one `save_dataset` writes is refused
+        by name, float64 images and int64 class ids included."""
+        save_dataset(attach_registration(generate_dataset(2, 1, (8, 8, 4), seed=5), seed=5),
+                     tmp_path)
+        path = tmp_path / ("truth.arr" if name == "truth" else "data.arr")
+        arrays = load_arrays(path)
+        arrays[name] = arrays[name].astype(dtype)
+        save_arrays(path, arrays)
+        shape = arrays[name].shape
+        message = f"{name} is {dtype} {shape}, expected {WRITTEN[name]} {shape}"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_dataset(tmp_path, include_truth=True)
 
     def test_equal_datasets_give_equal_bytes(self, tmp_path):
         for name in ("a", "b"):
@@ -296,64 +306,38 @@ class TestDatasetIO:
                 case.slice_labels.dtype} == {np.dtype(np.uint8)}
         save_dataset(ds, tmp_path)
         files = load_arrays(tmp_path / "data.arr") | load_arrays(tmp_path / "truth.arr")
-        assert {name: a.dtype for name, a in files.items()} == {
-            "classes": np.int64, "images": np.float32, "k": np.int64,
-            "slices": np.uint8, "reg": np.uint8, "truth": np.uint8}
+        assert {name: a.dtype.name for name, a in files.items()} == WRITTEN
         assert files["truth"].tobytes() == b"".join(
             case.truth.data.tobytes() for case in ds.labeled + ds.unlabeled)
         back = load_dataset(tmp_path, include_truth=True)
         assert back.labeled[0].reg_label.data.dtype == np.uint8
 
-    def test_int64_label_files_load_as_the_same_dataset(self, tmp_path):
-        """Earlier versions stored class ids as int64; such a directory loads
-        to the dataset its one-byte twin does."""
-        ds = attach_registration(generate_dataset(2, 2, (8, 8, 4), seed=5), seed=5)
-        for name in ("bytes", "wide"):
-            (tmp_path / name).mkdir()
-            save_dataset(ds, tmp_path / name)
-        for fname, names in (("data.arr", ("slices", "reg")), ("truth.arr", ("truth",))):
-            arrays = load_arrays(tmp_path / "wide" / fname)
-            arrays |= {name: arrays[name].astype(np.int64) for name in names}
-            save_arrays(tmp_path / "wide" / fname, arrays)
-        a, b = (load_dataset(tmp_path / name, include_truth=True) for name in ("bytes", "wide"))
-        assert (a.dims, a.n_classes, len(a.labeled), len(a.unlabeled)) == \
-               (b.dims, b.n_classes, len(b.labeled), len(b.unlabeled))
-        for ca, cb in zip(a.labeled, b.labeled):
-            assert ca.k == cb.k
-            assert ca.slice_labels.dtype == cb.slice_labels.dtype == np.uint8
-            np.testing.assert_array_equal(ca.slice_labels, cb.slice_labels)
-            assert ca.reg_label.data.tobytes() == cb.reg_label.data.tobytes()
-        for ca, cb in zip(a.labeled + a.unlabeled, b.labeled + b.unlabeled):
-            assert ca.case_id == cb.case_id
-            assert ca.image.data.tobytes() == cb.image.data.tobytes()
-            assert cb.truth.data.dtype == np.uint8
-            assert ca.truth.data.tobytes() == cb.truth.data.tobytes()
-
-    def test_loading_peaks_below_twice_what_the_dataset_holds(self, tmp_path):
-        """Each payload is read once into its own array, and each file's int64
-        labels are narrowed before the next file is read. Reading each whole
-        file and copying every array out of it peaked at 35.4 MB traced for a
-        dataset that holds 12.1 MB."""
+    @pytest.mark.parametrize("include_truth", [False, True], ids=["data", "data_and_truth"])
+    def test_loading_holds_each_payload_once(self, tmp_path, include_truth):
+        """Each payload is read once into its own array, which is frozen, and
+        every volume and label map is a view of it. Copying each image out of
+        the file's array peaked at 10.81 MB traced for 5.56 MB held."""
         save_dataset(dataset_for_seed(TrainConfig(), 1), tmp_path)
         tracemalloc.start()
         try:
-            ds = load_dataset(tmp_path, include_truth=True)
+            ds = load_dataset(tmp_path, include_truth=include_truth)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert all(case.truth is not None for case in ds.labeled + ds.unlabeled)
-        assert peak <= 2 * held
+        cases = ds.labeled + ds.unlabeled
+        assert all((case.truth is not None) == include_truth for case in cases)
+        assert all(not case.image.data.flags.writeable for case in cases)
+        assert peak <= 1.05 * held
 
-    # the label edits widen to int64, as earlier versions stored class ids
     @pytest.mark.parametrize("fname,name,edit,message", [
-        ("data.arr", "reg", lambda a: np.where(a == 1, 258, a.astype(np.int64)),
+        ("data.arr", "reg", lambda a: np.where(a == 1, 2, a).astype(np.uint8), "labels outside"),
+        ("truth.arr", "truth", lambda a: np.where(a == 1, 255, a).astype(np.uint8),
          "labels outside"),
-        ("truth.arr", "truth", lambda a: np.where(a == 1, 256, a.astype(np.int64)),
+        ("data.arr", "slices", lambda a: np.where(a == 0, 255, a).astype(np.uint8),
          "labels outside"),
-        ("data.arr", "slices", lambda a: a.astype(np.int64) - 1, "labels outside"),
         ("data.arr", "classes", lambda c: np.int64(257), "classes=257 is outside [2, 256]"),
-    ], ids=["reg_258", "truth_256", "slices_negative", "classes_257"])
-    def test_labels_that_a_byte_cannot_hold_are_format_errors(self, tmp_path, fname, name,
+    ], ids=["reg_2", "truth_255", "slices_255", "classes_257"])
+    def test_labels_outside_the_class_count_are_format_errors(self, tmp_path, fname, name,
                                                               edit, message):
         save_dataset(attach_registration(generate_dataset(2, 1, (8, 8, 4), seed=5), seed=5),
                      tmp_path)

@@ -12,6 +12,8 @@ It writes under OUT:
 - `train_<dtype>_<schedule>/`: `train --data-dir data` at 40 iterations,
   `eval_period=20` and `n_eval=4`, in float32 and float64, on the default
   schedule and on the confident one (`alpha=100, tau_sched=2000`);
+- `eval_<dtype>/`: `eval` of `train_<dtype>_default/final.ckpt` on
+  `data`, with that run's config: `metrics.csv`, scored on the truths;
 - `ablate/`: `ablate --seeds 1,2,3` at 20 iterations;
 - `late_<dtype>/`: 12 steps from the `late` benchmark's warm-start fixture
   (step seed 7) in float32 and float64, set up as `bench/harness.py` sets
@@ -97,6 +99,11 @@ def runs(out: Path, base: dict[str, str], late_steps: int) -> list[tuple[str, li
             cfg = write_config(out / f"{name}.cfg", {**base, **TRAIN, "dtype": dtype, **keys})
             found.append((name, cli + ["--config", str(cfg), "--out-dir", str(out / name),
                                        "train", "--data-dir", str(out / "data")]))
+    for dtype in DTYPES:
+        name, train = f"eval_{dtype}", out / f"train_{dtype}_default"
+        found.append((name, cli + ["--config", f"{train}.cfg", "--out-dir", str(out / name),
+                                   "eval", "--checkpoint", str(train / "final.ckpt"),
+                                   "--data-dir", str(out / "data")]))
     cfg = write_config(out / "ablate.cfg", {**base, **ABLATE})
     found.append(("ablate", cli + ["--config", str(cfg), "--out-dir", str(out / "ablate"),
                                    "ablate", "--seeds", ABLATE_SEEDS]))
