@@ -36,18 +36,23 @@ class AblationResult:
     table: str
 
 
-def dataset_for_seed(config: TrainConfig, seed: int, registration: bool = True) -> Dataset:
+def _refuse_eval_seed(config: TrainConfig, seeds) -> None:
+    """A run on eval_seed would train on its eval cases: case i of a seed is drawn alike."""
+    if config.eval_seed in seeds:
+        raise ConfigError(f"seed {config.eval_seed} is eval_seed, whose cases are the eval cases")
+
+
+def dataset_for_seed(config: TrainConfig, seed: int) -> Dataset:
     """The training data of a run with this config and seed: the generated
-    cases, with registration labels unless `registration` is off. A config
-    whose class count the generator does not make is a ConfigError."""
+    cases, the labeled ones with registration labels. A seed equal to eval_seed,
+    or a config whose class count the generator does not make, is a ConfigError."""
+    _refuse_eval_seed(config, (seed,))
     ds = generate_dataset(
         config.n_labeled, config.n_unlabeled, config.dims, seed=seed, **config.generator_options
     )
     if ds.n_classes != config.n_classes:
         raise ConfigError(f"n_classes is {config.n_classes}, the generator makes {ds.n_classes}")
-    if registration:
-        attach_registration(ds, config.reg_sigma, config.reg_beta, seed=seed)
-    return ds
+    return attach_registration(ds, config.reg_sigma, config.reg_beta, seed=seed)
 
 
 def _aggregate(values: list[float]) -> tuple[float, float]:
@@ -76,6 +81,7 @@ def run_ablation(config: TrainConfig, seeds, out_dir, progress=None) -> Ablation
     seeds = tuple(int(s) for s in seeds)
     if len(seeds) < 3 or len(set(seeds)) != len(seeds) or min(seeds) < 0:
         raise ConfigError(f"ablation needs at least 3 distinct non-negative seeds, got {seeds}")
+    _refuse_eval_seed(config, seeds)  # before the first run writes a file
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

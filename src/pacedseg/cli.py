@@ -3,8 +3,10 @@
 Verbs: gen-data, train, eval, ablate, schedule-dump. Global flags
 --config / --seed / --out-dir apply to every verb; all but schedule-dump
 create --out-dir. --data-dir and --checkpoint read the named-array files
-that gen-data and train write. Exit codes: 0 on success, 2 on configuration
-errors and unusable files or directories, 3 on a numeric training abort.
+that gen-data and train write; a dataset directory always holds its
+registration labels and truths. A run takes at least one step. Exit codes:
+0 on success, 2 on configuration errors and unusable files or directories,
+3 on a numeric training abort.
 """
 
 from __future__ import annotations
@@ -38,9 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out-dir", default="out", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen-data", help="generate a synthetic dataset directory")
-    gen.add_argument("--no-registration", action="store_true",
-                     help="skip the registration surrogate")
+    sub.add_parser("gen-data", help="generate a synthetic dataset directory: "
+                                    "images, slices, registration labels and truths")
 
     train = sub.add_parser("train", help="run one training job")
     train.add_argument("--data-dir", help="existing dataset directory (default: generate)")
@@ -69,7 +70,7 @@ def _load_cfg(args) -> TrainConfig:
 
 
 def cmd_gen_data(cfg: TrainConfig, args) -> int:
-    ds = dataset_for_seed(cfg, cfg.seed, registration=not args.no_registration)
+    ds = dataset_for_seed(cfg, cfg.seed)
     save_dataset(ds, args.out_dir)
     save_config(cfg, Path(args.out_dir) / "config.txt")
     print(f"wrote {ds.n_labeled} labeled + {ds.n_unlabeled} unlabeled cases to {args.out_dir}")
@@ -81,10 +82,8 @@ def cmd_train(cfg: TrainConfig, args) -> int:
         ds = load_dataset(args.data_dir)
     else:
         ds = dataset_for_seed(cfg, cfg.seed)
-    summary = run_training(cfg, ds, args.out_dir)
-    save_config(cfg, Path(args.out_dir) / "config.txt")
-    if summary:
-        print(f"final: {format_summary(summary)}")
+    save_config(cfg, Path(args.out_dir) / "config.txt")  # first, so an aborted run names it
+    print(f"final: {format_summary(run_training(cfg, ds, args.out_dir))}")
     print(f"artifacts in {Path(args.out_dir)}")
     return EXIT_OK
 
@@ -100,10 +99,7 @@ def cmd_eval(cfg: TrainConfig, args) -> int:
     if params.n_classes != ds.n_classes:
         raise ConfigError(f"checkpoint section {args.section!r} has {params.n_classes} classes, "
                           f"dataset {args.data_dir} has {ds.n_classes}")
-    cases = [c for c in ds.labeled + ds.unlabeled if c.truth is not None]
-    if not cases:
-        raise ConfigError(f"{args.data_dir} has no truth volumes to score against")
-    records = evaluate_params(params, cases, ds.n_classes)
+    records = evaluate_params(params, ds.labeled + ds.unlabeled, ds.n_classes)
     write_records(Path(args.out_dir) / "metrics.csv", records)
     s = summarize(records)
     print(f"{len(records)} cases: {format_summary(s)} (undefined: {int(s['n_undefined'])})")

@@ -14,7 +14,8 @@ against the hidden truth lands in the 0.60-0.70 band.
 
 A case is drawn in float64 and held as a float32 `Volume`. A dataset
 directory holds two named-array files (`grids.save_arrays`): `data.arr`,
-all that training reads, and `truth.arr`, read only to score. Images are
+all that training reads, with the registration label of every labeled
+case, and `truth.arr`, every case's truth, read only to score. Images are
 stored as float32 and label maps as one byte per voxel, as they are held,
 and `load_dataset` reads nothing else.
 """
@@ -263,46 +264,44 @@ def fuse_with_weight_map(reg: np.ndarray, seg: np.ndarray, trust: np.ndarray) ->
 # ---------------------------------------------------------------------------
 
 def save_dataset(dataset: Dataset, out_dir) -> None:
-    """Write `data.arr` and, when the cases carry truths, `truth.arr` into the
-    directory `out_dir`. Case i must be `case_{i:04d}`, and registration labels
-    and truths must be on all cases or none."""
+    """Write `data.arr` and `truth.arr` into the directory `out_dir`. Case i
+    must be `case_{i:04d}`, every labeled case must carry its registration
+    label and every case its truth."""
     cases = dataset.labeled + dataset.unlabeled
     if [case.case_id for case in cases] != [f"case_{i:04d}" for i in range(len(cases))]:
         raise ValueError("dataset files hold case_0000, case_0001, ..., labeled cases first")
-    regs = [case.reg_label.data for case in dataset.labeled if case.reg_label is not None]
-    truths = [case.truth.data for case in cases if case.truth is not None]
-    if 0 < len(regs) < dataset.n_labeled or 0 < len(truths) < len(cases):
-        raise ValueError("registration labels or truths are on only some cases")
-    arrays = {
+    if (any(case.reg_label is None for case in dataset.labeled)
+            or any(case.truth is None for case in cases)):
+        raise ValueError("a labeled case lacks its registration label or a case its truth")
+    save_arrays(Path(out_dir) / DATA_NAME, {
         "classes": np.int64(dataset.n_classes),
         "images": np.stack([case.image.data for case in cases]),
         "k": np.array([case.k for case in dataset.labeled], dtype=np.int64),
         "slices": np.stack([case.slice_labels for case in dataset.labeled]),
-    }
-    if regs:
-        arrays["reg"] = np.stack(regs)
-    save_arrays(Path(out_dir) / DATA_NAME, arrays)
-    if truths:
-        save_arrays(Path(out_dir) / TRUTH_NAME, {"truth": np.stack(truths)})
+        "reg": np.stack([case.reg_label.data for case in dataset.labeled]),
+    })
+    save_arrays(Path(out_dir) / TRUTH_NAME, {"truth": np.stack([c.truth.data for c in cases])})
 
 
 def load_dataset(in_dir, include_truth: bool = False) -> Dataset:
-    """Read a dataset directory; truth.arr is only opened when asked for.
+    """Read a dataset directory; truth.arr is only opened when asked for,
+    and then it must be there.
 
-    Each array must have the one dtype `save_dataset` writes: float32
+    `data.arr` must hold exactly `classes`, `images`, `k`, `reg` and
+    `slices`, each in the one dtype `save_dataset` writes: float32
     `images`, uint8 `slices`, `reg` and `truth`, int64 `classes` and `k`.
     The file arrays are frozen before any case is built, so the volumes and
     label maps are read-only views of them and each payload is held once.
     """
     root = Path(in_dir)
     arrays = load_arrays(root / DATA_NAME)
-    if set(arrays) - {"reg"} != {"classes", "images", "k", "slices"}:
+    if set(arrays) != {"classes", "images", "k", "reg", "slices"}:
         raise FormatError(f"{root}: data.arr holds {sorted(arrays)}")
-    truth_file = root / TRUTH_NAME
-    hidden = load_arrays(truth_file) if include_truth and truth_file.exists() else {}
-    if set(hidden) - {"truth"}:
-        raise FormatError(f"{root}: truth.arr holds {sorted(hidden)}")
-    arrays |= hidden
+    if include_truth:
+        hidden = load_arrays(root / TRUTH_NAME)
+        if set(hidden) != {"truth"}:
+            raise FormatError(f"{root}: truth.arr holds {sorted(hidden)}")
+        arrays |= hidden
     images, ks = arrays["images"], arrays["k"]
     if images.ndim != 4 or ks.ndim != 1 or len(ks) > len(images):
         raise FormatError(f"{root}: images {images.shape} or k {ks.shape} is misshapen")

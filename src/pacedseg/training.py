@@ -150,9 +150,8 @@ class TrainConfig:
                 "center_jitter": self.center_jitter, "edge_width": self.edge_width}
 
     def new_schedule(self) -> Schedule:
-        """The self-paced schedule at t = 0. A zero-iteration run still gets a
-        valid one (t_max = 1), which it never advances."""
-        return Schedule(max(self.iterations, 1), self.alpha, self.delta, self.tau_sched)
+        """The self-paced schedule at t = 0, over t_max = iterations steps."""
+        return Schedule(self.iterations, self.alpha, self.delta, self.tau_sched)
 
     @property
     def effective_decay_period(self) -> int:
@@ -174,11 +173,11 @@ class TrainConfig:
                     if not np.isfinite(getattr(self, name))]
         checks = [
             (not infinite, f"{', '.join(infinite)} must be finite"),
-            (self.iterations >= 0, "iterations must be >= 0"),
+            (self.iterations >= 1, "iterations must be >= 1"),
             (self.lr0 > 0, "lr0 must be positive"),
             (0 < self.lr_decay <= 1, "lr_decay must be in (0, 1]"),
             (1 <= self.effective_decay_period, "decay_period must be >= 1"),
-            (self.iterations == 0 or self.effective_decay_period <= self.iterations,
+            (self.effective_decay_period <= self.iterations,
              f"decay_period ({self.effective_decay_period}) must not exceed "
              f"iterations ({self.iterations})"),
             (0 <= self.momentum < 1, "momentum must be in [0, 1)"),
@@ -495,8 +494,7 @@ def run_training(config: TrainConfig, dataset: Dataset, out_dir) -> dict:
 
     The student is scored every eval_period iterations (one eval_log.csv row
     each) and after the last iteration, whose per-case scores go to
-    eval_final.csv. Returns summarize() of that last student; {} for a run
-    of no iterations.
+    eval_final.csv. Returns summarize() of that last student.
     """
     config.validate()
     out = Path(out_dir)
@@ -507,7 +505,6 @@ def run_training(config: TrainConfig, dataset: Dataset, out_dir) -> dict:
 
     trainer = Trainer(config, dataset)
     eval_points = []
-    records, summary = None, {}  # the latest scores of the student
 
     with open(out / TRAIN_LOG_NAME, "w") as log:
         log.write(LossReport.CSV_HEADER + "\n")
@@ -527,8 +524,7 @@ def run_training(config: TrainConfig, dataset: Dataset, out_dir) -> dict:
                 if periodic:
                     eval_points.append((done, summary))
 
-    if records is not None:
-        write_records(out / EVAL_FINAL_NAME, records)
+    write_records(out / EVAL_FINAL_NAME, records)  # the last step's scores
     write_eval_log(out / EVAL_LOG_NAME, eval_points)
     save_checkpoint(
         out / FINAL_CKPT_NAME,

@@ -8,7 +8,7 @@ from pacedseg.grids import load_arrays, save_arrays
 from pacedseg.metrics import summarize
 from pacedseg.network import init_params, load_checkpoint, save_checkpoint
 from pacedseg.synthdata import load_dataset
-from pacedseg.training import evaluate_params
+from pacedseg.training import evaluate_params, load_config
 
 
 def test_schedule_dump_with_only_iterations_set(tmp_path, capsys):
@@ -27,11 +27,20 @@ def test_explicit_decay_period_over_iterations_exits_config(tmp_path, capsys):
     assert "decay_period (100)" in err and "iterations (12)" in err
 
 
-def test_schedule_dump_with_zero_iterations_prints_header_only(tmp_path, capsys):
+@pytest.mark.parametrize("verb", [
+    ["gen-data"], ["train"], ["eval", "--checkpoint", "c", "--data-dir", "d"], ["ablate"],
+    ["schedule-dump"],
+], ids=lambda verb: verb[0])
+def test_zero_iterations_exits_config(tmp_path, capsys, verb):
+    """A run takes at least one step, so each run has its last student's
+    scores, which ablate's progress line reads."""
     cfg = tmp_path / "c.cfg"
     cfg.write_text("iterations = 0\n")
-    assert main(["--config", str(cfg), "schedule-dump"]) == EXIT_OK
-    assert capsys.readouterr().out.splitlines() == ["t,xi,lambda,R_conf,v,K"]
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out-dir", str(out), *verb]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "iterations must be >= 1" in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 def test_negative_or_nan_loss_exits_config(capsys):
@@ -90,8 +99,7 @@ def test_eval_matches_evaluate_params(trained, tmp_path, capsys, section):
                  "--section", section]) == EXIT_OK
     sections, _ = load_checkpoint(ckpt)
     ds = load_dataset(data, include_truth=True)
-    cases = [c for c in ds.labeled + ds.unlabeled if c.truth is not None]
-    records = evaluate_params(sections[section], cases, ds.n_classes)
+    records = evaluate_params(sections[section], ds.labeled + ds.unlabeled, ds.n_classes)
     rows = (tmp_path / "metrics.csv").read_text().splitlines()
     assert rows == ["case_id,dsc,jaccard,asd,hd"] + [r.csv_row() for r in records]
     assert len(rows) == 1 + 2
@@ -138,6 +146,7 @@ def test_eval_on_odd_dims_exits_config(trained, tmp_path, capsys):
     save_arrays(data / "data.arr", {
         "classes": np.int64(2), "images": np.zeros((1, 7, 8, 4), dtype=np.float32),
         "k": np.array([2]), "slices": np.zeros((1, 7, 8), dtype=np.uint8),
+        "reg": np.zeros((1, 7, 8, 4), dtype=np.uint8),
     })
     save_arrays(data / "truth.arr", {"truth": np.zeros((1, 7, 8, 4), dtype=np.uint8)})
     argv = ["--config", str(cfg), "--out-dir", str(tmp_path / "out"), "eval",
@@ -250,12 +259,40 @@ def test_manifest_layout_is_not_read(tmp_path, capsys):
 
 
 def test_train_without_registration_exits_config(tiny_data, tmp_path, capsys):
-    cfg, _ = tiny_data
-    data = tmp_path / "data"
-    argv = ["--config", str(cfg), "--out-dir", str(data), "gen-data", "--no-registration"]
-    assert main(argv) == EXIT_OK
-    assert _train_on(cfg, data, tmp_path / "run") == EXIT_CONFIG
-    assert "has no registration label" in capsys.readouterr().err
+    """gen-data always writes registration labels; a data.arr without them,
+    written by hand, is refused when it is read."""
+    cfg, data = tiny_data
+    bad = tmp_path / "data"
+    shutil.copytree(data, bad)
+    arrays = load_arrays(bad / "data.arr")
+    del arrays["reg"]
+    save_arrays(bad / "data.arr", arrays)
+    assert _train_on(cfg, bad, tmp_path / "run") == EXIT_CONFIG
+    assert "data.arr holds ['classes', 'images', 'k', 'slices']" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "config.txt").exists()
+
+
+def test_no_registration_is_an_unknown_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--out-dir", str(tmp_path), "gen-data", "--no-registration"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-registration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", [
+    ["--seed", "777", "gen-data"], ["--seed", "777", "train"],
+    ["ablate", "--seeds", "1,2,777"],
+], ids=["gen-data", "train", "ablate"])
+def test_training_on_the_eval_seed_exits_config(tmp_path, capsys, verb):
+    """No verb trains on, or writes, cases drawn from the eval seed (default
+    777), whose first labeled cases would be the eval cases. ablate refuses
+    before its first seed's runs."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(TINY_CFG)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out-dir", str(out), *verb]) == EXIT_CONFIG
+    assert "seed 777 is eval_seed" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("verb", ["gen-data", "train", "ablate"])
@@ -369,6 +406,20 @@ def test_su_off_schedule_dump_matches_the_run_log(tmp_path, capsys):
     columns = ("lambda", "R_conf", "v", "K")
     assert ([tuple(c[k] for k in columns) for c in _csv_cells(capsys.readouterr().out)]
             == [tuple(c[k] for k in columns) for c in cells])
+
+
+def test_aborted_run_leaves_its_config(tmp_path, capsys):
+    """A run stopped by a numeric abort still says what it ran: its
+    config.txt is written before the first step."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(SMALL_CFG + "lr0 = 1e38\n")
+    run = tmp_path / "run"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["--config", str(cfg), "--out-dir", str(run), "train"]) == EXIT_NUMERIC
+    assert "numeric abort" in capsys.readouterr().err
+    assert load_config(run / "config.txt") == load_config(cfg)
+    assert (run / "train_log.csv").read_text().startswith("t,L_s,")
+    assert not (run / "final.ckpt").exists()
 
 
 def test_divergent_last_step_exits_numeric(tmp_path, capsys):

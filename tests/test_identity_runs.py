@@ -34,17 +34,27 @@ def test_tiny_config_writes_every_run_file(tmp_path, capsys, monkeypatch):
     assert [line.split(":")[0] for line in printed] == names
     assert names == ["data", "train_float32_default", "train_float32_confident",
                      "train_float64_default", "train_float64_confident",
-                     "eval_float32", "eval_float64", "ablate", "late_float32", "late_float64"]
-    for name in names[1:5]:
+                     "train_float32_generated", "eval_float32", "eval_float64",
+                     "schedule_default", "schedule_confident",
+                     "ablate", "late_float32", "late_float64"]
+    for name in names[1:6]:
         assert sorted(p.name for p in (out / name).iterdir()) == TRAIN_FILES
         assert len((out / name / "train_log.csv").read_text().splitlines()) == 7
         config = (out / name / "config.txt").read_text()
         assert f"dtype = {name.split('_')[1]}" in config and "dim_d = 8" in config
         assert ("alpha = 100.0" in config) == name.endswith("confident")
-    for name in names[5:7]:  # every case of the 2 + 2 has a truth
+    # the generated run trains on the seed-0 cases that gen-data wrote
+    default, generated = out / "train_float32_default", out / "train_float32_generated"
+    for fname in TRAIN_FILES:
+        assert (generated / fname).read_bytes() == (default / fname).read_bytes()
+    for name in names[6:8]:  # every case of the 2 + 2 has a truth
         assert [p.name for p in (out / name).iterdir()] == ["metrics.csv"]
         rows = (out / name / "metrics.csv").read_text().splitlines()
         assert rows[0].startswith("case_id,dsc,") and len(rows) == 1 + 4
+    for name in names[8:10]:
+        assert [p.name for p in (out / name).iterdir()] == ["schedule.csv"]
+        rows = (out / name / "schedule.csv").read_text().splitlines()
+        assert rows[0] == "t,xi,lambda,R_conf,v,K" and len(rows) == 1 + 6
     assert len(list((out / "ablate" / "runs").iterdir())) == 4 * 3
     for name in names[-2:]:
         assert sorted(p.name for p in (out / name).iterdir()) == ["final.ckpt", "train_log.csv"]

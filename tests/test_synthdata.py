@@ -7,7 +7,7 @@ import pytest
 from oracles import fuse_one_hot
 
 from pacedseg.ablation import dataset_for_seed
-from pacedseg.errors import FormatError
+from pacedseg.errors import ConfigError, FormatError
 from pacedseg.grids import load_arrays, save_arrays
 from pacedseg.metrics import dsc_jaccard
 from pacedseg.perturb import apply_flips
@@ -236,19 +236,31 @@ class TestDatasetIO:
         back = load_dataset(tmp_path, include_truth=False)
         assert back.labeled[0].truth is None
         assert back.unlabeled[0].truth is None
-        assert load_dataset(tmp_path, include_truth=True).unlabeled[0].truth is None
+        with pytest.raises(FormatError, match="cannot read .*truth.arr"):
+            load_dataset(tmp_path, include_truth=True)
 
-    def test_roundtrip_without_registration_or_truth(self, tmp_path):
-        ds = generate_dataset(2, 1, (8, 8, 4), seed=3)
-        for case in ds.labeled + ds.unlabeled:
-            case.truth = None
+    def test_every_directory_holds_registration_labels_and_truths(self, tmp_path):
+        ds = attach_registration(generate_dataset(2, 1, (8, 8, 4), seed=3), seed=3)
         save_dataset(ds, tmp_path)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.arr"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.arr", "truth.arr"]
+        assert set(load_arrays(tmp_path / "data.arr")) == {"classes", "images", "k", "reg",
+                                                            "slices"}
         back = load_dataset(tmp_path, include_truth=True)
         assert [c.case_id for c in back.labeled + back.unlabeled] == [
             "case_0000", "case_0001", "case_0002"]
-        assert all(c.reg_label is None and c.truth is None for c in back.labeled)
+        assert all(c.reg_label is not None and c.truth is not None for c in back.labeled)
         np.testing.assert_array_equal(back.unlabeled[0].image.data, ds.unlabeled[0].image.data)
+
+    @pytest.mark.parametrize("include_truth", [False, True], ids=["data", "data_and_truth"])
+    def test_data_without_registration_is_a_format_error(self, tmp_path, include_truth):
+        save_dataset(attach_registration(generate_dataset(2, 1, (8, 8, 4), seed=5), seed=5),
+                     tmp_path)
+        arrays = load_arrays(tmp_path / "data.arr")
+        del arrays["reg"]
+        save_arrays(tmp_path / "data.arr", arrays)
+        message = "data.arr holds ['classes', 'images', 'k', 'slices']"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_dataset(tmp_path, include_truth=include_truth)
 
     def test_images_load_as_the_float32_arrays_written(self, tmp_path):
         ds = attach_registration(generate_dataset(2, 1, (8, 8, 4), seed=4), seed=4)
@@ -289,10 +301,16 @@ class TestDatasetIO:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda ds: setattr(ds.unlabeled[0], "case_id", "scan_7"), "case_0000, case_0001"),
-        (lambda ds: setattr(ds.labeled[1], "reg_label", None), "only some cases"),
-        (lambda ds: setattr(ds.unlabeled[1], "truth", None), "only some cases"),
-    ], ids=["case_id", "partial_reg", "partial_truth"])
+        (lambda ds: setattr(ds.labeled[1], "reg_label", None), "its registration label"),
+        (lambda ds: setattr(ds.unlabeled[1], "truth", None), "a case its truth"),
+        (lambda ds: [setattr(case, "reg_label", None) for case in ds.labeled],
+         "its registration label"),
+        (lambda ds: [setattr(case, "truth", None) for case in ds.labeled + ds.unlabeled],
+         "a case its truth"),
+    ], ids=["case_id", "partial_reg", "partial_truth", "no_reg", "no_truth"])
     def test_save_refuses_what_the_files_cannot_hold(self, tmp_path, edit, message):
+        """Every labeled case carries its registration label and every case
+        its truth, none of them or only some alike."""
         ds = attach_registration(generate_dataset(2, 2, (8, 8, 4), seed=5), seed=5)
         edit(ds)
         with pytest.raises(ValueError, match=message):
@@ -363,6 +381,24 @@ class TestDatasetIO:
         assert held / voxels <= 6.0
         cases = ds.labeled + ds.unlabeled
         assert sum(case.image.data.nbytes for case in cases) == 4 * voxels
+
+    def test_the_eval_seed_draws_the_eval_cases(self):
+        """Case i of a seed is drawn alike for any case count, so a dataset on
+        the eval seed would open with the eval cases; `dataset_for_seed`
+        refuses that seed, and another seed shares no image with them."""
+        cfg = TrainConfig(dim_h=8, dim_w=8, dim_d=4, n_labeled=3, n_unlabeled=2, n_eval=2)
+        options = cfg.generator_options
+        eval_set = generate_dataset(cfg.n_eval, 0, cfg.dims, seed=cfg.eval_seed,
+                                    **options).labeled
+        overlap = generate_dataset(cfg.n_labeled, cfg.n_unlabeled, cfg.dims,
+                                   seed=cfg.eval_seed, **options)
+        for case, train_case in zip(eval_set, overlap.labeled):
+            assert case.image.data.tobytes() == train_case.image.data.tobytes()
+        with pytest.raises(ConfigError, match="seed 777 is eval_seed"):
+            dataset_for_seed(cfg, cfg.eval_seed)
+        other = dataset_for_seed(cfg, cfg.eval_seed + 1)
+        assert not any(np.array_equal(case.image.data, train_case.image.data)
+                       for case in eval_set for train_case in other.labeled + other.unlabeled)
 
     def test_attach_registration_deterministic(self):
         a = generate_dataset(3, 0, (16, 16, 8), seed=8)

@@ -95,8 +95,10 @@ class TestConfig:
 
     def test_derived_decay_period_bounds(self):
         assert TrainConfig().validate().effective_decay_period == 625
-        for iterations in (0, 1):
+        for iterations in (1, 2):
             assert TrainConfig(iterations=iterations).validate().effective_decay_period == 1
+        with pytest.raises(ConfigError, match="iterations must be >= 1"):
+            TrainConfig(iterations=0).validate()
         for iterations in range(1, 2000):
             period = TrainConfig(iterations=iterations).effective_decay_period
             assert 1 <= period <= iterations
@@ -428,24 +430,23 @@ class TestBaselineDegeneration:
 
 
 class TestRunTraining:
-    def test_zero_iterations_checkpoints_only(self, tmp_path):
-        cfg = tiny_config(iterations=0)
-        summary = run_training(cfg, tiny_dataset(cfg), tmp_path)
-        assert (tmp_path / "final.ckpt").exists()
-        train_log = (tmp_path / "train_log.csv").read_text().splitlines()
-        assert len(train_log) == 1  # header only
-        assert summary == {}
+    def test_zero_iterations_is_refused_before_any_file(self, tmp_path):
+        cfg = tiny_config()
+        with pytest.raises(ConfigError, match="iterations must be >= 1"):
+            run_training(replace(cfg, iterations=0), tiny_dataset(cfg), tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     def test_run_writes_only_the_last_student_files(self, tmp_path):
         """A run leaves its logs, the last student's scores and final.ckpt,
-        and no other checkpoint; a run of no iterations scores nothing."""
-        for iterations, names in ((2, {"train_log.csv", "eval_log.csv", "eval_final.csv",
-                                       "final.ckpt"}),
-                                  (0, {"train_log.csv", "eval_log.csv", "final.ckpt"})):
-            cfg = tiny_config(iterations=iterations, eval_period=1, decay_period=1)
+        and no other checkpoint; the one step of a one-step run is scored."""
+        for iterations, eval_period in ((2, 1), (1, 2)):
+            cfg = tiny_config(iterations=iterations, eval_period=eval_period, decay_period=1)
             out = tmp_path / str(iterations)
-            run_training(cfg, tiny_dataset(cfg), out)
-            assert {p.name for p in out.iterdir()} == names
+            summary = run_training(cfg, tiny_dataset(cfg), out)
+            assert {p.name for p in out.iterdir()} == {"train_log.csv", "eval_log.csv",
+                                                       "eval_final.csv", "final.ckpt"}
+            rows = (out / "eval_final.csv").read_text().splitlines()
+            assert len(rows) == 1 + cfg.n_eval and 0.0 <= summary["dsc"] <= 1.0
 
     def test_run_produces_logs_and_checkpoints(self, tmp_path):
         cfg = tiny_config()

@@ -12,8 +12,12 @@ It writes under OUT:
 - `train_<dtype>_<schedule>/`: `train --data-dir data` at 40 iterations,
   `eval_period=20` and `n_eval=4`, in float32 and float64, on the default
   schedule and on the confident one (`alpha=100, tau_sched=2000`);
+- `train_float32_generated/`: `train` without `--data-dir` on the
+  float32 default-schedule config, so on the data it generates itself;
 - `eval_<dtype>/`: `eval` of `train_<dtype>_default/final.ckpt` on
   `data`, with that run's config: `metrics.csv`, scored on the truths;
+- `schedule_<schedule>/schedule.csv`: the output of `schedule-dump` on
+  `train_float32_<schedule>`'s config;
 - `ablate/`: `ablate --seeds 1,2,3` at 20 iterations;
 - `late_<dtype>/`: 12 steps from the `late` benchmark's warm-start fixture
   (step seed 7) in float32 and float64, set up as `bench/harness.py` sets
@@ -99,11 +103,17 @@ def runs(out: Path, base: dict[str, str], late_steps: int) -> list[tuple[str, li
             cfg = write_config(out / f"{name}.cfg", {**base, **TRAIN, "dtype": dtype, **keys})
             found.append((name, cli + ["--config", str(cfg), "--out-dir", str(out / name),
                                        "train", "--data-dir", str(out / "data")]))
+    name = "train_float32_generated"
+    found.append((name, cli + ["--config", str(out / "train_float32_default.cfg"),
+                               "--out-dir", str(out / name), "train"]))
     for dtype in DTYPES:
         name, train = f"eval_{dtype}", out / f"train_{dtype}_default"
         found.append((name, cli + ["--config", f"{train}.cfg", "--out-dir", str(out / name),
                                    "eval", "--checkpoint", str(train / "final.ckpt"),
                                    "--data-dir", str(out / "data")]))
+    for schedule in SCHEDULES:
+        found.append((f"schedule_{schedule}", cli + [
+            "--config", str(out / f"train_float32_{schedule}.cfg"), "schedule-dump"]))
     cfg = write_config(out / "ablate.cfg", {**base, **ABLATE})
     found.append(("ablate", cli + ["--config", str(cfg), "--out-dir", str(out / "ablate"),
                                    "ablate", "--seeds", ABLATE_SEEDS]))
@@ -125,6 +135,9 @@ def write_runs(out, root=ROOT, base=None, late_steps=LATE_STEPS) -> None:
         done = subprocess.run(argv, env=env, capture_output=True, text=True)
         if done.returncode:
             raise RuntimeError(f"{name} exited with {done.returncode}:\n{done.stderr}")
+        if name.startswith("schedule"):  # schedule-dump writes to stdout
+            (out / name).mkdir(exist_ok=True)
+            (out / name / "schedule.csv").write_text(done.stdout)
         note = done.stdout.strip().splitlines()[-1] if name.startswith("late") else ""
         print(f"{name}: {time.perf_counter() - start:.1f} s {note}".rstrip(), flush=True)
 
