@@ -14,8 +14,11 @@ input-gradient half of its backward. The op set is exactly
 what the segmentation model and its losses require: 3D convolution
 (im2col + BLAS matmul), also of a nearest-up x2 input computed on the
 low-res grid (`up=2`) and with its relu fused in, softmax, elementwise
-arithmetic, reductions, gathers, transpose, and each direction of the
-contrast loss as one node (`pool_logsumexp`).
+arithmetic, inverted dropout on bool keep bits (`dropout`), reductions,
+gathers, transpose, and each loss as few nodes as it takes: Dice + CE as
+one (`dice_ce`) and each direction of the contrast loss as one
+(`pool_logsumexp`). Neither keeps a per-voxel array of its own; the
+general ops they replaced are the tests' bitwise references (`OracleTape`).
 
 The hot numpy ops run on long contiguous rows. Every conv splits its
 zero-padded input into its stride phases (space-to-depth, the
@@ -47,7 +50,8 @@ weight gradient has just read. The buffers are per process and not
 thread-safe. A conv applies its relu, when asked, in place on
 its own result frame; it writes no input or leaf array. Reductions over
 the short trailing class axis fold one class slice at a time
-(`fold_last`, `argmax_last`), bitwise equal to numpy's own reduction.
+(`fold_last`, `argmax_last`), bitwise equal to numpy's own reduction;
+`argmax_last` returns one byte (uint8) per class id.
 
 Raw kernels (`conv3d_raw`, `softmax_raw`, ...) are shared with the
 tape-free inference path so both routes compute identical floats.
@@ -439,7 +443,8 @@ def fold_last(ufunc, x):
 
 
 def argmax_last(x):
-    """`np.argmax(x, axis=-1)` for NaN-free x, folded over the trailing axis.
+    """`np.argmax(x, axis=-1)` for NaN-free x, folded over the trailing axis,
+    as one byte (uint8) per id, so x has at most 256 classes.
 
     A class wins where it is strictly greater than every class before it
     (`>` folded one slice at a time), so ties go to the lowest class, as in
@@ -447,10 +452,12 @@ def argmax_last(x):
     row-by-row reduction of the short class axis. A winning class c is above
     every index so far, so `maximum` records it.
     """
-    idx = np.zeros(x.shape[:-1], dtype=np.intp)
+    if x.shape[-1] > 256:
+        raise ValueError(f"argmax_last gives one byte per id: {x.shape[-1]} classes is over 256")
+    idx = np.zeros(x.shape[:-1], dtype=np.uint8)
     best = x[..., 0]
     for c in range(1, x.shape[-1]):
-        np.maximum(idx, c * (x[..., c] > best), out=idx)
+        np.maximum(idx, (x[..., c] > best) * np.uint8(c), out=idx)
         if c + 1 < x.shape[-1]:
             best = np.maximum(best, x[..., c])
     return idx
@@ -548,16 +555,6 @@ class Tape:
         out._backward = back
         return out
 
-    def div(self, a: Node, b: Node):
-        out = self._record(a.value / b.value)
-
-        def back(g):
-            _accum(a, g / b.value)
-            _accum(b, -g * a.value / (b.value * b.value))
-
-        out._backward = back
-        return out
-
     def add_const(self, x: Node, c):
         c = np.asarray(c, dtype=self.dtype)
         out = self._record(x.value + c)
@@ -570,14 +567,22 @@ class Tape:
         out._backward = lambda g: _accum(x, g * c)
         return out
 
-    def log(self, x: Node):
-        out = self._record(np.log(x.value))
-        out._backward = lambda g: _accum(x, g / x.value)
-        return out
+    def dropout(self, x: Node, keep, scale):
+        """x * (keep * scale): inverted dropout by bool keep bits and one scale.
 
-    def clamp_min(self, x: Node, m: float):
-        out = self._record(np.maximum(x.value, m))
-        out._backward = lambda g: _accum(x, g * (x.value > m))
+        The node keeps the bits, one byte per entry, and forms the float mask
+        `keep * scale` afresh in its forward and in its backward, so each
+        product is the one `mul_const` against that mask gives.
+        """
+        scale = np.asarray(scale, dtype=self.dtype)
+        mask = keep * scale
+        out = self._record(np.multiply(x.value, mask, out=mask))
+
+        def back(g):
+            mask = keep * scale
+            _accum(x, np.multiply(g, mask, out=mask))
+
+        out._backward = back
         return out
 
     # -- reductions ---------------------------------------------------------
@@ -585,11 +590,6 @@ class Tape:
     def sum(self, x: Node):
         out = self._record(x.value.sum())
         out._backward = lambda g: _accum(x, np.broadcast_to(g, x.value.shape))
-        return out
-
-    def sum_axis(self, x: Node, axis: int):
-        out = self._record(x.value.sum(axis=axis))
-        out._backward = lambda g: _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.value.shape))
         return out
 
     def pool_logsumexp(self, s12, anchors, negs_t: Node, scale, pool_mask, pool_of):
@@ -620,6 +620,61 @@ class Tape:
             np.divide(e, s, out=e)
             np.multiply(e, g[:, None], out=e)
             _accum(negs_t, anchors.T @ (e[:, 1:] * c))
+
+        out._backward = back
+        return out
+
+    def dice_ce(self, probs: Node, labels, n_classes, gate_idx, eps, floor):
+        """Dice + CE of an (..., C) probability node against its class ids, on
+        the flat voxels that a nonempty `gate_idx` names, or on all of them.
+
+        Dice is the mean over the foreground classes 1..C-1 of
+        1 - (2*sum(p*g) + eps) / (sum(p) + sum(g) + eps), and CE the mean of
+        -log max(p[label], floor). The node keeps no per-voxel array of its
+        own: it holds the probability node and the labels and gate it is
+        given, and its backward gathers the gated probabilities again. Each
+        sum, product and quotient is the numpy call that the chain of general
+        ops (`dice_ce_chain` in the tests' oracles) makes on operands of the
+        same shape, so the loss and its gradient are that chain's floats.
+        """
+        c2, c_eps, c_neg, c_one, c_fg = (np.asarray(v, dtype=self.dtype)
+                                         for v in (2.0, eps, -1.0, 1.0, 1.0 / (n_classes - 1)))
+        labels = np.asarray(labels).ravel()
+
+        def picks():
+            """(flat probabilities, class ids of the gated voxels, their probabilities)."""
+            flat = probs.value.reshape(-1, n_classes)
+            if gate_idx is None:
+                return flat, labels, flat[np.arange(labels.size), labels]
+            ids = labels[gate_idx]
+            return flat, ids, flat[gate_idx, ids]
+
+        flat, ids, picked = picks()
+        p = flat if gate_idx is None else flat[gate_idx]
+        hit = ids[:, None] == np.arange(n_classes)  # the one-hot labels, as bits
+        c_ce = np.asarray(-1.0 / ids.size, dtype=self.dtype)
+        num = (p * hit).sum(axis=0)[1:] * c2 + c_eps
+        den = p.sum(axis=0)[1:] + np.asarray(hit.sum(axis=0)[1:] + eps, dtype=self.dtype)
+        dice = ((num / den) * c_neg + c_one).sum() * c_fg
+        out = self._record(dice + np.log(np.maximum(picked, floor)).sum() * c_ce)
+
+        def back(g):
+            _, ids, picked = picks()
+            g_q = np.broadcast_to(g * c_fg, num.shape) * c_neg
+            # the gradients of sum(p) and sum(p*g) per class; class 0's stay 0
+            g_sums, g_inter = np.zeros((2, n_classes), dtype=self.dtype)
+            g_sums[1:] += -g_q * num / (den * den)
+            g_inter[1:] += g_q / den * c2
+            g_picked = (g * c_ce) / np.maximum(picked, floor) * (picked > floor)
+            gp = np.zeros((ids.size, n_classes), dtype=self.dtype)
+            gp[np.arange(ids.size), ids] = g_picked
+            gp += g_sums
+            gp += g_inter * (ids[:, None] == np.arange(n_classes))
+            if gate_idx is not None:
+                full = np.zeros((labels.size, n_classes), dtype=self.dtype)
+                np.add.at(full, gate_idx, gp)
+                gp = full
+            _accum(probs, gp.reshape(probs.value.shape))
 
         out._backward = back
         return out
@@ -689,20 +744,6 @@ class Tape:
             gx = np.zeros_like(x.value)
             np.add.at(gx, idx, g)
             _accum(x, gx)
-
-        out._backward = back
-        return out
-
-    def select_class(self, p: Node, labels):
-        """out[i] = p[i, labels[i]] for a (N, C) node."""
-        labels = np.asarray(labels)
-        rows = np.arange(p.value.shape[0])
-        out = self._record(p.value[rows, labels])
-
-        def back(g):
-            gp = np.zeros_like(p.value)
-            gp[rows, labels] = g
-            _accum(p, gp)
 
         out._backward = back
         return out

@@ -63,7 +63,9 @@ class Volume:
         return self.data.shape
 
 
-# a class id is one byte in memory
+# a class id is one byte in memory: in a LabelMap and its files, and in a
+# training step, whose pseudo, CutMix and fused labels and argmax maps are
+# all uint8 (`argmax_last`)
 MAX_CLASSES = 256
 
 
@@ -202,7 +204,7 @@ def downsample_mask(mask: np.ndarray, factor: tuple[int, int, int]) -> np.ndarra
 def downsample_labels_majority(
     labels: np.ndarray, n_classes: int, factor: tuple[int, int, int]
 ) -> np.ndarray:
-    """Most frequent label per block; ties go to the smallest class id."""
+    """Most frequent label per block, as uint8; ties go to the smallest class id."""
     blocks = _block_view(labels, factor)
     counts = np.stack([(blocks == c).sum(axis=3) for c in range(n_classes)], axis=3)
     return argmax_last(counts)

@@ -114,26 +114,29 @@ def _check_dims(shape):
         raise ValueError(f"image dims {shape} must be positive and divisible by 2")
 
 
-def make_dropout_mask(shape, rate, seed, dtype=np.float32) -> np.ndarray:
-    """Inverted dropout: zero with probability `rate`, scale keepers by 1/(1-rate).
+def draw_dropout(shape, rate, seed, dtype):
+    """Inverted dropout as (keep bits, scale): an entry is zeroed with
+    probability `rate`, and a kept one is scaled by the 0-d `dtype` scale,
+    1/(1 - rate) formed in float32 and cast to `dtype`, the model's.
 
-    The mask is computed in float32 and then cast to `dtype`, the model's.
-
-    The keep bits are those of `default_rng(seed).random(shape, dtype=float32)
-    >= rate`, read off the raw generator words without forming the floats:
-    numpy turns each 32-bit half of a 64-bit PCG64 word, low half first,
-    into the float32 (u >> 8) * 2**-24, and a float32 rate r compares with
-    it as the integer test u >= ceil(r * 2**24) << 8.
+    The bool keep bits are those of `default_rng(seed).random(shape,
+    dtype=float32) >= rate`, read off the raw generator words without
+    forming the floats: numpy turns each 32-bit half of a 64-bit PCG64 word,
+    low half first, into the float32 (u >> 8) * 2**-24, and a float32 rate r
+    compares with it as the integer test u >= ceil(r * 2**24) << 8. The
+    float mask is `keep * scale`; a step holds the bits, a byte per entry,
+    and forms the mask only where it multiplies (`Tape.dropout`,
+    `head_forward`).
     """
+    scale = np.asarray(np.float32(1.0) / np.float32(1.0 - rate), dtype=dtype)
     if rate == 0.0:
-        return np.ones(shape, dtype=dtype)
+        return np.ones(shape, dtype=bool), scale
     n = math.prod(shape)
     cut = math.ceil(float(np.float32(rate)) * 2**24)  # exact: a float32 times a power of 2
     if cut >= 2**24:  # a rate that rounds to 1.0 in float32 keeps nothing
-        return np.zeros(shape, dtype=dtype)
+        return np.zeros(shape, dtype=bool), scale
     words = np.random.PCG64(seed).random_raw((n + 1) // 2).astype("<u8", copy=False)
-    keep = words.view("<u4")[:n] >= np.uint32(cut << 8)
-    return (keep / np.float32(1.0 - rate)).reshape(shape).astype(dtype, copy=False)
+    return (words.view("<u4")[:n] >= np.uint32(cut << 8)).reshape(shape), scale
 
 
 # ---------------------------------------------------------------------------
@@ -151,17 +154,19 @@ def _trunk(tape: Tape, pnodes: dict[str, Node], image: np.ndarray):
     return tape.conv3d(hd, pnodes["dec_w"], pnodes["dec_b"], up=2, relu=True), hd
 
 
-def forward_graph(tape: Tape, pnodes: dict[str, Node], image: np.ndarray, dropout_mask=None):
+def forward_graph(tape: Tape, pnodes: dict[str, Node], image: np.ndarray, dropout=None):
     """Differentiable forward; returns (prob_node, down-sampled node).
 
-    The engine runs channels-first internally; the probability node is
-    channels-last, (H, W, D, C). A caller that reads the features records
-    the projection head on the (C3, h, w, d) down-sampled node with
-    `feature_node`, so a graph whose features nobody reads records none.
+    `dropout` is a `draw_dropout` (keep bits, scale) pair for the decoder
+    activations, or None for none. The engine runs channels-first
+    internally; the probability node is channels-last, (H, W, D, C). A
+    caller that reads the features records the projection head on the
+    (C3, h, w, d) down-sampled node with `feature_node`, so a graph whose
+    features nobody reads records none.
     """
     hdec, hd = _trunk(tape, pnodes, image)
-    if dropout_mask is not None:
-        hdec = tape.mul_const(hdec, dropout_mask)
+    if dropout is not None:
+        hdec = tape.dropout(hdec, *dropout)
     logits = tape.chw_to_hwc(tape.conv3d(hdec, pnodes["seg_w"], pnodes["seg_b"], pad=0))
     return tape.softmax(logits), hd
 
@@ -189,15 +194,20 @@ def feature_grid(params: ModelParams, hd: np.ndarray) -> np.ndarray:
     return np.moveaxis(conv3d_raw(hd, t["proj_w"], t["proj_b"], pad=0), 0, 3)
 
 
-def head_forward(params: ModelParams, hdec: np.ndarray, dropout_mask=None) -> np.ndarray:
-    """Segmentation head on (possibly dropout-gated) decoder activations.
+def head_forward(params: ModelParams, hdec: np.ndarray, dropout=None) -> np.ndarray:
+    """Segmentation head on decoder activations, gated by a `draw_dropout`
+    (keep bits, scale) pair unless `dropout` is None.
 
     Returns (H, W, D, C) probabilities laid out as the conv's class-major
     (C, H, W, D) result: an (H, W, D, C) view over it, so each class slice
     `p[..., c]` that `fold_last` and `argmax_last` read is contiguous.
     """
     t = params.tensors
-    a = hdec * dropout_mask if dropout_mask is not None else hdec
+    a = hdec
+    if dropout is not None:  # the mask is formed in hdec's dtype, and a is written over it
+        keep, scale = dropout
+        mask = keep * np.asarray(scale, dtype=hdec.dtype)
+        a = np.multiply(hdec, mask, out=mask)
     return softmax_raw(np.moveaxis(conv3d_raw(a, t["seg_w"], t["seg_b"], pad=0), 0, 3))
 
 

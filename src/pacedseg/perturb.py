@@ -42,20 +42,27 @@ def weak_perturb(
     rng: np.random.Generator,
     sigma_scale: float = 0.05,
     flips: FlipSpec | None = None,
+    dtype=np.float64,
 ) -> np.ndarray:
-    """Flip + noise; returns the weak view as a new array.
+    """Flip + noise; returns the weak view as a new `dtype` array.
 
-    Draw order is pinned (flips, then noise) so runs are seed-reproducible.
-    Passing `flips` skips the flip draw; labeled cases use this to push both
-    weak views of a case, and its registration label, through one shared frame.
+    The noise is drawn and added in float64, and the sum is cast to `dtype`
+    once: a trainer passes its model's dtype, the one its input leaf would
+    cast the view to. Draw order is pinned (flips, then noise) so runs are
+    seed-reproducible. Passing `flips` skips the flip draw; labeled cases
+    use this to push both weak views of a case, and its registration label,
+    through one shared frame.
     """
     if flips is None:
         flips = sample_flips(rng)
     data = apply_flips(image, flips)
     span = float(image.max() - image.min())
     if sigma_scale > 0 and span > 0:
-        data = data + rng.standard_normal(data.shape) * (sigma_scale * span)
-    return data
+        noise = rng.standard_normal(data.shape)
+        noise *= sigma_scale * span
+        noise += data
+        data = noise
+    return data.astype(dtype, copy=False)
 
 
 def sample_box(dims, rng: np.random.Generator) -> Box:

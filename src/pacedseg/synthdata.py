@@ -252,11 +252,15 @@ def fuse_with_weight_map(reg: np.ndarray, seg: np.ndarray, trust: np.ndarray) ->
 
     Where reg and seg differ, reg scores w and seg scores 1 - w, so reg wins
     where w > 1 - w, seg where w < 1 - w, and the lower of the two on a tie.
+    The trust is per slice, so each slice is copied whole from one of the
+    three; for one-byte ids that runs several times faster than `np.where`.
     """
     if reg.shape != seg.shape or trust.shape != reg.shape[-1:]:
         raise ValueError("dims mismatch between reg, seg, and the per-slice trust")
-    return np.where(trust > 1 - trust, reg,
-                    np.where(trust < 1 - trust, seg, np.minimum(reg, seg)))
+    fused = np.minimum(reg, seg)
+    for wins, src in ((trust > 1 - trust, reg), (trust < 1 - trust, seg)):
+        fused[..., wins] = src[..., wins]
+    return fused
 
 
 # ---------------------------------------------------------------------------

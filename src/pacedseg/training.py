@@ -48,6 +48,7 @@ from .metrics import MetricsRecord, evaluate_case, summarize, write_eval_log, wr
 from .network import (
     ModelParams,
     SGDState,
+    draw_dropout,
     ema_update,
     feature_grid,
     feature_node,
@@ -55,7 +56,6 @@ from .network import (
     forward_parts,
     head_forward,
     init_params,
-    make_dropout_mask,
     param_nodes,
     save_checkpoint,
     sgd_step,
@@ -393,8 +393,8 @@ class Trainer:
         tape = Tape(self.dtype)
         rng = np.random.default_rng(subs[0])
         flips = sample_flips(rng)
-        w1 = weak_perturb(case.image.data, rng, sigma_scale=cfg.weak_sigma, flips=flips)
-        w2 = weak_perturb(case.image.data, rng, sigma_scale=cfg.weak_sigma, flips=flips)
+        w1 = weak_perturb(case.image.data, rng, cfg.weak_sigma, flips, self.dtype)
+        w2 = weak_perturb(case.image.data, rng, cfg.weak_sigma, flips, self.dtype)
         y1 = self._teacher_view(w1)[2]
         y2 = self._teacher_view(w2)[2]
         box = sample_box(cfg.dims, np.random.default_rng(subs[1]))
@@ -402,7 +402,7 @@ class Trainer:
         reg_f = apply_flips(case.reg_label.data, flips)
         trust = slice_weight_map(cfg.dim_d, case.k, cfg.fuse_w0, cfg.fuse_half_life)
         fused = fuse_with_weight_map(reg_f, ys, trust[::-1] if flips[2] else trust)
-        probs, _ = forward_graph(tape, pnodes, xs, make_dropout_mask(
+        probs, _ = forward_graph(tape, pnodes, xs, draw_dropout(
             self._drop_shape, cfg.dropout_rate, subs[2], self.dtype))
         ls = dice_ce_node(tape, probs, fused, cfg.n_classes)
         ls_w = tape.mul_const(ls, cfg.loss_w_s)
@@ -430,10 +430,10 @@ class Trainer:
         Its tape dies on return."""
         cfg = self.config
         tape = Tape(self.dtype)
-        u1 = weak_perturb(case.image.data, np.random.default_rng(subs[3]),
-                          sigma_scale=cfg.weak_sigma)
-        u2 = weak_perturb(case.image.data, np.random.default_rng(subs[4]),
-                          sigma_scale=cfg.weak_sigma)
+        u1 = weak_perturb(case.image.data, np.random.default_rng(subs[3]), cfg.weak_sigma,
+                          dtype=self.dtype)
+        u2 = weak_perturb(case.image.data, np.random.default_rng(subs[4]), cfg.weak_sigma,
+                          dtype=self.dtype)
         hdec_u1, hd_u1, yu1 = self._teacher_view(u1)
         hd_u2, yu2 = self._teacher_view(u2)[1:]
         mask = self._self_paced_mask(hdec_u1, subs[7], r_conf)
@@ -441,21 +441,25 @@ class Trainer:
 
         box = sample_box(cfg.dims, np.random.default_rng(subs[5]))
         xs, ys = cutmix_with_box((u1, yu1), (u2, yu2), box)
-        probs, hd = forward_graph(tape, pnodes, xs, make_dropout_mask(
+        probs, hd = forward_graph(tape, pnodes, xs, draw_dropout(
             self._drop_shape, cfg.dropout_rate, subs[6], self.dtype))
         lu = dice_ce_node(tape, probs, ys, cfg.n_classes, gate_idx=np.flatnonzero(mask.ravel()))
 
-        if cfg.enable_sc:  # only the contrast reads features
-            factor = (2, 2, 2)
-            probs_sn = np.asarray(probs.value, dtype=np.float64)
+        # only the contrast reads features, and a mask grid with no true
+        # block has no positive, so nothing is mined from it
+        factor = (2, 2, 2)
+        mask_ds = downsample_mask(mask, factor) if cfg.enable_sc else None
+        if mask_ds is not None and mask_ds.any():
             feats = feature_node(tape, pnodes, hd)
+            # argmax and max are exact in the model's dtype: a cast to float64
+            # is exact and monotone, so only the max is cast, for the mean
             batch = mine_pairs(
                 feature_grid(self.teacher, hd_u1), feature_grid(self.teacher, hd_u2), feats.value,
                 downsample_labels_majority(yu1, cfg.n_classes, factor),
                 downsample_labels_majority(yu2, cfg.n_classes, factor),
-                downsample_labels_majority(argmax_last(probs_sn), cfg.n_classes, factor),
-                downsample_mask(mask, factor),
-                downsample_mean(fold_last(np.maximum, probs_sn), factor),
+                downsample_labels_majority(argmax_last(probs.value), cfg.n_classes, factor),
+                mask_ds,
+                downsample_mean(fold_last(np.maximum, probs.value).astype(np.float64), factor),
                 cfg.k_neg, cfg.tau_contrast,
             )
             lbf = contrast_loss_node(tape, feats, batch)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .autodiff import fold_last
 from .errors import ConfigError
-from .network import ModelParams, head_forward, make_dropout_mask
+from .network import ModelParams, draw_dropout, head_forward
 
 
 def entropy_values(p: np.ndarray, n_classes: int) -> np.ndarray:
@@ -58,9 +58,8 @@ def mc_uncertainty_from_trunk(
         raise ValueError("need at least one stochastic pass")
     acc = None
     for t in range(n_passes):
-        mask = make_dropout_mask(hdec.shape, params.dropout_rate, mc_pass_seed(seed, t),
-                                 params.dtype)
-        probs = head_forward(params, hdec, mask).astype(np.float64)
+        drop = draw_dropout(hdec.shape, params.dropout_rate, mc_pass_seed(seed, t), params.dtype)
+        probs = head_forward(params, hdec, drop).astype(np.float64)
         if acc is None:
             acc = probs
         else:

@@ -3,16 +3,21 @@
 These are slow on purpose: each one computes its quantity the direct
 way, so a test can compare the optimized form in `src/` against it.
 
-- `dice_loss`: soft Dice of one class channel; checks
-  `pacedseg.losses.dice_node`.
+- `dice_loss`: soft Dice of one class channel; checks `dice_node`.
+- `dice_node`, `ce_node` and `dice_ce_chain`: Dice, CE and Dice + CE as
+  chains of general ops on an `OracleTape`, which keep their gathered
+  rows, one-hot labels, products, picks, clamps and logs; the bitwise
+  reference of `pacedseg.autodiff.Tape.dice_ce` and
+  `pacedseg.losses.dice_ce_node`.
 - `feature_contrast_loss`: one-anchor InfoNCE over cosine similarities;
   the building block of `bidirectional_loss`.
 - `negatives_for` and `bidirectional_loss`: the per-anchor float loop
   over each anchor's pool rows; check
   `pacedseg.contrastive.contrast_loss_node`.
 - `OracleTape`: a `Tape` with the general ops the package no longer
-  records (`mul`, `concat`, `logsumexp`, `matmul`), each with its own
-  backward; the contrast references below are built from them.
+  records (`mul`, `div`, `log`, `clamp_min`, `concat`, `sum_axis`,
+  `logsumexp`, `matmul`, `select_class`), each with its own backward; the
+  loss references below are built from them.
 - `gather_contrast_loss_node`: the gather form of the same loss on an
   `OracleTape`; checks the values and gradients of `contrast_loss_node`.
 - `matmul_contrast_loss_node`: the matrix form of the loss as a chain of
@@ -20,6 +25,9 @@ way, so a test can compare the optimized form in `src/` against it.
   `pacedseg.autodiff.Tape.pool_logsumexp` and `contrast_loss_node`.
 - `validate_batch`: the mining contracts of
   `pacedseg.contrastive.mine_pairs`.
+- `make_dropout_mask`: the float mask of `pacedseg.network.draw_dropout`,
+  its keep bits times its scale; with `mul_const` it checks
+  `pacedseg.autodiff.Tape.dropout`, and it checks `head_forward`'s mask.
 - `upsample2`: nearest-neighbour x2 of a (C, h, w, d) tensor; with a
   plain conv it checks `pacedseg.autodiff.conv3d_raw(..., up=2)`.
 - `conv3d_windowed` and `conv3d_windowed_backward`: a conv as im2col of
@@ -49,7 +57,8 @@ import math
 import numpy as np
 
 from pacedseg.autodiff import Node, Tape, _accum
-from pacedseg.losses import DICE_EPS
+from pacedseg.losses import CE_PROB_FLOOR, DICE_EPS, _scalar
+from pacedseg.network import draw_dropout
 
 
 class OracleTape(Tape):
@@ -63,6 +72,45 @@ class OracleTape(Tape):
         def back(g):
             _accum(a, g * b.value)
             _accum(b, g * a.value)
+
+        out._backward = back
+        return out
+
+    def div(self, a: Node, b: Node):
+        out = self._record(a.value / b.value)
+
+        def back(g):
+            _accum(a, g / b.value)
+            _accum(b, -g * a.value / (b.value * b.value))
+
+        out._backward = back
+        return out
+
+    def log(self, x: Node):
+        out = self._record(np.log(x.value))
+        out._backward = lambda g: _accum(x, g / x.value)
+        return out
+
+    def clamp_min(self, x: Node, m: float):
+        out = self._record(np.maximum(x.value, m))
+        out._backward = lambda g: _accum(x, g * (x.value > m))
+        return out
+
+    def sum_axis(self, x: Node, axis: int):
+        out = self._record(x.value.sum(axis=axis))
+        out._backward = lambda g: _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.value.shape))
+        return out
+
+    def select_class(self, p: Node, labels):
+        """out[i] = p[i, labels[i]] for a (N, C) node."""
+        labels = np.asarray(labels)
+        rows = np.arange(p.value.shape[0])
+        out = self._record(p.value[rows, labels])
+
+        def back(g):
+            gp = np.zeros_like(p.value)
+            gp[rows, labels] = g
+            _accum(p, gp)
 
         out._backward = back
         return out
@@ -114,6 +162,57 @@ def dice_loss(pred_channel, target, eps=DICE_EPS) -> float:
         raise ValueError(f"shape mismatch: {p.shape} vs {g.shape}")
     inter = float((p * g).sum())
     return 1.0 - (2.0 * inter + eps) / (float(p.sum()) + float(g.sum()) + eps)
+
+
+def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    return np.eye(n_classes)[labels]
+
+
+def dice_node(tape, probs_flat, onehot, n_classes):
+    """Soft Dice of (N, C) probabilities, averaged over foreground classes 1..C-1.
+
+    The foreground classes form one vector: one `take_rows` of the column
+    sums of p*g and of p, then 1 - (2*inter + eps) / (p + g + eps) for all
+    of them at once. The label counts g + eps are formed in float64 and
+    cast to the tape dtype once, as a float constant per class would be.
+    """
+    fg = np.arange(1, n_classes)
+    counts = np.asarray(onehot, dtype=np.float64).sum(axis=0)[fg]
+    inter = tape.take_rows(tape.sum_axis(tape.mul_const(probs_flat, onehot), 0), fg)
+    p_sums = tape.take_rows(tape.sum_axis(probs_flat, 0), fg)
+    num = tape.add_const(tape.mul_const(inter, 2.0), DICE_EPS)
+    den = tape.add_const(p_sums, counts + DICE_EPS)
+    terms = tape.add_const(tape.mul_const(tape.div(num, den), -1.0), 1.0)
+    return _scalar(tape, tape.mul_const(tape.sum(terms), 1.0 / (n_classes - 1)))
+
+
+def ce_node(tape, probs_flat, labels):
+    """Mean -log p[target] with probabilities floored at 1e-7 before the log."""
+    picked = tape.select_class(probs_flat, labels)
+    logp = tape.log(tape.clamp_min(picked, CE_PROB_FLOOR))
+    return _scalar(tape, tape.mul_const(tape.sum(logp), -1.0 / labels.shape[0]))
+
+
+def dice_ce_chain(tape, prob_node, target_labels, n_classes, gate_idx=None):
+    """Dice + CE on the full grid, or on the gated voxel subset, as a chain of
+    general ops on an `OracleTape`."""
+    n_vox = int(np.prod(prob_node.value.shape[:3]))
+    flat = tape.reshape(prob_node, (n_vox, n_classes))
+    labels = np.asarray(target_labels).ravel()
+    if gate_idx is not None:
+        if gate_idx.size == 0:
+            return tape.input(0.0)
+        flat = tape.take_rows(flat, gate_idx)
+        labels = labels[gate_idx]
+    onehot = _one_hot(labels, n_classes)
+    return tape.add(dice_node(tape, flat, onehot, n_classes), ce_node(tape, flat, labels))
+
+
+def make_dropout_mask(shape, rate, seed, dtype=np.float32):
+    """Inverted dropout as one float mask: zero with probability `rate`, and
+    1/(1 - rate) formed in float32 elsewhere, in `dtype`."""
+    keep, scale = draw_dropout(shape, rate, seed, dtype)
+    return keep * scale
 
 
 def upsample2(x):

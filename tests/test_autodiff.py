@@ -168,7 +168,7 @@ class TestBasicContracts:
             assert a.grad.dtype == b.grad.dtype and a.grad.tobytes() == b.grad.tobytes()
 
     def test_dtype_follows_tape(self):
-        tape = Tape(np.float32)
+        tape = OracleTape(np.float32)
         a = tape.input(np.ones((2, 2)))
         out = tape.clamp_min(tape.mul_const(a, 2.0), 0.0)
         assert out.value.dtype == np.float32
@@ -219,10 +219,10 @@ class TestElementwiseGrads:
         vals = rng.uniform(0.2, 1.0, size=7) * rng.choice([-1, 1], size=7)
 
         def loss_at(v):
-            t = Tape(np.float64)
+            t = OracleTape(np.float64)
             return float(t.sum(t.clamp_min(t.input(v), 0.0)).value)
 
-        t = Tape(np.float64)
+        t = OracleTape(np.float64)
         x = t.input(vals)
         t.backward(t.sum(t.clamp_min(x, 0.0)))
         for i in range(7):
@@ -315,8 +315,17 @@ class TestFoldLast:
         x = x.astype(dtype)
         x[2, 0, :2] = x[2, 0, :2, -1:]      # every class tied with the last
         got = argmax_last(x)
-        assert self._same_bits(got, np.argmax(x, axis=-1))
+        assert self._same_bits(got, np.argmax(x, axis=-1).astype(np.uint8))
         assert (got[0, 0] == 0).all() and (got[2, 0, :2] == 0).all()
+
+    def test_argmax_takes_at_most_256_classes(self):
+        """An id is one byte, so the last of 256 classes is 255, and a 257th
+        class is refused."""
+        x = np.zeros((3, 257))
+        x[:, 255] = 1.0
+        assert self._same_bits(argmax_last(x[:, :256]), np.full(3, 255, dtype=np.uint8))
+        with pytest.raises(ValueError, match="over 256"):
+            argmax_last(x)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n_classes", [2, 3])
@@ -860,7 +869,7 @@ class TestFusedRelu:
         x_shape, w_shape, stride, up = case
         rng = np.random.default_rng(13)
         x, w, b = rng.standard_normal(x_shape), rng.standard_normal(w_shape), rng.standard_normal(4)
-        tape = Tape(dtype)
+        tape = OracleTape(dtype)
         nodes = [tape.input(a.astype(dtype)) for a in (x, w, b)]
         if fused:
             out = tape.conv3d(*nodes, stride=stride, pad=1, up=up, relu=True)

@@ -4,21 +4,14 @@ import numpy as np
 import pytest
 
 from pacedseg.autodiff import Tape
-from pacedseg.losses import (
-    CE_PROB_FLOOR,
-    DICE_EPS,
-    LossReport,
-    ce_node,
-    dice_ce_node,
-    dice_node,
-)
+from pacedseg.losses import CE_PROB_FLOOR, DICE_EPS, LossReport, dice_ce_node
 
-from oracles import dice_loss
+from oracles import OracleTape, ce_node, dice_ce_chain, dice_loss, dice_node
 
 
 def node_value(build, probs, *args):
-    """Float value of a loss graph built on a float64 tape over `probs`."""
-    tape = Tape(np.float64)
+    """Float value of a loss graph built on a float64 `OracleTape` over `probs`."""
+    tape = OracleTape(np.float64)
     return float(build(tape, tape.input(probs), *args).value)
 
 
@@ -213,6 +206,64 @@ class TestLossGradients:
             lambda tape, probs: dice_ce_node(tape, probs, labels, 2, gate_idx=gate),
             logits0, rng, 16,
         )
+
+
+class TestDiceCeNode:
+    """`dice_ce_node`, one tape node, against the chain of general ops it
+    replaced (`oracles.dice_ce_chain`), bit for bit."""
+
+    @staticmethod
+    def _inputs(n_classes, dtype, seed=0):
+        """Softmax probabilities with one-hot rows, so some sit below the CE
+        floor, and uint8 class ids."""
+        rng = np.random.default_rng(seed)
+        logits = 3.0 * rng.standard_normal((6, 4, 4, n_classes))
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        probs = (e / e.sum(axis=-1, keepdims=True)).astype(dtype)
+        probs[0, 0] = np.eye(n_classes, dtype=dtype)[1]
+        labels = rng.integers(0, n_classes, size=(6, 4, 4)).astype(np.uint8)
+        labels[0, 0] = 0  # the probability of its class is 0, under the floor
+        return probs, labels, rng
+
+    @staticmethod
+    def _run(tape, build, probs, labels, n_classes, gate_idx):
+        node = tape.input(probs)
+        loss = build(tape, node, labels, n_classes, gate_idx)
+        tape.backward(tape.mul_const(loss, 0.7))
+        return loss.value, node.grad
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    @pytest.mark.parametrize("gate", ["ungated", "gated", "empty"])
+    def test_loss_and_probability_gradient_bitwise_equal_to_chain(self, gate, n_classes, dtype):
+        probs, labels, rng = self._inputs(n_classes, dtype)
+        gate_idx = {"ungated": None, "gated": np.flatnonzero(rng.random(labels.size) < 0.4),
+                    "empty": np.zeros(0, dtype=np.int64)}[gate]
+        if gate == "gated":
+            gate_idx = np.union1d(gate_idx, [0])  # the row under the floor
+        got = self._run(Tape(dtype), dice_ce_node, probs, labels, n_classes, gate_idx)
+        want = self._run(OracleTape(dtype), dice_ce_chain, probs, labels, n_classes, gate_idx)
+        assert got[0].dtype == want[0].dtype and got[0].tobytes() == want[0].tobytes()
+        if gate == "empty":
+            assert got[1] is None and want[1] is None and got[0] == 0.0
+        else:
+            assert got[1].dtype == want[1].dtype == np.dtype(dtype)
+            assert got[1].shape == want[1].shape == probs.shape
+            assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("gated", [False, True])
+    def test_keeps_no_per_voxel_array_of_its_own(self, gated):
+        """The node holds the labels and the gate it is given, and no other
+        array with a row per voxel."""
+        probs, labels, rng = self._inputs(2, np.float32)
+        gate_idx = np.flatnonzero(rng.random(labels.size) < 0.5) if gated else None
+        tape = Tape(np.float32)
+        node = tape.input(probs)
+        loss = dice_ce_node(tape, node, labels, 2, gate_idx)
+        assert tape.nodes == [node, loss]
+        held = [cell.cell_contents for cell in loss._backward.__closure__]
+        arrays = [a for a in held if isinstance(a, np.ndarray) and a.size >= 2]
+        assert arrays and all(a is gate_idx or np.shares_memory(a, labels) for a in arrays)
 
 
 class TestLossReport:

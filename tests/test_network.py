@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import OracleTape
+from oracles import OracleTape, make_dropout_mask
 
 from pacedseg.autodiff import Tape
 from pacedseg.errors import FormatError, TrainingAbort
@@ -12,6 +12,7 @@ from pacedseg.grids import ARRAYS_MAGIC, load_arrays, save_arrays
 from pacedseg.network import (
     PARAM_NAMES,
     SGDState,
+    draw_dropout,
     ema_update,
     feature_grid,
     feature_node,
@@ -20,7 +21,6 @@ from pacedseg.network import (
     head_forward,
     init_params,
     load_checkpoint,
-    make_dropout_mask,
     param_nodes,
     save_checkpoint,
     sgd_step,
@@ -38,10 +38,10 @@ def tiny_image(seed=1, dims=(4, 4, 2)):
     return np.random.default_rng(seed).standard_normal(dims)
 
 
-def infer(params, image, dropout_mask=None):
+def infer(params, image, dropout=None):
     """(probabilities, features) of the tape-free inference path."""
     hdec, hd = forward_parts(params, image)
-    return head_forward(params, hdec, dropout_mask), feature_grid(params, hd)
+    return head_forward(params, hdec, dropout), feature_grid(params, hd)
 
 
 class TestForward:
@@ -57,7 +57,7 @@ class TestForward:
         params, image = tiny_params(), tiny_image()
 
         def draw(seed):
-            return make_dropout_mask((3, 4, 4, 2), params.dropout_rate, seed)
+            return draw_dropout((3, 4, 4, 2), params.dropout_rate, seed, params.dtype)
 
         p1, _ = infer(params, image, draw(42))
         p2, _ = infer(params, image, draw(42))
@@ -76,17 +76,17 @@ class TestForward:
 
     def test_graph_and_value_paths_agree_bitwise(self):
         params, image = tiny_params(), tiny_image()
-        mask = make_dropout_mask((3, 4, 4, 2), params.dropout_rate, 5)
+        drop = draw_dropout((3, 4, 4, 2), params.dropout_rate, 5, params.dtype)
         tape = Tape(np.float64)
         pnodes = param_nodes(tape, params)
-        probs_node, hd_node = forward_graph(tape, pnodes, image, mask)
+        probs_node, hd_node = forward_graph(tape, pnodes, image, drop)
         feats_node = feature_node(tape, pnodes, hd_node)
 
         hdec, hd = forward_parts(params, image)
         np.testing.assert_array_equal(hd_node.value, hd)
         np.testing.assert_array_equal(feats_node.value, feature_grid(params, hd))
         np.testing.assert_array_equal(
-            probs_node.value, head_forward(params, hdec, mask)
+            probs_node.value, head_forward(params, hdec, drop)
         )
 
     def test_image_leaf_holds_no_gradient(self):
@@ -185,6 +185,43 @@ class TestDropout:
             for rate in (float(d), float(np.nextafter(d, np.float32(1)))):
                 want = (draws.reshape(shape) >= rate) / np.float32(1.0 - rate)
                 assert make_dropout_mask(shape, rate, seed).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 1.0 - GRID / 4], ids=["0", "0.3", "to1"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_node_equals_mul_const_with_the_float_mask(self, rate, dtype):
+        """`Tape.dropout` on the keep bits gives the value and the gradient of
+        `mul_const` against the float mask, bit for bit, and keeps the bits,
+        not a float mask; a rate that rounds to 1.0 in float32 keeps nothing."""
+        shape, seed = (3, 4, 4, 2), 9
+        rng = np.random.default_rng(4)
+        x, weight = rng.standard_normal(shape).astype(dtype), rng.standard_normal(shape)
+        keep, scale = draw_dropout(shape, rate, seed, dtype)
+        assert keep.dtype == bool and scale.dtype == dtype and scale.shape == ()
+        results = []
+        for record in (lambda tape, n: tape.dropout(n, keep, scale),
+                       lambda tape, n: tape.mul_const(n, make_dropout_mask(shape, rate, seed,
+                                                                           dtype))):
+            tape = Tape(dtype)
+            node = tape.input(x)
+            out = record(tape, node)
+            if not results:
+                held = [cell.cell_contents for cell in out._backward.__closure__]
+                assert [a.dtype for a in held if isinstance(a, np.ndarray) and a.size > 1] == [bool]
+            tape.backward(tape.sum(tape.mul_const(out, weight)))
+            results.append((out.value, node.grad))
+        (value, grad), (want_value, want_grad) = results
+        assert value.dtype == grad.dtype == np.dtype(dtype)
+        assert value.tobytes() == want_value.tobytes() and grad.tobytes() == want_grad.tobytes()
+        assert (value == 0).all() == (rate > 0.5) and (value == 0).any() == (rate > 0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_head_on_keep_bits_equals_head_on_masked_activations(self, dtype):
+        params = tiny_params(dtype=dtype)
+        hdec = forward_parts(params, tiny_image())[0]
+        drop = draw_dropout(hdec.shape, params.dropout_rate, 3, dtype)
+        mask = make_dropout_mask(hdec.shape, params.dropout_rate, 3, dtype)
+        assert head_forward(params, hdec, drop).tobytes() == head_forward(
+            params, hdec * mask).tobytes()
 
     def test_rate_zero_identity(self):
         for dtype in (np.float32, np.float64):
@@ -444,17 +481,17 @@ class TestModelGradients:
         params = tiny_params(seed=7)
         image = tiny_image(seed=8)
         target = np.random.default_rng(9).integers(0, 2, size=(4, 4, 2))
-        mask = make_dropout_mask((3, 4, 4, 2), 0.3, 10)
+        drop = draw_dropout((3, 4, 4, 2), 0.3, 10, np.float64)
 
         def loss_value(p):
             tape = Tape(np.float64)
             nodes = param_nodes(tape, p)
-            probs, _ = forward_graph(tape, nodes, image, mask)
+            probs, _ = forward_graph(tape, nodes, image, drop)
             return float(dice_ce_node(tape, probs, target, 2).value)
 
         tape = Tape(np.float64)
         nodes = param_nodes(tape, params)
-        probs, _ = forward_graph(tape, nodes, image, mask)
+        probs, _ = forward_graph(tape, nodes, image, drop)
         tape.backward(dice_ce_node(tape, probs, target, 2))
 
         rng = np.random.default_rng(11)

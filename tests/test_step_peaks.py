@@ -1,0 +1,43 @@
+"""tools/step_peaks.py on a tiny config: the rows it prints and how it fails."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("step_peaks", ROOT / "tools" / "step_peaks.py")
+step_peaks = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(step_peaks)
+
+TINY = {"dim_h": 16, "dim_w": 16, "dim_d": 8, "n_labeled": 2, "n_unlabeled": 2,
+        "widths": [2, 3, 4, 3], "embed_dim": 4, "mc_passes": 2, "k_neg": 8, "seed": 1}
+
+
+@pytest.fixture
+def tiny(monkeypatch):
+    monkeypatch.setattr(step_peaks, "BASE", TINY)
+    monkeypatch.setattr(step_peaks, "ROWS", (("f32", {}), ("f64", {"dtype": "float64"})))
+    monkeypatch.setattr(step_peaks, "LATE_STEPS", (1, 2))
+
+
+def test_prints_one_peak_per_row_from_its_own_process(tiny, capsys):
+    assert step_peaks.main([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["f32", "f64", step_peaks.LATE_NAME]
+    mib = [float(line.split(": ")[1].removesuffix(" MiB")) for line in lines]
+    assert all(m > 0 for m in mib)
+    assert mib[1] > mib[0]  # float64 activations take twice the bytes
+
+
+def test_rows_and_their_order():
+    names = [name for name, _ in step_peaks.commands()]
+    assert names == [name for name, _ in step_peaks.ROWS] + [step_peaks.LATE_NAME]
+    assert step_peaks.LATE_STEPS == (3, 12) and step_peaks.WARM_STEPS == 3
+
+
+def test_a_failed_row_names_itself(tiny, tmp_path, capsys):
+    with pytest.raises(RuntimeError, match="^f32 exited with 1"):
+        step_peaks.measure(tmp_path)
+    assert step_peaks.main(["--root", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("f32 exited with 1")

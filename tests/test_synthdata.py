@@ -195,16 +195,18 @@ class TestFusion:
         with pytest.raises(ValueError):
             fuse_with_weight_map(reg, reg, slice_weight_map(4, 0, 0.5, 1.0))
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
     @pytest.mark.parametrize("n_classes", [2, 3])
-    def test_matches_one_hot_argmax(self, n_classes):
+    def test_matches_one_hot_argmax(self, n_classes, dtype):
         rng = np.random.default_rng(n_classes)
         dims = (5, 4, 8)
-        reg, seg = rng.integers(0, n_classes, size=(2, *dims))
+        reg, seg = rng.integers(0, n_classes, size=(2, *dims)).astype(dtype)
         trust = rng.random(dims[2])
         trust[[1, 3, 6]] = 0.5, 0.0, 1.0    # an exact tie goes to the lower class
         full = np.broadcast_to(trust, dims)
-        np.testing.assert_array_equal(fuse_with_weight_map(reg, seg, trust),
-                                      fuse_one_hot(reg, seg, full, n_classes))
+        fused = fuse_with_weight_map(reg, seg, trust)
+        assert fused.dtype == dtype
+        np.testing.assert_array_equal(fused, fuse_one_hot(reg, seg, full, n_classes))
         # a depth flip reverses the trust vector, as the flipped full map
         flips = (True, False, True)
         reg_f, seg_f = apply_flips(reg, flips), apply_flips(seg, flips)

@@ -9,6 +9,7 @@ import pytest
 
 from pacedseg import autodiff, network, training
 from pacedseg.errors import ConfigError, TrainingAbort
+from pacedseg.grids import downsample_mask
 from pacedseg.metrics import summarize
 from pacedseg.network import PARAM_NAMES, load_checkpoint
 from pacedseg.synthdata import Dataset, attach_registration, generate_dataset
@@ -280,18 +281,23 @@ def flat_dice_ce(probs, labels, idx=None):
 
 
 class TestStepMemory:
-    # The traced peak of one warm default-size step, about 15% above the
-    # 5.44 MiB (float32) and 9.46 MiB (float64) it measures with each branch
-    # swept on its own tape and the projection head run only where the
-    # contrast reads features; with the head on every view it read 5.54 and
-    # 9.90 MiB, one tape swept once at the end peaked at 11.04 and
-    # 19.13 MiB, and 48.5 MiB in float32 when each student conv kept its
-    # full cols on the tape.
-    PEAK_MIB = {"float32": 6.3, "float64": 10.9}
+    # The traced peak of one warm default-size step (tools/step_peaks.py),
+    # about 15% above the 4.36 MiB (float32), 8.63 MiB (float64) and, on the
+    # confident schedule, 4.92 MiB (float32) it measures with each per-voxel
+    # array held once at the width its reader needs: views in the model's
+    # dtype, one-byte class ids, dropout keep bits and Dice + CE as one node.
+    # Before, it read 5.44, 9.46 and 6.19 MiB; with the projection head on
+    # every view 5.54 and 9.90 MiB (default schedule), one tape swept once
+    # at the end peaked at 11.04 and 19.13 MiB, and 48.5 MiB in float32 when
+    # each student conv kept its full cols on the tape.
+    PEAK_MIB = {("float32", "default"): 5.0, ("float64", "default"): 9.9,
+                ("float32", "confident"): 5.7}
+    SCHEDULES = {"default": {}, "confident": {"alpha": 100.0, "tau_sched": 2000.0}}
 
-    @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_default_step_traced_peak_is_bounded(self, dtype):
-        cfg = TrainConfig(n_labeled=2, n_unlabeled=2, seed=1, dtype=dtype).validate()
+    @pytest.mark.parametrize("dtype, schedule", list(PEAK_MIB))
+    def test_default_step_traced_peak_is_bounded(self, dtype, schedule):
+        cfg = TrainConfig(n_labeled=2, n_unlabeled=2, seed=1, dtype=dtype,
+                          **self.SCHEDULES[schedule]).validate()
         trainer = Trainer(cfg, tiny_dataset(cfg))
         for t in range(3):
             trainer.step(*trainer.batch_for(t))
@@ -301,7 +307,7 @@ class TestStepMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < self.PEAK_MIB[dtype] * 2**20, f"peak {peak / 2**20:.2f} MiB"
+        assert peak < self.PEAK_MIB[dtype, schedule] * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_step_keeps_one_cols_arena(self, dtype, monkeypatch):
@@ -340,7 +346,55 @@ class TestStepMemory:
             trainer.step(*trainer.batch_for(0))
         finally:
             gc.enable()
-        assert len(labeled) > 20 and alive == [0]
+        # the tape and its 11 nodes: the image, 4 trunk convs, dropout, the
+        # head conv, its layout, softmax, Dice + CE and the weighted loss
+        assert len(labeled) == 12 and alive == [0]
+
+
+class TestStepArrays:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_views_in_model_dtype_and_labels_one_byte(self, dtype):
+        """The strong views a step feeds the student are in the model's dtype,
+        and its pseudo and fused labels hold one byte per class id."""
+        cfg = tiny_config(dtype=dtype)
+        trainer = Trainer(cfg, tiny_dataset(cfg))
+        trace = StepTrace()
+        trainer.step(*trainer.batch_for(0), capture=trace)
+        assert trace.labeled_strong.dtype == trace.unlabeled_strong.dtype == np.dtype(dtype)
+        assert trace.labeled_fused.dtype == trace.unlabeled_pseudo.dtype == np.uint8
+        assert trace.labeled_fused.shape == trace.unlabeled_pseudo.shape == cfg.dims
+
+    @staticmethod
+    def _mining(monkeypatch, t, **overrides):
+        """(mine_pairs calls, the mask grid, the report) of step t of a fresh
+        trainer, after the steps before it."""
+        cfg = tiny_config(**overrides)
+        trainer = Trainer(cfg, tiny_dataset(cfg))
+        for step in range(t):
+            trainer.step(*trainer.batch_for(step))
+        calls, real = [], training.mine_pairs
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(training, "mine_pairs", spy)
+        trace = StepTrace()
+        report = trainer.step(*trainer.batch_for(t), capture=trace)
+        return calls, downsample_mask(trace.mask, (2, 2, 2)), report
+
+    def test_contrast_mines_nothing_from_an_empty_mask_grid(self, monkeypatch):
+        """A warm step admits at most a tenth of the voxels; where no 2x2x2
+        block is half admitted, no anchor can exist, so no pair is mined."""
+        calls, mask_ds, report = self._mining(monkeypatch, 2)
+        assert report.branch == "warm" and report.mask_count > 0
+        assert not mask_ds.any()
+        assert calls == [] and report.l_bf == 0.0
+
+    def test_contrast_mines_pairs_from_an_admitting_mask_grid(self, monkeypatch):
+        calls, mask_ds, report = self._mining(monkeypatch, 1, alpha=100.0, tau_sched=2000.0)
+        assert report.branch == "confident" and mask_ds.any()
+        assert len(calls) == 1
 
 
 class TestFeatureHead:

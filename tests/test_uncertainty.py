@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from oracles import make_dropout_mask
 
 from pacedseg.errors import ConfigError
-from pacedseg.network import forward_parts, head_forward, init_params, make_dropout_mask
+from pacedseg.network import forward_parts, head_forward, init_params
 from pacedseg.uncertainty import (
     WARM_CAP,
     Schedule,
@@ -70,8 +71,7 @@ class TestMCUncertainty:
         for t in range(passes):
             hdec, _ = forward_parts(params, image)
             mask = make_dropout_mask(hdec.shape, params.dropout_rate, mc_pass_seed(seed, t))
-            mask = mask.astype(params.dtype)
-            acc += head_forward(params, hdec, mask)
+            acc += head_forward(params, hdec * mask.astype(params.dtype))
         np.testing.assert_allclose(mean, acc / passes, atol=1e-6)
         np.testing.assert_array_equal(ent, entropy_values(mean, 2))
 
