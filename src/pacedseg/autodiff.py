@@ -48,10 +48,12 @@ view of one flat arena per dtype, sized for the largest request yet. A
 backward's tile of column gradients overwrites the tile of cols its
 weight gradient has just read. The buffers are per process and not
 thread-safe. A conv applies its relu, when asked, in place on
-its own result frame; it writes no input or leaf array. Reductions over
-the short trailing class axis fold one class slice at a time
-(`fold_last`, `argmax_last`), bitwise equal to numpy's own reduction;
-`argmax_last` returns one byte (uint8) per class id.
+its own result frame; it writes no input or leaf array. Every (..., C)
+class map and (..., F) feature map is a channels-last view over the
+class-major result of its conv (`chw_to_hwc`), so each channel slice is
+contiguous and numpy reduces the short trailing axis one whole slice at
+a time. numpy's argmax does not, so `argmax_last` folds the slices
+itself and returns one byte (uint8) per class id.
 
 Raw kernels (`conv3d_raw`, `softmax_raw`, ...) are shared with the
 tape-free inference path so both routes compute identical floats.
@@ -64,7 +66,7 @@ import math
 
 import numpy as np
 
-__all__ = ["Tape", "Node", "conv3d_raw", "softmax_raw", "fold_last", "argmax_last"]
+__all__ = ["Tape", "Node", "conv3d_raw", "softmax_raw", "argmax_last"]
 
 
 # ---------------------------------------------------------------------------
@@ -427,21 +429,6 @@ def conv3d_backward(gout, x, w, stride, pad, up=1, need_gx=True):
     return gx, _parity_weight_adjoint(gm, cout), gb
 
 
-def fold_last(ufunc, x):
-    """`ufunc.reduce(x, axis=-1)`, folded over the trailing axis one slice at a time.
-
-    numpy reduces a short trailing axis (the class axis, C = 2) row by row,
-    at a few elements per inner loop; folding whole slices runs each ufunc
-    call over every row at once. Like numpy's reduce, the fold starts from
-    the ufunc's identity when it has one (so an all -0.0 sum is +0.0), and
-    it adds in numpy's order for C < 8, so the result is bitwise equal.
-    """
-    out = x[..., 0].copy() if ufunc.identity is None else ufunc(ufunc.identity, x[..., 0])
-    for c in range(1, x.shape[-1]):
-        ufunc(out, x[..., c], out=out)
-    return out
-
-
 def argmax_last(x):
     """`np.argmax(x, axis=-1)` for NaN-free x, folded over the trailing axis,
     as one byte (uint8) per id, so x has at most 256 classes.
@@ -464,8 +451,8 @@ def argmax_last(x):
 
 
 def softmax_raw(x):
-    e = np.exp(x - fold_last(np.maximum, x)[..., None])
-    return e / fold_last(np.add, e)[..., None]
+    e = np.exp(x - x.max(-1)[..., None])
+    return e / e.sum(-1)[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -634,8 +621,9 @@ class Tape:
         own: it holds the probability node and the labels and gate it is
         given, and its backward gathers the gated probabilities again. Each
         sum, product and quotient is the numpy call that the chain of general
-        ops (`dice_ce_chain` in the tests' oracles) makes on operands of the
-        same shape, so the loss and its gradient are that chain's floats.
+        ops (`dice_ce_chain` in the tests' oracles) makes on C-order operands
+        of the same shape, so the loss and its gradient are that chain's
+        floats, whatever the layout of the probabilities.
         """
         c2, c_eps, c_neg, c_one, c_fg = (np.asarray(v, dtype=self.dtype)
                                          for v in (2.0, eps, -1.0, 1.0, 1.0 / (n_classes - 1)))
@@ -650,7 +638,8 @@ class Tape:
             return flat, ids, flat[gate_idx, ids]
 
         flat, ids, picked = picks()
-        p = flat if gate_idx is None else flat[gate_idx]
+        # rows in C order, so each class sum adds its voxels in turn
+        p = np.ascontiguousarray(flat) if gate_idx is None else flat[gate_idx]
         hit = ids[:, None] == np.arange(n_classes)  # the one-hot labels, as bits
         c_ce = np.asarray(-1.0 / ids.size, dtype=self.dtype)
         num = (p * hit).sum(axis=0)[1:] * c2 + c_eps
@@ -666,12 +655,13 @@ class Tape:
             g_sums[1:] += -g_q * num / (den * den)
             g_inter[1:] += g_q / den * c2
             g_picked = (g * c_ce) / np.maximum(picked, floor) * (picked > floor)
-            gp = np.zeros((ids.size, n_classes), dtype=self.dtype)
+            # class-major, the layout of the probabilities
+            gp = np.zeros((n_classes, ids.size), dtype=self.dtype).T
             gp[np.arange(ids.size), ids] = g_picked
             gp += g_sums
             gp += g_inter * (ids[:, None] == np.arange(n_classes))
             if gate_idx is not None:
-                full = np.zeros((labels.size, n_classes), dtype=self.dtype)
+                full = np.zeros((n_classes, labels.size), dtype=self.dtype).T
                 np.add.at(full, gate_idx, gp)
                 gp = full
             _accum(probs, gp.reshape(probs.value.shape))
@@ -711,12 +701,9 @@ class Tape:
         return out
 
     def chw_to_hwc(self, x: Node):
-        """Move the leading channel axis of a (C, h, w, d) node to the end.
-
-        The result is materialized contiguously so downstream reductions
-        over the channel axis run at full speed.
-        """
-        out = self._record(np.ascontiguousarray(np.moveaxis(x.value, 0, 3)))
+        """Move the leading channel axis of a (C, h, w, d) node to the end, as
+        a view: each channel slice of the result stays contiguous."""
+        out = self._record(np.moveaxis(x.value, 0, 3))
         out._backward = lambda g: _accum(x, np.moveaxis(g, 3, 0))
         return out
 
@@ -725,7 +712,7 @@ class Tape:
         out = self._record(p)
 
         def back(g):
-            _accum(x, p * (g - fold_last(np.add, g * p)[..., None]))
+            _accum(x, p * (g - (g * p).sum(-1)[..., None]))
 
         out._backward = back
         return out

@@ -159,7 +159,8 @@ def forward_graph(tape: Tape, pnodes: dict[str, Node], image: np.ndarray, dropou
 
     `dropout` is a `draw_dropout` (keep bits, scale) pair for the decoder
     activations, or None for none. The engine runs channels-first
-    internally; the probability node is channels-last, (H, W, D, C). A
+    internally; the probability node is a channels-last (H, W, D, C) view
+    over the head conv's class-major result, as `head_forward`'s is. A
     caller that reads the features records the projection head on the
     (C3, h, w, d) down-sampled node with `feature_node`, so a graph whose
     features nobody reads records none.
@@ -172,7 +173,8 @@ def forward_graph(tape: Tape, pnodes: dict[str, Node], image: np.ndarray, dropou
 
 
 def feature_node(tape: Tape, pnodes: dict[str, Node], hd: Node) -> Node:
-    """The projection head on a down-sampled node; a contiguous (h, w, d, F) node."""
+    """The projection head on a down-sampled node; an (h, w, d, F) view node,
+    laid out as `feature_grid`'s."""
     return tape.chw_to_hwc(tape.conv3d(hd, pnodes["proj_w"], pnodes["proj_b"], pad=0))
 
 
@@ -198,9 +200,9 @@ def head_forward(params: ModelParams, hdec: np.ndarray, dropout=None) -> np.ndar
     """Segmentation head on decoder activations, gated by a `draw_dropout`
     (keep bits, scale) pair unless `dropout` is None.
 
-    Returns (H, W, D, C) probabilities laid out as the conv's class-major
-    (C, H, W, D) result: an (H, W, D, C) view over it, so each class slice
-    `p[..., c]` that `fold_last` and `argmax_last` read is contiguous.
+    Returns (H, W, D, C) probabilities in the layout of `forward_graph`'s:
+    a view over the conv's class-major (C, H, W, D) result, so each class
+    slice `p[..., c]` is contiguous.
     """
     t = params.tensors
     a = hdec

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tape, argmax_last, fold_last
+from .autodiff import Tape, argmax_last
 from .contrastive import contrast_loss_node, mine_pairs
 from .errors import ConfigError, TrainingAbort
 from .grids import (
@@ -459,7 +459,7 @@ class Trainer:
                 downsample_labels_majority(yu2, cfg.n_classes, factor),
                 downsample_labels_majority(argmax_last(probs.value), cfg.n_classes, factor),
                 mask_ds,
-                downsample_mean(fold_last(np.maximum, probs.value).astype(np.float64), factor),
+                downsample_mean(probs.value.max(-1).astype(np.float64), factor),
                 cfg.k_neg, cfg.tau_contrast,
             )
             lbf = contrast_loss_node(tape, feats, batch)

@@ -42,8 +42,9 @@ way, so a test can compare the optimized form in `src/` against it.
   output parity of an `up=2` conv, and its adjoint, as three tensordots
   with the per-axis tap table; the float64 reference of the one-matmul
   `pacedseg.autodiff._parity_weight` and `_parity_weight_adjoint`.
-- `softmax_reduce`: softmax over the last axis with numpy reductions;
-  checks the slice-folded `pacedseg.autodiff.softmax_raw` bit for bit.
+- `softmax_reduce`: softmax over the last axis of a C-order array, whose
+  numpy reductions run row by row; checks `pacedseg.autodiff.softmax_raw`
+  bit for bit on the class-major views the network hands out.
 - `fuse_one_hot`: label fusion as the argmax of trust-weighted one-hot
   scores on a per-voxel trust map; checks the per-slice
   `pacedseg.synthdata.fuse_with_weight_map`.

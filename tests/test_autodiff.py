@@ -22,9 +22,9 @@ from pacedseg.autodiff import (
     argmax_last,
     conv3d_backward,
     conv3d_raw,
-    fold_last,
     softmax_raw,
 )
+from pacedseg.uncertainty import entropy_values
 
 RTOL = 1e-4
 STEP = 1e-3
@@ -280,8 +280,10 @@ class TestReductionGrads:
         fd_check(build, [(5, 3), (5, 3)])
 
 
-class TestFoldLast:
-    """The slice-by-slice class-axis fold against numpy's own reductions."""
+class TestClassAxis:
+    """Reductions over the short trailing class axis, on C-order arrays and on
+    the class-major views the network hands out, against numpy's row-by-row
+    reductions of C-order arrays."""
 
     @staticmethod
     def _logits(n_classes, dtype, seed=0):
@@ -299,12 +301,14 @@ class TestFoldLast:
     def _same_bits(a, b):
         return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("n_classes", [2, 3])
-    def test_bitwise_equal_to_reductions(self, n_classes, dtype):
-        x = self._logits(n_classes, dtype)
-        assert self._same_bits(fold_last(np.maximum, x), x.max(-1))
-        assert self._same_bits(fold_last(np.add, x), x.sum(-1))
+    @staticmethod
+    def _laid_out(x, layout):
+        """x itself, or the same values as a view over a class-major copy."""
+        if layout == "c_order":
+            return x
+        view = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -1, 0)), 0, -1)
+        assert view[..., 0].flags.c_contiguous
+        return view
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
     @pytest.mark.parametrize("n_classes", [2, 3])
@@ -327,12 +331,38 @@ class TestFoldLast:
         with pytest.raises(ValueError, match="over 256"):
             argmax_last(x)
 
+    @pytest.mark.parametrize("layout", ["c_order", "class_major"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n_classes", [2, 3])
-    def test_softmax_bitwise_equal_to_reduction_form(self, n_classes, dtype):
+    def test_softmax_bitwise_equal_to_reduction_form(self, n_classes, dtype, layout):
         x = self._logits(n_classes, dtype, seed=1)
         x = np.clip(x, -80, 80)             # keep exp finite in float32
-        assert self._same_bits(softmax_raw(x), softmax_reduce(x))
+        assert self._same_bits(softmax_raw(self._laid_out(x, layout)), softmax_reduce(x))
+
+    @pytest.mark.parametrize("layout", ["c_order", "class_major"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_softmax_backward_bitwise_equal_to_reduction_form(self, n_classes, dtype, layout):
+        """The gradient `Tape.softmax` passes back, for a gradient in the
+        layout of its logits, is p * (g - sum(g * p)) reduced row by row."""
+        x = np.clip(self._logits(n_classes, dtype, seed=3), -80, 80)
+        g = self._logits(n_classes, dtype, seed=4)
+        tape = Tape(dtype)
+        logits = tape.input(self._laid_out(x, layout))
+        probs = tape.softmax(logits)
+        tape.backward(tape.sum(tape.mul_const(probs, self._laid_out(g, layout))))
+        p = softmax_reduce(x)
+        assert self._same_bits(logits.grad, p * (g - (g * p).sum(axis=-1, keepdims=True)))
+
+    @pytest.mark.parametrize("layout", ["c_order", "class_major"])
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_entropy_bitwise_equal_to_reduction_form(self, n_classes, layout):
+        """Exact 0 and 1 probabilities, ties and signed zeros, from the logits."""
+        p = softmax_reduce(self._logits(n_classes, np.float64, seed=5))
+        assert (p == 0).any() and (p == 1).any()
+        terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
+        expected = np.clip(-terms.sum(axis=-1), 0.0, math.log(n_classes))
+        assert self._same_bits(entropy_values(self._laid_out(p, layout), n_classes), expected)
 
 
 class TestStructuralGrads:

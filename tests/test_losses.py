@@ -232,16 +232,24 @@ class TestDiceCeNode:
         tape.backward(tape.mul_const(loss, 0.7))
         return loss.value, node.grad
 
+    @pytest.mark.parametrize("layout", ["c_order", "class_major"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n_classes", [2, 3])
     @pytest.mark.parametrize("gate", ["ungated", "gated", "empty"])
-    def test_loss_and_probability_gradient_bitwise_equal_to_chain(self, gate, n_classes, dtype):
+    def test_loss_and_probability_gradient_bitwise_equal_to_chain(self, gate, n_classes, dtype,
+                                                                  layout):
+        """Also on probabilities laid out as the network hands them out, a
+        view over a class-major array; the chain reads the C-order array.
+        The gradient the node passes back is laid out class-major."""
         probs, labels, rng = self._inputs(n_classes, dtype)
         gate_idx = {"ungated": None, "gated": np.flatnonzero(rng.random(labels.size) < 0.4),
                     "empty": np.zeros(0, dtype=np.int64)}[gate]
         if gate == "gated":
             gate_idx = np.union1d(gate_idx, [0])  # the row under the floor
-        got = self._run(Tape(dtype), dice_ce_node, probs, labels, n_classes, gate_idx)
+        laid_out = probs
+        if layout == "class_major":
+            laid_out = np.moveaxis(np.ascontiguousarray(np.moveaxis(probs, -1, 0)), 0, -1)
+        got = self._run(Tape(dtype), dice_ce_node, laid_out, labels, n_classes, gate_idx)
         want = self._run(OracleTape(dtype), dice_ce_chain, probs, labels, n_classes, gate_idx)
         assert got[0].dtype == want[0].dtype and got[0].tobytes() == want[0].tobytes()
         if gate == "empty":
@@ -250,6 +258,7 @@ class TestDiceCeNode:
             assert got[1].dtype == want[1].dtype == np.dtype(dtype)
             assert got[1].shape == want[1].shape == probs.shape
             assert got[1].tobytes() == want[1].tobytes()
+            assert got[1][..., 0].flags.c_contiguous
 
     @pytest.mark.parametrize("gated", [False, True])
     def test_keeps_no_per_voxel_array_of_its_own(self, gated):

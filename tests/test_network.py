@@ -89,6 +89,27 @@ class TestForward:
             probs_node.value, head_forward(params, hdec, drop)
         )
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_both_routes_hand_out_one_channels_last_layout(self, dtype):
+        """Probabilities and features, taped or not, are channels-last views
+        over their conv's channel-major result: every channel slice is
+        contiguous, and each taped/raw pair holds the same bits at the same
+        strides."""
+        params, image = tiny_params(dtype=dtype), tiny_image()
+        drop = draw_dropout((3, 4, 4, 2), params.dropout_rate, 5, params.dtype)
+        tape = Tape(dtype)
+        pnodes = param_nodes(tape, params)
+        probs_node, hd_node = forward_graph(tape, pnodes, image, drop)
+        hdec, hd = forward_parts(params, image)
+        pairs = ((probs_node.value, head_forward(params, hdec, drop)),
+                 (feature_node(tape, pnodes, hd_node).value, feature_grid(params, hd)))
+        for taped, raw in pairs:
+            for a in (taped, raw):
+                assert a.dtype == dtype
+                assert all(a[..., c].flags.c_contiguous for c in range(a.shape[-1]))
+            assert taped.shape == raw.shape and taped.strides == raw.strides
+            assert taped.tobytes() == raw.tobytes()
+
     def test_image_leaf_holds_no_gradient(self):
         params, image = tiny_params(), tiny_image()
         tape = Tape(np.float64)

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from pacedseg import autodiff, network, training
+from pacedseg.ablation import dataset_for_seed
 from pacedseg.errors import ConfigError, TrainingAbort
 from pacedseg.grids import downsample_mask
 from pacedseg.metrics import summarize
 from pacedseg.network import PARAM_NAMES, load_checkpoint
-from pacedseg.synthdata import Dataset, attach_registration, generate_dataset
+from pacedseg.synthdata import Dataset, generate_dataset
 from pacedseg.training import (
     StepTrace,
     TrainConfig,
@@ -34,14 +35,6 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return TrainConfig(**base).validate()
-
-
-def tiny_dataset(cfg, seed=None):
-    seed = cfg.seed if seed is None else seed
-    ds = generate_dataset(
-        cfg.n_labeled, cfg.n_unlabeled, cfg.dims, seed=seed, noise_amp=cfg.noise_amp
-    )
-    return attach_registration(ds, cfg.reg_sigma, cfg.reg_beta, seed=seed)
 
 
 class TestConfig:
@@ -127,28 +120,28 @@ class TestTrainerMechanics:
 
     def test_empty_case_set_raises_config_error(self):
         cfg = tiny_config()
-        ds = tiny_dataset(cfg)
+        ds = dataset_for_seed(cfg, cfg.seed)
         for labeled, unlabeled in (([], ds.unlabeled), (ds.labeled, [])):
             with pytest.raises(ConfigError, match="at least one labeled and one unlabeled"):
                 Trainer(cfg, Dataset(labeled, unlabeled, ds.dims, ds.n_classes))
 
     def test_lambda_follows_geometric_schedule(self):
         cfg = tiny_config()
-        trainer = Trainer(cfg, tiny_dataset(cfg))
+        trainer = Trainer(cfg, dataset_for_seed(cfg, cfg.seed))
         for t in range(8):
             report = trainer.step(*trainer.batch_for(t))
             assert report.lam == pytest.approx(0.1 * 1.01**t, rel=1e-12)
 
     def test_lr_decays_stepwise(self):
         cfg = tiny_config()
-        trainer = Trainer(cfg, tiny_dataset(cfg))
+        trainer = Trainer(cfg, dataset_for_seed(cfg, cfg.seed))
         reports = [trainer.step(*trainer.batch_for(t)) for t in range(8)]
         assert reports[0].lr == pytest.approx(0.01)
         assert reports[cfg.decay_period].lr == pytest.approx(0.01 * 0.1)
 
     def test_lr_decays_at_derived_period(self):
         cfg = tiny_config(decay_period=None)
-        trainer = Trainer(cfg, tiny_dataset(cfg))
+        trainer = Trainer(cfg, dataset_for_seed(cfg, cfg.seed))
         trainer.schedule.t = cfg.effective_decay_period - 1
         assert trainer.current_lr() == pytest.approx(0.01)
         trainer.schedule.t = cfg.effective_decay_period
@@ -156,14 +149,14 @@ class TestTrainerMechanics:
 
     def test_first_step_is_warm_branch(self):
         cfg = tiny_config()
-        trainer = Trainer(cfg, tiny_dataset(cfg))
+        trainer = Trainer(cfg, dataset_for_seed(cfg, cfg.seed))
         report = trainer.step(*trainer.batch_for(0))
         assert report.branch == "warm"
         assert report.v is None
 
     def test_su_disabled_gives_full_mask(self):
         cfg = tiny_config(enable_su=False, enable_sc=False)
-        trainer = Trainer(cfg, tiny_dataset(cfg))
+        trainer = Trainer(cfg, dataset_for_seed(cfg, cfg.seed))
         report = trainer.step(*trainer.batch_for(0))
         assert report.mask_count == 16 * 16 * 8
         assert report.r_conf == 1.0
@@ -171,7 +164,7 @@ class TestTrainerMechanics:
 
     def test_loss_report_total_identity(self):
         cfg = tiny_config()
-        trainer = Trainer(cfg, tiny_dataset(cfg))
+        trainer = Trainer(cfg, dataset_for_seed(cfg, cfg.seed))
         for t in range(4):
             rep = trainer.step(*trainer.batch_for(t))
             assert rep.total == (rep.l_s + rep.l_u) + rep.l_bf
@@ -180,7 +173,7 @@ class TestTrainerMechanics:
     @pytest.mark.parametrize("enable_su", [True, False])
     def test_step_past_schedule_end_raises_config_error(self, enable_su):
         cfg = tiny_config(iterations=2, decay_period=2, enable_su=enable_su)
-        trainer = Trainer(cfg, tiny_dataset(cfg))
+        trainer = Trainer(cfg, dataset_for_seed(cfg, cfg.seed))
         for t in range(3):  # t = 0..t_max is inside the schedule
             trainer.step(*trainer.batch_for(t))
         with pytest.raises(ConfigError, match="past the schedule's end"):
@@ -188,7 +181,7 @@ class TestTrainerMechanics:
 
     def test_nonfinite_params_abort_with_schedule_dump(self):
         cfg = tiny_config()
-        trainer = Trainer(cfg, tiny_dataset(cfg))
+        trainer = Trainer(cfg, dataset_for_seed(cfg, cfg.seed))
         trainer.student.tensors["seg_b"] = np.array([np.inf, 0.0], dtype=np.float32)
         with pytest.raises(TrainingAbort, match="schedule"):
             trainer.step(*trainer.batch_for(0))
@@ -199,7 +192,7 @@ class TestTrainerMechanics:
         the schedule, and leaves student, teacher, velocity and schedule as
         they were, though that branch's graph was already swept."""
         cfg = tiny_config()
-        trainer = Trainer(cfg, tiny_dataset(cfg))
+        trainer = Trainer(cfg, dataset_for_seed(cfg, cfg.seed))
         trainer.step(*trainer.batch_for(0))  # a nonzero velocity and a finite last L_u
         real = training.dice_ce_node
 
@@ -228,7 +221,7 @@ class TestTrainerMechanics:
     def test_teacher_matches_ema_closed_form_over_five_steps(self):
         """theta_t = d^t theta_0 + (1-d) sum_i d^(t-1-i) student_{i+1}."""
         cfg = tiny_config(dtype="float64")
-        trainer = Trainer(cfg, tiny_dataset(cfg))
+        trainer = Trainer(cfg, dataset_for_seed(cfg, cfg.seed))
         theta0 = {k: v.copy() for k, v in trainer.teacher.tensors.items()}
         students = []
         for t in range(5):
@@ -245,7 +238,7 @@ class TestTrainerMechanics:
 
     def test_step_determinism_across_trainers(self):
         cfg = tiny_config()
-        ds = tiny_dataset(cfg)
+        ds = dataset_for_seed(cfg, cfg.seed)
         a, b = Trainer(cfg, ds), Trainer(cfg, ds)
         for t in range(5):
             ra = a.step(*a.batch_for(t))
@@ -255,7 +248,7 @@ class TestTrainerMechanics:
     def test_step_draws_depend_on_t_alone(self):
         """A trainer set to iteration 3 draws what one that stepped 0..2 draws."""
         cfg = tiny_config()
-        ds = tiny_dataset(cfg)
+        ds = dataset_for_seed(cfg, cfg.seed)
         stepped, fresh = Trainer(cfg, ds), Trainer(cfg, ds)
         for t in range(3):
             stepped.step(*stepped.batch_for(t))
@@ -282,14 +275,12 @@ def flat_dice_ce(probs, labels, idx=None):
 
 class TestStepMemory:
     # The traced peak of one warm default-size step (tools/step_peaks.py),
-    # about 15% above the 4.36 MiB (float32), 8.63 MiB (float64) and, on the
-    # confident schedule, 4.92 MiB (float32) it measures with each per-voxel
-    # array held once at the width its reader needs: views in the model's
-    # dtype, one-byte class ids, dropout keep bits and Dice + CE as one node.
-    # Before, it read 5.44, 9.46 and 6.19 MiB; with the projection head on
-    # every view 5.54 and 9.90 MiB (default schedule), one tape swept once
-    # at the end peaked at 11.04 and 19.13 MiB, and 48.5 MiB in float32 when
-    # each student conv kept its full cols on the tape.
+    # 18-22% above the 4.23 MiB (float32), 8.38 MiB (float64) and, on the
+    # confident schedule, 4.67 MiB (float32) it measures with the student's
+    # class and feature maps held as channels-last views over their conv's
+    # result. Copying them to C order made it 4.36, 8.63 and 4.92 MiB; one
+    # tape swept once at the end peaked at 11.04 and 19.13 MiB, and 48.5 MiB
+    # in float32 when each student conv kept its full cols on the tape.
     PEAK_MIB = {("float32", "default"): 5.0, ("float64", "default"): 9.9,
                 ("float32", "confident"): 5.7}
     SCHEDULES = {"default": {}, "confident": {"alpha": 100.0, "tau_sched": 2000.0}}
@@ -298,7 +289,7 @@ class TestStepMemory:
     def test_default_step_traced_peak_is_bounded(self, dtype, schedule):
         cfg = TrainConfig(n_labeled=2, n_unlabeled=2, seed=1, dtype=dtype,
                           **self.SCHEDULES[schedule]).validate()
-        trainer = Trainer(cfg, tiny_dataset(cfg))
+        trainer = Trainer(cfg, dataset_for_seed(cfg, cfg.seed))
         for t in range(3):
             trainer.step(*trainer.batch_for(t))
         tracemalloc.start()
@@ -315,7 +306,7 @@ class TestStepMemory:
         cols and of column gradients from one arena."""
         monkeypatch.setattr(autodiff, "_kept", {})
         cfg = tiny_config(dtype=dtype)
-        trainer = Trainer(cfg, tiny_dataset(cfg))
+        trainer = Trainer(cfg, dataset_for_seed(cfg, cfg.seed))
         trainer.step(*trainer.batch_for(0))
         arenas = [key for key in autodiff._kept if isinstance(key[0], str)]
         assert arenas == [("cols", np.dtype(dtype))]
@@ -325,7 +316,7 @@ class TestStepMemory:
         when the unlabeled student graph is recorded, by reference counting
         alone."""
         cfg = tiny_config()
-        trainer = Trainer(cfg, tiny_dataset(cfg))
+        trainer = Trainer(cfg, dataset_for_seed(cfg, cfg.seed))
         labeled, alive = [], []
         real_backward, real_graph = autodiff.Tape.backward, training.forward_graph
 
@@ -357,7 +348,7 @@ class TestStepArrays:
         """The strong views a step feeds the student are in the model's dtype,
         and its pseudo and fused labels hold one byte per class id."""
         cfg = tiny_config(dtype=dtype)
-        trainer = Trainer(cfg, tiny_dataset(cfg))
+        trainer = Trainer(cfg, dataset_for_seed(cfg, cfg.seed))
         trace = StepTrace()
         trainer.step(*trainer.batch_for(0), capture=trace)
         assert trace.labeled_strong.dtype == trace.unlabeled_strong.dtype == np.dtype(dtype)
@@ -369,7 +360,7 @@ class TestStepArrays:
         """(mine_pairs calls, the mask grid, the report) of step t of a fresh
         trainer, after the steps before it."""
         cfg = tiny_config(**overrides)
-        trainer = Trainer(cfg, tiny_dataset(cfg))
+        trainer = Trainer(cfg, dataset_for_seed(cfg, cfg.seed))
         for step in range(t):
             trainer.step(*trainer.batch_for(step))
         calls, real = [], training.mine_pairs
@@ -405,7 +396,7 @@ class TestFeatureHead:
         projection head, which nothing reads. With a zero seg bias the
         fresh model predicts both classes, so the contrast fires."""
         cfg = tiny_config(enable_su=False, enable_sc=enable_sc, seed=1)
-        trainer = Trainer(cfg, tiny_dataset(cfg))
+        trainer = Trainer(cfg, dataset_for_seed(cfg, cfg.seed))
         trainer.student.tensors["seg_b"][:] = 0.0
         trainer.teacher = trainer.student.copy()
         proj_shape = trainer.student.tensors["proj_w"].shape
@@ -460,7 +451,7 @@ class TestBaselineDegeneration:
         """With selection and contrast off, per-step losses must equal an
         independently coded mean-teacher-with-fusion computation."""
         cfg = tiny_config(enable_su=False, enable_sc=False, dtype="float64")
-        trainer = Trainer(cfg, tiny_dataset(cfg))
+        trainer = Trainer(cfg, dataset_for_seed(cfg, cfg.seed))
         for t in range(3):
             trace = StepTrace()
             report = trainer.step(*trainer.batch_for(t), capture=trace)
@@ -472,7 +463,7 @@ class TestBaselineDegeneration:
 
     def test_masked_step_matches_subset_oracle(self):
         cfg = tiny_config(dtype="float64")
-        trainer = Trainer(cfg, tiny_dataset(cfg))
+        trainer = Trainer(cfg, dataset_for_seed(cfg, cfg.seed))
         for t in range(3):
             trace = StepTrace()
             report = trainer.step(*trainer.batch_for(t), capture=trace)
@@ -487,7 +478,8 @@ class TestRunTraining:
     def test_zero_iterations_is_refused_before_any_file(self, tmp_path):
         cfg = tiny_config()
         with pytest.raises(ConfigError, match="iterations must be >= 1"):
-            run_training(replace(cfg, iterations=0), tiny_dataset(cfg), tmp_path / "run")
+            run_training(replace(cfg, iterations=0), dataset_for_seed(cfg, cfg.seed),
+                         tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
     def test_run_writes_only_the_last_student_files(self, tmp_path):
@@ -496,7 +488,7 @@ class TestRunTraining:
         for iterations, eval_period in ((2, 1), (1, 2)):
             cfg = tiny_config(iterations=iterations, eval_period=eval_period, decay_period=1)
             out = tmp_path / str(iterations)
-            summary = run_training(cfg, tiny_dataset(cfg), out)
+            summary = run_training(cfg, dataset_for_seed(cfg, cfg.seed), out)
             assert {p.name for p in out.iterdir()} == {"train_log.csv", "eval_log.csv",
                                                        "eval_final.csv", "final.ckpt"}
             rows = (out / "eval_final.csv").read_text().splitlines()
@@ -504,7 +496,7 @@ class TestRunTraining:
 
     def test_run_produces_logs_and_checkpoints(self, tmp_path):
         cfg = tiny_config()
-        summary = run_training(cfg, tiny_dataset(cfg), tmp_path)
+        summary = run_training(cfg, dataset_for_seed(cfg, cfg.seed), tmp_path)
         train_log = (tmp_path / "train_log.csv").read_text().splitlines()
         assert len(train_log) == 1 + cfg.iterations
         assert train_log[0].startswith("t,L_s,L_u,L_bf,L_total")
@@ -516,8 +508,8 @@ class TestRunTraining:
     def test_byte_identical_reruns(self, tmp_path):
         """Identical config + seed -> byte-identical logs and checkpoint."""
         cfg = tiny_config()
-        run_training(cfg, tiny_dataset(cfg), tmp_path / "a")
-        run_training(cfg, tiny_dataset(cfg), tmp_path / "b")
+        run_training(cfg, dataset_for_seed(cfg, cfg.seed), tmp_path / "a")
+        run_training(cfg, dataset_for_seed(cfg, cfg.seed), tmp_path / "b")
         for name in ("train_log.csv", "eval_log.csv", "eval_final.csv", "final.ckpt"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -537,7 +529,7 @@ class TestRunTraining:
             calls.clear()
             cfg = tiny_config(iterations=iterations, eval_period=2, decay_period=2)
             out = tmp_path / str(iterations)
-            summary = run_training(cfg, tiny_dataset(cfg), out)
+            summary = run_training(cfg, dataset_for_seed(cfg, cfg.seed), out)
             assert len(calls) == n_calls
             eval_log = [row.split(",") for row in
                         (out / "eval_log.csv").read_text().splitlines()[1:]]
@@ -555,7 +547,7 @@ class TestRunTraining:
         R_conf, v and K columns, over both branches (alpha = 100 leaves the
         warm branch after step 0)."""
         cfg = tiny_config(alpha=100.0, tau_sched=2000.0)
-        run_training(cfg, tiny_dataset(cfg), tmp_path)
+        run_training(cfg, dataset_for_seed(cfg, cfg.seed), tmp_path)
         rows = (tmp_path / "train_log.csv").read_text().splitlines()
         header = rows[0].split(",")
         cells = [dict(zip(header, row.split(","))) for row in rows[1:]]
@@ -572,7 +564,7 @@ class TestRunTraining:
 
     def test_logged_lambda_column_matches_growth_law(self, tmp_path):
         cfg = tiny_config()
-        run_training(cfg, tiny_dataset(cfg), tmp_path)
+        run_training(cfg, dataset_for_seed(cfg, cfg.seed), tmp_path)
         rows = (tmp_path / "train_log.csv").read_text().splitlines()[1:]
         for t, row in enumerate(rows):
             lam = float(row.split(",")[7])

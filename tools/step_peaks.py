@@ -46,14 +46,12 @@ LATE_SEED = 7
 # argv: JSON config keys; prints the traced peak of step WARM_STEPS in bytes
 STEP_SCRIPT = """
 import json, sys, tracemalloc
-from pacedseg.synthdata import attach_registration, generate_dataset
+from pacedseg.ablation import dataset_for_seed
 from pacedseg.training import TrainConfig, Trainer
 
 keys, warm = json.loads(sys.argv[1]), int(sys.argv[2])
 cfg = TrainConfig(**keys).validate()
-data = generate_dataset(cfg.n_labeled, cfg.n_unlabeled, cfg.dims, seed=cfg.seed,
-                        noise_amp=cfg.noise_amp)
-trainer = Trainer(cfg, attach_registration(data, cfg.reg_sigma, cfg.reg_beta, seed=cfg.seed))
+trainer = Trainer(cfg, dataset_for_seed(cfg, cfg.seed))
 for t in range(warm):
     trainer.step(*trainer.batch_for(t))
 tracemalloc.start()
