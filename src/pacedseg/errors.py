@@ -11,7 +11,3 @@ class ConfigError(ValueError):
 
 class TrainingAbort(RuntimeError):
     """Training hit a non-finite loss or gradient; carries a diagnostic dump."""
-
-
-class UndefinedMetricError(ValueError):
-    """A surface metric was requested for an empty foreground."""

@@ -483,6 +483,14 @@ class Trainer:
         )
 
 
+def eval_cases(config: TrainConfig) -> list[LabeledCase]:
+    """The held-out cases a run with this config is scored on: n_eval
+    generated cases of eval_seed, each with its truth."""
+    return generate_dataset(
+        config.n_eval, 0, config.dims, seed=config.eval_seed, **config.generator_options
+    ).labeled
+
+
 def evaluate_params(params: ModelParams, cases, n_classes: int) -> list[MetricsRecord]:
     """Dropout-off student predictions scored against hidden truths."""
     records = []
@@ -503,9 +511,7 @@ def run_training(config: TrainConfig, dataset: Dataset, out_dir) -> dict:
     config.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    eval_set = generate_dataset(
-        config.n_eval, 0, config.dims, seed=config.eval_seed, **config.generator_options
-    ).labeled
+    eval_set = eval_cases(config)
 
     trainer = Trainer(config, dataset)
     eval_points = []

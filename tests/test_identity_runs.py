@@ -6,6 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from test_quality_pin import REG_RUN
+
+from pacedseg.training import config_from_dict
+
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("identity_runs", ROOT / "tools" / "identity_runs.py")
 identity_runs = importlib.util.module_from_spec(_spec)
@@ -27,6 +31,8 @@ def test_tiny_config_writes_every_run_file(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(identity_runs, "TRAIN", {"iterations": "6", "eval_period": "3",
                                                  "n_eval": "1"})
     monkeypatch.setattr(identity_runs, "ABLATE", {"iterations": "2", "n_eval": "1"})
+    monkeypatch.setattr(identity_runs, "REG", {**identity_runs.REG, "iterations": "4",
+                                               "decay_period": "2"})
     out = tmp_path / "out"
     identity_runs.write_runs(out, base=TINY, late_steps=2)
     printed = capsys.readouterr().out.splitlines()
@@ -34,7 +40,7 @@ def test_tiny_config_writes_every_run_file(tmp_path, capsys, monkeypatch):
     assert [line.split(":")[0] for line in printed] == names
     assert names == ["data", "train_float32_default", "train_float32_confident",
                      "train_float64_default", "train_float64_confident",
-                     "train_float32_generated", "eval_float32", "eval_float64",
+                     "train_float32_generated", "train_reg", "eval_float32", "eval_float64",
                      "schedule_default", "schedule_confident",
                      "ablate", "late_float32", "late_float64"]
     for name in names[1:6]:
@@ -47,15 +53,24 @@ def test_tiny_config_writes_every_run_file(tmp_path, capsys, monkeypatch):
     default, generated = out / "train_float32_default", out / "train_float32_generated"
     for fname in TRAIN_FILES:
         assert (generated / fname).read_bytes() == (default / fname).read_bytes()
-    for name in names[6:8]:  # every case of the 2 + 2 has a truth
+    reg = out / "train_reg"
+    assert sorted(p.name for p in reg.iterdir()) == TRAIN_FILES
+    assert "fuse_w0 = 1.0" in (reg / "config.txt").read_text()
+    assert len((reg / "train_log.csv").read_text().splitlines()) == 1 + 4
+    for name in names[7:9]:  # every case of the 2 + 2 has a truth
         assert [p.name for p in (out / name).iterdir()] == ["metrics.csv"]
         rows = (out / name / "metrics.csv").read_text().splitlines()
         assert rows[0].startswith("case_id,dsc,") and len(rows) == 1 + 4
-    for name in names[8:10]:
+    for name in names[9:11]:
         assert [p.name for p in (out / name).iterdir()] == ["schedule.csv"]
         rows = (out / name / "schedule.csv").read_text().splitlines()
         assert rows[0] == "t,xi,lambda,R_conf,v,K" and len(rows) == 1 + 6
     assert len(list((out / "ablate" / "runs").iterdir())) == 4 * 3
+    for name, rows in (("train_float32_default", 1), ("train_reg", 4), ("eval_float32", 4),
+                       ("ablate", 12)):  # each scoring run counts its eval rows
+        line = printed[names.index(name)]
+        assert line.endswith(f" of {rows} eval rows"), line
+        assert identity_runs.defined_rows(out / name)[1] == rows
     for name in names[-2:]:
         assert sorted(p.name for p in (out / name).iterdir()) == ["final.ckpt", "train_log.csv"]
         assert len((out / name / "train_log.csv").read_text().splitlines()) == 3
@@ -65,3 +80,16 @@ def test_tiny_config_writes_every_run_file(tmp_path, capsys, monkeypatch):
 def test_a_failed_run_names_itself(tmp_path):
     with pytest.raises(RuntimeError, match="^data exited with 1"):
         identity_runs.write_runs(tmp_path / "out", root=tmp_path, base=TINY, late_steps=1)
+
+
+def test_defined_rows_counts_rows_with_every_cell_filled(tmp_path):
+    (tmp_path / "runs" / "a").mkdir(parents=True)
+    (tmp_path / "runs" / "a" / "eval_final.csv").write_text("case_id,x,y\nc0,1.0,2.0\nc1,0.0,\n")
+    (tmp_path / "metrics.csv").write_text("case_id,x,y\nc0,0.5,1.5\n")
+    (tmp_path / "train_log.csv").write_text("t,x\n0,\n")  # not a per-case file
+    assert identity_runs.defined_rows(tmp_path) == (2, 3)
+    assert identity_runs.defined_rows(tmp_path / "runs" / "b") == (0, 0)
+
+
+def test_reg_run_is_the_quality_pins_config():
+    assert config_from_dict(identity_runs.REG) == REG_RUN

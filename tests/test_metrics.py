@@ -2,19 +2,29 @@ import numpy as np
 import pytest
 
 from pacedseg import metrics
-from pacedseg.errors import UndefinedMetricError
 from pacedseg.grids import LabelMap
 from pacedseg.metrics import (
-    dsc_jaccard,
+    F32_EXACT_SQ,
     evaluate_case,
+    nearest_distances,
     summarize,
-    surface_distances,
     surface_voxels,
 )
 
 
 def lm(bits):
     return LabelMap(np.asarray(bits, dtype=np.int64), 2)
+
+
+def dsc_jaccard(pred, truth):
+    rec = evaluate_case("case", pred, truth)
+    return rec.dsc, rec.jaccard
+
+
+def surface_distances(pred, truth):
+    """(ASD, HD) of the case, (None, None) where a foreground is empty."""
+    rec = evaluate_case("case", pred, truth)
+    return rec.asd, rec.hd
 
 
 def brute_force_surface(fg):
@@ -105,20 +115,28 @@ class TestSurfaceDistances:
         a[1, 1, 1], b[4, 1, 1] = 1, 1
         assert surface_distances(lm(a), lm(b)) == (3.0, 3.0)
 
-    def test_empty_foreground_raises(self):
+    def test_empty_foreground_is_undefined(self):
         a = lm(np.zeros((3, 3, 3)))
         b = np.zeros((3, 3, 3), dtype=np.int64)
         b[1, 1, 1] = 1
-        with pytest.raises(UndefinedMetricError):
-            surface_distances(a, lm(b))
-        with pytest.raises(UndefinedMetricError):
-            surface_distances(lm(b), a)
+        assert surface_distances(a, lm(b)) == (None, None)
+        assert surface_distances(lm(b), a) == (None, None)
+        assert surface_distances(a, a) == (None, None)
 
     def test_surface_extraction_matches_loop_oracle(self):
+        """Random maps, and all-foreground, empty, single-voxel and random maps
+        at extents down to 1 and 2, where no voxel is inner."""
         rng = np.random.default_rng(4)
-        for _ in range(10):
-            bits = rng.random((5, 4, 4)) < 0.5
-            got = surface_voxels(bits).astype(np.float64)
+        maps = [rng.random((5, 4, 4)) < 0.5 for _ in range(10)]
+        for dims in ((1, 1, 1), (1, 4, 5), (4, 2, 3), (2, 2, 2), (3, 1, 6), (5, 4, 4), (3, 3, 3)):
+            one = np.zeros(dims, dtype=bool)
+            one[tuple(rng.integers(0, dims))] = True
+            maps += [np.ones(dims, dtype=bool), np.zeros(dims, dtype=bool), one,
+                     rng.random(dims) < 0.6]
+        for bits in maps:
+            got = surface_voxels(bits)
+            assert got.shape[1:] == (3,) and got.dtype == np.int64
+            got = got.astype(np.float64)
             expected = brute_force_surface(bits)
             if expected.size == 0:
                 assert got.size == 0
@@ -175,12 +193,33 @@ class TestSurfaceDistances:
         a = surface_voxels(rng.random((6, 9, 5)) < 0.5)
         b = surface_voxels(rng.random((6, 9, 5)) < 0.5)
         assert len(a) * len(b) <= metrics.PAIR_CHUNK
-        whole = metrics.nearest_distances(a, b)
+        whole = nearest_distances(a, b)
         monkeypatch.setattr(metrics, "PAIR_CHUNK", 4 * len(b) + 1)
         assert len(a) % 4
-        blocked = metrics.nearest_distances(a, b)
+        blocked = nearest_distances(a, b)
         for got, expected in zip(blocked, whole):
             np.testing.assert_array_equal(got, expected)
+
+    def test_kernel_at_the_float32_bound_matches_all_pairs_oracle(self):
+        """Points with max |x|^2 = F32_EXACT_SQ, where the kernel runs in
+        float32, and one more, where it runs in float64, both match the
+        float64 all-pairs oracle bit for bit. Past the bound, (2048, 1, 0) and
+        (-2048, 0, 0) lie 2^24 + 1 apart squared, which float32 would round
+        to 2^24."""
+        rng = np.random.default_rng(11)
+        cloud = rng.integers(-2048, 2049, (2000, 3))
+        cloud = cloud[(cloud * cloud).sum(axis=1) <= F32_EXACT_SQ]
+        for past in (0, 1):
+            far = np.array([[2048, past, 0]])
+            assert (far * far).sum() == F32_EXACT_SQ + past
+            sets = ((far, np.array([[-2048, 0, 0]])),
+                    (np.concatenate([far, cloud[:300]]), cloud[300:700]))
+            for a, b in sets:
+                sq = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2).astype(np.float64)
+                expected = (np.sqrt(sq.min(axis=1)), np.sqrt(sq.min(axis=0)))
+                for got, want in zip(nearest_distances(a, b), expected):
+                    assert got.dtype == np.float64
+                    np.testing.assert_array_equal(got, want)
 
     def test_hd_at_least_asd_and_order_invariant(self):
         rng = np.random.default_rng(6)
@@ -214,3 +253,4 @@ class TestRecords:
         assert records[1].asd is None
         summary = summarize(records)
         assert summary["asd"] == 0.0 and summary["n_undefined"] == 1.0
+

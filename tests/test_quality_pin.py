@@ -20,8 +20,7 @@ from pacedseg.ablation import dataset_for_seed
 from pacedseg.autodiff import argmax_last
 from pacedseg.metrics import summarize
 from pacedseg.network import forward_parts, head_forward
-from pacedseg.synthdata import generate_dataset
-from pacedseg.training import TrainConfig, Trainer, evaluate_params
+from pacedseg.training import TrainConfig, Trainer, eval_cases, evaluate_params
 
 DSC_PIN = 0.8389
 DSC_TOL = 0.05
@@ -35,9 +34,7 @@ def test_reg_run_final_dsc_is_pinned_and_no_prediction_collapses():
     trainer = Trainer(cfg, dataset_for_seed(cfg, cfg.seed))
     for t in range(cfg.iterations):
         trainer.step(*trainer.batch_for(t))
-    # the eval cases of `run_training`
-    cases = generate_dataset(cfg.n_eval, 0, cfg.dims, seed=cfg.eval_seed,
-                             **cfg.generator_options).labeled
+    cases = eval_cases(cfg)
     student = trainer.student
     summary = summarize(evaluate_params(student, cases, cfg.n_classes))
     fg = []  # foreground voxels of each eval prediction

@@ -9,7 +9,7 @@ from oracles import fuse_one_hot
 from pacedseg.ablation import dataset_for_seed
 from pacedseg.errors import ConfigError, FormatError
 from pacedseg.grids import load_arrays, save_arrays
-from pacedseg.metrics import dsc_jaccard
+from pacedseg.metrics import evaluate_case
 from pacedseg.perturb import apply_flips
 from pacedseg.synthdata import (
     DEFAULT_REG_BETA,
@@ -95,7 +95,7 @@ def calibrate_registration_sigma(
 
     def mean_dsc(sigma: float) -> float:
         attach_registration(ds, sigma, beta, seed=seed)
-        return float(np.mean([dsc_jaccard(c.reg_label, c.truth)[0] for c in ds.labeled]))
+        return float(np.mean([evaluate_case("", c.reg_label, c.truth).dsc for c in ds.labeled]))
 
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
@@ -112,13 +112,14 @@ class TestRegistrationSurrogate:
         for case in ds.labeled:
             reg = register_surrogate(case, sigma=0.0, beta=0.0, seed=9)
             np.testing.assert_array_equal(reg.data, case.truth.data)
-            assert dsc_jaccard(reg, case.truth) == (1.0, 1.0)
+            rec = evaluate_case("", reg, case.truth)
+            assert (rec.dsc, rec.jaccard) == (1.0, 1.0)
 
     def test_default_sigma_hits_reported_band(self):
         """Mean DSC over 20 cases must sit in the 0.60-0.70 band."""
         ds = generate_dataset(20, 0, (32, 32, 16), seed=12345)
         attach_registration(ds, DEFAULT_REG_SIGMA, DEFAULT_REG_BETA, seed=12345)
-        vals = [dsc_jaccard(c.reg_label, c.truth)[0] for c in ds.labeled]
+        vals = [evaluate_case("", c.reg_label, c.truth).dsc for c in ds.labeled]
         assert 0.60 <= float(np.mean(vals)) <= 0.70
 
     def test_calibration_search_lands_on_target(self):

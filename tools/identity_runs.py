@@ -14,6 +14,10 @@ It writes under OUT:
   schedule and on the confident one (`alpha=100, tau_sched=2000`);
 - `train_float32_generated/`: `train` without `--data-dir` on the
   float32 default-schedule config, so on the data it generates itself;
+- `train_reg/`: `train` without `--data-dir` on the config of the quality
+  pin's `reg` run (`tests/test_quality_pin.py`), whose eval predictions
+  are neither empty nor all foreground, so its surface distances run on
+  real surfaces;
 - `eval_<dtype>/`: `eval` of `train_<dtype>_default/final.ckpt` on
   `data`, with that run's config: `metrics.csv`, scored on the truths;
 - `schedule_<schedule>/schedule.csv`: the output of `schedule-dump` on
@@ -26,9 +30,11 @@ It writes under OUT:
 
 Run it for each commit, each from its own checkout or with --root, then
 `diff -r PARENT_OUT CHANGE_OUT`; no output means every run file is
-byte-identical. Each run prints its name and wall time, and a `late` run
-prints on how many steps the contrast loss was nonzero, so a reader can
-tell that the comparison covered steps where it fires.
+byte-identical. Each run prints its name and wall time. A `late` run
+prints on how many steps the contrast loss was nonzero, and a run that
+scores prints on how many of its eval rows the surface distances are
+defined, so a reader can tell that the comparison covered steps where the
+contrast fires and cases where the distances run.
 """
 
 from __future__ import annotations
@@ -49,6 +55,13 @@ ABLATE = {"iterations": "20"}
 ABLATE_SEEDS = "1,2,3"
 LATE_STEPS = 12
 LATE_SEED = 7
+# the quality pin's `reg` run: the registration label alone, SU and SC off
+REG = {"dim_h": "16", "dim_w": "16", "dim_d": "8", "n_labeled": "4", "n_unlabeled": "4",
+       "n_eval": "4", "iterations": "300", "decay_period": "150", "fuse_w0": "1.0",
+       "fuse_half_life": "1000.0", "loss_w_u": "1e-9", "enable_su": "false",
+       "enable_sc": "false", "seed": "1"}
+# the per-case eval files: `train`'s last student's scores and `eval`'s
+CASE_FILES = ("eval_final.csv", "metrics.csv")
 
 # run with bench/ on the path; argv: out dir, dtype, steps, step seed
 LATE_SCRIPT = """
@@ -106,6 +119,9 @@ def runs(out: Path, base: dict[str, str], late_steps: int) -> list[tuple[str, li
     name = "train_float32_generated"
     found.append((name, cli + ["--config", str(out / "train_float32_default.cfg"),
                                "--out-dir", str(out / name), "train"]))
+    cfg = write_config(out / "train_reg.cfg", {**base, **REG})
+    found.append(("train_reg", cli + ["--config", str(cfg), "--out-dir", str(out / "train_reg"),
+                                      "train"]))
     for dtype in DTYPES:
         name, train = f"eval_{dtype}", out / f"train_{dtype}_default"
         found.append((name, cli + ["--config", f"{train}.cfg", "--out-dir", str(out / name),
@@ -124,6 +140,14 @@ def runs(out: Path, base: dict[str, str], late_steps: int) -> list[tuple[str, li
     return found
 
 
+def defined_rows(run: Path) -> tuple[int, int]:
+    """(eval rows with every metric defined, eval rows) over the per-case
+    files under a run; a surface distance is empty where a foreground is."""
+    rows = [line.split(",") for path in sorted(run.rglob("*.csv")) if path.name in CASE_FILES
+            for line in path.read_text().splitlines()[1:]]
+    return sum(all(row) for row in rows), len(rows)
+
+
 def write_runs(out, root=ROOT, base=None, late_steps=LATE_STEPS) -> None:
     """Every run, one process at a time; a failed run raises RuntimeError
     with its name and error output."""
@@ -139,6 +163,9 @@ def write_runs(out, root=ROOT, base=None, late_steps=LATE_STEPS) -> None:
             (out / name).mkdir(exist_ok=True)
             (out / name / "schedule.csv").write_text(done.stdout)
         note = done.stdout.strip().splitlines()[-1] if name.startswith("late") else ""
+        defined, scored = defined_rows(out / name)
+        if scored:
+            note = f"surface distances defined on {defined} of {scored} eval rows"
         print(f"{name}: {time.perf_counter() - start:.1f} s {note}".rstrip(), flush=True)
 
 
