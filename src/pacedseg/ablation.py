@@ -95,6 +95,7 @@ def run_ablation(config: TrainConfig, seeds, out_dir, progress=None) -> Ablation
             runs[(name, seed)] = summary
             if progress is not None:
                 progress(name, seed, summary)
+        del dataset  # so the next seed's dataset is not built beside this one
 
     aggregate = {
         name: {

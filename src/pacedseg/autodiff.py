@@ -17,8 +17,9 @@ low-res grid (`up=2`) and with its relu fused in, softmax, elementwise
 arithmetic, inverted dropout on bool keep bits (`dropout`), reductions,
 gathers, transpose, and each loss as few nodes as it takes: Dice + CE as
 one (`dice_ce`) and each direction of the contrast loss as one
-(`pool_logsumexp`). Neither keeps a per-voxel array of its own; the
-general ops they replaced are the tests' bitwise references (`OracleTape`).
+(`pool_logsumexp`). Neither keeps a per-voxel array of its own, and
+`pool_logsumexp` rebuilds its logits in backward; the general ops
+they replaced are the tests' bitwise references (`OracleTape`).
 
 The hot numpy ops run on long contiguous rows. Every conv splits its
 zero-padded input into its stride phases (space-to-depth, the
@@ -76,6 +77,8 @@ __all__ = ["Tape", "Node", "conv3d_raw", "softmax_raw", "argmax_last"]
 # Output-frame columns gathered per tile; a tile of cols is a few MB at
 # most, so no conv builds, or keeps for backward, a full im2col matrix.
 TILE = 4096
+# Anchor rows per add of their pools' mask rows in `Tape.pool_logsumexp`
+POOL_ROWS = 512
 
 _kept: dict = {}
 
@@ -585,18 +588,26 @@ class Tape:
         One direction of a matrix-form InfoNCE: s12 (P,) and the (P, F)
         anchors are constants; an anchor in pool j adds row j of pool_mask
         (0 on the pool's columns of the (F, U) negs_t, -inf elsewhere). The
-        logits are built in place in one (P, U+1) frame, the only array of
-        that size the node keeps: it then holds the exponentials, and the
-        backward turns it into the logit gradient in place.
+        node keeps no (P, U+1) frame, only each row's max and sum of
+        exponentials beside the inputs it reads. Its backward rebuilds the
+        (P, U) negative logits with the same numpy calls, so their
+        exponentials are the forward's bit for bit, and turns them into the
+        logit gradient in place. One frame is alive at a time, in the
+        forward as in the backward (recompute in backward, as the convs do).
         """
         c = np.asarray(scale, dtype=self.dtype)
+
+        def negative_logits(sims):
+            np.matmul(anchors, negs_t.value, out=sims)
+            sims *= c
+            # each row is in one pool, so an unmasked add of its mask row is exact
+            for lo in range(0, sims.shape[0], POOL_ROWS):
+                sims[lo:lo + POOL_ROWS] += pool_mask[pool_of[lo:lo + POOL_ROWS]]
+            return sims
+
         e = np.empty((anchors.shape[0], negs_t.value.shape[1] + 1), dtype=self.dtype)
         e[:, 0] = s12
-        sims = e[:, 1:]
-        np.matmul(anchors, negs_t.value, out=sims)
-        sims *= c
-        for j, row in enumerate(pool_mask):
-            np.add(sims, row, out=sims, where=(pool_of == j)[:, None])
+        negative_logits(e[:, 1:])
         m = e.max(axis=-1, keepdims=True)
         e -= m
         np.exp(e, out=e)
@@ -604,9 +615,14 @@ class Tape:
         out = self._record((m + np.log(s))[..., 0])
 
         def back(g):
+            # s12 is a constant, so only the negatives' logits take gradient
+            e = negative_logits(np.empty((len(anchors), negs_t.value.shape[1]), dtype=self.dtype))
+            e -= m
+            np.exp(e, out=e)
             np.divide(e, s, out=e)
             np.multiply(e, g[:, None], out=e)
-            _accum(negs_t, anchors.T @ (e[:, 1:] * c))
+            e *= c
+            _accum(negs_t, anchors.T @ e)
 
         out._backward = back
         return out
@@ -614,6 +630,9 @@ class Tape:
     def dice_ce(self, probs: Node, labels, n_classes, gate_idx, eps, floor):
         """Dice + CE of an (..., C) probability node against its class ids, on
         the flat voxels that a nonempty `gate_idx` names, or on all of them.
+        The gate names each voxel at most once (`np.flatnonzero` of a mask
+        does), so its backward scatters the gated gradient with a plain
+        indexed add.
 
         Dice is the mean over the foreground classes 1..C-1 of
         1 - (2*sum(p*g) + eps) / (sum(p) + sum(g) + eps), and CE the mean of
@@ -662,7 +681,7 @@ class Tape:
             gp += g_inter * (ids[:, None] == np.arange(n_classes))
             if gate_idx is not None:
                 full = np.zeros((n_classes, labels.size), dtype=self.dtype).T
-                np.add.at(full, gate_idx, gp)
+                full[gate_idx] += gp
                 gp = full
             _accum(probs, gp.reshape(probs.value.shape))
 

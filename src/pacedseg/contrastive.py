@@ -13,7 +13,10 @@ rows: they are normalized once and every anchor is scored against all
 of them with one (P, F) @ (F, U) matmul per direction. An anchor's
 log-sum-exp adds 0 to each row its pool lists and -inf to every other
 row, so its value is the sum over that anchor's pool. Each direction is
-one `Tape.pool_logsumexp` node, which keeps one (P, U+1) frame.
+one `Tape.pool_logsumexp` node, which keeps two numbers per anchor and
+rebuilds its (P, U) negative logits in the backward, so the loss holds
+no logit frame between its forward and its backward, and at most one at
+any time.
 """
 
 from __future__ import annotations

@@ -34,6 +34,8 @@ def dice_ce_node(tape: Tape, prob_node: Node, target_labels: np.ndarray,
     Soft Dice of the (H, W, D, C) probabilities, averaged over the
     foreground classes 1..C-1, plus the mean -log p[target] with
     probabilities floored at 1e-7 before the log; an empty gate gives 0.
+    ``gate_idx`` lists each flat voxel at most once, as `np.flatnonzero`
+    of a mask does.
     """
     if gate_idx is not None and gate_idx.size == 0:
         return tape.input(0.0)

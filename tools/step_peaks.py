@@ -11,9 +11,11 @@ that `tracemalloc` reports for one step, counted from the step's start.
   otherwise) takes three warm steps; the row is the peak of the fourth.
   The rows are float32, float64, float32 on the confident schedule
   (`alpha=100, tau_sched=2000`) and float32 at 64x64x32.
-- The last row is the highest peak of steps 3-12 of the `late` benchmark
-  set-up (step seed 7), each step traced on its own; the contrast fires
-  on those steps.
+- The last two rows use the `late` benchmark set-up (fixture weights,
+  confident schedule, step seed 7), each step traced on its own; the
+  contrast fires on those steps. One is the highest peak of steps 3-12
+  of `late` itself, the other the highest of steps 2-7 at 64x64x32 with
+  4 + 4 cases.
 
 Run it at two commits, from their checkouts or with --root, to compare
 the peaks of a change with its parent's.
@@ -39,8 +41,12 @@ ROWS = (
 )
 BASE = {"n_labeled": 2, "n_unlabeled": 2, "seed": 1}
 WARM_STEPS = 3
-LATE_NAME = "float32, late fixture, highest of steps 3-12"
-LATE_STEPS = (3, 12)
+# (name, config keys over the `late` workload's, first and last traced step)
+LATE_ROWS = (
+    ("float32, late fixture, highest of steps 3-12", {}, (3, 12)),
+    ("float32, late fixture, 64x64x32, 4 + 4 cases, highest of steps 2-7",
+     {"dim_h": 64, "dim_w": 64, "dim_d": 32, "n_labeled": 4, "n_unlabeled": 4}, (2, 7)),
+)
 LATE_SEED = 7
 
 # argv: JSON config keys; prints the traced peak of step WARM_STEPS in bytes
@@ -59,14 +65,16 @@ trainer.step(*trainer.batch_for(warm))
 print(tracemalloc.get_traced_memory()[1])
 """
 
-# run with bench/ on the path; argv: first and last traced step, step seed;
-# prints the highest traced step peak in bytes
+# run with bench/ on the path; argv: JSON config keys, first and last traced
+# step, step seed; prints the highest traced step peak in bytes
 LATE_SCRIPT = """
-import sys, tracemalloc
+import json, sys, tracemalloc
+from dataclasses import replace
 import harness
 
-first, last, seed = map(int, sys.argv[1:4])
-config = harness.workload_config("late", seed, 25.0)
+keys = json.loads(sys.argv[1])
+first, last, seed = map(int, sys.argv[2:5])
+config = replace(harness.workload_config("late", seed, 25.0), **keys).validate()
 trainer = harness.set_up("late", config, seed).trainer
 peaks = []
 for t in range(last + 1):
@@ -88,11 +96,11 @@ def run_env(root: Path) -> dict[str, str]:
 
 def commands() -> list[tuple[str, list[str]]]:
     """(name, argv) of every row, in the order printed: one per ROWS entry on
-    the BASE set-up, then the `late` row over LATE_STEPS."""
+    the BASE set-up, then one per LATE_ROWS entry on the `late` set-up."""
     found = [(name, [sys.executable, "-c", STEP_SCRIPT, json.dumps({**BASE, **keys}),
                      str(WARM_STEPS)]) for name, keys in ROWS]
-    found.append((LATE_NAME, [sys.executable, "-c", LATE_SCRIPT, *map(str, LATE_STEPS),
-                              str(LATE_SEED)]))
+    found += [(name, [sys.executable, "-c", LATE_SCRIPT, json.dumps(keys), *map(str, steps),
+                      str(LATE_SEED)]) for name, keys, steps in LATE_ROWS]
     return found
 
 
