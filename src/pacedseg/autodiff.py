@@ -53,8 +53,7 @@ its own result frame; it writes no input or leaf array. Every (..., C)
 class map and (..., F) feature map is a channels-last view over the
 class-major result of its conv (`chw_to_hwc`), so each channel slice is
 contiguous and numpy reduces the short trailing axis one whole slice at
-a time. numpy's argmax does not, so `argmax_last` folds the slices
-itself and returns one byte (uint8) per class id.
+a time.
 
 Raw kernels (`conv3d_raw`, `softmax_raw`, ...) are shared with the
 tape-free inference path so both routes compute identical floats.
@@ -66,8 +65,6 @@ import functools
 import math
 
 import numpy as np
-
-__all__ = ["Tape", "Node", "conv3d_raw", "softmax_raw", "argmax_last"]
 
 
 # ---------------------------------------------------------------------------
@@ -430,27 +427,6 @@ def conv3d_backward(gout, x, w, stride, pad, up=1, need_gx=True):
         s[...] = g
     gx, gm = _conv3d_backward(gframe, x, wp, 1, 1, need_gx)
     return gx, _parity_weight_adjoint(gm, cout), gb
-
-
-def argmax_last(x):
-    """`np.argmax(x, axis=-1)` for NaN-free x, folded over the trailing axis,
-    as one byte (uint8) per id, so x has at most 256 classes.
-
-    A class wins where it is strictly greater than every class before it
-    (`>` folded one slice at a time), so ties go to the lowest class, as in
-    numpy; each comparison runs over every row at once instead of numpy's
-    row-by-row reduction of the short class axis. A winning class c is above
-    every index so far, so `maximum` records it.
-    """
-    if x.shape[-1] > 256:
-        raise ValueError(f"argmax_last gives one byte per id: {x.shape[-1]} classes is over 256")
-    idx = np.zeros(x.shape[:-1], dtype=np.uint8)
-    best = x[..., 0]
-    for c in range(1, x.shape[-1]):
-        np.maximum(idx, (x[..., c] > best) * np.uint8(c), out=idx)
-        if c + 1 < x.shape[-1]:
-            best = np.maximum(best, x[..., c])
-    return idx
 
 
 def softmax_raw(x):

@@ -12,7 +12,6 @@ registration labels and truths. A run takes at least one step. Exit codes:
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -23,7 +22,7 @@ from .metrics import format_summary, summarize, write_records
 from .network import load_checkpoint
 from .synthdata import load_dataset, save_dataset
 from .training import TrainConfig, evaluate_params, load_config, run_training, save_config
-from .uncertainty import admitted, warmup_xi
+from .uncertainty import admitted, admitted_count, warmup_xi
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -130,9 +129,8 @@ def cmd_schedule_dump(cfg: TrainConfig, args) -> int:
     for t in range(cfg.iterations):
         r_conf, v = admitted(schedule, cfg.enable_su)
         xi = warmup_xi(t, schedule.t_max)
-        k = int(math.floor(r_conf * n_vox))
         v_str = "" if v is None else repr(v)
-        print(f"{t},{xi!r},{schedule.lam!r},{r_conf!r},{v_str},{k}")
+        print(f"{t},{xi!r},{schedule.lam!r},{r_conf!r},{v_str},{admitted_count(r_conf, n_vox)}")
         schedule.advance(args.lu_const)
     return EXIT_OK
 

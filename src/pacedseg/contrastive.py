@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Node, Tape
-from .losses import _scalar
 
 
 @dataclass(eq=False)
@@ -148,4 +147,4 @@ def contrast_loss_node(tape: Tape, zsn_node: Node, batch: ContrastBatch) -> Node
         return tape.sum(tape.add_const(lse, -s12))
 
     total = tape.add(direction(z1n), direction(z2n))
-    return _scalar(tape, tape.mul_const(total, 1.0 / p_count))
+    return tape.mul_const(total, 1.0 / p_count)

@@ -13,6 +13,11 @@ share across threads. They share memory only with an array already frozen
 Checkpoints and dataset files are all named-array files (`save_arrays`,
 `load_arrays`): the package's one binary layout lives here. Class ids are
 stored as the one byte each that `LabelMap` holds.
+
+A step's (..., C) class maps are channels-last views over their conv's
+class-major result, so each class slice is contiguous. numpy's argmax
+reduces the short class axis row by row, so `argmax_last` folds the
+slices itself and returns one byte (uint8) per class id.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import argmax_last
 from .errors import FormatError
 
 
@@ -69,9 +73,14 @@ class Volume:
 MAX_CLASSES = 256
 
 
+def valid_n_classes(n_classes: int) -> bool:
+    """Whether ids 0..n_classes-1 fit one byte each, a foreground among them."""
+    return 2 <= n_classes <= MAX_CLASSES
+
+
 @dataclass(eq=False)
 class LabelMap:
-    """Integer class id per voxel, in [0, n_classes), with 2 <= n_classes <= 256.
+    """Integer class id per voxel, in [0, n_classes), with `valid_n_classes`.
 
     The ids are held as one byte (uint8) each, narrowed only after the range
     check, so an id that would wrap is refused; files store the same bytes.
@@ -84,7 +93,7 @@ class LabelMap:
         data = np.asarray(self.data)
         if data.ndim != 3 or min(data.shape) < 1:
             raise ValueError(f"label map must be 3D and non-empty, got shape {data.shape}")
-        if not 2 <= self.n_classes <= MAX_CLASSES:
+        if not valid_n_classes(self.n_classes):
             raise ValueError(f"need 2 to {MAX_CLASSES} classes, got {self.n_classes}")
         if data.min() < 0 or data.max() >= self.n_classes:
             raise ValueError("labels outside [0, n_classes)")
@@ -93,6 +102,28 @@ class LabelMap:
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.data.shape
+
+
+def argmax_last(x):
+    """`np.argmax(x, axis=-1)` for NaN-free x, folded over the trailing axis,
+    as one byte (uint8) per id, so x has at most MAX_CLASSES classes.
+
+    A class wins where it is strictly greater than every class before it
+    (`>` folded one slice at a time), so ties go to the lowest class, as in
+    numpy; each comparison runs over every row at once instead of numpy's
+    row-by-row reduction of the short class axis. A winning class c is above
+    every index so far, so `maximum` records it.
+    """
+    if x.shape[-1] > MAX_CLASSES:
+        raise ValueError(f"argmax_last gives one byte per id: {x.shape[-1]} classes "
+                         f"is over {MAX_CLASSES}")
+    idx = np.zeros(x.shape[:-1], dtype=np.uint8)
+    best = x[..., 0]
+    for c in range(1, x.shape[-1]):
+        np.maximum(idx, (x[..., c] > best) * np.uint8(c), out=idx)
+        if c + 1 < x.shape[-1]:
+            best = np.maximum(best, x[..., c])
+    return idx
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,6 @@ DICE_EPS = 1e-5
 CE_PROB_FLOOR = 1e-7
 
 
-def _scalar(tape: Tape, node: Node) -> Node:
-    return tape.reshape(node, ())
-
-
 def dice_ce_node(tape: Tape, prob_node: Node, target_labels: np.ndarray,
                  n_classes: int, gate_idx: np.ndarray | None = None) -> Node:
     """Dice + CE on the full grid, or on the gated voxel subset.

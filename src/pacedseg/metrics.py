@@ -29,12 +29,8 @@ running column-min give both directions.
 The work grows with |Sa|·|Sb|, the product of the two surface sizes, where
 a k-d tree's grows with (|Sa|+|Sb|) log n. At the default 32x32x16 (at most
 3,784 surface voxels) the kernel is the faster of the two, and that is the
-only size the benchmark times: one of its fixture's eval predictions is
-scored in about 0.43 ms. Larger volumes are scored exactly and in bounded
-memory, but slowly: at 112x112x80 an all-foreground prediction (59,720
-surface voxels) takes about 0.4 s against a centred sphere of radius 30
-(9,216 surface voxels) and 5 s against itself. Each time is from one
-core of a 2-core Xeon, with one BLAS thread.
+only size the benchmark times. Larger volumes are scored exactly and in
+bounded memory, but slowly; ROADMAP item 10 holds the measured times.
 """
 
 from __future__ import annotations

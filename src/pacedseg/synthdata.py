@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .grids import MAX_CLASSES, LabelMap, Volume, load_arrays, save_arrays
+from .grids import MAX_CLASSES, LabelMap, Volume, load_arrays, save_arrays, valid_n_classes
 
 DATA_NAME = "data.arr"
 TRUTH_NAME = "truth.arr"
@@ -121,7 +121,8 @@ def _draw_case(rng, dims, radius_range, center_jitter, edge_width, noise_amp):
 
 
 def valid_dims(dims) -> bool:
-    """Whether the model takes volumes of these (H, W, D): each even and >= 4."""
+    """Whether datasets and configs may have these (H, W, D): each even and
+    >= 4. The model itself takes any even dims >= 2 (`network._check_dims`)."""
     return len(dims) == 3 and all(v >= 4 and v % 2 == 0 for v in dims)
 
 
@@ -323,7 +324,7 @@ def load_dataset(in_dir, include_truth: bool = False) -> Dataset:
     if ((ks < 0) | (ks >= d)).any():
         raise FormatError(f"{root}: slice indices k={ks.tolist()} outside depth {d}")
     n_classes = int(arrays["classes"])
-    if not 2 <= n_classes <= MAX_CLASSES:
+    if not valid_n_classes(n_classes):
         raise FormatError(f"{root}: classes={n_classes} is outside [2, {MAX_CLASSES}]")
 
     def each(make, name):

@@ -33,15 +33,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tape, argmax_last
+from .autodiff import Tape
 from .contrastive import contrast_loss_node, mine_pairs
 from .errors import ConfigError, TrainingAbort
 from .grids import (
     MAX_CLASSES,
     LabelMap,
+    argmax_last,
     downsample_labels_majority,
     downsample_mask,
     downsample_mean,
+    valid_n_classes,
 )
 from .losses import LossReport, dice_ce_node
 from .metrics import MetricsRecord, evaluate_case, summarize, write_eval_log, write_records
@@ -167,10 +169,9 @@ class TrainConfig:
     def validate(self) -> "TrainConfig":
         # inf has a meaning only for fuse_half_life (every slice trusted alike)
         # and tau_sched (the warm cap is 1 from the first step)
-        infinite = [name for name in ("lr0", "alpha", "delta", "tau_contrast", "noise_amp",
-                                      "weak_sigma", "reg_sigma", "reg_beta", "loss_w_s",
-                                      "loss_w_u", "loss_w_bf")
-                    if not np.isfinite(getattr(self, name))]
+        infinite = [f.name for f in fields(self) if f.type == "float"  # a str (PEP 563)
+                    and f.name not in ("fuse_half_life", "tau_sched")
+                    and not np.isfinite(getattr(self, f.name))]
         checks = [
             (not infinite, f"{', '.join(infinite)} must be finite"),
             (self.iterations >= 1, "iterations must be >= 1"),
@@ -188,7 +189,7 @@ class TrainConfig:
             (self.delta >= 1, "delta must be >= 1: the age parameter never shrinks"),
             (self.tau_contrast > 0, "tau_contrast must be positive"),
             (self.k_neg >= 0, "k_neg must be >= 0"),
-            (2 <= self.n_classes <= MAX_CLASSES,
+            (valid_n_classes(self.n_classes),
              f"n_classes must be in [2, {MAX_CLASSES}]: a label is one byte"),
             (len(self.widths) == 4 and all(c >= 1 for c in self.widths),
              "widths must be 4 positive channel counts"),
@@ -416,9 +417,9 @@ class Trainer:
     def _self_paced_mask(self, hdec: np.ndarray, sub, r_conf: float) -> np.ndarray:
         """The voxels SU admits: the r_conf share on which the teacher's MC
         head passes over its decoder activations hdec agree most (lowest
-        entropy); every voxel with SU off."""
+        entropy); every voxel, with no MC pass, at a ratio of 1 (what SU off gives)."""
         cfg = self.config
-        if not cfg.enable_su:
+        if r_conf == 1.0:
             return np.ones(cfg.dims, dtype=bool)
         mc_seed = int(np.random.default_rng(sub).integers(0, 2**62))
         entropy = mc_uncertainty_from_trunk(self.teacher, hdec, cfg.mc_passes, mc_seed)[1]
@@ -520,11 +521,7 @@ def run_training(config: TrainConfig, dataset: Dataset, out_dir) -> dict:
         log.write(LossReport.CSV_HEADER + "\n")
         for t in range(config.iterations):
             labeled, unlabeled = trainer.batch_for(t)
-            try:
-                report = trainer.step(labeled, unlabeled)
-            except TrainingAbort:
-                log.flush()
-                raise
+            report = trainer.step(labeled, unlabeled)
             log.write(report.csv_row() + "\n")
             done = t + 1
             periodic = done % config.eval_period == 0

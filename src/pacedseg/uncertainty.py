@@ -146,8 +146,13 @@ def admitted(schedule: Schedule, enable_su: bool):
     return (r_conf, v) if enable_su else (1.0, None)
 
 
+def admitted_count(r_conf: float, n_voxels: int) -> int:
+    """K = floor(r_conf * n_voxels), the number of voxels a ratio admits."""
+    return int(math.floor(r_conf * n_voxels))
+
+
 def select_mask(u: np.ndarray, r_conf: float) -> np.ndarray:
-    """Mark the K = floor(r_conf * H*W*D) most certain voxels.
+    """Mark the K = `admitted_count(r_conf, H*W*D)` most certain voxels.
 
     Ordering is (entropy, linear index) ascending, NaN last, as a stable
     `argsort` ranks them, so entropy ties break toward earlier voxels and
@@ -158,7 +163,7 @@ def select_mask(u: np.ndarray, r_conf: float) -> np.ndarray:
     if not 0.0 <= r_conf <= 1.0:
         raise ValueError(f"confident ratio {r_conf} outside [0, 1]")
     flat = u.ravel()
-    k = int(math.floor(r_conf * flat.size))
+    k = admitted_count(r_conf, flat.size)
     if k == 0:
         return np.zeros(u.shape, dtype=bool)
     kth = np.partition(flat, k - 1)[k - 1]

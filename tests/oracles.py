@@ -58,7 +58,7 @@ import math
 import numpy as np
 
 from pacedseg.autodiff import Node, Tape, _accum
-from pacedseg.losses import CE_PROB_FLOOR, DICE_EPS, _scalar
+from pacedseg.losses import CE_PROB_FLOOR, DICE_EPS
 from pacedseg.network import draw_dropout
 
 
@@ -184,14 +184,14 @@ def dice_node(tape, probs_flat, onehot, n_classes):
     num = tape.add_const(tape.mul_const(inter, 2.0), DICE_EPS)
     den = tape.add_const(p_sums, counts + DICE_EPS)
     terms = tape.add_const(tape.mul_const(tape.div(num, den), -1.0), 1.0)
-    return _scalar(tape, tape.mul_const(tape.sum(terms), 1.0 / (n_classes - 1)))
+    return tape.mul_const(tape.sum(terms), 1.0 / (n_classes - 1))
 
 
 def ce_node(tape, probs_flat, labels):
     """Mean -log p[target] with probabilities floored at 1e-7 before the log."""
     picked = tape.select_class(probs_flat, labels)
     logp = tape.log(tape.clamp_min(picked, CE_PROB_FLOOR))
-    return _scalar(tape, tape.mul_const(tape.sum(logp), -1.0 / labels.shape[0]))
+    return tape.mul_const(tape.sum(logp), -1.0 / labels.shape[0])
 
 
 def dice_ce_chain(tape, prob_node, target_labels, n_classes, gate_idx=None):

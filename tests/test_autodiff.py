@@ -17,13 +17,8 @@ from oracles import (
 )
 
 from pacedseg import autodiff
-from pacedseg.autodiff import (
-    Tape,
-    argmax_last,
-    conv3d_backward,
-    conv3d_raw,
-    softmax_raw,
-)
+from pacedseg.autodiff import Tape, conv3d_backward, conv3d_raw, softmax_raw
+from pacedseg.grids import argmax_last
 from pacedseg.uncertainty import entropy_values
 
 RTOL = 1e-4

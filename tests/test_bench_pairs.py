@@ -1,16 +1,10 @@
 """The paired-run collector of tools/bench_pairs.py on synthetic result.json files."""
 
-import importlib.util
 import json
 import subprocess
-from pathlib import Path
 
+import bench_pairs
 import pytest
-
-ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
-bench_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
 
 DECLARED = {
     "workloads": [{"name": "early"}, {"name": "late"}],

@@ -1,4 +1,7 @@
+import re
 import shutil
+from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from pacedseg.grids import load_arrays, save_arrays
 from pacedseg.metrics import summarize
 from pacedseg.network import init_params, load_checkpoint, save_checkpoint
 from pacedseg.synthdata import load_dataset
-from pacedseg.training import evaluate_params, load_config
+from pacedseg.training import TrainConfig, evaluate_params, load_config
 
 
 def test_schedule_dump_with_only_iterations_set(tmp_path, capsys):
@@ -346,12 +349,14 @@ def test_eval_directory_as_checkpoint_exits_config(tiny_data, tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+# inf has a meaning for these float settings only
+INF_ALLOWED = ("fuse_half_life", "tau_sched")
+FLOAT_KEYS = [f.name for f in fields(TrainConfig) if get_type_hints(TrainConfig)[f.name] is float]
 OUT_OF_RANGE = [
     ("edge_width", "0"), ("edge_width", "-0.1"), ("noise_amp", "-1"), ("weak_sigma", "-1"),
     ("loss_w_s", "-1"), ("loss_w_u", "-1"), ("loss_w_bf", "-1"), ("center_jitter", "0.6"),
-    ("center_jitter", "-0.1"), ("delta", "0.5"), ("lr0", "inf"), ("noise_amp", "inf"),
-    ("alpha", "inf"), ("delta", "inf"), ("tau_contrast", "inf"), ("loss_w_s", "inf"),
-]
+    ("center_jitter", "-0.1"), ("delta", "0.5"),
+] + [(key, "inf") for key in FLOAT_KEYS if key not in INF_ALLOWED]
 
 
 @pytest.mark.parametrize("key,value", OUT_OF_RANGE, ids=[f"{k}={v}" for k, v in OUT_OF_RANGE])
@@ -362,6 +367,15 @@ def test_out_of_range_config_exits_config(tmp_path, capsys, key, value):
     assert main(argv) == EXIT_CONFIG
     assert key in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key", INF_ALLOWED)
+def test_infinite_setting_with_a_meaning_is_accepted(tmp_path, capsys, key):
+    assert key in FLOAT_KEYS
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"iterations = 4\n{key} = inf\n")
+    assert main(["--config", str(cfg), "schedule-dump"]) == EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 4
 
 
 @pytest.mark.parametrize("verb", [
@@ -410,15 +424,20 @@ def test_su_off_schedule_dump_matches_the_run_log(tmp_path, capsys):
 
 def test_aborted_run_leaves_its_config(tmp_path, capsys):
     """A run stopped by a numeric abort still says what it ran: its
-    config.txt is written before the first step."""
+    config.txt is written before the first step, and train_log.csv holds
+    one row for each step that finished before the abort."""
     cfg = tmp_path / "c.cfg"
     cfg.write_text(SMALL_CFG + "lr0 = 1e38\n")
     run = tmp_path / "run"
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["--config", str(cfg), "--out-dir", str(run), "train"]) == EXIT_NUMERIC
-    assert "numeric abort" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numeric abort" in err
+    aborted_at = int(re.search(r"at iteration (\d+)", err).group(1))
+    assert aborted_at == 1  # the first step finished, the second diverged
     assert load_config(run / "config.txt") == load_config(cfg)
-    assert (run / "train_log.csv").read_text().startswith("t,L_s,")
+    cells = _csv_cells((run / "train_log.csv").read_text())
+    assert [c["t"] for c in cells] == [str(t) for t in range(aborted_at)]
     assert not (run / "final.ckpt").exists()
 
 

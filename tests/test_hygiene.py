@@ -112,6 +112,36 @@ def test_only_grids_packs_bytes():
     assert packers == ["grids.py"]
 
 
+def package_imports(source: str) -> set[str]:
+    """Modules of the package a source imports, by relative import."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names.update([node.module] if node.module else (a.name for a in node.names))
+    return names
+
+
+def test_scan_finds_package_imports():
+    source = "import struct\nfrom .errors import FormatError\nfrom . import grids\n"
+    assert package_imports(source) == {"errors", "grids"}
+
+
+def test_grids_and_autodiff_import_nothing_of_the_package_but_errors():
+    """The boundary types with the one-byte class bound, and the tape, sit
+    under every other module."""
+    found = {name: package_imports((SRC / f"{name}.py").read_text()) - {"errors"}
+             for name in ("grids", "autodiff")}
+    assert found == {"grids": set(), "autodiff": set()}
+
+
+def test_the_one_byte_class_bound_is_written_once():
+    """256 is spelled only as grids.MAX_CLASSES; every other bound reads it."""
+    found = [(path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant) and type(node.value) is int and node.value == 256]
+    assert [name for name, _ in found] == ["grids.py"], found
+
+
 def top_level_defs(source: str) -> list[str]:
     """Functions, classes and non-dunder constants a module defines at its top level."""
     names = []

@@ -1,19 +1,13 @@
 """tools/identity_runs.py on a tiny config: the runs it makes and the files they write."""
 
-import importlib.util
 import os
-from pathlib import Path
 
+import identity_runs
 import pytest
 
 from test_quality_pin import REG_RUN
 
 from pacedseg.training import config_from_dict
-
-ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("identity_runs", ROOT / "tools" / "identity_runs.py")
-identity_runs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(identity_runs)
 
 TINY = {"dim_h": "16", "dim_w": "16", "dim_d": "8", "n_labeled": "2", "n_unlabeled": "2",
         "widths": "2 3 4 3", "embed_dim": "4", "mc_passes": "2", "k_neg": "8"}

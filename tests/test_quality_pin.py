@@ -17,7 +17,7 @@ in CHANGES.md, as `test_trajectory.py`'s references are re-pinned.
 import numpy as np
 
 from pacedseg.ablation import dataset_for_seed
-from pacedseg.autodiff import argmax_last
+from pacedseg.grids import argmax_last
 from pacedseg.metrics import summarize
 from pacedseg.network import forward_parts, head_forward
 from pacedseg.training import TrainConfig, Trainer, eval_cases, evaluate_params

@@ -1,14 +1,7 @@
 """tools/step_peaks.py on a tiny config: the rows it prints and how it fails."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
-
-ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("step_peaks", ROOT / "tools" / "step_peaks.py")
-step_peaks = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(step_peaks)
+import step_peaks
 
 TINY = {"dim_h": 16, "dim_w": 16, "dim_d": 8, "n_labeled": 2, "n_unlabeled": 2,
         "widths": [2, 3, 4, 3], "embed_dim": 4, "mc_passes": 2, "k_neg": 8, "seed": 1}

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import step_peaks
 
 from pacedseg import autodiff, network, training
 from pacedseg.ablation import dataset_for_seed
@@ -162,6 +163,19 @@ class TestTrainerMechanics:
         assert report.r_conf == 1.0
         assert report.l_bf == 0.0
 
+    def test_su_at_ratio_one_admits_every_voxel_without_mc(self, monkeypatch):
+        """With SU on, a last L_u of 0 on the confident schedule gives a ratio
+        of 1, which admits every voxel whatever the entropies, so the step
+        runs no MC pass."""
+        cfg = tiny_config(alpha=100.0, tau_sched=2000.0)
+        trainer = Trainer(cfg, dataset_for_seed(cfg, cfg.seed))
+        trainer.schedule.last_lu = 0.0
+        passes = []
+        monkeypatch.setattr(training, "mc_uncertainty_from_trunk", lambda *a: passes.append(a))
+        report = trainer.step(*trainer.batch_for(0))
+        assert (report.branch, report.r_conf, report.v) == ("confident", 1.0, 1.0)
+        assert report.mask_count == 16 * 16 * 8 and passes == []
+
     def test_loss_report_total_identity(self):
         cfg = tiny_config()
         trainer = Trainer(cfg, dataset_for_seed(cfg, cfg.seed))
@@ -274,31 +288,31 @@ def flat_dice_ce(probs, labels, idx=None):
 
 
 class TestStepMemory:
-    # The traced peak of one warm default-size step (tools/step_peaks.py),
-    # 18-22% above the 4.23 MiB (float32), 8.38 MiB (float64) and, on the
-    # confident schedule, 4.67 MiB (float32) it measures with the student's
-    # class and feature maps held as channels-last views over their conv's
-    # result. Copying them to C order made it 4.36, 8.63 and 4.92 MiB; one
-    # tape swept once at the end peaked at 11.04 and 19.13 MiB, and 48.5 MiB
-    # in float32 when each student conv kept its full cols on the tape.
-    PEAK_MIB = {("float32", "default"): 5.0, ("float64", "default"): 9.9,
-                ("float32", "confident"): 5.7}
-    SCHEDULES = {"default": {}, "confident": {"alpha": 100.0, "tau_sched": 2000.0}}
+    # The traced peak of one warm default-size step, set up and measured as
+    # the rows of tools/step_peaks.py are: 18-22% above the 4.23 MiB
+    # (float32), 8.38 MiB (float64) and, on the confident schedule, 4.67 MiB
+    # (float32) it prints with the student's class and feature maps held as
+    # channels-last views over their conv's result. Copying them to C order
+    # made it 4.36, 8.63 and 4.92 MiB; one tape swept once at the end peaked
+    # at 11.04 and 19.13 MiB, and 48.5 MiB in float32 when each student conv
+    # kept its full cols on the tape.
+    PEAK_MIB = {"float32, default schedule": 5.0, "float64, default schedule": 9.9,
+                "float32, alpha=100, tau_sched=2000": 5.7}
 
-    @pytest.mark.parametrize("dtype, schedule", list(PEAK_MIB))
-    def test_default_step_traced_peak_is_bounded(self, dtype, schedule):
-        cfg = TrainConfig(n_labeled=2, n_unlabeled=2, seed=1, dtype=dtype,
-                          **self.SCHEDULES[schedule]).validate()
+    @pytest.mark.parametrize("row", list(PEAK_MIB),
+                             ids=["float32-default", "float64-default", "float32-confident"])
+    def test_default_step_traced_peak_is_bounded(self, row):
+        cfg = TrainConfig(**step_peaks.BASE, **dict(step_peaks.ROWS)[row]).validate()
         trainer = Trainer(cfg, dataset_for_seed(cfg, cfg.seed))
-        for t in range(3):
+        for t in range(step_peaks.WARM_STEPS):
             trainer.step(*trainer.batch_for(t))
         tracemalloc.start()
         try:
-            trainer.step(*trainer.batch_for(3))
+            trainer.step(*trainer.batch_for(step_peaks.WARM_STEPS))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < self.PEAK_MIB[dtype, schedule] * 2**20, f"peak {peak / 2**20:.2f} MiB"
+        assert peak < self.PEAK_MIB[row] * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_step_keeps_one_cols_arena(self, dtype, monkeypatch):

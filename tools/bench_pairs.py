@@ -32,7 +32,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from checkout import ROOT
+
 BENCHMARK = ROOT / "BENCHMARK.json"
 SIDES = ("parent", "change")
 PAIRS = 10

@@ -40,14 +40,13 @@ contrast fires and cases where the distances run.
 from __future__ import annotations
 
 import argparse
-import os
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+from checkout import ROOT, run_env
+
 DTYPES = ("float32", "float64")
 SCHEDULES = {"default": {}, "confident": {"alpha": "100", "tau_sched": "2000"}}
 TRAIN = {"iterations": "40", "eval_period": "20", "n_eval": "4"}
@@ -88,15 +87,6 @@ save_checkpoint(out / "final.ckpt", {"student": trainer.student, "teacher": trai
                 {"iteration": trainer.t})
 print(f"contrast loss nonzero on {fired} of {steps} steps")
 """
-
-
-def run_env(root: Path) -> dict[str, str]:
-    """The environment of every run: the checkout's src/ and bench/ as the
-    whole PYTHONPATH, BLAS at one thread. The caller's PYTHONPATH is not
-    kept, so a package missing from the checkout is an error, not another
-    checkout's copy."""
-    path = os.pathsep.join([str(root / "src"), str(root / "bench")])
-    return {**os.environ, **BLAS_ENV, "PYTHONPATH": path}
 
 
 def write_config(path: Path, values: dict[str, str]) -> Path:

@@ -7,8 +7,9 @@ this script), imported from DIR/src and DIR/bench alone, with BLAS pinned
 to one thread, and prints one line per row: its name and the peak in MiB
 that `tracemalloc` reports for one step, counted from the step's start.
 
-- The `TestStepMemory` set-up (2 + 2 cases, seed 1, the default config
-  otherwise) takes three warm steps; the row is the peak of the fourth.
+- The BASE set-up (2 + 2 cases, seed 1, the default config otherwise),
+  whose peaks `TestStepMemory` bounds, takes WARM_STEPS = 3 warm steps;
+  the row is the peak of the fourth.
   The rows are float32, float64, float32 on the confident schedule
   (`alpha=100, tau_sched=2000`) and float32 at 64x64x32.
 - The last two rows use the `late` benchmark set-up (fixture weights,
@@ -25,14 +26,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-# (name, config keys over the TestStepMemory set-up)
+from checkout import ROOT, run_env
+
+# (name, config keys over BASE); `TestStepMemory` bounds the first three
 ROWS = (
     ("float32, default schedule", {}),
     ("float64, default schedule", {"dtype": "float64"}),
@@ -86,12 +86,6 @@ for t in range(last + 1):
         tracemalloc.stop()
 print(max(peaks))
 """
-
-
-def run_env(root: Path) -> dict[str, str]:
-    """The checkout's src/ and bench/ as the whole PYTHONPATH, BLAS at one thread."""
-    path = os.pathsep.join([str(root / "src"), str(root / "bench")])
-    return {**os.environ, **BLAS_ENV, "PYTHONPATH": path}
 
 
 def commands() -> list[tuple[str, list[str]]]:
