@@ -37,23 +37,34 @@ that gives both the weight and the input gradient. That sits between
 im2col and kn2row (Vasudevan et al., ASAP 2017), in the spirit of MEC's
 compact lowering (Cho & Brand, ICML 2017). This geometry, fold
 included, depends on the shapes, stride and padding alone, so it is
-built once per geometry and cached (`_geometry`). No im2col
-matrix is kept for backward: a conv gathers its cols one tile of `TILE`
-output-frame columns at a time, and its backward gathers them again
-from the input node (recompute in backward, as in Chen et al., arXiv
-1604.06174). Work buffers are kept across calls, so their pages are not
-faulted in afresh on every call: the zero-bordered phase buffer and
-gradient frame one per geometry (the `up=2` backward writes its output
-parities straight into the latter), and every tile buffer as a disjoint
-view of one flat arena per dtype, sized for the largest request yet. A
-backward's tile of column gradients overwrites the tile of cols its
-weight gradient has just read. The buffers are per process and not
-thread-safe. A conv applies its relu, when asked, in place on
-its own result frame; it writes no input or leaf array. Every (..., C)
-class map and (..., F) feature map is a channels-last view over the
-class-major result of its conv (`chw_to_hwc`), so each channel slice is
-contiguous and numpy reduces the short trailing axis one whole slice at
-a time.
+built once per geometry and cached (`_geometry`). No im2col matrix is
+kept for backward: a conv gathers its cols one tile at a time, and its
+backward gathers them again from the input node (recompute in backward,
+as in Chen et al., arXiv 1604.06174). A tile spans at most `TILE`
+output-frame columns and holds at most `TILE_ELEMS` elements of cols and
+product rows: a forward that would pass it takes narrower tiles
+(`_tiled`), a backward fewer gathered taps per tile (`_conv3d_backward`),
+so neither changes a float.
+
+Work buffers are kept across calls, so their pages are not faulted in
+afresh on every call. Only one conv runs at a time, so each role keeps
+one flat buffer per dtype, grown to the largest conv's need
+(`_kept_buffer`): the phase frame, the gradient frame (the `up=2`
+backward writes its output parities straight into it) and the cols
+arena, of which every tile buffer is a disjoint view. A call zeroes each
+frame it uses before writing it, so a frame's borders, and at `up=2` the
+grid points no parity lands on, hold no other geometry's values. The
+kept bytes are those of the largest conv per role, not a sum over
+geometries: 2.32 MiB in float32 for the default model at 32x32x16 and
+10.45 MiB at 64x64x32. A backward's tile of column gradients overwrites
+the tile of cols its weight gradient has just read. The buffers are per
+process and not thread-safe.
+
+A conv applies its relu, when asked, in place on its own result frame;
+it writes no input or leaf array. Every (..., C) class map and (..., F)
+feature map is a channels-last view over the class-major result of its
+conv (`chw_to_hwc`), so each channel slice is contiguous and numpy
+reduces the short trailing axis one whole slice at a time.
 
 Raw kernels (`conv3d_raw`, `softmax_raw`, ...) are shared with the
 tape-free inference path so both routes compute identical floats.
@@ -71,50 +82,54 @@ import numpy as np
 # raw kernels
 # ---------------------------------------------------------------------------
 
-# Output-frame columns gathered per tile; a tile of cols is a few MB at
-# most, so no conv builds, or keeps for backward, a full im2col matrix.
+# Output-frame columns gathered per tile, and elements of cols plus product
+# rows a tile holds, at most: no conv builds, or keeps for backward, a full
+# im2col matrix, and a tile is 1 MiB at most in float32. Of the default
+# model's convs only the stride-2 down conv, 8 channels by 27 taps,
+# would pass the second.
 TILE = 4096
+TILE_ELEMS = 2**18
 # Anchor rows per add of their pools' mask rows in `Tape.pool_logsumexp`
 POOL_ROWS = 512
 
 _kept: dict = {}
 
 
-def _kept_buffer(key, shape, dtype):
-    """A zero-bordered work buffer kept across calls under (key, shape, dtype).
+def _kept_buffer(role, dtype, size):
+    """A flat work buffer of `size` elements, kept across calls, one per
+    (role, dtype): "phases" (a conv's input on its stride phases), "gframe"
+    (an output-gradient frame) or "cols" (the tile arena of `_arena`).
 
-    It is zero-filled once, when it is made; a caller keys it on every size
-    that decides which of its regions get written, so the regions no call
-    writes stay zero. The buffers are per process and not thread-safe: two
-    convs of one geometry must not run at once.
+    It grows to the largest request yet, so each role keeps what its largest
+    conv needs rather than a buffer per geometry, and its first element is
+    64-byte aligned. It is never cleared: it holds what the last call left,
+    so a caller writes, or zeroes, every entry it reads. The buffers are per
+    process and not thread-safe: two convs must not run at once.
     """
-    full = (key, shape, np.dtype(dtype))
-    buf = _kept.get(full)
-    if buf is None:
-        buf = _kept[full] = np.zeros(shape, dtype)
-    return buf
+    dtype = np.dtype(dtype)
+    buf = _kept.get((role, dtype))
+    if buf is None or buf.size < size:
+        raw = np.empty(size + 64 // dtype.itemsize, dtype)
+        skip = -raw.ctypes.data % 64 // dtype.itemsize
+        buf = _kept[role, dtype] = raw[skip : skip + size]
+    return buf[:size]
 
 
 def _arena(dtype, columns, *rows):
-    """Uninitialized (*row, width) views, one per row shape, of the flat "cols"
-    arena kept per dtype; width is `columns` rounded up to a multiple of 16.
+    """Uninitialized (*row, width) views, one per row shape, of the kept
+    "cols" buffer; width is `columns` rounded up to a multiple of 16.
 
-    Every conv tile shares it, grown to the largest request yet, so one
-    buffer serves every geometry and every use: the cols of a forward or of
-    a weight gradient, a folded conv's product or stacked output gradient,
-    then the column gradients of a backward. The views lie back to back
-    from the arena's 64-byte aligned first element and are disjoint and
-    C-contiguous, so every row of every view starts 64-byte aligned, which
-    makes the gathers and GEMMs on them a few percent faster. They are
-    valid until the next call.
+    Every conv tile shares it, so one buffer serves every geometry and every
+    use: the cols of a forward or of a weight gradient, a folded conv's
+    product or stacked output gradient, then the column gradients of a
+    backward. The views lie back to back from the buffer's 64-byte aligned
+    first element and are disjoint and C-contiguous, so every row of every
+    view starts 64-byte aligned, which makes the gathers and GEMMs on them a
+    few percent faster. They are valid until the next call.
     """
-    width, itemsize = -(-columns // 16) * 16, np.dtype(dtype).itemsize
-    sizes, key = [math.prod(row) * width for row in rows], ("cols", np.dtype(dtype))
-    buf = _kept.get(key)
-    if buf is None or buf.size < sum(sizes):
-        raw = np.empty(sum(sizes) + 64 // itemsize, dtype)
-        skip = -raw.ctypes.data % 64 // itemsize
-        buf = _kept[key] = raw[skip : skip + sum(sizes)]
+    width = -(-columns // 16) * 16
+    sizes = [math.prod(row) * width for row in rows]
+    buf = _kept_buffer("cols", dtype, sum(sizes))
     views, start = [], 0
     for row, size in zip(rows, sizes):
         views.append(buf[start : start + size].reshape(*row, width))
@@ -196,16 +211,43 @@ def _geometry(xshape, wshape, stride, pad):
 
 
 def _phases(x, stride, pad, frame, copies):
-    """x on its zero-bordered stride phases, as a flat (Cin, s**3 * Nq) kept buffer."""
-    xq = _kept_buffer(("phases", x.shape, stride, pad), (x.shape[0], stride**3, *frame),
-                      x.dtype)
+    """x on its zero-bordered stride phases, as a flat (Cin, s**3 * Nq) view
+    of the kept phase frame, which is zeroed whole before x is copied in:
+    one contiguous fill is faster than zeroing the thin border slabs alone."""
+    cin = x.shape[0]
+    xq = _kept_buffer("phases", x.dtype, cin * stride**3 * math.prod(frame))
+    xq.fill(0)
+    xq = xq.reshape(cin, stride**3, *frame)
     for dst, src in copies:
         xq[dst] = x[src]
-    return xq.reshape(x.shape[0], -1)
+    return xq.reshape(cin, -1)
 
 
-def _tiles(n):
-    return [(s, min(s + TILE, n)) for s in range(0, n, TILE)]
+def _spans(n, size):
+    """(start, end) of the spans of `size` that cover range(n), the last one
+    shorter."""
+    return [(s, min(s + size, n)) for s in range(0, n, size)]
+
+
+def _even(n, fit):
+    """The size of the fewest equal spans of at most `fit` that cover n."""
+    return -(-n // -(-n // fit))
+
+
+def _tiled(dtype, n, reach, *rows):
+    """(start, end) of each tile of a conv forward's loop over n run columns,
+    and the `_arena` views, of the given row shapes, of its widest tile,
+    which gathers `reach` columns past its end.
+
+    A tile spans TILE columns, the last one fewer, unless a tile of TILE
+    columns and its reach would hold more than TILE_ELEMS elements over all
+    its rows; then the loop takes the fewest tiles of one width (the last
+    again fewer) within that. Each output column is its own GEMM column, so
+    the width changes no float of the forward.
+    """
+    fit = max(1, TILE_ELEMS // sum(map(math.prod, rows)) - reach)
+    width = min(n, TILE if TILE <= fit else _even(n, fit))
+    return _spans(n, width), _arena(dtype, width + reach, *rows)
 
 
 def _run_cols(xf, offsets, cols, s, e):
@@ -261,9 +303,9 @@ def _conv3d(x, w, b, stride, pad, relu):
     xf, wmat = _phases(x, stride, pad, frame, copies), _weight_mat(w, fold)
     res = np.empty((cout, oh * frame[1] * frame[2]), dtype=x.dtype)
     # a folded tile gathers fold - 1 more columns, the reach of its last depth tap
-    cols, *prod = _arena(x.dtype, min(n, TILE) + fold - 1, (cin, len(offsets)),
-                         *[(fold, cout)] * (fold > 1))
-    for s, e in _tiles(n):
+    tiles, (cols, *prod) = _tiled(x.dtype, n, fold - 1, (cin, len(offsets)),
+                                  *[(fold, cout)] * (fold > 1))
+    for s, e in tiles:
         tile = _run_cols(xf, offsets, cols, s, e + fold - 1)
         if fold == 1:
             np.matmul(wmat, tile, out=res[:, s:e])
@@ -275,13 +317,14 @@ def _conv3d(x, w, b, stride, pad, relu):
     return res.reshape(cout, oh, *frame[1:])[:, :, :ow, :od]
 
 
-def _grad_frame(x, w, stride, pad, up, dtype):
-    """(kept zero-bordered (Cout, oh, Wq, Dq) output-gradient frame of a conv,
-    its (Cout, oh, ow, od) output view). Its runs read through the zeros
-    between the rows of the view; the frame is keyed on `up` as well, because
-    an up=2 caller leaves the view's grid points that no parity lands on zero."""
+def _grad_frame(x, w, stride, pad, dtype):
+    """(kept (Cout, oh, Wq, Dq) output-gradient frame of a conv, zeroed, and
+    its (Cout, oh, ow, od) output view). The caller writes the view; the
+    runs read through the zeros between its rows."""
     (oh, ow, od), frame, *_ = _geometry(x.shape, w.shape, stride, pad)
-    gframe = _kept_buffer(("gframe", up, ow, od), (w.shape[4], oh, *frame[1:]), dtype)
+    gframe = _kept_buffer("gframe", dtype, w.shape[4] * oh * frame[1] * frame[2])
+    gframe.fill(0)
+    gframe = gframe.reshape(w.shape[4], oh, *frame[1:])
     return gframe, gframe[:, :, :ow, :od]
 
 
@@ -294,24 +337,41 @@ def _conv3d_backward(gframe, x, w, stride, pad, need_gx):
     runs: gw is cols @ G.T, and the column gradients W.T @ G are added back
     with one run per gathered tap. The frame's zeros past the output run
     stand in for the gradient beyond it.
+
+    A tile spans TILE columns, fewer only where one tap's rows beside the
+    stack would pass TILE_ELEMS elements. Where all its taps would, it takes
+    them in the fewest equal groups that fit (the stride-2 down conv: 27
+    taps as three of 9). So each row of gw still sums a tile's whole run in
+    one GEMM, and each run is added back whole, one numpy call per tap;
+    narrower tiles would call it once per tap and tile.
     """
     cin, cout = w.shape[0], w.shape[4]
     _, frame, offsets, n, copies, fold = _geometry(x.shape, w.shape, stride, pad)
     xf = _phases(x, stride, pad, frame, copies)  # the forward's cols are gathered again from x
     k, m = len(offsets), n + fold - 1
     grun = gframe.reshape(cout, -1)
-    cols, *stack = _arena(gframe.dtype, min(m, TILE), (cin, k), *[(fold, cout)] * (fold > 1))
-    gw = np.zeros((cin * k, fold * cout), dtype=gframe.dtype)
+    stacked = [(fold, cout)] * (fold > 1)
+    fixed = fold * cout * (fold > 1)
+    width = min(m, TILE, max(1, TILE_ELEMS // (cin + fixed)))
+    groups = _spans(k, _even(k, max(1, (TILE_ELEMS // width - fixed) // cin)))
+    gw = np.zeros((cin, k, fold * cout), dtype=gframe.dtype)
     gxf = np.zeros_like(xf) if need_gx else None
-    wmat_t = _weight_mat(w, fold).T
-    for s, e in _tiles(m):
+    wmat_t = _weight_mat(w, fold).T.reshape(cin, k, fold * cout)
+    # per group: its taps' offsets, cols view, gw rows and W.T rows; the
+    # stack lies first in the arena, clear of every group's cols
+    *stack, _ = _arena(gframe.dtype, width, *stacked, (cin, groups[0][1]))
+    parts = [(offsets[t0:t1], _arena(gframe.dtype, width, *stacked, (cin, t1 - t0))[-1],
+              gw[:, t0:t1], wmat_t[:, t0:t1].reshape(-1, fold * cout)) for t0, t1 in groups]
+    for s, e in _spans(m, width):
         g = grun[:, s:e] if fold == 1 else _shifted_grad(grun, stack[0], s, e)
-        gw += _run_cols(xf, offsets, cols, s, e) @ g.T
-        if need_gx:
-            # the tile's cols are read, so their buffer takes its column gradients
-            np.matmul(wmat_t, g, out=cols.reshape(cin * k, -1)[:, : e - s])
-            for t, o in enumerate(offsets):
-                gxf[:, o + s : o + e] += cols[:, t, : e - s]
+        for taps, cols, gw_rows, w_rows in parts:
+            tile = _run_cols(xf, taps, cols, s, e)
+            gw_rows += (tile @ g.T).reshape(gw_rows.shape)
+            if need_gx:
+                # the tile's cols are read, so their buffer takes its column gradients
+                np.matmul(w_rows, g, out=tile)
+                for t, o in enumerate(taps):
+                    gxf[:, o + s : o + e] += cols[:, t, : e - s]
     if not need_gx:
         return None, gw.reshape(w.shape)
     # x rows that no window reads keep a zero gradient
@@ -416,13 +476,13 @@ def conv3d_backward(gout, x, w, stride, pad, up=1, need_gx=True):
         gx = (w.reshape(cin, cout) @ gmat).reshape(x.shape) if need_gx else None
         return gx, gw, gb
     if up == 1:
-        gframe, view = _grad_frame(x, w, stride, pad, up, gout.dtype)
+        gframe, view = _grad_frame(x, w, stride, pad, gout.dtype)
         view[...] = gout
         return (*_conv3d_backward(gframe, x, w, stride, pad, need_gx), gb)
     h, ww, d = x.shape[1:]
     wp = _parity_weight(w)
-    # the grid points no parity lands on keep a zero gradient
-    gframe, view = _grad_frame(x, wp, 1, 1, up, gout.dtype)
+    # the grid points no parity lands on keep the frame's zero gradient
+    gframe, view = _grad_frame(x, wp, 1, 1, gout.dtype)
     for g, s in _parities(gout, view, h, ww, d):
         s[...] = g
     gx, gm = _conv3d_backward(gframe, x, wp, 1, 1, need_gx)

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .ablation import dataset_for_seed, run_ablation
 from .errors import ConfigError, FormatError, TrainingAbort
+from .losses import v_cell
 from .metrics import format_summary, summarize, write_records
 from .network import load_checkpoint
 from .synthdata import load_dataset, save_dataset
@@ -129,8 +130,7 @@ def cmd_schedule_dump(cfg: TrainConfig, args) -> int:
     for t in range(cfg.iterations):
         r_conf, v = admitted(schedule, cfg.enable_su)
         xi = warmup_xi(t, schedule.t_max)
-        v_str = "" if v is None else repr(v)
-        print(f"{t},{xi!r},{schedule.lam!r},{r_conf!r},{v_str},{admitted_count(r_conf, n_vox)}")
+        print(f"{t},{xi!r},{schedule.lam!r},{r_conf!r},{v_cell(v)},{admitted_count(r_conf, n_vox)}")
         schedule.advance(args.lu_const)
     return EXIT_OK
 

@@ -38,6 +38,12 @@ def dice_ce_node(tape: Tape, prob_node: Node, target_labels: np.ndarray,
     return tape.dice_ce(prob_node, target_labels, n_classes, gate_idx, DICE_EPS, CE_PROB_FLOOR)
 
 
+def v_cell(v: float | None) -> str:
+    """The CSV cell of the self-paced weight v, empty when SU is off; the run
+    log and `schedule-dump` both write it through this."""
+    return "" if v is None else repr(v)
+
+
 @dataclass
 class LossReport:
     """Per-iteration loss decomposition and the selection stats behind it.
@@ -64,8 +70,8 @@ class LossReport:
     CSV_HEADER = "t,L_s,L_u,L_bf,L_total,R_conf,K,lambda,v,branch,lr"
 
     def csv_row(self) -> str:
-        v_str = "" if self.v is None else repr(self.v)
         return (
             f"{self.t},{self.l_s!r},{self.l_u!r},{self.l_bf!r},{self.total!r},"
-            f"{self.r_conf!r},{self.mask_count},{self.lam!r},{v_str},{self.branch},{self.lr!r}"
+            f"{self.r_conf!r},{self.mask_count},{self.lam!r},{v_cell(self.v)},{self.branch},"
+            f"{self.lr!r}"
         )

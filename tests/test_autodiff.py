@@ -23,6 +23,8 @@ from pacedseg.uncertainty import entropy_values
 
 RTOL = 1e-4
 STEP = 1e-3
+# the roles of the kept work buffers, sorted
+ROLES = ("cols", "gframe", "phases")
 
 
 def fd_check(build, shapes, seed=0, n_coords=20, step=STEP, rtol=RTOL):
@@ -544,6 +546,14 @@ class TestFlatRunConv:
         monkeypatch.setattr(autodiff, "TILE", 7)
         assert max(self._errors(case, np.float64, seed=2)) < 1e-12
 
+    @pytest.mark.parametrize("case", CASES)
+    def test_small_element_cap_matches_windowed(self, case, monkeypatch):
+        # 1000 elements: each case whose cols hold more splits into equal tiles
+        monkeypatch.setattr(autodiff, "TILE_ELEMS", 1000)
+        shapes = record_run_cols(monkeypatch)
+        assert max(self._errors(case, np.float64, seed=3)) < 1e-12
+        assert all(math.prod(shape) <= 1000 for shape in shapes)
+
     def test_stride2_cols_are_runs_of_the_phase_frame(self, monkeypatch):
         # x padded to (8, 6, 7) gives a (3, 2, 3) output on (4, 3, 4) phase
         # frames: one tile of (3-1)*3*4 + (2-1)*4 + 3 columns, each tap a run
@@ -617,6 +627,22 @@ class TestFoldedConv:
         for got, want in zip(conv3d_backward(g, x, w, 1, pad), conv3d_direct_backward(g, x, w, 1, pad)):
             self._close(got, want)
 
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_small_element_cap_matches_the_direct_oracle(self, case, monkeypatch):
+        # a folded tile holds its cols beside the fold*Cout rows of its
+        # product or stacked gradient, and its forward gathers fold - 1
+        # columns past its end; the backward takes its taps in groups
+        monkeypatch.setattr(autodiff, "TILE_ELEMS", 600)
+        shapes = record_run_cols(monkeypatch)
+        x, w, b, pad, rng = self._inputs(case, seed=9)
+        out = conv3d_raw(x, w, b, 1, pad)
+        self._close(out, conv3d_direct(x, w, b, 1, pad))
+        g = rng.standard_normal(out.shape)
+        for got, want in zip(conv3d_backward(g, x, w, 1, pad), conv3d_direct_backward(g, x, w, 1, pad)):
+            self._close(got, want)
+        fixed = w.shape[3] * w.shape[4]
+        assert len(shapes) > 2 and all((rows + fixed) * cols <= 600 for rows, cols in shapes)
+
     def test_ragged_tiles_fold_across_tile_ends(self, monkeypatch):
         # TILE = 8 divides neither the 4*6*9 + 3*9 + 7 = 250 output columns
         # nor the 252 columns of the backward's longer runs; each forward
@@ -662,7 +688,24 @@ class TestFoldedConv:
 
 
 class TestKeptBuffers:
-    """Convs interleaved so that work buffers kept on shape alone would collide."""
+    """Convs of different geometries interleaved on the kept work buffers,
+    which every geometry shares, so each call must zero what it reads and
+    does not write."""
+
+    # (x shape, w shape, stride, up) of the default model's four non-pointwise
+    # convs at 32x32x16: enc1, enc2, the stride-2 down conv and the up=2 dec
+    MODEL = {
+        "enc1": ((1, 32, 32, 16), (1, 3, 3, 3, 4), 1, 1),
+        "enc2": ((4, 32, 32, 16), (4, 3, 3, 3, 8), 1, 1),
+        "down": ((8, 32, 32, 16), (8, 3, 3, 3, 8), 2, 1),
+        "dec": ((8, 16, 16, 8), (8, 3, 3, 3, 8), 1, 2),
+    }
+
+    @staticmethod
+    def _model_conv(x_shape, w_shape, stride, up, dtype):
+        x, w = np.ones(x_shape, dtype), np.ones(w_shape, dtype)
+        out = conv3d_raw(x, w, np.zeros(w_shape[4], dtype), stride, 1, up)
+        conv3d_backward(np.ones_like(out), x, w, stride, 1, up)
 
     @staticmethod
     def _check(x_shape, w_shape, pad, seed, stride=1):
@@ -730,8 +773,56 @@ class TestKeptBuffers:
         for name in ("A", "B", "A"):
             for got, want in zip(run(name), alone[name]):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        # the column gradients of a backward take their tiles from the cols arena
-        assert [k for k in autodiff._kept if isinstance(k[0], str)] == [("cols", np.dtype(dtype))]
+        # one kept buffer per role serves both geometries: the phase frame,
+        # the gradient frame, and the cols arena, from which the column
+        # gradients of a backward take their tiles too
+        assert sorted(autodiff._kept) == [(role, np.dtype(dtype)) for role in ROLES]
+
+    def test_kept_bytes_are_the_largest_single_convs_need_per_role(self, monkeypatch):
+        # each conv alone, then all four in both dtypes on one set of buffers
+        dtypes = [np.dtype(np.float32), np.dtype(np.float64)]
+        alone = {}
+        for dtype in dtypes:
+            for name, geometry in self.MODEL.items():
+                monkeypatch.setattr(autodiff, "_kept", {})
+                self._model_conv(*geometry, dtype)
+                alone[name, dtype] = {role: buf.nbytes for (role, _), buf in autodiff._kept.items()}
+        monkeypatch.setattr(autodiff, "_kept", {})
+        for dtype in dtypes:
+            for geometry in self.MODEL.values():
+                self._model_conv(*geometry, dtype)
+        kept = {key: buf.nbytes for key, buf in autodiff._kept.items()}
+        assert len(kept) == 2 * len(ROLES)
+        for dtype in dtypes:
+            largest = {}
+            for role in ROLES:
+                needs = {name: alone[name, dtype][role] for name in self.MODEL}
+                largest[role] = max(needs, key=needs.get)
+                assert kept[role, dtype] == needs[largest[role]]
+            # the 64-channel parity conv of dec has the largest gradient
+            # frame, the stride-2 down conv the largest phase frame, and
+            # enc2's 60 rows of 4096 + 2 columns the largest tile
+            assert largest == {"cols": "enc2", "gframe": "dec", "phases": "down"}
+            assert kept["cols", dtype] == 60 * 4112 * dtype.itemsize
+            summed = sum(sum(alone[name, dtype].values()) for name in self.MODEL)
+            assert sum(kept[role, dtype] for role in ROLES) < summed / 2
+        assert sum(kept[role, dtypes[0]] for role in ROLES) <= 2.4 * 2**20
+
+    def test_down_tiles_hold_at_most_the_element_cap(self, monkeypatch):
+        # 8 channels * 27 taps over (16-1)*17*9 + (16-1)*9 + 8 = 2438 columns
+        # would be 526,608 elements in one tile: the forward takes three of
+        # 813, 813 and 812 columns, the backward three of 9 taps each
+        shapes = record_run_cols(monkeypatch)
+        (x_shape, w_shape, stride, _), rng = self.MODEL["down"], np.random.default_rng(10)
+        x, w, b = rng.standard_normal(x_shape), rng.standard_normal(w_shape), rng.standard_normal(8)
+        out = conv3d_raw(x, w, b, stride, 1)
+        g = rng.standard_normal(out.shape)
+        got = (out, *conv3d_backward(g, x, w, stride, 1))
+        assert shapes == [(216, 813), (216, 813), (216, 812)] + [(72, 2438)] * 3
+        assert all(rows * cols <= autodiff.TILE_ELEMS == 2**18 for rows, cols in shapes)
+        want = (conv3d_windowed(x, w, b, stride, 1), *conv3d_windowed_backward(g, x, w, stride, 1))
+        for a, r in zip(got, want):
+            assert np.abs(a - r).max() < 1e-12 * np.abs(r).max()
 
     @pytest.mark.parametrize("stride,up", [(1, 1), (2, 1), (1, 2)])
     def test_results_survive_a_later_call(self, stride, up):
@@ -830,16 +921,18 @@ class TestConvUp2:
     def test_kept_parity_gradient_frame_keeps_its_zero_border(self, monkeypatch):
         # the parities are written straight into the zero-bordered gradient
         # frame of the parity conv, (Cout*8, h+1, w+2, d+2): 4*8 * (4, 4, 7) and
-        # 2*8 * (4, 7, 7) entries; a frame shared between A and B would carry
-        # A's blocks into B's border and its unwritten grid points
+        # 2*8 * (4, 7, 7) entries; A and B share one kept frame, so unless each
+        # call zeroes what it does not write, A's blocks would be carried into
+        # B's border and its unwritten grid points
         monkeypatch.setattr(autodiff, "_kept", {})
         geometries = {"A": (self.X_SHAPE, self.W_SHAPE), "B": ((2, 3, 5, 5), (2, 3, 3, 3, 2))}
         for seed, name in enumerate(("A", "B", "A")):
             x_shape, w_shape = geometries[name]
             for got, want in self._pair(np.float64, seed, x_shape, w_shape):
                 assert self._rel(got, want) < 1e-12
-        frames = [k for k in autodiff._kept if k[0][:2] == ("gframe", 2)]
-        assert sorted(k[1] for k in frames) == [(16, 4, 7, 7), (32, 4, 4, 7)]
+        # one frame, sized for the larger of the two
+        assert [k for k in autodiff._kept if k[0] == "gframe"] == [("gframe", np.dtype(np.float64))]
+        assert autodiff._kept["gframe", np.dtype(np.float64)].size == max(16 * 4 * 7 * 7, 32 * 4 * 4 * 7)
 
     def test_up1_conv_on_a_parity_frame_shape_between_up2_calls(self, monkeypatch):
         # A's parity gradient frame is (32, 4, 4, 7), its output view

@@ -6,6 +6,7 @@ from typing import get_type_hints
 import numpy as np
 import pytest
 
+from pacedseg import cli, losses
 from pacedseg.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from pacedseg.grids import load_arrays, save_arrays
 from pacedseg.metrics import summarize
@@ -420,6 +421,17 @@ def test_su_off_schedule_dump_matches_the_run_log(tmp_path, capsys):
     columns = ("lambda", "R_conf", "v", "K")
     assert ([tuple(c[k] for k in columns) for c in _csv_cells(capsys.readouterr().out)]
             == [tuple(c[k] for k in columns) for c in cells])
+
+
+def test_schedule_dump_writes_v_through_the_run_logs_formatter(tmp_path, capsys, monkeypatch):
+    """The v column of `schedule-dump` and of train_log.csv has one writer,
+    `losses.v_cell`, so the two cannot disagree."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(SMALL_CFG)
+    assert cli.v_cell is losses.v_cell
+    monkeypatch.setattr(cli, "v_cell", lambda v: "cell")
+    assert main(["--config", str(cfg), "schedule-dump"]) == EXIT_OK
+    assert [c["v"] for c in _csv_cells(capsys.readouterr().out)] == ["cell"] * 2
 
 
 def test_aborted_run_leaves_its_config(tmp_path, capsys):

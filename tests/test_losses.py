@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pacedseg.autodiff import Tape
-from pacedseg.losses import CE_PROB_FLOOR, DICE_EPS, LossReport, dice_ce_node
+from pacedseg.losses import CE_PROB_FLOOR, DICE_EPS, LossReport, dice_ce_node, v_cell
 
 from oracles import OracleTape, ce_node, dice_ce_chain, dice_loss, dice_node
 
@@ -287,4 +287,10 @@ class TestLossReport:
         row = rep.csv_row().split(",")
         assert float(row[1]) == rep.l_s
         assert float(row[4]) == rep.total
+        assert row[8] == v_cell(0.5) == "0.5"
         assert row[9] == "confident"
+
+    def test_v_cell_is_empty_when_su_is_off(self):
+        rep = LossReport(t=1, l_s=0.0, l_u=0.0, l_bf=0.0, mask_count=1,
+                         r_conf=1.0, branch="off", v=None, lam=0.1, lr=0.01)
+        assert v_cell(None) == "" and rep.csv_row().split(",")[8] == ""

@@ -1,5 +1,7 @@
 """tools/step_peaks.py on a tiny config: the rows it prints and how it fails."""
 
+import re
+
 import pytest
 import step_peaks
 
@@ -21,10 +23,21 @@ def test_prints_one_peak_per_row_from_its_own_process(tiny, capsys):
     lines = capsys.readouterr().out.splitlines()
     late = [name for name, _, _ in step_peaks.LATE_ROWS]
     assert [line.split(":")[0] for line in lines] == ["f32", "f64", *late]
-    mib = [float(line.split(": ")[1].removesuffix(" MiB")) for line in lines]
+    fields = [re.fullmatch(r"[^:]+: (\d+\.\d\d) MiB, kept (\d+\.\d\d) MiB", line).groups()
+              for line in lines]
+    mib, kept = ([float(f[i]) for f in fields] for i in (0, 1))
     assert all(m > 0 for m in mib)
     assert mib[1] > mib[0]  # float64 activations take twice the bytes
     assert mib[3] > mib[2]  # 64x64x32 against the late workload's 32x32x16
+    assert kept[3] > kept[2] > 0  # so do its conv work buffers
+
+
+def test_float64_keeps_twice_the_conv_bytes_of_float32(tiny, monkeypatch):
+    # the kept buffers and the tiles are sized in elements, so the same
+    # config in float64 keeps exactly twice the bytes
+    monkeypatch.setattr(step_peaks, "LATE_ROWS", ())
+    (_, _, kept32), (_, _, kept64) = step_peaks.measure()
+    assert kept32 > 0 and kept64 == 2 * kept32
 
 
 def test_rows_and_their_order():

@@ -317,13 +317,13 @@ class TestStepMemory:
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_step_keeps_one_cols_arena(self, dtype, monkeypatch):
         """Every conv of a step, whatever its geometry, takes its tiles of
-        cols and of column gradients from one arena."""
+        cols and of column gradients from one arena, and its phase frame and
+        gradient frame from one kept buffer each."""
         monkeypatch.setattr(autodiff, "_kept", {})
         cfg = tiny_config(dtype=dtype)
         trainer = Trainer(cfg, dataset_for_seed(cfg, cfg.seed))
         trainer.step(*trainer.batch_for(0))
-        arenas = [key for key in autodiff._kept if isinstance(key[0], str)]
-        assert arenas == [("cols", np.dtype(dtype))]
+        assert sorted(autodiff._kept) == [(role, np.dtype(dtype)) for role in ("cols", "gframe", "phases")]
 
     def test_labeled_tape_is_freed_before_the_unlabeled_graph(self, monkeypatch):
         """The labeled branch sweeps its own tape, so no node of it is alive

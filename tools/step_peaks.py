@@ -4,8 +4,11 @@
 
 Runs the package of the checkout at DIR (default: the checkout holding
 this script), imported from DIR/src and DIR/bench alone, with BLAS pinned
-to one thread, and prints one line per row: its name and the peak in MiB
-that `tracemalloc` reports for one step, counted from the step's start.
+to one thread, and prints one line per row: its name, the peak in MiB
+that `tracemalloc` reports for one step, counted from the step's start,
+and the conv work buffers kept across steps (`autodiff._kept`) in MiB
+after that step. A step's traced peak cannot see those buffers once an
+earlier step has made them, so the two together bound what a step holds.
 
 - The BASE set-up (2 + 2 cases, seed 1, the default config otherwise),
   whose peaks `TestStepMemory` bounds, takes WARM_STEPS = 3 warm steps;
@@ -49,9 +52,11 @@ LATE_ROWS = (
 )
 LATE_SEED = 7
 
-# argv: JSON config keys; prints the traced peak of step WARM_STEPS in bytes
+# argv: JSON config keys; prints the traced peak of step WARM_STEPS and the
+# kept conv bytes after it
 STEP_SCRIPT = """
 import json, sys, tracemalloc
+from pacedseg import autodiff
 from pacedseg.ablation import dataset_for_seed
 from pacedseg.training import TrainConfig, Trainer
 
@@ -62,15 +67,17 @@ for t in range(warm):
     trainer.step(*trainer.batch_for(t))
 tracemalloc.start()
 trainer.step(*trainer.batch_for(warm))
-print(tracemalloc.get_traced_memory()[1])
+print(tracemalloc.get_traced_memory()[1], sum(b.nbytes for b in autodiff._kept.values()))
 """
 
 # run with bench/ on the path; argv: JSON config keys, first and last traced
-# step, step seed; prints the highest traced step peak in bytes
+# step, step seed; prints the highest traced step peak and the kept conv
+# bytes after the last step
 LATE_SCRIPT = """
 import json, sys, tracemalloc
 from dataclasses import replace
 import harness
+from pacedseg import autodiff
 
 keys = json.loads(sys.argv[1])
 first, last, seed = map(int, sys.argv[2:5])
@@ -84,7 +91,7 @@ for t in range(last + 1):
     if t >= first:
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
-print(max(peaks))
+print(max(peaks), sum(b.nbytes for b in autodiff._kept.values()))
 """
 
 
@@ -98,16 +105,17 @@ def commands() -> list[tuple[str, list[str]]]:
     return found
 
 
-def measure(root=ROOT) -> list[tuple[str, int]]:
-    """(name, peak bytes) of every row, one process at a time; a failed row
-    raises RuntimeError with its name and error output."""
+def measure(root=ROOT) -> list[tuple[str, int, int]]:
+    """(name, peak bytes, kept conv bytes) of every row, one process at a
+    time; a failed row raises RuntimeError with its name and error output."""
     env = run_env(Path(root).resolve())
     peaks = []
     for name, argv in commands():
         done = subprocess.run(argv, env=env, capture_output=True, text=True)
         if done.returncode:
             raise RuntimeError(f"{name} exited with {done.returncode}:\n{done.stderr}")
-        peaks.append((name, int(done.stdout.split()[-1])))
+        peak, kept = map(int, done.stdout.split()[-2:])
+        peaks.append((name, peak, kept))
     return peaks
 
 
@@ -116,8 +124,8 @@ def main(argv=None) -> int:
     parser.add_argument("--root", default=str(ROOT), help="checkout whose package runs")
     args = parser.parse_args(argv)
     try:
-        for name, peak in measure(args.root):
-            print(f"{name}: {peak / 2**20:.2f} MiB", flush=True)
+        for name, peak, kept in measure(args.root):
+            print(f"{name}: {peak / 2**20:.2f} MiB, kept {kept / 2**20:.2f} MiB", flush=True)
     except RuntimeError as e:
         print(e, file=sys.stderr)
         return 1
