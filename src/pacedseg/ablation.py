@@ -18,11 +18,12 @@ from .metrics import METRICS
 from .synthdata import Dataset, attach_registration, generate_dataset
 from .training import TrainConfig, run_training
 
+# each variant is a name and the TrainConfig overrides it runs with, in run order
 VARIANTS = (
-    ("baseline", False, False),
-    ("su", True, False),
-    ("sc", False, True),
-    ("full", True, True),
+    ("baseline", {"enable_su": False, "enable_sc": False}),
+    ("su", {"enable_su": True, "enable_sc": False}),
+    ("sc", {"enable_su": False, "enable_sc": True}),
+    ("full", {"enable_su": True, "enable_sc": True}),
 )
 
 RUNS_CSV = "ablation_runs.csv"
@@ -67,10 +68,10 @@ def _aggregate(values: list[float]) -> tuple[float, float]:
 def format_table(aggregate: dict) -> str:
     header = f"{'variant':<10}" + "".join(f"{m.upper():>18}" for m in METRICS)
     lines = [header, "-" * len(header)]
-    for name, _, _ in VARIANTS:
+    for name, stats in aggregate.items():
         cells = []
         for metric in METRICS:
-            mean, std = aggregate[name][metric]
+            mean, std = stats[metric]
             cells.append(f"{mean:9.4f} +-{std:6.4f}")
         lines.append(f"{name:<10}" + "".join(f"{c:>18}" for c in cells))
     return "\n".join(lines)
@@ -88,10 +89,9 @@ def run_ablation(config: TrainConfig, seeds, out_dir, progress=None) -> Ablation
     runs = {}
     for seed in seeds:
         dataset = dataset_for_seed(config, seed)
-        for name, enable_su, enable_sc in VARIANTS:
-            cfg = replace(config, enable_su=enable_su, enable_sc=enable_sc, seed=seed)
-            run_dir = out / "runs" / f"{name}_seed{seed}"
-            summary = run_training(cfg, dataset, run_dir)
+        for name, overrides in VARIANTS:
+            cfg = replace(config, **overrides, seed=seed).validate()
+            summary = run_training(cfg, dataset, out / "runs" / f"{name}_seed{seed}")
             runs[(name, seed)] = summary
             if progress is not None:
                 progress(name, seed, summary)
@@ -102,21 +102,21 @@ def run_ablation(config: TrainConfig, seeds, out_dir, progress=None) -> Ablation
             metric: _aggregate([runs[(name, s)][metric] for s in seeds])
             for metric in METRICS
         }
-        for name, _, _ in VARIANTS
+        for name, _ in VARIANTS
     }
 
     with open(out / RUNS_CSV, "w") as f:
         f.write("variant,seed," + ",".join(METRICS) + "\n")
-        for name, _, _ in VARIANTS:
+        for name in aggregate:
             for seed in seeds:
                 summary = runs[(name, seed)]
                 f.write(f"{name},{seed}," + ",".join(repr(summary[m]) for m in METRICS) + "\n")
     with open(out / SUMMARY_CSV, "w") as f:
         f.write("variant," + ",".join(f"{m}_mean,{m}_std" for m in METRICS) + ",n_runs\n")
-        for name, _, _ in VARIANTS:
+        for name, stats in aggregate.items():
             cells = []
             for metric in METRICS:
-                mean, std = aggregate[name][metric]
+                mean, std = stats[metric]
                 cells.extend([repr(mean), repr(std)])
             f.write(f"{name}," + ",".join(cells) + f",{len(seeds)}\n")
     table = format_table(aggregate)

@@ -22,7 +22,9 @@ from .losses import v_cell
 from .metrics import format_summary, summarize, write_records
 from .network import load_checkpoint
 from .synthdata import load_dataset, save_dataset
-from .training import TrainConfig, evaluate_params, load_config, run_training, save_config
+from .training import (
+    TrainConfig, evaluate_params, load_config, parse_setting, run_training, save_config,
+)
 from .uncertainty import admitted, admitted_count, warmup_xi
 
 EXIT_OK = 0
@@ -52,7 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--section", default="student", help="checkpoint section to evaluate")
 
     ab = sub.add_parser("ablate", help="baseline / +SU / +SC / full comparison")
-    ab.add_argument("--seeds", help="comma-separated run seeds (default from config)")
+    ab.add_argument("--seeds", help="comma-separated run seeds, read as the config's "
+                                    "ablation_seeds (default: that setting)")
 
     sd = sub.add_parser("schedule-dump",
                         help="emit (t, xi, lambda, R_conf, v, K) per iteration as CSV under "
@@ -107,13 +110,7 @@ def cmd_eval(cfg: TrainConfig, args) -> int:
 
 
 def cmd_ablate(cfg: TrainConfig, args) -> int:
-    if args.seeds:
-        try:
-            seeds = tuple(int(s) for s in args.seeds.replace(",", " ").split())
-        except ValueError as e:
-            raise ConfigError(f"bad --seeds value {args.seeds!r}") from e
-    else:
-        seeds = cfg.ablation_seeds
+    seeds = parse_setting("ablation_seeds", args.seeds) if args.seeds else cfg.ablation_seeds
     def progress(name, seed, summary):
         print(f"  {name:<9} seed={seed}  DSC={summary['dsc']:.4f}", flush=True)
     result = run_ablation(cfg, seeds, args.out_dir, progress=progress)

@@ -73,7 +73,8 @@ def mine_pairs(
     Features are (h, w, d, F) grids; labels, the mask and the strong-view
     confidence are (h, w, d) grids. Negatives are ordered by (confidence
     descending, linear index), so the batch is deterministic for identical
-    inputs.
+    inputs. It needs k_neg >= 0 and tau > 0, which `TrainConfig.validate`
+    enforces on k_neg and tau_contrast.
     """
     dims = mask_ds.shape
     for name, arr in (
@@ -83,10 +84,6 @@ def mine_pairs(
     ):
         if arr.shape[:3] != dims:
             raise ValueError(f"{name} dims {arr.shape[:3]} != mask dims {dims}")
-    if k_neg < 0:
-        raise ValueError("k_neg must be nonnegative")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
 
     m = mask_ds.ravel()
     p1, p2, psn = preds_w1.ravel(), preds_w2.ravel(), preds_sn.ravel()

@@ -218,9 +218,8 @@ def head_forward(params: ModelParams, hdec: np.ndarray, dropout=None) -> np.ndar
 # ---------------------------------------------------------------------------
 
 def ema_update(teacher: ModelParams, student: ModelParams, decay: float) -> ModelParams:
-    """teacher <- decay * teacher + (1 - decay) * student, coordinatewise."""
-    if not 0.0 <= decay < 1.0:
-        raise ValueError("EMA decay must be in [0, 1)")
+    """teacher <- decay * teacher + (1 - decay) * student, coordinatewise. It needs
+    decay in [0, 1), which `TrainConfig.validate` enforces on ema_decay."""
     for name in PARAM_NAMES:
         t, s = teacher.tensors[name], student.tensors[name]
         if (t.dtype, t.shape) != (s.dtype, s.shape):
@@ -249,9 +248,9 @@ def sgd_step(
     stored, so a ValueError or TrainingAbort leaves the parameters and
     velocities as they were. A gradient must match its tensor's dtype and
     shape: numpy would otherwise promote or broadcast it into the update.
+    It needs lr > 0, which `TrainConfig.validate` enforces on every
+    iteration's `TrainConfig.lr_at`.
     """
-    if lr <= 0:
-        raise ValueError("learning rate must be positive")
     velocity, tensors = {}, {}
     for name in PARAM_NAMES:
         g, p = grads[name], params.tensors[name]

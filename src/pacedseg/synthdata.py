@@ -238,11 +238,9 @@ def attach_registration(
 
 def slice_weight_map(depth: int, k: int, w0: float, half_life: float) -> np.ndarray:
     """Trust in the registration label per depth slice d, a (depth,) vector:
-    w0 * 2^(-|d - k| / half_life). It depends on the depth index alone."""
-    if not 0.0 <= w0 <= 1.0:
-        raise ValueError("w0 must be in [0, 1]")
-    if half_life <= 0:
-        raise ValueError("half_life must be positive")
+    w0 * 2^(-|d - k| / half_life). It depends on the depth index alone.
+    It needs w0 in [0, 1] and half_life > 0, which `TrainConfig.validate`
+    enforces on fuse_w0 and fuse_half_life."""
     s = np.abs(np.arange(depth) - k).astype(np.float64)
     return w0 * np.exp2(-s / half_life)
 

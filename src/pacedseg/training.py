@@ -162,6 +162,11 @@ class TrainConfig:
             return self.decay_period
         return max(1, self.iterations * 5 // 12)
 
+    def lr_at(self, t: int) -> float:
+        """The learning rate of iteration t: lr0, stepped down by lr_decay
+        every effective_decay_period iterations."""
+        return self.lr0 * self.lr_decay ** (t // self.effective_decay_period)
+
     @property
     def np_dtype(self):
         return {"float32": np.float32, "float64": np.float64}[self.dtype]
@@ -217,6 +222,10 @@ class TrainConfig:
         for ok, msg in checks:
             if not ok:
                 raise ConfigError(msg)
+        # lr_decay <= 1, so the last iteration's rate is the least
+        if not self.lr_at(self.iterations - 1) > 0:
+            raise ConfigError("the learning rate underflows to 0 before the last iteration; "
+                              "raise lr0, lr_decay or decay_period")
         return self
 
 
@@ -225,29 +234,28 @@ _TUPLE_FIELDS = {"widths": int, "ablation_seeds": int}
 _OPTIONAL_FIELDS = {"decay_period": int}
 
 
+def parse_setting(key: str, raw: str):
+    """The value of config key `key` written as the string `raw`, typed per field."""
+    if key not in {f.name for f in fields(TrainConfig)}:
+        raise ConfigError(f"unknown config key {key!r}")
+    kind = _OPTIONAL_FIELDS.get(key, type(getattr(TrainConfig(), key)))
+    try:
+        if key in _TUPLE_FIELDS:
+            return tuple(_TUPLE_FIELDS[key](x) for x in raw.replace(",", " ").split())
+        if kind is bool:
+            if raw.lower() not in ("true", "false", "1", "0"):
+                raise ValueError(raw)
+            return raw.lower() in ("true", "1")
+        if kind in (int, float):
+            return kind(raw)
+        return raw
+    except ValueError as e:
+        raise ConfigError(f"bad value for {key!r}: {raw!r}") from e
+
+
 def config_from_dict(values: dict[str, str]) -> TrainConfig:
     """Build a config from string key=value pairs, type-checked per field."""
-    by_name = {f.name: f for f in fields(TrainConfig)}
-    defaults = TrainConfig()
-    kwargs = {}
-    for key, raw in values.items():
-        if key not in by_name:
-            raise ConfigError(f"unknown config key {key!r}")
-        kind = _OPTIONAL_FIELDS.get(key, type(getattr(defaults, key)))
-        try:
-            if key in _TUPLE_FIELDS:
-                kwargs[key] = tuple(_TUPLE_FIELDS[key](x) for x in raw.replace(",", " ").split())
-            elif kind is bool:
-                if raw.lower() not in ("true", "false", "1", "0"):
-                    raise ValueError(raw)
-                kwargs[key] = raw.lower() in ("true", "1")
-            elif kind in (int, float):
-                kwargs[key] = kind(raw)
-            else:
-                kwargs[key] = raw
-        except ValueError as e:
-            raise ConfigError(f"bad value for {key!r}: {raw!r}") from e
-    return TrainConfig(**kwargs).validate()
+    return TrainConfig(**{key: parse_setting(key, raw) for key, raw in values.items()}).validate()
 
 
 def load_config(path) -> TrainConfig:
@@ -330,8 +338,7 @@ class Trainer:
         return self.schedule.t
 
     def current_lr(self) -> float:
-        period = self.config.effective_decay_period
-        return self.config.lr0 * self.config.lr_decay ** (self.t // period)
+        return self.config.lr_at(self.t)
 
     def _teacher_view(self, view: np.ndarray):
         """Teacher trunk + clean head on one weak view; (decoder, down-sampled, labels)."""

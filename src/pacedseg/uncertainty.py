@@ -51,10 +51,9 @@ def mc_uncertainty_from_trunk(
     """T dropout-on head passes over a shared trunk; (mean probs, entropy in nats).
 
     Pass t uses ``mc_pass_seed(seed, t)``, so averaging T full dropout-on
-    forward passes with those seeds reproduces the mean exactly.
+    forward passes with those seeds reproduces the mean exactly. It needs
+    n_passes >= 1, which `TrainConfig.validate` enforces on mc_passes.
     """
-    if n_passes < 1:
-        raise ValueError("need at least one stochastic pass")
     acc = None
     for t in range(n_passes):
         drop = draw_dropout(hdec.shape, params.dropout_rate, mc_pass_seed(seed, t), params.dtype)
@@ -76,11 +75,11 @@ WARM_CAP = 0.1
 
 
 def warmup_xi(t: int, t_max: int) -> float:
-    """Ramp min(0.1 * exp(-5 (1 - t/t_max)^2), 1), nondecreasing on [0, t_max]."""
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    if not 0 <= t <= t_max:
-        raise ValueError(f"t={t} outside [0, {t_max}]")
+    """Ramp min(0.1 * exp(-5 (1 - t/t_max)^2), 1), nondecreasing on [0, t_max].
+
+    It needs t_max >= 1, which `TrainConfig.validate` enforces on iterations,
+    and t in [0, t_max], which `Schedule.ratio` checks.
+    """
     frac = 1.0 - t / t_max
     return min(0.1 * math.exp(-5.0 * frac * frac), 1.0)
 
@@ -89,7 +88,9 @@ def warmup_xi(t: int, t_max: int) -> float:
 class Schedule:
     """The self-paced schedule's whole state: the clock t, the age parameter
     lam = alpha * delta^t, and the last unweighted unsupervised loss fed in
-    (inf before the first step, so step 0 is on the warm branch)."""
+    (inf before the first step, so step 0 is on the warm branch). It needs
+    t_max >= 1, alpha > 0 and delta >= 1 (lam never shrinks), which
+    `TrainConfig.validate` enforces on iterations, alpha and delta."""
 
     t_max: int
     alpha: float = 0.1
@@ -100,11 +101,6 @@ class Schedule:
     last_lu: float = field(default=math.inf, init=False)
 
     def __post_init__(self):
-        if not (self.t_max > 0 and self.alpha > 0 and self.delta >= 1):
-            raise ValueError(
-                f"need t_max > 0, alpha > 0 and delta >= 1 (the age parameter never "
-                f"shrinks), got t_max={self.t_max}, alpha={self.alpha}, delta={self.delta}"
-            )
         self.lam = self.alpha
 
     def ratio(self):

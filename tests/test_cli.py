@@ -342,6 +342,16 @@ def test_bad_ablation_seeds_exit_config(tmp_path, capsys, seeds):
     assert not (tmp_path / "runs").exists()
 
 
+def test_malformed_ablation_seeds_exit_config(tmp_path, capsys):
+    """--seeds is read as the config's ablation_seeds is."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(TINY_CFG)
+    argv = ["--config", str(cfg), "--out-dir", str(tmp_path), "ablate", "--seeds", "1,x,3"]
+    assert main(argv) == EXIT_CONFIG
+    assert "bad value for 'ablation_seeds': '1,x,3'" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_eval_directory_as_checkpoint_exits_config(tiny_data, tmp_path, capsys):
     _, data = tiny_data
     argv = ["--out-dir", str(tmp_path / "out"), "eval",
@@ -356,7 +366,9 @@ FLOAT_KEYS = [f.name for f in fields(TrainConfig) if get_type_hints(TrainConfig)
 OUT_OF_RANGE = [
     ("edge_width", "0"), ("edge_width", "-0.1"), ("noise_amp", "-1"), ("weak_sigma", "-1"),
     ("loss_w_s", "-1"), ("loss_w_u", "-1"), ("loss_w_bf", "-1"), ("center_jitter", "0.6"),
-    ("center_jitter", "-0.1"), ("delta", "0.5"),
+    ("center_jitter", "-0.1"), ("delta", "0.5"), ("delta", "nan"), ("alpha", "0"),
+    ("mc_passes", "0"), ("k_neg", "-1"), ("tau_contrast", "0"), ("ema_decay", "1"),
+    ("lr0", "0"), ("fuse_w0", "1.5"), ("fuse_half_life", "0"),
 ] + [(key, "inf") for key in FLOAT_KEYS if key not in INF_ALLOWED]
 
 
@@ -368,6 +380,19 @@ def test_out_of_range_config_exits_config(tmp_path, capsys, key, value):
     assert main(argv) == EXIT_CONFIG
     assert key in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_learning_rate_underflow_exits_config(tmp_path, capsys):
+    """lr0 * lr_decay ** 65 is 0.0 in float64: a learning rate that reaches
+    0 before the last iteration is refused before any run file is written."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(SMALL_CFG.replace("iterations = 2", "iterations = 80")
+                   + "decay_period = 1\nlr_decay = 0.00001\n")
+    run = tmp_path / "run"
+    assert main(["--config", str(cfg), "--out-dir", str(run), "train"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "learning rate underflows to 0" in captured.err and "lr_decay" in captured.err
+    assert captured.out == "" and not run.exists()
 
 
 @pytest.mark.parametrize("key", INF_ALLOWED)

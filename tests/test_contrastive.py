@@ -467,13 +467,6 @@ class TestMinePairs:
         with pytest.raises(ValueError):
             mine_pairs(**inputs, k_neg=1)
 
-    def test_bad_k_neg_or_tau_rejected(self):
-        inputs = self.make_inputs(np.random.default_rng(19))
-        with pytest.raises(ValueError, match="k_neg"):
-            mine_pairs(**inputs, k_neg=-1)
-        with pytest.raises(ValueError, match="tau"):
-            mine_pairs(**inputs, k_neg=1, tau=0.0)
-
     def test_shared_class_pools_match_gather_oracle(self):
         rng = np.random.default_rng(16)
         for _ in range(10):

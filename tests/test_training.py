@@ -24,7 +24,6 @@ from pacedseg.training import (
     run_training,
     save_config,
 )
-from pacedseg.uncertainty import Schedule
 
 
 def tiny_config(**overrides):
@@ -557,7 +556,7 @@ class TestRunTraining:
                 assert eval_log[-1][1] == repr(summary["dsc"])
 
     def test_logged_l_u_replays_the_logged_schedule(self, tmp_path):
-        """A Schedule fed the log's own L_u column reproduces its lambda,
+        """The config's schedule fed the log's own L_u column reproduces its lambda,
         R_conf, v and K columns, over both branches (alpha = 100 leaves the
         warm branch after step 0)."""
         cfg = tiny_config(alpha=100.0, tau_sched=2000.0)
@@ -567,7 +566,7 @@ class TestRunTraining:
         cells = [dict(zip(header, row.split(","))) for row in rows[1:]]
         assert len(cells) == cfg.iterations
         assert {c["branch"] for c in cells} == {"warm", "confident"}
-        schedule = Schedule(cfg.iterations, cfg.alpha, cfg.delta, cfg.tau_sched)
+        schedule = cfg.new_schedule()
         n_vox = cfg.dim_h * cfg.dim_w * cfg.dim_d
         for c in cells:
             r_conf, v = schedule.ratio()

@@ -49,11 +49,6 @@ class TestEntropy:
 
 
 class TestMCUncertainty:
-    def test_t0_rejected(self):
-        params = init_params(widths=(2, 2, 2, 2), embed_dim=3, seed=0)
-        with pytest.raises(ValueError):
-            mc_on_image(params, np.zeros((4, 4, 2)), 0, 0)
-
     def test_single_pass_no_dropout_degenerate(self):
         params = init_params(widths=(2, 2, 2, 2), embed_dim=3, dropout_rate=0.0, seed=1)
         # force a hard prediction by inflating the head weights
@@ -94,14 +89,6 @@ class TestWarmup:
     def test_nondecreasing(self):
         vals = [warmup_xi(t, 50) for t in range(51)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            warmup_xi(0, 0)
-        with pytest.raises(ValueError):
-            warmup_xi(-1, 10)
-        with pytest.raises(ValueError):
-            warmup_xi(11, 10)
 
 
 class TestAgeSchedule:
@@ -168,10 +155,6 @@ class TestConfidentRatio:
                 admitted(schedule, enable_su)
 
     def test_invalid_states(self):
-        for t_max, kwargs in ((10, {"alpha": 0.0}), (10, {"delta": 0.5}),
-                              (10, {"delta": float("nan")}), (0, {})):
-            with pytest.raises(ValueError, match="never shrinks"):
-                Schedule(t_max, **kwargs)
         for lu in (-1.0, float("nan")):
             with pytest.raises(ValueError, match="must be >= 0"):
                 Schedule(10).advance(lu)
