@@ -90,7 +90,7 @@ def run_ablation(config: TrainConfig, seeds, out_dir, progress=None) -> Ablation
     for seed in seeds:
         dataset = dataset_for_seed(config, seed)
         for name, overrides in VARIANTS:
-            cfg = replace(config, **overrides, seed=seed).validate()
+            cfg = replace(config, **overrides, seed=seed)
             summary = run_training(cfg, dataset, out / "runs" / f"{name}_seed{seed}")
             runs[(name, seed)] = summary
             if progress is not None:

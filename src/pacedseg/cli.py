@@ -4,9 +4,12 @@ Verbs: gen-data, train, eval, ablate, schedule-dump. Global flags
 --config / --seed / --out-dir apply to every verb; all but schedule-dump
 create --out-dir. --data-dir and --checkpoint read the named-array files
 that gen-data and train write; a dataset directory always holds its
-registration labels and truths. A run takes at least one step. Exit codes:
-0 on success, 2 on configuration errors and unusable files or directories,
-3 on a numeric training abort.
+registration labels and truths. A run takes at least one step. The config
+is checked once, when it is read, before any verb writes a file; gen-data
+writes it beside its dataset, and `run_training` writes each run's
+config.txt (train's, and each of ablate's) once the run is accepted.
+Exit codes: 0 on success, 2 on configuration errors and unusable files or
+directories, 3 on a numeric training abort.
 """
 
 from __future__ import annotations
@@ -22,9 +25,8 @@ from .losses import v_cell
 from .metrics import format_summary, summarize, write_records
 from .network import load_checkpoint
 from .synthdata import load_dataset, save_dataset
-from .training import (
-    TrainConfig, evaluate_params, load_config, parse_setting, run_training, save_config,
-)
+from .training import CONFIG_NAME, TrainConfig, evaluate_params, load_config, parse_setting
+from .training import run_training, save_config
 from .uncertainty import admitted, admitted_count, warmup_xi
 
 EXIT_OK = 0
@@ -67,15 +69,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_cfg(args) -> TrainConfig:
     cfg = load_config(args.config) if args.config else TrainConfig()
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    return cfg.validate()
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
 def cmd_gen_data(cfg: TrainConfig, args) -> int:
     ds = dataset_for_seed(cfg, cfg.seed)
     save_dataset(ds, args.out_dir)
-    save_config(cfg, Path(args.out_dir) / "config.txt")
+    save_config(cfg, Path(args.out_dir) / CONFIG_NAME)
     print(f"wrote {ds.n_labeled} labeled + {ds.n_unlabeled} unlabeled cases to {args.out_dir}")
     return EXIT_OK
 
@@ -85,7 +85,6 @@ def cmd_train(cfg: TrainConfig, args) -> int:
         ds = load_dataset(args.data_dir)
     else:
         ds = dataset_for_seed(cfg, cfg.seed)
-    save_config(cfg, Path(args.out_dir) / "config.txt")  # first, so an aborted run names it
     print(f"final: {format_summary(run_training(cfg, ds, args.out_dir))}")
     print(f"artifacts in {Path(args.out_dir)}")
     return EXIT_OK

@@ -81,11 +81,16 @@ TRAIN_LOG_NAME = "train_log.csv"
 EVAL_LOG_NAME = "eval_log.csv"
 EVAL_FINAL_NAME = "eval_final.csv"
 FINAL_CKPT_NAME = "final.ckpt"
+CONFIG_NAME = "config.txt"
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Every knob of a run; maps 1:1 onto the flat key=value config file."""
+    """Every knob of a run; maps 1:1 onto the flat key=value config file.
+
+    Frozen, and checked once, when made (`__post_init__` runs `validate`):
+    `replace` makes a new, checked config. `run_training` writes config.txt.
+    """
 
     # optimization: lr steps down by lr_decay every decay_period iterations;
     # unset (None), the period is derived from iterations at the default
@@ -108,7 +113,7 @@ class TrainConfig:
     k_neg: int = 64
     # model
     n_classes: int = 2
-    widths: tuple = (4, 8, 8, 8)
+    widths: tuple[int, ...] = (4, 8, 8, 8)
     embed_dim: int = 16
     dropout_rate: float = 0.3
     dtype: str = "float32"
@@ -139,7 +144,10 @@ class TrainConfig:
     eval_seed: int = 777
     n_eval: int = 8
     eval_period: int = 250
-    ablation_seeds: tuple = (1, 2, 3, 4, 5)
+    ablation_seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
+
+    def __post_init__(self):
+        self.validate()
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -204,7 +212,8 @@ class TrainConfig:
             (valid_dims(self.dims), "dims must be even and >= 4"),
             (self.n_labeled >= 1 and self.n_unlabeled >= 1,
              "need at least one labeled and one unlabeled case"),
-            (self.noise_amp >= 0, "noise_amp must be >= 0"),
+            # intensities lie in [0, 1]; no normal draw times 1e30 nears float32's 3.4e38
+            (0 <= self.noise_amp <= 1e30, "noise_amp must be in [0, 1e30]: an image is float32"),
             (0 < self.radius_lo <= self.radius_hi < 0.5, "radius range must be in (0, 0.5)"),
             (0 <= self.center_jitter < 0.5, "center_jitter must be in [0, 0.5)"),
             (self.edge_width > 0, "edge_width must be positive"),
@@ -229,38 +238,33 @@ class TrainConfig:
         return self
 
 
-_TUPLE_FIELDS = {"widths": int, "ablation_seeds": int}
-# fields whose default is None ("unset"), with the type of a value set in a file
-_OPTIONAL_FIELDS = {"decay_period": int}
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() not in ("true", "false", "1", "0"):
+        raise ValueError(raw)
+    return raw.lower() in ("true", "1")
+
+
+# the parser of each TrainConfig annotation (a str, PEP 563)
+_PARSERS = {"int": int, "float": float, "bool": _parse_bool, "str": str, "int | None": int,
+            "tuple[int, ...]": lambda raw: tuple(int(x) for x in raw.replace(",", " ").split())}
 
 
 def parse_setting(key: str, raw: str):
-    """The value of config key `key` written as the string `raw`, typed per field."""
-    if key not in {f.name for f in fields(TrainConfig)}:
+    """The value of config key `key` written as the string `raw`, parsed by
+    the field's annotation; its config checks it when that config is made."""
+    kinds = {f.name: f.type for f in fields(TrainConfig)}
+    if key not in kinds:
         raise ConfigError(f"unknown config key {key!r}")
-    kind = _OPTIONAL_FIELDS.get(key, type(getattr(TrainConfig(), key)))
     try:
-        if key in _TUPLE_FIELDS:
-            return tuple(_TUPLE_FIELDS[key](x) for x in raw.replace(",", " ").split())
-        if kind is bool:
-            if raw.lower() not in ("true", "false", "1", "0"):
-                raise ValueError(raw)
-            return raw.lower() in ("true", "1")
-        if kind in (int, float):
-            return kind(raw)
-        return raw
+        return _PARSERS[kinds[key]](raw)
     except ValueError as e:
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from e
 
 
-def config_from_dict(values: dict[str, str]) -> TrainConfig:
-    """Build a config from string key=value pairs, type-checked per field."""
-    return TrainConfig(**{key: parse_setting(key, raw) for key, raw in values.items()}).validate()
-
-
 def load_config(path) -> TrainConfig:
-    """Parse a flat `key = value` file; '#' starts a comment."""
-    values = {}
+    """Parse a flat `key = value` file; '#' starts a comment and each key
+    is set at most once. A line's error names its path and line number."""
+    values, lines = {}, {}
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as e:
@@ -269,11 +273,16 @@ def load_config(path) -> TrainConfig:
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        key, sep, value = line.partition("=")
+        key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        values[key.strip()] = value.strip()
-    return config_from_dict(values)
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: {key!r} is set again, first on line {lines[key]}")
+        try:
+            values[key], lines[key] = parse_setting(key, value), lineno
+        except ConfigError as e:
+            raise ConfigError(f"{path}:{lineno}: {e}") from e
+    return TrainConfig(**values)
 
 
 def save_config(config: TrainConfig, path) -> None:
@@ -309,7 +318,6 @@ class Trainer:
     """Owns student/teacher parameters, the optimizer, and the schedule."""
 
     def __init__(self, config: TrainConfig, dataset: Dataset):
-        config.validate()
         if dataset.n_labeled < 1 or dataset.n_unlabeled < 1:
             raise ConfigError("training needs at least one labeled and one unlabeled case")
         if dataset.dims != config.dims:
@@ -512,16 +520,18 @@ def evaluate_params(params: ModelParams, cases, n_classes: int) -> list[MetricsR
 def run_training(config: TrainConfig, dataset: Dataset, out_dir) -> dict:
     """Train, log per-iteration losses and periodic metrics, persist checkpoints.
 
-    The student is scored every eval_period iterations (one eval_log.csv row
+    This is the one writer of a run's config.txt: after `Trainer` has
+    accepted the config and the data, and before the first step, so a
+    refused run writes none and an aborted one says what it ran. The
+    student is scored every eval_period iterations (one eval_log.csv row
     each) and after the last iteration, whose per-case scores go to
     eval_final.csv. Returns summarize() of that last student.
     """
-    config.validate()
+    trainer = Trainer(config, dataset)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    save_config(config, out / CONFIG_NAME)
     eval_set = eval_cases(config)
-
-    trainer = Trainer(config, dataset)
     eval_points = []
 
     with open(out / TRAIN_LOG_NAME, "w") as log:

@@ -7,7 +7,7 @@ from pacedseg import ablation
 from pacedseg.cli import EXIT_OK, main
 from pacedseg.training import TrainConfig, load_config
 
-RUN_FILES = ("train_log.csv", "eval_log.csv", "eval_final.csv", "final.ckpt")
+RUN_FILES = ("config.txt", "train_log.csv", "eval_log.csv", "eval_final.csv", "final.ckpt")
 
 
 def test_a_seeds_dataset_is_freed_before_the_next_is_built(tmp_path, monkeypatch):

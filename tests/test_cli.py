@@ -53,6 +53,22 @@ def test_negative_or_nan_loss_exits_config(capsys):
     assert capsys.readouterr().err.count("--lu-const must be >= 0") == 2
 
 
+@pytest.mark.parametrize("text,where", [
+    ("iterations = 12\nlr0 = 0.5\niterations = 5\n",
+     ":3: 'iterations' is set again, first on line 1"),
+    ("iterations = 12\niteration = 3\n", ":2: unknown config key 'iteration'"),
+    ("# a comment\niterations = twelve\n", ":2: bad value for 'iterations': 'twelve'"),
+], ids=["repeated_key", "unknown_key", "bad_value"])
+def test_config_file_error_names_its_line(tmp_path, capsys, text, where):
+    """Each key is set once in a file, and a line's error names the line."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out-dir", str(out), "train"]) == EXIT_CONFIG
+    assert f"config error: {cfg}{where}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unreadable_config_exits_config(tmp_path, capsys):
     binary = tmp_path / "binary"
     binary.write_bytes(b"\xff\xfe\x00")
@@ -317,6 +333,7 @@ def test_train_on_other_dims_exits_config(tiny_data, tmp_path, capsys):
     cfg.write_text(TINY_CFG.replace("dim_d = 4", "dim_d = 6"))
     assert _train_on(cfg, data, tmp_path / "run") == EXIT_CONFIG
     assert "dataset dims (4, 4, 4) != config dims (4, 4, 6)" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "config.txt").exists()
 
 
 @pytest.mark.parametrize("cfg_text,extra", [
@@ -368,7 +385,7 @@ OUT_OF_RANGE = [
     ("loss_w_s", "-1"), ("loss_w_u", "-1"), ("loss_w_bf", "-1"), ("center_jitter", "0.6"),
     ("center_jitter", "-0.1"), ("delta", "0.5"), ("delta", "nan"), ("alpha", "0"),
     ("mc_passes", "0"), ("k_neg", "-1"), ("tau_contrast", "0"), ("ema_decay", "1"),
-    ("lr0", "0"), ("fuse_w0", "1.5"), ("fuse_half_life", "0"),
+    ("lr0", "0"), ("fuse_w0", "1.5"), ("fuse_half_life", "0"), ("noise_amp", "1e38"),
 ] + [(key, "inf") for key in FLOAT_KEYS if key not in INF_ALLOWED]
 
 

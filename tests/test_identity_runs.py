@@ -7,7 +7,7 @@ import pytest
 
 from test_quality_pin import REG_RUN
 
-from pacedseg.training import config_from_dict
+from pacedseg.training import load_config
 
 TINY = {"dim_h": "16", "dim_w": "16", "dim_d": "8", "n_labeled": "2", "n_unlabeled": "2",
         "widths": "2 3 4 3", "embed_dim": "4", "mc_passes": "2", "k_neg": "8"}
@@ -59,7 +59,11 @@ def test_tiny_config_writes_every_run_file(tmp_path, capsys, monkeypatch):
         assert [p.name for p in (out / name).iterdir()] == ["schedule.csv"]
         rows = (out / name / "schedule.csv").read_text().splitlines()
         assert rows[0] == "t,xi,lambda,R_conf,v,K" and len(rows) == 1 + 6
-    assert len(list((out / "ablate" / "runs").iterdir())) == 4 * 3
+    ablate_runs = list((out / "ablate" / "runs").iterdir())
+    assert len(ablate_runs) == 4 * 3
+    for run in ablate_runs:
+        assert sorted(p.name for p in run.iterdir()) == TRAIN_FILES
+        assert load_config(run / "config.txt").seed == int(run.name.rsplit("seed", 1)[1])
     for name, rows in (("train_float32_default", 1), ("train_reg", 4), ("eval_float32", 4),
                        ("ablate", 12)):  # each scoring run counts its eval rows
         line = printed[names.index(name)]
@@ -85,5 +89,6 @@ def test_defined_rows_counts_rows_with_every_cell_filled(tmp_path):
     assert identity_runs.defined_rows(tmp_path / "runs" / "b") == (0, 0)
 
 
-def test_reg_run_is_the_quality_pins_config():
-    assert config_from_dict(identity_runs.REG) == REG_RUN
+def test_reg_run_is_the_quality_pins_config(tmp_path):
+    reg = identity_runs.write_config(tmp_path / "reg.cfg", identity_runs.REG)
+    assert load_config(reg) == REG_RUN

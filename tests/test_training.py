@@ -2,7 +2,7 @@ import gc
 import math
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -19,8 +19,8 @@ from pacedseg.training import (
     StepTrace,
     TrainConfig,
     Trainer,
-    config_from_dict,
     load_config,
+    parse_setting,
     run_training,
     save_config,
 )
@@ -42,20 +42,36 @@ class TestConfig:
         TrainConfig().validate()
 
     def test_file_roundtrip(self, tmp_path):
-        cfg = tiny_config(lr0=0.02, enable_sc=False, ablation_seeds=(7, 8, 9))
+        cfg = tiny_config(lr0=0.02, enable_sc=False, ablation_seeds=(7, 8, 9), dtype="float64")
+        default = TrainConfig()
+        moved = {f.type for f in fields(cfg) if getattr(cfg, f.name) != getattr(default, f.name)}
+        assert moved == set(training._PARSERS)  # a field of each kind is off its default
         path = tmp_path / "run.cfg"
         save_config(cfg, path)
         assert load_config(path) == cfg
 
+    def test_every_annotation_has_a_parser(self):
+        assert {f.type for f in fields(TrainConfig)} <= set(training._PARSERS)
+
+    def test_replace_checks_the_new_config(self):
+        with pytest.raises(ConfigError, match="k_neg must be >= 0"):
+            replace(TrainConfig(), k_neg=-1)
+
+    def test_fields_cannot_be_assigned(self):
+        cfg = TrainConfig()
+        with pytest.raises(FrozenInstanceError):
+            cfg.k_neg = -1
+        assert cfg.k_neg == 64
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
-            config_from_dict({"not_a_knob": "1"})
+            parse_setting("not_a_knob", "1")
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
-            config_from_dict({"iterations": "twelve"})
+            parse_setting("iterations", "twelve")
         with pytest.raises(ConfigError):
-            config_from_dict({"enable_su": "maybe"})
+            parse_setting("enable_su", "maybe")
 
     def test_invalid_combinations_rejected(self):
         with pytest.raises(ConfigError):
@@ -104,11 +120,11 @@ class TestConfig:
         assert explicit.effective_decay_period == 30
 
     def test_decay_period_parses_as_int(self):
-        cfg = config_from_dict({"iterations": "40", "decay_period": "7"})
-        assert cfg.decay_period == 7 and type(cfg.decay_period) is int
+        period = parse_setting("decay_period", "7")
+        assert period == 7 and type(period) is int
         for bad in ("x", "7.5"):
             with pytest.raises(ConfigError):
-                config_from_dict({"iterations": "40", "decay_period": bad})
+                parse_setting("decay_period", bad)
 
 
 class TestTrainerMechanics:
@@ -502,8 +518,10 @@ class TestRunTraining:
             cfg = tiny_config(iterations=iterations, eval_period=eval_period, decay_period=1)
             out = tmp_path / str(iterations)
             summary = run_training(cfg, dataset_for_seed(cfg, cfg.seed), out)
-            assert {p.name for p in out.iterdir()} == {"train_log.csv", "eval_log.csv",
-                                                       "eval_final.csv", "final.ckpt"}
+            assert {p.name for p in out.iterdir()} == {"config.txt", "train_log.csv",
+                                                       "eval_log.csv", "eval_final.csv",
+                                                       "final.ckpt"}
+            assert load_config(out / "config.txt") == cfg
             rows = (out / "eval_final.csv").read_text().splitlines()
             assert len(rows) == 1 + cfg.n_eval and 0.0 <= summary["dsc"] <= 1.0
 

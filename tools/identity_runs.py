@@ -26,7 +26,11 @@ It writes under OUT:
 - `late_<dtype>/`: 12 steps from the `late` benchmark's warm-start fixture
   (step seed 7) in float32 and float64, set up as `bench/harness.py` sets
   up that workload: the steps' `train_log.csv` rows and `final.ckpt`;
-- `<run>.cfg`: the config file each CLI run reads.
+- `<run>.cfg`: the config file each CLI run reads, checked when read.
+
+Every `train_*` run and every run under `ablate/runs/` holds the
+`config.txt` that `pacedseg.training.run_training` writes before the
+run's first step; `data/` holds the one `gen-data` writes.
 
 Run it for each commit, each from its own checkout or with --root, then
 `diff -r PARENT_OUT CHANGE_OUT`; no output means every run file is
