@@ -66,8 +66,9 @@ feature map is a channels-last view over the class-major result of its
 conv (`chw_to_hwc`), so each channel slice is contiguous and numpy
 reduces the short trailing axis one whole slice at a time.
 
-Raw kernels (`conv3d_raw`, `softmax_raw`, ...) are shared with the
-tape-free inference path so both routes compute identical floats.
+Every pass of the segmentation head runs on a tape (`network._head`).
+Only the projection head has a raw copy, `network.feature_grid`, whose
+`conv3d_raw` call is `Tape.conv3d`'s, so its two routes agree bitwise.
 """
 
 from __future__ import annotations

@@ -18,6 +18,9 @@ then a depth-to-space shuffle of their shifted crops to full resolution.
 Dropout lives only in front of the segmentation head, so the trunk is a
 deterministic function of (params, image). Monte-Carlo passes exploit
 that: one trunk evaluation serves any number of stochastic head passes.
+The head is `_head`'s tape ops in the training graph and in every MC,
+teacher and eval pass (`head_forward`). `LAYERS` names the layers, and
+`model_fault` holds the size rules of every model made or read.
 
 Teacher maintenance (exponential moving average) and the SGD-with-momentum
 optimizer operate directly on parameter dicts; the teacher is never
@@ -34,18 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Node, Tape, conv3d_raw, softmax_raw
+from .autodiff import Node, Tape, conv3d_raw
 from .errors import FormatError, TrainingAbort
-from .grids import load_arrays, save_arrays
+from .grids import MAX_CLASSES, load_arrays, save_arrays, valid_n_classes
 
-PARAM_NAMES = (
-    "enc1_w", "enc1_b",
-    "enc2_w", "enc2_b",
-    "down_w", "down_b",
-    "dec_w", "dec_b",
-    "seg_w", "seg_b",
-    "proj_w", "proj_b",
-)
+# the four trunk convs, then the segmentation and projection heads
+LAYERS = ("enc1", "enc2", "down", "dec", "seg", "proj")
+PARAM_NAMES = tuple(f"{layer}_{kind}" for layer in LAYERS for kind in "wb")
 
 
 @dataclass(eq=False)
@@ -83,9 +81,18 @@ def _param_shapes(n_classes, widths, embed_dim):
     }
 
 
-def valid_dropout_rate(rate) -> bool:
-    """Whether a model can drop with this rate: in [0, 1), so NaN is not."""
-    return 0.0 <= rate < 1.0
+def model_fault(n_classes, widths, embed_dim, dropout_rate) -> str | None:
+    """The size rule a model of these sizes breaks, or None; NaN is no rate."""
+    if not valid_n_classes(n_classes):
+        return (f"n_classes {n_classes}, but n_classes must be in [2, {MAX_CLASSES}]: "
+                "a label is one byte")
+    if len(widths) != 4 or min(widths) < 1:
+        return f"widths {tuple(widths)}, not 4 positive channel counts"
+    if embed_dim < 1:
+        return f"embed_dim {embed_dim}, not >= 1"
+    if not 0.0 <= dropout_rate < 1.0:
+        return f"dropout_rate {dropout_rate}, not in [0, 1)"
+    return None
 
 
 def init_params(
@@ -97,8 +104,8 @@ def init_params(
     dtype=np.float64,
 ) -> ModelParams:
     """Seeded uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) initialization."""
-    if not valid_dropout_rate(dropout_rate):
-        raise ValueError("dropout rate must be in [0, 1)")
+    if fault := model_fault(n_classes, widths, embed_dim, dropout_rate):
+        raise ValueError(fault)
     rng = np.random.default_rng(seed)
     shapes = _param_shapes(n_classes, widths, embed_dim)
     tensors = {}
@@ -125,8 +132,7 @@ def draw_dropout(shape, rate, seed, dtype):
     low half first, into the float32 (u >> 8) * 2**-24, and a float32 rate r
     compares with it as the integer test u >= ceil(r * 2**24) << 8. The
     float mask is `keep * scale`; a step holds the bits, a byte per entry,
-    and forms the mask only where it multiplies (`Tape.dropout`,
-    `head_forward`).
+    and forms the mask only where it multiplies (`Tape.dropout`).
     """
     scale = np.asarray(np.float32(1.0) / np.float32(1.0 - rate), dtype=dtype)
     if rate == 0.0:
@@ -154,22 +160,27 @@ def _trunk(tape: Tape, pnodes: dict[str, Node], image: np.ndarray):
     return tape.conv3d(hd, pnodes["dec_w"], pnodes["dec_b"], up=2, relu=True), hd
 
 
+def _head(tape: Tape, pnodes: dict[str, Node], hdec: Node, dropout) -> Node:
+    """The segmentation head on a decoder node, gated by a `draw_dropout` pair
+    unless None: (H, W, D, C) probabilities over the conv's class-major result."""
+    if dropout is not None:
+        hdec = tape.dropout(hdec, *dropout)
+    logits = tape.chw_to_hwc(tape.conv3d(hdec, pnodes["seg_w"], pnodes["seg_b"], pad=0))
+    return tape.softmax(logits)
+
+
 def forward_graph(tape: Tape, pnodes: dict[str, Node], image: np.ndarray, dropout=None):
     """Differentiable forward; returns (prob_node, down-sampled node).
 
     `dropout` is a `draw_dropout` (keep bits, scale) pair for the decoder
     activations, or None for none. The engine runs channels-first
-    internally; the probability node is a channels-last (H, W, D, C) view
-    over the head conv's class-major result, as `head_forward`'s is. A
+    internally; the probability node is `_head`'s channels-last view. A
     caller that reads the features records the projection head on the
     (C3, h, w, d) down-sampled node with `feature_node`, so a graph whose
     features nobody reads records none.
     """
     hdec, hd = _trunk(tape, pnodes, image)
-    if dropout is not None:
-        hdec = tape.dropout(hdec, *dropout)
-    logits = tape.chw_to_hwc(tape.conv3d(hdec, pnodes["seg_w"], pnodes["seg_b"], pad=0))
-    return tape.softmax(logits), hd
+    return _head(tape, pnodes, hdec, dropout), hd
 
 
 def feature_node(tape: Tape, pnodes: dict[str, Node], hd: Node) -> Node:
@@ -197,20 +208,11 @@ def feature_grid(params: ModelParams, hd: np.ndarray) -> np.ndarray:
 
 
 def head_forward(params: ModelParams, hdec: np.ndarray, dropout=None) -> np.ndarray:
-    """Segmentation head on decoder activations, gated by a `draw_dropout`
-    (keep bits, scale) pair unless `dropout` is None.
-
-    Returns (H, W, D, C) probabilities in the layout of `forward_graph`'s:
-    a view over the conv's class-major (C, H, W, D) result, so each class
-    slice `p[..., c]` is contiguous.
-    """
-    t = params.tensors
-    a = hdec
-    if dropout is not None:  # the mask is formed in hdec's dtype, and a is written over it
-        keep, scale = dropout
-        mask = keep * np.asarray(scale, dtype=hdec.dtype)
-        a = np.multiply(hdec, mask, out=mask)
-    return softmax_raw(np.moveaxis(conv3d_raw(a, t["seg_w"], t["seg_b"], pad=0), 0, 3))
+    """`_head`'s value on decoder activations, recorded on a tape that is
+    then dropped; the (H, W, D, C) probabilities of `forward_graph`'s
+    layout, gated by a `draw_dropout` pair unless `dropout` is None."""
+    tape = Tape(params.dtype)
+    return _head(tape, param_nodes(tape, params), tape.input(hdec, grad=False), dropout).value
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +289,8 @@ def load_checkpoint(path):
     """(sections, meta) of a `save_checkpoint` file; any fault is a FormatError.
 
     A section's sizes are read off its `seg_w`, `proj_w` and conv weight
-    shapes; every tensor must then have the shape `_param_shapes` gives.
+    shapes; every tensor must then have the shape `_param_shapes` gives,
+    and the sizes and dropout rate must pass `model_fault`.
     """
     groups: dict[str, dict[str, np.ndarray]] = {}
     for key, a in load_arrays(path).items():
@@ -301,7 +304,7 @@ def load_checkpoint(path):
     sections = {}
     for name, arrays in groups.items():
         last = {tname: a.shape[-1] for tname, a in arrays.items() if a.ndim}
-        widths = tuple(last.get(f"{layer}_w", 0) for layer in ("enc1", "enc2", "down", "dec"))
+        widths = tuple(last.get(f"{layer}_w", 0) for layer in LAYERS[:4])
         n_classes, embed_dim = last.get("seg_w", 0), last.get("proj_w", 0)
         expected = _param_shapes(n_classes, widths, embed_dim) | {"dropout_rate": ()}
         got = {tname: a.shape for tname, a in arrays.items()}
@@ -309,9 +312,8 @@ def load_checkpoint(path):
         if wrong:
             raise FormatError(f"{path}: section {name!r} has missing or misshapen tensors {wrong}")
         dropout_rate, dtype = float(arrays.pop("dropout_rate")), arrays["enc1_w"].dtype
-        if not valid_dropout_rate(dropout_rate):
-            raise FormatError(f"{path}: section {name!r} has dropout_rate {dropout_rate}, "
-                              "not in [0, 1)")
+        if fault := model_fault(n_classes, widths, embed_dim, dropout_rate):
+            raise FormatError(f"{path}: section {name!r} has {fault}")
         for tname, a in arrays.items():
             if a.dtype != dtype or dtype not in (np.float32, np.float64):
                 raise FormatError(f"{path}: section {name!r} holds a {a.dtype} {tname}")

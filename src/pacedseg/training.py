@@ -37,13 +37,11 @@ from .autodiff import Tape
 from .contrastive import contrast_loss_node, mine_pairs
 from .errors import ConfigError, TrainingAbort
 from .grids import (
-    MAX_CLASSES,
     LabelMap,
     argmax_last,
     downsample_labels_majority,
     downsample_mask,
     downsample_mean,
-    valid_n_classes,
 )
 from .losses import LossReport, dice_ce_node
 from .metrics import MetricsRecord, evaluate_case, summarize, write_eval_log, write_records
@@ -58,10 +56,10 @@ from .network import (
     forward_parts,
     head_forward,
     init_params,
+    model_fault,
     param_nodes,
     save_checkpoint,
     sgd_step,
-    valid_dropout_rate,
 )
 from .perturb import apply_flips, cutmix_with_box, sample_box, sample_flips, weak_perturb
 from .synthdata import (
@@ -185,6 +183,7 @@ class TrainConfig:
         infinite = [f.name for f in fields(self) if f.type == "float"  # a str (PEP 563)
                     and f.name not in ("fuse_half_life", "tau_sched")
                     and not np.isfinite(getattr(self, f.name))]
+        model = model_fault(self.n_classes, self.widths, self.embed_dim, self.dropout_rate)
         checks = [
             (not infinite, f"{', '.join(infinite)} must be finite"),
             (self.iterations >= 1, "iterations must be >= 1"),
@@ -202,12 +201,7 @@ class TrainConfig:
             (self.delta >= 1, "delta must be >= 1: the age parameter never shrinks"),
             (self.tau_contrast > 0, "tau_contrast must be positive"),
             (self.k_neg >= 0, "k_neg must be >= 0"),
-            (valid_n_classes(self.n_classes),
-             f"n_classes must be in [2, {MAX_CLASSES}]: a label is one byte"),
-            (len(self.widths) == 4 and all(c >= 1 for c in self.widths),
-             "widths must be 4 positive channel counts"),
-            (self.embed_dim >= 1, "embed_dim must be >= 1"),
-            (valid_dropout_rate(self.dropout_rate), "dropout_rate must be in [0, 1)"),
+            (model is None, model),
             (self.dtype in ("float32", "float64"), "dtype must be float32 or float64"),
             (valid_dims(self.dims), "dims must be even and >= 4"),
             (self.n_labeled >= 1 and self.n_unlabeled >= 1,

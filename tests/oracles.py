@@ -27,7 +27,8 @@ way, so a test can compare the optimized form in `src/` against it.
   `pacedseg.contrastive.mine_pairs`.
 - `make_dropout_mask`: the float mask of `pacedseg.network.draw_dropout`,
   its keep bits times its scale; with `mul_const` it checks
-  `pacedseg.autodiff.Tape.dropout`, and it checks `head_forward`'s mask.
+  `pacedseg.autodiff.Tape.dropout`, on a training graph and on
+  `head_forward`'s tape.
 - `upsample2`: nearest-neighbour x2 of a (C, h, w, d) tensor; with a
   plain conv it checks `pacedseg.autodiff.conv3d_raw(..., up=2)`.
 - `conv3d_windowed` and `conv3d_windowed_backward`: a conv as im2col of

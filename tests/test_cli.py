@@ -207,6 +207,23 @@ def test_eval_dropout_rate_outside_unit_interval_exits_config(trained, tmp_path,
     assert not (tmp_path / "out" / "metrics.csv").exists()
 
 
+def test_eval_zero_width_layer_exits_config(trained, tmp_path, capsys):
+    """A checkpoint no config could make is refused as it is read, not in
+    the conv engine."""
+    cfg, data, run = trained
+    arrays = load_arrays(run / "final.ckpt")
+    arrays["student/enc1_w"] = arrays["student/enc1_w"][..., :0]
+    arrays["student/enc1_b"] = arrays["student/enc1_b"][:0]
+    arrays["student/enc2_w"] = arrays["student/enc2_w"][:0]
+    bad = tmp_path / "bad.ckpt"
+    save_arrays(bad, arrays)
+    argv = ["--config", str(cfg), "--out-dir", str(tmp_path / "out"), "eval",
+            "--checkpoint", str(bad), "--data-dir", str(data)]
+    assert main(argv) == EXIT_CONFIG
+    assert "section 'student' has widths (0, " in capsys.readouterr().err
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
 TINY_CFG = (
     "dim_h = 4\ndim_w = 4\ndim_d = 4\n"
     "iterations = 1\nn_labeled = 1\nn_unlabeled = 1\nn_eval = 1\n"

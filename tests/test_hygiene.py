@@ -331,6 +331,41 @@ def test_only_metrics_names_the_metric_set():
     assert found == {}, f"metric names spelled outside metrics.py: {found}"
 
 
+def scopes_naming(source: str, name: str) -> list[str]:
+    """Each top-level statement of a source that names `name`, as a read, an
+    attribute or an import: a def or class by its name, an import as
+    "import", any other statement by its line."""
+    found = []
+    for stmt in ast.parse(source).body:
+        if any((isinstance(n, ast.Name) and n.id == name)
+               or (isinstance(n, ast.Attribute) and n.attr == name)
+               or (isinstance(n, ast.alias) and (n.asname or n.name) == name)
+               for n in ast.walk(stmt)):
+            found.append(stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                         else "import" if isinstance(stmt, (ast.Import, ast.ImportFrom))
+                         else f"line {stmt.lineno}")
+    return found
+
+
+def test_scan_finds_the_scopes_naming_a_name():
+    source = ("from .autodiff import conv3d_raw\n\n\ndef f(x):\n    return conv3d_raw(x)\n\n\n"
+              "def g(x):\n    return x\n\n\nclass K:\n    run = autodiff.conv3d_raw\n\n\n"
+              "h = conv3d_raw\n")
+    assert scopes_naming(source, "conv3d_raw") == ["import", "f", "K", "line 16"]
+
+
+def test_the_segmentation_head_is_written_once():
+    """Every pass of the segmentation head, with a tape or without, is
+    `network._head`'s ops: softmax_raw is named only in autodiff.py, and
+    network.py runs a raw conv only in the tape-free projection head."""
+    found = {path.name: scopes for path in sorted(SRC.glob("*.py"))
+             if path.name != "autodiff.py"
+             and (scopes := scopes_naming(path.read_text(), "softmax_raw"))}
+    assert found == {}, f"softmax_raw named outside autodiff.py: {found}"
+    network = (SRC / "network.py").read_text()
+    assert scopes_naming(network, "conv3d_raw") == ["import", "feature_grid"]
+
+
 def dataclass_fields(source: str) -> list[tuple[str, str]]:
     """(class, field) for each annotated field of each top-level dataclass."""
     found = []

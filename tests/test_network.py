@@ -39,7 +39,7 @@ def tiny_image(seed=1, dims=(4, 4, 2)):
 
 
 def infer(params, image, dropout=None):
-    """(probabilities, features) of the tape-free inference path."""
+    """(probabilities, features) of the value path, which keeps no tape."""
     hdec, hd = forward_parts(params, image)
     return head_forward(params, hdec, dropout), feature_grid(params, hd)
 
@@ -71,8 +71,13 @@ class TestForward:
 
     @pytest.mark.parametrize("rate", [np.nan, 1.5, -0.2])
     def test_dropout_rate_outside_unit_interval_rejected(self, rate):
-        with pytest.raises(ValueError, match=r"dropout rate must be in \[0, 1\)"):
+        with pytest.raises(ValueError, match=rf"dropout_rate {rate}, not in \[0, 1\)"):
             tiny_params(dropout=rate)
+
+    def test_zero_width_rejected(self):
+        """A zero-width layer is refused by the size rule before any draw."""
+        with pytest.raises(ValueError, match=r"widths \(0, 8, 8, 8\), not 4 positive"):
+            init_params(widths=(0, 8, 8, 8))
 
     def test_graph_and_value_paths_agree_bitwise(self):
         params, image = tiny_params(), tiny_image()
@@ -431,30 +436,42 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=message):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("name, value, message", [
-        ("student/seg_b", np.zeros(3), r"misshapen tensors \['seg_b'\]"),
-        ("student/proj_w", np.zeros((4, 1, 1, 1, 6)), r"tensors \['proj_b'\]"),
-        ("student/enc1_w", None, r"\['enc1_b', 'enc1_w', 'enc2_w'\]"),
-        ("student/dropout_rate", None, "dropout_rate"),
-        ("student/extra", np.zeros(1), "extra"),
-        ("student/seg_b", np.zeros(2, dtype=np.float32), "holds a float32 seg_b"),
-        ("student/seg_b", np.zeros(2, dtype=np.int64), "holds a int64 seg_b"),
-        ("meta/iteration", np.zeros(2), "metadata 'iteration' has shape"),
-        ("student/dropout_rate", np.float64(np.nan), r"dropout_rate nan, not in \[0, 1\)"),
-        ("student/dropout_rate", np.float64(1.5), r"dropout_rate 1.5, not in \[0, 1\)"),
-        ("student/dropout_rate", np.float64(-0.2), r"dropout_rate -0.2, not in \[0, 1\)"),
+    # a section of tiny_params sizes, (2, 3, 4, 3) widths and 5 embedding
+    # channels, with one size set to what no model can have
+    ZERO_WIDTH = {"student/enc1_w": np.zeros((1, 3, 3, 3, 0)), "student/enc1_b": np.zeros(0),
+                  "student/enc2_w": np.zeros((0, 3, 3, 3, 3))}
+    ONE_CLASS = {"student/seg_w": np.zeros((3, 1, 1, 1, 1)), "student/seg_b": np.zeros(1)}
+    NO_EMBEDDING = {"student/proj_w": np.zeros((4, 1, 1, 1, 0)), "student/proj_b": np.zeros(0)}
+
+    @pytest.mark.parametrize("edits, message", [
+        ({"student/seg_b": np.zeros(3)}, r"misshapen tensors \['seg_b'\]"),
+        ({"student/proj_w": np.zeros((4, 1, 1, 1, 6))}, r"tensors \['proj_b'\]"),
+        ({"student/enc1_w": None}, r"\['enc1_b', 'enc1_w', 'enc2_w'\]"),
+        ({"student/dropout_rate": None}, "dropout_rate"),
+        ({"student/extra": np.zeros(1)}, "extra"),
+        ({"student/seg_b": np.zeros(2, dtype=np.float32)}, "holds a float32 seg_b"),
+        ({"student/seg_b": np.zeros(2, dtype=np.int64)}, "holds a int64 seg_b"),
+        ({"meta/iteration": np.zeros(2)}, "metadata 'iteration' has shape"),
+        ({"student/dropout_rate": np.float64(np.nan)}, r"dropout_rate nan, not in \[0, 1\)"),
+        ({"student/dropout_rate": np.float64(1.5)}, r"dropout_rate 1.5, not in \[0, 1\)"),
+        ({"student/dropout_rate": np.float64(-0.2)}, r"dropout_rate -0.2, not in \[0, 1\)"),
+        (ZERO_WIDTH, r"section 'student' has widths \(0, 3, 4, 3\), not 4 positive"),
+        (ONE_CLASS, r"section 'student' has n_classes 1, but n_classes must be in \[2, 256\]"),
+        (NO_EMBEDDING, r"section 'student' has embed_dim 0, not >= 1"),
     ], ids=["bias_shape", "embed_dim", "missing_tensor", "missing_dropout", "extra_tensor",
             "mixed_dtype", "int_dtype", "meta_shape", "dropout_nan", "dropout_1.5",
-            "dropout_-0.2"])
-    def test_malformed_section_raises(self, tmp_path, name, value, message):
-        """Shapes, dtypes and names the codec accepts but a model cannot have."""
+            "dropout_-0.2", "zero_width", "one_class", "zero_embed_dim"])
+    def test_malformed_section_raises(self, tmp_path, edits, message):
+        """Shapes, dtypes, names and sizes the codec accepts but a model cannot
+        have; a None edit deletes the array."""
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, {"student": tiny_params()}, {"iteration": 3})
         arrays = load_arrays(path)
-        if value is None:
-            del arrays[name]
-        else:
-            arrays[name] = value
+        for name, value in edits.items():
+            if value is None:
+                del arrays[name]
+            else:
+                arrays[name] = value
         save_arrays(path, arrays)
         with pytest.raises(FormatError, match=message):
             load_checkpoint(path)
