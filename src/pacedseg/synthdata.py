@@ -5,6 +5,11 @@ hidden ground truth is the 0.5 level set of the clean field, which for a
 sigmoid edge profile is exactly the ellipsoid surface. Labeled cases carry
 only the middle slice k = D//2 of the truth as their annotation.
 
+A generated case keeps the ellipsoid it was drawn from, not its truth: the
+truth is built from that shape on first read and kept, so a training set,
+whose truths nothing reads, holds none. A case read from disk or built
+with `truth=` keeps the truth it was given.
+
 The registration surrogate stands in for a slice-propagation registration
 model: it reproduces the true cross-section contour per slice, perturbed
 by smooth random radial jitter whose magnitude grows with distance from
@@ -53,22 +58,49 @@ class EllipsoidParams:
     edge_width: float
 
 
+class _Truth:
+    """A case's hidden `truth` field: the label map it was built or set with,
+    else `truth_labels` of its drawn shape, built on first read and kept;
+    None for a case with neither. Setting None drops a kept truth.
+
+    On the class it reads None, which a dataclass takes as the field's
+    default, so `truth=` stays an optional keyword of the case."""
+
+    def __get__(self, case, owner) -> LabelMap | None:
+        if case is None:
+            return None
+        if case._truth is None and case.shape is not None:
+            case._truth = truth_labels(case.image.dims, case.shape)
+        return case._truth
+
+    def __set__(self, case, truth: LabelMap | None) -> None:
+        case._truth = truth
+
+
 @dataclass(eq=False)
 class LabeledCase:
+    """A case with one annotated slice. Its truth is hidden, never read by
+    training; a generated case builds it from `shape` on first read and
+    keeps it."""
+
     case_id: str
     image: Volume
     k: int
     slice_labels: np.ndarray               # (H, W) uint8 annotation of slice k
     reg_label: LabelMap | None = None      # registration pseudo label
-    truth: LabelMap | None = None          # hidden; never read by training
-    shape: EllipsoidParams | None = None   # hidden; drives the surrogate
+    truth: LabelMap | None = _Truth()
+    shape: EllipsoidParams | None = None   # hidden; drives the surrogate and the truth
 
 
 @dataclass(eq=False)
 class UnlabeledCase:
+    """A case without annotation. Its truth is hidden, as on a labeled case:
+    a generated case builds it from `shape` on first read and keeps it."""
+
     case_id: str
     image: Volume
-    truth: LabelMap | None = None
+    truth: LabelMap | None = _Truth()
+    shape: EllipsoidParams | None = None   # hidden; drives the truth
 
 
 @dataclass(eq=False)
@@ -117,7 +149,7 @@ def _draw_case(rng, dims, radius_range, center_jitter, edge_width, noise_amp):
     image = clean_field(dims, params)
     if noise_amp > 0:
         image = image + noise_amp * rng.standard_normal(dims)
-    return Volume(image), truth_labels(dims, params), params
+    return Volume(image), params
 
 
 def valid_dims(dims) -> bool:
@@ -136,31 +168,30 @@ def generate_dataset(
     center_jitter: float = 0.08,
     edge_width: float = 0.08,
 ) -> Dataset:
-    """Seeded synthetic dataset; the annotated slice is always k = D//2."""
+    """Seeded synthetic dataset; the annotated slice is always k = D//2.
+    Every case keeps its drawn shape and no truth; a labeled case's slice
+    labels are copied out of a truth it does not keep."""
     if not valid_dims(dims):
         raise ValueError(f"dims {dims} must be >= 4 and divisible by 2")
-    if n_labeled < 1 or n_unlabeled < 0:
-        raise ValueError("need at least one labeled case")
+    if n_labeled < 1:
+        raise ValueError(f"n_labeled is {n_labeled}; need at least one labeled case")
+    if n_unlabeled < 0:
+        raise ValueError(f"n_unlabeled is {n_unlabeled}; it cannot be negative")
     children = np.random.SeedSequence(seed).spawn(n_labeled + n_unlabeled)
     k = dims[2] // 2
     labeled, unlabeled = [], []
     for i in range(n_labeled):
         rng = np.random.default_rng(children[i])
-        image, truth, params = _draw_case(
-            rng, dims, radius_range, center_jitter, edge_width, noise_amp
-        )
+        image, params = _draw_case(rng, dims, radius_range, center_jitter, edge_width, noise_amp)
         labeled.append(LabeledCase(
             case_id=f"case_{i:04d}", image=image, k=k,
-            slice_labels=truth.data[:, :, k].copy(),
-            truth=truth, shape=params,
+            slice_labels=truth_labels(dims, params).data[:, :, k].copy(), shape=params,
         ))
     for j in range(n_unlabeled):
         rng = np.random.default_rng(children[n_labeled + j])
-        image, truth, _ = _draw_case(
-            rng, dims, radius_range, center_jitter, edge_width, noise_amp
-        )
+        image, params = _draw_case(rng, dims, radius_range, center_jitter, edge_width, noise_amp)
         unlabeled.append(UnlabeledCase(
-            case_id=f"case_{n_labeled + j:04d}", image=image, truth=truth,
+            case_id=f"case_{n_labeled + j:04d}", image=image, shape=params,
         ))
     return Dataset(labeled, unlabeled, tuple(dims))
 
@@ -269,7 +300,8 @@ def fuse_with_weight_map(reg: np.ndarray, seg: np.ndarray, trust: np.ndarray) ->
 def save_dataset(dataset: Dataset, out_dir) -> None:
     """Write `data.arr` and `truth.arr` into the directory `out_dir`. Case i
     must be `case_{i:04d}`, every labeled case must carry its registration
-    label and every case its truth."""
+    label and every case its truth, which a generated case builds here if
+    it was not read before."""
     cases = dataset.labeled + dataset.unlabeled
     if [case.case_id for case in cases] != [f"case_{i:04d}" for i in range(len(cases))]:
         raise ValueError("dataset files hold case_0000, case_0001, ..., labeled cases first")

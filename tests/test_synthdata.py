@@ -8,12 +8,14 @@ from oracles import fuse_one_hot
 
 from pacedseg.ablation import dataset_for_seed
 from pacedseg.errors import ConfigError, FormatError
-from pacedseg.grids import load_arrays, save_arrays
+from pacedseg.grids import LabelMap, Volume, load_arrays, save_arrays
 from pacedseg.metrics import evaluate_case
 from pacedseg.perturb import apply_flips
 from pacedseg.synthdata import (
     DEFAULT_REG_BETA,
     DEFAULT_REG_SIGMA,
+    LabeledCase,
+    UnlabeledCase,
     attach_registration,
     clean_field,
     fuse_with_weight_map,
@@ -22,6 +24,7 @@ from pacedseg.synthdata import (
     register_surrogate,
     save_dataset,
     slice_weight_map,
+    truth_labels,
 )
 from pacedseg.training import TrainConfig
 
@@ -37,6 +40,11 @@ def slice_dice(a, b):
     if na == 0 and nb == 0:
         return 1.0
     return 2.0 * (a & b).sum() / (na + nb)
+
+
+def drop_truth(case):
+    """Leave a generated case with no truth: none kept, no shape to build one."""
+    case.truth, case.shape = None, None
 
 
 class TestGenerator:
@@ -70,13 +78,82 @@ class TestGenerator:
         ds = generate_dataset(2, 0, (16, 16, 10), seed=1)
         for case in ds.labeled:
             assert case.k == 5
+            want = truth_labels(ds.dims, case.shape).data[:, :, 5]
+            assert case.slice_labels.tobytes() == np.ascontiguousarray(want).tobytes()
+            # an owned (H, W) array, not a view that would keep a whole truth alive
+            assert case.slice_labels.base is None and case.slice_labels.shape == (16, 16)
             np.testing.assert_array_equal(case.slice_labels, case.truth.data[:, :, 5])
 
     def test_degenerate_dims_rejected(self):
         with pytest.raises(ValueError):
             generate_dataset(1, 0, (7, 16, 8), seed=0)
-        with pytest.raises(ValueError):
-            generate_dataset(0, 5, (16, 16, 8), seed=0)
+
+    @pytest.mark.parametrize("n_labeled, n_unlabeled, message", [
+        (0, 5, "n_labeled is 0; need at least one labeled case"),
+        (-2, 5, "n_labeled is -2; need at least one labeled case"),
+        (1, -1, "n_unlabeled is -1; it cannot be negative"),
+    ], ids=["no_labeled", "negative_labeled", "negative_unlabeled"])
+    def test_a_bad_case_count_is_named(self, n_labeled, n_unlabeled, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate_dataset(n_labeled, n_unlabeled, (8, 8, 4), seed=0)
+
+
+class TestDerivedTruth:
+    """A generated case keeps its drawn shape; its truth is built from that
+    shape on first read and kept. A case built with a truth keeps it."""
+
+    def test_generated_truth_is_the_shapes_truth_read_once(self):
+        ds = generate_dataset(3, 4, (16, 12, 8), seed=9)
+        for case in ds.labeled + ds.unlabeled:
+            want = truth_labels(ds.dims, case.shape)
+            assert case.truth.n_classes == 2 and case.truth.data.dtype == np.uint8
+            assert case.truth.data.tobytes() == want.data.tobytes()
+            assert case.truth is case.truth
+
+    def test_a_fresh_dataset_holds_no_truth_until_one_is_read(self):
+        """Reading each truth once allocates and keeps one uint8 volume per
+        case, which a dataset that held its truths would not; reading them
+        again allocates none."""
+        ds = generate_dataset(4, 12, (16, 16, 8), seed=2)
+        cases = ds.labeled + ds.unlabeled
+        truth_bytes = len(cases) * int(np.prod(ds.dims))
+        tracemalloc.start()
+        try:
+            [case.truth for case in cases]
+            first = tracemalloc.get_traced_memory()[0]
+            [case.truth for case in cases]
+            second = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert truth_bytes <= first <= 1.5 * truth_bytes
+        assert second <= first + 1024
+
+    def test_saving_an_unread_dataset_writes_the_read_truths(self, tmp_path):
+        for name, read in (("unread", False), ("read", True)):
+            ds = attach_registration(generate_dataset(2, 3, (8, 8, 4), seed=5), seed=5)
+            if read:
+                [case.truth for case in ds.labeled + ds.unlabeled]
+            (tmp_path / name).mkdir()
+            save_dataset(ds, tmp_path / name)
+        for fname in ("data.arr", "truth.arr"):
+            assert ((tmp_path / "unread" / fname).read_bytes()
+                    == (tmp_path / "read" / fname).read_bytes())
+
+    def test_a_case_built_with_a_truth_keeps_it(self, tmp_path):
+        rng = np.random.default_rng(0)
+        image = Volume(rng.standard_normal((8, 8, 4)).astype(np.float32))
+        truth = LabelMap(rng.integers(0, 2, size=(8, 8, 4)).astype(np.uint8), 2)
+        cases = [UnlabeledCase("c", image, truth=truth),
+                 LabeledCase("c", image, 2, truth.data[:, :, 2].copy(), truth=truth)]
+        for case in cases:
+            assert case.truth is truth and case.shape is None
+        save_dataset(attach_registration(generate_dataset(2, 1, (8, 8, 4), seed=5), seed=5),
+                     tmp_path)
+        back = load_dataset(tmp_path, include_truth=True)
+        files = load_arrays(tmp_path / "truth.arr")["truth"]
+        for case, want in zip(back.labeled + back.unlabeled, files):
+            assert case.shape is None and case.truth is case.truth
+            assert case.truth.data.tobytes() == want.tobytes()
 
 
 def calibrate_registration_sigma(
@@ -305,15 +382,16 @@ class TestDatasetIO:
     @pytest.mark.parametrize("edit, message", [
         (lambda ds: setattr(ds.unlabeled[0], "case_id", "scan_7"), "case_0000, case_0001"),
         (lambda ds: setattr(ds.labeled[1], "reg_label", None), "its registration label"),
-        (lambda ds: setattr(ds.unlabeled[1], "truth", None), "a case its truth"),
+        (lambda ds: drop_truth(ds.unlabeled[1]), "a case its truth"),
         (lambda ds: [setattr(case, "reg_label", None) for case in ds.labeled],
          "its registration label"),
-        (lambda ds: [setattr(case, "truth", None) for case in ds.labeled + ds.unlabeled],
+        (lambda ds: [drop_truth(case) for case in ds.labeled + ds.unlabeled],
          "a case its truth"),
     ], ids=["case_id", "partial_reg", "partial_truth", "no_reg", "no_truth"])
     def test_save_refuses_what_the_files_cannot_hold(self, tmp_path, edit, message):
         """Every labeled case carries its registration label and every case
-        its truth, none of them or only some alike."""
+        its truth, none of them or only some alike. A generated case has no
+        truth only when it has no shape to build one from."""
         ds = attach_registration(generate_dataset(2, 2, (8, 8, 4), seed=5), seed=5)
         edit(ds)
         with pytest.raises(ValueError, match=message):
@@ -368,12 +446,15 @@ class TestDatasetIO:
         with pytest.raises(FormatError, match=re.escape(message)):
             load_dataset(tmp_path, include_truth=True)
 
-    def test_default_dataset_holds_about_five_bytes_per_case_voxel(self):
-        """float32 images (4 bytes) and uint8 truths (1) on every case, plus
-        uint8 registration labels on the labeled fifth: 5.2 bytes per
-        case-voxel before object overheads. With float64 images it was 9.2,
-        and with int64 labels as well 17.6."""
+    def test_default_dataset_holds_about_four_bytes_per_case_voxel(self):
+        """float32 images (4 bytes) on every case, plus uint8 registration
+        labels on the labeled fifth: 4.2 bytes per case-voxel before object
+        overheads, since a generated case holds no truth until one is read.
+        With a uint8 truth kept on every case it was 5.2, with float64
+        images as well 9.2, and with int64 labels as well 17.6."""
         cfg = TrainConfig()
+        # the first draw imports numpy.random's modules, 0.6 MiB not held by the data
+        generate_dataset(1, 0, (4, 4, 4), seed=1)
         tracemalloc.start()
         try:
             ds = dataset_for_seed(cfg, 1)
@@ -381,7 +462,7 @@ class TestDatasetIO:
         finally:
             tracemalloc.stop()
         voxels = (ds.n_labeled + ds.n_unlabeled) * np.prod(ds.dims)
-        assert held / voxels <= 6.0
+        assert held / voxels <= 4.5
         cases = ds.labeled + ds.unlabeled
         assert sum(case.image.data.nbytes for case in cases) == 4 * voxels
 
