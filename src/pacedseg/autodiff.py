@@ -664,9 +664,10 @@ class Tape:
         out._backward = back
         return out
 
-    def dice_ce(self, probs: Node, labels, n_classes, gate_idx, eps, floor):
+    def dice_ce(self, probs: Node, labels, gate_idx, eps, floor):
         """Dice + CE of an (..., C) probability node against its class ids, on
-        the flat voxels that a nonempty `gate_idx` names, or on all of them.
+        the flat voxels that a nonempty `gate_idx` names, or on all of them;
+        the class count C is the last axis of the probabilities.
         The gate names each voxel at most once (`np.flatnonzero` of a mask
         does), so its backward scatters the gated gradient with a plain
         indexed add.
@@ -681,6 +682,7 @@ class Tape:
         of the same shape, so the loss and its gradient are that chain's
         floats, whatever the layout of the probabilities.
         """
+        n_classes = probs.value.shape[-1]
         c2, c_eps, c_neg, c_one, c_fg = (np.asarray(v, dtype=self.dtype)
                                          for v in (2.0, eps, -1.0, 1.0, 1.0 / (n_classes - 1)))
         labels = np.asarray(labels).ravel()

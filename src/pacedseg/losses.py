@@ -24,18 +24,19 @@ CE_PROB_FLOOR = 1e-7
 
 
 def dice_ce_node(tape: Tape, prob_node: Node, target_labels: np.ndarray,
-                 n_classes: int, gate_idx: np.ndarray | None = None) -> Node:
+                 gate_idx: np.ndarray | None = None) -> Node:
     """Dice + CE on the full grid, or on the gated voxel subset.
 
     Soft Dice of the (H, W, D, C) probabilities, averaged over the
     foreground classes 1..C-1, plus the mean -log p[target] with
     probabilities floored at 1e-7 before the log; an empty gate gives 0.
+    The class count C is read off the probabilities' last axis.
     ``gate_idx`` lists each flat voxel at most once, as `np.flatnonzero`
     of a mask does.
     """
     if gate_idx is not None and gate_idx.size == 0:
         return tape.input(0.0)
-    return tape.dice_ce(prob_node, target_labels, n_classes, gate_idx, DICE_EPS, CE_PROB_FLOOR)
+    return tape.dice_ce(prob_node, target_labels, gate_idx, DICE_EPS, CE_PROB_FLOOR)
 
 
 def v_cell(v: float | None) -> str:

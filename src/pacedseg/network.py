@@ -19,8 +19,9 @@ Dropout lives only in front of the segmentation head, so the trunk is a
 deterministic function of (params, image). Monte-Carlo passes exploit
 that: one trunk evaluation serves any number of stochastic head passes.
 The head is `_head`'s tape ops in the training graph and in every MC,
-teacher and eval pass (`head_forward`). `LAYERS` names the layers, and
-`model_fault` holds the size rules of every model made or read.
+teacher and eval pass (`head_forward`); a caller names a dropout seed,
+and the model draws the bits (`draw_dropout`). `LAYERS` names the
+layers, and `model_fault` holds the size rules of every model made or read.
 
 Teacher maintenance (exponential moving average) and the SGD-with-momentum
 optimizer operate directly on parameter dicts; the teacher is never
@@ -172,13 +173,18 @@ def _head(tape: Tape, pnodes: dict[str, Node], hdec: Node, dropout) -> Node:
 def forward_graph(tape: Tape, pnodes: dict[str, Node], image: np.ndarray, dropout=None):
     """Differentiable forward; returns (prob_node, down-sampled node).
 
-    `dropout` is a `draw_dropout` (keep bits, scale) pair for the decoder
-    activations, or None for none. The engine runs channels-first
+    `dropout` is a (rate, seed) pair, or None for none: the decoder
+    activations are gated by that `draw_dropout`, drawn in the tape's dtype
+    before the trunk is recorded, so its generator words are freed before
+    any activation exists. The engine runs channels-first
     internally; the probability node is `_head`'s channels-last view. A
     caller that reads the features records the projection head on the
     (C3, h, w, d) down-sampled node with `feature_node`, so a graph whose
     features nobody reads records none.
     """
+    if dropout is not None:
+        shape = (pnodes["dec_w"].value.shape[-1], *image.shape)
+        dropout = draw_dropout(shape, *dropout, tape.dtype)
     hdec, hd = _trunk(tape, pnodes, image)
     return _head(tape, pnodes, hdec, dropout), hd
 
@@ -207,12 +213,14 @@ def feature_grid(params: ModelParams, hd: np.ndarray) -> np.ndarray:
     return np.moveaxis(conv3d_raw(hd, t["proj_w"], t["proj_b"], pad=0), 0, 3)
 
 
-def head_forward(params: ModelParams, hdec: np.ndarray, dropout=None) -> np.ndarray:
+def head_forward(params: ModelParams, hdec: np.ndarray, seed=None) -> np.ndarray:
     """`_head`'s value on decoder activations, recorded on a tape that is
     then dropped; the (H, W, D, C) probabilities of `forward_graph`'s
-    layout, gated by a `draw_dropout` pair unless `dropout` is None."""
+    layout. Unless `seed` is None, the activations are gated by the
+    `draw_dropout` of `params.dropout_rate` and that seed, of their shape."""
     tape = Tape(params.dtype)
-    return _head(tape, param_nodes(tape, params), tape.input(hdec, grad=False), dropout).value
+    drop = None if seed is None else draw_dropout(hdec.shape, params.dropout_rate, seed, tape.dtype)
+    return _head(tape, param_nodes(tape, params), tape.input(hdec, grad=False), drop).value
 
 
 # ---------------------------------------------------------------------------

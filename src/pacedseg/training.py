@@ -28,6 +28,8 @@ student and teacher parameters and the SGD velocity.
 
 from __future__ import annotations
 
+import numbers
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -48,7 +50,6 @@ from .metrics import MetricsRecord, evaluate_case, summarize, write_eval_log, wr
 from .network import (
     ModelParams,
     SGDState,
-    draw_dropout,
     ema_update,
     feature_grid,
     feature_node,
@@ -133,10 +134,9 @@ class TrainConfig:
     fuse_half_life: float = 4.0
     # perturbations
     weak_sigma: float = 0.05
-    # loss weights; 1.0 everywhere is the literal unweighted sum
-    loss_w_s: float = 1.0
+    # weight of the gated term Lu in L = Ls + loss_w_u * Lu + Lbf; 1.0 is the
+    # paper's plain sum, and a near-zero weight mutes Lu (the `reg` recipe)
     loss_w_u: float = 1.0
-    loss_w_bf: float = 1.0
     # run control
     seed: int = 0
     eval_seed: int = 777
@@ -178,6 +178,9 @@ class TrainConfig:
         return {"float32": np.float32, "float64": np.float64}[self.dtype]
 
     def validate(self) -> "TrainConfig":
+        for f in fields(self):
+            if not _TYPES[f.type](value := getattr(self, f.name)):
+                raise ConfigError(f"{f.name} is {value!r}, not {f.type}")
         # inf has a meaning only for fuse_half_life (every slice trusted alike)
         # and tau_sched (the warm cap is 1 from the first step)
         infinite = [f.name for f in fields(self) if f.type == "float"  # a str (PEP 563)
@@ -215,8 +218,7 @@ class TrainConfig:
             (0 <= self.fuse_w0 <= 1, "fuse_w0 must be in [0, 1]"),
             (self.fuse_half_life > 0, "fuse_half_life must be positive"),
             (self.weak_sigma >= 0, "weak_sigma must be >= 0"),
-            (all(w >= 0 for w in (self.loss_w_s, self.loss_w_u, self.loss_w_bf)),
-             "loss weights loss_w_s, loss_w_u and loss_w_bf must be >= 0"),
+            (self.loss_w_u >= 0, "loss_w_u must be >= 0"),
             (self.n_eval >= 1, "n_eval must be >= 1"),
             (self.eval_period >= 1, "eval_period must be >= 1"),
             (all(s >= 0 for s in (self.seed, self.eval_seed, *self.ablation_seeds)),
@@ -232,15 +234,32 @@ class TrainConfig:
         return self
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# the check of each TrainConfig annotation (a str, PEP 563); an int is a float (PEP 484)
+_TYPES = {"int": _is_int, "int | None": lambda v: v is None or _is_int(v),
+          "float": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+          "bool": lambda v: isinstance(v, bool), "str": lambda v: isinstance(v, str),
+          "tuple[int, ...]": lambda v: isinstance(v, tuple) and all(map(_is_int, v))}
+
+
 def _parse_bool(raw: str) -> bool:
     if raw.lower() not in ("true", "false", "1", "0"):
         raise ValueError(raw)
     return raw.lower() in ("true", "1")
 
 
-# the parser of each TrainConfig annotation (a str, PEP 563)
+def _parse_ints(raw: str) -> tuple[int, ...]:
+    """Integers split by a comma or blanks; an empty entry is an error, a blank string ()."""
+    raw = raw.strip()
+    return tuple(int(x) for x in re.split(r"\s*,\s*|\s+", raw)) if raw else ()
+
+
+# the parser of each TrainConfig annotation
 _PARSERS = {"int": int, "float": float, "bool": _parse_bool, "str": str, "int | None": int,
-            "tuple[int, ...]": lambda raw: tuple(int(x) for x in raw.replace(",", " ").split())}
+            "tuple[int, ...]": _parse_ints}
 
 
 def parse_setting(key: str, raw: str):
@@ -332,15 +351,11 @@ class Trainer:
         self.teacher = self.student.copy()
         self.opt = SGDState(self.student)
         self.schedule = config.new_schedule()
-        self._drop_shape = (config.widths[3], *config.dims)
 
     @property
     def t(self) -> int:
         """The iteration the next step runs; the schedule owns the clock."""
         return self.schedule.t
-
-    def current_lr(self) -> float:
-        return self.config.lr_at(self.t)
 
     def _teacher_view(self, view: np.ndarray):
         """Teacher trunk + clean head on one weak view; (decoder, down-sampled, labels)."""
@@ -370,10 +385,9 @@ class Trainer:
             )
         subs = np.random.SeedSequence((cfg.seed, 0xC0FFEE), spawn_key=(self.t,)).spawn(8)
         pnodes = param_nodes(Tape(self.dtype), self.student)  # leaves only; the tape is dropped
-        ls_w, ls = self._labeled_loss(labeled, subs, pnodes, capture)
-        (lu_w, lu), (lbf_w, lbf), mask = self._unlabeled_loss(unlabeled, subs, pnodes, r_conf,
-                                                              capture)
-        if not np.isfinite((ls_w + lu_w) + lbf_w):
+        ls = self._labeled_loss(labeled, subs, pnodes, capture)
+        (lu_w, lu), lbf, mask = self._unlabeled_loss(unlabeled, subs, pnodes, r_conf, capture)
+        if not np.isfinite((ls + lu_w) + lbf):
             raise TrainingAbort(
                 f"non-finite loss at iteration {self.t}: "
                 f"Ls={float(ls)} Lu={float(lu)} Lbf={float(lbf)} schedule={self.schedule}"
@@ -383,13 +397,13 @@ class Trainer:
             name: (node.grad if node.grad is not None else np.zeros_like(node.value))
             for name, node in pnodes.items()
         }
-        lr = self.current_lr()
+        lr = cfg.lr_at(self.t)
         sgd_step(self.student, grads, lr, cfg.momentum, self.opt)
         ema_update(self.teacher, self.student, cfg.ema_decay)
 
         report = LossReport(
             t=self.t,
-            l_s=float(ls_w), l_u=float(lu_w), l_bf=float(lbf_w),
+            l_s=float(ls), l_u=float(lu_w), l_bf=float(lbf),
             mask_count=int(np.count_nonzero(mask)), r_conf=r_conf, branch=branch, v=v,
             lam=self.schedule.lam, lr=lr,
         )
@@ -398,7 +412,7 @@ class Trainer:
 
     def _labeled_loss(self, case: LabeledCase, subs, pnodes, capture):
         """Supervised loss against the fused label, swept into the leaves'
-        gradients; (weighted, unweighted) Ls. Its tape dies on return."""
+        gradients; the value of Ls. Its tape dies on return."""
         cfg = self.config
         tape = Tape(self.dtype)
         rng = np.random.default_rng(subs[0])
@@ -412,16 +426,14 @@ class Trainer:
         reg_f = apply_flips(case.reg_label.data, flips)
         trust = slice_weight_map(cfg.dim_d, case.k, cfg.fuse_w0, cfg.fuse_half_life)
         fused = fuse_with_weight_map(reg_f, ys, trust[::-1] if flips[2] else trust)
-        probs, _ = forward_graph(tape, pnodes, xs, draw_dropout(
-            self._drop_shape, cfg.dropout_rate, subs[2], self.dtype))
-        ls = dice_ce_node(tape, probs, fused, cfg.n_classes)
-        ls_w = tape.mul_const(ls, cfg.loss_w_s)
+        probs, _ = forward_graph(tape, pnodes, xs, dropout=(cfg.dropout_rate, subs[2]))
+        ls = dice_ce_node(tape, probs, fused)
         if capture is not None:
             capture.labeled_strong = xs
             capture.labeled_fused = fused
             capture.labeled_probs = np.asarray(probs.value, dtype=np.float64)
-        tape.backward(ls_w)
-        return ls_w.value, ls.value
+        tape.backward(ls)
+        return ls.value
 
     def _self_paced_mask(self, hdec: np.ndarray, sub, r_conf: float) -> np.ndarray:
         """The voxels SU admits: the r_conf share on which the teacher's MC
@@ -436,8 +448,8 @@ class Trainer:
 
     def _unlabeled_loss(self, case: UnlabeledCase, subs, pnodes, r_conf: float, capture):
         """Gated consistency and feature contrast, swept into the leaves'
-        gradients; ((weighted, unweighted) Lu, the same of Lbf, the mask).
-        Its tape dies on return."""
+        gradients; ((weighted, unweighted) Lu, Lbf, the mask). Its tape
+        dies on return."""
         cfg = self.config
         tape = Tape(self.dtype)
         u1 = weak_perturb(case.image.data, np.random.default_rng(subs[3]), cfg.weak_sigma,
@@ -451,9 +463,8 @@ class Trainer:
 
         box = sample_box(cfg.dims, np.random.default_rng(subs[5]))
         xs, ys = cutmix_with_box((u1, yu1), (u2, yu2), box)
-        probs, hd = forward_graph(tape, pnodes, xs, draw_dropout(
-            self._drop_shape, cfg.dropout_rate, subs[6], self.dtype))
-        lu = dice_ce_node(tape, probs, ys, cfg.n_classes, gate_idx=np.flatnonzero(mask.ravel()))
+        probs, hd = forward_graph(tape, pnodes, xs, dropout=(cfg.dropout_rate, subs[6]))
+        lu = dice_ce_node(tape, probs, ys, gate_idx=np.flatnonzero(mask.ravel()))
 
         # only the contrast reads features, and a mask grid with no true
         # block has no positive, so nothing is mined from it
@@ -477,14 +488,13 @@ class Trainer:
             lbf = tape.input(0.0)
 
         lu_w = tape.mul_const(lu, cfg.loss_w_u)
-        lbf_w = tape.mul_const(lbf, cfg.loss_w_bf)
         if capture is not None:
             capture.unlabeled_strong = xs
             capture.unlabeled_pseudo = ys
             capture.unlabeled_probs = np.asarray(probs.value, dtype=np.float64)
             capture.mask = mask
-        tape.backward(tape.add(lu_w, lbf_w))
-        return (lu_w.value, lu.value), (lbf_w.value, lbf.value), mask
+        tape.backward(tape.add(lu_w, lbf))
+        return (lu_w.value, lu.value), lbf.value, mask
 
     def batch_for(self, t: int) -> tuple[LabeledCase, UnlabeledCase]:
         return (

@@ -14,7 +14,8 @@ pseudo labels are trustworthy enough to learn from:
   trainer and the CLI's schedule-dump step the same object.
 
 Because dropout sits only in front of the segmentation head, the T
-stochastic passes share a single trunk evaluation.
+stochastic passes share a single trunk evaluation; each pass hands
+`head_forward` its seed, and the model draws that pass's dropout bits.
 """
 
 from __future__ import annotations
@@ -25,18 +26,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .network import ModelParams, draw_dropout, head_forward
+from .network import ModelParams, head_forward
 
 
-def entropy_values(p: np.ndarray, n_classes: int) -> np.ndarray:
+def entropy_values(p: np.ndarray) -> np.ndarray:
     """Shannon entropy along the last axis with the 0*log(0) := 0 convention.
 
-    Values are clamped into [0, ln C] to absorb float rounding at the
-    uniform extreme (order 1e-16).
+    Values are clamped into [0, ln C], C the length of the last axis, to
+    absorb float rounding at the uniform extreme (order 1e-16).
     """
     p = np.asarray(p, dtype=np.float64)
     ent = -np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0).sum(-1)
-    np.clip(ent, 0.0, math.log(n_classes), out=ent)
+    np.clip(ent, 0.0, math.log(p.shape[-1]), out=ent)
     return ent
 
 
@@ -50,20 +51,20 @@ def mc_uncertainty_from_trunk(
 ) -> tuple[np.ndarray, np.ndarray]:
     """T dropout-on head passes over a shared trunk; (mean probs, entropy in nats).
 
-    Pass t uses ``mc_pass_seed(seed, t)``, so averaging T full dropout-on
-    forward passes with those seeds reproduces the mean exactly. It needs
-    n_passes >= 1, which `TrainConfig.validate` enforces on mc_passes.
+    Pass t is `head_forward`'s with seed ``mc_pass_seed(seed, t)``, so
+    averaging T full dropout-on forward passes with those seeds reproduces
+    the mean exactly. It needs n_passes >= 1, which `TrainConfig.validate`
+    enforces on mc_passes.
     """
     acc = None
     for t in range(n_passes):
-        drop = draw_dropout(hdec.shape, params.dropout_rate, mc_pass_seed(seed, t), params.dtype)
-        probs = head_forward(params, hdec, drop).astype(np.float64)
+        probs = head_forward(params, hdec, mc_pass_seed(seed, t)).astype(np.float64)
         if acc is None:
             acc = probs
         else:
             acc += probs
     mean = acc / n_passes
-    return mean, entropy_values(mean, params.n_classes)
+    return mean, entropy_values(mean)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from pacedseg.grids import load_arrays, save_arrays
 from pacedseg.metrics import summarize
 from pacedseg.network import init_params, load_checkpoint, save_checkpoint
 from pacedseg.synthdata import load_dataset
-from pacedseg.training import TrainConfig, evaluate_params, load_config
+from pacedseg.training import TrainConfig, evaluate_params, load_config, save_config
 
 
 def test_schedule_dump_with_only_iterations_set(tmp_path, capsys):
@@ -376,14 +376,38 @@ def test_bad_ablation_seeds_exit_config(tmp_path, capsys, seeds):
     assert not (tmp_path / "runs").exists()
 
 
-def test_malformed_ablation_seeds_exit_config(tmp_path, capsys):
-    """--seeds is read as the config's ablation_seeds is."""
+MALFORMED_SEEDS = [("flag", "1,x,3"), ("flag", "1,,2,3"), ("flag", ",1,2,3,"),
+                   ("file", "1,,2,3"), ("file", ",1,2,3,")]
+
+
+@pytest.mark.parametrize("where,seeds", MALFORMED_SEEDS,
+                         ids=[f"{where}:{seeds}" for where, seeds in MALFORMED_SEEDS])
+def test_malformed_ablation_seeds_exit_config(tmp_path, capsys, where, seeds):
+    """--seeds is read as the config's ablation_seeds is: an entry that is
+    no integer, or empty, is refused, not dropped."""
     cfg = tmp_path / "c.cfg"
-    cfg.write_text(TINY_CFG)
-    argv = ["--config", str(cfg), "--out-dir", str(tmp_path), "ablate", "--seeds", "1,x,3"]
+    cfg.write_text(TINY_CFG + (f"ablation_seeds = {seeds}\n" if where == "file" else ""))
+    flag = ["--seeds", seeds] if where == "flag" else []
+    argv = ["--config", str(cfg), "--out-dir", str(tmp_path), "ablate", *flag]
     assert main(argv) == EXIT_CONFIG
-    assert "bad value for 'ablation_seeds': '1,x,3'" in capsys.readouterr().err
+    assert f"bad value for 'ablation_seeds': {seeds!r}" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+def test_a_config_with_the_deleted_loss_weights_is_refused(tmp_path, capsys):
+    """A config.txt written while loss_w_s and loss_w_bf were settings holds
+    both at 1.0, on either side of loss_w_u; the first is refused by its line."""
+    cfg = tmp_path / "config.txt"
+    save_config(TrainConfig(), cfg)
+    lines = cfg.read_text().splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.startswith("loss_w_u = "))
+    lines[at:at + 1] = ["loss_w_s = 1.0\n", lines[at], "loss_w_bf = 1.0\n"]
+    cfg.write_text("".join(lines))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out-dir", str(out), "train"]) == EXIT_CONFIG
+    assert f"config error: {cfg}:{at + 1}: unknown config key 'loss_w_s'" in (
+        capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_eval_directory_as_checkpoint_exits_config(tiny_data, tmp_path, capsys):
@@ -399,7 +423,7 @@ INF_ALLOWED = ("fuse_half_life", "tau_sched")
 FLOAT_KEYS = [f.name for f in fields(TrainConfig) if get_type_hints(TrainConfig)[f.name] is float]
 OUT_OF_RANGE = [
     ("edge_width", "0"), ("edge_width", "-0.1"), ("noise_amp", "-1"), ("weak_sigma", "-1"),
-    ("loss_w_s", "-1"), ("loss_w_u", "-1"), ("loss_w_bf", "-1"), ("center_jitter", "0.6"),
+    ("loss_w_u", "-1"), ("center_jitter", "0.6"),
     ("center_jitter", "-0.1"), ("delta", "0.5"), ("delta", "nan"), ("alpha", "0"),
     ("mc_passes", "0"), ("k_neg", "-1"), ("tau_contrast", "0"), ("ema_decay", "1"),
     ("lr0", "0"), ("fuse_w0", "1.5"), ("fuse_half_life", "0"), ("noise_amp", "1e38"),

@@ -366,6 +366,14 @@ def test_the_segmentation_head_is_written_once():
     assert scopes_naming(network, "conv3d_raw") == ["import", "feature_grid"]
 
 
+def test_only_network_draws_dropout():
+    """The model draws its own dropout bits: a caller of `forward_graph` or
+    `head_forward` names a rate and a seed, never `draw_dropout`."""
+    found = {path.name: scopes for path in sorted(SRC.glob("*.py"))
+             if (scopes := scopes_naming(path.read_text(), "draw_dropout"))}
+    assert found == {"network.py": ["forward_graph", "head_forward"]}
+
+
 def dataclass_fields(source: str) -> list[tuple[str, str]]:
     """(class, field) for each annotated field of each top-level dataclass."""
     found = []

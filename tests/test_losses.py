@@ -26,7 +26,7 @@ def dice(pred, labels):
 
 def dice_ce(pred, labels, gate=None):
     gate_idx = None if gate is None else np.flatnonzero(gate.ravel())
-    return node_value(dice_ce_node, pred, labels, pred.shape[3], gate_idx)
+    return node_value(dice_ce_node, pred, labels, gate_idx)
 
 
 def probmap_from_labels(labels, n_classes=2, hot=1.0):
@@ -186,7 +186,7 @@ class TestLossGradients:
         logits0 = rng.standard_normal((4, 4, 2, 2))
         labels = rng.integers(0, 2, size=(4, 4, 2))
         assert_matches_finite_differences(
-            lambda tape, probs: dice_ce_node(tape, probs, labels, 2), logits0, rng, 20
+            lambda tape, probs: dice_ce_node(tape, probs, labels), logits0, rng, 20
         )
 
     def test_three_class_dice_matches_finite_differences(self):
@@ -194,7 +194,7 @@ class TestLossGradients:
         logits0 = rng.standard_normal((4, 4, 2, 3))
         labels = rng.integers(0, 3, size=(4, 4, 2))
         assert_matches_finite_differences(
-            lambda tape, probs: dice_ce_node(tape, probs, labels, 3), logits0, rng, 20
+            lambda tape, probs: dice_ce_node(tape, probs, labels), logits0, rng, 20
         )
 
     def test_gated_loss_gradient(self):
@@ -203,7 +203,7 @@ class TestLossGradients:
         labels = rng.integers(0, 2, size=(4, 4, 2))
         gate = np.flatnonzero(rng.random(32) < 0.5)
         assert_matches_finite_differences(
-            lambda tape, probs: dice_ce_node(tape, probs, labels, 2, gate_idx=gate),
+            lambda tape, probs: dice_ce_node(tape, probs, labels, gate_idx=gate),
             logits0, rng, 16,
         )
 
@@ -226,9 +226,9 @@ class TestDiceCeNode:
         return probs, labels, rng
 
     @staticmethod
-    def _run(tape, build, probs, labels, n_classes, gate_idx):
+    def _run(tape, build, probs, labels, *args):
         node = tape.input(probs)
-        loss = build(tape, node, labels, n_classes, gate_idx)
+        loss = build(tape, node, labels, *args)
         tape.backward(tape.mul_const(loss, 0.7))
         return loss.value, node.grad
 
@@ -249,7 +249,7 @@ class TestDiceCeNode:
         laid_out = probs
         if layout == "class_major":
             laid_out = np.moveaxis(np.ascontiguousarray(np.moveaxis(probs, -1, 0)), 0, -1)
-        got = self._run(Tape(dtype), dice_ce_node, laid_out, labels, n_classes, gate_idx)
+        got = self._run(Tape(dtype), dice_ce_node, laid_out, labels, gate_idx)
         want = self._run(OracleTape(dtype), dice_ce_chain, probs, labels, n_classes, gate_idx)
         assert got[0].dtype == want[0].dtype and got[0].tobytes() == want[0].tobytes()
         if gate == "empty":
@@ -268,7 +268,7 @@ class TestDiceCeNode:
         gate_idx = np.flatnonzero(rng.random(labels.size) < 0.5) if gated else None
         tape = Tape(np.float32)
         node = tape.input(probs)
-        loss = dice_ce_node(tape, node, labels, 2, gate_idx)
+        loss = dice_ce_node(tape, node, labels, gate_idx)
         assert tape.nodes == [node, loss]
         held = [cell.cell_contents for cell in loss._backward.__closure__]
         arrays = [a for a in held if isinstance(a, np.ndarray) and a.size >= 2]

@@ -38,10 +38,10 @@ def tiny_image(seed=1, dims=(4, 4, 2)):
     return np.random.default_rng(seed).standard_normal(dims)
 
 
-def infer(params, image, dropout=None):
+def infer(params, image, seed=None):
     """(probabilities, features) of the value path, which keeps no tape."""
     hdec, hd = forward_parts(params, image)
-    return head_forward(params, hdec, dropout), feature_grid(params, hd)
+    return head_forward(params, hdec, seed), feature_grid(params, hd)
 
 
 class TestForward:
@@ -55,14 +55,10 @@ class TestForward:
 
     def test_dropout_on_deterministic_per_seed(self):
         params, image = tiny_params(), tiny_image()
-
-        def draw(seed):
-            return draw_dropout((3, 4, 4, 2), params.dropout_rate, seed, params.dtype)
-
-        p1, _ = infer(params, image, draw(42))
-        p2, _ = infer(params, image, draw(42))
+        p1, _ = infer(params, image, 42)
+        p2, _ = infer(params, image, 42)
         np.testing.assert_array_equal(p1, p2)
-        p3, _ = infer(params, image, draw(43))
+        p3, _ = infer(params, image, 43)
         assert not np.array_equal(p1, p3)
 
     def test_odd_dims_rejected(self):
@@ -81,17 +77,16 @@ class TestForward:
 
     def test_graph_and_value_paths_agree_bitwise(self):
         params, image = tiny_params(), tiny_image()
-        drop = draw_dropout((3, 4, 4, 2), params.dropout_rate, 5, params.dtype)
         tape = Tape(np.float64)
         pnodes = param_nodes(tape, params)
-        probs_node, hd_node = forward_graph(tape, pnodes, image, drop)
+        probs_node, hd_node = forward_graph(tape, pnodes, image, dropout=(params.dropout_rate, 5))
         feats_node = feature_node(tape, pnodes, hd_node)
 
         hdec, hd = forward_parts(params, image)
         np.testing.assert_array_equal(hd_node.value, hd)
         np.testing.assert_array_equal(feats_node.value, feature_grid(params, hd))
         np.testing.assert_array_equal(
-            probs_node.value, head_forward(params, hdec, drop)
+            probs_node.value, head_forward(params, hdec, 5)
         )
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -101,12 +96,11 @@ class TestForward:
         contiguous, and each taped/raw pair holds the same bits at the same
         strides."""
         params, image = tiny_params(dtype=dtype), tiny_image()
-        drop = draw_dropout((3, 4, 4, 2), params.dropout_rate, 5, params.dtype)
         tape = Tape(dtype)
         pnodes = param_nodes(tape, params)
-        probs_node, hd_node = forward_graph(tape, pnodes, image, drop)
+        probs_node, hd_node = forward_graph(tape, pnodes, image, dropout=(params.dropout_rate, 5))
         hdec, hd = forward_parts(params, image)
-        pairs = ((probs_node.value, head_forward(params, hdec, drop)),
+        pairs = ((probs_node.value, head_forward(params, hdec, 5)),
                  (feature_node(tape, pnodes, hd_node).value, feature_grid(params, hd)))
         for taped, raw in pairs:
             for a in (taped, raw):
@@ -244,9 +238,8 @@ class TestDropout:
     def test_head_on_keep_bits_equals_head_on_masked_activations(self, dtype):
         params = tiny_params(dtype=dtype)
         hdec = forward_parts(params, tiny_image())[0]
-        drop = draw_dropout(hdec.shape, params.dropout_rate, 3, dtype)
         mask = make_dropout_mask(hdec.shape, params.dropout_rate, 3, dtype)
-        assert head_forward(params, hdec, drop).tobytes() == head_forward(
+        assert head_forward(params, hdec, 3).tobytes() == head_forward(
             params, hdec * mask).tobytes()
 
     def test_rate_zero_identity(self):
@@ -519,18 +512,18 @@ class TestModelGradients:
         params = tiny_params(seed=7)
         image = tiny_image(seed=8)
         target = np.random.default_rng(9).integers(0, 2, size=(4, 4, 2))
-        drop = draw_dropout((3, 4, 4, 2), 0.3, 10, np.float64)
+        drop = (0.3, 10)
 
         def loss_value(p):
             tape = Tape(np.float64)
             nodes = param_nodes(tape, p)
-            probs, _ = forward_graph(tape, nodes, image, drop)
-            return float(dice_ce_node(tape, probs, target, 2).value)
+            probs, _ = forward_graph(tape, nodes, image, dropout=drop)
+            return float(dice_ce_node(tape, probs, target).value)
 
         tape = Tape(np.float64)
         nodes = param_nodes(tape, params)
-        probs, _ = forward_graph(tape, nodes, image, drop)
-        tape.backward(dice_ce_node(tape, probs, target, 2))
+        probs, _ = forward_graph(tape, nodes, image, dropout=drop)
+        tape.backward(dice_ce_node(tape, probs, target))
 
         rng = np.random.default_rng(11)
         checked = 0

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import tracemalloc
 import weakref
 from dataclasses import FrozenInstanceError, fields, replace
@@ -51,7 +52,8 @@ class TestConfig:
         assert load_config(path) == cfg
 
     def test_every_annotation_has_a_parser(self):
-        assert {f.type for f in fields(TrainConfig)} <= set(training._PARSERS)
+        kinds = {f.type for f in fields(TrainConfig)}
+        assert kinds <= set(training._PARSERS) and kinds <= set(training._TYPES)
 
     def test_replace_checks_the_new_config(self):
         with pytest.raises(ConfigError, match="k_neg must be >= 0"):
@@ -119,6 +121,34 @@ class TestConfig:
         explicit = replace(TrainConfig(decay_period=30), iterations=40).validate()
         assert explicit.effective_decay_period == 30
 
+    def test_list_settings_take_commas_or_blanks(self):
+        assert parse_setting("ablation_seeds", "1, 2, 3") == (1, 2, 3)
+        assert parse_setting("widths", "4 8 8 8") == (4, 8, 8, 8)
+        assert parse_setting("ablation_seeds", " 1 ,2 3 ") == (1, 2, 3)
+        assert parse_setting("ablation_seeds", "") == ()  # what save_config writes for ()
+        for bad in ("1,,2,3", ",1,2,3,", "1, ,2", ","):
+            with pytest.raises(ConfigError, match="bad value for 'ablation_seeds'"):
+                parse_setting("ablation_seeds", bad)
+
+    @pytest.mark.parametrize("key,value", [
+        ("widths", [4, 8, 8, 8]), ("iterations", 3.0), ("decay_period", 2.5),
+        ("ablation_seeds", (1, 2, 3.0)), ("enable_su", 1), ("lr0", True), ("dtype", np.float32),
+    ], ids=["widths_list", "iterations_float", "decay_period_float", "ablation_seeds_float",
+            "enable_su_int", "lr0_bool", "dtype_numpy"])
+    def test_a_value_not_of_its_annotation_is_refused(self, key, value):
+        """A config made in Python is held to the annotations the file parser
+        reads by, so it writes a config.txt that reads back and runs."""
+        kind = {f.name: f.type for f in fields(TrainConfig)}[key]
+        message = rf"^{key} is {re.escape(repr(value))}, not {re.escape(kind)}$"
+        with pytest.raises(ConfigError, match=message):
+            TrainConfig(**{key: value})
+        with pytest.raises(ConfigError, match=message):
+            replace(TrainConfig(), **{key: value})
+
+    def test_an_int_is_a_float_and_numpy_scalars_pass(self):
+        cfg = TrainConfig(lr0=1, alpha=np.float32(0.5), seed=np.int64(4), decay_period=None)
+        assert (cfg.lr0, cfg.alpha, cfg.seed) == (1, 0.5, 4)
+
     def test_decay_period_parses_as_int(self):
         period = parse_setting("decay_period", "7")
         assert period == 7 and type(period) is int
@@ -159,9 +189,9 @@ class TestTrainerMechanics:
         cfg = tiny_config(decay_period=None)
         trainer = Trainer(cfg, dataset_for_seed(cfg, cfg.seed))
         trainer.schedule.t = cfg.effective_decay_period - 1
-        assert trainer.current_lr() == pytest.approx(0.01)
+        assert cfg.lr_at(trainer.t) == pytest.approx(0.01)
         trainer.schedule.t = cfg.effective_decay_period
-        assert trainer.current_lr() == pytest.approx(0.01 * 0.1)
+        assert cfg.lr_at(trainer.t) == pytest.approx(0.01 * 0.1)
 
     def test_first_step_is_warm_branch(self):
         cfg = tiny_config()
@@ -225,8 +255,8 @@ class TestTrainerMechanics:
         trainer.step(*trainer.batch_for(0))  # a nonzero velocity and a finite last L_u
         real = training.dice_ce_node
 
-        def poisoned(tape, probs, labels, n_classes, gate_idx=None):
-            node = real(tape, probs, labels, n_classes, gate_idx=gate_idx)
+        def poisoned(tape, probs, labels, gate_idx=None):
+            node = real(tape, probs, labels, gate_idx=gate_idx)
             hit = (gate_idx is None) == (branch == "labeled")  # the labeled loss is ungated
             return tape.mul_const(node, np.nan) if hit else node
 
@@ -354,10 +384,10 @@ class TestStepMemory:
                 labeled.extend([weakref.ref(tape), *map(weakref.ref, tape.nodes)])
             return real_backward(tape, loss)
 
-        def forward_graph(tape, *args):
+        def forward_graph(tape, *args, **kwargs):
             if labeled:
                 alive.append(sum(ref() is not None for ref in labeled))
-            return real_graph(tape, *args)
+            return real_graph(tape, *args, **kwargs)
 
         monkeypatch.setattr(autodiff.Tape, "backward", backward)
         monkeypatch.setattr(training, "forward_graph", forward_graph)
@@ -366,9 +396,9 @@ class TestStepMemory:
             trainer.step(*trainer.batch_for(0))
         finally:
             gc.enable()
-        # the tape and its 11 nodes: the image, 4 trunk convs, dropout, the
-        # head conv, its layout, softmax, Dice + CE and the weighted loss
-        assert len(labeled) == 12 and alive == [0]
+        # the tape and its 10 nodes: the image, 4 trunk convs, dropout, the
+        # head conv, its layout, softmax and Dice + CE
+        assert len(labeled) == 11 and alive == [0]
 
 
 class TestStepArrays:
@@ -437,8 +467,8 @@ class TestFeatureHead:
                 return conv(x, w, *args, **kwargs)
             return wrapped
 
-        def recording(tape, pnodes, image, dropout_mask=None):
-            probs, hd = real_graph(tape, pnodes, image, dropout_mask)
+        def recording(tape, pnodes, image, dropout=None):
+            probs, hd = real_graph(tape, pnodes, image, dropout)
             if unread_heads:
                 network.feature_node(tape, pnodes, hd)
             return probs, hd

@@ -33,17 +33,17 @@ class TestEntropy:
     def test_degenerate_distribution_is_zero(self):
         probs = np.zeros((2, 2, 2, 2))
         probs[..., 0] = 1.0
-        np.testing.assert_array_equal(entropy_values(probs, 2), 0.0)
+        np.testing.assert_array_equal(entropy_values(probs), 0.0)
 
     def test_uniform_is_ln2(self):
         probs = np.full((2, 2, 2, 2), 0.5)
-        np.testing.assert_allclose(entropy_values(probs, 2), math.log(2), atol=1e-9)
+        np.testing.assert_allclose(entropy_values(probs), math.log(2), atol=1e-9)
 
     def test_bounds_over_random_probmaps(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             n_classes = int(rng.integers(2, 5))
-            ent = entropy_values(random_probmap(rng, n_classes=n_classes), n_classes)
+            ent = entropy_values(random_probmap(rng, n_classes=n_classes))
             assert ent.min() >= 0.0
             assert ent.max() <= math.log(n_classes)
 
@@ -68,7 +68,7 @@ class TestMCUncertainty:
             mask = make_dropout_mask(hdec.shape, params.dropout_rate, mc_pass_seed(seed, t))
             acc += head_forward(params, hdec * mask.astype(params.dtype))
         np.testing.assert_allclose(mean, acc / passes, atol=1e-6)
-        np.testing.assert_array_equal(ent, entropy_values(mean, 2))
+        np.testing.assert_array_equal(ent, entropy_values(mean))
 
     def test_deterministic_per_seed(self):
         params = init_params(widths=(2, 3, 4, 3), embed_dim=4, dropout_rate=0.4, seed=2)

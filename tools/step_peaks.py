@@ -52,8 +52,8 @@ LATE_ROWS = (
 )
 LATE_SEED = 7
 
-# argv: JSON config keys; prints the traced peak of step WARM_STEPS and the
-# kept conv bytes after it
+# argv: JSON config keys, a JSON list read as a tuple; prints the traced
+# peak of step WARM_STEPS and the kept conv bytes after it
 STEP_SCRIPT = """
 import json, sys, tracemalloc
 from pacedseg import autodiff
@@ -61,7 +61,7 @@ from pacedseg.ablation import dataset_for_seed
 from pacedseg.training import TrainConfig, Trainer
 
 keys, warm = json.loads(sys.argv[1]), int(sys.argv[2])
-cfg = TrainConfig(**keys).validate()
+cfg = TrainConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in keys.items()})
 trainer = Trainer(cfg, dataset_for_seed(cfg, cfg.seed))
 for t in range(warm):
     trainer.step(*trainer.batch_for(t))
